@@ -46,10 +46,11 @@ impl ChaCha20Poly1305 {
     fn compute_tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let otk = self.poly_key(nonce);
         let mut mac = Poly1305::new(&otk);
+        let zeros = [0u8; 16];
         mac.update(aad);
-        mac.update(&vec![0u8; (16 - aad.len() % 16) % 16]);
+        mac.update(&zeros[..(16 - aad.len() % 16) % 16]);
         mac.update(ciphertext);
-        mac.update(&vec![0u8; (16 - ciphertext.len() % 16) % 16]);
+        mac.update(&zeros[..(16 - ciphertext.len() % 16) % 16]);
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
@@ -70,7 +71,8 @@ impl ChaCha20Poly1305 {
             plaintext.len() as u64 <= (u32::MAX as u64 - 1) * 64,
             "message exceeds chacha20 counter space"
         );
-        let mut out = plaintext.to_vec();
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
         chacha::xor_stream(&self.key, 1, nonce, &mut out);
         let tag = self.compute_tag(nonce, aad, &out);
         out.extend_from_slice(&tag);
@@ -116,7 +118,27 @@ impl ChaCha20Poly1305 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
+    use crate::sha2::Sha256;
     use proptest::prelude::*;
+
+    #[test]
+    fn golden_1mib_record_digest() {
+        // Pins the bytes of a record the size of the data-plane transfers.
+        let aead = ChaCha20Poly1305::new(&[1u8; 32]);
+        let pt: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        let ct = aead.seal(&[2u8; 12], b"rec", &pt);
+        assert_eq!(ct.len(), pt.len() + TAG_LEN);
+        assert_eq!(
+            hex::encode(Sha256::digest(&ct)),
+            "878513cf6f56b495e309eef495ccc98bda47986189de358eaaf7562a82727a37"
+        );
+        assert_eq!(
+            hex::encode(&ct[pt.len()..]),
+            "c91b1a8e0af8f0acc6c1168f1ed42e4d"
+        );
+        assert_eq!(aead.open(&[2u8; 12], b"rec", &ct).unwrap(), pt);
+    }
 
     #[test]
     fn roundtrip() {

@@ -23,19 +23,25 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
-#[must_use]
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+/// The input state for (`key`, `counter`, `nonce`): constants, key words,
+/// block counter, nonce words.
+fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
-    for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    for (s, k) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *s = u32::from_le_bytes(k.try_into().expect("4 bytes"));
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    for (s, n) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *s = u32::from_le_bytes(n.try_into().expect("4 bytes"));
     }
-    let mut working = state;
+    state
+}
+
+/// The 20-round block function: the keystream words for `state`.
+#[inline]
+fn keystream(state: &[u32; 16]) -> [u32; 16] {
+    let mut working = *state;
     for _ in 0..10 {
         quarter_round(&mut working, 0, 4, 8, 12);
         quarter_round(&mut working, 1, 5, 9, 13);
@@ -46,16 +52,33 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
         quarter_round(&mut working, 2, 7, 8, 13);
         quarter_round(&mut working, 3, 4, 9, 14);
     }
+    for (w, s) in working.iter_mut().zip(state) {
+        *w = w.wrapping_add(*s);
+    }
+    working
+}
+
+/// Serializes keystream words little-endian.
+fn to_bytes(words: [u32; 16]) -> [u8; 64] {
     let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    for (o, w) in out.chunks_exact_mut(4).zip(words) {
+        o.copy_from_slice(&w.to_le_bytes());
     }
     out
 }
 
+/// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
+#[must_use]
+pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+    to_bytes(keystream(&initial_state(key, counter, nonce)))
+}
+
 /// Encrypts or decrypts `data` in place (XOR keystream starting at block
 /// `initial_counter`). ChaCha20 is its own inverse.
+///
+/// The state is built once per call; whole 64-byte blocks are XORed a
+/// 32-bit word at a time and only a trailing partial block goes through
+/// bytes.
 ///
 /// ```
 /// use revelio_crypto::chacha::xor_stream;
@@ -73,10 +96,18 @@ pub fn xor_stream(
     nonce: &[u8; NONCE_LEN],
     data: &mut [u8],
 ) {
-    for (i, chunk) in data.chunks_mut(64).enumerate() {
-        let counter = initial_counter.wrapping_add(i as u32);
-        let ks = block(key, counter, nonce);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+    let mut state = initial_state(key, initial_counter, nonce);
+    let mut blocks = data.chunks_exact_mut(64);
+    for chunk in &mut blocks {
+        for (word, k) in chunk.chunks_exact_mut(4).zip(keystream(&state)) {
+            let w = u32::from_le_bytes((&*word).try_into().expect("4 bytes")) ^ k;
+            word.copy_from_slice(&w.to_le_bytes());
+        }
+        state[12] = state[12].wrapping_add(1);
+    }
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        for (b, k) in tail.iter_mut().zip(to_bytes(keystream(&state))) {
             *b ^= k;
         }
     }
@@ -125,6 +156,17 @@ mod tests {
         );
     }
 
+    /// The per-block loop `xor_stream` replaced: re-derive the block from
+    /// the key for every 64 bytes and XOR byte by byte.
+    fn xor_stream_bytewise(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(64).enumerate() {
+            let ks = block(key, counter.wrapping_add(i as u32), nonce);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
+
     #[test]
     fn counter_advances_across_blocks() {
         let key = [0u8; 32];
@@ -144,6 +186,24 @@ mod tests {
             xor_stream(&key, counter, &nonce, &mut buf);
             xor_stream(&key, counter, &nonce, &mut buf);
             prop_assert_eq!(buf, data);
+        }
+
+        #[test]
+        fn word_wise_matches_byte_wise(key: [u8; 32], nonce: [u8; 12], counter: u32, data in proptest::collection::vec(any::<u8>(), 0..300)) {
+            let mut fast = data.clone();
+            xor_stream(&key, counter, &nonce, &mut fast);
+            let mut slow = data;
+            xor_stream_bytewise(&key, counter, &nonce, &mut slow);
+            prop_assert_eq!(fast, slow);
+        }
+
+        #[test]
+        fn counter_wraps_like_the_byte_wise_loop(key: [u8; 32], nonce: [u8; 12], back in 0u32..3) {
+            let mut fast = vec![0u8; 256];
+            let mut slow = fast.clone();
+            xor_stream(&key, u32::MAX - back, &nonce, &mut fast);
+            xor_stream_bytewise(&key, u32::MAX - back, &nonce, &mut slow);
+            prop_assert_eq!(fast, slow);
         }
 
         #[test]

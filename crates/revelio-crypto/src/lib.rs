@@ -17,9 +17,11 @@
 //! * [`kdf`] — HKDF (RFC 5869) and PBKDF2 (RFC 8018).
 //! * [`chacha`] / [`poly1305`] / [`aead`] — ChaCha20, Poly1305 and the
 //!   combined ChaCha20-Poly1305 AEAD (RFC 8439), used by the TLS record
-//!   layer simulation.
-//! * [`aes`] / [`xts`] — AES-128/256 (FIPS 197) and the XTS mode used by
-//!   `dm-crypt`'s default `aes-xts-plain64` cipher spec.
+//!   layer simulation. ChaCha20 XORs whole 32-bit words and Poly1305 runs
+//!   on three 44-bit limbs (9 wide multiplies per block).
+//! * [`aes`] / [`xts`] — AES-128/256 (FIPS 197) as 32-bit T-table rounds,
+//!   and the XTS mode used by `dm-crypt`'s default `aes-xts-plain64`
+//!   cipher spec, with its tweak carried as a `u128`.
 //! * [`field25519`] / [`ed25519`] / [`x25519`] — Curve25519 arithmetic,
 //!   Ed25519 signatures (RFC 8032) standing in for the ECDSA-P384 VCEK, and
 //!   X25519 key agreement (RFC 7748) for the TLS handshake.
@@ -47,6 +49,8 @@
 //! implementations are spec-faithful and tested against published vectors,
 //! but they have not been audited or hardened against side channels beyond
 //! basic constant-time tag comparison; do not use them to protect real data.
+//! In particular AES indexes its S-box and T-tables by secret bytes, so it
+//! is open to cache-timing attacks.
 
 pub mod aead;
 pub mod aes;

@@ -143,6 +143,32 @@ fn h384() -> &'static [u64; 8] {
     })
 }
 
+/// Feeds `data` to `compress` in `block_len` blocks: first completes a
+/// block already started in `buffer`, then hashes whole blocks straight
+/// from `data`, and keeps only the tail in `buffer`.
+fn absorb(
+    buffer: &mut Vec<u8>,
+    block_len: usize,
+    mut data: &[u8],
+    mut compress: impl FnMut(&[u8]),
+) {
+    if !buffer.is_empty() {
+        let take = (block_len - buffer.len()).min(data.len());
+        buffer.extend_from_slice(&data[..take]);
+        data = &data[take..];
+        if buffer.len() < block_len {
+            return;
+        }
+        compress(buffer);
+        buffer.clear();
+    }
+    let mut blocks = data.chunks_exact(block_len);
+    for block in &mut blocks {
+        compress(block);
+    }
+    buffer.extend_from_slice(blocks.remainder());
+}
+
 /// Streaming SHA-256.
 ///
 /// ```
@@ -183,7 +209,7 @@ impl Sha256 {
         HashFunction::finalize(h).try_into().expect("32 bytes")
     }
 
-    fn compress(&mut self, block: &[u8]) {
+    fn compress(state: &mut [u32; 8], block: &[u8]) {
         debug_assert_eq!(block.len(), 64);
         let k = k256();
         let mut w = [0u32; 64];
@@ -198,7 +224,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -220,7 +246,7 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
         let vals = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(vals) {
+        for (s, v) in state.iter_mut().zip(vals) {
             *s = s.wrapping_add(v);
         }
     }
@@ -241,12 +267,9 @@ impl HashFunction for Sha256 {
 
     fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
-        self.buffer.extend_from_slice(data);
-        let full = self.buffer.len() / 64 * 64;
-        let blocks: Vec<u8> = self.buffer.drain(..full).collect();
-        for block in blocks.chunks_exact(64) {
-            self.compress(block);
-        }
+        absorb(&mut self.buffer, 64, data, |block| {
+            Self::compress(&mut self.state, block);
+        });
     }
 
     fn finalize(mut self) -> Vec<u8> {
@@ -279,7 +302,7 @@ impl Sha512Core {
         }
     }
 
-    fn compress(&mut self, block: &[u8]) {
+    fn compress(state: &mut [u64; 8], block: &[u8]) {
         debug_assert_eq!(block.len(), 128);
         let k = k512();
         let mut w = [0u64; 80];
@@ -294,7 +317,7 @@ impl Sha512Core {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..80 {
             let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ (!e & g);
@@ -316,19 +339,16 @@ impl Sha512Core {
             a = t1.wrapping_add(t2);
         }
         let vals = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(vals) {
+        for (s, v) in state.iter_mut().zip(vals) {
             *s = s.wrapping_add(v);
         }
     }
 
     fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u128);
-        self.buffer.extend_from_slice(data);
-        let full = self.buffer.len() / 128 * 128;
-        let blocks: Vec<u8> = self.buffer.drain(..full).collect();
-        for block in blocks.chunks_exact(128) {
-            self.compress(block);
-        }
+        absorb(&mut self.buffer, 128, data, |block| {
+            Self::compress(&mut self.state, block);
+        });
     }
 
     fn finalize(mut self, out_words: usize) -> Vec<u8> {
@@ -571,6 +591,19 @@ mod tests {
             HashFunction::update(&mut h, &data[..split]);
             HashFunction::update(&mut h, &data[split..]);
             prop_assert_eq!(HashFunction::finalize(h), Sha256::digest(&data).to_vec());
+        }
+
+        #[test]
+        fn three_way_split_invariance_sha512(data in proptest::collection::vec(any::<u8>(), 0..400), a in 0usize..400, b in 0usize..400) {
+            // A buffered head, whole blocks from the caller's slice, then a
+            // buffered tail: every path through `absorb`.
+            let (a, b) = (a.min(data.len()), b.min(data.len()));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut h = <Sha512 as HashFunction>::new();
+            HashFunction::update(&mut h, &data[..a]);
+            HashFunction::update(&mut h, &data[a..b]);
+            HashFunction::update(&mut h, &data[b..]);
+            prop_assert_eq!(HashFunction::finalize(h), Sha512::digest(&data).to_vec());
         }
 
         #[test]

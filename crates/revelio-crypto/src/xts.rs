@@ -36,17 +36,11 @@ impl std::fmt::Debug for Xts {
     }
 }
 
-/// Multiplies a 128-bit tweak by alpha in GF(2^128) (little-endian layout).
-fn gf128_mul_alpha(tweak: &mut [u8; 16]) {
-    let mut carry = 0u8;
-    for b in tweak.iter_mut() {
-        let next_carry = *b >> 7;
-        *b = (*b << 1) | carry;
-        carry = next_carry;
-    }
-    if carry != 0 {
-        tweak[0] ^= 0x87;
-    }
+/// Multiplies a tweak by alpha in GF(2^128). The tweak is the block read
+/// as a little-endian integer, so alpha is a left shift with the carry out
+/// of bit 127 folded back as x^7+x^2+x+1, without a data-dependent branch.
+fn mul_alpha(tweak: u128) -> u128 {
+    (tweak << 1) ^ ((tweak >> 127).wrapping_neg() & 0x87)
 }
 
 impl Xts {
@@ -68,12 +62,6 @@ impl Xts {
         })
     }
 
-    fn initial_tweak(&self, sector: u64) -> [u8; 16] {
-        let mut iv = [0u8; 16];
-        iv[..8].copy_from_slice(&sector.to_le_bytes());
-        self.tweak_cipher.encrypt_block(&iv)
-    }
-
     fn check_len(data: &[u8]) -> Result<(), CryptoError> {
         if data.is_empty() || !data.len().is_multiple_of(16) {
             return Err(CryptoError::InvalidLength {
@@ -84,6 +72,27 @@ impl Xts {
         Ok(())
     }
 
+    /// Runs `block_cipher` over the sector in XEX form: each block is
+    /// masked with its tweak before and after.
+    fn crypt_sector(
+        &self,
+        sector: u64,
+        data: &[u8],
+        block_cipher: fn(&Aes, &[u8; 16]) -> [u8; 16],
+    ) -> Result<Vec<u8>, CryptoError> {
+        Self::check_len(data)?;
+        let iv = u128::from(sector).to_le_bytes();
+        let mut tweak = u128::from_le_bytes(self.tweak_cipher.encrypt_block(&iv));
+        let mut out = vec![0u8; data.len()];
+        for (o, block) in out.chunks_exact_mut(16).zip(data.chunks_exact(16)) {
+            let x = u128::from_le_bytes(block.try_into().expect("16 bytes")) ^ tweak;
+            let y = u128::from_le_bytes(block_cipher(&self.data_cipher, &x.to_le_bytes())) ^ tweak;
+            o.copy_from_slice(&y.to_le_bytes());
+            tweak = mul_alpha(tweak);
+        }
+        Ok(out)
+    }
+
     /// Encrypts one sector's worth of data (`16 | len`, non-empty).
     ///
     /// # Errors
@@ -91,22 +100,7 @@ impl Xts {
     /// Returns [`CryptoError::InvalidLength`] when the input is empty or not
     /// a multiple of the AES block size.
     pub fn encrypt_sector(&self, sector: u64, plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        Self::check_len(plaintext)?;
-        let mut tweak = self.initial_tweak(sector);
-        let mut out = Vec::with_capacity(plaintext.len());
-        for block in plaintext.chunks_exact(16) {
-            let mut x = [0u8; 16];
-            for i in 0..16 {
-                x[i] = block[i] ^ tweak[i];
-            }
-            let mut y = self.data_cipher.encrypt_block(&x);
-            for i in 0..16 {
-                y[i] ^= tweak[i];
-            }
-            out.extend_from_slice(&y);
-            gf128_mul_alpha(&mut tweak);
-        }
-        Ok(out)
+        self.crypt_sector(sector, plaintext, Aes::encrypt_block)
     }
 
     /// Decrypts one sector's worth of data.
@@ -116,28 +110,15 @@ impl Xts {
     /// Returns [`CryptoError::InvalidLength`] when the input is empty or not
     /// a multiple of the AES block size.
     pub fn decrypt_sector(&self, sector: u64, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        Self::check_len(ciphertext)?;
-        let mut tweak = self.initial_tweak(sector);
-        let mut out = Vec::with_capacity(ciphertext.len());
-        for block in ciphertext.chunks_exact(16) {
-            let mut x = [0u8; 16];
-            for i in 0..16 {
-                x[i] = block[i] ^ tweak[i];
-            }
-            let mut y = self.data_cipher.decrypt_block(&x);
-            for i in 0..16 {
-                y[i] ^= tweak[i];
-            }
-            out.extend_from_slice(&y);
-            gf128_mul_alpha(&mut tweak);
-        }
-        Ok(out)
+        self.crypt_sector(sector, ciphertext, Aes::decrypt_block)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
+    use crate::sha2::Sha256;
     use proptest::prelude::*;
 
     #[test]
@@ -184,6 +165,20 @@ mod tests {
         );
     }
 
+    /// The byte-array multiply-by-alpha the `u128` form replaced, kept
+    /// as an oracle.
+    fn gf128_mul_alpha(tweak: &mut [u8; 16]) {
+        let mut carry = 0u8;
+        for b in tweak.iter_mut() {
+            let next_carry = *b >> 7;
+            *b = (*b << 1) | carry;
+            carry = next_carry;
+        }
+        if carry != 0 {
+            tweak[0] ^= 0x87;
+        }
+    }
+
     #[test]
     fn gf128_alpha_known_step() {
         // Multiplying 0x80 in the top byte wraps around to 0x87 in byte 0.
@@ -193,6 +188,7 @@ mod tests {
         let mut expect = [0u8; 16];
         expect[0] = 0x87;
         assert_eq!(t, expect);
+        assert_eq!(mul_alpha(1 << 127), 0x87);
 
         // Multiplying 1 just shifts.
         let mut t = [0u8; 16];
@@ -201,6 +197,33 @@ mod tests {
         let mut expect = [0u8; 16];
         expect[0] = 2;
         assert_eq!(t, expect);
+        assert_eq!(mul_alpha(1), 2);
+    }
+
+    #[test]
+    fn ieee1619_vector_1() {
+        // IEEE 1619-2007 Annex B, vector 1: both keys zero, sector 0.
+        let xts = Xts::new(&[0u8; 32]).unwrap();
+        let ct = xts.encrypt_sector(0, &[0u8; 32]).unwrap();
+        assert_eq!(
+            hex::encode(&ct),
+            "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e"
+        );
+        assert_eq!(xts.decrypt_sector(0, &ct).unwrap(), vec![0u8; 32]);
+    }
+
+    #[test]
+    fn golden_4k_sector_digest() {
+        // Pins the on-disk bytes of a full dm-crypt block under the
+        // 2xAES-256 key layout the storage crate uses.
+        let xts = Xts::new(&[0x42u8; 64]).unwrap();
+        let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        let ct = xts.encrypt_sector(7, &data).unwrap();
+        assert_eq!(
+            hex::encode(Sha256::digest(&ct)),
+            "c613ecbdf719291f6b5fdb50ec408d7c09f86eaac40faa18a7bd86a9760e0f5a"
+        );
+        assert_eq!(xts.decrypt_sector(7, &ct).unwrap(), data);
     }
 
     proptest! {
@@ -210,6 +233,13 @@ mod tests {
             let xts = Xts::new(&key).unwrap();
             let ct = xts.encrypt_sector(sector, &data).unwrap();
             prop_assert_eq!(xts.decrypt_sector(sector, &ct).unwrap(), data);
+        }
+
+        #[test]
+        fn u128_tweak_matches_byte_array(tweak: [u8; 16]) {
+            let mut bytes = tweak;
+            gf128_mul_alpha(&mut bytes);
+            prop_assert_eq!(mul_alpha(u128::from_le_bytes(tweak)).to_le_bytes(), bytes);
         }
 
         #[test]

@@ -97,6 +97,9 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
 
     let stop = AtomicBool::new(false);
     let ok_dials = AtomicU64::new(0);
+    // Churners that have finished a round; `stop` waits for all of them so
+    // a churner scheduled late still completes one.
+    let churned = AtomicU64::new(0);
     std::thread::scope(|s| {
         // Dialers hammer the stable fleet with heavy address overlap; a
         // stable listener must never be missing.
@@ -122,6 +125,7 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
         for t in 0..CHURN_THREADS {
             let net = net.clone();
             let stop = &stop;
+            let churned = &churned;
             s.spawn(move || {
                 let mut round = 0usize;
                 while !stop.load(Ordering::Relaxed) {
@@ -132,6 +136,9 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
                     net.unbind(&address);
                     assert!(net.dial(&address).is_err(), "unbind did not take");
                     round += 1;
+                    if round == 1 {
+                        churned.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 assert!(round > 0, "churner never completed a round");
             });
@@ -157,13 +164,17 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
                 }
             });
         }
-        // Let the churners/shapers run for as long as the dialers do.
+        // Let the churners/shapers run for as long as the dialers do, and
+        // at least until every churner has completed a round.
         let net = net.clone();
         let stop = &stop;
         let ok_dials = &ok_dials;
+        let churned = &churned;
         s.spawn(move || {
             let target = (DIAL_THREADS * DIALS_PER_THREAD) as u64;
-            while ok_dials.load(Ordering::Relaxed) < target {
+            while ok_dials.load(Ordering::Relaxed) < target
+                || churned.load(Ordering::Relaxed) < CHURN_THREADS as u64
+            {
                 std::thread::yield_now();
             }
             stop.store(true, Ordering::Relaxed);
