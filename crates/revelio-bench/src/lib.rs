@@ -62,6 +62,11 @@ pub const DISK_WRITE_NS_PER_BYTE: f64 = 36.0;
 /// Modelled dm-verity hash verification cost per tree level touched, ns
 /// per byte. Fitted so a depth-3 tree reads ≈9× slower than plain —
 /// the paper's Fig. 6 average slowdown is 9.35×.
+///
+/// This models the paper's kernel testbed, where a cold page cache makes
+/// every level a read and a verify. It deliberately keeps charging
+/// `depth + 1` levels even though `VerityDevice` hashes only the data
+/// block per read (its tree is authenticated once, at open).
 pub const VERITY_VERIFY_NS_PER_BYTE: f64 = 36.0;
 
 /// The paper's cost model with per-byte constants multiplied by [`SCALE`]

@@ -145,28 +145,32 @@ fn h384() -> &'static [u64; 8] {
 
 /// Feeds `data` to `compress` in `block_len` blocks: first completes a
 /// block already started in `buffer`, then hashes whole blocks straight
-/// from `data`, and keeps only the tail in `buffer`.
+/// from `data`, and keeps only the tail in `buffer`. Returns the number
+/// of blocks compressed.
 fn absorb(
     buffer: &mut Vec<u8>,
     block_len: usize,
     mut data: &[u8],
     mut compress: impl FnMut(&[u8]),
-) {
+) -> u64 {
+    let mut compressed = 0;
     if !buffer.is_empty() {
         let take = (block_len - buffer.len()).min(data.len());
         buffer.extend_from_slice(&data[..take]);
         data = &data[take..];
         if buffer.len() < block_len {
-            return;
+            return 0;
         }
         compress(buffer);
         buffer.clear();
+        compressed = 1;
     }
     let mut blocks = data.chunks_exact(block_len);
     for block in &mut blocks {
         compress(block);
     }
     buffer.extend_from_slice(blocks.remainder());
+    compressed + (data.len() / block_len) as u64
 }
 
 /// Streaming SHA-256.
@@ -206,7 +210,25 @@ impl Sha256 {
     pub fn digest(data: impl AsRef<[u8]>) -> [u8; 32] {
         let mut h = <Self as HashFunction>::new();
         HashFunction::update(&mut h, data.as_ref());
-        HashFunction::finalize(h).try_into().expect("32 bytes")
+        h.finalize_fixed()
+    }
+
+    /// Finishes the hash into a fixed array.
+    #[must_use]
+    pub fn finalize_fixed(mut self) -> [u8; 32] {
+        let bit_len = self.length.wrapping_mul(8);
+        let mut pad = vec![0x80u8];
+        let rem = (self.length as usize + 1) % 64;
+        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
+        pad.extend(std::iter::repeat_n(0, zeros));
+        pad.extend_from_slice(&bit_len.to_be_bytes());
+        HashFunction::update(&mut self, &pad);
+        debug_assert!(self.buffer.is_empty());
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 
     fn compress(state: &mut [u32; 8], block: &[u8]) {
@@ -267,21 +289,14 @@ impl HashFunction for Sha256 {
 
     fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
-        absorb(&mut self.buffer, 64, data, |block| {
+        let blocks = absorb(&mut self.buffer, 64, data, |block| {
             Self::compress(&mut self.state, block);
         });
+        crate::metrics::record_sha256_blocks(blocks);
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.length.wrapping_mul(8);
-        let mut pad = vec![0x80u8];
-        let rem = (self.length as usize + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
-        debug_assert!(self.buffer.is_empty());
-        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
+    fn finalize(self) -> Vec<u8> {
+        self.finalize_fixed().to_vec()
     }
 }
 

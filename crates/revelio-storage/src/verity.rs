@@ -7,11 +7,16 @@
 //! dedicated metadata partition) and a root hash that travels on the kernel
 //! command line so it is covered by the launch measurement.
 //!
-//! Every read of a data block re-hashes the block and walks its path up the
-//! tree to the trusted root — a single flipped bit anywhere in the data *or*
-//! the stored tree makes the read fail with
-//! [`StorageError::IntegrityViolation`]. Writes fail with
-//! [`StorageError::ReadOnly`].
+//! The tree is authenticated once, before any data is served: decoding
+//! recomputes every parent level from the leaves, and opening compares the
+//! resulting root with the trusted one. From then on the tree is immutable
+//! guest memory, so a read re-hashes only its data block and compares the
+//! digest with the block's leaf entry. This is the kernel target's
+//! per-hash-block "verified" cache with every block verified at mount.
+//! A single flipped bit in a data block makes that read fail with
+//! [`StorageError::IntegrityViolation`]; a single flipped bit in the stored
+//! tree makes decoding or opening fail, so no read is ever served from it.
+//! Writes fail with [`StorageError::ReadOnly`].
 
 use std::sync::Arc;
 
@@ -43,27 +48,47 @@ impl Default for VerityParams {
     }
 }
 
-impl VerityParams {
-    fn digests_per_block(&self) -> usize {
-        self.hash_block_size / DIGEST_LEN
-    }
-}
-
 fn salted_digest(salt: &[u8; 32], data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new();
     h.update(salt);
     h.update(data);
-    h.finalize().try_into().expect("32 bytes")
+    h.finalize_fixed()
+}
+
+/// `len` rounded up to whole hash blocks (at least one).
+fn padded_len(len: usize, hash_block_size: usize) -> usize {
+    len.div_ceil(hash_block_size).max(1) * hash_block_size
+}
+
+/// The level above `level`: one digest per hash block, zero-padded to
+/// whole hash blocks.
+fn parent_level(level: &[u8], params: &VerityParams) -> Vec<u8> {
+    let hbs = params.hash_block_size;
+    let mut parent = Vec::with_capacity(padded_len(level.len() / hbs * DIGEST_LEN, hbs));
+    for block in level.chunks_exact(hbs) {
+        parent.extend_from_slice(&salted_digest(&params.salt, block));
+    }
+    parent.resize(padded_len(parent.len(), hbs), 0);
+    parent
 }
 
 /// The out-of-band hash tree plus its parameters — what the build step
 /// writes to the verity metadata partition.
+///
+/// A `VerityTree` is consistent by construction: its fields are private,
+/// nothing mutates it after construction, and both constructors derive or
+/// check every parent level. [`VerityTree::build`] computes each level
+/// itself; [`VerityTree::from_bytes`] recomputes each parent level from the
+/// one below and rejects any mismatch. So `root_hash` authenticates every
+/// level, leaves included, and once [`VerityDevice::open`] has matched it
+/// against the trusted root, the leaf level alone suffices to check a read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerityTree {
     params: VerityParams,
     data_blocks: u64,
     /// `levels[0]` holds the leaf digests (padded to hash blocks);
-    /// each higher level hashes the blocks of the one below.
+    /// each higher level hashes the blocks of the one below, and the last
+    /// is exactly one hash block.
     levels: Vec<Vec<u8>>,
     root_hash: [u8; DIGEST_LEN],
 }
@@ -78,42 +103,25 @@ impl VerityTree {
     ///
     /// Propagates device read errors.
     pub fn build(device: &dyn BlockDevice, params: VerityParams) -> Result<Self, StorageError> {
-        let mut leaf_level = Vec::new();
+        let hbs = params.hash_block_size;
+        // The highest level built so far, starting with the leaf digests.
+        let mut top = Vec::new();
         let mut buf = vec![0u8; device.block_size()];
         for i in 0..device.block_count() {
             device.read_block(i, &mut buf)?;
-            leaf_level.extend_from_slice(&salted_digest(&params.salt, &buf));
+            top.extend_from_slice(&salted_digest(&params.salt, &buf));
         }
-        Self::from_leaf_level(leaf_level, device.block_count(), params)
-    }
-
-    fn from_leaf_level(
-        mut level: Vec<u8>,
-        data_blocks: u64,
-        params: VerityParams,
-    ) -> Result<Self, StorageError> {
-        let hbs = params.hash_block_size;
+        top.resize(padded_len(top.len(), hbs), 0);
         let mut levels = Vec::new();
-        loop {
-            // Pad the level to whole hash blocks.
-            let padded = level.len().div_ceil(hbs).max(1) * hbs;
-            level.resize(padded, 0);
-            let is_top = level.len() == hbs;
-            levels.push(level.clone());
-            if is_top {
-                break;
-            }
-            // Parent level: one digest per hash block.
-            let mut parent = Vec::with_capacity(level.len() / hbs * DIGEST_LEN);
-            for block in level.chunks_exact(hbs) {
-                parent.extend_from_slice(&salted_digest(&params.salt, block));
-            }
-            level = parent;
+        while top.len() > hbs {
+            let parent = parent_level(&top, &params);
+            levels.push(std::mem::replace(&mut top, parent));
         }
-        let root_hash = salted_digest(&params.salt, levels.last().expect("nonempty"));
+        let root_hash = salted_digest(&params.salt, &top);
+        levels.push(top);
         Ok(VerityTree {
             params,
-            data_blocks,
+            data_blocks: device.block_count(),
             levels,
             root_hash,
         })
@@ -179,11 +187,6 @@ impl VerityTree {
             levels.push(r.get_var_bytes()?.to_vec());
         }
         r.finish()?;
-        if levels.is_empty() {
-            return Err(StorageError::BadSuperblock(
-                "verity tree has no levels".into(),
-            ));
-        }
         let params = VerityParams {
             hash_block_size,
             salt,
@@ -193,46 +196,40 @@ impl VerityTree {
         // only covers the top level directly, so recompute every parent
         // level from the leaves and compare. A metadata partition tampered
         // in hash_block_size, level contents, or level structure fails
-        // here instead of causing out-of-bounds panics (or silently wrong
-        // sizes) at read time.
+        // here; this is also what lets a read check only its leaf digest.
         for (i, level) in levels.iter().enumerate() {
-            let bad = || {
-                StorageError::BadSuperblock(format!("verity level {i} has inconsistent geometry"))
-            };
-            if level.is_empty() || !level.len().is_multiple_of(hash_block_size) {
-                return Err(bad());
-            }
-            if i + 1 < levels.len() {
-                let mut expected_parent =
-                    Vec::with_capacity(level.len() / hash_block_size * DIGEST_LEN);
-                for block in level.chunks_exact(hash_block_size) {
-                    expected_parent.extend_from_slice(&salted_digest(&salt, block));
-                }
-                let padded =
-                    expected_parent.len().div_ceil(hash_block_size).max(1) * hash_block_size;
-                expected_parent.resize(padded, 0);
-                if expected_parent != levels[i + 1] {
-                    return Err(bad());
-                }
-            } else if level.len() != hash_block_size {
-                // The top level must be exactly one hash block.
-                return Err(bad());
+            let consistent = !level.is_empty()
+                && level.len().is_multiple_of(hash_block_size)
+                && match levels.get(i + 1) {
+                    Some(parent) => parent_level(level, &params) == *parent,
+                    // The top level must be exactly one hash block.
+                    None => level.len() == hash_block_size,
+                };
+            if !consistent {
+                return Err(StorageError::BadSuperblock(format!(
+                    "verity level {i} has inconsistent geometry"
+                )));
             }
         }
+        let (Some(leaves), Some(top)) = (levels.first(), levels.last()) else {
+            return Err(StorageError::BadSuperblock(
+                "verity tree has no levels".into(),
+            ));
+        };
         // The claimed data-block count must exactly match the leaf level's
         // padded extent, so the advertised device size cannot be inflated
         // (and can shrink by at most the padding slack of one hash block).
-        let leaf_bytes = (data_blocks as usize)
-            .checked_mul(DIGEST_LEN)
+        let leaf_bytes = usize::try_from(data_blocks)
+            .ok()
+            .and_then(|n| n.checked_mul(DIGEST_LEN))
             .ok_or_else(|| StorageError::BadSuperblock("data block count overflow".into()))?;
-        let expected_leaf_len = leaf_bytes.div_ceil(hash_block_size).max(1) * hash_block_size;
-        if levels[0].len() != expected_leaf_len {
+        if leaves.len() != padded_len(leaf_bytes, hash_block_size) {
             return Err(StorageError::BadSuperblock(format!(
                 "data block count {data_blocks} disagrees with leaf level size"
             )));
         }
 
-        let root_hash = salted_digest(&params.salt, levels.last().expect("nonempty"));
+        let root_hash = salted_digest(&params.salt, top);
         Ok(VerityTree {
             params,
             data_blocks,
@@ -264,8 +261,7 @@ impl VerityTree {
     /// Returns [`StorageError::BadSuperblock`] for an implausible length
     /// prefix, plus decode errors.
     pub fn read_from_device(device: &dyn BlockDevice) -> Result<Self, StorageError> {
-        let len_bytes = crate::block::read_at(device, 0, 8)?;
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
+        let len = ByteReader::new(&crate::block::read_at(device, 0, 8)?).get_u64()?;
         if len == 0
             || len
                 .checked_add(8)
@@ -316,41 +312,23 @@ impl VerityDevice {
         Ok(VerityDevice { data, tree })
     }
 
-    /// Verifies block `index`'s digest path from leaf to root.
-    fn verify_path(&self, index: u64, data: &[u8]) -> Result<(), StorageError> {
-        let params = &self.tree.params;
-        let violation = || StorageError::IntegrityViolation { block: index };
-
-        // Leaf: data block digest must match the stored leaf entry.
-        let mut digest = salted_digest(&params.salt, data);
-        let mut entry_index = index as usize;
-        for (level_no, level) in self.tree.levels.iter().enumerate() {
-            let offset = entry_index * DIGEST_LEN;
-            if offset + DIGEST_LEN > level.len() {
-                return Err(violation());
-            }
-            if !revelio_crypto::ct::eq(&digest, &level[offset..offset + DIGEST_LEN]) {
-                return Err(violation());
-            }
-            // Hash the containing block of this level to check against the
-            // next level up (or the root).
-            let block_no = entry_index / params.digests_per_block();
-            let start = block_no * params.hash_block_size;
-            if start + params.hash_block_size > level.len() {
-                // Geometry is validated at decode time; fail closed if a
-                // hand-constructed tree slips through.
-                return Err(violation());
-            }
-            let block = &level[start..start + params.hash_block_size];
-            digest = salted_digest(&params.salt, block);
-            entry_index = block_no;
-            if level_no == self.tree.levels.len() - 1
-                && !revelio_crypto::ct::eq(&digest, &self.tree.root_hash)
-            {
-                return Err(violation());
-            }
+    /// Checks data block `index` against its leaf digest, in constant time.
+    ///
+    /// One salted hash per read is sound because the whole tree was
+    /// authenticated before this device existed: every `VerityTree` ties
+    /// each level to the one above it (see its docs), and
+    /// [`VerityDevice::open`] tied the top level to the trusted root. The
+    /// tree is immutable guest memory from then on; the host-writable
+    /// metadata partition is never read again.
+    fn verify_leaf(&self, index: u64, data: &[u8]) -> Result<(), StorageError> {
+        let digest = salted_digest(&self.tree.params.salt, data);
+        let leaf = usize::try_from(index)
+            .ok()
+            .and_then(|i| self.tree.levels.first()?.chunks_exact(DIGEST_LEN).nth(i));
+        match leaf {
+            Some(leaf) if revelio_crypto::ct::eq(&digest, leaf) => Ok(()),
+            _ => Err(StorageError::IntegrityViolation { block: index }),
         }
-        Ok(())
     }
 }
 
@@ -371,7 +349,7 @@ impl BlockDevice for VerityDevice {
             });
         }
         self.data.read_block(index, buf)?;
-        self.verify_path(index, buf)
+        self.verify_leaf(index, buf)
     }
 
     fn write_block(&self, _index: u64, _data: &[u8]) -> Result<(), StorageError> {
@@ -388,19 +366,64 @@ mod tests {
     const BS: usize = 512;
 
     fn data_device(blocks: u64) -> Arc<MemBlockDevice> {
-        let dev = Arc::new(MemBlockDevice::new(BS, blocks));
+        data_device_of(BS, blocks)
+    }
+
+    fn data_device_of(block_size: usize, blocks: u64) -> Arc<MemBlockDevice> {
+        let dev = Arc::new(MemBlockDevice::new(block_size, blocks));
         for i in 0..blocks {
-            let fill = vec![(i % 251) as u8 + 1; BS];
+            let fill = vec![(i % 251) as u8 + 1; block_size];
             dev.write_block(i, &fill).unwrap();
         }
         dev
     }
 
     fn params() -> VerityParams {
+        params_with(256)
+    }
+
+    fn params_with(hash_block_size: usize) -> VerityParams {
         VerityParams {
-            hash_block_size: 256,
+            hash_block_size,
             salt: [7; 32],
         }
+    }
+
+    /// `(hash_block_size, depth)` pairs small enough for a unit test.
+    const DEPTH_CASES: [(usize, usize); 8] = [
+        (64, 1),
+        (64, 2),
+        (64, 3),
+        (256, 1),
+        (256, 2),
+        (256, 3),
+        (4096, 1),
+        (4096, 2),
+    ];
+
+    /// The fewest data blocks that need a tree of `depth` levels (one
+    /// full hash block of leaves at depth 1).
+    fn blocks_for_depth(hash_block_size: usize, depth: usize) -> u64 {
+        let fanout = (hash_block_size / DIGEST_LEN) as u64;
+        if depth == 1 {
+            fanout
+        } else {
+            fanout.pow(depth as u32 - 1) + 1
+        }
+    }
+
+    /// Byte ranges of each level's payload inside `to_bytes()` output.
+    fn level_payloads(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        // magic, hash_block_size, salt, data_blocks, then the level count.
+        let mut r = ByteReader::new(&bytes[4 + 4 + 32 + 8..]);
+        let mut pos = 4 + 4 + 32 + 8 + 4;
+        (0..r.get_u32().unwrap())
+            .map(|_| {
+                let len = r.get_var_bytes().unwrap().len();
+                pos += 4 + len;
+                pos - len..pos
+            })
+            .collect()
     }
 
     #[test]
@@ -527,16 +550,87 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn consistent_leaf_forgery_rejected_at_every_depth() {
+        for (hbs, depth) in DEPTH_CASES {
+            let blocks = blocks_for_depth(hbs, depth);
+            let dev = data_device(blocks);
+            let tree = VerityTree::build(dev.as_ref(), params_with(hbs)).unwrap();
+            assert_eq!(tree.depth(), depth, "hbs {hbs}");
+            let root = tree.root_hash();
+
+            // The attacker rewrites a data block and its leaf digest in the
+            // serialized tree consistently, so the leaf check alone would
+            // pass; the level above (or, at depth 1, the root) catches it.
+            let victim = blocks - 1;
+            let forged = vec![0xa5; BS];
+            dev.write_block(victim, &forged).unwrap();
+            let mut bytes = tree.to_bytes();
+            let leaf = level_payloads(&bytes)[0].start + victim as usize * DIGEST_LEN;
+            bytes[leaf..leaf + DIGEST_LEN]
+                .copy_from_slice(&salted_digest(&params_with(hbs).salt, &forged));
+            if depth >= 2 {
+                assert!(
+                    matches!(
+                        VerityTree::from_bytes(&bytes),
+                        Err(StorageError::BadSuperblock(_))
+                    ),
+                    "hbs {hbs} depth {depth}"
+                );
+            } else {
+                let tampered = VerityTree::from_bytes(&bytes).unwrap();
+                assert_eq!(
+                    VerityDevice::open(Arc::clone(&dev) as _, tampered, &root).err(),
+                    Some(StorageError::RootHashMismatch),
+                    "hbs {hbs}"
+                );
+            }
+
+            // Rewriting the whole path up to the top level consistently
+            // yields a well-formed tree with a different root.
+            let rebuilt = VerityTree::build(dev.as_ref(), params_with(hbs)).unwrap();
+            let reparsed = VerityTree::from_bytes(&rebuilt.to_bytes()).unwrap();
+            assert_eq!(
+                VerityDevice::open(dev, reparsed, &root).err(),
+                Some(StorageError::RootHashMismatch),
+                "hbs {hbs} depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn verified_read_costs_one_data_block_hash() {
+        // A salted 4 KiB block is 4128 bytes: 65 SHA-256 compressions,
+        // independent of the tree's depth.
+        for (hbs, depth) in DEPTH_CASES {
+            let dev = data_device_of(4096, blocks_for_depth(hbs, depth));
+            let tree = VerityTree::build(dev.as_ref(), params_with(hbs)).unwrap();
+            assert_eq!(tree.depth(), depth, "hbs {hbs}");
+            let root = tree.root_hash();
+            let verity = VerityDevice::open(dev, tree, &root).unwrap();
+            let mut buf = [0u8; 4096];
+            let before = revelio_crypto::metrics::thread_sha256_blocks();
+            verity.read_block(1, &mut buf).unwrap();
+            assert_eq!(
+                revelio_crypto::metrics::thread_sha256_blocks() - before,
+                65,
+                "hbs {hbs} depth {depth}"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn any_corruption_in_any_block_is_detected(
-            blocks in 1u64..32,
+            hbs_choice in 0usize..3,
+            blocks in 1u64..80,
             corrupt_byte in 0u64..,
             bit in 0u8..8,
         ) {
+            let hbs = [64, 256, 4096][hbs_choice];
             let dev = data_device(blocks);
-            let tree = VerityTree::build(dev.as_ref(), params()).unwrap();
+            let tree = VerityTree::build(dev.as_ref(), params_with(hbs)).unwrap();
             let root = tree.root_hash();
             let total = blocks * BS as u64;
             let offset = corrupt_byte % total;
@@ -548,6 +642,38 @@ mod tests {
                 verity.read_block(victim, &mut buf),
                 Err(StorageError::IntegrityViolation { block: victim })
             );
+        }
+
+        #[test]
+        fn any_bit_flip_in_tree_levels_is_rejected(
+            hbs_choice in 0usize..3,
+            blocks in 1u64..80,
+            flip_byte in 0usize..,
+            bit in 0u8..8,
+        ) {
+            let hbs = [64, 256, 4096][hbs_choice];
+            let dev = data_device(blocks);
+            let tree = VerityTree::build(dev.as_ref(), params_with(hbs)).unwrap();
+            let root = tree.root_hash();
+            let mut bytes = tree.to_bytes();
+            let payloads = level_payloads(&bytes);
+            let mut offset = flip_byte % payloads.iter().map(|p| p.len()).sum::<usize>();
+            let target = payloads
+                .iter()
+                .find_map(|p| {
+                    if offset < p.len() {
+                        Some(p.start + offset)
+                    } else {
+                        offset -= p.len();
+                        None
+                    }
+                })
+                .unwrap();
+            bytes[target] ^= 1 << bit;
+            // A flipped tree must never yield a device that serves data.
+            let served = VerityTree::from_bytes(&bytes)
+                .and_then(|tampered| VerityDevice::open(dev, tampered, &root));
+            prop_assert!(served.is_err());
         }
     }
 }
