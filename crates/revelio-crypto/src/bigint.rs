@@ -1,9 +1,9 @@
 //! A small arbitrary-precision unsigned integer.
 //!
 //! Used for two jobs where fixed-width arithmetic is awkward: deriving the
-//! SHA-2 round constants from the fractional parts of prime roots, and
-//! scalar arithmetic modulo the Ed25519 group order `L`. Performance is more
-//! than sufficient for both (operands are at most a few hundred bits).
+//! SHA-2 round constants from the fractional parts of prime roots, and as
+//! the test oracle that the fixed-limb Curve25519 field and scalar kernels
+//! are checked against. No runtime hot path uses it.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -8,8 +8,7 @@
 
 use std::sync::OnceLock;
 
-use crate::bigint::BigUint;
-use crate::field25519::{edwards_d, sqrt_ratio, FieldElement};
+use crate::field25519::{edwards_d, limbs_to_bytes, sqrt_ratio, FieldElement};
 use crate::metrics;
 use crate::sha2::Sha512;
 use crate::CryptoError;
@@ -21,34 +20,188 @@ pub const PUBLIC_KEY_LEN: usize = 32;
 /// Length of a secret seed in bytes.
 pub const SEED_LEN: usize = 32;
 
-/// The group order L = 2^252 + 27742317777372353535851937790883648493.
-fn group_order() -> &'static BigUint {
-    static L: OnceLock<BigUint> = OnceLock::new();
-    L.get_or_init(|| {
-        let tail = BigUint::from_bytes_be(&[
-            // 27742317777372353535851937790883648493 in big-endian bytes.
-            0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5,
-            0xd3, 0xed,
-        ]);
-        BigUint::one().shl(252).add(&tail)
-    })
+const LOW_52_BIT_MASK: u64 = (1u64 << 52) - 1;
+
+/// Little-endian 64-bit words of `bytes` (missing bytes read as zero).
+fn words_le<const N: usize>(bytes: &[u8]) -> [u64; N] {
+    let mut words = [0u64; N];
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
+        *word = chunk
+            .iter()
+            .rev()
+            .fold(0, |acc, &b| (acc << 8) | u64::from(b));
+    }
+    words
 }
 
-/// A scalar modulo the Ed25519 group order.
+/// Bits `[52·k, 52·k + 52)` of a little-endian word string.
+fn limb52(words: &[u64], k: usize) -> u64 {
+    let (w, shift) = (52 * k / 64, 52 * k % 64);
+    let lo = words.get(w).map_or(0, |x| x >> shift);
+    let hi = match words.get(w + 1) {
+        Some(x) if shift > 12 => x << (64 - shift),
+        _ => 0,
+    };
+    (lo | hi) & LOW_52_BIT_MASK
+}
+
+/// The two 32-byte halves of a 64-byte string (`R || S`, or a hash).
+fn halves(bytes: &[u8; 64]) -> ([u8; 32], [u8; 32]) {
+    (
+        std::array::from_fn(|i| bytes[i]),
+        std::array::from_fn(|i| bytes[32 + i]),
+    )
+}
+
+/// A value in radix 2^52 (five limbs, each `< 2^52`): the working form of
+/// the Montgomery kernel behind [`Scalar`], with `R = 2^260`.
+#[derive(Clone, Copy)]
+struct Scalar52([u64; 5]);
+
+impl Scalar52 {
+    /// The group order L = 2^252 + 27742317777372353535851937790883648493.
+    const L: Scalar52 = Scalar52([
+        0x0002_631a_5cf5_d3ed,
+        0x000d_ea2f_79cd_6581,
+        0x0000_0000_0014_def9,
+        0,
+        0x0000_1000_0000_0000,
+    ]);
+    /// `−L⁻¹ mod 2^52`: the per-round Montgomery quotient factor.
+    const LFACTOR: u64 = 0x0005_1da3_1254_7e1b;
+    /// `R mod L = 2^260 mod L`.
+    const R: Scalar52 = Scalar52([
+        0x000f_48bd_6721_e6ed,
+        0x0003_bab5_ac67_e45a,
+        0x000f_ffff_eb35_e51b,
+        0x000f_ffff_ffff_ffff,
+        0x0000_0fff_ffff_ffff,
+    ]);
+    /// `R² mod L`.
+    const RR: Scalar52 = Scalar52([
+        0x0009_d265_e952_d13b,
+        0x000d_63c7_15be_a69f,
+        0x0005_be65_cb68_7604,
+        0x0003_dcee_c73d_217f,
+        0x0000_0941_1b7c_309a,
+    ]);
+
+    /// Unpacks 32 little-endian bytes (any 256-bit value).
+    fn from_bytes(bytes: &[u8; 32]) -> Scalar52 {
+        let words: [u64; 4] = words_le(bytes);
+        Scalar52(std::array::from_fn(|k| limb52(&words, k)))
+    }
+
+    /// `a + b mod L` for `a, b < L`.
+    fn add(a: &Scalar52, b: &Scalar52) -> Scalar52 {
+        let mut sum = [0u64; 5];
+        let mut carry = 0u64;
+        for (s, (x, y)) in sum.iter_mut().zip(a.0.iter().zip(&b.0)) {
+            carry = x + y + (carry >> 52);
+            *s = carry & LOW_52_BIT_MASK;
+        }
+        Scalar52::sub(&Scalar52(sum), &Scalar52::L)
+    }
+
+    /// `a − b mod L` for `−L < a − b < L`: subtract with borrow, then add
+    /// `L` back under a mask when the difference went negative.
+    fn sub(a: &Scalar52, b: &Scalar52) -> Scalar52 {
+        let mut diff = [0u64; 5];
+        let mut borrow = 0u64;
+        for (d, (x, y)) in diff.iter_mut().zip(a.0.iter().zip(&b.0)) {
+            borrow = x.wrapping_sub(y + (borrow >> 63));
+            *d = borrow & LOW_52_BIT_MASK;
+        }
+        let underflow = (borrow >> 63).wrapping_neg();
+        let mut carry = 0u64;
+        for (d, l) in diff.iter_mut().zip(&Scalar52::L.0) {
+            carry = (carry >> 52) + *d + (l & underflow);
+            *d = carry & LOW_52_BIT_MASK;
+        }
+        Scalar52(diff)
+    }
+
+    /// The schoolbook product `a·b` as nine 128-bit columns.
+    fn mul_internal(a: &Scalar52, b: &Scalar52) -> [u128; 9] {
+        let mut t = [0u128; 9];
+        for (i, &x) in a.0.iter().enumerate() {
+            for (j, &y) in b.0.iter().enumerate() {
+                t[i + j] += u128::from(x) * u128::from(y);
+            }
+        }
+        t
+    }
+
+    /// `t / R mod L` for `t < L·R`: five rounds each add the multiple of
+    /// `L` that clears the low limb, then the top five columns, one
+    /// conditional subtraction of `L` away from canonical, are the result.
+    fn montgomery_reduce(mut t: [u128; 9]) -> Scalar52 {
+        for i in 0..5 {
+            let n = (t[i] as u64).wrapping_mul(Scalar52::LFACTOR) & LOW_52_BIT_MASK;
+            for (j, &l) in Scalar52::L.0.iter().enumerate() {
+                t[i + j] += u128::from(n) * u128::from(l);
+            }
+            t[i + 1] += t[i] >> 52;
+        }
+        let mut r = [0u64; 5];
+        let mut carry = 0u128;
+        for (limb, &column) in r.iter_mut().zip(&t[5..]) {
+            carry += column;
+            *limb = (carry as u64) & LOW_52_BIT_MASK;
+            carry >>= 52;
+        }
+        r[4] += carry as u64;
+        Scalar52::sub(&Scalar52(r), &Scalar52::L)
+    }
+
+    /// `a·b / R mod L`.
+    fn montgomery_mul(a: &Scalar52, b: &Scalar52) -> Scalar52 {
+        Scalar52::montgomery_reduce(Scalar52::mul_internal(a, b))
+    }
+}
+
+/// A scalar modulo the Ed25519 group order L, held as its canonical
+/// 32-byte little-endian encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scalar(BigUint);
+pub struct Scalar([u8; 32]);
 
 impl Scalar {
+    const ZERO: Scalar = Scalar([0; 32]);
+    const ONE: Scalar = {
+        let mut bytes = [0u8; 32];
+        bytes[0] = 1;
+        Scalar(bytes)
+    };
+
+    fn from_limbs(s: Scalar52) -> Scalar {
+        Scalar(limbs_to_bytes(&s.0, 52))
+    }
+
+    fn limbs(&self) -> Scalar52 {
+        Scalar52::from_bytes(&self.0)
+    }
+
     /// Reduces 64 bytes (little-endian) modulo L — used for hash outputs.
     #[must_use]
     pub fn from_bytes_wide(bytes: &[u8; 64]) -> Self {
-        Scalar(BigUint::from_bytes_le(bytes).rem(group_order()))
+        // Split at bit 260: x = lo + hi·R, and
+        // lo·R/R + hi·R²/R = lo + hi·R (mod L).
+        let words: [u64; 8] = words_le(bytes);
+        let lo = Scalar52(std::array::from_fn(|k| limb52(&words, k)));
+        let hi = Scalar52(std::array::from_fn(|k| limb52(&words, k + 5)));
+        Scalar::from_limbs(Scalar52::add(
+            &Scalar52::montgomery_mul(&lo, &Scalar52::R),
+            &Scalar52::montgomery_mul(&hi, &Scalar52::RR),
+        ))
     }
 
     /// Interprets 32 little-endian bytes, reducing mod L.
     #[must_use]
     pub fn from_bytes_reduced(bytes: &[u8; 32]) -> Self {
-        Scalar(BigUint::from_bytes_le(bytes).rem(group_order()))
+        Scalar::from_limbs(Scalar52::montgomery_mul(
+            &Scalar52::from_bytes(bytes),
+            &Scalar52::R,
+        ))
     }
 
     /// Strictly parses a canonical scalar (must be `< L`) — RFC 8032
@@ -58,34 +211,41 @@ impl Scalar {
     ///
     /// Returns [`CryptoError::InvalidScalar`] when `bytes >= L`.
     pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Self, CryptoError> {
-        let n = BigUint::from_bytes_le(bytes);
-        if &n >= group_order() {
-            return Err(CryptoError::InvalidScalar);
+        // Reduction is the identity exactly on values below L.
+        let reduced = Scalar::from_bytes_reduced(bytes);
+        if &reduced.0 == bytes {
+            Ok(reduced)
+        } else {
+            Err(CryptoError::InvalidScalar)
         }
-        Ok(Scalar(n))
     }
 
     /// Canonical 32-byte little-endian encoding.
     #[must_use]
     pub fn to_bytes(&self) -> [u8; 32] {
-        self.0.to_bytes_le_padded(32).try_into().expect("32 bytes")
+        self.0
     }
 
     /// `(self + rhs) mod L`.
     #[must_use]
     pub fn add(&self, rhs: &Scalar) -> Scalar {
-        Scalar(self.0.add_mod(&rhs.0, group_order()))
+        Scalar::from_limbs(Scalar52::add(&self.limbs(), &rhs.limbs()))
     }
 
-    /// `(self * rhs) mod L`.
+    /// `(self * rhs) mod L`: `ab/R`, then `(ab/R)·R²/R`.
     #[must_use]
     pub fn mul(&self, rhs: &Scalar) -> Scalar {
-        Scalar(self.0.mul_mod(&rhs.0, group_order()))
+        let ab_over_r = Scalar52::montgomery_mul(&self.limbs(), &rhs.limbs());
+        Scalar::from_limbs(Scalar52::montgomery_mul(&ab_over_r, &Scalar52::RR))
     }
 
-    fn bits_msb_first(&self) -> Vec<bool> {
-        let len = self.0.bit_len();
-        (0..len).rev().map(|i| self.0.bit(i)).collect()
+    /// The bits of the scalar, most significant first, from the highest
+    /// set bit down (empty for zero).
+    fn bits_msb_first(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..256)
+            .rev()
+            .map(|i| (self.0[i / 8] >> (i % 8)) & 1 == 1)
+            .skip_while(|&bit| !bit)
     }
 
     /// Signed radix-16 recoding: 64 digits in `[-8, 8)` such that
@@ -112,11 +272,7 @@ impl Scalar {
     /// least four zeros between nonzero digits, LSB first. Variable-time —
     /// used only on verification inputs, which are public.
     fn wnaf5(&self) -> Vec<i8> {
-        let bytes = self.to_bytes();
-        let mut limbs = [0u64; 4];
-        for (i, limb) in limbs.iter_mut().enumerate() {
-            *limb = u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
-        }
+        let mut limbs: [u64; 4] = words_le(&self.0);
         let is_zero = |l: &[u64; 4]| l.iter().all(|&w| w == 0);
         let shr1 = |l: &mut [u64; 4]| {
             for i in 0..4 {
@@ -226,10 +382,24 @@ impl EdwardsPoint {
         }
     }
 
-    /// Point doubling.
+    /// Point doubling (extended coordinates, a = −1): 4 squarings and 4
+    /// multiplications, and no curve constant.
     #[must_use]
     pub fn double(&self) -> EdwardsPoint {
-        self.add(self)
+        let a = self.x.square();
+        let b = self.y.square();
+        let c = self.z.square();
+        let c = c.add(&c);
+        let h = a.add(&b);
+        let e = h.sub(&self.x.add(&self.y).square());
+        let g = a.sub(&b);
+        let f = c.add(&g);
+        EdwardsPoint {
+            x: e.mul(&f),
+            y: g.mul(&h),
+            t: e.mul(&h),
+            z: f.mul(&g),
+        }
     }
 
     /// Scalar multiplication (double-and-add, MSB first).
@@ -426,34 +596,35 @@ fn basepoint_odd_multiples() -> &'static [EdwardsPoint; 8] {
     MULTIPLES.get_or_init(|| odd_multiples(&EdwardsPoint::basepoint()))
 }
 
-/// Variable-time `[a]B + [b]P` (Straus/Shamir interleaving, w=5 NAF):
-/// one shared doubling chain, one addition per nonzero NAF digit of
-/// either scalar. Verification-only — both scalars are public there.
-fn vartime_double_base_mul(a: &Scalar, b: &Scalar, p: &EdwardsPoint) -> EdwardsPoint {
-    metrics::record_scalar_mul(2);
-    let naf_a = a.wnaf5();
-    let naf_b = b.wnaf5();
-    let table_b = odd_multiples(p);
-    let table_a = basepoint_odd_multiples();
+/// Variable-time Straus interleaving over w=5 NAF digits: `Σ [dᵢ]Pᵢ` for
+/// `(digits, odd multiples of Pᵢ)` pairs. One shared doubling chain, one
+/// addition per nonzero digit. Verification-only — every scalar is public
+/// there.
+fn straus_vartime(terms: &[(Vec<i8>, &[EdwardsPoint; 8])]) -> EdwardsPoint {
+    let len = terms.iter().map(|(naf, _)| naf.len()).max().unwrap_or(0);
     let mut acc = EdwardsPoint::identity();
-    for i in (0..naf_a.len().max(naf_b.len())).rev() {
+    for i in (0..len).rev() {
         acc = acc.double();
-        if let Some(&d) = naf_a.get(i) {
-            if d > 0 {
-                acc = acc.add(&table_a[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add(&table_a[((-d) as usize - 1) / 2].neg());
-            }
-        }
-        if let Some(&d) = naf_b.get(i) {
-            if d > 0 {
-                acc = acc.add(&table_b[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add(&table_b[((-d) as usize - 1) / 2].neg());
+        for (naf, table) in terms {
+            match naf.get(i) {
+                Some(&d) if d > 0 => acc = acc.add(&table[(d as usize - 1) / 2]),
+                Some(&d) if d < 0 => acc = acc.add(&table[((-d) as usize - 1) / 2].neg()),
+                _ => {}
             }
         }
     }
     acc
+}
+
+/// Variable-time `[a]B + [b]P` over the cached basepoint table: the
+/// verify kernel. Verification-only — both scalars are public there.
+fn vartime_double_base_mul(a: &Scalar, b: &Scalar, p: &EdwardsPoint) -> EdwardsPoint {
+    metrics::record_scalar_mul(2);
+    let table_b = odd_multiples(p);
+    straus_vartime(&[
+        (a.wnaf5(), basepoint_odd_multiples()),
+        (b.wnaf5(), &table_b),
+    ])
 }
 
 /// Ed25519 signature.
@@ -603,8 +774,7 @@ fn verify_prehashed(
     message: &[u8],
     signature: &Signature,
 ) -> Result<(), CryptoError> {
-    let r_bytes: [u8; 32] = signature.bytes[..32].try_into().expect("32 bytes");
-    let s_bytes: [u8; 32] = signature.bytes[32..].try_into().expect("32 bytes");
+    let (r_bytes, s_bytes) = halves(&signature.bytes);
     let s = Scalar::from_canonical_bytes(&s_bytes).map_err(|_| CryptoError::InvalidSignature)?;
     let r = EdwardsPoint::decompress(&r_bytes).map_err(|_| CryptoError::InvalidSignature)?;
 
@@ -636,24 +806,23 @@ pub struct BatchItem<'a> {
 
 /// Interleaved (Straus) multi-scalar multiplication: `Σ [zᵢ]Pᵢ`.
 ///
-/// All pairs share one doubling chain — ~253 doublings total plus one
-/// addition per set bit — where evaluating each `[zᵢ]Pᵢ` separately
-/// would pay the full doubling chain per pair. This is what makes batch
-/// verification cheaper than verifying each signature individually.
+/// Every pair gets w=5 NAF digits and a table of its odd multiples
+/// `[Pᵢ, 3Pᵢ, …, 15Pᵢ]`; all pairs share one doubling chain (~253
+/// doublings) and pay one addition per nonzero digit, about one in six
+/// bits. Evaluating each `[zᵢ]Pᵢ` separately would pay the full doubling
+/// chain per pair. This is what makes batch verification cheaper than
+/// verifying each signature individually. Variable-time: the scalars
+/// must be public.
 #[must_use]
 pub fn multiscalar_mul(pairs: &[(Scalar, EdwardsPoint)]) -> EdwardsPoint {
     metrics::record_scalar_mul(pairs.len() as u64);
-    let bits = pairs.iter().map(|(z, _)| z.0.bit_len()).max().unwrap_or(0);
-    let mut acc = EdwardsPoint::identity();
-    for i in (0..bits).rev() {
-        acc = acc.double();
-        for (z, p) in pairs {
-            if z.0.bit(i) {
-                acc = acc.add(p);
-            }
-        }
-    }
-    acc
+    let tables: Vec<[EdwardsPoint; 8]> = pairs.iter().map(|(_, p)| odd_multiples(p)).collect();
+    let terms: Vec<(Vec<i8>, &[EdwardsPoint; 8])> = pairs
+        .iter()
+        .zip(&tables)
+        .map(|((z, _), table)| (z.wnaf5(), table))
+        .collect();
+    straus_vartime(&terms)
 }
 
 /// The random-linear-combination coefficient for batch item `index`.
@@ -678,8 +847,8 @@ fn batch_coefficient(
     input.extend_from_slice(a_bytes);
     input.extend_from_slice(&m_hash);
     let z = Scalar::from_bytes_wide(&Sha512::digest(input));
-    if z.0.is_zero() {
-        Scalar(BigUint::one())
+    if z == Scalar::ZERO {
+        Scalar::ONE
     } else {
         z
     }
@@ -701,11 +870,10 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
     if items.is_empty() {
         return Ok(());
     }
-    let mut sum_zs = Scalar(BigUint::zero());
+    let mut sum_zs = Scalar::ZERO;
     let mut pairs: Vec<(Scalar, EdwardsPoint)> = Vec::with_capacity(2 * items.len());
     for (i, item) in items.iter().enumerate() {
-        let r_bytes: [u8; 32] = item.signature.bytes[..32].try_into().expect("32 bytes");
-        let s_bytes: [u8; 32] = item.signature.bytes[32..].try_into().expect("32 bytes");
+        let (r_bytes, s_bytes) = halves(&item.signature.bytes);
         let s =
             Scalar::from_canonical_bytes(&s_bytes).map_err(|_| CryptoError::InvalidSignature)?;
         let r = EdwardsPoint::decompress(&r_bytes).map_err(|_| CryptoError::InvalidSignature)?;
@@ -716,7 +884,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
         ));
         // The first coefficient can be 1 without weakening the argument.
         let z = if i == 0 {
-            Scalar(BigUint::one())
+            Scalar::ONE
         } else {
             batch_coefficient(i, &r_bytes, &key_bytes, item.message)
         };
@@ -754,12 +922,11 @@ impl SigningKey {
     #[must_use]
     pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
         let h = Sha512::digest(seed);
-        let mut scalar_bytes: [u8; 32] = h[..32].try_into().expect("32 bytes");
+        let (mut scalar_bytes, prefix) = halves(&h);
         scalar_bytes[0] &= 0xf8;
         scalar_bytes[31] &= 0x7f;
         scalar_bytes[31] |= 0x40;
         let scalar = Scalar::from_bytes_reduced(&scalar_bytes);
-        let prefix: [u8; 32] = h[32..].try_into().expect("32 bytes");
         let public_point = EdwardsPoint::mul_base(&scalar);
         let verifying = VerifyingKey {
             bytes: public_point.compress(),
@@ -806,13 +973,85 @@ impl SigningKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::BigUint;
     use crate::hex;
     use proptest::prelude::*;
+
+    /// The oracle: L = 2^252 + 27742317777372353535851937790883648493.
+    fn group_order() -> BigUint {
+        let tail = BigUint::from_bytes_be(&[
+            0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5,
+            0xd3, 0xed,
+        ]);
+        BigUint::one().shl(252).add(&tail)
+    }
+
+    fn scalar_value(s: &Scalar) -> BigUint {
+        BigUint::from_bytes_le(&s.to_bytes())
+    }
+
+    fn bytes_of(n: &BigUint) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out.copy_from_slice(&n.to_bytes_le_padded(32));
+        out
+    }
+
+    /// `n` in radix 2^52, five limbs.
+    fn limbs52_of(n: &BigUint) -> [u64; 5] {
+        let radix = BigUint::one().shl(52);
+        std::array::from_fn(|k| {
+            let limb = n.shr(52 * k).rem(&radix).to_bytes_le_padded(8);
+            limb.iter()
+                .rev()
+                .fold(0, |acc, &b| (acc << 8) | u64::from(b))
+        })
+    }
+
+    #[test]
+    fn montgomery_constants_derive_from_the_group_order() {
+        let l = group_order();
+        assert_eq!(Scalar52::L.0, limbs52_of(&l));
+        let r = BigUint::one().shl(260).rem(&l);
+        assert_eq!(Scalar52::R.0, limbs52_of(&r));
+        assert_eq!(Scalar52::RR.0, limbs52_of(&r.mul_mod(&r, &l)));
+        // L⁻¹ mod 2^64 by Newton's iteration (each step doubles the correct
+        // low bits; L is odd, so L is its own inverse mod 8), then negate.
+        let l0 = limbs52_of(&l)[0];
+        let mut inv = l0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(l0.wrapping_mul(inv)));
+        }
+        assert_eq!(Scalar52::LFACTOR, inv.wrapping_neg() & LOW_52_BIT_MASK);
+        // L·LFACTOR ≡ −1 (mod 2^52).
+        let check = l
+            .mul(&BigUint::from_u64(Scalar52::LFACTOR))
+            .add(&BigUint::one())
+            .rem(&BigUint::one().shl(52));
+        assert!(check.is_zero());
+    }
+
+    #[test]
+    fn canonical_parsing_rejects_exactly_s_at_least_l() {
+        let l = group_order();
+        let below = l.sub(&BigUint::one());
+        let parsed = Scalar::from_canonical_bytes(&bytes_of(&below)).unwrap();
+        assert_eq!(scalar_value(&parsed), below);
+        for n in [
+            l.clone(),
+            l.add(&BigUint::one()),
+            BigUint::one().shl(256).sub(&BigUint::one()),
+        ] {
+            assert_eq!(
+                Scalar::from_canonical_bytes(&bytes_of(&n)),
+                Err(CryptoError::InvalidScalar)
+            );
+        }
+    }
 
     #[test]
     fn basepoint_has_order_l() {
         // [L]B == identity, [L-1]B != identity.
-        let l = group_order().clone();
+        let l = group_order();
         // Scalar construction reduces mod L, so [L] ≡ 0 as a Scalar;
         // multiply by the raw bits of L instead.
         let mut acc = EdwardsPoint::identity();
@@ -911,10 +1150,9 @@ mod tests {
     fn non_canonical_y_encoding_rejected() {
         // y' = y + p re-encodes small-y points; decoding must refuse it.
         // p = 2^255 - 19, so for y = 0 the alias is p itself.
-        let p_bytes: [u8; 32] = {
-            let p = crate::field25519::prime_for_tests();
-            p.to_bytes_le_padded(32).try_into().unwrap()
-        };
+        let mut p_bytes = [0xffu8; 32];
+        p_bytes[0] = 0xed;
+        p_bytes[31] = 0x7f;
         // y = 0 has a valid point (x^2 = -1/(d*0+1) — actually y=0 may not
         // be on the curve; the point is that decoding must fail on
         // non-canonical grounds BEFORE any curve check).
@@ -1113,7 +1351,7 @@ mod tests {
             );
         }
         // Zero maps to the identity through 64 identity additions.
-        assert!(EdwardsPoint::mul_base(&Scalar(BigUint::zero())).is_identity());
+        assert!(EdwardsPoint::mul_base(&Scalar::ZERO).is_identity());
     }
 
     #[test]
@@ -1122,7 +1360,7 @@ mod tests {
             let s = Scalar::from_bytes_reduced(&seed);
             let naf = s.wnaf5();
             let mut acc = BigUint::zero();
-            let l = group_order();
+            let l = &group_order();
             for (i, &d) in naf.iter().enumerate() {
                 if d > 0 {
                     acc = acc.add_mod(&BigUint::from_u64(d as u64).shl(i), l);
@@ -1130,7 +1368,7 @@ mod tests {
                     acc = acc.add_mod(&l.sub(&BigUint::from_u64((-d) as u64).shl(i).rem(l)), l);
                 }
             }
-            assert_eq!(acc, s.0, "seed {seed:?}");
+            assert_eq!(acc, scalar_value(&s), "seed {seed:?}");
             // Width-5 NAF: nonzero digits are odd and at least 5 apart.
             let mut last_nonzero: Option<usize> = None;
             for (i, &d) in naf.iter().enumerate() {
@@ -1156,7 +1394,7 @@ mod tests {
             .add(&p.scalar_mul(&b));
         assert_eq!(vartime_double_base_mul(&a, &b, &p), expected);
         // Zero scalars degenerate correctly.
-        let zero = Scalar(BigUint::zero());
+        let zero = Scalar::ZERO;
         assert_eq!(
             vartime_double_base_mul(&zero, &b, &p),
             p.scalar_mul(&b),
@@ -1188,6 +1426,80 @@ mod tests {
         key.verifying_key().verify(b"m", &sig).unwrap();
         // mul_base (1) + from_seed (1) + sign (1) + straus verify (2).
         assert!(metrics::scalar_mul_ops() >= before + 5);
+    }
+
+    proptest! {
+        #[test]
+        fn from_bytes_wide_matches_oracle(bytes: [u8; 64]) {
+            prop_assert_eq!(
+                scalar_value(&Scalar::from_bytes_wide(&bytes)),
+                BigUint::from_bytes_le(&bytes).rem(&group_order())
+            );
+        }
+
+        #[test]
+        fn scalar_arithmetic_matches_oracle(a: [u8; 32], b: [u8; 32]) {
+            let l = group_order();
+            let (sa, sb) = (Scalar::from_bytes_reduced(&a), Scalar::from_bytes_reduced(&b));
+            let (va, vb) = (BigUint::from_bytes_le(&a).rem(&l), BigUint::from_bytes_le(&b).rem(&l));
+            prop_assert_eq!(scalar_value(&sa), va.clone());
+            prop_assert_eq!(scalar_value(&sb), vb.clone());
+            prop_assert_eq!(scalar_value(&sa.add(&sb)), va.add_mod(&vb, &l));
+            prop_assert_eq!(scalar_value(&sa.mul(&sb)), va.mul_mod(&vb, &l));
+        }
+
+        #[test]
+        fn canonical_parsing_matches_oracle(bytes: [u8; 32], top in 0u8..0x20) {
+            // Bias the top byte towards L's (0x10) so both verdicts occur.
+            let mut bytes = bytes;
+            bytes[31] = top;
+            let n = BigUint::from_bytes_le(&bytes);
+            match Scalar::from_canonical_bytes(&bytes) {
+                Ok(s) => {
+                    prop_assert!(n < group_order());
+                    prop_assert_eq!(s.to_bytes(), bytes);
+                }
+                Err(e) => {
+                    prop_assert!(n >= group_order());
+                    prop_assert_eq!(e, CryptoError::InvalidScalar);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn double_matches_add_self(bytes: [u8; 32]) {
+            let p = EdwardsPoint::mul_base(&Scalar::from_bytes_reduced(&bytes));
+            prop_assert_eq!(p.double(), p.add(&p));
+            prop_assert_eq!(p.double().compress(), p.add(&p).compress());
+            let id = EdwardsPoint::identity();
+            prop_assert!(id.double().is_identity());
+        }
+
+        #[test]
+        fn multiscalar_matches_naive_sum_for_up_to_eight_pairs(
+            seeds in prop::collection::vec(any::<[u8; 32]>(), 2..17),
+            zero_mask: u8,
+        ) {
+            let pairs: Vec<(Scalar, EdwardsPoint)> = seeds
+                .chunks_exact(2)
+                .enumerate()
+                .map(|(i, s)| {
+                    let z = if zero_mask >> i & 1 == 1 {
+                        Scalar::ZERO
+                    } else {
+                        Scalar::from_bytes_reduced(&s[0])
+                    };
+                    (z, EdwardsPoint::mul_base(&Scalar::from_bytes_reduced(&s[1])))
+                })
+                .collect();
+            let naive = pairs
+                .iter()
+                .fold(EdwardsPoint::identity(), |acc, (z, p)| acc.add(&p.scalar_mul(z)));
+            prop_assert_eq!(multiscalar_mul(&pairs), naive);
+        }
     }
 
     proptest! {

@@ -2,11 +2,14 @@
 //!
 //! Elements are five 51-bit limbs (`u64` each, products in `u128`). The
 //! field backs both [`crate::ed25519`] (twisted Edwards form) and
-//! [`crate::x25519`] (Montgomery form).
+//! [`crate::x25519`] (Montgomery form). Everything runs on the limbs:
+//! multiplication (25 wide products) and a dedicated squaring (15),
+//! inversion and the square-root exponent through the standard
+//! `2^250 − 1` addition chain (at most 254 squarings and 11
+//! multiplications), and a canonical encoding that subtracts `p` at most
+//! once, so equality and sign tests cost nanoseconds.
 
 use std::sync::OnceLock;
-
-use crate::bigint::BigUint;
 
 const LOW_51_BIT_MASK: u64 = (1u64 << 51) - 1;
 
@@ -31,18 +34,19 @@ impl PartialEq for FieldElement {
 
 impl Eq for FieldElement {}
 
-/// The field prime p = 2^255 - 19 as a [`BigUint`].
-pub(crate) fn prime() -> &'static BigUint {
-    static P: OnceLock<BigUint> = OnceLock::new();
-    P.get_or_init(|| BigUint::one().shl(255).sub(&BigUint::from_u64(19)))
-}
-
-/// Test-only access to the field prime (used by encoding-canonicality
-/// tests in sibling modules).
-#[doc(hidden)]
-#[must_use]
-pub fn prime_for_tests() -> &'static BigUint {
-    prime()
+/// Little-endian bytes of five `bits`-wide limbs, each `< 2^bits`; bits past
+/// the 256th are dropped. Shared with the radix-2^52 scalar encoding.
+pub(crate) fn limbs_to_bytes(limbs: &[u64; 5], bits: usize) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, byte) in out.iter_mut().enumerate() {
+        let (k, shift) = (8 * i / bits, 8 * i % bits);
+        let mut v = limbs[k] >> shift;
+        if shift + 8 > bits && k + 1 < limbs.len() {
+            v |= limbs[k + 1] << (bits - shift);
+        }
+        *byte = v as u8;
+    }
+    out
 }
 
 impl FieldElement {
@@ -85,15 +89,30 @@ impl FieldElement {
     /// Canonical 32-byte little-endian encoding (fully reduced mod p).
     #[must_use]
     pub fn to_bytes(self) -> [u8; 32] {
-        // Exact reduction via BigUint keeps this unambiguously correct; the
-        // hot paths (mul/square) never call it.
-        let mut n = BigUint::zero();
-        for (i, &l) in self.0.iter().enumerate() {
-            n = n.add(&BigUint::from_u64(l).shl(51 * i));
+        // Carry every limb under 2^51, folding the top carry back in as ×19:
+        // now h < 2p, so h mod p is h − q·p with q = ⌊(h + 19) / 2^255⌋,
+        // which the carry chain of h + 19 yields without touching h.
+        let mut h = self.0;
+        let carries = h.map(|l| l >> 51);
+        for l in &mut h {
+            *l &= LOW_51_BIT_MASK;
         }
-        let r = n.rem(prime());
-        let bytes = r.to_bytes_le_padded(32);
-        bytes.try_into().expect("32 bytes")
+        h[0] += carries[4] * 19;
+        for i in 1..5 {
+            h[i] += carries[i - 1];
+        }
+        let mut q = (h[0] + 19) >> 51;
+        for &l in &h[1..] {
+            q = (l + q) >> 51;
+        }
+        // h − q·p = h + 19q − q·2^255: add 19q, carry, drop bit 255.
+        h[0] += 19 * q;
+        for i in 0..4 {
+            h[i + 1] += h[i] >> 51;
+            h[i] &= LOW_51_BIT_MASK;
+        }
+        h[4] &= LOW_51_BIT_MASK;
+        limbs_to_bytes(&h, 51)
     }
 
     /// Carry-propagates limbs back under 2^52.
@@ -154,13 +173,18 @@ impl FieldElement {
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
         let c0 = m(a[0], b[0]) + m(a[4], b1_19) + m(a[3], b2_19) + m(a[2], b3_19) + m(a[1], b4_19);
-        let mut c1 =
-            m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2_19) + m(a[3], b3_19) + m(a[2], b4_19);
-        let mut c2 =
-            m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3_19) + m(a[3], b4_19);
-        let mut c3 = m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4_19);
-        let mut c4 = m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]);
+        let c1 = m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2_19) + m(a[3], b3_19) + m(a[2], b4_19);
+        let c2 = m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3_19) + m(a[3], b4_19);
+        let c3 = m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4_19);
+        let c4 = m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]);
 
+        FieldElement::carry_wide([c0, c1, c2, c3, c4])
+    }
+
+    /// Carries 128-bit limb sums (the product columns) back to five limbs
+    /// under 2^52.
+    fn carry_wide(c: [u128; 5]) -> FieldElement {
+        let [c0, mut c1, mut c2, mut c3, mut c4] = c;
         let mut out = [0u64; 5];
         c1 += c0 >> 51;
         out[0] = (c0 as u64) & LOW_51_BIT_MASK;
@@ -179,48 +203,64 @@ impl FieldElement {
         FieldElement(out)
     }
 
-    /// Field squaring.
+    /// Field squaring: the 10 cross products are computed once and doubled,
+    /// 15 wide products against `mul`'s 25.
     #[must_use]
     pub fn square(&self) -> FieldElement {
-        self.mul(self)
+        let a = &self.0;
+        let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+        let (d0, d1, d2) = (2 * a[0], 2 * a[1], 2 * a[2]);
+        FieldElement::carry_wide([
+            m(a[0], a[0]) + m(d1, a4_19) + m(d2, a3_19),
+            m(a[3], a3_19) + m(d0, a[1]) + m(d2, a4_19),
+            m(a[1], a[1]) + m(d0, a[2]) + m(2 * a[3], a4_19),
+            m(a[4], a4_19) + m(d0, a[3]) + m(d1, a[2]),
+            m(a[2], a[2]) + m(d0, a[4]) + m(d1, a[3]),
+        ])
     }
 
-    /// Raises to the power given as little-endian bytes.
-    #[must_use]
-    pub fn pow_bytes_le(&self, exponent: &[u8]) -> FieldElement {
-        let mut result = FieldElement::one();
-        for byte in exponent.iter().rev() {
-            for bit in (0..8).rev() {
-                result = result.square();
-                if (byte >> bit) & 1 == 1 {
-                    result = result.mul(self);
-                }
-            }
+    /// `self^(2^k)`: `k` successive squarings.
+    fn pow2k(&self, k: u32) -> FieldElement {
+        let mut x = *self;
+        for _ in 0..k {
+            x = x.square();
         }
-        result
+        x
     }
 
-    /// Multiplicative inverse (returns zero for zero).
+    /// The shared head of the inversion and square-root chains:
+    /// `(self^(2^250 − 1), self^11)` in 249 squarings and 10 multiplications.
+    fn pow22501(&self) -> (FieldElement, FieldElement) {
+        let t2 = self.square(); // 2
+        let t9 = t2.pow2k(2).mul(self); // 9
+        let t11 = t9.mul(&t2); // 11
+        let t5 = t11.square().mul(&t9); // 2^5 − 1
+        let t10 = t5.pow2k(5).mul(&t5); // 2^10 − 1
+        let t20 = t10.pow2k(10).mul(&t10); // 2^20 − 1
+        let t40 = t20.pow2k(20).mul(&t20); // 2^40 − 1
+        let t50 = t40.pow2k(10).mul(&t10); // 2^50 − 1
+        let t100 = t50.pow2k(50).mul(&t50); // 2^100 − 1
+        let t200 = t100.pow2k(100).mul(&t100); // 2^200 − 1
+        let t250 = t200.pow2k(50).mul(&t50); // 2^250 − 1
+        (t250, t11)
+    }
+
+    /// Multiplicative inverse (returns zero for zero): `self^(p − 2)`,
+    /// with `p − 2 = (2^250 − 1)·2^5 + 11`.
     #[must_use]
     pub fn invert(&self) -> FieldElement {
-        // x^(p-2)
-        static EXP: OnceLock<Vec<u8>> = OnceLock::new();
-        let exp = EXP.get_or_init(|| prime().sub(&BigUint::from_u64(2)).to_bytes_le());
-        self.pow_bytes_le(exp)
+        let (t250, t11) = self.pow22501();
+        t250.pow2k(5).mul(&t11)
     }
 
-    /// x^((p-5)/8), the core of the square-root computation.
+    /// x^((p-5)/8), the core of the square-root computation:
+    /// `(p − 5)/8 = (2^250 − 1)·2^2 + 1`.
     #[must_use]
     pub fn pow_p58(&self) -> FieldElement {
-        static EXP: OnceLock<Vec<u8>> = OnceLock::new();
-        let exp = EXP.get_or_init(|| {
-            prime()
-                .sub(&BigUint::from_u64(5))
-                .div_rem(&BigUint::from_u64(8))
-                .0
-                .to_bytes_le()
-        });
-        self.pow_bytes_le(exp)
+        let (t250, _) = self.pow22501();
+        t250.pow2k(2).mul(self)
     }
 
     /// `true` when the canonical encoding is odd (the "sign" bit used in
@@ -242,9 +282,10 @@ impl FieldElement {
 pub fn sqrt_m1() -> FieldElement {
     static V: OnceLock<FieldElement> = OnceLock::new();
     *V.get_or_init(|| {
-        // 2^((p-1)/4)
-        let exp = prime().sub(&BigUint::one()).shr(2).to_bytes_le();
-        FieldElement::from_u64(2).pow_bytes_le(&exp)
+        // 2 is a non-square (p ≡ 5 mod 8), so 2^((p-1)/4) squares to -1;
+        // (p-1)/4 = 2·(p-5)/8 + 1.
+        let two = FieldElement::from_u64(2);
+        two.pow_p58().square().mul(&two)
     })
 }
 
@@ -284,7 +325,48 @@ pub fn sqrt_ratio(u: &FieldElement, v: &FieldElement) -> (bool, FieldElement) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::BigUint;
     use proptest::prelude::*;
+
+    /// The oracle: p = 2^255 − 19 as a [`BigUint`].
+    fn prime() -> BigUint {
+        BigUint::one().shl(255).sub(&BigUint::from_u64(19))
+    }
+
+    /// The integer the limbs spell, `Σ limbs[i]·2^(51·i)`, not reduced.
+    fn limbs_value(limbs: &[u64; 5]) -> BigUint {
+        limbs
+            .iter()
+            .enumerate()
+            .fold(BigUint::zero(), |acc, (i, &l)| {
+                acc.add(&BigUint::from_u64(l).shl(51 * i))
+            })
+    }
+
+    fn oracle_bytes(n: &BigUint) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out.copy_from_slice(&n.rem(&prime()).to_bytes_le_padded(32));
+        out
+    }
+
+    /// Plain square-and-multiply `x^e mod p` over [`BigUint`].
+    fn oracle_pow(x: &BigUint, e: &BigUint) -> BigUint {
+        let p = prime();
+        let mut acc = BigUint::one();
+        for i in (0..e.bit_len()).rev() {
+            acc = acc.mul_mod(&acc, &p);
+            if e.bit(i) {
+                acc = acc.mul_mod(x, &p);
+            }
+        }
+        acc
+    }
+
+    fn element(bytes: [u8; 32]) -> FieldElement {
+        let mut bytes = bytes;
+        bytes[31] &= 0x7f;
+        FieldElement::from_bytes(&bytes)
+    }
 
     fn fe(v: u64) -> FieldElement {
         FieldElement::from_u64(v)
@@ -360,6 +442,41 @@ mod tests {
     }
 
     #[test]
+    fn to_bytes_reduces_the_edge_values() {
+        let top = (1u64 << 51) - 1;
+        let loose = (1u64 << 52) - 1;
+        for limbs in [
+            [top - 18, top, top, top, top],                           // p
+            [top - 17, top, top, top, top],                           // p + 1
+            [top - 19, top, top, top, top],                           // p − 1
+            [loose - 38, loose - 1, loose - 1, loose - 1, loose - 1], // 2p − 1
+            [loose; 5],                                               // largest loose
+            [0; 5],
+        ] {
+            assert_eq!(
+                FieldElement(limbs).to_bytes(),
+                oracle_bytes(&limbs_value(&limbs)),
+                "{limbs:x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn constants_match_their_definitions() {
+        let p = prime();
+        // sqrt(−1) = 2^((p−1)/4).
+        let e = p.sub(&BigUint::one()).shr(2);
+        assert_eq!(
+            sqrt_m1().to_bytes(),
+            oracle_bytes(&oracle_pow(&BigUint::from_u64(2), &e))
+        );
+        // d = −121665 · 121666^(p−2).
+        let inv = oracle_pow(&BigUint::from_u64(121_666), &p.sub(&BigUint::from_u64(2)));
+        let d = p.sub(&BigUint::from_u64(121_665).mul_mod(&inv, &p));
+        assert_eq!(edwards_d().to_bytes(), oracle_bytes(&d));
+    }
+
+    #[test]
     fn bytes_roundtrip() {
         let mut bytes = [0u8; 32];
         for (i, b) in bytes.iter_mut().enumerate() {
@@ -393,11 +510,33 @@ mod tests {
         }
 
         #[test]
-        fn square_matches_mul(bytes: [u8; 32]) {
-            let mut bytes = bytes;
-            bytes[31] &= 0x7f;
-            let x = FieldElement::from_bytes(&bytes);
+        fn square_matches_mul(limbs in prop::collection::vec(0u64..1 << 52, 5)) {
+            // Any loosely reduced element, not only freshly decoded ones.
+            let x = FieldElement(std::array::from_fn(|i| limbs[i]));
             prop_assert_eq!(x.square(), x.mul(&x));
+        }
+
+        #[test]
+        fn to_bytes_matches_oracle_on_loose_limbs(limbs in prop::collection::vec(0u64..1 << 52, 5)) {
+            let limbs: [u64; 5] = std::array::from_fn(|i| limbs[i]);
+            prop_assert_eq!(
+                FieldElement(limbs).to_bytes(),
+                oracle_bytes(&limbs_value(&limbs))
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn invert_and_pow_p58_match_plain_exponentiation(bytes: [u8; 32]) {
+            let x = element(bytes);
+            let p = prime();
+            let xv = BigUint::from_bytes_le(&x.to_bytes());
+            let inv = oracle_pow(&xv, &p.sub(&BigUint::from_u64(2)));
+            prop_assert_eq!(x.invert().to_bytes(), oracle_bytes(&inv));
+            let p58 = oracle_pow(&xv, &p.sub(&BigUint::from_u64(5)).shr(3));
+            prop_assert_eq!(x.pow_p58().to_bytes(), oracle_bytes(&p58));
         }
     }
 }

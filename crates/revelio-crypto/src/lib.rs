@@ -24,10 +24,13 @@
 //!   cipher spec, with its tweak carried as a `u128`.
 //! * [`field25519`] / [`ed25519`] / [`x25519`] — Curve25519 arithmetic,
 //!   Ed25519 signatures (RFC 8032) standing in for the ECDSA-P384 VCEK, and
-//!   X25519 key agreement (RFC 7748) for the TLS handshake.
+//!   X25519 key agreement (RFC 7748) for the TLS handshake. All of it runs
+//!   on fixed limbs: the field on five 51-bit limbs with a dedicated
+//!   squaring, an addition-chain inversion and a carry-trick canonical
+//!   encoding; scalars mod L through a five-limb radix-2^52 Montgomery
+//!   kernel; verification and batch verification as w=5 NAF Straus.
 //! * [`bigint`] — a small arbitrary-precision unsigned integer used for
-//!   scalar arithmetic mod the Ed25519 group order and for constant
-//!   derivation.
+//!   constant derivation and as the test oracle.
 //! * [`ct`] — constant-time comparison helpers.
 //! * [`hex`] — hexadecimal encoding/decoding for fingerprints and reports.
 //!

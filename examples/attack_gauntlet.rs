@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Each scenario prints `DEFENDED` when the system blocks it at the layer
-//! the paper predicts.
+//! the paper predicts. Any `!! BREACHED !!` row makes the run exit
+//! non-zero, so CI can gate on it.
 
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
@@ -16,11 +17,16 @@ use revelio_boot::firmware::{FirmwareKind, HashTable};
 use revelio_boot::loader::{BootOptions, Hypervisor};
 use revelio_boot::BootError;
 use sev_snp::ids::GuestPolicy;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Rows printed `!! BREACHED !!` so far.
+static BREACHED: AtomicUsize = AtomicUsize::new(0);
 
 fn verdict(name: &str, defended: bool, detail: &str) {
     let flag = if defended {
         "DEFENDED"
     } else {
+        BREACHED.fetch_add(1, Ordering::Relaxed);
         "!! BREACHED !!"
     };
     println!("{flag:>14}  {name}: {detail}");
@@ -217,5 +223,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\ngauntlet complete");
-    Ok(())
+    match BREACHED.load(Ordering::Relaxed) {
+        0 => Ok(()),
+        n => Err(format!("{n} attack(s) breached").into()),
+    }
 }
