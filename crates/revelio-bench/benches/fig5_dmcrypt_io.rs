@@ -17,8 +17,7 @@ fn devices(blocks: u64) -> (Arc<MemBlockDevice>, CryptDevice) {
         iterations: 1000,
         salt: [7; 32],
     };
-    CryptDevice::format(Arc::clone(&backing) as _, b"bench key", &params).unwrap();
-    let crypt = CryptDevice::open(backing as _, b"bench key", &params).unwrap();
+    let crypt = CryptDevice::format(backing as _, b"bench key", &params).unwrap();
     (plain, crypt)
 }
 

@@ -236,10 +236,9 @@ pub fn run_fig5(total_sizes: &[usize], write: bool) -> Vec<Fig5Point> {
         iterations: 1000,
         salt: [7; 32],
     };
-    CryptDevice::format(Arc::clone(&backing), b"bench key", &params).expect("format");
     // The crypt path pays the backing disk cost plus the cipher cost.
     let crypt = ProbedDevice::new(
-        Arc::new(CryptDevice::open(backing, b"bench key", &params).expect("open")),
+        Arc::new(CryptDevice::format(backing, b"bench key", &params).expect("format")),
         DeviceProbe::new(telemetry.clone(), "fig5_crypt", cipher_ns, cipher_ns),
     );
     // Pre-fill for the read sweep.

@@ -177,8 +177,7 @@ impl BootedVm {
             // sealed data on a host-corrupted superblock.
             let volume = if CryptDevice::is_pristine(part.device.as_ref())? {
                 first_boot = true;
-                CryptDevice::format(Arc::clone(&part.device), &sealing_key, &params)?;
-                let vol = CryptDevice::open(Arc::clone(&part.device), &sealing_key, &params)?;
+                let vol = CryptDevice::format(Arc::clone(&part.device), &sealing_key, &params)?;
                 let volume_bytes = part.device.len_bytes();
                 report.record(
                     "dm-crypt setup",
@@ -485,6 +484,32 @@ mod tests {
             .read_block(0, &mut buf)
             .unwrap();
         assert_eq!(buf, vec![9u8; 4096]);
+    }
+
+    #[test]
+    fn first_boot_derives_the_volume_key_once() {
+        // At the paper's 1000 PBKDF2 iterations one derivation costs 4002
+        // SHA-256 compressions. First boot formats the volume and keeps
+        // the unlocked device `format` returns; a reboot opens it. Each
+        // derives the key once, so the two boots hash exactly as much.
+        let p = platform_from(1);
+        let mut spec = spec(&[]);
+        spec.init.crypt_volume = Some(CryptVolumeConfig {
+            partition_name: "data".into(),
+            kdf_iterations: 1000,
+        });
+        let image = build_image(&spec).unwrap();
+        let counted_boot = || {
+            let before = revelio_crypto::metrics::thread_sha256_blocks();
+            let vm = boot(&p, &image);
+            (vm, revelio_crypto::metrics::thread_sha256_blocks() - before)
+        };
+        let (first, first_blocks) = counted_boot();
+        assert!(first.is_first_boot());
+        drop(first);
+        let (again, reboot_blocks) = counted_boot();
+        assert!(!again.is_first_boot());
+        assert_eq!(first_blocks, reboot_blocks);
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub fn hkdf<H: HashFunction>(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -
 /// (§6.3.1); [`crate::xts`]-backed volumes in `revelio-storage` derive their
 /// key slots through this function.
 ///
+/// HMAC is keyed with `password` once: every PRF call starts from a clone
+/// of that keyed state, with the ipad and opad blocks already absorbed, so
+/// an iteration costs two compressions instead of four.
+///
 /// # Panics
 ///
 /// Panics if `iterations` is zero.
@@ -72,16 +76,19 @@ pub fn pbkdf2<H: HashFunction>(
     len: usize,
 ) -> Vec<u8> {
     assert!(iterations > 0, "pbkdf2 requires at least one iteration");
+    let prf = Hmac::<H>::new(password);
     let mut out = Vec::with_capacity(len);
     let mut block_index = 1u32;
     while out.len() < len {
-        let mut mac = Hmac::<H>::new(password);
+        let mut mac = prf.clone();
         mac.update(salt);
         mac.update(&block_index.to_be_bytes());
         let mut u = mac.finalize();
         let mut t = u.clone();
         for _ in 1..iterations {
-            u = Hmac::<H>::mac(password, &u);
+            let mut mac = prf.clone();
+            mac.update(&u);
+            u = mac.finalize();
             for (ti, ui) in t.iter_mut().zip(&u) {
                 *ti ^= ui;
             }
@@ -101,6 +108,35 @@ mod tests {
     use crate::hex;
     use crate::sha2::Sha256;
     use proptest::prelude::*;
+
+    /// PBKDF2 as RFC 8018 §5.2 spells it, re-keying HMAC for every PRF
+    /// call: the reference the keyed-once [`pbkdf2`] is checked against.
+    fn pbkdf2_rekeying<H: HashFunction>(
+        password: &[u8],
+        salt: &[u8],
+        iterations: u32,
+        len: usize,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut block_index = 1u32;
+        while out.len() < len {
+            let mut mac = Hmac::<H>::new(password);
+            mac.update(salt);
+            mac.update(&block_index.to_be_bytes());
+            let mut u = mac.finalize();
+            let mut t = u.clone();
+            for _ in 1..iterations {
+                u = Hmac::<H>::mac(password, &u);
+                for (ti, ui) in t.iter_mut().zip(&u) {
+                    *ti ^= ui;
+                }
+            }
+            out.extend_from_slice(&t);
+            block_index += 1;
+        }
+        out.truncate(len);
+        out
+    }
 
     #[test]
     fn rfc5869_case_1() {
@@ -131,6 +167,28 @@ mod tests {
              49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783"
                 .replace(char::is_whitespace, "")
         );
+    }
+
+    #[test]
+    fn pbkdf2_80000_iteration_vector() {
+        // RFC 7914 §11, second PBKDF2-HMAC-SHA-256 test vector.
+        let dk = pbkdf2::<Sha256>(b"Password", b"NaCl", 80_000, 64);
+        assert_eq!(
+            hex::encode(&dk),
+            "4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56\
+             a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d"
+                .replace(char::is_whitespace, "")
+        );
+    }
+
+    #[test]
+    fn pbkdf2_costs_two_compressions_per_iteration() {
+        // The dm-crypt key slot: 32-byte salt, 1000 iterations, a 64-byte
+        // master key (two SHA-256 output blocks). Keying HMAC costs 2
+        // compressions, once; each of the 2 x 1000 PRF calls costs 2.
+        let before = crate::metrics::thread_sha256_blocks();
+        let _ = pbkdf2::<Sha256>(b"sealing key", &[0x5a; 32], 1000, 64);
+        assert_eq!(crate::metrics::thread_sha256_blocks() - before, 4002);
     }
 
     #[test]
@@ -186,6 +244,21 @@ mod tests {
             prop_assert_ne!(
                 hkdf::<Sha256>(b"salt", &ikm, &i1, 32),
                 hkdf::<Sha256>(b"salt", &ikm, &i2, 32)
+            );
+        }
+
+        #[test]
+        fn pbkdf2_matches_rekeying_reference(
+            password in proptest::collection::vec(any::<u8>(), 0..201),
+            salt: Vec<u8>,
+            iterations in 1u32..=8,
+            len in 1usize..=100,
+        ) {
+            // Passwords past 64 bytes take HMAC's pre-hash path; lengths
+            // past 32 bytes span several output blocks.
+            prop_assert_eq!(
+                pbkdf2::<Sha256>(&password, &salt, iterations, len),
+                pbkdf2_rekeying::<Sha256>(&password, &salt, iterations, len)
             );
         }
 

@@ -143,34 +143,36 @@ fn h384() -> &'static [u64; 8] {
     })
 }
 
-/// Feeds `data` to `compress` in `block_len` blocks: first completes a
-/// block already started in `buffer`, then hashes whole blocks straight
-/// from `data`, and keeps only the tail in `buffer`. Returns the number
-/// of blocks compressed.
-fn absorb(
-    buffer: &mut Vec<u8>,
-    block_len: usize,
+/// Feeds `data` to `compress` in `BLOCK`-byte blocks: first completes a
+/// block already started in `buffer[..*buffered]`, then hashes whole
+/// blocks straight from `data`, and keeps only the tail in `buffer`.
+/// Returns the number of blocks compressed.
+fn absorb<const BLOCK: usize>(
+    buffer: &mut [u8; BLOCK],
+    buffered: &mut usize,
     mut data: &[u8],
-    mut compress: impl FnMut(&[u8]),
+    mut compress: impl FnMut(&[u8; BLOCK]),
 ) -> u64 {
     let mut compressed = 0;
-    if !buffer.is_empty() {
-        let take = (block_len - buffer.len()).min(data.len());
-        buffer.extend_from_slice(&data[..take]);
+    if *buffered > 0 {
+        let take = (BLOCK - *buffered).min(data.len());
+        buffer[*buffered..*buffered + take].copy_from_slice(&data[..take]);
+        *buffered += take;
         data = &data[take..];
-        if buffer.len() < block_len {
+        if *buffered < BLOCK {
             return 0;
         }
         compress(buffer);
-        buffer.clear();
+        *buffered = 0;
         compressed = 1;
     }
-    let mut blocks = data.chunks_exact(block_len);
-    for block in &mut blocks {
+    let (blocks, tail) = data.as_chunks::<BLOCK>();
+    for block in blocks {
         compress(block);
     }
-    buffer.extend_from_slice(blocks.remainder());
-    compressed + (data.len() / block_len) as u64
+    buffer[..tail.len()].copy_from_slice(tail);
+    *buffered = tail.len();
+    compressed + blocks.len() as u64
 }
 
 /// Streaming SHA-256.
@@ -186,7 +188,8 @@ fn absorb(
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: Vec<u8>,
+    buffer: [u8; 64],
+    buffered: usize,
     length: u64,
 }
 
@@ -216,14 +219,14 @@ impl Sha256 {
     /// Finishes the hash into a fixed array.
     #[must_use]
     pub fn finalize_fixed(mut self) -> [u8; 32] {
-        let bit_len = self.length.wrapping_mul(8);
-        let mut pad = vec![0x80u8];
-        let rem = (self.length as usize + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        HashFunction::update(&mut self, &pad);
-        debug_assert!(self.buffer.is_empty());
+        // 0x80, then zeros up to 8 bytes short of a block boundary, then
+        // the bit length: at most 1 + 63 + 8 bytes.
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        let zeros = (119 - self.buffered) % 64;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        HashFunction::update(&mut self, &pad[..9 + zeros]);
+        debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; 32];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
             bytes.copy_from_slice(&word.to_be_bytes());
@@ -231,8 +234,7 @@ impl Sha256 {
         out
     }
 
-    fn compress(state: &mut [u32; 8], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let k = k256();
         let mut w = [0u32; 64];
         for i in 0..16 {
@@ -282,14 +284,15 @@ impl HashFunction for Sha256 {
     fn new() -> Self {
         Sha256 {
             state: *h256(),
-            buffer: Vec::with_capacity(64),
+            buffer: [0; 64],
+            buffered: 0,
             length: 0,
         }
     }
 
     fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
-        let blocks = absorb(&mut self.buffer, 64, data, |block| {
+        let blocks = absorb(&mut self.buffer, &mut self.buffered, data, |block| {
             Self::compress(&mut self.state, block);
         });
         crate::metrics::record_sha256_blocks(blocks);
@@ -304,7 +307,8 @@ impl HashFunction for Sha256 {
 #[derive(Clone)]
 struct Sha512Core {
     state: [u64; 8],
-    buffer: Vec<u8>,
+    buffer: [u8; 128],
+    buffered: usize,
     length: u128,
 }
 
@@ -312,13 +316,13 @@ impl Sha512Core {
     fn new(iv: [u64; 8]) -> Self {
         Sha512Core {
             state: iv,
-            buffer: Vec::with_capacity(128),
+            buffer: [0; 128],
+            buffered: 0,
             length: 0,
         }
     }
 
-    fn compress(state: &mut [u64; 8], block: &[u8]) {
-        debug_assert_eq!(block.len(), 128);
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let k = k512();
         let mut w = [0u64; 80];
         for i in 0..16 {
@@ -361,20 +365,20 @@ impl Sha512Core {
 
     fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u128);
-        absorb(&mut self.buffer, 128, data, |block| {
+        absorb(&mut self.buffer, &mut self.buffered, data, |block| {
             Self::compress(&mut self.state, block);
         });
     }
 
     fn finalize(mut self, out_words: usize) -> Vec<u8> {
-        let bit_len = self.length.wrapping_mul(8);
-        let mut pad = vec![0x80u8];
-        let rem = (self.length as usize + 1) % 128;
-        let zeros = if rem <= 112 { 112 - rem } else { 240 - rem };
-        pad.extend(std::iter::repeat_n(0, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
-        debug_assert!(self.buffer.is_empty());
+        // 0x80, then zeros up to 16 bytes short of a block boundary, then
+        // the bit length: at most 1 + 127 + 16 bytes.
+        let mut pad = [0u8; 144];
+        pad[0] = 0x80;
+        let zeros = (239 - self.buffered) % 128;
+        pad[1 + zeros..17 + zeros].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        self.update(&pad[..17 + zeros]);
+        debug_assert_eq!(self.buffered, 0);
         self.state[..out_words]
             .iter()
             .flat_map(|w| w.to_be_bytes())
@@ -598,27 +602,43 @@ mod tests {
         assert_ne!(&d384[..], &d512[..48]);
     }
 
+    /// Lengths either side of the padding and block boundaries: 55 bytes
+    /// pad within one SHA-256 block and 56 spill into a second; 63/64 end
+    /// a block; likewise 111/112 and 127/128 for SHA-512.
+    const PADDING_EDGES: [usize; 8] = [55, 56, 63, 64, 111, 112, 127, 128];
+
+    /// Streams `data` in three updates split at `a` and `b` (a buffered
+    /// head, whole blocks from the caller's slice, then a buffered tail:
+    /// every path through `absorb`), and finishes a clone taken after the
+    /// head on the rest in one update. Both must match one-shot hashing.
+    fn check_streaming<H: HashFunction>(data: &[u8], a: usize, b: usize) {
+        let (a, b) = (a.min(data.len()), b.min(data.len()));
+        let (a, b) = (a.min(b), a.max(b));
+        let mut h = H::new();
+        h.update(&data[..a]);
+        let mut fork = h.clone();
+        h.update(&data[a..b]);
+        h.update(&data[b..]);
+        fork.update(&data[a..]);
+        let one_shot = H::hash(data);
+        assert_eq!(h.finalize(), one_shot, "{} split {a}/{b}", H::NAME);
+        assert_eq!(fork.finalize(), one_shot, "{} clone at {a}", H::NAME);
+    }
+
     proptest! {
         #[test]
-        fn streaming_split_invariance(data: Vec<u8>, split in 0usize..256) {
-            let split = split.min(data.len());
-            let mut h = <Sha256 as HashFunction>::new();
-            HashFunction::update(&mut h, &data[..split]);
-            HashFunction::update(&mut h, &data[split..]);
-            prop_assert_eq!(HashFunction::finalize(h), Sha256::digest(&data).to_vec());
-        }
-
-        #[test]
-        fn three_way_split_invariance_sha512(data in proptest::collection::vec(any::<u8>(), 0..400), a in 0usize..400, b in 0usize..400) {
-            // A buffered head, whole blocks from the caller's slice, then a
-            // buffered tail: every path through `absorb`.
-            let (a, b) = (a.min(data.len()), b.min(data.len()));
-            let (a, b) = (a.min(b), a.max(b));
-            let mut h = <Sha512 as HashFunction>::new();
-            HashFunction::update(&mut h, &data[..a]);
-            HashFunction::update(&mut h, &data[a..b]);
-            HashFunction::update(&mut h, &data[b..]);
-            prop_assert_eq!(HashFunction::finalize(h), Sha512::digest(&data).to_vec());
+        fn three_way_split_invariance(
+            mut data in proptest::collection::vec(any::<u8>(), 0..400),
+            edge in 0usize..16,
+            a in 0usize..400,
+            b in 0usize..400,
+        ) {
+            // Half the cases pin the length to a padding edge.
+            if let Some(&len) = PADDING_EDGES.get(edge) {
+                data.resize(len, 0xa5);
+            }
+            check_streaming::<Sha256>(&data, a, b);
+            check_streaming::<Sha512>(&data, a, b);
         }
 
         #[test]

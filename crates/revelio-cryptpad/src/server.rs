@@ -340,9 +340,8 @@ mod tests {
             iterations: 2,
             salt: [1; 32],
         };
-        CryptDevice::format(StdArc::clone(&backing) as _, b"sealing key", &params).unwrap();
         let volume =
-            CryptDevice::open(StdArc::clone(&backing) as _, b"sealing key", &params).unwrap();
+            CryptDevice::format(StdArc::clone(&backing) as _, b"sealing key", &params).unwrap();
 
         let store = PadStore::new();
         let id = store.create_pad();

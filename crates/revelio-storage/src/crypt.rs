@@ -71,11 +71,15 @@ impl std::fmt::Debug for CryptDevice {
 }
 
 impl CryptDevice {
-    /// Formats `backing` as an encrypted volume keyed by `passphrase`.
+    /// Formats `backing` as an encrypted volume keyed by `passphrase` and
+    /// returns it unlocked.
     ///
     /// This is the "dm-crypt setup" step of the paper's Table 1: deriving
-    /// the key (PBKDF2) and writing the superblock. Existing data block
-    /// contents are left in place but become meaningless ciphertext.
+    /// the key (PBKDF2) and writing the superblock. The returned device is
+    /// keyed from the master key just derived, so first boot pays for one
+    /// derivation, not a second one in [`CryptDevice::open`]; that key never
+    /// came from the host-writable superblock. Existing data block contents
+    /// are left in place but become meaningless ciphertext.
     ///
     /// # Errors
     ///
@@ -86,9 +90,10 @@ impl CryptDevice {
         backing: Arc<dyn BlockDevice>,
         passphrase: &[u8],
         params: &CryptParams,
-    ) -> Result<(), StorageError> {
+    ) -> Result<Self, StorageError> {
         Self::check_geometry(backing.as_ref())?;
         let master_key = derive_master_key(passphrase, params);
+        let xts = Xts::new(&master_key)?;
         let mut w = ByteWriter::new();
         w.put_bytes(MAGIC);
         w.put_u16(VERSION);
@@ -99,7 +104,7 @@ impl CryptDevice {
         let mut block0 = vec![0u8; backing.block_size()];
         block0[..encoded.len()].copy_from_slice(&encoded);
         backing.write_block(0, &block0)?;
-        Ok(())
+        Ok(CryptDevice { backing, xts })
     }
 
     fn check_geometry(backing: &dyn BlockDevice) -> Result<(), StorageError> {
@@ -232,6 +237,7 @@ mod tests {
     use super::*;
     use crate::block::MemBlockDevice;
     use proptest::prelude::*;
+    use revelio_crypto::metrics::thread_sha256_blocks;
 
     const BS: usize = 512;
 
@@ -248,14 +254,28 @@ mod tests {
 
     #[test]
     fn format_open_roundtrip() {
+        // The device `format` returns and the one `open` unlocks later
+        // share one key: what the first writes, the second reads.
         let dev = backing(8);
-        CryptDevice::format(Arc::clone(&dev) as _, b"sealing key", &fast_params()).unwrap();
-        let vol = CryptDevice::open(Arc::clone(&dev) as _, b"sealing key", &fast_params()).unwrap();
+        let formatted =
+            CryptDevice::format(Arc::clone(&dev) as _, b"sealing key", &fast_params()).unwrap();
         let data = vec![0xabu8; BS];
-        vol.write_block(0, &data).unwrap();
+        formatted.write_block(0, &data).unwrap();
+        let vol = CryptDevice::open(Arc::clone(&dev) as _, b"sealing key", &fast_params()).unwrap();
         let mut buf = vec![0u8; BS];
         vol.read_block(0, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn format_derives_the_key_once() {
+        // One PBKDF2 derivation at the paper's 1000 iterations costs 4002
+        // SHA-256 compressions, the key-check HMAC 4 more; an `open` after
+        // `format` would pay for both again.
+        let before = thread_sha256_blocks();
+        let _vol =
+            CryptDevice::format(backing(8) as _, b"sealing key", &CryptParams::default()).unwrap();
+        assert_eq!(thread_sha256_blocks() - before, 4002 + 4);
     }
 
     #[test]
@@ -271,8 +291,7 @@ mod tests {
     #[test]
     fn ciphertext_differs_from_plaintext_on_medium() {
         let dev = backing(8);
-        CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
-        let vol = CryptDevice::open(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
+        let vol = CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
         let plain = vec![0x77u8; BS];
         vol.write_block(2, &plain).unwrap();
         let mut raw = vec![0u8; BS];
@@ -287,9 +306,8 @@ mod tests {
         // The paper's shutdown/restart scenario: same measurement-derived
         // key unlocks the data again.
         let dev = backing(8);
-        CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
         {
-            let vol = CryptDevice::open(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
+            let vol = CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
             vol.write_block(1, &vec![3u8; BS]).unwrap();
         }
         let vol = CryptDevice::open(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
@@ -320,8 +338,7 @@ mod tests {
     #[test]
     fn superblock_reserves_first_block() {
         let dev = backing(8);
-        CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
-        let vol = CryptDevice::open(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
+        let vol = CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
         assert_eq!(vol.block_count(), 7);
         let mut buf = vec![0u8; BS];
         assert!(vol.read_block(7, &mut buf).is_err());
@@ -360,9 +377,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
         fn roundtrip_random_blocks(seed: u8, index in 0u64..7) {
-            let dev = backing(8);
-            CryptDevice::format(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
-            let vol = CryptDevice::open(Arc::clone(&dev) as _, b"k", &fast_params()).unwrap();
+            let vol = CryptDevice::format(backing(8) as _, b"k", &fast_params()).unwrap();
             let data: Vec<u8> = (0..BS).map(|i| (i as u8).wrapping_add(seed)).collect();
             vol.write_block(index, &data).unwrap();
             let mut buf = vec![0u8; BS];

@@ -32,9 +32,15 @@
 //!
 //! let data = views.into_iter().next().unwrap().device;
 //! let params = CryptParams::default();
-//! CryptDevice::format(Arc::clone(&data), b"sealing key", &params)?;
-//! let vol = CryptDevice::open(data, b"sealing key", &params)?;
+//! // First boot formats the volume and gets it back unlocked ...
+//! let vol = CryptDevice::format(Arc::clone(&data), b"sealing key", &params)?;
 //! vol.write_block(0, &vec![7u8; 512])?;
+//! drop(vol);
+//! // ... every later boot unlocks it with the same key.
+//! let vol = CryptDevice::open(data, b"sealing key", &params)?;
+//! let mut block = vec![0u8; 512];
+//! vol.read_block(0, &mut block)?;
+//! assert_eq!(block, vec![7u8; 512]);
 //! # Ok::<(), revelio_storage::StorageError>(())
 //! ```
 

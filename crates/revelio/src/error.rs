@@ -27,6 +27,9 @@ pub enum RevelioError {
         /// Why it was rejected.
         reason: String,
     },
+    /// Every node address of the simulated world is taken: host numbers
+    /// are one octet and unique world-wide.
+    AddressSpaceExhausted,
     /// A peer's report was rejected during mutual attestation.
     MutualAttestationFailed(String),
     /// The evidence bundle failed verification; names the failing check.
@@ -119,6 +122,9 @@ impl fmt::Display for RevelioError {
             }
             RevelioError::NodeRejected { node, reason } => {
                 write!(f, "node {node} rejected: {reason}")
+            }
+            RevelioError::AddressSpaceExhausted => {
+                write!(f, "no free node address left in the simulated world")
             }
             RevelioError::MutualAttestationFailed(why) => {
                 write!(f, "mutual attestation failed: {why}")

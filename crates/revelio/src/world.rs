@@ -175,7 +175,9 @@ pub struct SimWorld {
     pub tuning: WorldTuning,
     seed: u64,
     next_chip: u64,
-    next_host: u8,
+    /// Last octet of the next node address; `None` once all 255 host
+    /// numbers are taken.
+    next_host: Option<u8>,
     /// Third octet of freshly allocated node addresses; fault domains
     /// target subnets by the `203.0.<subnet>.` prefix.
     subnet: u8,
@@ -285,7 +287,7 @@ impl SimWorld {
             tuning,
             seed,
             next_chip: 1,
-            next_host: 1,
+            next_host: Some(1),
             subnet: 113,
         }
     }
@@ -299,15 +301,21 @@ impl SimWorld {
 
     /// Allocates a public/bootstrap address pair for a new node in the
     /// current subnet (203.0.113. unless [`SimWorld::set_subnet`] moved
-    /// it). Host numbers are unique world-wide, across subnets.
-    pub fn new_addresses(&mut self) -> (String, String) {
-        let host = self.next_host;
+    /// it). Host numbers are unique world-wide, across subnets, so a
+    /// world holds at most 255 nodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RevelioError::AddressSpaceExhausted`] once every host
+    /// number has been handed out.
+    pub fn new_addresses(&mut self) -> Result<(String, String), RevelioError> {
+        let host = self.next_host.ok_or(RevelioError::AddressSpaceExhausted)?;
+        self.next_host = host.checked_add(1);
         let subnet = self.subnet;
-        self.next_host += 1;
-        (
+        Ok((
             format!("203.0.{subnet}.{host}:443"),
             format!("203.0.{subnet}.{host}:8080"),
-        )
+        ))
     }
 
     /// Moves subsequent address allocations to `203.0.<subnet>.` — the
@@ -382,8 +390,8 @@ impl SimWorld {
         app: Router,
         identity_seed: [u8; 32],
     ) -> Result<RevelioNode, RevelioError> {
+        let (public_address, bootstrap_address) = self.new_addresses()?;
         let platform = self.new_platform();
-        let (public_address, bootstrap_address) = self.new_addresses();
         self.net
             .peer(&bootstrap_address)
             .latency_us(self.tuning.internal_one_way_us);
@@ -971,6 +979,38 @@ mod tests {
             extension.browse("pad.example.org", "/"),
             Err(RevelioError::UnknownMeasurement(_))
         ));
+    }
+
+    #[test]
+    fn address_space_exhaustion_is_a_typed_error() {
+        let mut world = SimWorld::new(6);
+        let mut hosts = std::collections::BTreeSet::new();
+        for i in 0..300 {
+            // Moving subnets must not recycle host numbers.
+            world.set_subnet(if i < 150 { 113 } else { 114 });
+            match world.new_addresses() {
+                Ok((public, _)) if i < 255 => {
+                    let host = public.rsplit('.').next().unwrap().to_owned();
+                    assert!(hosts.insert(host), "host reused at allocation {i}");
+                }
+                result => assert_eq!(
+                    result.err(),
+                    (i >= 255).then_some(RevelioError::AddressSpaceExhausted),
+                    "allocation {i}"
+                ),
+            }
+        }
+        assert_eq!(hosts.len(), 255);
+        // Deploying on a full world fails with the same error, not a panic
+        // and not a clash with an address already bound.
+        let spec = world.image_spec("pad.example.org", &["web-service"]);
+        let (image, _) = world.build(&spec).unwrap();
+        assert_eq!(
+            world
+                .deploy_node("pad.example.org", &image, demo_app(), [1; 32])
+                .err(),
+            Some(RevelioError::AddressSpaceExhausted)
+        );
     }
 
     #[test]
