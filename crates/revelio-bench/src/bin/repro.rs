@@ -94,7 +94,7 @@ fn main() {
         swarm();
     }
     // The reconcile benchmark replicates a full rolling upgrade across
-    // OS threads and fabric modes plus a 200-day renewal horizon, so it
+    // OS threads plus a 200-day renewal horizon, so it
     // only runs when asked for; the CI smoke job shrinks it via the
     // `REVELIO_RECONCILE_*` dimensions.
     if args.iter().any(|a| a == "--reconcile") {
@@ -361,54 +361,37 @@ fn chaos() {
 fn fleet() {
     let (nodes, threads, dials) = fleet_dimensions_from_env();
     let trials = fleet_trials_from_env();
-    println!("== Fleet benchmark: single-lock / sharded / snapshot fabric ==");
+    println!("== Fleet benchmark: fabric provisioning, dials and browses ==");
     println!(
         "({nodes} nodes, {threads} OS threads, {dials} dials/thread, best of {trials} \
-         interleaved trials/side; headline figures are measured wall-clock throughput \
-         and per-browse latency on this host — the lock-free snapshot path acquires no \
-         locks, so only the wall clock can see it; the per-shard serialization model is \
-         the secondary, machine-independent column)"
+         trials; figures are measured wall-clock throughput and per-browse latency on \
+         this host)"
     );
     let report = run_fabric_bench(nodes, threads, dials, trials);
     println!(
-        "{:<12} {:>8} {:>12} {:>9} {:>12} {:>16} {:>14} {:>10} {:>10} {:>13} {:>14}",
-        "fabric",
-        "shards",
+        "{:>12} {:>9} {:>12} {:>16} {:>14} {:>10} {:>10}",
         "provision ms",
         "mem/node",
         "retire spins",
         "wall dials/sec",
         "browses/sec",
         "p50 µs",
-        "p99 µs",
-        "lock acq",
-        "model d/sec"
+        "p99 µs"
     );
-    for side in [&report.single, &report.sharded, &report.snapshot] {
-        println!(
-            "{:<12} {:>8} {:>12.3} {:>8}B {:>12} {:>16.0} {:>14.0} {:>10.2} {:>10.2} {:>13} {:>14.0}",
-            side.label,
-            side.shards,
-            side.provision_ms,
-            side.memory_per_node_bytes,
-            side.retire_spins,
-            side.wall_dial_throughput_per_sec,
-            side.browse_throughput_per_sec,
-            side.browse_p50_us,
-            side.browse_p99_us,
-            side.lock_acquisitions,
-            side.dial_throughput_per_sec
-        );
-    }
+    let s = &report.fleet;
     println!(
-        "wall-clock dial speedup (snapshot vs single-lock): {:.2}x  \
-         [modelled sharded-vs-single: {:.2}x]",
-        report.wall_dial_speedup(),
-        report.dial_speedup()
+        "{:>12.3} {:>8}B {:>12} {:>16.0} {:>14.0} {:>10.2} {:>10.2}",
+        s.provision_ms,
+        s.memory_per_node_bytes,
+        s.retire_spins,
+        s.wall_dial_throughput_per_sec,
+        s.browse_throughput_per_sec,
+        s.browse_p50_us,
+        s.browse_p99_us
     );
     let o = &report.overhead;
     println!(
-        "telemetry overhead (tracing+recorder on vs off, snapshot fabric): \
+        "telemetry overhead (tracing+recorder on vs off): \
          dial p50 {:.2} -> {:.2} µs ({:+.1}%), mean {:.2} -> {:.2} µs ({:+.1}%); \
          {} spans sampled, {} recorder events over {} dials",
         o.dial_p50_off_us,
@@ -425,31 +408,10 @@ fn fleet() {
         Ok(()) => println!("report written: BENCH_fabric.json\n"),
         Err(e) => println!("(could not write BENCH_fabric.json: {e})\n"),
     }
-    // `REVELIO_FLEET_GATE=1` asserts every wall-clock gate;
-    // `=provision` asserts the write-side gates only (the 100k
-    // provisioning smoke — the read bands are gated at the small dims
-    // where they are calibrated).
-    let gate_mode = std::env::var("REVELIO_FLEET_GATE").unwrap_or_default();
-    let failures = match gate_mode.as_str() {
-        "1" => Some(report.gate_failures()),
-        "provision" => Some(report.write_gate_failures()),
-        _ => None,
-    };
-    if let Some(failures) = failures {
+    if std::env::var("REVELIO_FLEET_GATE").as_deref() == Ok("1") {
+        let failures = report.gate_failures();
         if failures.is_empty() {
-            if gate_mode == "provision" {
-                println!(
-                    "fleet gates: PASS (batched provisioning within 2x of single-lock; \
-                     read-path bands gated at the calibrated small dims)\n"
-                );
-            } else {
-                println!(
-                    "fleet gates: PASS (snapshot keeps up with single-lock on wall-clock \
-                     dials, browse p50/p99 not worse, batched provisioning within 2x of \
-                     single-lock, tracing overhead within the 10% budget, within \
-                     documented noise bands)\n"
-                );
-            }
+            println!("fleet gates: PASS (tracing overhead within the 10% budget on dial p50)\n");
         } else {
             for failure in &failures {
                 eprintln!("fleet gate FAILED: {failure}");
@@ -549,7 +511,7 @@ fn reconcile() {
     );
     println!(
         "({nodes}-node fleet across two racks; rolling upgrade under a scheduled-heal \
-         partition, replicated {threads}x per fabric mode; seeded drift halt + resume; \
+         partition, replicated {threads}x; seeded drift halt + resume; \
          {flaps} quarantine flap cycles; {horizon_days}-day renewal horizon)"
     );
     let report = run_reconcile(nodes, flaps, horizon_days, threads);
@@ -577,11 +539,8 @@ fn reconcile() {
         report.renewals, report.horizon_days, report.expiry_violations
     );
     println!(
-        "determinism: {} distinct digest(s) across {} replicas ({} fabric modes x {} threads)",
-        report.distinct_digests,
-        report.determinism_runs,
-        report.fabric_modes,
-        report.replica_threads
+        "determinism: {} distinct digest(s) across {} replicas ({} threads)",
+        report.distinct_digests, report.determinism_runs, report.replica_threads
     );
     println!("transcript sha256: {}", report.transcript_sha256);
     println!("harness wall time: {:.1} s", report.wall_secs);
@@ -595,7 +554,7 @@ fn reconcile() {
             println!(
                 "reconcile gates: PASS (canary-first convergence, drift halt names \
                  divergents, every healed node re-admitted, no cert past not_after_ms, \
-                 byte-identical transcripts across threads and fabric modes)\n"
+                 byte-identical transcripts across threads)\n"
             );
         } else {
             for failure in &failures {

@@ -1,30 +1,16 @@
-//! Fleet-scale fabric benchmark: the three-way sweep over single-lock,
-//! sharded-locked, and epoch-snapshot `SimNet` read paths.
+//! Fleet-scale fabric benchmark: provisioning, dial throughput and browse
+//! latency of the `SimNet` fabric, plus a telemetry-overhead column.
 //!
-//! The sharding and snapshot work exists so thousands of simulated nodes
-//! can be driven from many OS threads without the fabric lock being the
-//! thing we measure. This module provisions a fleet of listeners,
-//! hammers it with concurrent dials and browses from N threads, and
-//! reports aggregate dial throughput plus p50/p99 browse latency for all
-//! three fabric modes (`NetConfig::shards = 1` is the legacy
-//! single-mutex baseline kept for exactly this A/B; `ReadPath::Locked`
-//! on the sharded array is the PR-3 fabric; `ReadPath::Snapshot` is the
-//! lock-free clean path).
-//!
-//! The **headline** figures are measured wall-clock throughput and
-//! latency: the lock-free snapshot path acquires no locks on clean
-//! traffic, so the old `ShardLoad` serialization model — charge each
-//! lock acquisition a fixed [`LOCK_HANDOFF_NS`] handoff, serialize the
-//! hottest shard — has nothing left to count on the side that matters
-//! and is demoted to a secondary column (it remains the deterministic,
-//! machine-independent contrast between the two *locked* topologies).
-//! The model keeps an ops floor of `dials / threads` so a side with zero
-//! acquisitions still reports a finite modelled figure. The JSON report
+//! The fabric exists so thousands of simulated nodes can be driven from
+//! many OS threads without the fabric being the thing we measure. This
+//! module provisions a fleet of listeners, hammers it with concurrent
+//! dials and browses from N threads, and reports wall-clock dial
+//! throughput plus p50/p99 browse latency. A second pass runs the same
+//! dial schedule with sampled tracing and the flight recorder enabled,
+//! which is the overhead column. The JSON report
 //! ([`FabricBenchReport::to_json`]) feeds `BENCH_fabric.json`; the
-//! `REVELIO_FLEET_GATE=1` CI mode asserts the wall-clock gates via
-//! [`FabricBenchReport::gate_failures`], and `=provision` asserts the
-//! write-side gates alone ([`FabricBenchReport::write_gate_failures`])
-//! for the 100k provisioning smoke.
+//! `REVELIO_FLEET_GATE=1` CI mode asserts the tracing-overhead budget via
+//! [`FabricBenchReport::gate_failures`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,14 +18,9 @@ use std::time::Instant;
 
 use revelio::world::{RetryTuning, SimWorld, WorldTuning};
 use revelio_net::clock::SimClock;
-use revelio_net::net::{ConnectionHandler, Listener, NetConfig, ReadPath, ShardLoad, SimNet};
+use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
 use revelio_net::{FaultPlan, NetError};
 use revelio_telemetry::{FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY};
-
-/// Modelled cost of one contended lock handoff, nanoseconds. The exact
-/// figure only scales both sides of the A/B identically; the speedup is
-/// the ratio of serialized acquisition counts and does not depend on it.
-pub const LOCK_HANDOFF_NS: f64 = 100.0;
 
 /// Deterministic span-sampling stride tracing uses on the data path:
 /// every N-th dial opens a span; the rest pay only the sampling branch.
@@ -57,10 +38,10 @@ pub const DEFAULT_FLEET_NODES: usize = 100_000;
 pub const DEFAULT_FLEET_THREADS: usize = 16;
 /// Default dials per thread in the throughput phase.
 pub const DEFAULT_FLEET_DIALS: usize = 20_000;
-/// Default interleaved trials per side. Wall-clock noise on a shared CI
-/// host only ever *adds* time, so the best of N interleaved trials
-/// converges on the true cost; five keeps run-to-run gate decisions
-/// stable without materially lengthening the benchmark.
+/// Default trial count. Wall-clock noise on a shared CI host only ever
+/// *adds* time, so the best of N trials converges on the true cost; five
+/// keeps run-to-run figures stable without materially lengthening the
+/// benchmark.
 pub const DEFAULT_FLEET_TRIALS: usize = 5;
 
 /// Reads the fleet benchmark dimensions, honouring the
@@ -82,7 +63,7 @@ pub fn fleet_dimensions_from_env() -> (usize, usize, usize) {
     )
 }
 
-/// Reads the per-side trial count, honouring `REVELIO_FLEET_TRIALS`.
+/// Reads the trial count, honouring `REVELIO_FLEET_TRIALS`.
 #[must_use]
 pub fn fleet_trials_from_env() -> usize {
     std::env::var("REVELIO_FLEET_TRIALS")
@@ -107,13 +88,9 @@ impl Listener for FleetNode {
     }
 }
 
-/// One fabric mode's measurements.
+/// The fabric's provisioning, dial and browse measurements.
 #[derive(Debug, Clone)]
-pub struct FabricSideReport {
-    /// `"single-lock"`, `"sharded"`, or `"snapshot"`.
-    pub label: &'static str,
-    /// Shard count the fabric ran with.
-    pub shards: usize,
+pub struct FabricFigures {
     /// Wall-clock time to bind the whole fleet (inside one
     /// `SimNet::batch` scope, as `deploy_fleet` provisions), ms.
     pub provision_ms: f64,
@@ -122,30 +99,14 @@ pub struct FabricSideReport {
     /// allocator artifacts), so trials agree on it exactly.
     pub memory_per_node_bytes: u64,
     /// Cumulative `revelio_net_snapshot_retire_spins` at the end of the
-    /// side: iterations writers spent waiting for in-flight readers to
-    /// drain. Zero on the locked sides (no snapshot cell); wall-clock
-    /// sensitive, reported as the worst trial.
+    /// run: iterations writers spent waiting for in-flight readers to
+    /// drain. Wall-clock sensitive, reported as the worst trial.
     pub retire_spins: u64,
     /// Total dials completed across all threads in the dial phase.
     pub dials_total: u64,
-    /// Fabric lock acquisitions the dial phase performed (all shards).
-    pub lock_acquisitions: u64,
-    /// Acquisitions absorbed by the hottest shard — the serialization
-    /// bottleneck (equals `lock_acquisitions` for the single lock).
-    pub hottest_shard_acquisitions: u64,
-    /// Aggregate dial throughput, dials/second, under the serialization
-    /// model: serialized time = `max(hottest shard, acquisitions /
-    /// threads, dials / threads)` events × [`LOCK_HANDOFF_NS`].
-    /// Deterministic and machine-independent, but blind to lock-free
-    /// reads (the snapshot side only hits the dials-per-thread ops
-    /// floor) — a **secondary** figure since the snapshot path landed.
-    pub dial_throughput_per_sec: f64,
-    /// Aggregate dial throughput actually measured on this host,
-    /// dials/second (wall clock). The **headline** figure: it is the
-    /// only one that can see the lock-free fast path. On hosts with
-    /// fewer cores than benchmark threads it partly measures
-    /// time-slicing, which is why the CI gate compares sides run
-    /// back-to-back on the same host rather than absolute numbers.
+    /// Aggregate dial throughput measured on this host, dials/second
+    /// (wall clock). On hosts with fewer cores than benchmark threads it
+    /// partly measures time-slicing.
     pub wall_dial_throughput_per_sec: f64,
     /// Total browses (dial + request + response) in the browse phase.
     pub browses_total: u64,
@@ -158,7 +119,7 @@ pub struct FabricSideReport {
 }
 
 /// The telemetry-overhead column: the same dial workload on the
-/// snapshot fabric with tracing (sampled spans, [`TRACE_SAMPLE_EVERY`])
+/// fabric with tracing (sampled spans, [`TRACE_SAMPLE_EVERY`])
 /// and the flight recorder enabled, against the untraced baseline.
 #[derive(Debug, Clone)]
 pub struct TelemetryOverheadReport {
@@ -227,7 +188,7 @@ impl TelemetryOverheadReport {
     }
 }
 
-/// The three-way report the fleet benchmark emits.
+/// The report the fleet benchmark emits.
 #[derive(Debug, Clone)]
 pub struct FabricBenchReport {
     /// Fleet size (listeners bound).
@@ -236,89 +197,21 @@ pub struct FabricBenchReport {
     pub threads: usize,
     /// Dials per thread in the dial phase.
     pub dials_per_thread: usize,
-    /// Interleaved trials each side's best-of figures were taken over.
+    /// Trials the best-of figures were taken over.
     pub trials: usize,
-    /// The legacy single-mutex fabric.
-    pub single: FabricSideReport,
-    /// The sharded fabric with locked reads (the PR-3 fabric).
-    pub sharded: FabricSideReport,
-    /// The sharded fabric with the lock-free snapshot read path.
-    pub snapshot: FabricSideReport,
-    /// Tracing-on vs tracing-off dial latency on the snapshot fabric.
+    /// Provisioning, dial and browse figures.
+    pub fleet: FabricFigures,
+    /// Tracing-on vs tracing-off dial latency.
     pub overhead: TelemetryOverheadReport,
 }
 
 impl FabricBenchReport {
-    /// Sharded-over-single aggregate dial throughput ratio under the
-    /// serialization model. Deterministic across hosts, but it only
-    /// contrasts the two *locked* topologies — a secondary figure.
-    #[must_use]
-    pub fn dial_speedup(&self) -> f64 {
-        if self.single.dial_throughput_per_sec > 0.0 {
-            self.sharded.dial_throughput_per_sec / self.single.dial_throughput_per_sec
-        } else {
-            0.0
-        }
-    }
-
-    /// Snapshot-over-single measured wall-clock dial throughput ratio —
-    /// the headline speedup.
-    #[must_use]
-    pub fn wall_dial_speedup(&self) -> f64 {
-        if self.single.wall_dial_throughput_per_sec > 0.0 {
-            self.snapshot.wall_dial_throughput_per_sec / self.single.wall_dial_throughput_per_sec
-        } else {
-            0.0
-        }
-    }
-
-    /// The CI wall-clock gates: snapshot must keep up with the
-    /// single-lock baseline on measured dial throughput, and its browse
-    /// p50/p99 must not be worse (the sharded-mode regression this PR
-    /// erases). Every comparison carries a small noise band: the sides
-    /// run interleaved back-to-back on the same host, but when the host
-    /// has fewer cores than benchmark threads the per-op costs sit at
-    /// parity (lock elision pays off under real parallelism, not
-    /// time-slicing) and a zero-tolerance comparison would flake on
-    /// scheduler jitter. The band is well below the regressions the
-    /// gates exist to catch — the sharded browse bug was a 10–20% hit.
-    /// Returns one message per failed gate.
-    ///
-    /// The p99 gate gets a wider band than throughput and p50: the 99th
-    /// percentile of a ~0.3µs operation is the single most
-    /// scheduler-sensitive statistic measured here (a handful of
-    /// timeslice boundaries land exactly in the top percent), while the
-    /// regression it guards against — extra lock hops on the browse
-    /// path — showed up as well over 1.3× on p99.
+    /// The CI gate: sampled tracing plus the enabled flight recorder must
+    /// cost at most 10% on the dial p50. Returns one message per failed
+    /// gate.
     #[must_use]
     pub fn gate_failures(&self) -> Vec<String> {
-        const NOISE: f64 = 1.05;
-        const NOISE_TAIL: f64 = 1.25;
         let mut failures = Vec::new();
-        if self.snapshot.wall_dial_throughput_per_sec
-            < self.single.wall_dial_throughput_per_sec / NOISE
-        {
-            failures.push(format!(
-                "snapshot wall-clock dial throughput {:.0}/s below single-lock {:.0}/s",
-                self.snapshot.wall_dial_throughput_per_sec,
-                self.single.wall_dial_throughput_per_sec,
-            ));
-        }
-        if self.snapshot.browse_p50_us > self.single.browse_p50_us * NOISE {
-            failures.push(format!(
-                "snapshot browse p50 {:.2}µs worse than single-lock {:.2}µs",
-                self.snapshot.browse_p50_us, self.single.browse_p50_us,
-            ));
-        }
-        if self.snapshot.browse_p99_us > self.single.browse_p99_us * NOISE_TAIL {
-            failures.push(format!(
-                "snapshot browse p99 {:.2}µs worse than single-lock {:.2}µs",
-                self.snapshot.browse_p99_us, self.single.browse_p99_us,
-            ));
-        }
-        failures.extend(self.write_gate_failures());
-        // The observability bar: sampled tracing plus the enabled flight
-        // recorder must cost ≤ 10% on the dial p50.
         if self.overhead.p50_overhead_percent() > 10.0 {
             failures.push(format!(
                 "tracing overhead {:.1}% on dial p50 exceeds the 10% budget \
@@ -331,83 +224,34 @@ impl FabricBenchReport {
         failures
     }
 
-    /// The write-side gates alone (`REVELIO_FLEET_GATE=provision`): the
-    /// 100k provisioning smoke runs with these instead of
-    /// [`Self::gate_failures`]. The read-path dial/browse bands are
-    /// calibrated — and gated — at the small CI dims, where the whole
-    /// view fits in cache; at six-figure fleets every dial is a
-    /// cold-cache tree walk on a 1-core runner and the wall-clock
-    /// read comparisons measure the memory hierarchy, not the fabric.
-    /// Provisioning cost is exactly what grows with the fleet, so it is
-    /// the figure worth gating at scale.
-    #[must_use]
-    pub fn write_gate_failures(&self) -> Vec<String> {
-        let mut failures = Vec::new();
-        // The write side: batched provisioning with structurally-shared
-        // views must keep snapshot-mode fleet binding within 2× of the
-        // single-lock baseline (it used to be ~25×). The 1 ms absolute
-        // slack keeps the ratio meaningful on CI's reduced smoke fleets,
-        // where both sides provision in microseconds and the ratio is
-        // pure scheduler noise.
-        if self.snapshot.provision_ms > self.single.provision_ms * 2.0 + 1.0 {
-            failures.push(format!(
-                "snapshot provision {:.3}ms exceeds 2x single-lock {:.3}ms",
-                self.snapshot.provision_ms, self.single.provision_ms,
-            ));
-        }
-        failures
-    }
-
     /// Serializes the report as JSON (the `BENCH_fabric.json` payload).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let side = |s: &FabricSideReport| {
-            format!(
-                concat!(
-                    "{{\"label\":\"{}\",\"shards\":{},\"provision_ms\":{:.3},",
-                    "\"memory_per_node_bytes\":{},\"retire_spins\":{},",
-                    "\"dials_total\":{},\"lock_acquisitions\":{},",
-                    "\"hottest_shard_acquisitions\":{},",
-                    "\"dial_throughput_per_sec\":{:.1},",
-                    "\"wall_dial_throughput_per_sec\":{:.1},",
-                    "\"browses_total\":{},\"browse_throughput_per_sec\":{:.1},",
-                    "\"browse_p50_us\":{:.2},\"browse_p99_us\":{:.2}}}"
-                ),
-                s.label,
-                s.shards,
-                s.provision_ms,
-                s.memory_per_node_bytes,
-                s.retire_spins,
-                s.dials_total,
-                s.lock_acquisitions,
-                s.hottest_shard_acquisitions,
-                s.dial_throughput_per_sec,
-                s.wall_dial_throughput_per_sec,
-                s.browses_total,
-                s.browse_throughput_per_sec,
-                s.browse_p50_us,
-                s.browse_p99_us,
-            )
-        };
+        let s = &self.fleet;
         format!(
             concat!(
                 "{{\"benchmark\":\"fabric_fleet\",\"nodes\":{},\"threads\":{},",
-                "\"dials_per_thread\":{},\"trials\":{},\"headline\":\"wall_clock\",",
-                "\"wall_dial_speedup\":{:.2},",
-                "\"lock_handoff_ns\":{:.1},\"modelled_dial_speedup\":{:.2},",
-                "\"single_lock\":{},\"sharded\":{},\"snapshot\":{},",
+                "\"dials_per_thread\":{},\"trials\":{},",
+                "\"fleet\":{{\"provision_ms\":{:.3},",
+                "\"memory_per_node_bytes\":{},\"retire_spins\":{},",
+                "\"dials_total\":{},\"wall_dial_throughput_per_sec\":{:.1},",
+                "\"browses_total\":{},\"browse_throughput_per_sec\":{:.1},",
+                "\"browse_p50_us\":{:.2},\"browse_p99_us\":{:.2}}},",
                 "\"telemetry_overhead\":{}}}\n"
             ),
             self.nodes,
             self.threads,
             self.dials_per_thread,
             self.trials,
-            self.wall_dial_speedup(),
-            LOCK_HANDOFF_NS,
-            self.dial_speedup(),
-            side(&self.single),
-            side(&self.sharded),
-            side(&self.snapshot),
+            s.provision_ms,
+            s.memory_per_node_bytes,
+            s.retire_spins,
+            s.dials_total,
+            s.wall_dial_throughput_per_sec,
+            s.browses_total,
+            s.browse_throughput_per_sec,
+            s.browse_p50_us,
+            s.browse_p99_us,
             self.overhead.to_json(),
         )
     }
@@ -417,38 +261,19 @@ fn node_address(i: usize) -> String {
     format!("node-{i}.fleet.test:443")
 }
 
-/// Per-shard acquisition delta between two [`ShardLoad`] snapshots.
-fn dial_delta(before: &ShardLoad, after: &ShardLoad) -> ShardLoad {
-    ShardLoad {
-        per_shard: after
-            .per_shard
-            .iter()
-            .zip(&before.per_shard)
-            .map(|(a, b)| a - b)
-            .collect(),
-    }
-}
-
-/// Runs one fabric mode: provision `nodes` listeners, then a
-/// dial-throughput phase and a browse-latency phase across `threads` OS
-/// threads.
-fn run_side(
-    label: &'static str,
-    shards: usize,
-    read_path: ReadPath,
-    nodes: usize,
-    threads: usize,
-    dials_per_thread: usize,
-) -> FabricSideReport {
-    let clock = SimClock::new();
-    let net = SimNet::new(
-        clock,
+fn fleet_net() -> SimNet {
+    SimNet::new(
+        SimClock::new(),
         NetConfig {
             default_one_way_us: 2_600,
-            shards,
-            read_path,
         },
-    );
+    )
+}
+
+/// One trial: provision `nodes` listeners, then a dial-throughput phase
+/// and a browse-latency phase across `threads` OS threads.
+fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FabricFigures {
+    let net = fleet_net();
 
     // Provision inside one batch scope, exactly as `deploy_fleet` does:
     // the whole fleet coalesces into a single view republish instead of
@@ -463,12 +288,10 @@ fn run_side(
     let provision_ms = provision_start.elapsed().as_secs_f64() * 1000.0;
     let memory_per_node_bytes = (net.routing_memory_bytes() / nodes.max(1)) as u64;
 
-    // Dial phase: pure fabric lookups (no exchange), the path the lock
-    // used to serialize. Each thread walks the fleet at its own stride so
-    // concurrent threads mostly hit different addresses — the workload
-    // sharding is built for.
+    // Dial phase: pure fabric lookups (no exchange). Each thread walks
+    // the fleet at its own stride so concurrent threads mostly hit
+    // different addresses.
     let addresses: Vec<String> = (0..nodes).map(node_address).collect();
-    let load_before = net.shard_load();
     let dials_done = AtomicU64::new(0);
     let dial_start = Instant::now();
     std::thread::scope(|s| {
@@ -490,20 +313,6 @@ fn run_side(
     });
     let dial_elapsed = dial_start.elapsed().as_secs_f64();
     let dials_total = dials_done.load(Ordering::Relaxed);
-    let load = dial_delta(&load_before, &net.shard_load());
-    // Serialization model: a lock admits one handoff at a time, so the
-    // phase cannot finish before its hottest shard drains; with `threads`
-    // workers it also cannot beat `total / threads` even when perfectly
-    // sharded. The single-lock fabric has one shard, so its hottest
-    // shard IS the total — that gap is the modelled speedup. The
-    // dials-per-thread ops floor keeps the model finite on the snapshot
-    // side, whose clean dials acquire no locks at all — which is exactly
-    // why the model is now secondary to the measured wall clock.
-    let serialized = load
-        .hottest()
-        .max(load.total().div_ceil(threads as u64))
-        .max(dials_total.div_ceil(threads as u64));
-    let modelled_dial_secs = serialized as f64 * LOCK_HANDOFF_NS * 1e-9;
 
     // Browse phase: dial + one request/response exchange per browse, with
     // per-browse wall-clock latency recorded for the percentiles.
@@ -543,16 +352,11 @@ fn run_side(
         latencies_us[idx]
     };
 
-    FabricSideReport {
-        label,
-        shards,
+    FabricFigures {
         provision_ms,
         memory_per_node_bytes,
         retire_spins: net.snapshot_retire_spins(),
         dials_total,
-        lock_acquisitions: load.total(),
-        hottest_shard_acquisitions: load.hottest(),
-        dial_throughput_per_sec: dials_total as f64 / modelled_dial_secs.max(1e-12),
         wall_dial_throughput_per_sec: dials_total as f64 / dial_elapsed.max(1e-9),
         browses_total: latencies_us.len() as u64,
         browse_throughput_per_sec: latencies_us.len() as f64 / browse_elapsed.max(1e-9),
@@ -561,9 +365,9 @@ fn run_side(
     }
 }
 
-/// Runs the identical dial schedule twice on the snapshot fabric — once
-/// plain, once with sampled tracing plus an enabled flight recorder —
-/// and reports per-dial latency for both sides. Traced dials open a
+/// Runs the identical dial schedule twice on the fabric — once plain,
+/// once with sampled tracing plus an enabled flight recorder — and
+/// reports per-dial latency for both passes. Traced dials open a
 /// `fleet.dial` span every [`TRACE_SAMPLE_EVERY`]-th iteration; every
 /// dial pays the sampling branch and the recorder's is-it-notable check
 /// (a clean dial records nothing), which is exactly the production
@@ -573,15 +377,8 @@ fn run_overhead_trial(
     threads: usize,
     dials_per_thread: usize,
 ) -> TelemetryOverheadReport {
-    let clock = SimClock::new();
-    let net = SimNet::new(
-        clock.clone(),
-        NetConfig {
-            default_one_way_us: 2_600,
-            read_path: ReadPath::Snapshot,
-            ..NetConfig::default()
-        },
-    );
+    let net = fleet_net();
+    let clock = net.clock().clone();
     for i in 0..nodes {
         net.bind(&node_address(i), Arc::new(FleetNode))
             .expect("fresh fleet address");
@@ -659,14 +456,12 @@ fn fold_best_overhead(best: &mut TelemetryOverheadReport, trial: TelemetryOverhe
     best.dial_mean_on_us = best.dial_mean_on_us.min(trial.dial_mean_on_us);
 }
 
-/// Folds a later trial into a side's best-of figures: scheduler noise
-/// only ever slows a trial down, so the fastest observation of each
-/// figure is the closest to the side's true cost. The deterministic
-/// counters (dials, lock acquisitions) are identical across trials and
-/// are kept from the first.
-fn fold_best(best: &mut FabricSideReport, trial: FabricSideReport) {
+/// Folds a later trial into the best-of figures: scheduler noise only
+/// ever slows a trial down, so the fastest observation of each figure is
+/// the closest to the true cost. The deterministic counters (dials,
+/// memory) are identical across trials and are kept from the first.
+fn fold_best(best: &mut FabricFigures, trial: FabricFigures) {
     debug_assert_eq!(best.dials_total, trial.dials_total);
-    debug_assert_eq!(best.lock_acquisitions, trial.lock_acquisitions);
     debug_assert_eq!(best.memory_per_node_bytes, trial.memory_per_node_bytes);
     best.provision_ms = best.provision_ms.min(trial.provision_ms);
     // Writer-stall accounting is a *cost* counter: report the worst
@@ -683,17 +478,9 @@ fn fold_best(best: &mut FabricSideReport, trial: FabricSideReport) {
 }
 
 /// Provisions a `nodes`-listener fleet and measures dial throughput and
-/// browse latency across `threads` OS threads, once per fabric mode:
-/// single-lock, sharded with locked reads, and sharded with the
-/// lock-free snapshot read path.
-///
-/// The three sides are run `trials` times in an interleaved
-/// single/sharded/snapshot rotation and each side reports its best
-/// trial. Interleaving means a noisy patch on the host (another tenant,
-/// a frequency dip) lands on all three sides instead of biasing one;
-/// best-of-N then discards it entirely. The wall-clock gates compare
-/// sides measured this way on the same host, which is what makes a hard
-/// CI gate on wall figures viable at all.
+/// browse latency across `threads` OS threads, then the telemetry
+/// overhead on the same dial schedule. Each of the `trials` rounds runs
+/// both; every figure reports its best round.
 ///
 /// # Panics
 ///
@@ -707,43 +494,11 @@ pub fn run_fabric_bench(
     dials_per_thread: usize,
     trials: usize,
 ) -> FabricBenchReport {
-    assert!(trials > 0, "at least one trial per side");
-    let shards = NetConfig::default().shards;
-    let round = || {
-        [
-            run_side(
-                "single-lock",
-                1,
-                ReadPath::Locked,
-                nodes,
-                threads,
-                dials_per_thread,
-            ),
-            run_side(
-                "sharded",
-                shards,
-                ReadPath::Locked,
-                nodes,
-                threads,
-                dials_per_thread,
-            ),
-            run_side(
-                "snapshot",
-                shards,
-                ReadPath::Snapshot,
-                nodes,
-                threads,
-                dials_per_thread,
-            ),
-        ]
-    };
-    let [mut single, mut sharded, mut snapshot] = round();
+    assert!(trials > 0, "at least one trial");
+    let mut fleet = run_trial(nodes, threads, dials_per_thread);
     let mut overhead = run_overhead_trial(nodes, threads, dials_per_thread);
     for _ in 1..trials {
-        let [s1, s2, s3] = round();
-        fold_best(&mut single, s1);
-        fold_best(&mut sharded, s2);
-        fold_best(&mut snapshot, s3);
+        fold_best(&mut fleet, run_trial(nodes, threads, dials_per_thread));
         fold_best_overhead(
             &mut overhead,
             run_overhead_trial(nodes, threads, dials_per_thread),
@@ -754,9 +509,7 @@ pub fn run_fabric_bench(
         threads,
         dials_per_thread,
         trials,
-        single,
-        sharded,
-        snapshot,
+        fleet,
         overhead,
     }
 }
@@ -846,88 +599,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fabric_bench_small_fleet_completes_on_all_modes() {
-        // Wall-clock figures are never asserted — machines differ. The
-        // modelled figures are deterministic, so those we can pin down.
-        // Two trials exercise the best-of fold and its deterministic-
-        // counter invariants.
+    fn fabric_bench_small_fleet_completes() {
+        // Wall-clock figures are never asserted — machines differ. Two
+        // trials exercise the best-of fold and its deterministic-counter
+        // invariants.
         let report = run_fabric_bench(32, 4, 64, 2);
         assert_eq!(report.nodes, 32);
-        assert_eq!(report.single.dials_total, 4 * 64);
-        assert_eq!(report.sharded.dials_total, 4 * 64);
-        assert_eq!(report.snapshot.dials_total, 4 * 64);
-        // Same dial sequence on both locked sides → identical totals.
-        assert_eq!(
-            report.single.lock_acquisitions,
-            report.sharded.lock_acquisitions
-        );
-        // One lock means one shard absorbs everything.
-        assert_eq!(
-            report.single.hottest_shard_acquisitions,
-            report.single.lock_acquisitions
-        );
-        // The whole point of the snapshot path: a clean dial phase
-        // performs zero lock acquisitions.
-        assert_eq!(report.snapshot.lock_acquisitions, 0);
-        // Sharding can only spread acquisitions out, never concentrate
-        // them, so the modelled throughput never regresses.
-        assert!(report.sharded.dial_throughput_per_sec >= report.single.dial_throughput_per_sec);
-        for side in [&report.single, &report.sharded, &report.snapshot] {
-            assert!(side.browses_total > 0, "{} ran no browses", side.label);
-            assert!(side.browse_p99_us >= side.browse_p50_us);
-            assert!(side.wall_dial_throughput_per_sec > 0.0);
-            // The memory column is deterministic and never zero for a
-            // provisioned fleet.
-            assert!(side.memory_per_node_bytes > 0, "{} memory", side.label);
-        }
-        // All three sides publish the same fleet; the snapshot side adds
-        // the view tree's interior/leaf nodes on top of the entries, so
-        // its footprint can only be the larger of the two.
-        assert!(
-            report.snapshot.memory_per_node_bytes >= report.single.memory_per_node_bytes,
-            "snapshot {} < single {}",
-            report.snapshot.memory_per_node_bytes,
-            report.single.memory_per_node_bytes
-        );
-        // Only the snapshot side owns a snapshot cell to stall on.
-        assert_eq!(report.single.retire_spins, 0);
-        assert_eq!(report.sharded.retire_spins, 0);
+        let fleet = &report.fleet;
+        assert_eq!(fleet.dials_total, 4 * 64);
+        assert!(fleet.browses_total > 0, "ran no browses");
+        assert!(fleet.browse_p99_us >= fleet.browse_p50_us);
+        assert!(fleet.wall_dial_throughput_per_sec > 0.0);
+        // The memory column is deterministic and never zero for a
+        // provisioned fleet.
+        assert!(fleet.memory_per_node_bytes > 0);
     }
 
     #[test]
-    fn fabric_bench_speedup_is_deterministic_at_moderate_scale() {
-        // fnv1a spreads 256 addresses across 16 shards well enough that
-        // the modelled speedup clears the acceptance bar even at reduced
-        // size; the address→shard map is a pure hash, so this holds on
-        // every machine.
-        let report = run_fabric_bench(256, 16, 64, 1);
-        assert!(
-            report.dial_speedup() >= 4.0,
-            "modelled speedup {:.2} below bar (hottest {} of {})",
-            report.dial_speedup(),
-            report.sharded.hottest_shard_acquisitions,
-            report.sharded.lock_acquisitions,
-        );
-    }
-
-    #[test]
-    fn fabric_report_json_carries_all_three_sides() {
+    fn fabric_report_json_carries_the_fleet_and_overhead_figures() {
         let report = run_fabric_bench(8, 2, 16, 1);
         let json = report.to_json();
         for key in [
             "\"benchmark\":\"fabric_fleet\"",
             "\"trials\":1",
-            "\"headline\":\"wall_clock\"",
-            "\"single_lock\"",
-            "\"sharded\"",
-            "\"snapshot\"",
-            "\"dial_throughput_per_sec\"",
+            "\"fleet\"",
+            "\"provision_ms\"",
             "\"wall_dial_throughput_per_sec\"",
             "\"browse_p99_us\"",
             "\"memory_per_node_bytes\"",
             "\"retire_spins\"",
-            "\"wall_dial_speedup\"",
-            "\"modelled_dial_speedup\"",
             "\"telemetry_overhead\"",
             "\"p50_overhead_percent\"",
         ] {

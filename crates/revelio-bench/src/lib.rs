@@ -42,9 +42,7 @@ use revelio_storage::probed::ProbedDevice;
 use revelio_storage::verity::{VerityDevice, VerityParams, VerityTree};
 use revelio_telemetry::{DeviceProbe, Telemetry};
 use sev_snp::ids::GuestPolicy;
-pub use swarm::{
-    run_swarm, run_swarm_with_net, swarm_dimensions_from_env, SwarmReport, SWARM_DOMAIN, SWARM_SEED,
-};
+pub use swarm::{run_swarm, swarm_dimensions_from_env, SwarmReport, SWARM_DOMAIN, SWARM_SEED};
 pub use trace_demo::{
     run_trace_demo, TraceDemoReport, TraceScenario, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED,
 };
@@ -578,7 +576,7 @@ pub fn run_telemetry(seed: u64) -> Telemetry {
         .open_monitored("pad.example.org")
         .expect("monitored session");
     session.request("/").expect("monitored request");
-    world.telemetry
+    world.telemetry.clone()
 }
 
 /// The headline Table 2/3 figures of one fleet run under a fault

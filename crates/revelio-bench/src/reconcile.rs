@@ -21,17 +21,15 @@
 //!   no tick may ever observe the shared certificate past its
 //!   `not_after_ms`.
 //!
-//! The upgrade scenario is replicated across OS threads and all three
-//! fabric modes; every replica's decision-transcript digest must be
-//! byte-identical. All scenario time is sim-clock time — the only wall
+//! The upgrade scenario is replicated across OS threads; every
+//! replica's decision-transcript digest must be byte-identical. All scenario time is sim-clock time — the only wall
 //! number reported is the harness's own elapsed seconds.
 
 use std::time::Instant;
 
 use revelio::node::demo_app;
 use revelio::reconcile::{FleetSpec, RolloutPhase};
-use revelio::world::{SimWorld, WorldTuning};
-use revelio_net::net::{NetConfig, ReadPath, DEFAULT_SHARDS};
+use revelio::world::SimWorld;
 use revelio_net::FaultDomain;
 
 /// The domain the reconcile fleet serves.
@@ -47,7 +45,7 @@ pub const RECONCILE_FAULT_SEED: u64 = 0xC4A0_5004;
 /// Reconcile dimensions: `(nodes, flaps, horizon_days, threads)`,
 /// defaulting to the full run (6-node fleet across two racks, 3
 /// partition/heal cycles, a 200-day renewal horizon, 16 determinism
-/// replicas per fabric mode) and overridable via
+/// replicas) and overridable via
 /// `REVELIO_RECONCILE_NODES`, `REVELIO_RECONCILE_FLAPS`,
 /// `REVELIO_RECONCILE_DAYS`, and `REVELIO_RECONCILE_THREADS` for CI
 /// smoke scale.
@@ -68,40 +66,6 @@ pub fn reconcile_dimensions_from_env() -> (usize, usize, usize, usize) {
     )
 }
 
-/// The three fabric read paths the determinism gate pins.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    let base = NetConfig {
-        default_one_way_us: WorldTuning::default().link_one_way_us,
-        ..NetConfig::default()
-    };
-    [
-        (
-            "single",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..base.clone()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..base.clone()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..base
-            },
-        ),
-    ]
-}
-
 /// Splits `nodes` across the two racks (rack 114 is the flapping one).
 fn rack_split(nodes: usize) -> [(u8, usize); 2] {
     let flapping = (nodes / 3).max(1);
@@ -117,11 +81,10 @@ struct UpgradeOutcome {
     digest: String,
 }
 
-/// One full upgrade scenario on an explicit fabric configuration: a
-/// rack goes dark behind a scheduled-heal partition while the
-/// reconciler rolls the fleet onto a new image.
-fn run_upgrade_scenario(nodes: usize, config: NetConfig) -> UpgradeOutcome {
-    let mut world = SimWorld::with_tuning_and_net(RECONCILE_SEED, WorldTuning::default(), config);
+/// One full upgrade scenario: a rack goes dark behind a scheduled-heal
+/// partition while the reconciler rolls the fleet onto a new image.
+fn run_upgrade_scenario(nodes: usize) -> UpgradeOutcome {
+    let mut world = SimWorld::new(RECONCILE_SEED);
     world.set_fault_seed(RECONCILE_FAULT_SEED);
     let fleet = world
         .deploy_fleet_in_subnets(RECONCILE_DOMAIN, &rack_split(nodes), demo_app())
@@ -190,7 +153,7 @@ pub struct ReconcileReport {
     pub flaps: usize,
     /// Daily ticks in the renewal horizon.
     pub horizon_days: usize,
-    /// Determinism replicas per fabric mode.
+    /// Concurrent determinism replicas (one OS thread each).
     pub replica_threads: usize,
     /// Whether the rolling upgrade converged within its tick budget.
     pub upgrade_converged: bool,
@@ -219,8 +182,6 @@ pub struct ReconcileReport {
     pub renewals: u64,
     /// Ticks that observed the chain past `not_after_ms` (must be 0).
     pub expiry_violations: u64,
-    /// Fabric modes exercised by the determinism sweep.
-    pub fabric_modes: usize,
     /// Total upgrade-scenario replicas in the determinism sweep.
     pub determinism_runs: usize,
     /// Distinct transcript digests across all replicas (must be 1).
@@ -247,7 +208,7 @@ impl ReconcileReport {
                 "\"flap_quarantines\":{},\"flap_readmissions\":{},",
                 "\"flap_residual_quarantined\":{},",
                 "\"renewals\":{},\"expiry_violations\":{},",
-                "\"fabric_modes\":{},\"determinism_runs\":{},",
+                "\"determinism_runs\":{},",
                 "\"distinct_digests\":{},",
                 "\"transcript_sha256\":\"{}\",",
                 "\"wall_secs\":{:.3}}}"
@@ -269,7 +230,6 @@ impl ReconcileReport {
             self.flap_residual_quarantined,
             self.renewals,
             self.expiry_violations,
-            self.fabric_modes,
             self.determinism_runs,
             self.distinct_digests,
             self.transcript_sha256,
@@ -358,34 +318,26 @@ pub fn run_reconcile(
     let started = Instant::now();
     let threads = threads.max(1);
 
-    // Determinism sweep (doubles as the upgrade scenario): every fabric
-    // mode × `threads` concurrent replicas must produce one digest.
-    let modes = all_modes();
-    let mut digests: Vec<String> = Vec::with_capacity(modes.len() * threads);
-    let mut representative: Option<UpgradeOutcome> = None;
-    for (_, config) in &modes {
-        let outcomes: Vec<UpgradeOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let config = config.clone();
-                    s.spawn(move || run_upgrade_scenario(nodes, config))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("determinism replica"))
-                .collect()
-        });
-        for outcome in outcomes {
-            digests.push(outcome.digest.clone());
-            representative.get_or_insert(outcome);
-        }
-    }
+    // Determinism sweep (doubles as the upgrade scenario): `threads`
+    // concurrent replicas must produce one digest.
+    let outcomes: Vec<UpgradeOutcome> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| s.spawn(move || run_upgrade_scenario(nodes)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("determinism replica"))
+            .collect()
+    });
+    let mut digests: Vec<String> = outcomes.iter().map(|o| o.digest.clone()).collect();
     let determinism_runs = digests.len();
     digests.sort();
     digests.dedup();
     let distinct_digests = digests.len();
-    let upgrade = representative.expect("at least one replica ran");
+    let upgrade = outcomes
+        .into_iter()
+        .next()
+        .expect("at least one replica ran");
 
     // Drift halt / resume: the build pipeline for one canary silently
     // emits a different image; the halt must name it, and a corrected
@@ -496,7 +448,6 @@ pub fn run_reconcile(
         flap_residual_quarantined: flap_residual,
         renewals,
         expiry_violations,
-        fabric_modes: modes.len(),
         determinism_runs,
         distinct_digests,
         transcript_sha256: upgrade.digest,

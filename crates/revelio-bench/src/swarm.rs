@@ -22,8 +22,7 @@
 //! The hot phase also emits a transcript digest: the per-session
 //! records (index, slot, cache bit, HTTP status, body length — no
 //! timings) hashed in global session order. The digest is byte-identical
-//! across thread counts and all three fabric modes; the determinism
-//! suite pins that.
+//! across thread counts; the determinism suite pins that.
 //!
 //! A **reconnect phase** follows the hot phase and measures
 //! revocation-safe TLS session resumption: the same monitored session is
@@ -38,10 +37,9 @@
 use std::time::Instant;
 
 use revelio::node::demo_app;
-use revelio::world::{SimWorld, WorldTuning};
+use revelio::world::SimWorld;
 use revelio_crypto::metrics::thread_scalar_mul_ops;
 use revelio_crypto::sha2::Sha256;
-use revelio_net::net::NetConfig;
 use revelio_telemetry::Telemetry;
 use sev_snp::measurement::Measurement;
 
@@ -181,7 +179,7 @@ pub struct SwarmReport {
     /// one per session even though every verdict came from the cache.
     pub tls_binding_checks: u64,
     /// SHA-256 over the per-session records in global session order
-    /// (hex). Byte-identical across thread counts and fabric modes.
+    /// (hex). Byte-identical across thread counts.
     pub transcript_sha256: String,
     /// Reconnects measured per reconnect-phase arm.
     pub reconnect_samples: usize,
@@ -361,8 +359,7 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Runs the swarm on the ambient fabric configuration
-/// (`REVELIO_FABRIC_MODE`, like every other benchmark).
+/// Runs the swarm.
 ///
 /// # Panics
 ///
@@ -370,30 +367,8 @@ fn hex(bytes: &[u8]) -> String {
 /// a clean fabric, so a failure is a harness bug, not a measurement.
 #[must_use]
 pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> SwarmReport {
-    let tuning = WorldTuning::default();
-    let net_config = NetConfig {
-        default_one_way_us: tuning.link_one_way_us,
-        ..NetConfig::default()
-    }
-    .with_env_mode();
-    run_swarm_with_net(sessions, threads, nodes, net_config)
-}
-
-/// Runs the swarm on an explicit fabric configuration — the determinism
-/// suite pins each of the three read paths in turn.
-///
-/// # Panics
-///
-/// As for [`run_swarm`].
-#[must_use]
-pub fn run_swarm_with_net(
-    sessions: usize,
-    threads: usize,
-    nodes: usize,
-    net_config: NetConfig,
-) -> SwarmReport {
     let threads = threads.max(1);
-    let mut world = SimWorld::with_tuning_and_net(SWARM_SEED, WorldTuning::default(), net_config);
+    let mut world = SimWorld::new(SWARM_SEED);
     let fleet = world
         .deploy_fleet(SWARM_DOMAIN, nodes, demo_app())
         .expect("swarm fleet deploys on a clean fabric");

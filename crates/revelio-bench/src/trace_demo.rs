@@ -11,8 +11,7 @@
 //!
 //! Every scenario is a pure function of the pinned seeds: same seeds,
 //! byte-identical flame summaries and Chrome JSON regardless of thread
-//! count or `REVELIO_FABRIC_MODE` (the determinism suite byte-compares
-//! exactly this property).
+//! count (the determinism suite byte-compares exactly this property).
 
 use std::fmt::Write as _;
 

@@ -33,11 +33,9 @@
 //!
 //! Exchanges are synchronous — protocol state machines remain ordinary
 //! sequential code — but the fabric itself is sharded and thread-safe:
-//! dials to distinct addresses from different OS threads never contend
-//! (and, on the default snapshot read path, clean dials touch no locks
-//! at all), and the determinism contract (per-address seeded fault
-//! streams, a lock-free [`clock::SimClock`]) holds under any thread
-//! interleaving. See [`net`] for the sharding and determinism story.
+//! clean dials touch no locks at all, and the determinism contract
+//! (per-address seeded fault streams, a lock-free [`clock::SimClock`])
+//! holds under any thread interleaving. See [`net`] for the sharding and determinism story.
 //!
 //! ```
 //! use revelio_net::clock::SimClock;
@@ -64,6 +62,11 @@
 //! assert!(clock.now_ms() > 0.0); // the exchange cost a round trip
 //! # Ok::<(), revelio_net::NetError>(())
 //! ```
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod clock;
 pub mod dns;

@@ -1,54 +1,49 @@
 //! The simulated network fabric: listeners, connections, latency, and
 //! man-in-the-middle hooks.
 //!
-//! # Sharding and the lock-free read path
+//! # One fabric: shard maps under a lock-free routing view
 //!
 //! The fabric is built for thousand-node fleets driven from many OS
 //! threads. All per-address state (listeners, latency overrides,
-//! redirects, tamper hooks, fault plans) lives in a fixed power-of-two
-//! array of `RwLock` shards keyed by `fnv1a(address)` — the
-//! **write-side store**. On top of it, the default
-//! [`ReadPath::Snapshot`] mode maintains an immutable [`RoutingView`]
-//! behind a [`crate::snapshot::Snapshot`]: every mutating operation
-//! (bind/unbind, shaper edits, fault-domain install/heal) republishes
-//! the view copy-on-write, and a dial to a clean address — no fault
-//! plan, no active domain — touches **zero locks**: one atomic snapshot
-//! load, one hash lookup, done. The view is a persistent slot tree
-//! ([`crate::view::SlotTree`]): a single-address republish path-copies
-//! O(levels) interior nodes and shares everything else with the previous
-//! view, and [`SimNet::batch`] coalesces a burst of mutations (fleet
-//! provisioning) into one republish. Fault draws read **live entries
-//! published inside the view** (`Arc<Mutex<FaultEntry>>` shared with the
-//! shard maps), so chaos-mode traffic locks only a per-entry mutex —
-//! never a shard. The locked write-side path remains authoritative
-//! whenever fault domains are installed or a batch is in flight, and is
-//! the whole story in [`ReadPath::Locked`] mode. The legacy single-mutex
-//! fabric ([`NetConfig::shards`]` = 1`) and the locked sharded fabric are
-//! kept as A/B baselines for `revelio-bench`'s three-way fleet benchmark.
+//! redirects, tamper hooks, fault plans) lives in a fixed array of
+//! sixteen `RwLock` shards keyed by `fnv1a(address)` — the
+//! **write-side store**. Every mutating operation (bind/unbind, shaper
+//! edits, fault-domain install/heal) republishes an immutable
+//! `RoutingView` behind a [`crate::snapshot::Snapshot`] before it
+//! returns, and a dial to a clean address — no fault plan, no fault
+//! domain — touches **zero locks**: one atomic snapshot load, one hash
+//! lookup, done.
 //!
-//! Known-hot addresses (the KDS, boundary nodes) can be striped out of
-//! the hashed shard array via [`SimNet::stripe_hot`]: a hot address gets
-//! a dedicated lock slot, so its fault-entry updates no longer serialize
-//! the write path of every cold address that happens to hash into the
-//! same shard.
+//! The view is a persistent slot tree ([`crate::view::SlotTree`]): a
+//! single-address republish path-copies O(levels) interior nodes and
+//! shares everything else with the previous view, and [`SimNet::batch`]
+//! coalesces a burst of mutations (fleet provisioning) into one
+//! republish. Fault draws read **live entries published inside the
+//! view** (`Arc<Mutex<FaultEntry>>` shared with the shard maps), so
+//! chaos-mode traffic locks only a per-entry mutex, never a shard.
+//!
+//! The shard maps are also the slow read path: while a fault domain is
+//! installed or a batch is open, dials and exchanges read them under a
+//! read lock (`dial_locked`, `fault_decision_locked`), because domain
+//! activity depends on sim time and a batch's view is stale until it
+//! flushes.
 //!
 //! # Determinism
 //!
-//! Neither sharding nor the snapshot path touches the determinism
-//! contract: every fault stream is keyed by its address (or
-//! `(address, route-prefix)`) and seeded as `fabric_seed ^ fnv1a(key)`,
-//! so equal seeds produce byte-identical decision streams regardless of
-//! shard count, read path, thread count, or dial interleaving across
-//! addresses. Mutations republish the snapshot before returning, so a
-//! thread observes its own writes in program order — exactly the
-//! ordering the locked path provides. The global fault counter is a
-//! relaxed atomic: its total is a sum of per-stream counts and therefore
-//! equally interleaving-independent.
+//! Every fault stream is keyed by its address (or `(address,
+//! route-prefix)`) and seeded as `fabric_seed ^ fnv1a(key)`, so equal
+//! seeds produce byte-identical decision streams regardless of thread
+//! count, dial interleaving across addresses, or whether a draw went
+//! through the view or the shard maps. Mutations republish the view
+//! before returning, so a thread observes its own writes in program
+//! order. The global fault counter is a relaxed atomic: its total is a
+//! sum of per-stream counts and therefore equally
+//! interleaving-independent.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -88,82 +83,28 @@ pub type TamperFn = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
 /// optional tamper hook. `None` means nothing listens at the address.
 type CleanRoute = Option<(Arc<dyn Listener>, Option<u64>, Option<Arc<TamperFn>>)>;
 
-/// Default shard count: enough to keep 16 benchmark threads off each
-/// other's cache lines without bloating small single-threaded worlds.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Dedicated lock slots reserved for hot addresses beyond the hashed
-/// shard array (see [`SimNet::stripe_hot`]).
-pub const HOT_STRIPES: usize = 8;
-
-/// How dials and exchanges read per-address routing state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Every lookup goes through the shard locks (the PR-3 fabric).
-    /// Kept as the A/B baseline for the fleet benchmark.
-    Locked,
-    /// Clean-path lookups go through an immutable epoch snapshot
-    /// republished by the rare mutating ops; only fault-entry state (RNG
-    /// draws, fail-first counters) still takes shard locks.
-    #[default]
-    Snapshot,
-}
+/// Shard count: enough to keep 16 benchmark threads off each other's
+/// cache lines without bloating small single-threaded worlds. A power of
+/// two, so an address's shard is `fnv1a(address) & (SHARDS - 1)`.
+const SHARDS: usize = 16;
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Default one-way link latency in microseconds.
     pub default_one_way_us: u64,
-    /// Number of fabric shards, rounded up to a power of two. `1` (or 0)
-    /// selects the legacy single-mutex fabric — kept only as the A/B
-    /// baseline for the fleet benchmark; every lookup then serializes on
-    /// one lock.
-    pub shards: usize,
-    /// Whether clean-path reads use the lock-free snapshot (default) or
-    /// the shard locks.
-    pub read_path: ReadPath,
 }
 
 impl Default for NetConfig {
-    /// 2.6 ms one way — the paper's 5.2 ms base round trip (Table 3) —
-    /// on a [`DEFAULT_SHARDS`]-way sharded fabric with snapshot reads.
+    /// 2.6 ms one way — the paper's 5.2 ms base round trip (Table 3).
     fn default() -> Self {
         NetConfig {
             default_one_way_us: 2600,
-            shards: DEFAULT_SHARDS,
-            read_path: ReadPath::Snapshot,
         }
     }
 }
 
-impl NetConfig {
-    /// Applies the `REVELIO_FABRIC_MODE` environment override:
-    /// `single` (one mutex, locked reads), `sharded` (shard locks, no
-    /// snapshot), or `snapshot` (the default). CI uses this to run the
-    /// determinism suites under every fabric mode without code changes.
-    #[must_use]
-    pub fn with_env_mode(mut self) -> Self {
-        match std::env::var("REVELIO_FABRIC_MODE").as_deref() {
-            Ok("single") => {
-                self.shards = 1;
-                self.read_path = ReadPath::Locked;
-            }
-            Ok("sharded") => {
-                self.shards = self.shards.max(DEFAULT_SHARDS);
-                self.read_path = ReadPath::Locked;
-            }
-            Ok("snapshot") => {
-                self.shards = self.shards.max(DEFAULT_SHARDS);
-                self.read_path = ReadPath::Snapshot;
-            }
-            _ => {}
-        }
-        self
-    }
-}
-
-/// All per-address state of one lock slot (a hashed shard, a hot stripe,
-/// or — in single-lock mode — the whole fabric).
+/// All per-address state of one shard.
 #[derive(Default)]
 struct ShardState {
     listeners: HashMap<String, Arc<dyn Listener>>,
@@ -171,8 +112,8 @@ struct ShardState {
     redirects: HashMap<String, String>,
     tamper: HashMap<String, Arc<TamperFn>>,
     /// Address-wide fault plans. Entries are shared (`Arc<Mutex<_>>`)
-    /// with the published routing view, so both read paths consume the
-    /// same decision stream.
+    /// with the published routing view, so the view and the locked
+    /// fallback consume the same decision stream.
     faults: HashMap<String, SharedFaultEntry>,
     /// Per-route fault plans: address → `(path-prefix, entry)` list. The
     /// longest matching prefix wins; the address-wide plan is the
@@ -286,23 +227,9 @@ impl ShardState {
     }
 }
 
-/// Where the per-address state lives.
-enum Topology {
-    /// Legacy baseline: one mutex around everything.
-    Single(Box<Mutex<ShardState>>),
-    /// `base` hashed slots (a power of two; an address lives in slot
-    /// `fnv1a(address) & mask`) followed by [`HOT_STRIPES`] dedicated
-    /// hot-address slots.
-    Sharded {
-        shards: Box<[RwLock<ShardState>]>,
-        mask: u64,
-    },
-}
-
 /// The immutable routing snapshot published by mutating operations. The
-/// routing data lives in a persistent [`SlotTree`] keyed purely by the
-/// address hash — independent of the lock topology, so hot-stripe moves
-/// never touch the view and a republish path-copies O(levels) nodes.
+/// routing data lives in a persistent [`SlotTree`] keyed by the address
+/// hash, so a republish path-copies O(levels) nodes.
 struct RoutingView {
     tree: SlotTree,
     /// Whether any fault domain is installed. Domain activity windows
@@ -363,17 +290,11 @@ struct DomainState {
 
 /// The shared interior of a [`SimNet`] (and of every [`Connection`]).
 struct Fabric {
-    topology: Topology,
-    /// Number of hashed slots (1 for the single-lock topology).
-    base_slots: usize,
-    /// Hot-stripe registry: `hot_addrs[..hot_count]` are striped, in
-    /// registration order. Appended under `hot_reg`; readers only need
-    /// the `Acquire` count.
-    hot_count: AtomicUsize,
-    hot_addrs: Box<[OnceLock<String>]>,
-    hot_reg: Mutex<()>,
-    /// The published routing snapshot ([`ReadPath::Snapshot`] only).
-    view: Option<Snapshot<RoutingView>>,
+    /// The write-side store; an address lives in shard
+    /// `fnv1a(address) & (SHARDS - 1)`.
+    shards: [RwLock<ShardState>; SHARDS],
+    /// The published routing snapshot.
+    view: Snapshot<RoutingView>,
     /// Generation of the latest *published or in-flight* routing view.
     /// Bumped (fetch-add) before every swap, so the counter is never
     /// behind a live view: a connection's stamped generation matching
@@ -392,178 +313,58 @@ struct Fabric {
     batch_depth: AtomicUsize,
     /// Deferred-republish state for open batch scopes.
     batch: Mutex<BatchState>,
-    /// Hot-stripe registrations refused because all [`HOT_STRIPES`]
-    /// slots were taken (see [`SimNet::stripe_hot`]).
-    hot_overflows: AtomicU64,
     /// Fabric-wide fault seed; per-stream RNGs derive from it.
     fault_seed: AtomicU64,
     /// Total faults injected. Relaxed: the total is a sum of per-stream
     /// counts, so no ordering is needed for it to be deterministic.
     faults_injected: AtomicU64,
-    /// Per-slot lock-acquisition counters (one slot for the single-lock
-    /// topology). Relaxed increments: each acquisition maps to a fixed
-    /// slot regardless of interleaving, so the per-slot totals are
-    /// deterministic for a deterministic workload. Snapshot loads are
-    /// not lock acquisitions and are not charged.
-    acquisitions: Box<[AtomicU64]>,
     fault_observer: RwLock<Option<Arc<FaultObserver>>>,
     /// Correlated-failure domains, fabric-wide because a domain spans
-    /// shards. Not charged to [`ShardLoad`]: it is not a shard lock, and
-    /// the no-domain fast path is a snapshot flag (or, in locked mode, a
-    /// single read-lock emptiness check).
+    /// shards. Not a shard lock: the no-domain fast path is a view flag,
+    /// and the locked fallback checks emptiness under one read lock.
     domains: RwLock<Vec<DomainState>>,
 }
 
-/// A snapshot of how fabric lock acquisitions distributed across shards.
-///
-/// Every [`Fabric`] lock acquisition (read or write) is charged to the
-/// slot it touched; the single-lock topology charges everything to one
-/// slot. For a deterministic workload the distribution is itself
-/// deterministic, which lets benchmarks derive a machine-independent
-/// serialization model: a single lock serializes every acquisition, while
-/// shards serialize only within a shard. The snapshot read path acquires
-/// no locks on clean traffic, which is why the model was demoted to a
-/// secondary figure — a lock-free path has nothing for it to count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Acquisition count per slot (length 1 for the single-lock fabric;
-    /// hashed shards followed by hot stripes otherwise).
-    pub per_shard: Vec<u64>,
-}
-
-impl ShardLoad {
-    /// Total lock acquisitions across all slots.
-    pub fn total(&self) -> u64 {
-        self.per_shard.iter().sum()
-    }
-
-    /// Acquisitions on the most loaded slot — the serialization
-    /// bottleneck when slots are serviced concurrently.
-    pub fn hottest(&self) -> u64 {
-        self.per_shard.iter().copied().max().unwrap_or(0)
-    }
-}
-
 impl Fabric {
-    fn new(shards: usize, read_path: ReadPath) -> Self {
-        let (topology, base, slots) = if shards <= 1 {
-            (
-                Topology::Single(Box::new(Mutex::new(ShardState::default()))),
-                1,
-                1,
-            )
-        } else {
-            let n = shards.next_power_of_two();
-            let total = n + HOT_STRIPES;
-            let shards = (0..total)
-                .map(|_| RwLock::new(ShardState::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice();
-            (
-                Topology::Sharded {
-                    shards,
-                    mask: (n - 1) as u64,
-                },
-                n,
-                total,
-            )
-        };
-        let view = match read_path {
-            ReadPath::Locked => None,
-            ReadPath::Snapshot => Some(Snapshot::new(Arc::new(RoutingView {
+    fn new() -> Self {
+        Fabric {
+            shards: std::array::from_fn(|_| RwLock::default()),
+            view: Snapshot::new(Arc::new(RoutingView {
                 tree: SlotTree::default(),
                 has_domains: false,
                 all_clean: true,
                 generation: 0,
-            }))),
-        };
-        Fabric {
-            topology,
-            base_slots: base,
-            hot_count: AtomicUsize::new(0),
-            hot_addrs: (0..if base > 1 { HOT_STRIPES } else { 0 })
-                .map(|_| OnceLock::new())
-                .collect(),
-            hot_reg: Mutex::new(()),
-            view,
+            })),
             view_gen: AtomicU64::new(0),
             batch_depth: AtomicUsize::new(0),
             batch: Mutex::new(BatchState::default()),
-            hot_overflows: AtomicU64::new(0),
             fault_seed: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
-            acquisitions: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             fault_observer: RwLock::new(None),
             domains: RwLock::new(Vec::new()),
         }
     }
 
-    fn charge(&self, slot: usize) {
-        self.acquisitions[slot].fetch_add(1, Ordering::Relaxed);
+    /// The shard `address` lives in.
+    fn shard(&self, address: &str) -> &RwLock<ShardState> {
+        &self.shards[(fnv1a(address) & (SHARDS as u64 - 1)) as usize]
     }
 
-    fn shard_load(&self) -> ShardLoad {
-        ShardLoad {
-            per_shard: self
-                .acquisitions
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// The lock slot `address` lives in: its hot stripe if registered,
-    /// else its hashed shard.
-    fn slot_of(&self, address: &str) -> usize {
-        match &self.topology {
-            Topology::Single(_) => 0,
-            Topology::Sharded { mask, .. } => {
-                let hot = self.hot_count.load(Ordering::Acquire);
-                for i in 0..hot {
-                    if self.hot_addrs[i].get().is_some_and(|a| a == address) {
-                        return self.base_slots + i;
-                    }
-                }
-                (fnv1a(address) & mask) as usize
-            }
-        }
-    }
-
-    /// Runs `f` under a read lock on slot `idx`.
-    fn read_slot<R>(&self, idx: usize, f: impl FnOnce(&ShardState) -> R) -> R {
-        self.charge(idx);
-        match &self.topology {
-            Topology::Single(state) => f(&state.lock()),
-            Topology::Sharded { shards, .. } => f(&shards[idx].read()),
-        }
-    }
-
-    /// Runs `f` under a read lock on `address`'s slot. Never called with
+    /// Runs `f` under a read lock on `address`'s shard. Never called with
     /// another shard lock held, so two-shard lookups cannot deadlock.
     fn read<R>(&self, address: &str, f: impl FnOnce(&ShardState) -> R) -> R {
-        self.read_slot(self.slot_of(address), f)
+        f(&self.shard(address).read())
     }
 
-    /// Runs `f` under a write lock on `address`'s slot.
+    /// Runs `f` under a write lock on `address`'s shard.
     fn write<R>(&self, address: &str, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        let idx = self.slot_of(address);
-        self.charge(idx);
-        match &self.topology {
-            Topology::Single(state) => f(&mut state.lock()),
-            Topology::Sharded { shards, .. } => f(&mut shards[idx].write()),
-        }
+        f(&mut self.shard(address).write())
     }
 
-    /// Runs `f` on every slot in turn (write-locked one at a time),
-    /// hot stripes included.
+    /// Runs `f` on every shard in turn (write-locked one at a time).
     fn for_each_shard(&self, mut f: impl FnMut(&mut ShardState)) {
-        match &self.topology {
-            Topology::Single(state) => f(&mut state.lock()),
-            Topology::Sharded { shards, .. } => {
-                for shard in shards.iter() {
-                    f(&mut shard.write());
-                }
-            }
+        for shard in &self.shards {
+            f(&mut shard.write());
         }
     }
 
@@ -578,13 +379,10 @@ impl Fabric {
     }
 
     /// Republishes the snapshot entry for `address` (after a mutation
-    /// there). No-op in locked mode. Inside an open batch scope the
-    /// republish is deferred: the address is noted dirty and the flush
-    /// publishes everything at once.
+    /// there). Inside an open batch scope the republish is deferred:
+    /// the address is noted dirty and the flush publishes everything at
+    /// once.
     fn republish_address(&self, address: &str) {
-        if self.view.is_none() {
-            return;
-        }
         if self.batch_depth.load(Ordering::Relaxed) > 0 {
             let mut batch = self.batch.lock();
             if batch.depth > 0 {
@@ -615,13 +413,12 @@ impl Fabric {
     /// snapshot writer lock so concurrent republishes of the same
     /// address compose instead of overwriting each other.
     fn publish_addresses(&self, addresses: &[String]) {
-        let Some(view) = &self.view else { return };
         let mut seen: HashSet<&str> = HashSet::with_capacity(addresses.len());
         let unique: Vec<&String> = addresses
             .iter()
             .filter(|a| seen.insert(a.as_str()))
             .collect();
-        view.update(|current| {
+        self.view.update(|current| {
             let updates: Vec<(String, Option<PeerView>)> = unique
                 .iter()
                 .map(|address| {
@@ -646,11 +443,10 @@ impl Fabric {
     /// Rebuilds and republishes the whole view from the shard maps (the
     /// batch-overflow flush path).
     fn publish_rebuild_all(&self) {
-        let Some(view) = &self.view else { return };
-        view.update(|current| {
+        self.view.update(|current| {
             let mut entries = Vec::new();
-            for idx in 0..self.acquisitions.len() {
-                self.read_slot(idx, |state| state.collect_views(&mut entries));
+            for shard in &self.shards {
+                shard.read().collect_views(&mut entries);
             }
             let tree = SlotTree::rebuilt_from(entries);
             let all_clean = RoutingView::derive_all_clean(&tree, current.has_domains);
@@ -670,8 +466,7 @@ impl Fabric {
     /// flag-only republish: the new view **shares** the previous view's
     /// tree (one `Arc` clone) instead of cloning any routing data.
     fn republish_domains(&self) {
-        let Some(view) = &self.view else { return };
-        view.update(|current| {
+        self.view.update(|current| {
             let has_domains = !self.domains.read().is_empty();
             let all_clean = RoutingView::derive_all_clean(&current.tree, has_domains);
             (
@@ -712,65 +507,6 @@ impl Fabric {
             }
         }
         self.batch_depth.store(batch.depth, Ordering::SeqCst);
-    }
-
-    /// Moves `address` onto a dedicated hot stripe. See
-    /// [`SimNet::stripe_hot`].
-    fn stripe_hot(&self, address: &str) -> Result<(), NetError> {
-        let Topology::Sharded { shards, mask } = &self.topology else {
-            return Ok(()); // one lock total: striping cannot help
-        };
-        let _reg = self.hot_reg.lock();
-        let count = self.hot_count.load(Ordering::Acquire);
-        if (0..count).any(|i| self.hot_addrs[i].get().is_some_and(|a| a == address)) {
-            return Ok(()); // already striped
-        }
-        if count == HOT_STRIPES {
-            // Stripes exhausted: the address keeps its hashed placement
-            // (correct, just not isolated). Surface the miss instead of
-            // indexing past `hot_addrs`.
-            self.hot_overflows.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::HotStripesExhausted(address.to_owned()));
-        }
-        let old = (fnv1a(address) & mask) as usize;
-        let new = self.base_slots + count;
-        {
-            // Old is a hashed slot, new a stripe slot: old < new always,
-            // and no other path ever holds two slot locks, so taking both
-            // cannot deadlock.
-            self.charge(old);
-            self.charge(new);
-            let mut from = shards[old].write();
-            let mut to = shards[new].write();
-            if let Some(v) = from.listeners.remove(address) {
-                to.listeners.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.latency_overrides.remove(address) {
-                to.latency_overrides.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.redirects.remove(address) {
-                to.redirects.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.tamper.remove(address) {
-                to.tamper.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.faults.remove(address) {
-                to.faults.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.route_faults.remove(address) {
-                to.route_faults.insert(address.to_owned(), v);
-            }
-            // Publish the mapping while both locks are held so no
-            // mutation slips into the old slot after the move.
-            self.hot_addrs[count]
-                .set(address.to_owned())
-                .expect("stripe published twice");
-            self.hot_count.store(count + 1, Ordering::Release);
-        }
-        // No republish: the routing view keys purely on the address
-        // hash, so moving the address between *lock* slots changes
-        // nothing a reader can see.
-        Ok(())
     }
 
     /// Records an injected fault and returns the observer to notify (the
@@ -881,7 +617,7 @@ impl SimNet {
     /// Creates a network fabric on `clock`.
     #[must_use]
     pub fn new(clock: SimClock, config: NetConfig) -> Self {
-        let fabric = Arc::new(Fabric::new(config.shards, config.read_path));
+        let fabric = Arc::new(Fabric::new());
         SimNet {
             clock,
             config,
@@ -946,32 +682,13 @@ impl SimNet {
         self.fabric.republish_address(address);
     }
 
-    /// Reserves a dedicated lock stripe for a known-hot address (the AMD
-    /// KDS, a boundary node): its fault-entry updates stop serializing
-    /// the write path of every cold address hashing into the same shard.
-    ///
-    /// Call **before** traffic flows to the address — registration moves
-    /// the address's state between lock slots, and a dial racing the
-    /// move may transiently miss it. At most [`HOT_STRIPES`] addresses
-    /// can be striped. Striping never affects fault-stream determinism:
-    /// streams are keyed by address, not by slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HotStripesExhausted`] when all stripes are
-    /// taken; the address keeps its hashed placement (correct, just not
-    /// isolated) and [`SimNet::hot_stripe_overflows`] counts the miss.
-    /// Registrations on the single-lock fabric and re-registrations of
-    /// an already-striped address succeed as no-ops.
-    pub fn stripe_hot(&self, address: &str) -> Result<(), NetError> {
-        self.fabric.stripe_hot(address)
-    }
-
-    /// Hot-stripe registrations refused because all [`HOT_STRIPES`]
-    /// stripes were already taken.
-    #[must_use]
-    pub fn hot_stripe_overflows(&self) -> u64 {
-        self.fabric.hot_overflows.load(Ordering::Relaxed)
+    /// Removes every listener on the fabric: the teardown of a world.
+    /// Listeners routinely own handles on the fabric they are bound to
+    /// (a node's routes hold the node, which dials through a `SimNet`),
+    /// so a fabric with listeners still bound is never freed.
+    pub fn unbind_all(&self) {
+        self.fabric.for_each_shard(|state| state.listeners.clear());
+        self.fabric.publish_rebuild_all();
     }
 
     /// Runs `f` with every shaper/bind republish deferred, then publishes
@@ -1029,7 +746,7 @@ impl SimNet {
         self.fabric.fault_seed.store(seed, Ordering::Relaxed);
         // Entries are shared with the published view, so reseeding them
         // in place (through their own locks) is immediately visible to
-        // both read paths.
+        // the view and the locked fallback alike.
         self.fabric.for_each_shard(|state| {
             for (address, entry) in &mut state.faults {
                 let mut entry = entry.lock();
@@ -1115,57 +832,32 @@ impl SimNet {
         self.fabric.faults_injected.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of lock acquisitions per slot since the fabric was built.
-    ///
-    /// Benchmarks use the delta between two snapshots to model how much of
-    /// a workload a single lock would serialize versus what the sharded
-    /// topology spreads out; see `revelio-bench`'s fabric fleet benchmark.
-    /// Under [`ReadPath::Snapshot`] clean traffic acquires nothing, so
-    /// the model is meaningful only for the locked topologies.
-    #[must_use]
-    pub fn shard_load(&self) -> ShardLoad {
-        self.fabric.shard_load()
-    }
-
     /// Cumulative spin/yield iterations snapshot writers spent waiting
     /// for reader stripes to drain while retiring old routing views (the
     /// `revelio_net_snapshot_retire_spins` counter) — writer-stall time,
-    /// reported honestly by the fleet benchmark. Always `0` in
-    /// [`ReadPath::Locked`] mode.
+    /// reported honestly by the fleet benchmark.
     #[must_use]
     pub fn snapshot_retire_spins(&self) -> u64 {
-        self.fabric.view.as_ref().map_or(0, Snapshot::retire_spins)
+        self.fabric.view.retire_spins()
     }
 
-    /// Deterministic estimate of the routing state's heap footprint in
-    /// bytes (structure sizes and string lengths, never allocator or
-    /// capacity artifacts). In snapshot mode this measures the published
-    /// view tree; in locked mode, the equivalent per-entry cost of the
-    /// shard maps. The fleet benchmark divides it by the node count for
-    /// its memory-per-node column.
+    /// Deterministic estimate of the published routing view's heap
+    /// footprint in bytes (structure sizes and string lengths, never
+    /// allocator or capacity artifacts). The fleet benchmark divides it
+    /// by the node count for its memory-per-node column.
     #[must_use]
     pub fn routing_memory_bytes(&self) -> usize {
-        if let Some(snap) = &self.fabric.view {
-            return snap.read_at(self.stripe, |view| view.tree.estimated_bytes());
-        }
-        let mut entries = Vec::new();
-        for idx in 0..self.fabric.acquisitions.len() {
-            self.fabric
-                .read_slot(idx, |state| state.collect_views(&mut entries));
-        }
-        entries
-            .iter()
-            .map(|(address, view)| view.estimated_bytes(address))
-            .sum()
+        self.fabric
+            .view
+            .read_at(self.stripe, |view| view.tree.estimated_bytes())
     }
 
     /// A canonical dump of the fabric's routing state: every published
     /// address sorted, with its listener/latency/redirect/tamper
     /// presence and the full parameters of every installed plan, plus a
-    /// planned-count/domain footer. Byte-identical across fabric modes,
-    /// shard counts, and (after the flush) batched vs unbatched
-    /// mutation orders — the write-burst suites diff it to prove the
-    /// view converged. Do not call inside an open [`SimNet::batch`]
+    /// planned-count/domain footer. Byte-identical across (after the
+    /// flush) batched vs unbatched mutation orders — the write-burst
+    /// suites diff it to prove the view converged. Do not call inside an open [`SimNet::batch`]
     /// scope: the snapshot is stale until the flush.
     #[must_use]
     pub fn view_fingerprint(&self) -> String {
@@ -1195,22 +887,11 @@ impl SimNet {
             line
         }
         let mut entries: Vec<(String, String, bool)> = Vec::new();
-        if let Some(snap) = &self.fabric.view {
-            let view = snap.load_at(self.stripe);
-            view.tree.for_each(|address, peer| {
-                entries.push((address.to_owned(), describe(peer), peer.planned()));
-            });
-            debug_assert_eq!(entries.len(), view.tree.len(), "tree len out of sync");
-        } else {
-            let mut collected = Vec::new();
-            for idx in 0..self.fabric.acquisitions.len() {
-                self.fabric
-                    .read_slot(idx, |state| state.collect_views(&mut collected));
-            }
-            for (address, peer) in &collected {
-                entries.push((address.clone(), describe(peer), peer.planned()));
-            }
-        }
+        let view = self.fabric.view.load_at(self.stripe);
+        view.tree.for_each(|address, peer| {
+            entries.push((address.to_owned(), describe(peer), peer.planned()));
+        });
+        debug_assert_eq!(entries.len(), view.tree.len(), "tree len out of sync");
         entries.sort();
         let planned = entries.iter().filter(|(_, _, planned)| *planned).count();
         let domains = self.fabric.domains.read().len();
@@ -1228,10 +909,9 @@ impl SimNet {
 
     /// Opens a connection to `address`.
     ///
-    /// On the snapshot read path a clean dial — no installed fault plan,
-    /// no fault domain anywhere — resolves entirely from the immutable
-    /// routing view: one atomic load, no locks. Anything else falls back
-    /// to the locked path below.
+    /// A clean dial — no installed fault plan, no fault domain anywhere —
+    /// resolves entirely from the immutable routing view: one atomic
+    /// load, no locks. Anything else falls back to the locked path.
     ///
     /// # Errors
     ///
@@ -1242,79 +922,70 @@ impl SimNet {
     pub fn dial(&self, address: &str) -> Result<Connection, NetError> {
         // While a batch is open the view may be stale: the locked path
         // (reading the authoritative shard maps) keeps program order.
-        if let Some(snap) = &self.fabric.view {
-            if self.fabric.batch_depth.load(Ordering::Relaxed) == 0 {
-                // Clean-path resolution happens under a guard-style read
-                // (no Arc round-trip); `accept()` and fault bookkeeping
-                // run after the guard is gone, so user code (handlers,
-                // fault observers) can never stall — or, by
-                // republishing, deadlock — a view writer.
-                enum Fast {
-                    Clean(CleanRoute, Option<u64>),
-                    /// A fail-first window fired; charge this timeout.
-                    Faulted(u64),
-                    Fallback,
-                }
-                let fast = snap.read_at(self.stripe, |view| {
-                    if view.has_domains {
-                        return Fast::Fallback;
-                    }
-                    match view.peer(address) {
-                        Some(peer) => {
-                            if let Some(entry) = peer.fault() {
-                                // The view publishes the live entry: the
-                                // fail-first window is consumed through
-                                // its own (leaf) lock — no shard locks.
-                                let mut entry = entry.lock();
-                                if entry.dial_fails() {
-                                    return Fast::Faulted(entry.plan.timeout_us);
-                                }
-                            }
-                            // Exchange-clean (no plan of either kind):
-                            // stamp the view generation so exchanges
-                            // revalidate the verdict with one atomic
-                            // load.
-                            let clean_gen = (!peer.planned()).then_some(view.generation);
-                            Fast::Clean(Self::resolve_clean(view, address, peer), clean_gen)
-                        }
-                        // Nothing at all is known about the address: no
-                        // listener, no redirect, no plan — refused,
-                        // lock-free.
-                        None => Fast::Clean(None, None),
-                    }
-                });
-                match fast {
-                    Fast::Clean(Some((listener, latency, tamper)), clean_gen) => {
-                        return Ok(Connection {
-                            clock: self.clock.clone(),
-                            handler: listener.accept(),
-                            one_way_us: latency.unwrap_or(self.config.default_one_way_us),
-                            tamper,
-                            dialed: address.to_owned(),
-                            local: self.local.clone(),
-                            closed: false,
-                            timeout_us: FaultPlan::default().timeout_us,
-                            clean_gen,
-                            stripe: self.stripe,
-                            fabric: Arc::clone(&self.fabric),
-                        });
-                    }
-                    Fast::Clean(None, _) => {
-                        return Err(NetError::ConnectionRefused(address.to_owned()));
-                    }
-                    Fast::Faulted(timeout_us) => {
-                        let observer = self.fabric.record_fault();
-                        self.clock.advance_us(timeout_us);
-                        if let Some(obs) = observer {
-                            obs(address, FaultKind::Timeout);
-                        }
-                        return Err(NetError::Timeout(address.to_owned()));
-                    }
-                    Fast::Fallback => {}
-                }
-            }
+        if self.fabric.batch_depth.load(Ordering::Relaxed) > 0 {
+            return self.dial_locked(address);
         }
-        self.dial_locked(address)
+        // Clean-path resolution happens under a guard-style read (no Arc
+        // round-trip); `accept()` and fault bookkeeping run after the
+        // guard is gone, so user code (handlers, fault observers) can
+        // never stall — or, by republishing, deadlock — a view writer.
+        enum Fast {
+            Clean(CleanRoute, Option<u64>),
+            /// A fail-first window fired; charge this timeout.
+            Faulted(u64),
+            Fallback,
+        }
+        let fast = self.fabric.view.read_at(self.stripe, |view| {
+            if view.has_domains {
+                return Fast::Fallback;
+            }
+            match view.peer(address) {
+                Some(peer) => {
+                    if let Some(entry) = peer.fault() {
+                        // The view publishes the live entry: the
+                        // fail-first window is consumed through its own
+                        // (leaf) lock — no shard locks.
+                        let mut entry = entry.lock();
+                        if entry.dial_fails() {
+                            return Fast::Faulted(entry.plan.timeout_us);
+                        }
+                    }
+                    // Exchange-clean (no plan of either kind): stamp the
+                    // view generation so exchanges revalidate the verdict
+                    // with one atomic load.
+                    let clean_gen = (!peer.planned()).then_some(view.generation);
+                    Fast::Clean(Self::resolve_clean(view, address, peer), clean_gen)
+                }
+                // Nothing at all is known about the address: no listener,
+                // no redirect, no plan — refused, lock-free.
+                None => Fast::Clean(None, None),
+            }
+        });
+        match fast {
+            Fast::Clean(Some((listener, latency, tamper)), clean_gen) => Ok(Connection {
+                clock: self.clock.clone(),
+                handler: listener.accept(),
+                one_way_us: latency.unwrap_or(self.config.default_one_way_us),
+                tamper,
+                dialed: address.to_owned(),
+                local: self.local.clone(),
+                closed: false,
+                timeout_us: FaultPlan::default().timeout_us,
+                clean_gen,
+                stripe: self.stripe,
+                fabric: Arc::clone(&self.fabric),
+            }),
+            Fast::Clean(None, _) => Err(NetError::ConnectionRefused(address.to_owned())),
+            Fast::Faulted(timeout_us) => {
+                let observer = self.fabric.record_fault();
+                self.clock.advance_us(timeout_us);
+                if let Some(obs) = observer {
+                    obs(address, FaultKind::Timeout);
+                }
+                Err(NetError::Timeout(address.to_owned()))
+            }
+            Fast::Fallback => self.dial_locked(address),
+        }
     }
 
     /// Resolves a clean dial's listener, latency override, and tamper
@@ -1343,9 +1014,8 @@ impl SimNet {
         ))
     }
 
-    /// The locked dial path: authoritative for fail-first windows and
-    /// whenever fault domains are installed; the only path in
-    /// [`ReadPath::Locked`] mode.
+    /// The locked dial path: authoritative whenever fault domains are
+    /// installed or a batch is open.
     fn dial_locked(&self, address: &str) -> Result<Connection, NetError> {
         // An active partition domain is the lowest network layer: the
         // dial times out before any per-address plan or listener lookup.
@@ -1419,7 +1089,7 @@ impl SimNet {
             closed: false,
             timeout_us: FaultPlan::default().timeout_us,
             // Locked dials never stamp a clean verdict: the first
-            // exchange consults the view (or, in locked mode, the locks).
+            // exchange consults the view.
             clean_gen: None,
             stripe: self.stripe,
             fabric: Arc::clone(&self.fabric),
@@ -1649,97 +1319,94 @@ impl Connection {
     /// **before** delivery: the handler never runs, so server-side state
     /// is untouched and a retry is always safe.
     ///
-    /// On the snapshot read path the overwhelmingly common clean case —
-    /// no domains installed, no plan on this address — is answered from
-    /// the routing view without touching a single lock. A *planned*
-    /// address is almost as cheap: the view publishes the live fault
-    /// entries, so the draw locks only the entry's own mutex. Only
-    /// fault domains (and open batch scopes) fall back to the locked
-    /// path.
+    /// The overwhelmingly common clean case — no domains installed, no
+    /// plan on this address — is answered from the routing view without
+    /// touching a single lock. A *planned* address is almost as cheap:
+    /// the view publishes the live fault entries, so the draw locks only
+    /// the entry's own mutex. Only fault domains (and open batch scopes)
+    /// fall back to the locked path.
     fn fault_decision(&mut self, route: &str) -> (u64, Option<NetError>) {
-        if let Some(snap) = &self.fabric.view {
-            // Dial-time (or prior-exchange) clean verdict still valid?
-            // One atomic load answers the common case.
-            if let Some(gen) = self.clean_gen {
-                if self.fabric.view_gen.load(Ordering::SeqCst) == gen {
-                    return (0, None);
-                }
-            }
-            if self.fabric.batch_depth.load(Ordering::Relaxed) == 0 {
-                enum Verdict {
-                    /// No plan anywhere near this address: stamp this
-                    /// generation and skip future checks while it lives.
-                    Clean(u64),
-                    /// Route plans exist but none match this route and
-                    /// there is no address-wide fallback: clean, but not
-                    /// stampable (another route could match).
-                    NoDraw,
-                    /// This entry governs the exchange.
-                    Draw(SharedFaultEntry),
-                    /// Domains installed: the locked path arbitrates.
-                    Fallback,
-                }
-                let verdict = snap.read_at(self.stripe, |view| {
-                    if view.has_domains {
-                        return Verdict::Fallback;
-                    }
-                    if view.all_clean {
-                        return Verdict::Clean(view.generation);
-                    }
-                    let Some(peer) = view.peer(&self.dialed) else {
-                        return Verdict::Clean(view.generation);
-                    };
-                    if !peer.planned() {
-                        return Verdict::Clean(view.generation);
-                    }
-                    let route_entry = peer.routes().and_then(|routes| {
-                        routes
-                            .iter()
-                            .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
-                            .max_by_key(|(prefix, _)| prefix.len())
-                            .map(|(_, entry)| Arc::clone(entry))
-                    });
-                    match route_entry.or_else(|| peer.fault().cloned()) {
-                        Some(entry) => Verdict::Draw(entry),
-                        None => Verdict::NoDraw,
-                    }
-                });
-                match verdict {
-                    Verdict::Clean(gen) => {
-                        self.clean_gen = Some(gen);
-                        return (0, None);
-                    }
-                    Verdict::NoDraw => {
-                        self.clean_gen = None;
-                        return (0, None);
-                    }
-                    Verdict::Draw(entry) => {
-                        self.clean_gen = None;
-                        // The draw happens outside the read guard (the
-                        // entry Arc keeps it alive) so the observer below
-                        // can never stall a view writer.
-                        let ((jitter_us, fault), timeout_us) = {
-                            let mut entry = entry.lock();
-                            (entry.exchange_decision(), entry.plan.timeout_us)
-                        };
-                        self.timeout_us = timeout_us;
-                        let Some(kind) = fault else {
-                            return (jitter_us, None);
-                        };
-                        if let Some(obs) = self.fabric.record_fault() {
-                            obs(&self.dialed, kind);
-                        }
-                        return (jitter_us, Some(self.fault_error(kind)));
-                    }
-                    Verdict::Fallback => {}
-                }
+        // Dial-time (or prior-exchange) clean verdict still valid? One
+        // atomic load answers the common case.
+        if let Some(gen) = self.clean_gen {
+            if self.fabric.view_gen.load(Ordering::SeqCst) == gen {
+                return (0, None);
             }
         }
-        self.fault_decision_locked(route)
+        if self.fabric.batch_depth.load(Ordering::Relaxed) > 0 {
+            return self.fault_decision_locked(route);
+        }
+        enum Verdict {
+            /// No plan anywhere near this address: stamp this generation
+            /// and skip future checks while it lives.
+            Clean(u64),
+            /// Route plans exist but none match this route and there is
+            /// no address-wide fallback: clean, but not stampable
+            /// (another route could match).
+            NoDraw,
+            /// This entry governs the exchange.
+            Draw(SharedFaultEntry),
+            /// Domains installed: the locked path arbitrates.
+            Fallback,
+        }
+        let verdict = self.fabric.view.read_at(self.stripe, |view| {
+            if view.has_domains {
+                return Verdict::Fallback;
+            }
+            if view.all_clean {
+                return Verdict::Clean(view.generation);
+            }
+            let Some(peer) = view.peer(&self.dialed) else {
+                return Verdict::Clean(view.generation);
+            };
+            if !peer.planned() {
+                return Verdict::Clean(view.generation);
+            }
+            let route_entry = peer.routes().and_then(|routes| {
+                routes
+                    .iter()
+                    .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
+                    .max_by_key(|(prefix, _)| prefix.len())
+                    .map(|(_, entry)| Arc::clone(entry))
+            });
+            match route_entry.or_else(|| peer.fault().cloned()) {
+                Some(entry) => Verdict::Draw(entry),
+                None => Verdict::NoDraw,
+            }
+        });
+        match verdict {
+            Verdict::Clean(gen) => {
+                self.clean_gen = Some(gen);
+                (0, None)
+            }
+            Verdict::NoDraw => {
+                self.clean_gen = None;
+                (0, None)
+            }
+            Verdict::Draw(entry) => {
+                self.clean_gen = None;
+                // The draw happens outside the read guard (the entry Arc
+                // keeps it alive) so the observer below can never stall a
+                // view writer.
+                let ((jitter_us, fault), timeout_us) = {
+                    let mut entry = entry.lock();
+                    (entry.exchange_decision(), entry.plan.timeout_us)
+                };
+                self.timeout_us = timeout_us;
+                let Some(kind) = fault else {
+                    return (jitter_us, None);
+                };
+                if let Some(obs) = self.fabric.record_fault() {
+                    obs(&self.dialed, kind);
+                }
+                (jitter_us, Some(self.fault_error(kind)))
+            }
+            Verdict::Fallback => self.fault_decision_locked(route),
+        }
     }
 
-    /// The locked decision path: consulted whenever a domain or plan
-    /// might govern this exchange (always, in [`ReadPath::Locked`] mode).
+    /// The locked decision path: consulted whenever a domain is
+    /// installed or a batch is open.
     fn fault_decision_locked(&mut self, route: &str) -> (u64, Option<NetError>) {
         // Correlated-failure domains are consulted first — they model the
         // layer below per-address shaping. A domain that injects nothing
@@ -1818,6 +1485,9 @@ impl Connection {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use super::*;
 
     struct Echo;
@@ -1847,34 +1517,34 @@ mod tests {
     }
 
     fn fabric() -> (SimClock, SimNet) {
-        fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot)
-    }
-
-    fn fabric_with(shards: usize, read_path: ReadPath) -> (SimClock, SimNet) {
         let clock = SimClock::new();
         let net = SimNet::new(
             clock.clone(),
             NetConfig {
                 default_one_way_us: 1000,
-                shards,
-                read_path,
             },
         );
         (clock, net)
     }
 
-    /// Every per-mode behaviour test runs under all three fabric modes.
-    fn all_modes() -> Vec<(SimClock, SimNet)> {
-        vec![
-            fabric_with(1, ReadPath::Locked),
-            fabric_with(DEFAULT_SHARDS, ReadPath::Locked),
-            fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot),
-        ]
+    /// Installs a fault domain that covers no address the tests bind:
+    /// behaviour is unchanged, but every dial and exchange now takes the
+    /// locked fallback (`dial_locked`, `fault_decision_locked`).
+    fn install_idle_domain(net: &SimNet) {
+        net.install_fault_domain(FaultDomain::partition("idle", "192.0.2."));
+    }
+
+    /// Per-address behaviour tests run on both read paths: the lock-free
+    /// view and the locked fallback.
+    fn fabrics() -> [(SimClock, SimNet); 2] {
+        let locked = fabric();
+        install_idle_domain(&locked.1);
+        [fabric(), locked]
     }
 
     #[test]
     fn exchange_advances_clock_by_round_trip() {
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             net.bind("a:1", Arc::new(Echo)).unwrap();
             let mut conn = net.dial("a:1").unwrap();
             conn.exchange(b"x").unwrap();
@@ -1886,7 +1556,7 @@ mod tests {
 
     #[test]
     fn unbound_port_refuses() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             assert_eq!(
                 net.dial("vm:22").unwrap_err(),
                 NetError::ConnectionRefused("vm:22".into())
@@ -1896,7 +1566,7 @@ mod tests {
 
     #[test]
     fn double_bind_rejected_and_unbind_frees() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             net.bind("a:1", Arc::new(Echo)).unwrap();
             assert!(net.bind("a:1", Arc::new(Echo)).is_err());
             net.unbind("a:1");
@@ -1906,7 +1576,7 @@ mod tests {
 
     #[test]
     fn per_address_latency_override() {
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             net.bind("kds:443", Arc::new(Echo)).unwrap();
             net.peer("kds:443").latency_us(100_000); // a distant service
             let mut conn = net.dial("kds:443").unwrap();
@@ -1917,7 +1587,7 @@ mod tests {
 
     #[test]
     fn redirect_reroutes_to_attacker() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
             net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
             net.peer("honest:443").redirect_to("evil:443");
@@ -1929,26 +1599,33 @@ mod tests {
         }
     }
 
+    /// A tamper hook that appends `tag` to every message.
+    fn append(tag: u8) -> Arc<TamperFn> {
+        Arc::new(move |m: &[u8]| {
+            let mut v = m.to_vec();
+            v.push(tag);
+            v
+        })
+    }
+
     #[test]
     fn victim_latency_and_tamper_survive_redirect() {
         // Settings installed on the dialed (victim) address must keep
         // applying after a redirect; the attacker's address only fills
         // gaps the victim left.
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
-            net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
+            net.bind("evil:443", Arc::new(Echo)).unwrap();
             net.peer("honest:443")
                 .latency_us(50_000)
-                .tamper(Arc::new(|m: &[u8]| {
-                    let mut v = m.to_vec();
-                    v.push(b'!');
-                    v
-                }))
+                .tamper(append(b'!'))
                 .redirect_to("evil:443");
-            net.peer("evil:443").latency_us(7);
+            net.peer("evil:443").latency_us(7).tamper(append(b'?'));
             let start = clock.now_us();
             let mut conn = net.dial("honest:443").unwrap();
-            assert_eq!(conn.exchange(b"hello").unwrap(), b"evil");
+            // The attacker echoes (redirected), and the victim's tamper
+            // hook, not the attacker's, rewrote the message.
+            assert_eq!(conn.exchange(b"hello").unwrap(), b"hello!");
             // The victim's 50 ms one-way override wins over the attacker's.
             assert_eq!(clock.now_us() - start, 100_000);
         }
@@ -1956,20 +1633,20 @@ mod tests {
 
     #[test]
     fn attacker_settings_apply_when_victim_has_none() {
-        for (clock, net) in all_modes() {
-            net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
-            net.peer("evil:443").latency_us(9_000);
+        for (clock, net) in fabrics() {
+            net.bind("evil:443", Arc::new(Echo)).unwrap();
+            net.peer("evil:443").latency_us(9_000).tamper(append(b'?'));
             net.peer("honest:443").redirect_to("evil:443");
             let start = clock.now_us();
             let mut conn = net.dial("honest:443").unwrap();
-            conn.exchange(b"hello").unwrap();
+            assert_eq!(conn.exchange(b"hello").unwrap(), b"hello?");
             assert_eq!(clock.now_us() - start, 18_000);
         }
     }
 
     #[test]
     fn tamper_rewrites_messages() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             net.bind("a:1", Arc::new(Echo)).unwrap();
             net.peer("a:1").tamper(Arc::new(|m: &[u8]| {
                 let mut v = m.to_vec();
@@ -1997,11 +1674,12 @@ mod tests {
                 Box::new(H)
             }
         }
-        let (_, net) = fabric();
-        net.bind("a:1", Arc::new(Fail)).unwrap();
-        let mut conn = net.dial("a:1").unwrap();
-        assert!(matches!(conn.exchange(b"x"), Err(NetError::Protocol(_))));
-        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+        for (_, net) in fabrics() {
+            net.bind("a:1", Arc::new(Fail)).unwrap();
+            let mut conn = net.dial("a:1").unwrap();
+            assert!(matches!(conn.exchange(b"x"), Err(NetError::Protocol(_))));
+            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+        }
     }
 
     #[test]
@@ -2020,7 +1698,7 @@ mod tests {
                 Box::new(H(Arc::clone(&self.0)))
             }
         }
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             let delivered = Arc::new(AtomicU32::new(0));
             net.bind("a:1", Arc::new(Count(Arc::clone(&delivered))))
                 .unwrap();
@@ -2043,7 +1721,7 @@ mod tests {
 
     #[test]
     fn fail_first_window_times_out_dials_then_recovers() {
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             net.bind("a:1", Arc::new(Echo)).unwrap();
             net.set_fault_seed(3);
             net.peer("a:1").fault_plan(FaultPlan {
@@ -2068,18 +1746,19 @@ mod tests {
 
     #[test]
     fn reset_fault_surfaces_connection_closed() {
-        let (_, net) = fabric();
-        net.bind("a:1", Arc::new(Echo)).unwrap();
-        net.set_fault_seed(5);
-        net.peer("a:1").fault_plan(FaultPlan {
-            reset_probability: 1.0,
-            ..FaultPlan::default()
-        });
-        let mut conn = net.dial("a:1").unwrap();
-        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-        // A faulted connection is closed; later exchanges fail fast.
-        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-        assert_eq!(net.faults_injected(), 1);
+        for (_, net) in fabrics() {
+            net.bind("a:1", Arc::new(Echo)).unwrap();
+            net.set_fault_seed(5);
+            net.peer("a:1").fault_plan(FaultPlan {
+                reset_probability: 1.0,
+                ..FaultPlan::default()
+            });
+            let mut conn = net.dial("a:1").unwrap();
+            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+            // A faulted connection is closed; later exchanges fail fast.
+            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+            assert_eq!(net.faults_injected(), 1);
+        }
     }
 
     #[test]
@@ -2136,14 +1815,15 @@ mod tests {
     }
 
     #[test]
-    fn fabric_mode_does_not_change_fault_streams() {
-        // The determinism contract survives resharding AND the read-path
-        // choice: streams are keyed by address, not by shard or snapshot
-        // epoch, so 1-, 4- and 64-shard fabrics, the single-lock
-        // baseline, and the snapshot path all produce identical decisions
-        // and identical simulated timings.
-        let run = |shards: usize, read_path: ReadPath| {
-            let (clock, net) = fabric_with(shards, read_path);
+    fn locked_fallback_does_not_change_fault_streams() {
+        // Streams are keyed by address (or address and route prefix),
+        // not by read path: the lock-free view and the locked fallback
+        // draw identical decisions and identical simulated timings.
+        let run = |locked: bool| {
+            let (clock, net) = fabric();
+            if locked {
+                install_idle_domain(&net);
+            }
             for i in 0..8 {
                 net.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
             }
@@ -2155,94 +1835,32 @@ mod tests {
                     ..FaultPlan::default()
                 });
             }
+            net.peer("node-0:443")
+                .fault_plan_for_route(
+                    "/v1",
+                    FaultPlan {
+                        reset_probability: 0.5,
+                        ..FaultPlan::default()
+                    },
+                )
+                .fault_plan_for_route("/v1/healthz", FaultPlan::default());
+            net.peer("node-1:443").fault_plan(FaultPlan::fail_first(3));
             let mut outcomes = Vec::new();
             for round in 0..16 {
                 for i in 0..8 {
                     let address = format!("node-{}:443", (i + round) % 8);
-                    let mut conn = net.dial(&address).unwrap();
-                    outcomes.push((address, conn.exchange(b"x").is_ok()));
+                    let route = ["/v1/healthz", "/v1/users", "/other"][(i + round) % 3];
+                    let outcome = net
+                        .dial(&address)
+                        .and_then(|mut conn| conn.exchange_routed(route, b"x"));
+                    outcomes.push((address, route, outcome));
                 }
             }
             (outcomes, clock.now_us(), net.faults_injected())
         };
-        let baseline = run(1, ReadPath::Locked);
-        assert_eq!(baseline, run(4, ReadPath::Locked));
-        assert_eq!(baseline, run(64, ReadPath::Locked));
-        assert_eq!(baseline, run(1, ReadPath::Snapshot));
-        assert_eq!(baseline, run(16, ReadPath::Snapshot));
-    }
-
-    #[test]
-    fn hot_striping_changes_no_behaviour() {
-        // A striped address keeps its listener, shaping, and — because
-        // streams are keyed by address, not slot — its exact fault
-        // stream.
-        let run = |stripe: bool| {
-            let (clock, net) = fabric();
-            if stripe {
-                net.stripe_hot("kds:443").unwrap();
-                net.stripe_hot("kds:443").unwrap(); // idempotent
-            }
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.bind("cold:443", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(0xD1A1);
-            net.peer("kds:443").latency_us(5_000).fault_plan(FaultPlan {
-                drop_probability: 0.4,
-                ..FaultPlan::default()
-            });
-            let mut out = Vec::new();
-            for _ in 0..24 {
-                let mut conn = net.dial("kds:443").unwrap();
-                out.push(conn.exchange(b"q").is_ok());
-                let mut cold = net.dial("cold:443").unwrap();
-                out.push(cold.exchange(b"q").is_ok());
-            }
-            (out, clock.now_us(), net.faults_injected())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn hot_striping_migrates_existing_state() {
-        // Striping after shaping was installed must carry the state over.
-        let (clock, net) = fabric();
-        net.bind("kds:443", Arc::new(Echo)).unwrap();
-        net.peer("kds:443").latency_us(30_000);
-        net.stripe_hot("kds:443").unwrap();
-        let mut conn = net.dial("kds:443").unwrap();
-        let start = clock.now_us();
-        conn.exchange(b"q").unwrap();
-        assert_eq!(clock.now_us() - start, 60_000);
-        // And the striped slot keeps accepting new shaping/unbinds.
-        net.peer("kds:443").clear();
-        net.unbind("kds:443");
-        assert!(net.dial("kds:443").is_err());
-    }
-
-    #[test]
-    fn stripe_registry_caps_at_hot_stripes() {
-        let (_, net) = fabric();
-        for i in 0..(HOT_STRIPES + 3) {
-            let address = format!("hot-{i}:443");
-            let striped = net.stripe_hot(&address);
-            if i < HOT_STRIPES {
-                striped.unwrap();
-            } else {
-                // Overflowing registrations report the exhaustion instead
-                // of indexing past the registry; the address keeps its
-                // hashed placement.
-                assert!(matches!(striped, Err(NetError::HotStripesExhausted(a)) if a == address));
-            }
-            net.bind(&address, Arc::new(Echo)).unwrap();
-        }
-        assert_eq!(net.hot_stripe_overflows(), 3);
-        // Striped and overflowed addresses all still dial.
-        for i in 0..(HOT_STRIPES + 3) {
-            net.dial(&format!("hot-{i}:443")).unwrap();
-        }
-        // Re-registering an already-striped address is not an overflow.
-        net.stripe_hot("hot-0:443").unwrap();
-        assert_eq!(net.hot_stripe_overflows(), 3);
+        let view = run(false);
+        assert!(view.2 > 3, "the workload must inject faults");
+        assert_eq!(view, run(true));
     }
 
     #[test]
@@ -2280,25 +1898,24 @@ mod tests {
 
     #[test]
     fn batch_preserves_program_order_for_own_dials() {
-        for (clock, net) in all_modes() {
-            net.set_fault_seed(0xBA7C);
-            let echoed = net.batch(|net| {
-                // A bind must be visible to a dial later in the same
-                // batch (the deferral only delays the *published* view).
-                net.bind("kds:443", Arc::new(Echo)).unwrap();
-                let mut conn = net.dial("kds:443").unwrap();
-                let echoed = conn.exchange(b"ping").unwrap();
-                // A plan installed mid-batch governs the very next
-                // exchange, exactly as it would outside a batch.
-                net.peer("kds:443").fault_plan(FaultPlan::outage());
-                let mut conn = net.dial("kds:443").unwrap();
-                assert!(matches!(conn.exchange(b"q"), Err(NetError::Dropped(_))));
-                echoed
-            });
-            assert_eq!(echoed, b"ping");
-            assert_eq!(net.faults_injected(), 1);
-            assert!(clock.now_us() > 0);
-        }
+        let (clock, net) = fabric();
+        net.set_fault_seed(0xBA7C);
+        let echoed = net.batch(|net| {
+            // A bind must be visible to a dial later in the same
+            // batch (the deferral only delays the *published* view).
+            net.bind("kds:443", Arc::new(Echo)).unwrap();
+            let mut conn = net.dial("kds:443").unwrap();
+            let echoed = conn.exchange(b"ping").unwrap();
+            // A plan installed mid-batch governs the very next
+            // exchange, exactly as it would outside a batch.
+            net.peer("kds:443").fault_plan(FaultPlan::outage());
+            let mut conn = net.dial("kds:443").unwrap();
+            assert!(matches!(conn.exchange(b"q"), Err(NetError::Dropped(_))));
+            echoed
+        });
+        assert_eq!(echoed, b"ping");
+        assert_eq!(net.faults_injected(), 1);
+        assert!(clock.now_us() > 0);
     }
 
     #[test]
@@ -2357,31 +1974,32 @@ mod tests {
     }
 
     #[test]
-    fn view_fingerprint_agrees_across_modes() {
-        let mut prints = Vec::new();
-        for (_, net) in all_modes() {
-            net.set_fault_seed(0xF1F1);
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.bind("vm:8080", Arc::new(Echo)).unwrap();
-            net.peer("kds:443")
-                .latency_us(30_000)
-                .fault_plan(FaultPlan {
-                    drop_probability: 0.25,
-                    ..FaultPlan::default()
-                });
-            net.peer("vm:8080")
-                .fault_plan_for_route("/attest", FaultPlan::fail_first(2));
-            net.peer("vm:8080").redirect_to("kds:443");
-            prints.push(net.view_fingerprint());
-        }
-        assert_eq!(prints[0], prints[1]);
-        assert_eq!(prints[1], prints[2]);
-        assert!(prints[0].contains("entries:2 planned:2 domains:0"));
+    fn view_fingerprint_lists_every_entry_and_plan() {
+        let (_, net) = fabric();
+        net.set_fault_seed(0xF1F1);
+        net.bind("kds:443", Arc::new(Echo)).unwrap();
+        net.bind("vm:8080", Arc::new(Echo)).unwrap();
+        net.peer("kds:443")
+            .latency_us(30_000)
+            .fault_plan(FaultPlan {
+                drop_probability: 0.25,
+                ..FaultPlan::default()
+            });
+        net.peer("vm:8080")
+            .fault_plan_for_route("/attest", FaultPlan::fail_first(2));
+        net.peer("vm:8080").redirect_to("kds:443");
+        let print = net.view_fingerprint();
+        assert!(print
+            .contains("kds:443 | listener:1 latency:Some(30000) redirect:None tamper:0 plan:["));
+        assert!(print.contains(
+            "vm:8080 | listener:1 latency:None redirect:Some(\"kds:443\") tamper:0 route:/attest:["
+        ));
+        assert!(print.ends_with("-- entries:2 planned:2 domains:0\n"));
     }
 
     #[test]
     fn route_plan_governs_matching_exchanges_only() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             net.bind("kds:443", Arc::new(Echo)).unwrap();
             net.set_fault_seed(11);
             net.peer("kds:443")
@@ -2403,29 +2021,30 @@ mod tests {
 
     #[test]
     fn longest_route_prefix_wins_and_address_plan_is_fallback() {
-        let (_, net) = fabric();
-        net.bind("api:443", Arc::new(Echo)).unwrap();
-        net.set_fault_seed(12);
-        // Address-wide: resets. /v1: drops. /v1/healthz: clean.
-        net.peer("api:443")
-            .fault_plan(FaultPlan {
-                reset_probability: 1.0,
-                ..FaultPlan::default()
-            })
-            .fault_plan_for_route("/v1", FaultPlan::outage())
-            .fault_plan_for_route("/v1/healthz", FaultPlan::default());
-        let mut conn = net.dial("api:443").unwrap();
-        assert!(conn.exchange_routed("/v1/healthz", b"q").is_ok());
-        let mut conn = net.dial("api:443").unwrap();
-        assert!(matches!(
-            conn.exchange_routed("/v1/users", b"q"),
-            Err(NetError::Dropped(_))
-        ));
-        let mut conn = net.dial("api:443").unwrap();
-        assert_eq!(
-            conn.exchange_routed("/other", b"q"),
-            Err(NetError::ConnectionClosed)
-        );
+        for (_, net) in fabrics() {
+            net.bind("api:443", Arc::new(Echo)).unwrap();
+            net.set_fault_seed(12);
+            // Address-wide: resets. /v1: drops. /v1/healthz: clean.
+            net.peer("api:443")
+                .fault_plan(FaultPlan {
+                    reset_probability: 1.0,
+                    ..FaultPlan::default()
+                })
+                .fault_plan_for_route("/v1", FaultPlan::outage())
+                .fault_plan_for_route("/v1/healthz", FaultPlan::default());
+            let mut conn = net.dial("api:443").unwrap();
+            assert!(conn.exchange_routed("/v1/healthz", b"q").is_ok());
+            let mut conn = net.dial("api:443").unwrap();
+            assert!(matches!(
+                conn.exchange_routed("/v1/users", b"q"),
+                Err(NetError::Dropped(_))
+            ));
+            let mut conn = net.dial("api:443").unwrap();
+            assert_eq!(
+                conn.exchange_routed("/other", b"q"),
+                Err(NetError::ConnectionClosed)
+            );
+        }
     }
 
     #[test]
@@ -2467,7 +2086,7 @@ mod tests {
 
     #[test]
     fn peer_clear_removes_all_shaping() {
-        for (clock, net) in all_modes() {
+        for (clock, net) in fabrics() {
             net.bind("a:1", Arc::new(Marker(b"a"))).unwrap();
             net.bind("b:1", Arc::new(Marker(b"b"))).unwrap();
             net.set_fault_seed(1);
@@ -2490,23 +2109,24 @@ mod tests {
     #[test]
     fn fault_observer_sees_every_injection() {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let (_, net) = fabric();
-        net.bind("a:1", Arc::new(Echo)).unwrap();
-        net.set_fault_seed(1);
-        net.peer("a:1").fault_plan(FaultPlan::outage());
-        let seen = Arc::new(AtomicU32::new(0));
-        let seen2 = Arc::clone(&seen);
-        net.set_fault_observer(Arc::new(move |address, kind| {
-            assert_eq!(address, "a:1");
-            assert_eq!(kind, FaultKind::Dropped);
-            seen2.fetch_add(1, Ordering::SeqCst);
-        }));
-        for _ in 0..5 {
-            let mut conn = net.dial("a:1").unwrap();
-            let _ = conn.exchange(b"x");
+        for (_, net) in fabrics() {
+            net.bind("a:1", Arc::new(Echo)).unwrap();
+            net.set_fault_seed(1);
+            net.peer("a:1").fault_plan(FaultPlan::outage());
+            let seen = Arc::new(AtomicU32::new(0));
+            let seen2 = Arc::clone(&seen);
+            net.set_fault_observer(Arc::new(move |address, kind| {
+                assert_eq!(address, "a:1");
+                assert_eq!(kind, FaultKind::Dropped);
+                seen2.fetch_add(1, Ordering::SeqCst);
+            }));
+            for _ in 0..5 {
+                let mut conn = net.dial("a:1").unwrap();
+                let _ = conn.exchange(b"x");
+            }
+            assert_eq!(seen.load(Ordering::SeqCst), 5);
+            assert_eq!(net.faults_injected(), 5);
         }
-        assert_eq!(seen.load(Ordering::SeqCst), 5);
-        assert_eq!(net.faults_injected(), 5);
     }
 
     #[test]
@@ -2524,46 +2144,86 @@ mod tests {
                 Box::new(H(0))
             }
         }
-        let (_, net) = fabric();
-        net.bind("a:1", Arc::new(Counter)).unwrap();
-        let mut c1 = net.dial("a:1").unwrap();
-        let mut c2 = net.dial("a:1").unwrap();
-        assert_eq!(c1.exchange(b"").unwrap(), vec![1]);
-        assert_eq!(c1.exchange(b"").unwrap(), vec![2]);
-        assert_eq!(c2.exchange(b"").unwrap(), vec![1]);
+        for (_, net) in fabrics() {
+            net.bind("a:1", Arc::new(Counter)).unwrap();
+            let mut c1 = net.dial("a:1").unwrap();
+            let mut c2 = net.dial("a:1").unwrap();
+            assert_eq!(c1.exchange(b"").unwrap(), vec![1]);
+            assert_eq!(c1.exchange(b"").unwrap(), vec![2]);
+            assert_eq!(c2.exchange(b"").unwrap(), vec![1]);
+        }
+    }
+
+    /// Dials `a:1` and exchanges once on another thread while this
+    /// thread holds every shard's write lock; reports whether the
+    /// exchange finished within `timeout`.
+    fn exchange_with_every_shard_write_locked(net: &SimNet, timeout: Duration) -> bool {
+        let guards: Vec<_> = net.fabric.shards.iter().map(RwLock::write).collect();
+        let (done, finished) = mpsc::channel();
+        let worker = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                let mut conn = net.dial("a:1").unwrap();
+                conn.exchange(b"x").unwrap();
+                let _ = done.send(());
+            })
+        };
+        let completed = finished.recv_timeout(timeout).is_ok();
+        drop(guards);
+        worker.join().unwrap();
+        completed
     }
 
     #[test]
-    fn snapshot_mode_acquires_no_locks_on_clean_traffic() {
-        // The whole point of the snapshot path: after setup, a clean
-        // dial+exchange workload performs zero lock acquisitions.
-        let (_, net) = fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot);
+    fn clean_traffic_takes_no_shard_lock() {
+        let (_, net) = fabric();
         net.bind("a:1", Arc::new(Echo)).unwrap();
         net.peer("a:1").latency_us(10);
-        let before = net.shard_load();
-        for _ in 0..32 {
-            let mut conn = net.dial("a:1").unwrap();
-            conn.exchange(b"x").unwrap();
-        }
-        assert_eq!(
-            net.shard_load().total(),
-            before.total(),
-            "clean snapshot traffic must not touch shard locks"
+        assert!(
+            exchange_with_every_shard_write_locked(&net, Duration::from_secs(30)),
+            "a clean dial + exchange waited on a shard lock"
         );
-        // The locked fabric pays per-dial and per-exchange acquisitions.
-        let (_, locked) = fabric_with(DEFAULT_SHARDS, ReadPath::Locked);
-        locked.bind("a:1", Arc::new(Echo)).unwrap();
-        let before = locked.shard_load();
-        let mut conn = locked.dial("a:1").unwrap();
-        conn.exchange(b"x").unwrap();
-        assert!(locked.shard_load().total() > before.total());
+        // A fault domain anywhere (even one that does not cover `a:1`)
+        // sends dials to the locked path, so the same dial now blocks.
+        install_idle_domain(&net);
+        assert!(
+            !exchange_with_every_shard_write_locked(&net, Duration::from_millis(200)),
+            "the locked fallback did not take a shard lock"
+        );
+    }
+
+    #[test]
+    fn unbind_all_releases_every_listener() {
+        let (_, net) = fabric();
+        let listener: Arc<dyn Listener> = Arc::new(Echo);
+        for i in 0..40 {
+            net.bind(&format!("n{i}:443"), Arc::clone(&listener))
+                .unwrap();
+        }
+        net.peer("n0:443").latency_us(10);
+        net.unbind_all();
+        assert_eq!(
+            Arc::strong_count(&listener),
+            1,
+            "a listener outlived unbind_all"
+        );
+        assert!(matches!(
+            net.dial("n1:443"),
+            Err(NetError::ConnectionRefused(_))
+        ));
+        // Shaping is not a listener: it stays.
+        assert!(net
+            .view_fingerprint()
+            .contains("n0:443 | listener:0 latency:Some(10)"));
+        net.bind("n1:443", listener).unwrap();
+        net.dial("n1:443").unwrap();
     }
 
     #[test]
     fn snapshot_sees_mutations_in_program_order() {
         // Republish happens inside the mutating call, so a bind/shape
         // followed by a dial on the same thread always observes it.
-        let (_, net) = fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot);
+        let (_, net) = fabric();
         for round in 0..32 {
             let address = format!("churn-{round}:443");
             net.bind(&address, Arc::new(Echo)).unwrap();
@@ -2576,76 +2236,71 @@ mod tests {
     #[test]
     fn partition_domain_blocks_dials_until_it_heals() {
         use crate::domain::FaultDomain;
-        for (clock, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
-            net.install_fault_domain(
-                FaultDomain::partition("rack-1", "10.1.")
-                    .healing_at_us(clock.now_us() + 5_000_000)
-                    .with_timeout_us(250_000),
-            );
-            // Inside the partition: the dial times out and charges the
-            // discovery timeout to the clock.
-            let start = clock.now_us();
-            assert!(matches!(
-                net.dial("10.1.0.1:443"),
-                Err(NetError::Timeout(_))
-            ));
-            assert_eq!(clock.now_us() - start, 250_000);
-            assert_eq!(net.faults_injected(), 1);
-            // A sibling subnet is untouched.
-            let mut conn = net.dial("10.2.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-            // After the scheduled heal the subnet is reachable again.
-            clock.advance_us(5_000_000);
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-        }
+        let (clock, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
+        net.install_fault_domain(
+            FaultDomain::partition("rack-1", "10.1.")
+                .healing_at_us(clock.now_us() + 5_000_000)
+                .with_timeout_us(250_000),
+        );
+        // Inside the partition: the dial times out and charges the
+        // discovery timeout to the clock.
+        let start = clock.now_us();
+        assert!(matches!(
+            net.dial("10.1.0.1:443"),
+            Err(NetError::Timeout(_))
+        ));
+        assert_eq!(clock.now_us() - start, 250_000);
+        assert_eq!(net.faults_injected(), 1);
+        // A sibling subnet is untouched.
+        let mut conn = net.dial("10.2.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
+        // After the scheduled heal the subnet is reachable again.
+        clock.advance_us(5_000_000);
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
 
     #[test]
     fn partition_domain_drops_inflight_exchanges() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            conn.exchange(b"x").unwrap();
-            // The partition arrives while the connection is open: further
-            // exchanges are dropped, not delivered.
-            net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
-            assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
-            assert_eq!(net.faults_injected(), 1);
-            // Like every injected fault, the drop closes the connection.
-            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-            net.clear_fault_domain("rack-1");
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-        }
+        let (_, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        conn.exchange(b"x").unwrap();
+        // The partition arrives while the connection is open: further
+        // exchanges are dropped, not delivered.
+        net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
+        assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
+        assert_eq!(net.faults_injected(), 1);
+        // Like every injected fault, the drop closes the connection.
+        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+        net.clear_fault_domain("rack-1");
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
 
     #[test]
     fn asymmetric_domain_only_hits_bound_sources() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
-            net.install_fault_domain(
-                FaultDomain::partition("uplink", "10.2.").from_sources("10.1."),
-            );
-            // An unbound handle (no source address) does not match a
-            // source-scoped domain.
-            let mut conn = net.dial("10.2.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-            // The reverse direction from an unaffected source also works.
-            let from_safe = net.bound_to("10.3.0.9:443");
-            assert!(from_safe.dial("10.2.0.1:443").is_ok());
-            // Traffic *from* the 10.1. subnet is dark.
-            let from_dark = net.bound_to("10.1.0.9:443");
-            assert_eq!(from_dark.local_address(), Some("10.1.0.9:443"));
-            assert!(matches!(
-                from_dark.dial("10.2.0.1:443"),
-                Err(NetError::Timeout(_))
-            ));
-        }
+        let (_, net) = fabric();
+        net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
+        net.install_fault_domain(FaultDomain::partition("uplink", "10.2.").from_sources("10.1."));
+        // An unbound handle (no source address) does not match a
+        // source-scoped domain.
+        let mut conn = net.dial("10.2.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
+        // The reverse direction from an unaffected source also works.
+        let from_safe = net.bound_to("10.3.0.9:443");
+        assert!(from_safe.dial("10.2.0.1:443").is_ok());
+        // Traffic *from* the 10.1. subnet is dark.
+        let from_dark = net.bound_to("10.1.0.9:443");
+        assert_eq!(from_dark.local_address(), Some("10.1.0.9:443"));
+        assert!(matches!(
+            from_dark.dial("10.2.0.1:443"),
+            Err(NetError::Timeout(_))
+        ));
     }
 
     #[test]
@@ -2718,26 +2373,25 @@ mod tests {
     #[test]
     fn domains_take_precedence_over_address_plans() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(1);
-            // The address plan alone would reset the connection; the
-            // partition (the lower layer) wins and drops instead.
-            net.peer("10.1.0.1:443").fault_plan(FaultPlan {
-                reset_probability: 1.0,
-                ..FaultPlan::default()
-            });
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
-            assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
-            net.clear_fault_domain("rack-1");
-            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-        }
+        let (_, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        net.set_fault_seed(1);
+        // The address plan alone would reset the connection; the
+        // partition (the lower layer) wins and drops instead.
+        net.peer("10.1.0.1:443").fault_plan(FaultPlan {
+            reset_probability: 1.0,
+            ..FaultPlan::default()
+        });
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
+        assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
+        net.clear_fault_domain("rack-1");
+        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
     }
 
     #[test]
     fn concurrent_dials_to_disjoint_addresses_succeed() {
-        for (_, net) in all_modes() {
+        for (_, net) in fabrics() {
             for i in 0..64 {
                 net.bind(&format!("n{i}:443"), Arc::new(Echo)).unwrap();
             }

@@ -1,16 +1,13 @@
 //! The persistent (structurally shared) routing-view tree.
 //!
-//! PR 5's snapshot read path published the routing view as a flat
-//! `Box<[Arc<HashMap>]>` mirroring the lock-shard array, and every
-//! mutation cloned the *entire* slot array plus the per-slot planned
-//! counts — O(slots) per write, and the whole reason fleet provisioning
-//! regressed ~25× in snapshot mode. This module replaces that layout
-//! with a fixed-depth persistent trie:
+//! A flat view that mirrors the lock-shard array must clone the *entire*
+//! slot array on every mutation — O(slots) per write, which made fleet
+//! provisioning ~25× slower. This module lays the view out as a
+//! fixed-depth persistent trie instead:
 //!
 //! * [`VIEW_FANOUT`]-way interior nodes, [`VIEW_LEVELS`] levels deep, so
 //!   the tree fans out to [`VIEW_BUCKETS`] leaf buckets keyed purely by
-//!   `fnv1a(address)` — **independent of the lock topology**, which is
-//!   why hot-stripe registration no longer needs a view rebuild;
+//!   `fnv1a(address)`, independent of the lock shards;
 //! * a republish path-copies the O([`VIEW_LEVELS`]) interior nodes on the
 //!   way to one leaf bucket and shares every untouched subtree with the
 //!   previous view (`Arc` per child) — a single-address republish clones
@@ -23,13 +20,12 @@
 //! (any fault or route plan installed), so `all_clean` stays a stored
 //! flag rather than a scan.
 //!
-//! [`PeerView`] itself changed shape in the same PR: instead of boolean
-//! plan-presence flags that bounced every non-clean dial back to the
-//! shard write locks, the view now publishes the **live fault entries**
-//! (`Arc<Mutex<FaultEntry>>` shared with the authoritative shard maps).
-//! A chaos-mode draw locks only the tiny per-entry mutex — the same
-//! entry object both read paths consume, so the decision streams stay
-//! byte-identical across fabric modes.
+//! [`PeerView`] publishes the **live fault entries**
+//! (`Arc<Mutex<FaultEntry>>` shared with the authoritative shard maps),
+//! not plan-presence flags that would bounce every non-clean dial back
+//! to the shard locks. A chaos-mode draw locks only the tiny per-entry mutex — the same
+//! entry object the locked fallback consumes, so the decision streams
+//! stay byte-identical whichever path a draw takes.
 
 use std::collections::HashMap;
 use std::sync::Arc;

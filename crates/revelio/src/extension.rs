@@ -754,16 +754,10 @@ impl WebExtension {
             .counter_add("revelio_extension_browses_total", 1);
         self.telemetry
             .observe("revelio_extension_browse_ms", total_ms);
-        // The histogram is the real metric: concurrent sessions each
-        // contribute a sample, and p50/p99 survive interleaving.
+        // A histogram, not a gauge: concurrent sessions each contribute
+        // a sample, and p50/p99 survive interleaving.
         self.telemetry
             .observe("revelio_extension_attestation_latency_ms", attestation_ms);
-        // The same-named gauge predates the histogram and is kept for
-        // dashboards that scrape it. Documented last-writer-wins: under
-        // concurrent sessions it holds whichever browse recorded last,
-        // nothing more.
-        self.telemetry
-            .gauge_set("revelio_extension_attestation_latency_ms", attestation_ms);
     }
 
     /// Fetches and decodes the evidence bundle from the well-known URL

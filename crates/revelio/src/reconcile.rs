@@ -27,7 +27,7 @@
 //! Every decision is a pure function of observed state, the spec and the
 //! deterministic sim — the reconciler keeps an append-only transcript of
 //! its transitions whose digest is byte-identical across thread counts
-//! and fabric modes (the determinism suites pin this).
+//! (the determinism suites pin this).
 //!
 //! Mutual attestation shapes the rollout: nodes only exchange the fleet
 //! TLS key with peers measuring *identically* (`node::validate_peer_report`),
@@ -416,7 +416,7 @@ impl<A: NodeActuator> Reconciler<A> {
     }
 
     /// SHA-256 of the transcript — the byte-identity handle the
-    /// determinism suites compare across threads and fabric modes.
+    /// determinism suites compare across threads.
     #[must_use]
     pub fn transcript_digest(&self) -> String {
         let mut joined = Vec::new();

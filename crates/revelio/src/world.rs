@@ -183,6 +183,15 @@ pub struct SimWorld {
     subnet: u8,
 }
 
+impl Drop for SimWorld {
+    /// Unbinds every listener, which frees the world's nodes: each node's
+    /// routes own the node, and the node owns a handle on this fabric, so
+    /// a bound node would keep the whole world alive.
+    fn drop(&mut self) {
+        self.net.unbind_all();
+    }
+}
+
 impl std::fmt::Debug for SimWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimWorld")
@@ -209,34 +218,14 @@ impl SimWorld {
     /// Panics only if internal setup fails (addresses are fresh).
     #[must_use]
     pub fn with_tuning(seed: u64, tuning: WorldTuning) -> Self {
-        let net_config = NetConfig {
-            default_one_way_us: tuning.link_one_way_us,
-            ..NetConfig::default()
-        }
-        // CI exercises the determinism suites under every fabric
-        // read path via REVELIO_FABRIC_MODE.
-        .with_env_mode();
-        Self::with_tuning_and_net(seed, tuning, net_config)
-    }
-
-    /// Creates a world with custom latency calibration **and** an
-    /// explicit fabric configuration, bypassing `REVELIO_FABRIC_MODE`.
-    /// The determinism suites use this to pin each of the three fabric
-    /// read paths in turn regardless of the ambient environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if internal setup fails (addresses are fresh).
-    #[must_use]
-    pub fn with_tuning_and_net(seed: u64, tuning: WorldTuning, net_config: NetConfig) -> Self {
         let clock = SimClock::new();
         let telemetry = Telemetry::new(clock.clone());
-        let net = SimNet::new(clock.clone(), net_config);
-        // The KDS is the hottest address in every scenario (each cold
-        // attestation dials it): give it a dedicated lock stripe before
-        // any traffic flows.
-        net.stripe_hot(KDS_ADDRESS)
-            .expect("fresh fabric has a free hot stripe for the KDS");
+        let net = SimNet::new(
+            clock.clone(),
+            NetConfig {
+                default_one_way_us: tuning.link_one_way_us,
+            },
+        );
         let flight = FlightDirectory::new(clock.clone(), DEFAULT_FLIGHT_CAPACITY);
         // Mirror every injected fault into the world registry so chaos
         // runs can assert on (and diff) `revelio_net_faults_injected_total`

@@ -12,13 +12,11 @@
 //!   evidence;
 //! * a single-flight handshake's ticket bytes are a pure function of
 //!   the world seed: byte-identical regardless of how many OS threads
-//!   raced monitored opens beforehand, and across all three fabric
-//!   modes.
+//!   raced monitored opens beforehand.
 
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
 use revelio_http::client::HttpsClient;
-use revelio_net::net::{NetConfig, ReadPath, DEFAULT_SHARDS};
 use revelio_tls::TlsClientConfig;
 use sev_snp::measurement::Measurement;
 use sev_snp::verify::SIGNATURE_CHECKS_PER_VERIFY;
@@ -30,36 +28,6 @@ const RESUMED_RECONNECTS: &str = "revelio_extension_resumed_reconnects_total";
 const REJECTIONS: &str = "revelio_tls_resumption_rejections_total";
 const EVIDENCE_REQUESTS: &str = "revelio_node_evidence_requests_total";
 const SIGNATURES: &str = "revelio_extension_signature_verifications_total";
-
-/// The three fabric modes the determinism claim is pinned under.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    [
-        (
-            "single-lock",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..NetConfig::default()
-            },
-        ),
-    ]
-}
 
 /// A ticket earned before a certificate renewal is declined by the
 /// rotated listener (its ticket key is derived from the chain), the
@@ -197,71 +165,65 @@ fn resumption_after_tcb_floor_change_reattests() {
 /// a fixed batch of monitored opens is raced across 1/4/16 OS threads
 /// against a one-node fleet, then a single-flight handshake from a
 /// fresh client earns byte-identical ticket bytes across every thread
-/// count and all three fabric modes.
+/// count.
 #[test]
 fn single_flight_ticket_bytes_deterministic_across_threads_and_modes() {
     /// Racing monitored opens per run — fixed, so the counters the
     /// subsequent single flight derives from are too.
     const RACING_OPENS: usize = 16;
-    let mut tickets: Vec<(&str, usize, Vec<u8>)> = Vec::new();
-    for (mode, net_config) in all_modes() {
-        for threads in [1usize, 4, 16] {
-            let mut world = SimWorld::with_tuning_and_net(
-                0x7E54,
-                revelio::world::WorldTuning::default(),
-                net_config.clone(),
-            );
-            let fleet = world.deploy_fleet(DOMAIN, 1, demo_app()).unwrap();
-            let extension = world.extension();
-            extension.register_site(DOMAIN, vec![fleet.golden_measurement]);
+    let mut tickets: Vec<(usize, Vec<u8>)> = Vec::new();
+    for threads in [1usize, 4, 16] {
+        let mut world = SimWorld::new(0x7E54);
+        let fleet = world.deploy_fleet(DOMAIN, 1, demo_app()).unwrap();
+        let extension = world.extension();
+        extension.register_site(DOMAIN, vec![fleet.golden_measurement]);
 
-            // Race: the fixed batch of opens striped across the
-            // threads. The interleaving is nondeterministic, but every
-            // open costs exactly one server connection and one client
-            // ephemeral — resumed or not — so the counter totals are
-            // not.
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let extension = &extension;
-                        s.spawn(move || {
-                            let mut idx = t;
-                            while idx < RACING_OPENS {
-                                extension.open_monitored(DOMAIN).expect("racing open");
-                                idx += threads;
-                            }
-                        })
+        // Race: the fixed batch of opens striped across the
+        // threads. The interleaving is nondeterministic, but every
+        // open costs exactly one server connection and one client
+        // ephemeral — resumed or not — so the counter totals are
+        // not.
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let extension = &extension;
+                    s.spawn(move || {
+                        let mut idx = t;
+                        while idx < RACING_OPENS {
+                            extension.open_monitored(DOMAIN).expect("racing open");
+                            idx += threads;
+                        }
                     })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("racing thread");
-                }
-            });
+                })
+                .collect();
+            for handle in handles {
+                handle.join().expect("racing thread");
+            }
+        });
 
-            // Single flight: a fresh client (its own ephemeral counter)
-            // performs one full handshake and keeps the issued ticket.
-            let client = HttpsClient::new(
-                world.net.clone(),
-                world.dns.clone(),
-                TlsClientConfig {
-                    trusted_roots: world.tls_roots(),
-                    clock: world.clock.clone(),
-                    telemetry: None,
-                },
-                [42; 32],
-            );
-            let session = client.open(DOMAIN).unwrap();
-            let state = session
-                .resumption_state()
-                .expect("full handshake issues a ticket");
-            tickets.push((mode, threads, state.ticket.clone()));
-        }
+        // Single flight: a fresh client (its own ephemeral counter)
+        // performs one full handshake and keeps the issued ticket.
+        let client = HttpsClient::new(
+            world.net.clone(),
+            world.dns.clone(),
+            TlsClientConfig {
+                trusted_roots: world.tls_roots(),
+                clock: world.clock.clone(),
+                telemetry: None,
+            },
+            [42; 32],
+        );
+        let session = client.open(DOMAIN).unwrap();
+        let state = session
+            .resumption_state()
+            .expect("full handshake issues a ticket");
+        tickets.push((threads, state.ticket.clone()));
     }
-    let reference = tickets[0].2.clone();
-    for (mode, threads, ticket) in &tickets {
+    let reference = tickets[0].1.clone();
+    for (threads, ticket) in &tickets {
         assert_eq!(
             ticket, &reference,
-            "single-flight ticket diverged under {mode} with {threads} racing threads"
+            "single-flight ticket diverged with {threads} racing threads"
         );
     }
 }

@@ -22,7 +22,7 @@ fn run_scenario(seed: u64) -> Telemetry {
     extension.browse_ratls("pad.example.org", "/").unwrap();
     let mut session = extension.open_monitored("pad.example.org").unwrap();
     session.request("/").unwrap();
-    world.telemetry
+    world.telemetry.clone()
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn fault_seed_is_part_of_the_determinism_contract() {
         for _ in 0..3 {
             let _ = extension.browse("pad.example.org", "/");
         }
-        world.telemetry
+        world.telemetry.clone()
     }
     let a = run_faulted(99);
     let b = run_faulted(99);

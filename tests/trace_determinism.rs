@@ -1,9 +1,9 @@
 //! Tier-1 guarantees of the causal-tracing layer: an assembled trace
 //! tree is a pure function of the seeds. The `repro --trace` scenarios
 //! (and the raw whole-registry trace export underneath them) must come
-//! out byte-identical whether the world runs alone or on 16 concurrent
-//! threads, and under every `REVELIO_FABRIC_MODE` — the fabric's
-//! concurrency strategy must be invisible in the trace bytes.
+//! out byte-identical whether the world runs alone or on 4 or 16
+//! concurrent threads — the fabric's concurrency must be invisible in
+//! the trace bytes.
 
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
@@ -30,57 +30,35 @@ fn trace_demo_bytes() -> String {
     format!("{}\n{}", report.to_json(), report.render())
 }
 
-/// The determinism matrix in one sequential test: `REVELIO_FABRIC_MODE`
-/// is process-global, so modes must not run concurrently with each other
-/// (the in-crate fabric suite follows the same pattern).
 #[test]
 fn trace_exports_are_byte_identical_across_threads_and_fabric_modes() {
-    let mut per_mode_exports = Vec::new();
-    let mut per_mode_demos = Vec::new();
-    for mode in ["single", "sharded", "snapshot"] {
-        std::env::set_var("REVELIO_FABRIC_MODE", mode);
-        let reference_export = traced_browse_export(7);
-        let reference_demo = trace_demo_bytes();
-        for threads in [4usize, 16] {
-            let runs: Vec<(String, String)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| s.spawn(|| (traced_browse_export(7), trace_demo_bytes())))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trace scenario thread"))
-                    .collect()
-            });
-            for (export, demo) in runs {
-                assert_eq!(
-                    export, reference_export,
-                    "trace export diverged at {threads} threads in {mode} mode"
-                );
-                assert_eq!(
-                    demo, reference_demo,
-                    "trace demo diverged at {threads} threads in {mode} mode"
-                );
-            }
+    let reference_export = traced_browse_export(7);
+    let reference_demo = trace_demo_bytes();
+    for threads in [4usize, 16] {
+        let runs: Vec<(String, String)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| (traced_browse_export(7), trace_demo_bytes())))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trace scenario thread"))
+                .collect()
+        });
+        for (export, demo) in runs {
+            assert_eq!(
+                export, reference_export,
+                "trace export diverged at {threads} threads"
+            );
+            assert_eq!(
+                demo, reference_demo,
+                "trace demo diverged at {threads} threads"
+            );
         }
-        per_mode_exports.push(reference_export);
-        per_mode_demos.push(reference_demo);
     }
-    std::env::remove_var("REVELIO_FABRIC_MODE");
-    // The modes agree with each other, not just with themselves.
-    assert!(
-        per_mode_exports.windows(2).all(|w| w[0] == w[1]),
-        "trace export differs between fabric modes"
-    );
-    assert!(
-        per_mode_demos.windows(2).all(|w| w[0] == w[1]),
-        "trace demo differs between fabric modes"
-    );
-    // And the bytes are non-trivial: the browse stitched into one tree
-    // whose critical path walks the attestation hops.
-    let export = &per_mode_exports[0];
-    assert!(export.contains("critical path: browse > browse.attestation"));
-    assert!(export.contains("\"traceEvents\""));
-    let demo = &per_mode_demos[0];
-    assert!(demo.contains("dominant hop: kds.fetch"));
-    assert!(demo.contains("quarantined nodes: 1"));
+    // The bytes are non-trivial: the browse stitched into one tree whose
+    // critical path walks the attestation hops.
+    assert!(reference_export.contains("critical path: browse > browse.attestation"));
+    assert!(reference_export.contains("\"traceEvents\""));
+    assert!(reference_demo.contains("dominant hop: kds.fetch"));
+    assert!(reference_demo.contains("quarantined nodes: 1"));
 }

@@ -12,8 +12,7 @@
 //!   mutation;
 //! * a changed reported TCB is a different `VerdictKey` — the cache can
 //!   never serve an old platform's verdict for a patched one;
-//! * the swarm transcript is **byte-identical** across 1/4/16 threads
-//!   and all three fabric modes.
+//! * the swarm transcript is **byte-identical** across 1/4/16 threads.
 
 use std::sync::Arc;
 
@@ -22,9 +21,8 @@ use revelio::extension::WebExtension;
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
 use revelio::RevelioError;
-use revelio_bench::run_swarm_with_net;
+use revelio_bench::run_swarm;
 use revelio_crypto::ed25519::SigningKey;
-use revelio_net::net::{NetConfig, ReadPath, DEFAULT_SHARDS};
 use sev_snp::ids::{ChipId, GuestPolicy, TcbVersion};
 use sev_snp::measurement::Measurement;
 use sev_snp::platform::SnpPlatform;
@@ -38,36 +36,6 @@ const MISSES: &str = "revelio_extension_verify_cache_misses_total";
 const INVALIDATIONS: &str = "revelio_extension_verify_cache_invalidations_total";
 const SIGNATURES: &str = "revelio_extension_signature_verifications_total";
 const TLS_CHECKS: &str = "revelio_extension_tls_binding_checks_total";
-
-/// The three fabric modes every determinism claim is pinned under.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    [
-        (
-            "single-lock",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..NetConfig::default()
-            },
-        ),
-    ]
-}
 
 /// A deployed one-node world with a registered extension.
 fn attested_world(seed: u64) -> (SimWorld, WebExtension, Measurement) {
@@ -295,7 +263,7 @@ fn extension_is_send_and_sync() {
 }
 
 /// The swarm's per-session transcript is byte-identical across 1/4/16
-/// driver threads and all three fabric modes, and every run proves the
+/// driver threads, and every run proves the
 /// line-rate claim: zero hot-phase signature verifications, hit rate
 /// 1.0, one TLS-binding check per session.
 #[test]
@@ -303,26 +271,24 @@ fn swarm_transcripts_identical_across_threads_and_modes() {
     const SESSIONS: usize = 600;
     const NODES: usize = 2;
     let mut digests = Vec::new();
-    for (mode, net_config) in all_modes() {
-        for threads in [1usize, 4, 16] {
-            let report = run_swarm_with_net(SESSIONS, threads, NODES, net_config.clone());
-            assert_eq!(
-                report.signature_checks, 0,
-                "{mode}/{threads}t: hot phase performed signature work"
-            );
-            assert_eq!(report.cache_misses, 0, "{mode}/{threads}t: hot-phase miss");
-            assert_eq!(
-                report.tls_binding_checks, SESSIONS as u64,
-                "{mode}/{threads}t: TLS binding must run once per session"
-            );
-            digests.push((mode, threads, report.transcript_sha256));
-        }
+    for threads in [1usize, 4, 16] {
+        let report = run_swarm(SESSIONS, threads, NODES);
+        assert_eq!(
+            report.signature_checks, 0,
+            "{threads}t: hot phase performed signature work"
+        );
+        assert_eq!(report.cache_misses, 0, "{threads}t: hot-phase miss");
+        assert_eq!(
+            report.tls_binding_checks, SESSIONS as u64,
+            "{threads}t: TLS binding must run once per session"
+        );
+        digests.push((threads, report.transcript_sha256));
     }
-    let reference = digests[0].2.clone();
-    for (mode, threads, digest) in &digests {
+    let reference = digests[0].1.clone();
+    for (threads, digest) in &digests {
         assert_eq!(
             digest, &reference,
-            "transcript diverged under {mode} with {threads} threads"
+            "transcript diverged with {threads} threads"
         );
     }
 }
