@@ -7,12 +7,11 @@
 //! ```
 
 use revelio_bench::{
-    cert_strategy_ablation, fleet_dimensions_from_env, fleet_trials_from_env,
-    reconcile_dimensions_from_env, run_chaos_column, run_fabric_bench, run_fig5, run_fig6,
-    run_fleet_scaling, run_ratls_ablation, run_reconcile, run_retry_ablation, run_swarm,
-    run_table1, run_table2, run_table3, run_telemetry, run_trace_demo, run_verity_ablation,
-    swarm_dimensions_from_env, RECONCILE_FAULT_SEED, RECONCILE_SEED, SCALE, TRACE_DEMO_FAULT_SEED,
-    TRACE_DEMO_SEED,
+    cert_strategy_ablation, dim_from_env, fleet_dimensions_from_env, reconcile_dimensions_from_env,
+    run_chaos_column, run_fabric_bench, run_fig5, run_fig6, run_fleet_scaling, run_ratls_ablation,
+    run_reconcile, run_retry_ablation, run_swarm, run_table1, run_table2, run_table3,
+    run_telemetry, run_trace_demo, run_verity_ablation, swarm_dimensions_from_env, BenchReport,
+    RECONCILE_FAULT_SEED, RECONCILE_SEED, SCALE, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED,
 };
 
 const KNOWN_FLAGS: &[&str] = &[
@@ -71,35 +70,74 @@ fn main() {
     if wants(&args, "--telemetry") {
         telemetry();
     }
-    // The fleet benchmark spawns OS-thread fleets and takes a while at
-    // full size, so it only runs when asked for.
+    // The harnesses below take a while at full size, so each runs only
+    // when asked for. Every one prints its report and gates; any failed
+    // gate makes the run exit non-zero once all requested harnesses ran.
+    let mut passed = true;
     if args.iter().any(|a| a == "--fleet") {
-        fleet();
+        let (nodes, threads, dials, trials) = or_exit(fleet_dimensions_from_env());
+        passed &= bench(
+            "Fleet benchmark: fabric provisioning, dials, browses and tracing overhead \
+             (wall clock, best of the trials)",
+            &run_fabric_bench(nodes, threads, dials, trials),
+        );
     }
-    // The chaos column re-runs the fleet pipeline three times, so it is
-    // opt-in too; the CI chaos job invokes it per pinned seed.
+    // The chaos column re-runs the fleet pipeline three times; the CI
+    // chaos job invokes it per pinned seed.
     if args.iter().any(|a| a == "--chaos") {
-        chaos();
+        let seed = or_exit(dim_from_env("REVELIO_CHAOS_SEED", DEFAULT_CHAOS_SEED));
+        passed &= bench(
+            &format!("Chaos column: Table 2/3 figures under faults (seed {seed:#x})"),
+            &run_chaos_column(seed),
+        );
     }
-    // The causal-trace demo deploys three pinned-seed worlds; opt-in like
-    // the other fleet-scale runs. CI uploads its artifacts and greps the
-    // printed hop sequences.
+    // The causal-trace demo deploys three pinned-seed worlds. CI uploads
+    // its artifacts and greps the printed hop sequences.
     if args.iter().any(|a| a == "--trace") {
         trace();
     }
-    // The swarm drives a million monitored sessions at full size, so it
-    // only runs when asked for; the CI smoke job shrinks it via
-    // `REVELIO_SWARM_SESSIONS`.
     if args.iter().any(|a| a == "--swarm") {
-        swarm();
+        let (sessions, threads, nodes) = or_exit(swarm_dimensions_from_env());
+        passed &= bench(
+            "Swarm: staged verification at browser-population scale",
+            &run_swarm(sessions, threads, nodes),
+        );
     }
-    // The reconcile benchmark replicates a full rolling upgrade across
-    // OS threads plus a 200-day renewal horizon, so it
-    // only runs when asked for; the CI smoke job shrinks it via the
-    // `REVELIO_RECONCILE_*` dimensions.
     if args.iter().any(|a| a == "--reconcile") {
-        reconcile();
+        let (nodes, flaps, horizon_days, threads) = or_exit(reconcile_dimensions_from_env());
+        passed &= bench(
+            &format!(
+                "Reconcile: control-plane convergence under pinned fault seeds \
+                 (seed {RECONCILE_SEED:#x}, fault seed {RECONCILE_FAULT_SEED:#x})"
+            ),
+            &run_reconcile(nodes, flaps, horizon_days, threads),
+        );
     }
+    if !passed {
+        eprintln!("error: a benchmark gate failed (see the FAIL lines above)");
+        std::process::exit(1);
+    }
+}
+
+/// Unwraps a dimension read, exiting 1 with its message on a bad override.
+fn or_exit<T>(dims: Result<T, String>) -> T {
+    dims.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(1)
+    })
+}
+
+/// Prints `report` under `title`, writes it to `BENCH_<mode>.json`, and
+/// returns whether every gate held.
+fn bench(title: &str, report: &BenchReport) -> bool {
+    println!("== {title} ==");
+    print!("{}", report.render());
+    let path = format!("BENCH_{}.json", report.mode);
+    match std::fs::write(&path, report.to_json()) {
+        Ok(()) => println!("report written: {path}\n"),
+        Err(e) => println!("(could not write {path}: {e})\n"),
+    }
+    report.failures().is_empty()
 }
 
 fn table1() {
@@ -310,259 +348,6 @@ fn telemetry() {
         "spans recorded: {}; deterministic: equal seeds yield byte-identical exports\n",
         registry.span_count()
     );
-}
-
-fn chaos() {
-    let seed = std::env::var("REVELIO_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_CHAOS_SEED);
-    println!("== Chaos column: Table 2/3 figures under faults (seed {seed:#x}) ==");
-    println!("(16-node fleet, 12 in subnet 113 + 4 in subnet 114; 'lossy' = 5% drop on 113,");
-    println!(" 'partitioned' = subnet 114 dark; figures are deterministic per seed)");
-    let rows = run_chaos_column(seed);
-    println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>12} {:>8}",
-        "scenario",
-        "retrieve ms",
-        "validate ms",
-        "quarant.",
-        "generate ms",
-        "attested ms",
-        "monitored ms",
-        "faults"
-    );
-    for row in &rows {
-        println!(
-            "{:<12} {:>12.1} {:>12.1} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>8}",
-            row.scenario,
-            row.timings.evidence_retrieval_ms,
-            row.timings.evidence_validation_ms,
-            row.quarantined,
-            row.timings.certificate_generation_ms,
-            row.attested_get_ms,
-            row.monitored_get_ms,
-            row.faults_injected
-        );
-    }
-    let json = format!(
-        "{{\"fault_seed\":{seed},\"rows\":[{}]}}\n",
-        rows.iter()
-            .map(revelio_bench::ChaosRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    match std::fs::write("BENCH_chaos.json", json) {
-        Ok(()) => println!("report written: BENCH_chaos.json\n"),
-        Err(e) => println!("(could not write BENCH_chaos.json: {e})\n"),
-    }
-}
-
-fn fleet() {
-    let (nodes, threads, dials) = fleet_dimensions_from_env();
-    let trials = fleet_trials_from_env();
-    println!("== Fleet benchmark: fabric provisioning, dials and browses ==");
-    println!(
-        "({nodes} nodes, {threads} OS threads, {dials} dials/thread, best of {trials} \
-         trials; figures are measured wall-clock throughput and per-browse latency on \
-         this host)"
-    );
-    let report = run_fabric_bench(nodes, threads, dials, trials);
-    println!(
-        "{:>12} {:>9} {:>12} {:>16} {:>14} {:>10} {:>10}",
-        "provision ms",
-        "mem/node",
-        "retire spins",
-        "wall dials/sec",
-        "browses/sec",
-        "p50 µs",
-        "p99 µs"
-    );
-    let s = &report.fleet;
-    println!(
-        "{:>12.3} {:>8}B {:>12} {:>16.0} {:>14.0} {:>10.2} {:>10.2}",
-        s.provision_ms,
-        s.memory_per_node_bytes,
-        s.retire_spins,
-        s.wall_dial_throughput_per_sec,
-        s.browse_throughput_per_sec,
-        s.browse_p50_us,
-        s.browse_p99_us
-    );
-    let o = &report.overhead;
-    println!(
-        "telemetry overhead (tracing+recorder on vs off): \
-         dial p50 {:.2} -> {:.2} µs ({:+.1}%), mean {:.2} -> {:.2} µs ({:+.1}%); \
-         {} spans sampled, {} recorder events over {} dials",
-        o.dial_p50_off_us,
-        o.dial_p50_on_us,
-        o.p50_overhead_percent(),
-        o.dial_mean_off_us,
-        o.dial_mean_on_us,
-        o.mean_overhead_percent(),
-        o.spans_recorded,
-        o.recorder_events,
-        o.dials_total
-    );
-    match std::fs::write("BENCH_fabric.json", report.to_json()) {
-        Ok(()) => println!("report written: BENCH_fabric.json\n"),
-        Err(e) => println!("(could not write BENCH_fabric.json: {e})\n"),
-    }
-    if std::env::var("REVELIO_FLEET_GATE").as_deref() == Ok("1") {
-        let failures = report.gate_failures();
-        if failures.is_empty() {
-            println!("fleet gates: PASS (tracing overhead within the 10% budget on dial p50)\n");
-        } else {
-            for failure in &failures {
-                eprintln!("fleet gate FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn swarm() {
-    let (sessions, threads, nodes) = swarm_dimensions_from_env();
-    println!("== Swarm: staged verification at browser-population scale ==");
-    println!(
-        "({sessions} monitored sessions, {threads} OS threads, {nodes}-node shared-cert \
-         fleet; every session re-runs the staged verify — a verdict-cache hit — plus one \
-         monitored GET; the cold baseline is a fresh extension paying the KDS round trip \
-         and the batched signature check)"
-    );
-    let report = run_swarm(sessions, threads, nodes);
-    println!("{:<34} {:>14} {:>14}", "phase", "p50 µs", "p99 µs");
-    println!(
-        "{:<34} {:>14.2} {:>14.2}",
-        "cold verify (fresh extension)", report.cold_verify_p50_us, report.cold_verify_p99_us
-    );
-    println!(
-        "{:<34} {:>14.2} {:>14.2}",
-        "cache-hit session (verify + GET)", report.session_p50_us, report.session_p99_us
-    );
-    println!(
-        "verify throughput: {:.0} sessions/sec over {:.2} s wall",
-        report.verify_throughput_per_sec, report.hot_elapsed_secs
-    );
-    println!(
-        "verdict cache: {} hits, {} misses (hit rate {:.4}), {} invalidations",
-        report.cache_hits, report.cache_misses, report.cache_hit_rate, report.cache_invalidations
-    );
-    println!(
-        "hot-phase signature verifications: {} (line-rate claim: 0); \
-         TLS-binding checks: {} (one per session)",
-        report.signature_checks, report.tls_binding_checks
-    );
-    println!(
-        "{:<34} {:>14.2} {:>14.2}",
-        "full reconnect (cleared tickets)",
-        report.full_reconnect_p50_us,
-        report.full_reconnect_p99_us
-    );
-    println!(
-        "{:<34} {:>14.2} {:>14.2}",
-        "resumed reconnect (warm ticket)",
-        report.resumed_reconnect_p50_us,
-        report.resumed_reconnect_p99_us
-    );
-    println!(
-        "resumption: {}/{} reconnects resumed (rate {:.4}); resumed arm: {} scalar muls \
-         (one fixed-base fallback ephemeral each), {} evidence fetches",
-        report.resumed_reconnects,
-        report.reconnect_samples,
-        report.resumption_rate,
-        report.resumed_scalar_muls,
-        report.resumed_evidence_fetches
-    );
-    println!(
-        "post-revocation reconnect: {} resumptions (claim: 0), {} evidence fetches \
-         (claim: >= 1 — full re-attestation)",
-        report.post_bump_resumptions, report.post_bump_evidence_fetches
-    );
-    println!("transcript sha256: {}", report.transcript_sha256);
-    match std::fs::write("BENCH_swarm.json", report.to_json()) {
-        Ok(()) => println!("report written: BENCH_swarm.json\n"),
-        Err(e) => println!("(could not write BENCH_swarm.json: {e})\n"),
-    }
-    if std::env::var("REVELIO_SWARM_GATE").as_deref() == Ok("1") {
-        let failures = report.gate_failures();
-        if failures.is_empty() {
-            println!(
-                "swarm gates: PASS (cache-hit session p50 beats cold-verify p50, zero \
-                 hot-phase signature verifications, hit rate >= 0.99, TLS binding checked \
-                 per session; resumed-reconnect p50 beats full-reconnect p50, resumption \
-                 rate >= 0.99, resumed arm did zero DH/signature work and zero evidence \
-                 fetches, revocation forced full re-attestation)\n"
-            );
-        } else {
-            for failure in &failures {
-                eprintln!("swarm gate FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn reconcile() {
-    let (nodes, flaps, horizon_days, threads) = reconcile_dimensions_from_env();
-    println!(
-        "== Reconcile: control-plane convergence under pinned fault seeds \
-         (seed {RECONCILE_SEED:#x}, fault seed {RECONCILE_FAULT_SEED:#x}) =="
-    );
-    println!(
-        "({nodes}-node fleet across two racks; rolling upgrade under a scheduled-heal \
-         partition, replicated {threads}x; seeded drift halt + resume; \
-         {flaps} quarantine flap cycles; {horizon_days}-day renewal horizon)"
-    );
-    let report = run_reconcile(nodes, flaps, horizon_days, threads);
-    println!(
-        "rolling upgrade: converged={} in {} ticks (canary-first={}, leader-last={})",
-        report.upgrade_converged,
-        report.upgrade_convergence_ticks,
-        report.canary_first,
-        report.leader_last
-    );
-    println!(
-        "drift: halted={} naming {} diverging node(s); corrected spec converged={} \
-         in {} ticks",
-        report.drift_halted,
-        report.diverging_named,
-        report.drift_resumed,
-        report.drift_resume_ticks
-    );
-    println!(
-        "flapping: {} partition quarantines, {} re-admissions, {} left off the roster",
-        report.flap_quarantines, report.flap_readmissions, report.flap_residual_quarantined
-    );
-    println!(
-        "renewal: {} renewals across {} daily ticks, {} expiry violations",
-        report.renewals, report.horizon_days, report.expiry_violations
-    );
-    println!(
-        "determinism: {} distinct digest(s) across {} replicas ({} threads)",
-        report.distinct_digests, report.determinism_runs, report.replica_threads
-    );
-    println!("transcript sha256: {}", report.transcript_sha256);
-    println!("harness wall time: {:.1} s", report.wall_secs);
-    match std::fs::write("BENCH_reconcile.json", report.to_json()) {
-        Ok(()) => println!("report written: BENCH_reconcile.json\n"),
-        Err(e) => println!("(could not write BENCH_reconcile.json: {e})\n"),
-    }
-    if std::env::var("REVELIO_RECONCILE_GATE").as_deref() == Ok("1") {
-        let failures = report.gate_failures();
-        if failures.is_empty() {
-            println!(
-                "reconcile gates: PASS (canary-first convergence, drift halt names \
-                 divergents, every healed node re-admitted, no cert past not_after_ms, \
-                 byte-identical transcripts across threads)\n"
-            );
-        } else {
-            for failure in &failures {
-                eprintln!("reconcile gate FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
 }
 
 fn trace() {

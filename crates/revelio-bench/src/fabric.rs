@@ -7,10 +7,9 @@
 //! dials and browses from N threads, and reports wall-clock dial
 //! throughput plus p50/p99 browse latency. A second pass runs the same
 //! dial schedule with sampled tracing and the flight recorder enabled,
-//! which is the overhead column. The JSON report
-//! ([`FabricBenchReport::to_json`]) feeds `BENCH_fabric.json`; the
-//! `REVELIO_FLEET_GATE=1` CI mode asserts the tracing-overhead budget via
-//! [`FabricBenchReport::gate_failures`].
+//! which is the overhead column. The run is one [`BenchReport`] (mode
+//! `fleet`); its one gate, [`gates`], holds the tracing overhead on the
+//! dial p50 to the 10% budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,6 +20,9 @@ use revelio_net::clock::SimClock;
 use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
 use revelio_net::{FaultPlan, NetError};
 use revelio_telemetry::{FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY};
+
+use crate::report::{BenchReport, Cmp, Gate};
+use crate::{dim_from_env, percentile};
 
 /// Deterministic span-sampling stride tracing uses on the data path:
 /// every N-th dial opens a span; the rest pay only the sampling branch.
@@ -44,33 +46,28 @@ pub const DEFAULT_FLEET_DIALS: usize = 20_000;
 /// benchmark.
 pub const DEFAULT_FLEET_TRIALS: usize = 5;
 
-/// Reads the fleet benchmark dimensions, honouring the
-/// `REVELIO_FLEET_NODES` / `REVELIO_FLEET_THREADS` / `REVELIO_FLEET_DIALS`
-/// environment overrides (the CI smoke job runs a reduced fleet).
-#[must_use]
-pub fn fleet_dimensions_from_env() -> (usize, usize, usize) {
-    let read = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(default)
-    };
-    (
-        read("REVELIO_FLEET_NODES", DEFAULT_FLEET_NODES),
-        read("REVELIO_FLEET_THREADS", DEFAULT_FLEET_THREADS),
-        read("REVELIO_FLEET_DIALS", DEFAULT_FLEET_DIALS),
-    )
+/// Reads the fleet benchmark dimensions `(nodes, threads, dials, trials)`,
+/// honouring the `REVELIO_FLEET_NODES` / `REVELIO_FLEET_THREADS` /
+/// `REVELIO_FLEET_DIALS` / `REVELIO_FLEET_TRIALS` environment overrides
+/// (the CI smoke job runs a reduced fleet).
+///
+/// # Errors
+///
+/// Names the first override that is not a positive integer.
+pub fn fleet_dimensions_from_env() -> Result<(usize, usize, usize, usize), String> {
+    Ok((
+        dim_from_env("REVELIO_FLEET_NODES", DEFAULT_FLEET_NODES)?,
+        dim_from_env("REVELIO_FLEET_THREADS", DEFAULT_FLEET_THREADS)?,
+        dim_from_env("REVELIO_FLEET_DIALS", DEFAULT_FLEET_DIALS)?,
+        dim_from_env("REVELIO_FLEET_TRIALS", DEFAULT_FLEET_TRIALS)?,
+    ))
 }
 
-/// Reads the trial count, honouring `REVELIO_FLEET_TRIALS`.
+/// The fleet gate: sampled tracing plus the enabled flight recorder
+/// cost at most 10% on the dial p50.
 #[must_use]
-pub fn fleet_trials_from_env() -> usize {
-    std::env::var("REVELIO_FLEET_TRIALS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_FLEET_TRIALS)
+pub fn gates() -> Vec<Gate> {
+    vec![Gate::value("p50_overhead_percent", Cmp::Le, 10.0)]
 }
 
 /// A modelled fleet node: answers any request with a small page.
@@ -88,172 +85,48 @@ impl Listener for FleetNode {
     }
 }
 
-/// The fabric's provisioning, dial and browse measurements.
-#[derive(Debug, Clone)]
-pub struct FabricFigures {
+/// One trial's provisioning, dial and browse measurements.
+struct FleetTrial {
     /// Wall-clock time to bind the whole fleet (inside one
     /// `SimNet::batch` scope, as `deploy_fleet` provisions), ms.
-    pub provision_ms: f64,
+    provision_ms: f64,
     /// Estimated routing-state footprint per node after provisioning,
     /// bytes. Deterministic (structure sizes and string lengths, no
     /// allocator artifacts), so trials agree on it exactly.
-    pub memory_per_node_bytes: u64,
-    /// Cumulative `revelio_net_snapshot_retire_spins` at the end of the
-    /// run: iterations writers spent waiting for in-flight readers to
-    /// drain. Wall-clock sensitive, reported as the worst trial.
-    pub retire_spins: u64,
-    /// Total dials completed across all threads in the dial phase.
-    pub dials_total: u64,
-    /// Aggregate dial throughput measured on this host, dials/second
-    /// (wall clock). On hosts with fewer cores than benchmark threads it
-    /// partly measures time-slicing.
-    pub wall_dial_throughput_per_sec: f64,
-    /// Total browses (dial + request + response) in the browse phase.
-    pub browses_total: u64,
-    /// Aggregate browse throughput, browses/second (wall clock).
-    pub browse_throughput_per_sec: f64,
-    /// Median per-browse wall-clock latency, µs.
-    pub browse_p50_us: f64,
-    /// 99th-percentile per-browse wall-clock latency, µs.
-    pub browse_p99_us: f64,
+    memory_per_node_bytes: u64,
+    /// Cumulative `revelio_net_snapshot_retire_spins`: iterations
+    /// writers spent waiting for in-flight readers to drain.
+    retire_spins: u64,
+    dials_total: u64,
+    dial_throughput_per_sec: f64,
+    browses_total: u64,
+    browse_throughput_per_sec: f64,
+    browse_p50_us: f64,
+    browse_p99_us: f64,
 }
 
-/// The telemetry-overhead column: the same dial workload on the
-/// fabric with tracing (sampled spans, [`TRACE_SAMPLE_EVERY`])
-/// and the flight recorder enabled, against the untraced baseline.
-#[derive(Debug, Clone)]
-pub struct TelemetryOverheadReport {
-    /// Dials per side (both sides run the identical schedule).
-    pub dials_total: u64,
+/// One trial of the telemetry-overhead column: the same dial workload
+/// with tracing (sampled spans, [`TRACE_SAMPLE_EVERY`]) and the flight
+/// recorder enabled, against the untraced baseline.
+struct OverheadTrial {
     /// Spans the traced side recorded (`⌈dials/stride⌉` per thread).
-    pub spans_recorded: u64,
+    spans_recorded: u64,
     /// Flight-recorder events the traced side recorded — 0 on a clean
     /// run, because clean dials are not notable events.
-    pub recorder_events: u64,
-    /// Median per-dial wall-clock latency, tracing off, µs.
-    pub dial_p50_off_us: f64,
-    /// Median per-dial wall-clock latency, tracing + recorder on, µs.
-    pub dial_p50_on_us: f64,
-    /// Mean per-dial wall-clock latency, tracing off, µs.
-    pub dial_mean_off_us: f64,
-    /// Mean per-dial wall-clock latency, tracing + recorder on, µs —
-    /// unlike the p50 this averages the sampled spans in.
-    pub dial_mean_on_us: f64,
+    recorder_events: u64,
+    dial_p50_off_us: f64,
+    dial_p50_on_us: f64,
+    dial_mean_off_us: f64,
+    /// Unlike the p50 this averages the sampled spans in.
+    dial_mean_on_us: f64,
 }
 
-impl TelemetryOverheadReport {
-    /// Tracing overhead on the dial p50, percent (negative = in the
-    /// noise).
-    #[must_use]
-    pub fn p50_overhead_percent(&self) -> f64 {
-        if self.dial_p50_off_us > 0.0 {
-            (self.dial_p50_on_us / self.dial_p50_off_us - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Tracing overhead on the dial mean, percent.
-    #[must_use]
-    pub fn mean_overhead_percent(&self) -> f64 {
-        if self.dial_mean_off_us > 0.0 {
-            (self.dial_mean_on_us / self.dial_mean_off_us - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    }
-
-    /// One JSON object (embedded in the fabric report).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"sample_every\":{},\"dials_total\":{},\"spans_recorded\":{},",
-                "\"recorder_events\":{},\"dial_p50_off_us\":{:.3},",
-                "\"dial_p50_on_us\":{:.3},\"dial_mean_off_us\":{:.3},",
-                "\"dial_mean_on_us\":{:.3},\"p50_overhead_percent\":{:.2},",
-                "\"mean_overhead_percent\":{:.2}}}"
-            ),
-            TRACE_SAMPLE_EVERY,
-            self.dials_total,
-            self.spans_recorded,
-            self.recorder_events,
-            self.dial_p50_off_us,
-            self.dial_p50_on_us,
-            self.dial_mean_off_us,
-            self.dial_mean_on_us,
-            self.p50_overhead_percent(),
-            self.mean_overhead_percent(),
-        )
-    }
-}
-
-/// The report the fleet benchmark emits.
-#[derive(Debug, Clone)]
-pub struct FabricBenchReport {
-    /// Fleet size (listeners bound).
-    pub nodes: usize,
-    /// OS threads driving the fleet.
-    pub threads: usize,
-    /// Dials per thread in the dial phase.
-    pub dials_per_thread: usize,
-    /// Trials the best-of figures were taken over.
-    pub trials: usize,
-    /// Provisioning, dial and browse figures.
-    pub fleet: FabricFigures,
-    /// Tracing-on vs tracing-off dial latency.
-    pub overhead: TelemetryOverheadReport,
-}
-
-impl FabricBenchReport {
-    /// The CI gate: sampled tracing plus the enabled flight recorder must
-    /// cost at most 10% on the dial p50. Returns one message per failed
-    /// gate.
-    #[must_use]
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut failures = Vec::new();
-        if self.overhead.p50_overhead_percent() > 10.0 {
-            failures.push(format!(
-                "tracing overhead {:.1}% on dial p50 exceeds the 10% budget \
-                 (off {:.2}µs, on {:.2}µs)",
-                self.overhead.p50_overhead_percent(),
-                self.overhead.dial_p50_off_us,
-                self.overhead.dial_p50_on_us,
-            ));
-        }
-        failures
-    }
-
-    /// Serializes the report as JSON (the `BENCH_fabric.json` payload).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let s = &self.fleet;
-        format!(
-            concat!(
-                "{{\"benchmark\":\"fabric_fleet\",\"nodes\":{},\"threads\":{},",
-                "\"dials_per_thread\":{},\"trials\":{},",
-                "\"fleet\":{{\"provision_ms\":{:.3},",
-                "\"memory_per_node_bytes\":{},\"retire_spins\":{},",
-                "\"dials_total\":{},\"wall_dial_throughput_per_sec\":{:.1},",
-                "\"browses_total\":{},\"browse_throughput_per_sec\":{:.1},",
-                "\"browse_p50_us\":{:.2},\"browse_p99_us\":{:.2}}},",
-                "\"telemetry_overhead\":{}}}\n"
-            ),
-            self.nodes,
-            self.threads,
-            self.dials_per_thread,
-            self.trials,
-            s.provision_ms,
-            s.memory_per_node_bytes,
-            s.retire_spins,
-            s.dials_total,
-            s.wall_dial_throughput_per_sec,
-            s.browses_total,
-            s.browse_throughput_per_sec,
-            s.browse_p50_us,
-            s.browse_p99_us,
-            self.overhead.to_json(),
-        )
+/// Tracing overhead, percent (negative = in the noise).
+fn overhead_percent(off: f64, on: f64) -> f64 {
+    if off > 0.0 {
+        (on / off - 1.0) * 100.0
+    } else {
+        0.0
     }
 }
 
@@ -272,7 +145,7 @@ fn fleet_net() -> SimNet {
 
 /// One trial: provision `nodes` listeners, then a dial-throughput phase
 /// and a browse-latency phase across `threads` OS threads.
-fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FabricFigures {
+fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FleetTrial {
     let net = fleet_net();
 
     // Provision inside one batch scope, exactly as `deploy_fleet` does:
@@ -344,24 +217,17 @@ fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FabricFig
     });
     let browse_elapsed = browse_start.elapsed().as_secs_f64();
     latencies_us.sort_by(|a, b| a.total_cmp(b));
-    let percentile = |p: f64| -> f64 {
-        if latencies_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies_us.len() as f64 - 1.0) * p).round() as usize;
-        latencies_us[idx]
-    };
 
-    FabricFigures {
+    FleetTrial {
         provision_ms,
         memory_per_node_bytes,
         retire_spins: net.snapshot_retire_spins(),
         dials_total,
-        wall_dial_throughput_per_sec: dials_total as f64 / dial_elapsed.max(1e-9),
+        dial_throughput_per_sec: dials_total as f64 / dial_elapsed.max(1e-9),
         browses_total: latencies_us.len() as u64,
         browse_throughput_per_sec: latencies_us.len() as f64 / browse_elapsed.max(1e-9),
-        browse_p50_us: percentile(0.50),
-        browse_p99_us: percentile(0.99),
+        browse_p50_us: percentile(&latencies_us, 0.50),
+        browse_p99_us: percentile(&latencies_us, 0.99),
     }
 }
 
@@ -372,11 +238,7 @@ fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FabricFig
 /// dial pays the sampling branch and the recorder's is-it-notable check
 /// (a clean dial records nothing), which is exactly the production
 /// data-path configuration DESIGN.md documents.
-fn run_overhead_trial(
-    nodes: usize,
-    threads: usize,
-    dials_per_thread: usize,
-) -> TelemetryOverheadReport {
+fn run_overhead_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> OverheadTrial {
     let net = fleet_net();
     let clock = net.clock().clone();
     for i in 0..nodes {
@@ -435,8 +297,7 @@ fn run_overhead_trial(
     let recorder = FlightRecorder::new(clock, DEFAULT_FLIGHT_CAPACITY);
     let (dial_p50_on_us, dial_mean_on_us) = run_dials(Some(&telemetry), Some(&recorder));
 
-    TelemetryOverheadReport {
-        dials_total: (threads * dials_per_thread) as u64,
+    OverheadTrial {
         spans_recorded: telemetry.span_count() as u64,
         recorder_events: recorder.len() as u64,
         dial_p50_off_us,
@@ -446,41 +307,22 @@ fn run_overhead_trial(
     }
 }
 
-/// Folds an overhead trial into the best-of figures (same rationale as
-/// [`fold_best`]: noise only adds time, so minima are closest to truth).
-fn fold_best_overhead(best: &mut TelemetryOverheadReport, trial: TelemetryOverheadReport) {
-    debug_assert_eq!(best.spans_recorded, trial.spans_recorded);
-    best.dial_p50_off_us = best.dial_p50_off_us.min(trial.dial_p50_off_us);
-    best.dial_p50_on_us = best.dial_p50_on_us.min(trial.dial_p50_on_us);
-    best.dial_mean_off_us = best.dial_mean_off_us.min(trial.dial_mean_off_us);
-    best.dial_mean_on_us = best.dial_mean_on_us.min(trial.dial_mean_on_us);
-}
-
-/// Folds a later trial into the best-of figures: scheduler noise only
-/// ever slows a trial down, so the fastest observation of each figure is
-/// the closest to the true cost. The deterministic counters (dials,
-/// memory) are identical across trials and are kept from the first.
-fn fold_best(best: &mut FabricFigures, trial: FabricFigures) {
-    debug_assert_eq!(best.dials_total, trial.dials_total);
-    debug_assert_eq!(best.memory_per_node_bytes, trial.memory_per_node_bytes);
-    best.provision_ms = best.provision_ms.min(trial.provision_ms);
-    // Writer-stall accounting is a *cost* counter: report the worst
-    // trial, so a retire stall on any trial is visible in the artifact.
-    best.retire_spins = best.retire_spins.max(trial.retire_spins);
-    best.wall_dial_throughput_per_sec = best
-        .wall_dial_throughput_per_sec
-        .max(trial.wall_dial_throughput_per_sec);
-    best.browse_throughput_per_sec = best
-        .browse_throughput_per_sec
-        .max(trial.browse_throughput_per_sec);
-    best.browse_p50_us = best.browse_p50_us.min(trial.browse_p50_us);
-    best.browse_p99_us = best.browse_p99_us.min(trial.browse_p99_us);
+/// The best of `trials` by `pick` (`f64::min` or `f64::max`).
+fn best<T>(trials: &[T], figure: impl Fn(&T) -> f64, pick: fn(f64, f64) -> f64) -> f64 {
+    trials
+        .iter()
+        .map(figure)
+        .reduce(pick)
+        .expect("at least one trial")
 }
 
 /// Provisions a `nodes`-listener fleet and measures dial throughput and
 /// browse latency across `threads` OS threads, then the telemetry
 /// overhead on the same dial schedule. Each of the `trials` rounds runs
-/// both; every figure reports its best round.
+/// both. Scheduler noise only ever slows a trial down, so every
+/// wall-clock figure reports its best round; the retire-spin count, a
+/// cost, reports its worst so a stall on any trial is visible. The
+/// deterministic counters agree across trials and come from the first.
 ///
 /// # Panics
 ///
@@ -493,25 +335,92 @@ pub fn run_fabric_bench(
     threads: usize,
     dials_per_thread: usize,
     trials: usize,
-) -> FabricBenchReport {
+) -> BenchReport {
     assert!(trials > 0, "at least one trial");
-    let mut fleet = run_trial(nodes, threads, dials_per_thread);
-    let mut overhead = run_overhead_trial(nodes, threads, dials_per_thread);
-    for _ in 1..trials {
-        fold_best(&mut fleet, run_trial(nodes, threads, dials_per_thread));
-        fold_best_overhead(
-            &mut overhead,
-            run_overhead_trial(nodes, threads, dials_per_thread),
-        );
+    let mut fleet = Vec::with_capacity(trials);
+    let mut overhead = Vec::with_capacity(trials);
+    for _ in 0..trials {
+        fleet.push(run_trial(nodes, threads, dials_per_thread));
+        overhead.push(run_overhead_trial(nodes, threads, dials_per_thread));
     }
-    FabricBenchReport {
-        nodes,
-        threads,
-        dials_per_thread,
-        trials,
-        fleet,
-        overhead,
-    }
+    let (first, first_overhead) = (&fleet[0], &overhead[0]);
+
+    let mut report = BenchReport::new(
+        "fleet",
+        &[
+            ("nodes", nodes as u64),
+            ("threads", threads as u64),
+            ("dials_per_thread", dials_per_thread as u64),
+            ("trials", trials as u64),
+            ("trace_sample_every", TRACE_SAMPLE_EVERY as u64),
+        ],
+    );
+    let min = f64::min;
+    let max = f64::max;
+    report.wall("provision_ms", "ms", best(&fleet, |t| t.provision_ms, min));
+    report.count(
+        "memory_per_node_bytes",
+        "bytes",
+        first.memory_per_node_bytes as f64,
+    );
+    report.count(
+        "retire_spins",
+        "spins",
+        best(&fleet, |t| t.retire_spins as f64, max),
+    );
+    report.count("dials_total", "dials", first.dials_total as f64);
+    report.wall(
+        "wall_dial_throughput_per_sec",
+        "1/s",
+        best(&fleet, |t| t.dial_throughput_per_sec, max),
+    );
+    report.count("browses_total", "browses", first.browses_total as f64);
+    report.wall(
+        "browse_throughput_per_sec",
+        "1/s",
+        best(&fleet, |t| t.browse_throughput_per_sec, max),
+    );
+    report.wall(
+        "browse_p50_us",
+        "us",
+        best(&fleet, |t| t.browse_p50_us, min),
+    );
+    report.wall(
+        "browse_p99_us",
+        "us",
+        best(&fleet, |t| t.browse_p99_us, min),
+    );
+
+    report.count(
+        "spans_recorded",
+        "spans",
+        first_overhead.spans_recorded as f64,
+    );
+    report.count(
+        "recorder_events",
+        "events",
+        first_overhead.recorder_events as f64,
+    );
+    let p50_off = best(&overhead, |t| t.dial_p50_off_us, min);
+    let p50_on = best(&overhead, |t| t.dial_p50_on_us, min);
+    let mean_off = best(&overhead, |t| t.dial_mean_off_us, min);
+    let mean_on = best(&overhead, |t| t.dial_mean_on_us, min);
+    report.wall("dial_p50_off_us", "us", p50_off);
+    report.wall("dial_p50_on_us", "us", p50_on);
+    report.wall("dial_mean_off_us", "us", mean_off);
+    report.wall("dial_mean_on_us", "us", mean_on);
+    report.wall(
+        "p50_overhead_percent",
+        "%",
+        overhead_percent(p50_off, p50_on),
+    );
+    report.wall(
+        "mean_overhead_percent",
+        "%",
+        overhead_percent(mean_off, mean_on),
+    );
+    report.gates = gates();
+    report
 }
 
 /// One point of the retry-budget ablation.
@@ -576,19 +485,12 @@ pub fn run_retry_ablation(
                 }
             }
             latencies.sort_by(|a, b| a.total_cmp(b));
-            let pct = |p: f64| -> f64 {
-                if latencies.is_empty() {
-                    return 0.0;
-                }
-                let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                latencies[idx]
-            };
             RetryAblationPoint {
                 max_attempts,
                 successes: latencies.len(),
                 samples,
-                p50_ms: pct(0.50),
-                p95_ms: pct(0.95),
+                p50_ms: percentile(&latencies, 0.50),
+                p95_ms: percentile(&latencies, 0.95),
             }
         })
         .collect()
@@ -601,35 +503,32 @@ mod tests {
     #[test]
     fn fabric_bench_small_fleet_completes() {
         // Wall-clock figures are never asserted — machines differ. Two
-        // trials exercise the best-of fold and its deterministic-counter
-        // invariants.
+        // trials exercise the best-of fold.
         let report = run_fabric_bench(32, 4, 64, 2);
-        assert_eq!(report.nodes, 32);
-        let fleet = &report.fleet;
-        assert_eq!(fleet.dials_total, 4 * 64);
-        assert!(fleet.browses_total > 0, "ran no browses");
-        assert!(fleet.browse_p99_us >= fleet.browse_p50_us);
-        assert!(fleet.wall_dial_throughput_per_sec > 0.0);
+        let figure = |name: &str| report.metric(name).expect(name);
+        assert_eq!(report.dims[0], ("nodes", 32));
+        assert_eq!(figure("dials_total"), (4 * 64) as f64);
+        assert!(figure("browses_total") > 0.0, "ran no browses");
+        assert!(figure("browse_p99_us") >= figure("browse_p50_us"));
+        assert!(figure("wall_dial_throughput_per_sec") > 0.0);
         // The memory column is deterministic and never zero for a
         // provisioned fleet.
-        assert!(fleet.memory_per_node_bytes > 0);
+        assert!(figure("memory_per_node_bytes") > 0.0);
     }
 
     #[test]
     fn fabric_report_json_carries_the_fleet_and_overhead_figures() {
-        let report = run_fabric_bench(8, 2, 16, 1);
-        let json = report.to_json();
+        let json = run_fabric_bench(8, 2, 16, 1).to_json();
         for key in [
-            "\"benchmark\":\"fabric_fleet\"",
+            "\"mode\":\"fleet\"",
             "\"trials\":1",
-            "\"fleet\"",
             "\"provision_ms\"",
             "\"wall_dial_throughput_per_sec\"",
             "\"browse_p99_us\"",
             "\"memory_per_node_bytes\"",
             "\"retire_spins\"",
-            "\"telemetry_overhead\"",
             "\"p50_overhead_percent\"",
+            "\"metric\":\"p50_overhead_percent\",\"cmp\":\"<=\",\"bound\":10",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -638,14 +537,14 @@ mod tests {
     #[test]
     fn overhead_column_samples_spans_and_records_nothing_clean() {
         let report = run_fabric_bench(8, 2, 16, 1);
-        let overhead = &report.overhead;
-        assert_eq!(overhead.dials_total, 2 * 16);
-        // Every thread samples ⌈16/8⌉ = 2 spans.
-        assert_eq!(overhead.spans_recorded, 2 * 2);
+        let figure = |name: &str| report.metric(name).expect(name);
+        // The overhead pass dials the same schedule as the dial phase,
+        // and every thread samples ⌈16/8⌉ = 2 spans.
+        assert_eq!(figure("spans_recorded"), (2 * 2) as f64);
         // A clean run is not notable: the enabled recorder stays empty.
-        assert_eq!(overhead.recorder_events, 0);
-        assert!(overhead.dial_p50_off_us > 0.0);
-        assert!(overhead.dial_p50_on_us > 0.0);
+        assert_eq!(figure("recorder_events"), 0.0);
+        assert!(figure("dial_p50_off_us") > 0.0);
+        assert!(figure("dial_p50_on_us") > 0.0);
     }
 
     #[test]

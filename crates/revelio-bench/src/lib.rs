@@ -1,6 +1,7 @@
 //! Experiment implementations for every table and figure in the paper's
-//! evaluation (§6), shared by the Criterion benches and the `repro`
-//! binary.
+//! evaluation (§6), plus the fleet, swarm, reconcile and chaos harnesses,
+//! all driven by the `repro` binary. The harnesses emit one record type,
+//! [`BenchReport`].
 //!
 //! # Scaling
 //!
@@ -14,19 +15,22 @@
 
 pub mod fabric;
 pub mod reconcile;
+pub mod report;
 pub mod swarm;
 pub mod trace_demo;
 
+use std::str::FromStr;
 use std::sync::Arc;
 
 pub use fabric::{
-    fleet_dimensions_from_env, fleet_trials_from_env, run_fabric_bench, run_retry_ablation,
-    FabricBenchReport, RetryAblationPoint, TelemetryOverheadReport, TRACE_SAMPLE_EVERY,
+    fleet_dimensions_from_env, run_fabric_bench, run_retry_ablation, RetryAblationPoint,
+    TRACE_SAMPLE_EVERY,
 };
 pub use reconcile::{
-    reconcile_dimensions_from_env, run_reconcile, ReconcileReport, RECONCILE_DOMAIN,
-    RECONCILE_FAULT_SEED, RECONCILE_SEED,
+    reconcile_dimensions_from_env, run_reconcile, RECONCILE_DOMAIN, RECONCILE_FAULT_SEED,
+    RECONCILE_SEED,
 };
+pub use report::BenchReport;
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
 use revelio_boot::firmware::FirmwareKind;
@@ -42,13 +46,59 @@ use revelio_storage::probed::ProbedDevice;
 use revelio_storage::verity::{VerityDevice, VerityParams, VerityTree};
 use revelio_telemetry::{DeviceProbe, Telemetry};
 use sev_snp::ids::GuestPolicy;
-pub use swarm::{run_swarm, swarm_dimensions_from_env, SwarmReport, SWARM_DOMAIN, SWARM_SEED};
+pub use swarm::{run_swarm, swarm_dimensions_from_env, SWARM_DOMAIN, SWARM_SEED};
 pub use trace_demo::{
     run_trace_demo, TraceDemoReport, TraceScenario, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED,
 };
 
 /// Size scale factor: simulated bytes × `SCALE` = paper bytes.
 pub const SCALE: u64 = 64;
+
+/// Parses one dimension override. `raw` is the environment variable's
+/// value, `None` when it is unset (which selects `default`). Anything
+/// but a positive integer, surrounding whitespace aside, is an error
+/// naming the variable: a typo must not silently run the full-scale
+/// default.
+///
+/// # Errors
+///
+/// Returns the message to print when `raw` is zero or does not parse.
+pub fn env_dim<T>(name: &str, raw: Option<&str>, default: T) -> Result<T, String>
+where
+    T: FromStr + From<u8> + PartialEq,
+{
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.trim().parse::<T>() {
+        Ok(value) if value != T::from(0) => Ok(value),
+        _ => Err(format!("{name}={raw:?}: expected a positive integer")),
+    }
+}
+
+/// [`env_dim`] over the process environment. A value that is not UTF-8
+/// fails to parse rather than being ignored.
+///
+/// # Errors
+///
+/// As [`env_dim`].
+pub fn dim_from_env<T>(name: &str, default: T) -> Result<T, String>
+where
+    T: FromStr + From<u8> + PartialEq,
+{
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    env_dim(name, raw.as_deref(), default)
+}
+
+/// The `p`-quantile of ascending `sorted`, by round-to-nearest rank; 0
+/// for an empty slice.
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}
 
 /// Modelled raw-disk sequential read cost, ns per byte (≈55 MB/s — the
 /// paper testbed's virtio disk). The I/O experiments charge a sim clock
@@ -579,64 +629,20 @@ pub fn run_telemetry(seed: u64) -> Telemetry {
     world.telemetry.clone()
 }
 
-/// The headline Table 2/3 figures of one fleet run under a fault
-/// scenario — the ROADMAP "chaos column".
-#[derive(Debug, Clone)]
-pub struct ChaosRow {
-    /// Scenario label (`clean`, `lossy`, `partitioned`).
-    pub scenario: &'static str,
-    /// Table 2: per-phase SP timings over the *surviving* nodes.
-    pub timings: revelio::sp::SpTimings,
-    /// Nodes the SP quarantined during provisioning.
-    pub quarantined: usize,
-    /// Table 3: cold attested page access against the certified fleet,
-    /// ms (the extension's retries ride through residual loss).
-    pub attested_get_ms: f64,
-    /// Table 3: one monitored request on the attested session, ms.
-    pub monitored_get_ms: f64,
-    /// Faults the fabric injected across the whole run.
-    pub faults_injected: u64,
-}
-
-impl ChaosRow {
-    /// One JSON object, hand-rolled like [`FabricBenchReport::to_json`].
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scenario\":\"{}\",\"evidence_retrieval_ms\":{:.3},",
-                "\"evidence_validation_ms\":{:.3},",
-                "\"certificate_generation_ms\":{:.3},",
-                "\"certificate_distribution_ms\":{:.3},",
-                "\"quarantined\":{},\"attested_get_ms\":{:.3},",
-                "\"monitored_get_ms\":{:.3},\"faults_injected\":{}}}"
-            ),
-            self.scenario,
-            self.timings.evidence_retrieval_ms,
-            self.timings.evidence_validation_ms,
-            self.timings.certificate_generation_ms,
-            self.timings.certificate_distribution_ms,
-            self.quarantined,
-            self.attested_get_ms,
-            self.monitored_get_ms,
-            self.faults_injected,
-        )
-    }
-}
-
 /// Runs the chaos column: the Table 2/3 headline figures re-measured
 /// under calibrated loss and under a one-subnet partition, next to the
 /// clean baseline. Every scenario deploys the same 16-node fleet
 /// (12 nodes in subnet 113, 4 in subnet 114); `fault_seed` keys the
 /// deterministic fault streams, so a pinned seed gives byte-identical
-/// figures on every run and host.
+/// figures on every run and host. Each figure is reported as
+/// `<scenario>.<figure>`; the column has no gates.
 ///
 /// # Panics
 ///
 /// Panics if a scenario's surviving fleet cannot serve an attested page
 /// (the partition-tolerance invariant the test suite pins).
 #[must_use]
-pub fn run_chaos_column(fault_seed: u64) -> Vec<ChaosRow> {
+pub fn run_chaos_column(fault_seed: u64) -> BenchReport {
     use revelio::extension::BrowseVerdict;
     use revelio_net::{FaultDomain, FaultPlan};
 
@@ -665,60 +671,86 @@ pub fn run_chaos_column(fault_seed: u64) -> Vec<ChaosRow> {
         }),
     ];
 
-    scenarios
-        .into_iter()
-        .map(|(scenario, inject)| {
-            let mut world = SimWorld::new(500);
-            world.set_fault_seed(fault_seed);
-            inject(&world);
-            let fleet = world
-                .deploy_fleet_in_subnets("pad.example.org", &[(113, 12), (114, 4)], demo_app())
-                .expect("survivors provision");
-            let extension = world.extension();
-            extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
-            let browse = extension.browse("pad.example.org", "/");
-            assert_eq!(
-                BrowseVerdict::classify(&browse),
-                BrowseVerdict::Attested,
-                "scenario {scenario}: certified fleet must serve: {browse:?}"
-            );
-            let cold = browse.expect("classified attested");
-            let mut session = extension
-                .open_monitored("pad.example.org")
-                .expect("monitored session");
-            // Monitored requests carry no internal retry; under residual
-            // loss a dropped exchange closes the session, and the
-            // extension's re-attesting reconnect re-establishes it.
-            let mut monitored_get_ms = None;
-            for _ in 0..12 {
-                let (result, ms) = world.clock.time_ms(|| session.request("/"));
-                match result {
-                    Ok(_) => {
-                        monitored_get_ms = Some(ms);
-                        break;
-                    }
-                    Err(err) => {
-                        assert!(
-                            err.is_transient(),
-                            "scenario {scenario}: monitored request reached a \
-                             verdict error under pure network faults: {err:?}"
-                        );
-                        // Transient reconnect failures loop back around.
-                        let _ = extension.reconnect(&mut session);
-                    }
+    let mut report = BenchReport::new("chaos", &[("fault_seed", fault_seed)]);
+    for (scenario, inject) in scenarios {
+        let mut world = SimWorld::new(500);
+        world.set_fault_seed(fault_seed);
+        inject(&world);
+        let fleet = world
+            .deploy_fleet_in_subnets("pad.example.org", &[(113, 12), (114, 4)], demo_app())
+            .expect("survivors provision");
+        let extension = world.extension();
+        extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
+        let browse = extension.browse("pad.example.org", "/");
+        assert_eq!(
+            BrowseVerdict::classify(&browse),
+            BrowseVerdict::Attested,
+            "scenario {scenario}: certified fleet must serve: {browse:?}"
+        );
+        let cold = browse.expect("classified attested");
+        let mut session = extension
+            .open_monitored("pad.example.org")
+            .expect("monitored session");
+        // Monitored requests carry no internal retry; under residual
+        // loss a dropped exchange closes the session, and the
+        // extension's re-attesting reconnect re-establishes it.
+        let mut monitored_get_ms = None;
+        for _ in 0..12 {
+            let (result, ms) = world.clock.time_ms(|| session.request("/"));
+            match result {
+                Ok(_) => {
+                    monitored_get_ms = Some(ms);
+                    break;
+                }
+                Err(err) => {
+                    assert!(
+                        err.is_transient(),
+                        "scenario {scenario}: monitored request reached a \
+                         verdict error under pure network faults: {err:?}"
+                    );
+                    // Transient reconnect failures loop back around.
+                    let _ = extension.reconnect(&mut session);
                 }
             }
-            let monitored_get_ms = monitored_get_ms.expect("monitored request under residual loss");
-            ChaosRow {
-                scenario,
-                timings: fleet.provision.timings,
-                quarantined: fleet.provision.quarantined.len(),
-                attested_get_ms: cold.timing.total_ms,
-                monitored_get_ms,
-                faults_injected: world.net.faults_injected(),
-            }
-        })
-        .collect()
+        }
+        let monitored_get_ms = monitored_get_ms.expect("monitored request under residual loss");
+        let timings = fleet.provision.timings;
+        for (figure, ms) in [
+            ("evidence_retrieval_ms", timings.evidence_retrieval_ms),
+            ("evidence_validation_ms", timings.evidence_validation_ms),
+            (
+                "certificate_generation_ms",
+                timings.certificate_generation_ms,
+            ),
+            (
+                "certificate_distribution_ms",
+                timings.certificate_distribution_ms,
+            ),
+        ] {
+            report.sim(format!("{scenario}.{figure}"), "ms", ms);
+        }
+        report.count(
+            format!("{scenario}.quarantined"),
+            "nodes",
+            fleet.provision.quarantined.len() as f64,
+        );
+        report.sim(
+            format!("{scenario}.attested_get_ms"),
+            "ms",
+            cold.timing.total_ms,
+        );
+        report.sim(
+            format!("{scenario}.monitored_get_ms"),
+            "ms",
+            monitored_get_ms,
+        );
+        report.count(
+            format!("{scenario}.faults_injected"),
+            "faults",
+            world.net.faults_injected() as f64,
+        );
+    }
+    report
 }
 
 #[cfg(test)]
@@ -810,24 +842,36 @@ mod tests {
     fn chaos_column_quarantines_the_partitioned_rack_deterministically() {
         let a = run_chaos_column(0xC4A0_5004);
         let b = run_chaos_column(0xC4A0_5004);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].scenario, "clean");
-        assert_eq!(a[0].quarantined, 0);
-        assert_eq!(a[0].faults_injected, 0);
-        assert_eq!(a[2].scenario, "partitioned");
-        assert_eq!(a[2].quarantined, 4);
-        assert!(a[2].faults_injected > 0);
+        let figure = |name: &str| a.metric(name).expect(name);
+        assert_eq!(figure("clean.quarantined"), 0.0);
+        assert_eq!(figure("clean.faults_injected"), 0.0);
+        assert_eq!(figure("partitioned.quarantined"), 4.0);
+        assert!(figure("partitioned.faults_injected") > 0.0);
         // Quarantined nodes must not dilute the per-phase averages: the
         // partitioned run's validation figure matches the clean run's.
+        let clean = figure("clean.evidence_validation_ms");
+        let partitioned = figure("partitioned.evidence_validation_ms");
         assert!(
-            (a[2].timings.evidence_validation_ms - a[0].timings.evidence_validation_ms).abs() < 1.0,
-            "validation average diluted: {:?} vs {:?}",
-            a[2].timings,
-            a[0].timings
+            (partitioned - clean).abs() < 1.0,
+            "validation average diluted: {partitioned} vs {clean}"
         );
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_json(), y.to_json(), "chaos column not deterministic");
+        assert_eq!(a.to_json(), b.to_json(), "chaos column not deterministic");
+    }
+
+    #[test]
+    fn env_dim_accepts_positive_integers_and_rejects_the_rest() {
+        let dim = |raw| env_dim("REVELIO_X", raw, 7usize);
+        assert_eq!(dim(None), Ok(7));
+        assert_eq!(dim(Some("50000")), Ok(50_000));
+        assert_eq!(dim(Some(" 4\n")), Ok(4));
+        for bad in ["0", "50k", "", "-3", "1e6"] {
+            let err = dim(Some(bad)).expect_err(bad);
+            assert!(err.starts_with("REVELIO_X="), "{err}");
         }
+        assert_eq!(
+            env_dim("REVELIO_CHAOS_SEED", Some("3298840577"), 1u64),
+            Ok(3_298_840_577)
+        );
     }
 
     #[test]

@@ -32,6 +32,9 @@ use revelio::reconcile::{FleetSpec, RolloutPhase};
 use revelio::world::SimWorld;
 use revelio_net::FaultDomain;
 
+use crate::dim_from_env;
+use crate::report::{BenchReport, Cmp, Gate};
+
 /// The domain the reconcile fleet serves.
 pub const RECONCILE_DOMAIN: &str = "pad.example.org";
 
@@ -49,21 +52,44 @@ pub const RECONCILE_FAULT_SEED: u64 = 0xC4A0_5004;
 /// `REVELIO_RECONCILE_NODES`, `REVELIO_RECONCILE_FLAPS`,
 /// `REVELIO_RECONCILE_DAYS`, and `REVELIO_RECONCILE_THREADS` for CI
 /// smoke scale.
+///
+/// # Errors
+///
+/// Names the first override that is not a positive integer.
+pub fn reconcile_dimensions_from_env() -> Result<(usize, usize, usize, usize), String> {
+    Ok((
+        dim_from_env("REVELIO_RECONCILE_NODES", 6)?.max(3),
+        dim_from_env("REVELIO_RECONCILE_FLAPS", 3)?,
+        dim_from_env("REVELIO_RECONCILE_DAYS", 200)?,
+        dim_from_env("REVELIO_RECONCILE_THREADS", 16)?,
+    ))
+}
+
+/// The reconcile gates for a `horizon_days` renewal horizon:
+///
+/// * the rolling upgrade converged, canary-first, leader last;
+/// * the seeded drift halted the rollout naming ≥ 1 diverging node,
+///   and the corrected spec converged;
+/// * every flapped node was quarantined and then re-admitted, with
+///   nobody left off the roster;
+/// * one renewal per 90-day certificate lifetime in the horizon
+///   happened, and no tick ever observed an expired chain;
+/// * every determinism replica produced the same transcript digest.
 #[must_use]
-pub fn reconcile_dimensions_from_env() -> (usize, usize, usize, usize) {
-    let dim = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(default)
-    };
-    (
-        dim("REVELIO_RECONCILE_NODES", 6).max(3),
-        dim("REVELIO_RECONCILE_FLAPS", 3),
-        dim("REVELIO_RECONCILE_DAYS", 200),
-        dim("REVELIO_RECONCILE_THREADS", 16),
-    )
+pub fn gates(horizon_days: usize) -> Vec<Gate> {
+    vec![
+        Gate::value("upgrade_converged", Cmp::Eq, 1.0),
+        Gate::value("canary_first", Cmp::Eq, 1.0),
+        Gate::value("leader_last", Cmp::Eq, 1.0),
+        Gate::value("drift_halted", Cmp::Eq, 1.0),
+        Gate::value("diverging_named", Cmp::Gt, 0.0),
+        Gate::value("drift_resumed", Cmp::Eq, 1.0),
+        Gate::metric("flap_readmissions", Cmp::Eq, "flap_quarantines"),
+        Gate::value("flap_residual_quarantined", Cmp::Eq, 0.0),
+        Gate::value("renewals", Cmp::Ge, (horizon_days / 90) as f64),
+        Gate::value("expiry_violations", Cmp::Eq, 0.0),
+        Gate::value("distinct_digests", Cmp::Eq, 1.0),
+    ]
 }
 
 /// Splits `nodes` across the two racks (rack 114 is the flapping one).
@@ -144,165 +170,11 @@ fn run_upgrade_scenario(nodes: usize) -> UpgradeOutcome {
     }
 }
 
-/// Results of one reconcile run.
-#[derive(Debug, Clone)]
-pub struct ReconcileReport {
-    /// Fleet size across the two racks.
-    pub nodes: usize,
-    /// Partition/heal cycles in the flapping soak.
-    pub flaps: usize,
-    /// Daily ticks in the renewal horizon.
-    pub horizon_days: usize,
-    /// Concurrent determinism replicas (one OS thread each).
-    pub replica_threads: usize,
-    /// Whether the rolling upgrade converged within its tick budget.
-    pub upgrade_converged: bool,
-    /// Ticks the upgrade scenario ran until convergence.
-    pub upgrade_convergence_ticks: u64,
-    /// Canary-pass preceded every wave upgrade.
-    pub canary_first: bool,
-    /// The serving leader was the last wave upgrade.
-    pub leader_last: bool,
-    /// The seeded drift halted the rollout.
-    pub drift_halted: bool,
-    /// Diverging nodes named by the halt (node → measured value).
-    pub diverging_named: usize,
-    /// The corrected spec converged after the halt.
-    pub drift_resumed: bool,
-    /// Ticks from re-declared spec to convergence.
-    pub drift_resume_ticks: u64,
-    /// Partition quarantines across the flapping soak.
-    pub flap_quarantines: u64,
-    /// Re-admissions across the flapping soak — must equal the
-    /// quarantines: every healed node rejoins.
-    pub flap_readmissions: u64,
-    /// Nodes still quarantined when the soak ended (must be 0).
-    pub flap_residual_quarantined: usize,
-    /// Certificate renewals across the horizon.
-    pub renewals: u64,
-    /// Ticks that observed the chain past `not_after_ms` (must be 0).
-    pub expiry_violations: u64,
-    /// Total upgrade-scenario replicas in the determinism sweep.
-    pub determinism_runs: usize,
-    /// Distinct transcript digests across all replicas (must be 1).
-    pub distinct_digests: usize,
-    /// The (sole, when deterministic) upgrade transcript digest, hex.
-    pub transcript_sha256: String,
-    /// Harness wall time, seconds. Reported for CI budgeting only —
-    /// every scenario quantity above is sim-clock or transcript-derived.
-    pub wall_secs: f64,
-}
-
-impl ReconcileReport {
-    /// Serializes the report for `BENCH_reconcile.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"nodes\":{},\"flaps\":{},\"horizon_days\":{},",
-                "\"replica_threads\":{},",
-                "\"upgrade_converged\":{},\"upgrade_convergence_ticks\":{},",
-                "\"canary_first\":{},\"leader_last\":{},",
-                "\"drift_halted\":{},\"diverging_named\":{},",
-                "\"drift_resumed\":{},\"drift_resume_ticks\":{},",
-                "\"flap_quarantines\":{},\"flap_readmissions\":{},",
-                "\"flap_residual_quarantined\":{},",
-                "\"renewals\":{},\"expiry_violations\":{},",
-                "\"determinism_runs\":{},",
-                "\"distinct_digests\":{},",
-                "\"transcript_sha256\":\"{}\",",
-                "\"wall_secs\":{:.3}}}"
-            ),
-            self.nodes,
-            self.flaps,
-            self.horizon_days,
-            self.replica_threads,
-            self.upgrade_converged,
-            self.upgrade_convergence_ticks,
-            self.canary_first,
-            self.leader_last,
-            self.drift_halted,
-            self.diverging_named,
-            self.drift_resumed,
-            self.drift_resume_ticks,
-            self.flap_quarantines,
-            self.flap_readmissions,
-            self.flap_residual_quarantined,
-            self.renewals,
-            self.expiry_violations,
-            self.determinism_runs,
-            self.distinct_digests,
-            self.transcript_sha256,
-            self.wall_secs,
-        )
-    }
-
-    /// The reconcile gates, empty when all hold:
-    ///
-    /// * the rolling upgrade converged, canary-first, leader last;
-    /// * the seeded drift halted the rollout naming ≥ 1 diverging node,
-    ///   and the corrected spec converged;
-    /// * every flapped node was quarantined and then re-admitted, with
-    ///   nobody left off the roster;
-    /// * one renewal per 90-day certificate lifetime in the horizon
-    ///   happened, and no tick ever observed an expired chain;
-    /// * every determinism replica produced the same transcript digest.
-    #[must_use]
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut failures = Vec::new();
-        if !self.upgrade_converged {
-            failures.push(format!(
-                "rolling upgrade did not converge within budget ({} ticks run)",
-                self.upgrade_convergence_ticks
-            ));
-        }
-        if !self.canary_first {
-            failures.push("a wave upgrade ran before canary-pass".to_owned());
-        }
-        if !self.leader_last {
-            failures.push("the serving leader was not the last wave upgrade".to_owned());
-        }
-        if !self.drift_halted || self.diverging_named == 0 {
-            failures.push(format!(
-                "seeded drift did not halt the rollout with named divergents \
-                 (halted={}, named={})",
-                self.drift_halted, self.diverging_named
-            ));
-        }
-        if !self.drift_resumed {
-            failures.push("corrected spec did not converge after the drift halt".to_owned());
-        }
-        if self.flap_readmissions != self.flap_quarantines || self.flap_residual_quarantined != 0 {
-            failures.push(format!(
-                "healed nodes not fully re-admitted: {} quarantines, {} readmissions, \
-                 {} still off the roster",
-                self.flap_quarantines, self.flap_readmissions, self.flap_residual_quarantined
-            ));
-        }
-        let expected_renewals = (self.horizon_days / 90) as u64;
-        if self.renewals < expected_renewals {
-            failures.push(format!(
-                "expected >= {} certificate renewals across the {}-day horizon, got {}",
-                expected_renewals, self.horizon_days, self.renewals
-            ));
-        }
-        if self.expiry_violations != 0 {
-            failures.push(format!(
-                "{} ticks observed the shared certificate past not_after_ms",
-                self.expiry_violations
-            ));
-        }
-        if self.distinct_digests != 1 {
-            failures.push(format!(
-                "{} distinct transcript digests across {} replicas (expected 1)",
-                self.distinct_digests, self.determinism_runs
-            ));
-        }
-        failures
-    }
-}
-
-/// Runs the reconcile benchmark.
+/// Runs the reconcile benchmark and reports it (mode `reconcile`, gated
+/// by [`gates`]). The transcript digest is the upgrade scenario's; the
+/// only wall figure is the harness's own elapsed time, reported for CI
+/// budgeting — every scenario quantity is sim-clock or
+/// transcript-derived.
 ///
 /// # Panics
 ///
@@ -314,7 +186,7 @@ pub fn run_reconcile(
     flaps: usize,
     horizon_days: usize,
     threads: usize,
-) -> ReconcileReport {
+) -> BenchReport {
     let started = Instant::now();
     let threads = threads.max(1);
 
@@ -430,27 +302,32 @@ pub fn run_reconcile(
         (renewals, violations)
     };
 
-    ReconcileReport {
-        nodes,
-        flaps,
-        horizon_days,
-        replica_threads: threads,
-        upgrade_converged: upgrade.converged,
-        upgrade_convergence_ticks: upgrade.ticks,
-        canary_first: upgrade.canary_first,
-        leader_last: upgrade.leader_last,
-        drift_halted,
-        diverging_named,
-        drift_resumed,
-        drift_resume_ticks,
-        flap_quarantines,
-        flap_readmissions,
-        flap_residual_quarantined: flap_residual,
-        renewals,
-        expiry_violations,
-        determinism_runs,
-        distinct_digests,
-        transcript_sha256: upgrade.digest,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    let mut report = BenchReport::new(
+        "reconcile",
+        &[
+            ("nodes", nodes as u64),
+            ("flaps", flaps as u64),
+            ("horizon_days", horizon_days as u64),
+            ("replica_threads", threads as u64),
+        ],
+    );
+    report.flag("upgrade_converged", upgrade.converged);
+    report.count("upgrade_convergence_ticks", "ticks", upgrade.ticks as f64);
+    report.flag("canary_first", upgrade.canary_first);
+    report.flag("leader_last", upgrade.leader_last);
+    report.flag("drift_halted", drift_halted);
+    report.count("diverging_named", "nodes", diverging_named as f64);
+    report.flag("drift_resumed", drift_resumed);
+    report.count("drift_resume_ticks", "ticks", drift_resume_ticks as f64);
+    report.count("flap_quarantines", "nodes", flap_quarantines as f64);
+    report.count("flap_readmissions", "nodes", flap_readmissions as f64);
+    report.count("flap_residual_quarantined", "nodes", flap_residual as f64);
+    report.count("renewals", "renewals", renewals as f64);
+    report.count("expiry_violations", "ticks", expiry_violations as f64);
+    report.count("determinism_runs", "replicas", determinism_runs as f64);
+    report.count("distinct_digests", "digests", distinct_digests as f64);
+    report.wall("wall_secs", "s", started.elapsed().as_secs_f64());
+    report.transcript_sha256 = Some(upgrade.digest);
+    report.gates = gates(horizon_days);
+    report
 }

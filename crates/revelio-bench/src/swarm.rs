@@ -40,8 +40,10 @@ use revelio::node::demo_app;
 use revelio::world::SimWorld;
 use revelio_crypto::metrics::thread_scalar_mul_ops;
 use revelio_crypto::sha2::Sha256;
-use revelio_telemetry::Telemetry;
 use sev_snp::measurement::Measurement;
+
+use crate::report::{BenchReport, Cmp, Gate};
+use crate::{dim_from_env, percentile};
 
 /// The domain the swarm fleet serves.
 pub const SWARM_DOMAIN: &str = "swarm.example.org";
@@ -63,20 +65,46 @@ const RECONNECT_SAMPLES: usize = 32;
 /// shared-cert fleet) and overridable via `REVELIO_SWARM_SESSIONS`,
 /// `REVELIO_SWARM_THREADS`, and `REVELIO_SWARM_NODES` for CI smoke
 /// scale.
+///
+/// # Errors
+///
+/// Names the first override that is not a positive integer.
+pub fn swarm_dimensions_from_env() -> Result<(usize, usize, usize), String> {
+    Ok((
+        dim_from_env("REVELIO_SWARM_SESSIONS", 1_000_000)?,
+        dim_from_env("REVELIO_SWARM_THREADS", 16)?,
+        dim_from_env("REVELIO_SWARM_NODES", 4)?,
+    ))
+}
+
+/// The swarm gates:
+///
+/// * a cache-hit session (staged verify **plus** a monitored GET) is
+///   faster at p50 than a cold verify alone;
+/// * the hot phase performed zero signature verifications, kept a hit
+///   rate of at least 99%, and ran the TLS-binding check once per
+///   session regardless;
+/// * a resumed reconnect is faster at p50 than a full one, at least 99%
+///   of warm reconnects resumed, and the resumed arm charged exactly
+///   one scalar multiplication per reconnect (the precomputed
+///   fixed-base fallback ephemeral — zero DH or signature work) and
+///   fetched no evidence;
+/// * after the generation bump nothing resumed, and the next reconnect
+///   re-attested (fetched evidence).
 #[must_use]
-pub fn swarm_dimensions_from_env() -> (usize, usize, usize) {
-    let dim = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(default)
-    };
-    (
-        dim("REVELIO_SWARM_SESSIONS", 1_000_000),
-        dim("REVELIO_SWARM_THREADS", 16),
-        dim("REVELIO_SWARM_NODES", 4),
-    )
+pub fn gates() -> Vec<Gate> {
+    vec![
+        Gate::metric("session_p50_us", Cmp::Lt, "cold_verify_p50_us"),
+        Gate::value("signature_checks", Cmp::Eq, 0.0),
+        Gate::value("cache_hit_rate", Cmp::Ge, 0.99),
+        Gate::metric("tls_binding_checks", Cmp::Eq, "hot_sessions"),
+        Gate::metric("resumed_reconnect_p50_us", Cmp::Lt, "full_reconnect_p50_us"),
+        Gate::value("resumption_rate", Cmp::Ge, 0.99),
+        Gate::metric("resumed_scalar_muls", Cmp::Eq, "resumed_reconnects"),
+        Gate::value("resumed_evidence_fetches", Cmp::Eq, 0.0),
+        Gate::value("post_bump_resumptions", Cmp::Eq, 0.0),
+        Gate::value("post_bump_evidence_fetches", Cmp::Gt, 0.0),
+    ]
 }
 
 /// One hot-phase session's transcript record. Deliberately excludes
@@ -106,267 +134,47 @@ impl SessionRecord {
     }
 }
 
-/// The verdict-cache counters the swarm proves its claims with.
-#[derive(Debug, Clone, Copy, Default)]
-struct VerifyCounters {
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    signature_checks: u64,
-    tls_binding_checks: u64,
-}
+/// The verdict-cache counters the swarm proves its claims with, as
+/// `(metric, unit, telemetry counter)`; each is reported as its delta
+/// across the hot phase.
+const HOT_COUNTERS: [(&str, &str, &str); 5] = [
+    (
+        "cache_hits",
+        "hits",
+        "revelio_extension_verify_cache_hits_total",
+    ),
+    (
+        "cache_misses",
+        "misses",
+        "revelio_extension_verify_cache_misses_total",
+    ),
+    (
+        "cache_invalidations",
+        "bumps",
+        "revelio_extension_verify_cache_invalidations_total",
+    ),
+    (
+        "signature_checks",
+        "checks",
+        "revelio_extension_signature_verifications_total",
+    ),
+    (
+        "tls_binding_checks",
+        "checks",
+        "revelio_extension_tls_binding_checks_total",
+    ),
+];
 
-impl VerifyCounters {
-    fn read(telemetry: &Telemetry) -> Self {
-        VerifyCounters {
-            hits: telemetry.counter("revelio_extension_verify_cache_hits_total"),
-            misses: telemetry.counter("revelio_extension_verify_cache_misses_total"),
-            invalidations: telemetry.counter("revelio_extension_verify_cache_invalidations_total"),
-            signature_checks: telemetry.counter("revelio_extension_signature_verifications_total"),
-            tls_binding_checks: telemetry.counter("revelio_extension_tls_binding_checks_total"),
-        }
-    }
-
-    fn delta(self, baseline: Self) -> Self {
-        VerifyCounters {
-            hits: self.hits - baseline.hits,
-            misses: self.misses - baseline.misses,
-            invalidations: self.invalidations - baseline.invalidations,
-            signature_checks: self.signature_checks - baseline.signature_checks,
-            tls_binding_checks: self.tls_binding_checks - baseline.tls_binding_checks,
-        }
-    }
-}
-
-/// Results of one swarm run.
-#[derive(Debug, Clone)]
-pub struct SwarmReport {
-    /// Monitored sessions driven through the shared extension.
-    pub sessions: u64,
-    /// OS threads driving them.
-    pub threads: usize,
-    /// Fleet size (shared-cert nodes).
-    pub nodes: usize,
-    /// Fresh-extension full-pipeline verifications sampled for the
-    /// baseline.
-    pub cold_samples: usize,
-    /// Cold staged-verify wall latency, p50 / p99, µs (KDS round trip +
-    /// batched signature checks + golden lookup + TLS binding).
-    pub cold_verify_p50_us: f64,
-    /// See `cold_verify_p50_us`.
-    pub cold_verify_p99_us: f64,
-    /// Hot-phase per-session wall latency (cache-hit staged verify + one
-    /// monitored GET), p50 / p99, µs.
-    pub session_p50_us: f64,
-    /// See `session_p50_us`.
-    pub session_p99_us: f64,
-    /// Hot-phase sessions per wall-clock second.
-    pub verify_throughput_per_sec: f64,
-    /// Hot-phase wall time, seconds.
-    pub hot_elapsed_secs: f64,
-    /// Verdict-cache hits during the hot phase.
-    pub cache_hits: u64,
-    /// Verdict-cache misses during the hot phase (steady state: 0).
-    pub cache_misses: u64,
-    /// Hot-phase hit rate: hits / (hits + misses).
-    pub cache_hit_rate: f64,
-    /// Generation bumps during the hot phase (steady state: 0).
-    pub cache_invalidations: u64,
-    /// Signature equations checked during the hot phase — the line-rate
-    /// claim is that this is **exactly zero**.
-    pub signature_checks: u64,
-    /// Per-connection TLS-binding checks during the hot phase — must be
-    /// one per session even though every verdict came from the cache.
-    pub tls_binding_checks: u64,
-    /// SHA-256 over the per-session records in global session order
-    /// (hex). Byte-identical across thread counts.
-    pub transcript_sha256: String,
-    /// Reconnects measured per reconnect-phase arm.
-    pub reconnect_samples: usize,
-    /// Full-reconnect wall latency (ticket cache cleared: full handshake
-    /// + evidence fetch + staged verify), p50 / p99, µs.
-    pub full_reconnect_p50_us: f64,
-    /// See `full_reconnect_p50_us`.
-    pub full_reconnect_p99_us: f64,
-    /// Resumed-reconnect wall latency (warm ticket: abbreviated
-    /// handshake, no asymmetric crypto, no evidence fetch), p50 / p99,
-    /// µs.
-    pub resumed_reconnect_p50_us: f64,
-    /// See `resumed_reconnect_p50_us`.
-    pub resumed_reconnect_p99_us: f64,
-    /// How many warm-arm reconnects actually took the resumed path.
-    pub resumed_reconnects: u64,
-    /// `resumed_reconnects` / `reconnect_samples`.
-    pub resumption_rate: f64,
-    /// Scalar multiplications charged to the driving thread across the
-    /// resumed arm. The claim is **exactly one per reconnect**: the
-    /// ClientHello's fallback ephemeral (a precomputed fixed-base table
-    /// lookup) — zero Diffie-Hellman ladders, zero signature equations.
-    pub resumed_scalar_muls: u64,
-    /// Node evidence requests during the resumed arm (claim: zero).
-    pub resumed_evidence_fetches: u64,
-    /// Resumed reconnects after the generation bump (claim: zero — the
-    /// ticket shortcut dies with its generation stamp).
-    pub post_bump_resumptions: u64,
-    /// Node evidence requests on the post-bump reconnect (claim: ≥ 1 —
-    /// the full path re-attests from scratch).
-    pub post_bump_evidence_fetches: u64,
-}
-
-impl SwarmReport {
-    /// Serializes the report for `BENCH_swarm.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"sessions\":{},\"threads\":{},\"nodes\":{},",
-                "\"cold_samples\":{},",
-                "\"cold_verify_p50_us\":{:.2},\"cold_verify_p99_us\":{:.2},",
-                "\"session_p50_us\":{:.2},\"session_p99_us\":{:.2},",
-                "\"verify_throughput_per_sec\":{:.0},",
-                "\"hot_elapsed_secs\":{:.3},",
-                "\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_hit_rate\":{:.6},\"cache_invalidations\":{},",
-                "\"signature_checks\":{},\"tls_binding_checks\":{},",
-                "\"transcript_sha256\":\"{}\",",
-                "\"reconnect_samples\":{},",
-                "\"full_reconnect_p50_us\":{:.2},\"full_reconnect_p99_us\":{:.2},",
-                "\"resumed_reconnect_p50_us\":{:.2},\"resumed_reconnect_p99_us\":{:.2},",
-                "\"resumed_reconnects\":{},\"resumption_rate\":{:.6},",
-                "\"resumed_scalar_muls\":{},\"resumed_evidence_fetches\":{},",
-                "\"post_bump_resumptions\":{},\"post_bump_evidence_fetches\":{}}}"
-            ),
-            self.sessions,
-            self.threads,
-            self.nodes,
-            self.cold_samples,
-            self.cold_verify_p50_us,
-            self.cold_verify_p99_us,
-            self.session_p50_us,
-            self.session_p99_us,
-            self.verify_throughput_per_sec,
-            self.hot_elapsed_secs,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate,
-            self.cache_invalidations,
-            self.signature_checks,
-            self.tls_binding_checks,
-            self.transcript_sha256,
-            self.reconnect_samples,
-            self.full_reconnect_p50_us,
-            self.full_reconnect_p99_us,
-            self.resumed_reconnect_p50_us,
-            self.resumed_reconnect_p99_us,
-            self.resumed_reconnects,
-            self.resumption_rate,
-            self.resumed_scalar_muls,
-            self.resumed_evidence_fetches,
-            self.post_bump_resumptions,
-            self.post_bump_evidence_fetches,
-        )
-    }
-
-    /// The swarm gates, empty when all hold:
-    ///
-    /// * a cache-hit session (staged verify **plus** a monitored GET) is
-    ///   faster at p50 than a cold verify alone;
-    /// * the hot phase performed zero signature verifications;
-    /// * the hot-phase hit rate is ≥ 99%;
-    /// * the TLS-binding check ran once per session regardless.
-    #[must_use]
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut failures = Vec::new();
-        if self.session_p50_us >= self.cold_verify_p50_us {
-            failures.push(format!(
-                "cache-hit session p50 ({:.2} µs) does not beat cold-verify p50 ({:.2} µs)",
-                self.session_p50_us, self.cold_verify_p50_us
-            ));
-        }
-        if self.signature_checks != 0 {
-            failures.push(format!(
-                "hot phase performed {} signature verifications (expected 0)",
-                self.signature_checks
-            ));
-        }
-        if self.cache_hit_rate < 0.99 {
-            failures.push(format!(
-                "hot-phase cache hit rate {:.4} below 0.99 ({} misses)",
-                self.cache_hit_rate, self.cache_misses
-            ));
-        }
-        if self.tls_binding_checks != self.sessions {
-            failures.push(format!(
-                "TLS-binding checks ({}) != sessions ({}) — the per-connection stage must run every time",
-                self.tls_binding_checks, self.sessions
-            ));
-        }
-        if self.resumed_reconnect_p50_us >= self.full_reconnect_p50_us {
-            failures.push(format!(
-                "resumed-reconnect p50 ({:.2} µs) does not beat full-reconnect p50 ({:.2} µs)",
-                self.resumed_reconnect_p50_us, self.full_reconnect_p50_us
-            ));
-        }
-        if self.resumption_rate < 0.99 {
-            failures.push(format!(
-                "resumption rate {:.4} below 0.99 ({} of {} reconnects resumed)",
-                self.resumption_rate, self.resumed_reconnects, self.reconnect_samples
-            ));
-        }
-        if self.resumed_scalar_muls != self.resumed_reconnects {
-            failures.push(format!(
-                "resumed arm charged {} scalar muls for {} reconnects (expected exactly one \
-                 precomputed fixed-base fallback ephemeral each — zero DH / signature work)",
-                self.resumed_scalar_muls, self.resumed_reconnects
-            ));
-        }
-        if self.resumed_evidence_fetches != 0 {
-            failures.push(format!(
-                "resumed arm fetched evidence {} times (expected 0)",
-                self.resumed_evidence_fetches
-            ));
-        }
-        if self.post_bump_resumptions != 0 {
-            failures.push(format!(
-                "{} reconnects resumed after the generation bump (expected 0 — revocation must \
-                 kill every outstanding ticket)",
-                self.post_bump_resumptions
-            ));
-        }
-        if self.post_bump_evidence_fetches == 0 {
-            failures.push(
-                "post-bump reconnect fetched no evidence (expected a full re-attestation)"
-                    .to_string(),
-            );
-        }
-        failures
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-/// Runs the swarm.
+/// Runs the swarm and reports it (mode `swarm`, gated by [`gates`]).
+/// The transcript digest is SHA-256 over the per-session records in
+/// global session order, byte-identical across thread counts.
 ///
 /// # Panics
 ///
 /// Panics if fleet deployment or any session fails — the swarm runs on
 /// a clean fabric, so a failure is a harness bug, not a measurement.
 #[must_use]
-pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> SwarmReport {
+pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> BenchReport {
     let threads = threads.max(1);
     let mut world = SimWorld::new(SWARM_SEED);
     let fleet = world
@@ -419,7 +227,7 @@ pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> SwarmReport {
     // threads (session i belongs to thread i % threads and fleet slot
     // i % nodes), each re-running the staged verification — a verdict
     // cache hit — plus one monitored GET.
-    let baseline = VerifyCounters::read(&world.telemetry);
+    let baseline = HOT_COUNTERS.map(|(_, _, counter)| world.telemetry.counter(counter));
     let total = sessions as u64;
     let hot_start = Instant::now();
     let per_thread: Vec<(Vec<SessionRecord>, Vec<f64>)> = std::thread::scope(|s| {
@@ -464,7 +272,10 @@ pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> SwarmReport {
             .collect()
     });
     let hot_elapsed = hot_start.elapsed().as_secs_f64();
-    let counters = VerifyCounters::read(&world.telemetry).delta(baseline);
+    let mut hot_deltas = baseline;
+    for (delta, (_, _, counter)) in hot_deltas.iter_mut().zip(HOT_COUNTERS) {
+        *delta = world.telemetry.counter(counter) - *delta;
+    }
 
     // ── Reconnect phase: revocation-safe session resumption ──
     //
@@ -535,39 +346,80 @@ pub fn run_swarm(sessions: usize, threads: usize, nodes: usize) -> SwarmReport {
     let digest = Sha256::digest(&transcript);
     latencies.sort_by(|a, b| a.total_cmp(b));
 
-    let attempted = counters.hits + counters.misses;
-    SwarmReport {
-        sessions: total,
-        threads,
-        nodes,
-        cold_samples,
-        cold_verify_p50_us: percentile(&cold_us, 0.50),
-        cold_verify_p99_us: percentile(&cold_us, 0.99),
-        session_p50_us: percentile(&latencies, 0.50),
-        session_p99_us: percentile(&latencies, 0.99),
-        verify_throughput_per_sec: total as f64 / hot_elapsed.max(1e-9),
-        hot_elapsed_secs: hot_elapsed,
-        cache_hits: counters.hits,
-        cache_misses: counters.misses,
-        cache_hit_rate: if attempted == 0 {
-            0.0
-        } else {
-            counters.hits as f64 / attempted as f64
-        },
-        cache_invalidations: counters.invalidations,
-        signature_checks: counters.signature_checks,
-        tls_binding_checks: counters.tls_binding_checks,
-        transcript_sha256: hex(&digest),
-        reconnect_samples,
-        full_reconnect_p50_us: percentile(&full_us, 0.50),
-        full_reconnect_p99_us: percentile(&full_us, 0.99),
-        resumed_reconnect_p50_us: percentile(&resumed_us, 0.50),
-        resumed_reconnect_p99_us: percentile(&resumed_us, 0.99),
-        resumed_reconnects,
-        resumption_rate: resumed_reconnects as f64 / reconnect_samples as f64,
-        resumed_scalar_muls,
-        resumed_evidence_fetches,
-        post_bump_resumptions,
-        post_bump_evidence_fetches,
+    let mut report = BenchReport::new(
+        "swarm",
+        &[
+            ("sessions", total),
+            ("threads", threads as u64),
+            ("nodes", nodes as u64),
+            ("cold_samples", cold_samples as u64),
+            ("reconnect_samples", reconnect_samples as u64),
+        ],
+    );
+    report.count("hot_sessions", "sessions", records.len() as f64);
+    // Cold staged verify: KDS round trip + batched signature checks +
+    // golden lookup + TLS binding.
+    report.wall("cold_verify_p50_us", "us", percentile(&cold_us, 0.50));
+    report.wall("cold_verify_p99_us", "us", percentile(&cold_us, 0.99));
+    // Hot session: cache-hit staged verify + one monitored GET.
+    report.wall("session_p50_us", "us", percentile(&latencies, 0.50));
+    report.wall("session_p99_us", "us", percentile(&latencies, 0.99));
+    report.wall(
+        "verify_throughput_per_sec",
+        "1/s",
+        total as f64 / hot_elapsed.max(1e-9),
+    );
+    report.wall("hot_elapsed_secs", "s", hot_elapsed);
+    for ((name, unit, _), delta) in HOT_COUNTERS.into_iter().zip(hot_deltas) {
+        report.count(name, unit, delta as f64);
     }
+    let [hits, misses, ..] = hot_deltas;
+    let attempted = hits + misses;
+    let hit_rate = if attempted == 0 {
+        0.0
+    } else {
+        hits as f64 / attempted as f64
+    };
+    report.count("cache_hit_rate", "ratio", hit_rate);
+    report.wall("full_reconnect_p50_us", "us", percentile(&full_us, 0.50));
+    report.wall("full_reconnect_p99_us", "us", percentile(&full_us, 0.99));
+    report.wall(
+        "resumed_reconnect_p50_us",
+        "us",
+        percentile(&resumed_us, 0.50),
+    );
+    report.wall(
+        "resumed_reconnect_p99_us",
+        "us",
+        percentile(&resumed_us, 0.99),
+    );
+    report.count(
+        "resumed_reconnects",
+        "reconnects",
+        resumed_reconnects as f64,
+    );
+    report.count(
+        "resumption_rate",
+        "ratio",
+        resumed_reconnects as f64 / reconnect_samples as f64,
+    );
+    report.count("resumed_scalar_muls", "muls", resumed_scalar_muls as f64);
+    report.count(
+        "resumed_evidence_fetches",
+        "fetches",
+        resumed_evidence_fetches as f64,
+    );
+    report.count(
+        "post_bump_resumptions",
+        "reconnects",
+        post_bump_resumptions as f64,
+    );
+    report.count(
+        "post_bump_evidence_fetches",
+        "fetches",
+        post_bump_evidence_fetches as f64,
+    );
+    report.transcript_sha256 = Some(revelio_crypto::hex::encode(digest));
+    report.gates = gates();
+    report
 }

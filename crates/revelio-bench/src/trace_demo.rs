@@ -61,8 +61,8 @@ impl TraceScenario {
         }
     }
 
-    /// One JSON object, hand-rolled like the other bench reports. The
-    /// Chrome export is embedded verbatim (it is already JSON).
+    /// One JSON object. The Chrome export is embedded verbatim (it is
+    /// already JSON).
     #[must_use]
     pub fn to_json(&self) -> String {
         let (hop, hop_us) = match &self.dominant_hop {

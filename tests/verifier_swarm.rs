@@ -274,15 +274,24 @@ fn swarm_transcripts_identical_across_threads_and_modes() {
     for threads in [1usize, 4, 16] {
         let report = run_swarm(SESSIONS, threads, NODES);
         assert_eq!(
-            report.signature_checks, 0,
+            report.metric("signature_checks"),
+            Some(0.0),
             "{threads}t: hot phase performed signature work"
         );
-        assert_eq!(report.cache_misses, 0, "{threads}t: hot-phase miss");
         assert_eq!(
-            report.tls_binding_checks, SESSIONS as u64,
+            report.metric("cache_misses"),
+            Some(0.0),
+            "{threads}t: hot-phase miss"
+        );
+        assert_eq!(
+            report.metric("tls_binding_checks"),
+            Some(SESSIONS as f64),
             "{threads}t: TLS binding must run once per session"
         );
-        digests.push((threads, report.transcript_sha256));
+        let digest = report
+            .transcript_sha256
+            .expect("swarm reports a transcript");
+        digests.push((threads, digest));
     }
     let reference = digests[0].1.clone();
     for (threads, digest) in &digests {
