@@ -3,7 +3,7 @@
 //! Used for VCEK derivation in the simulated AMD key-distribution service,
 //! sealing-key derivation, and as the PRF inside HKDF/PBKDF2.
 
-use crate::sha2::HashFunction;
+use crate::sha2::{HashFunction, Sha256};
 
 /// Streaming HMAC state.
 ///
@@ -78,6 +78,17 @@ impl<H: HashFunction> Hmac<H> {
     }
 }
 
+impl Hmac<Sha256> {
+    /// Finishes and returns the 32-byte tag as a fixed array.
+    #[must_use]
+    pub fn finalize_fixed(self) -> [u8; 32] {
+        let inner_digest = self.inner.finalize_fixed();
+        let mut outer = self.outer;
+        outer.update(&inner_digest);
+        outer.finalize_fixed()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +111,16 @@ mod tests {
         let tag = Hmac::<Sha256>::mac(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
             hex::encode(tag),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
+    }
+
+    #[test]
+    fn fixed_finalize_matches_rfc4231() {
+        let mut mac = Hmac::<Sha256>::new(b"Jefe");
+        mac.update(b"what do ya want for nothing?");
+        assert_eq!(
+            hex::encode(mac.finalize_fixed()),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }

@@ -370,7 +370,8 @@ impl Sha512Core {
         });
     }
 
-    fn finalize(mut self, out_words: usize) -> Vec<u8> {
+    /// Finishes the hash into the first `N` big-endian bytes of the state.
+    fn finalize_fixed<const N: usize>(mut self) -> [u8; N] {
         // 0x80, then zeros up to 16 bytes short of a block boundary, then
         // the bit length: at most 1 + 127 + 16 bytes.
         let mut pad = [0u8; 144];
@@ -379,10 +380,11 @@ impl Sha512Core {
         pad[1 + zeros..17 + zeros].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
         self.update(&pad[..17 + zeros]);
         debug_assert_eq!(self.buffered, 0);
-        self.state[..out_words]
-            .iter()
-            .flat_map(|w| w.to_be_bytes())
-            .collect()
+        let mut out = [0u8; N];
+        for (bytes, word) in out.chunks_mut(8).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes()[..bytes.len()]);
+        }
+        out
     }
 }
 
@@ -416,7 +418,7 @@ impl Sha512 {
     pub fn digest(data: impl AsRef<[u8]>) -> [u8; 64] {
         let mut h = <Self as HashFunction>::new();
         HashFunction::update(&mut h, data.as_ref());
-        HashFunction::finalize(h).try_into().expect("64 bytes")
+        h.0.finalize_fixed()
     }
 }
 
@@ -434,7 +436,7 @@ impl HashFunction for Sha512 {
     }
 
     fn finalize(self) -> Vec<u8> {
-        self.0.finalize(8)
+        self.0.finalize_fixed::<64>().to_vec()
     }
 }
 
@@ -467,7 +469,13 @@ impl Sha384 {
     pub fn digest(data: impl AsRef<[u8]>) -> [u8; 48] {
         let mut h = <Self as HashFunction>::new();
         HashFunction::update(&mut h, data.as_ref());
-        HashFunction::finalize(h).try_into().expect("48 bytes")
+        h.finalize_fixed()
+    }
+
+    /// Finishes the hash into a fixed array.
+    #[must_use]
+    pub fn finalize_fixed(self) -> [u8; 48] {
+        self.0.finalize_fixed()
     }
 }
 
@@ -485,7 +493,7 @@ impl HashFunction for Sha384 {
     }
 
     fn finalize(self) -> Vec<u8> {
-        self.0.finalize(6)
+        self.finalize_fixed().to_vec()
     }
 }
 
@@ -591,6 +599,13 @@ mod tests {
                 HashFunction::update(&mut s, std::slice::from_ref(b));
             }
             assert_eq!(HashFunction::finalize(s), Sha512::digest(&data).to_vec());
+
+            let mut s = <Sha384 as HashFunction>::new();
+            for b in &data {
+                HashFunction::update(&mut s, std::slice::from_ref(b));
+            }
+            assert_eq!(s.finalize_fixed(), Sha384::digest(&data));
+            assert_eq!(Sha384::hash(&data), Sha384::digest(&data).to_vec());
         }
     }
 

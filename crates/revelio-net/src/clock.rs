@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Internally the counter is a lock-free atomic: thousands of concurrent
 /// connections advancing simulated time from different OS threads never
 /// serialize on a mutex, which keeps the clock out of the way when the
-/// sharded fabric is benchmarked under heavy thread counts.
+/// fabric is benchmarked under heavy thread counts.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     micros: Arc<AtomicU64>,

@@ -32,10 +32,11 @@
 //!   reads of rarely-republished immutable state.
 //!
 //! Exchanges are synchronous — protocol state machines remain ordinary
-//! sequential code — but the fabric itself is sharded and thread-safe:
-//! clean dials touch no locks at all, and the determinism contract
-//! (per-address seeded fault streams, a lock-free [`clock::SimClock`])
-//! holds under any thread interleaving. See [`net`] for the sharding and determinism story.
+//! sequential code — but the fabric itself is thread-safe: all routing
+//! state lives in one copy-on-write view that dials read without a lock,
+//! and the determinism contract (per-address seeded fault streams, a
+//! lock-free [`clock::SimClock`]) holds under any thread interleaving.
+//! See [`net`] for the single-store and determinism story.
 //!
 //! ```
 //! use revelio_net::clock::SimClock;

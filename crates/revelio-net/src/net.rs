@@ -1,46 +1,44 @@
 //! The simulated network fabric: listeners, connections, latency, and
 //! man-in-the-middle hooks.
 //!
-//! # One fabric: shard maps under a lock-free routing view
+//! # One store: the published routing view
 //!
 //! The fabric is built for thousand-node fleets driven from many OS
-//! threads. All per-address state (listeners, latency overrides,
-//! redirects, tamper hooks, fault plans) lives in a fixed array of
-//! sixteen `RwLock` shards keyed by `fnv1a(address)` — the
-//! **write-side store**. Every mutating operation (bind/unbind, shaper
-//! edits, fault-domain install/heal) republishes an immutable
-//! `RoutingView` behind a [`crate::snapshot::Snapshot`] before it
-//! returns, and a dial to a clean address — no fault plan, no fault
-//! domain — touches **zero locks**: one atomic snapshot load, one hash
-//! lookup, done.
+//! threads. All routing state — listeners, latency overrides, redirects,
+//! tamper hooks, fault plans, installed fault domains and the fault
+//! seed — lives in one immutable `RoutingView` published behind a
+//! [`crate::snapshot::Snapshot`]; there is no second copy. Every
+//! mutation (bind/unbind, shaper edits, fault-domain install/clear,
+//! `set_fault_seed`) is a copy-on-write edit of that view made under one
+//! writer lock and published before the call returns. Outside a batch,
+//! a dial or exchange resolves against the view with one atomic snapshot
+//! load and no lock.
 //!
-//! The view is a persistent slot tree ([`crate::view::SlotTree`]): a
-//! single-address republish path-copies O(levels) interior nodes and
-//! shares everything else with the previous view, and [`SimNet::batch`]
-//! coalesces a burst of mutations (fleet provisioning) into one
-//! republish. Fault draws read **live entries published inside the
-//! view** (`Arc<Mutex<FaultEntry>>` shared with the shard maps), so
-//! chaos-mode traffic locks only a per-entry mutex, never a shard.
+//! The view is a persistent slot tree ([`crate::view::SlotTree`]): an
+//! edit path-copies O(levels) interior nodes and shares everything else
+//! with the previous view. Inside [`SimNet::batch`] a burst of mutations
+//! (fleet provisioning) edits one pending, unshared view instead — each
+//! tree path is copied on first touch only — and the outermost scope
+//! publishes it once. While a batch is open, dials and exchanges resolve
+//! against the pending view under the writer lock, so every thread still
+//! observes its own writes in program order.
 //!
-//! The shard maps are also the slow read path: while a fault domain is
-//! installed or a batch is open, dials and exchanges read them under a
-//! read lock (`dial_locked`, `fault_decision_locked`), because domain
-//! activity depends on sim time and a batch's view is stale until it
-//! flushes.
+//! Fault draws lock only per-entry mutexes: the view publishes each
+//! plan's live `Arc<Mutex<FaultEntry>>` and each domain's stream table,
+//! shared by every view version that holds them.
 //!
 //! # Determinism
 //!
 //! Every fault stream is keyed by its address (or `(address,
-//! route-prefix)`) and seeded as `fabric_seed ^ fnv1a(key)`, so equal
-//! seeds produce byte-identical decision streams regardless of thread
-//! count, dial interleaving across addresses, or whether a draw went
-//! through the view or the shard maps. Mutations republish the view
-//! before returning, so a thread observes its own writes in program
-//! order. The global fault counter is a relaxed atomic: its total is a
-//! sum of per-stream counts and therefore equally
-//! interleaving-independent.
+//! route-prefix)`, or `(domain, destination)`) and seeded as
+//! `fabric_seed ^ fnv1a(key)`, so equal seeds produce byte-identical
+//! decision streams regardless of thread count or dial interleaving
+//! across addresses. Mutations publish before returning, so a thread
+//! observes its own writes in program order. The global fault counter is
+//! a relaxed atomic: its total is a sum of per-stream counts and
+//! therefore equally interleaving-independent.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,9 +47,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::clock::SimClock;
 use crate::domain::{domain_stream_key, DomainEffect, FaultDomain};
-use crate::fault::{fnv1a, route_stream_key, FaultEntry, FaultKind, FaultObserver, FaultPlan};
+use crate::fault::{route_stream_key, FaultEntry, FaultKind, FaultObserver, FaultPlan};
 use crate::snapshot::Snapshot;
-use crate::view::{PeerExtra, PeerView, SharedFaultEntry, SlotTree};
+use crate::view::{PeerView, SharedFaultEntry, SlotTree};
 use crate::NetError;
 
 /// Per-connection server-side state machine.
@@ -78,16 +76,6 @@ pub trait Listener: Send + Sync {
 /// Tampering hook: may rewrite a client→server message in flight.
 pub type TamperFn = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
 
-/// Everything a clean (fault-free) dial needs from the routing view:
-/// the effective listener, an optional one-way latency override, and an
-/// optional tamper hook. `None` means nothing listens at the address.
-type CleanRoute = Option<(Arc<dyn Listener>, Option<u64>, Option<Arc<TamperFn>>)>;
-
-/// Shard count: enough to keep 16 benchmark threads off each other's
-/// cache lines without bloating small single-threaded worlds. A power of
-/// two, so an address's shard is `fnv1a(address) & (SHARDS - 1)`.
-const SHARDS: usize = 16;
-
 /// Fabric configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -104,150 +92,46 @@ impl Default for NetConfig {
     }
 }
 
-/// All per-address state of one shard.
-#[derive(Default)]
-struct ShardState {
-    listeners: HashMap<String, Arc<dyn Listener>>,
-    latency_overrides: HashMap<String, u64>,
-    redirects: HashMap<String, String>,
-    tamper: HashMap<String, Arc<TamperFn>>,
-    /// Address-wide fault plans. Entries are shared (`Arc<Mutex<_>>`)
-    /// with the published routing view, so the view and the locked
-    /// fallback consume the same decision stream.
-    faults: HashMap<String, SharedFaultEntry>,
-    /// Per-route fault plans: address → `(path-prefix, entry)` list. The
-    /// longest matching prefix wins; the address-wide plan is the
-    /// fallback when no prefix matches.
-    route_faults: HashMap<String, Vec<(String, SharedFaultEntry)>>,
+/// One installed [`FaultDomain`] plus the per-destination decision
+/// streams a degraded domain creates on first draw (partitions draw
+/// nothing). Shared by every view version that lists the domain; the
+/// streams sit behind the domain's own leaf mutex.
+struct DomainState {
+    domain: FaultDomain,
+    streams: Mutex<HashMap<String, FaultEntry>>,
 }
 
-impl ShardState {
-    /// Builds the published view of one address from this slot's maps —
-    /// the incremental-republish unit: six single-key lookups, not a
-    /// whole-slot collapse. Returns `None` when nothing is known.
-    fn peer_view_of(&self, address: &str) -> Option<PeerView> {
-        let redirect = self.redirects.get(address).cloned();
-        let tamper = self.tamper.get(address).cloned();
-        let fault = self.faults.get(address).cloned();
-        let routes: Option<Arc<[(String, SharedFaultEntry)]>> =
-            self.route_faults.get(address).map(|routes| {
-                routes
-                    .iter()
-                    .map(|(prefix, entry)| (prefix.clone(), Arc::clone(entry)))
-                    .collect()
-            });
-        let extra = (redirect.is_some() || tamper.is_some() || fault.is_some() || routes.is_some())
-            .then(|| {
-                Box::new(PeerExtra {
-                    redirect,
-                    tamper,
-                    fault,
-                    routes,
-                })
-            });
-        let view = PeerView {
-            listener: self.listeners.get(address).cloned(),
-            latency_us: self.latency_overrides.get(address).copied(),
-            extra,
-        };
-        (!view.is_empty()).then_some(view)
-    }
-
-    /// Appends every address known to this slot, with its view, to
-    /// `out` (the full-rebuild path). Merges the six maps in one pass —
-    /// one probe per stored fact — instead of calling [`Self::peer_view_of`]
-    /// (six probes) per address; on a freshly provisioned fleet, where
-    /// almost every address has exactly one fact (its listener), that is
-    /// six times fewer hash lookups on the batch-overflow flush.
-    fn collect_views(&self, out: &mut Vec<(String, PeerView)>) {
-        // Freshly provisioned shards hold exactly one fact per address —
-        // its listener. Skip the merge map entirely for that shape; it
-        // is the whole working set of the batch-overflow flush right
-        // after `deploy_fleet`.
-        if self.latency_overrides.is_empty()
-            && self.redirects.is_empty()
-            && self.tamper.is_empty()
-            && self.faults.is_empty()
-            && self.route_faults.is_empty()
-        {
-            out.reserve(self.listeners.len());
-            for (address, listener) in &self.listeners {
-                out.push((
-                    address.clone(),
-                    PeerView {
-                        listener: Some(Arc::clone(listener)),
-                        ..PeerView::default()
-                    },
-                ));
-            }
-            return;
-        }
-        let mut views: HashMap<&str, PeerView> = HashMap::with_capacity(self.listeners.len());
-        for (address, listener) in &self.listeners {
-            views.entry(address.as_str()).or_default().listener = Some(Arc::clone(listener));
-        }
-        for (address, latency) in &self.latency_overrides {
-            views.entry(address.as_str()).or_default().latency_us = Some(*latency);
-        }
-        for (address, target) in &self.redirects {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .redirect = Some(target.clone());
-        }
-        for (address, tamper) in &self.tamper {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .tamper = Some(Arc::clone(tamper));
-        }
-        for (address, entry) in &self.faults {
-            views.entry(address.as_str()).or_default().extra_mut().fault = Some(Arc::clone(entry));
-        }
-        for (address, routes) in &self.route_faults {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .routes = Some(
-                routes
-                    .iter()
-                    .map(|(prefix, entry)| (prefix.clone(), Arc::clone(entry)))
-                    .collect(),
-            );
-        }
-        out.reserve(views.len());
-        for (address, view) in views {
-            if !view.is_empty() {
-                out.push((address.to_owned(), view));
-            }
-        }
+impl DomainState {
+    fn new(domain: FaultDomain) -> Arc<Self> {
+        Arc::new(DomainState {
+            domain,
+            streams: Mutex::new(HashMap::new()),
+        })
     }
 }
 
-/// The immutable routing snapshot published by mutating operations. The
-/// routing data lives in a persistent [`SlotTree`] keyed by the address
-/// hash, so a republish path-copies O(levels) nodes.
+/// The fabric's routing state — its only store. Published immutable;
+/// mutations edit a copy (see [`Fabric::edit`]).
+#[derive(Clone)]
 struct RoutingView {
+    /// Per-address state, keyed by the address hash.
     tree: SlotTree,
-    /// Whether any fault domain is installed. Domain activity windows
-    /// depend on sim time, so the view only gates the emptiness check;
-    /// non-empty sends dials to the locked domain logic.
-    has_domains: bool,
-    /// No plan on any peer (the tree's stored planned count is zero) and
-    /// no domain installed: the per-exchange fault check can answer
-    /// "clean" from two field loads, without hashing the dialed address
-    /// into the tree. On a faultless fleet (the common case, and the
-    /// benchmark's browse phase) this is what keeps the snapshot
-    /// exchange cheaper than an uncontended lock.
+    /// Installed fault domains, in installation (= evaluation) order.
+    domains: Vec<Arc<DomainState>>,
+    /// Fabric-wide fault seed; every fault stream derives from it.
+    fault_seed: u64,
+    /// No plan on any peer and no domain installed: the per-exchange
+    /// fault check can answer "clean" from one field load, without
+    /// hashing the dialed address into the tree. On a faultless fleet
+    /// (the common case, and the benchmark's browse phase) this is what
+    /// keeps the exchange cheaper than an uncontended lock.
     all_clean: bool,
-    /// Publish sequence number, strictly increasing across republishes.
-    /// A [`Connection`] stamps its dial-time clean verdict with this and
-    /// [`Fabric::view_gen`] revalidates it per exchange with one atomic
-    /// load: generations equal ⟹ the live view is the very one the
-    /// verdict came from.
+    /// Generation of the published view this one is, or was copied from
+    /// (a batch's pending view keeps its base's). [`Fabric::view_gen`]
+    /// equals it only while this very view is live and unedited: every
+    /// publish bumps the counter, and so does a batch's first edit. A
+    /// [`Connection`] stamps its clean verdict with it and revalidates
+    /// the stamp per exchange with one atomic load.
     generation: u64,
 }
 
@@ -256,317 +140,153 @@ impl RoutingView {
         self.tree.peer(address)
     }
 
-    /// The stored-flag value: true iff no peer carries a plan and no
-    /// domain is installed.
-    fn derive_all_clean(tree: &SlotTree, has_domains: bool) -> bool {
-        !has_domains && tree.planned() == 0
+    /// Applies `f`, then refreshes the stored `all_clean` flag.
+    fn edit<R>(&mut self, f: impl FnOnce(&mut RoutingView) -> R) -> R {
+        let out = f(self);
+        self.all_clean = self.domains.is_empty() && self.tree.planned() == 0;
+        out
+    }
+
+    /// The installed domains whose window covers the current sim time and
+    /// which match `src → dst`, in evaluation order. The clock is read
+    /// only when a domain is installed.
+    fn domains_covering<'a>(
+        &'a self,
+        clock: &'a SimClock,
+        src: Option<&'a str>,
+        dst: &'a str,
+    ) -> impl Iterator<Item = &'a DomainState> {
+        self.domains.iter().map(Arc::as_ref).filter(move |state| {
+            state.domain.is_active_at(clock.now_us()) && state.domain.matches(src, dst)
+        })
     }
 }
 
-/// Once a batch has deferred this many distinct republishes, the flush
-/// switches from incremental leaf updates to one full rebuild — at that
-/// size the rebuild is cheaper than path-copying per address.
-const BATCH_REBUILD_THRESHOLD: usize = 1024;
-
-/// Mutations deferred by an open [`SimNet::batch`] scope.
+/// The writer side of the fabric, behind its one writer lock.
 #[derive(Default)]
 struct BatchState {
     /// Nesting depth of open batch scopes (batches compose).
     depth: usize,
-    /// Addresses whose view entry must be refreshed at flush time.
-    /// Duplicates are fine — the flush dedupes.
-    dirty: Vec<String>,
-    /// Set once `dirty` crosses [`BATCH_REBUILD_THRESHOLD`]: the flush
-    /// rebuilds the whole tree instead of tracking every address.
-    rebuild_all: bool,
-}
-
-/// One installed [`FaultDomain`] plus its lazily created per-destination
-/// decision streams (degraded domains only; partitions draw nothing).
-struct DomainState {
-    domain: FaultDomain,
-    entries: HashMap<String, FaultEntry>,
+    /// The view an open batch edits: copied from the published view by
+    /// the batch's first mutation, published when the outermost scope
+    /// closes. Unshared, so each tree path is copied on first touch only.
+    pending: Option<RoutingView>,
 }
 
 /// The shared interior of a [`SimNet`] (and of every [`Connection`]).
 struct Fabric {
-    /// The write-side store; an address lives in shard
-    /// `fnv1a(address) & (SHARDS - 1)`.
-    shards: [RwLock<ShardState>; SHARDS],
-    /// The published routing snapshot.
+    /// The published routing view.
     view: Snapshot<RoutingView>,
-    /// Generation of the latest *published or in-flight* routing view.
+    /// Generation of the latest *published or pending* routing view.
     /// Bumped (fetch-add) before every swap, so the counter is never
     /// behind a live view: a connection's stamped generation matching
     /// this counter proves the view it judged clean is still the live
     /// one (a counter ahead of the view merely forces a spurious
-    /// re-check). A batch's first deferred mutation also bumps it, which
-    /// is what invalidates every outstanding clean stamp while the view
-    /// is stale. Exchanges validate against it with a single atomic
-    /// load — the cheapest possible clean-path fault check.
+    /// re-check). A batch's first edit also bumps it, which is what
+    /// invalidates every outstanding clean stamp while the pending view
+    /// diverges from the published one.
     view_gen: AtomicU64,
-    /// Nonzero while a [`SimNet::batch`] scope is open somewhere. The
-    /// snapshot fast paths check it (one relaxed load) and fall back to
-    /// the locked path while mutations are deferred — a thread inside
-    /// its own batch therefore still observes its writes in program
-    /// order. Mirrors `batch.depth`; the mutex holds the truth.
+    /// Nonzero while a [`SimNet::batch`] scope is open somewhere. Dials
+    /// and exchanges check it (one relaxed load) and then resolve against
+    /// the pending view. Mirrors `batch.depth`; the mutex holds the truth.
     batch_depth: AtomicUsize,
-    /// Deferred-republish state for open batch scopes.
+    /// The one writer lock: every mutation takes it, and it guards the
+    /// open batch's pending view.
     batch: Mutex<BatchState>,
-    /// Fabric-wide fault seed; per-stream RNGs derive from it.
-    fault_seed: AtomicU64,
     /// Total faults injected. Relaxed: the total is a sum of per-stream
     /// counts, so no ordering is needed for it to be deterministic.
     faults_injected: AtomicU64,
     fault_observer: RwLock<Option<Arc<FaultObserver>>>,
-    /// Correlated-failure domains, fabric-wide because a domain spans
-    /// shards. Not a shard lock: the no-domain fast path is a view flag,
-    /// and the locked fallback checks emptiness under one read lock.
-    domains: RwLock<Vec<DomainState>>,
 }
 
 impl Fabric {
     fn new() -> Self {
         Fabric {
-            shards: std::array::from_fn(|_| RwLock::default()),
             view: Snapshot::new(Arc::new(RoutingView {
                 tree: SlotTree::default(),
-                has_domains: false,
+                domains: Vec::new(),
+                fault_seed: 0,
                 all_clean: true,
                 generation: 0,
             })),
             view_gen: AtomicU64::new(0),
             batch_depth: AtomicUsize::new(0),
             batch: Mutex::new(BatchState::default()),
-            fault_seed: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             fault_observer: RwLock::new(None),
-            domains: RwLock::new(Vec::new()),
         }
     }
 
-    /// The shard `address` lives in.
-    fn shard(&self, address: &str) -> &RwLock<ShardState> {
-        &self.shards[(fnv1a(address) & (SHARDS as u64 - 1)) as usize]
-    }
-
-    /// Runs `f` under a read lock on `address`'s shard. Never called with
-    /// another shard lock held, so two-shard lookups cannot deadlock.
-    fn read<R>(&self, address: &str, f: impl FnOnce(&ShardState) -> R) -> R {
-        f(&self.shard(address).read())
-    }
-
-    /// Runs `f` under a write lock on `address`'s shard.
-    fn write<R>(&self, address: &str, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        f(&mut self.shard(address).write())
-    }
-
-    /// Runs `f` on every shard in turn (write-locked one at a time).
-    fn for_each_shard(&self, mut f: impl FnMut(&mut ShardState)) {
-        for shard in &self.shards {
-            f(&mut shard.write());
-        }
-    }
-
-    /// The generation for the next published view, bumped with a
-    /// fetch-add so it is strictly increasing across republishes *and*
-    /// batch-start bumps — a stale clean stamp can therefore never alias
-    /// a later generation. Republish callers hold the snapshot writer
-    /// lock; bumping before the swap keeps the counter never-behind the
-    /// live view (see `view_gen`'s invariant).
-    fn next_view_gen(&self) -> u64 {
-        self.view_gen.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Republishes the snapshot entry for `address` (after a mutation
-    /// there). Inside an open batch scope the republish is deferred:
-    /// the address is noted dirty and the flush publishes everything at
-    /// once.
-    fn republish_address(&self, address: &str) {
+    /// Runs `f` on the view dials and exchanges resolve against: an open
+    /// batch's pending view (under the writer lock), else the published
+    /// view (one snapshot read, no lock). `f` may take leaf locks (fault
+    /// entries, domain streams) but must never mutate the fabric.
+    fn with_view<R>(&self, stripe: usize, f: impl FnOnce(&RoutingView) -> R) -> R {
         if self.batch_depth.load(Ordering::Relaxed) > 0 {
-            let mut batch = self.batch.lock();
-            if batch.depth > 0 {
-                if !batch.rebuild_all {
-                    if batch.dirty.is_empty() {
-                        // First deferral of this batch: invalidate every
-                        // outstanding clean stamp so connections re-check
-                        // (and, seeing the open batch, go locked).
-                        self.view_gen.fetch_add(1, Ordering::SeqCst);
-                    }
-                    if batch.dirty.len() >= BATCH_REBUILD_THRESHOLD {
-                        batch.rebuild_all = true;
-                        batch.dirty = Vec::new();
-                    } else {
-                        batch.dirty.push(address.to_owned());
-                    }
-                }
-                return;
+            let batch = self.batch.lock();
+            if let Some(pending) = &batch.pending {
+                return f(pending);
             }
-            // The batch ended between the atomic check and the lock:
-            // publish immediately like any unbatched mutation.
+            // No edit yet in the open batch (or it just closed): the
+            // published view is current.
         }
-        self.publish_addresses(std::slice::from_ref(&address.to_owned()));
+        self.view.read_at(stripe, f)
     }
 
-    /// Publishes fresh view entries for `addresses` (deduplicated) in
-    /// one copy-on-write tree update. Entry views are computed under the
-    /// snapshot writer lock so concurrent republishes of the same
-    /// address compose instead of overwriting each other.
-    fn publish_addresses(&self, addresses: &[String]) {
-        let mut seen: HashSet<&str> = HashSet::with_capacity(addresses.len());
-        let unique: Vec<&String> = addresses
-            .iter()
-            .filter(|a| seen.insert(a.as_str()))
-            .collect();
-        self.view.update(|current| {
-            let updates: Vec<(String, Option<PeerView>)> = unique
-                .iter()
-                .map(|address| {
-                    let entry = self.read(address, |state| state.peer_view_of(address));
-                    ((*address).clone(), entry)
-                })
-                .collect();
-            let tree = current.tree.with_updates(updates);
-            let all_clean = RoutingView::derive_all_clean(&tree, current.has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree,
-                    has_domains: current.has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
+    /// Applies one mutation under the writer lock. Inside a batch it
+    /// edits the pending view; otherwise it edits a copy of the published
+    /// view and publishes it before returning.
+    fn edit<R>(&self, f: impl FnOnce(&mut RoutingView) -> R) -> R {
+        let mut batch = self.batch.lock();
+        if batch.depth > 0 {
+            let pending = batch.pending.get_or_insert_with(|| {
+                // First edit of this batch: invalidate every outstanding
+                // clean stamp before the pending view diverges.
+                self.view_gen.fetch_add(1, Ordering::SeqCst);
+                RoutingView::clone(&self.view.load())
+            });
+            return pending.edit(f);
+        }
+        let mut next = RoutingView::clone(&self.view.load());
+        let out = next.edit(f);
+        self.publish(next);
+        out
     }
 
-    /// Rebuilds and republishes the whole view from the shard maps (the
-    /// batch-overflow flush path).
-    fn publish_rebuild_all(&self) {
-        self.view.update(|current| {
-            let mut entries = Vec::new();
-            for shard in &self.shards {
-                shard.read().collect_views(&mut entries);
-            }
-            let tree = SlotTree::rebuilt_from(entries);
-            let all_clean = RoutingView::derive_all_clean(&tree, current.has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree,
-                    has_domains: current.has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
+    /// Publishes `view` under a fresh generation, bumped with a fetch-add
+    /// before the swap so the counter is never behind the live view (see
+    /// `view_gen`). Callers hold the writer lock.
+    fn publish(&self, mut view: RoutingView) {
+        view.generation = self.view_gen.fetch_add(1, Ordering::SeqCst) + 1;
+        self.view.store(Arc::new(view));
     }
 
-    /// Republishes the domain-emptiness flag (after install/clear). A
-    /// flag-only republish: the new view **shares** the previous view's
-    /// tree (one `Arc` clone) instead of cloning any routing data.
-    fn republish_domains(&self) {
-        self.view.update(|current| {
-            let has_domains = !self.domains.read().is_empty();
-            let all_clean = RoutingView::derive_all_clean(&current.tree, has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree: current.tree.clone(),
-                    has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
-    }
-
-    /// Opens a batch scope (scopes nest). While open, republishes are
-    /// deferred and the snapshot fast paths detour to the locked path,
-    /// so every thread still observes its own mutations in program
-    /// order.
+    /// Opens a batch scope (scopes nest).
     fn begin_batch(&self) {
         let mut batch = self.batch.lock();
         batch.depth += 1;
         self.batch_depth.store(batch.depth, Ordering::SeqCst);
     }
 
-    /// Closes a batch scope; the outermost close flushes every deferred
-    /// republish in one view update **before** clearing the depth
-    /// marker, so a dial can never read a stale view as "not batching".
+    /// Closes a batch scope; the outermost close publishes the pending
+    /// view **before** clearing the depth marker, so a dial can never
+    /// read a stale view as "not batching".
     fn end_batch(&self) {
         let mut batch = self.batch.lock();
         batch.depth -= 1;
         if batch.depth == 0 {
-            let dirty = std::mem::take(&mut batch.dirty);
-            let rebuild_all = std::mem::take(&mut batch.rebuild_all);
-            if rebuild_all {
-                self.publish_rebuild_all();
-            } else if !dirty.is_empty() {
-                self.publish_addresses(&dirty);
+            if let Some(pending) = batch.pending.take() {
+                self.publish(pending);
             }
         }
         self.batch_depth.store(batch.depth, Ordering::SeqCst);
     }
 
     /// Records an injected fault and returns the observer to notify (the
-    /// caller invokes it after releasing any shard lock).
+    /// caller invokes it outside the view read).
     fn record_fault(&self) -> Option<Arc<FaultObserver>> {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
         self.fault_observer.read().clone()
-    }
-
-    /// Whether an active [`DomainEffect::Partition`] covers `src → dst`
-    /// at sim time `now_us`; returns the discovery timeout to charge.
-    /// Degraded domains do not fail dials (the link is up, just lossy).
-    fn domain_dial_fault(&self, now_us: u64, src: Option<&str>, dst: &str) -> Option<u64> {
-        let domains = self.domains.read();
-        domains
-            .iter()
-            .find(|state| {
-                matches!(state.domain.effect, DomainEffect::Partition)
-                    && state.domain.is_active_at(now_us)
-                    && state.domain.matches(src, dst)
-            })
-            .map(|state| state.domain.timeout_us)
-    }
-
-    /// Consults the first active domain covering `src → dst`: a
-    /// partition always drops; a degraded domain draws one decision from
-    /// its `(domain, dst)` stream. `None` when no domain matches — the
-    /// per-address/per-route plans then get their say.
-    fn domain_exchange_decision(
-        &self,
-        now_us: u64,
-        src: Option<&str>,
-        dst: &str,
-    ) -> Option<(u64, Option<FaultKind>, u64)> {
-        // Fast path: no domains installed — a read-lock emptiness check.
-        if self.domains.read().is_empty() {
-            return None;
-        }
-        let seed = self.fault_seed.load(Ordering::Relaxed);
-        let mut domains = self.domains.write();
-        for state in domains.iter_mut() {
-            if !state.domain.is_active_at(now_us) || !state.domain.matches(src, dst) {
-                continue;
-            }
-            match &state.domain.effect {
-                DomainEffect::Partition => {
-                    return Some((0, Some(FaultKind::Dropped), state.domain.timeout_us));
-                }
-                DomainEffect::Degraded(plan) => {
-                    let plan = plan.clone();
-                    let name = state.domain.name.clone();
-                    let entry = state.entries.entry(dst.to_owned()).or_insert_with(|| {
-                        FaultEntry::new(plan, seed, &domain_stream_key(&name, dst))
-                    });
-                    let (jitter, fault) = entry.exchange_decision();
-                    return Some((jitter, fault, entry.plan.timeout_us));
-                }
-            }
-        }
-        None
     }
 }
 
@@ -663,23 +383,21 @@ impl SimNet {
     ///
     /// Returns [`NetError::AddressInUse`] when already bound.
     pub fn bind(&self, address: &str, listener: Arc<dyn Listener>) -> Result<(), NetError> {
-        self.fabric.write(address, |state| {
-            if state.listeners.contains_key(address) {
-                return Err(NetError::AddressInUse(address.to_owned()));
-            }
-            state.listeners.insert(address.to_owned(), listener);
-            Ok(())
-        })?;
-        self.fabric.republish_address(address);
-        Ok(())
+        self.fabric.edit(|view| {
+            view.tree.edit(address, |peer| {
+                if peer.listener.is_some() {
+                    return Err(NetError::AddressInUse(address.to_owned()));
+                }
+                peer.listener = Some(listener);
+                Ok(())
+            })
+        })
     }
 
     /// Removes the listener at `address` (service shutdown).
     pub fn unbind(&self, address: &str) {
-        self.fabric.write(address, |state| {
-            state.listeners.remove(address);
-        });
-        self.fabric.republish_address(address);
+        self.fabric
+            .edit(|view| view.tree.edit(address, |peer| peer.listener = None));
     }
 
     /// Removes every listener on the fabric: the teardown of a world.
@@ -687,21 +405,30 @@ impl SimNet {
     /// (a node's routes hold the node, which dials through a `SimNet`),
     /// so a fabric with listeners still bound is never freed.
     pub fn unbind_all(&self) {
-        self.fabric.for_each_shard(|state| state.listeners.clear());
-        self.fabric.publish_rebuild_all();
+        self.fabric.edit(|view| {
+            let mut bound = Vec::new();
+            view.tree.for_each(|address, peer| {
+                if peer.listener.is_some() {
+                    bound.push(address.to_owned());
+                }
+            });
+            for address in bound {
+                view.tree.edit(&address, |peer| peer.listener = None);
+            }
+        });
     }
 
-    /// Runs `f` with every shaper/bind republish deferred, then publishes
-    /// them as **one** routing-view update — the write-side fast path for
-    /// bursts like fleet provisioning, where per-mutation republishes
+    /// Runs `f` with every mutation applied to one pending routing view,
+    /// then publishes it as **one** update — the write-side fast path
+    /// for bursts like fleet provisioning, where per-mutation publishes
     /// would each copy interior tree nodes for no reader to see.
     ///
-    /// Scopes nest; the outermost scope flushes. While a batch is open
-    /// anywhere on the fabric, dials and exchanges detour to the locked
-    /// read path, so the batching thread still observes its own
-    /// mutations in program order (and concurrent readers stay
-    /// correct — merely slower until the flush). The flush runs even if
-    /// `f` panics.
+    /// Scopes nest; the outermost scope publishes. While a batch is open
+    /// anywhere on the fabric, dials and exchanges resolve against the
+    /// pending view under the writer lock, so the batching thread still
+    /// observes its own mutations in program order (and concurrent
+    /// readers stay correct — merely serialized until the publish). The
+    /// publish runs even if `f` panics.
     pub fn batch<R>(&self, f: impl FnOnce(&SimNet) -> R) -> R {
         struct Guard<'a>(&'a Fabric);
         impl Drop for Guard<'_> {
@@ -740,31 +467,33 @@ impl SimNet {
     /// address + route prefix), so dial order across addresses cannot
     /// perturb another stream. Call before installing plans;
     /// already-installed plans are reseeded (and their fail-first windows
-    /// reset). No snapshot republish is needed: plan *presence* — all
-    /// the view carries — is unchanged.
+    /// reset), and degraded-domain streams restart from the new seed.
     pub fn set_fault_seed(&self, seed: u64) {
-        self.fabric.fault_seed.store(seed, Ordering::Relaxed);
-        // Entries are shared with the published view, so reseeding them
-        // in place (through their own locks) is immediately visible to
-        // the view and the locked fallback alike.
-        self.fabric.for_each_shard(|state| {
-            for (address, entry) in &mut state.faults {
-                let mut entry = entry.lock();
-                let plan = entry.plan.clone();
-                *entry = FaultEntry::new(plan, seed, address);
-            }
-            for (address, routes) in &mut state.route_faults {
-                for (prefix, entry) in routes.iter_mut() {
-                    let mut entry = entry.lock();
-                    let plan = entry.plan.clone();
-                    *entry = FaultEntry::new(plan, seed, &route_stream_key(address, prefix));
+        let reseed = |entry: &SharedFaultEntry, key: &str| {
+            let mut entry = entry.lock();
+            *entry = FaultEntry::new(entry.plan.clone(), seed, key);
+        };
+        self.fabric.edit(|view| {
+            view.fault_seed = seed;
+            // Plan entries are shared by every view version, so they are
+            // reseeded in place, through their own locks.
+            view.tree.for_each(|address, peer| {
+                if let Some(entry) = peer.fault() {
+                    reseed(entry, address);
                 }
-            }
+                for (prefix, entry) in peer.routes().unwrap_or_default() {
+                    reseed(entry, &route_stream_key(address, prefix));
+                }
+            });
+            // Fresh (empty) stream tables: a draw still resolving against
+            // an older view cannot leave an old-seed stream in a table
+            // the new view uses.
+            view.domains = view
+                .domains
+                .iter()
+                .map(|state| DomainState::new(state.domain.clone()))
+                .collect();
         });
-        // Degraded-domain streams re-derive lazily from the new seed.
-        for state in self.fabric.domains.write().iter_mut() {
-            state.entries.clear();
-        }
     }
 
     /// Installs a correlated-failure domain (replacing any domain with
@@ -774,21 +503,17 @@ impl SimNet {
     /// a [`DomainEffect::Degraded`] domain draws per-exchange decisions
     /// from a `(domain, destination)`-keyed stream. See [`FaultDomain`].
     pub fn install_fault_domain(&self, domain: FaultDomain) {
-        {
-            let mut domains = self.fabric.domains.write();
-            let state = DomainState {
-                domain,
-                entries: HashMap::new(),
-            };
-            match domains
+        let state = DomainState::new(domain);
+        self.fabric.edit(|view| {
+            match view
+                .domains
                 .iter_mut()
                 .find(|s| s.domain.name == state.domain.name)
             {
                 Some(slot) => *slot = state,
-                None => domains.push(state),
+                None => view.domains.push(state),
             }
-        }
-        self.fabric.republish_domains();
+        });
     }
 
     /// Snapshot of every installed fault domain, in installation order.
@@ -797,27 +522,23 @@ impl SimNet {
     /// is due to lift instead of burning retries into a black hole.
     #[must_use]
     pub fn fault_domains(&self) -> Vec<FaultDomain> {
-        self.fabric
-            .domains
-            .read()
-            .iter()
-            .map(|state| state.domain.clone())
-            .collect()
+        self.fabric.with_view(self.stripe, |view| {
+            view.domains
+                .iter()
+                .map(|state| state.domain.clone())
+                .collect()
+        })
     }
 
     /// Removes the fault domain named `name` (an unscheduled heal).
     pub fn clear_fault_domain(&self, name: &str) {
         self.fabric
-            .domains
-            .write()
-            .retain(|state| state.domain.name != name);
-        self.fabric.republish_domains();
+            .edit(|view| view.domains.retain(|state| state.domain.name != name));
     }
 
     /// Removes every installed fault domain.
     pub fn clear_fault_domains(&self) {
-        self.fabric.domains.write().clear();
-        self.fabric.republish_domains();
+        self.fabric.edit(|view| view.domains.clear());
     }
 
     /// Installs an observer invoked on every injected fault (outside the
@@ -841,24 +562,24 @@ impl SimNet {
         self.fabric.view.retire_spins()
     }
 
-    /// Deterministic estimate of the published routing view's heap
-    /// footprint in bytes (structure sizes and string lengths, never
-    /// allocator or capacity artifacts). The fleet benchmark divides it
-    /// by the node count for its memory-per-node column.
+    /// Deterministic estimate of the routing view's heap footprint in
+    /// bytes (structure sizes and string lengths, never allocator or
+    /// capacity artifacts). The fleet benchmark divides it by the node
+    /// count for its memory-per-node column.
     #[must_use]
     pub fn routing_memory_bytes(&self) -> usize {
         self.fabric
-            .view
-            .read_at(self.stripe, |view| view.tree.estimated_bytes())
+            .with_view(self.stripe, |view| view.tree.estimated_bytes())
     }
 
-    /// A canonical dump of the fabric's routing state: every published
-    /// address sorted, with its listener/latency/redirect/tamper
-    /// presence and the full parameters of every installed plan, plus a
-    /// planned-count/domain footer. Byte-identical across (after the
-    /// flush) batched vs unbatched mutation orders — the write-burst
-    /// suites diff it to prove the view converged. Do not call inside an open [`SimNet::batch`]
-    /// scope: the snapshot is stale until the flush.
+    /// A canonical dump of the fabric's routing state: every address
+    /// sorted, with its listener/latency/redirect/tamper presence and the
+    /// full parameters of every installed plan, then every installed
+    /// fault domain in evaluation order (name, effect, window, timeout,
+    /// prefixes), then a count footer. Inside an open [`SimNet::batch`]
+    /// it describes the pending view. Byte-identical across batched and
+    /// unbatched mutation orders — the write-burst suites diff it to
+    /// prove the view converged.
     #[must_use]
     pub fn view_fingerprint(&self) -> String {
         fn describe(view: &PeerView) -> String {
@@ -886,83 +607,130 @@ impl SimNet {
             }
             line
         }
-        let mut entries: Vec<(String, String, bool)> = Vec::new();
-        let view = self.fabric.view.load_at(self.stripe);
-        view.tree.for_each(|address, peer| {
-            entries.push((address.to_owned(), describe(peer), peer.planned()));
-        });
-        debug_assert_eq!(entries.len(), view.tree.len(), "tree len out of sync");
-        entries.sort();
-        let planned = entries.iter().filter(|(_, _, planned)| *planned).count();
-        let domains = self.fabric.domains.read().len();
-        let mut out = String::new();
-        for (address, line, _) in &entries {
-            let _ = writeln!(out, "{address} | {line}");
-        }
-        let _ = writeln!(
-            out,
-            "-- entries:{} planned:{planned} domains:{domains}",
-            entries.len()
-        );
-        out
+        self.fabric.with_view(self.stripe, |view| {
+            let mut entries: Vec<(String, String, bool)> = Vec::new();
+            view.tree.for_each(|address, peer| {
+                entries.push((address.to_owned(), describe(peer), peer.planned()));
+            });
+            debug_assert_eq!(entries.len(), view.tree.len(), "tree len out of sync");
+            entries.sort();
+            let planned = entries.iter().filter(|(_, _, planned)| *planned).count();
+            let mut out = String::new();
+            for (address, line, _) in &entries {
+                let _ = writeln!(out, "{address} | {line}");
+            }
+            for state in &view.domains {
+                let domain = &state.domain;
+                let effect = match &domain.effect {
+                    DomainEffect::Partition => "partition".to_owned(),
+                    DomainEffect::Degraded(plan) => format!("degraded[{}]", plan.fingerprint()),
+                };
+                let _ = writeln!(
+                    out,
+                    "domain {} | effect:{effect} window:{}..{:?} timeout:{} dst:{:?} src:{:?}",
+                    domain.name,
+                    domain.from_us,
+                    domain.until_us,
+                    domain.timeout_us,
+                    domain.dst_prefixes,
+                    domain.src_prefixes,
+                );
+            }
+            let _ = writeln!(
+                out,
+                "-- entries:{} planned:{planned} domains:{}",
+                entries.len(),
+                view.domains.len()
+            );
+            out
+        })
     }
 
     /// Opens a connection to `address`.
     ///
-    /// A clean dial — no installed fault plan, no fault domain anywhere —
-    /// resolves entirely from the immutable routing view: one atomic
-    /// load, no locks. Anything else falls back to the locked path.
+    /// Resolves against the routing view in one read: an active
+    /// partition covering the address times the dial out, then the
+    /// address-wide plan's fail-first window, then the (possibly
+    /// redirected) listener is looked up.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::ConnectionRefused`] when nothing listens there —
     /// which is exactly what connecting to a Revelio VM's SSH port yields —
-    /// or [`NetError::Timeout`] when the address's fault plan is inside a
-    /// fail-first window.
+    /// or [`NetError::Timeout`] when a partition domain covers the address
+    /// or its fault plan is inside a fail-first window.
     pub fn dial(&self, address: &str) -> Result<Connection, NetError> {
-        // While a batch is open the view may be stale: the locked path
-        // (reading the authoritative shard maps) keeps program order.
-        if self.fabric.batch_depth.load(Ordering::Relaxed) > 0 {
-            return self.dial_locked(address);
+        /// What the view decided for this dial.
+        enum Route {
+            /// Listener, one-way latency override, tamper hook, and the
+            /// clean stamp (see [`Connection::clean_gen`]).
+            Open(
+                Arc<dyn Listener>,
+                Option<u64>,
+                Option<Arc<TamperFn>>,
+                Option<u64>,
+            ),
+            Refused,
+            /// A partition or a fail-first window fired; charge this
+            /// timeout.
+            TimedOut(u64),
         }
-        // Clean-path resolution happens under a guard-style read (no Arc
-        // round-trip); `accept()` and fault bookkeeping run after the
-        // guard is gone, so user code (handlers, fault observers) can
-        // never stall — or, by republishing, deadlock — a view writer.
-        enum Fast {
-            Clean(CleanRoute, Option<u64>),
-            /// A fail-first window fired; charge this timeout.
-            Faulted(u64),
-            Fallback,
-        }
-        let fast = self.fabric.view.read_at(self.stripe, |view| {
-            if view.has_domains {
-                return Fast::Fallback;
+        // `accept()` and fault bookkeeping run after the view read, so
+        // user code (handlers, fault observers) can never stall — or, by
+        // mutating the fabric, deadlock — a view writer.
+        let route = self.fabric.with_view(self.stripe, |view| {
+            // An active partition is the lowest network layer: the dial
+            // times out before any per-address plan or listener lookup.
+            if let Some(state) = view
+                .domains_covering(&self.clock, self.local.as_deref(), address)
+                .find(|state| matches!(state.domain.effect, DomainEffect::Partition))
+            {
+                return Route::TimedOut(state.domain.timeout_us);
             }
-            match view.peer(address) {
-                Some(peer) => {
-                    if let Some(entry) = peer.fault() {
-                        // The view publishes the live entry: the
-                        // fail-first window is consumed through its own
-                        // (leaf) lock — no shard locks.
-                        let mut entry = entry.lock();
-                        if entry.dial_fails() {
-                            return Fast::Faulted(entry.plan.timeout_us);
-                        }
-                    }
-                    // Exchange-clean (no plan of either kind): stamp the
-                    // view generation so exchanges revalidate the verdict
-                    // with one atomic load.
-                    let clean_gen = (!peer.planned()).then_some(view.generation);
-                    Fast::Clean(Self::resolve_clean(view, address, peer), clean_gen)
+            let Some(peer) = view.peer(address) else {
+                return Route::Refused;
+            };
+            // A fail-first window makes the service unreachable: the dial
+            // times out before anything is delivered. Only the
+            // address-wide plan applies — the route is not known until an
+            // exchange.
+            if let Some(entry) = peer.fault() {
+                let mut entry = entry.lock();
+                if entry.dial_fails() {
+                    return Route::TimedOut(entry.plan.timeout_us);
                 }
-                // Nothing at all is known about the address: no listener,
-                // no redirect, no plan — refused, lock-free.
-                None => Fast::Clean(None, None),
             }
+            // The dialed address wins for latency and tamper lookups: an
+            // override installed on the victim keeps applying after a
+            // redirect, falling back to the attacker's setting only when
+            // the victim has none.
+            let (listener, fallback_latency, fallback_tamper) = match peer.redirect() {
+                Some(effective) if effective != address => match view.peer(effective) {
+                    Some(target) => (
+                        target.listener.clone(),
+                        target.latency_us,
+                        target.tamper().cloned(),
+                    ),
+                    None => (None, None, None),
+                },
+                _ => (peer.listener.clone(), None, None),
+            };
+            let Some(listener) = listener else {
+                return Route::Refused;
+            };
+            // Exchange-clean (no plan of either kind here, no domain
+            // anywhere): stamp the generation so exchanges revalidate the
+            // verdict with one atomic load.
+            let clean_gen = (view.domains.is_empty() && !peer.planned()).then_some(view.generation);
+            Route::Open(
+                listener,
+                peer.latency_us.or(fallback_latency),
+                peer.tamper().cloned().or(fallback_tamper),
+                clean_gen,
+            )
         });
-        match fast {
-            Fast::Clean(Some((listener, latency, tamper)), clean_gen) => Ok(Connection {
+        match route {
+            Route::Open(listener, latency, tamper, clean_gen) => Ok(Connection {
                 clock: self.clock.clone(),
                 handler: listener.accept(),
                 one_way_us: latency.unwrap_or(self.config.default_one_way_us),
@@ -975,8 +743,8 @@ impl SimNet {
                 stripe: self.stripe,
                 fabric: Arc::clone(&self.fabric),
             }),
-            Fast::Clean(None, _) => Err(NetError::ConnectionRefused(address.to_owned())),
-            Fast::Faulted(timeout_us) => {
+            Route::Refused => Err(NetError::ConnectionRefused(address.to_owned())),
+            Route::TimedOut(timeout_us) => {
                 let observer = self.fabric.record_fault();
                 self.clock.advance_us(timeout_us);
                 if let Some(obs) = observer {
@@ -984,122 +752,13 @@ impl SimNet {
                 }
                 Err(NetError::Timeout(address.to_owned()))
             }
-            Fast::Fallback => self.dial_locked(address),
         }
-    }
-
-    /// Resolves a clean dial's listener, latency override, and tamper
-    /// hook from the routing view. `peer` is `address`'s view entry;
-    /// `None` means nothing listens at the effective address.
-    fn resolve_clean(view: &RoutingView, address: &str, peer: &PeerView) -> CleanRoute {
-        // The dialed address wins for latency and tamper lookups: an
-        // override installed on the victim keeps applying after a
-        // redirect, falling back to the attacker's setting only when the
-        // victim has none.
-        let (listener, fallback_latency, fallback_tamper) = match peer.redirect() {
-            Some(effective) if effective != address => match view.peer(effective) {
-                Some(target) => (
-                    target.listener.clone(),
-                    target.latency_us,
-                    target.tamper().cloned(),
-                ),
-                None => (None, None, None),
-            },
-            _ => (peer.listener.clone(), None, None),
-        };
-        Some((
-            listener?,
-            peer.latency_us.or(fallback_latency),
-            peer.tamper().cloned().or(fallback_tamper),
-        ))
-    }
-
-    /// The locked dial path: authoritative whenever fault domains are
-    /// installed or a batch is open.
-    fn dial_locked(&self, address: &str) -> Result<Connection, NetError> {
-        // An active partition domain is the lowest network layer: the
-        // dial times out before any per-address plan or listener lookup.
-        if let Some(timeout_us) =
-            self.fabric
-                .domain_dial_fault(self.clock.now_us(), self.local.as_deref(), address)
-        {
-            let observer = self.fabric.record_fault();
-            self.clock.advance_us(timeout_us);
-            if let Some(obs) = observer {
-                obs(address, FaultKind::Timeout);
-            }
-            return Err(NetError::Timeout(address.to_owned()));
-        }
-        // One read lock resolves everything about the dialed address;
-        // the fail-first draw (when a fault plan is installed) goes
-        // through the shared entry's own lock, never a shard write lock
-        // (a fail-first window makes the service unreachable: the dial
-        // times out before anything is delivered; only address-wide plans
-        // apply — the route is not known until an exchange).
-        let (fault, redirect, victim_latency, victim_tamper, victim_listener) =
-            self.fabric.read(address, |state| {
-                (
-                    state.faults.get(address).cloned(),
-                    state.redirects.get(address).cloned(),
-                    state.latency_overrides.get(address).copied(),
-                    state.tamper.get(address).cloned(),
-                    state.listeners.get(address).cloned(),
-                )
-            });
-        if let Some(entry) = fault {
-            let timed_out = {
-                let mut entry = entry.lock();
-                entry.dial_fails().then_some(entry.plan.timeout_us)
-            };
-            if let Some(timeout_us) = timed_out {
-                let observer = self.fabric.record_fault();
-                self.clock.advance_us(timeout_us);
-                if let Some(obs) = observer {
-                    obs(address, FaultKind::Timeout);
-                }
-                return Err(NetError::Timeout(address.to_owned()));
-            }
-        }
-        // The dialed address wins for latency and tamper lookups: an
-        // override installed on the victim keeps applying after a
-        // redirect, falling back to the attacker's setting only when the
-        // victim has none.
-        let (listener, fallback_latency, fallback_tamper) = match redirect {
-            Some(effective) if effective != address => self.fabric.read(&effective, |state| {
-                (
-                    state.listeners.get(&effective).cloned(),
-                    state.latency_overrides.get(&effective).copied(),
-                    state.tamper.get(&effective).cloned(),
-                )
-            }),
-            _ => (victim_listener, None, None),
-        };
-        let listener = listener.ok_or_else(|| NetError::ConnectionRefused(address.to_owned()))?;
-        let one_way_us = victim_latency
-            .or(fallback_latency)
-            .unwrap_or(self.config.default_one_way_us);
-        let tamper = victim_tamper.or(fallback_tamper);
-        Ok(Connection {
-            clock: self.clock.clone(),
-            handler: listener.accept(),
-            one_way_us,
-            tamper,
-            dialed: address.to_owned(),
-            local: self.local.clone(),
-            closed: false,
-            timeout_us: FaultPlan::default().timeout_us,
-            // Locked dials never stamp a clean verdict: the first
-            // exchange consults the view.
-            clean_gen: None,
-            stripe: self.stripe,
-            fabric: Arc::clone(&self.fabric),
-        })
     }
 }
 
 /// A traffic-shaping handle for one peer address, returned by
-/// [`SimNet::peer`]. Every call applies immediately (and republishes the
-/// routing snapshot) and returns the handle, so settings chain fluently.
+/// [`SimNet::peer`]. Every call applies immediately (and publishes the
+/// routing view) and returns the handle, so settings chain fluently.
 pub struct PeerShaper<'a> {
     net: &'a SimNet,
     address: String,
@@ -1114,28 +773,27 @@ impl std::fmt::Debug for PeerShaper<'_> {
 }
 
 impl PeerShaper<'_> {
-    fn fabric(&self) -> &Fabric {
-        &self.net.fabric
+    /// Applies `f` to this address's view entry. `f` also receives the
+    /// fault seed, read under the same writer lock the edit holds, so a
+    /// concurrent `set_fault_seed` cannot leave a new plan on the old
+    /// seed.
+    fn edit(&self, f: impl FnOnce(&mut PeerView, u64)) {
+        self.net.fabric.edit(|view| {
+            let seed = view.fault_seed;
+            view.tree.edit(&self.address, |peer| f(peer, seed));
+        });
     }
 
     /// Sets the one-way latency for dials *to* this address, in
     /// microseconds — e.g. a distant AMD KDS.
     pub fn latency_us(self, one_way_us: u64) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state
-                .latency_overrides
-                .insert(self.address.clone(), one_way_us);
-        });
-        self.fabric().republish_address(&self.address);
+        self.edit(|peer, _| peer.latency_us = Some(one_way_us));
         self
     }
 
     /// ATTACK: installs a message-tampering hook on dials to this address.
     pub fn tamper(self, tamper: Arc<TamperFn>) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.tamper.insert(self.address.clone(), tamper);
-        });
-        self.fabric().republish_address(&self.address);
+        self.edit(|peer, _| peer.extra_mut().tamper = Some(tamper));
         self
     }
 
@@ -1143,21 +801,13 @@ impl PeerShaper<'_> {
     /// `attacker` (BGP hijack / hostile middlebox). TLS endpoint checks
     /// must catch it.
     pub fn redirect_to(self, attacker: &str) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state
-                .redirects
-                .insert(self.address.clone(), attacker.to_owned());
-        });
-        self.fabric().republish_address(&self.address);
+        self.edit(|peer, _| peer.extra_mut().redirect = Some(attacker.to_owned()));
         self
     }
 
     /// Removes a redirect.
     pub fn clear_redirect(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.redirects.remove(&self.address);
-        });
-        self.fabric().republish_address(&self.address);
+        self.edit(|peer, _| peer.extra_mut().redirect = None);
         self
     }
 
@@ -1166,12 +816,10 @@ impl PeerShaper<'_> {
     /// redirect the victim's plan applies, matching the latency/tamper
     /// precedence.
     pub fn fault_plan(self, plan: FaultPlan) -> Self {
-        let seed = self.fabric().fault_seed.load(Ordering::Relaxed);
-        self.fabric().write(&self.address, |state| {
-            let entry = Arc::new(Mutex::new(FaultEntry::new(plan, seed, &self.address)));
-            state.faults.insert(self.address.clone(), entry);
+        self.edit(|peer, seed| {
+            let entry = FaultEntry::new(plan, seed, &self.address);
+            peer.extra_mut().fault = Some(Arc::new(Mutex::new(entry)));
         });
-        self.fabric().republish_address(&self.address);
         self
     }
 
@@ -1183,45 +831,38 @@ impl PeerShaper<'_> {
     /// dial itself is only governed by the address-wide plan's fail-first
     /// window, since no route exists before the first exchange.
     pub fn fault_plan_for_route(self, prefix: &str, plan: FaultPlan) -> Self {
-        let seed = self.fabric().fault_seed.load(Ordering::Relaxed);
-        self.fabric().write(&self.address, |state| {
-            let entry = Arc::new(Mutex::new(FaultEntry::new(
-                plan,
-                seed,
-                &route_stream_key(&self.address, prefix),
-            )));
-            let routes = state.route_faults.entry(self.address.clone()).or_default();
+        self.edit(|peer, seed| {
+            let key = route_stream_key(&self.address, prefix);
+            let entry = Arc::new(Mutex::new(FaultEntry::new(plan, seed, &key)));
+            let extra = peer.extra_mut();
+            let mut routes = extra.routes.as_deref().unwrap_or_default().to_vec();
             match routes.iter_mut().find(|(p, _)| p == prefix) {
                 Some(slot) => slot.1 = entry,
                 None => routes.push((prefix.to_owned(), entry)),
             }
+            extra.routes = Some(routes.into());
         });
-        self.fabric().republish_address(&self.address);
         self
     }
 
     /// Removes every fault plan for this address — address-wide and
     /// per-route — the "faults clear" moment.
     pub fn clear_fault_plan(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.faults.remove(&self.address);
-            state.route_faults.remove(&self.address);
+        self.edit(|peer, _| {
+            let extra = peer.extra_mut();
+            extra.fault = None;
+            extra.routes = None;
         });
-        self.fabric().republish_address(&self.address);
         self
     }
 
     /// Clears *all* shaping for this address: latency override, tamper
     /// hook, redirect, and every fault plan.
     pub fn clear(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.latency_overrides.remove(&self.address);
-            state.tamper.remove(&self.address);
-            state.redirects.remove(&self.address);
-            state.faults.remove(&self.address);
-            state.route_faults.remove(&self.address);
+        self.edit(|peer, _| {
+            peer.latency_us = None;
+            peer.extra = None;
         });
-        self.fabric().republish_address(&self.address);
         self
     }
 }
@@ -1237,14 +878,14 @@ pub struct Connection {
     local: Option<String>,
     closed: bool,
     /// Timeout window charged for drops/timeouts; refreshed from the
-    /// governing fault plan on each exchange.
+    /// governing fault plan or domain on each exchange.
     timeout_us: u64,
     /// `Some(g)` when the routing view at generation `g` judged this
     /// address exchange-clean (no plan of either kind on it, no domain
     /// anywhere). While [`Fabric::view_gen`] still reads `g`, the live
     /// view is that very one, so each exchange's fault check is a single
-    /// atomic load. Any republish invalidates the stamp; the next
-    /// exchange re-checks against the current view and re-stamps.
+    /// atomic load. Any publish invalidates the stamp; the next exchange
+    /// re-checks against the current view and re-stamps.
     clean_gen: Option<u64>,
     /// Snapshot reader stripe, inherited from the dialing handle.
     stripe: usize,
@@ -1313,153 +954,107 @@ impl Connection {
         result
     }
 
-    /// Consults the governing fault plan for this exchange — the longest
-    /// matching route plan, else the address-wide plan — returning the
-    /// one-way jitter and the fault to surface, if any. Faults fire
-    /// **before** delivery: the handler never runs, so server-side state
-    /// is untouched and a retry is always safe.
+    /// Decides this exchange's fate against the routing view, returning
+    /// the one-way jitter and the fault to surface, if any. The first
+    /// active fault domain covering the link is consulted first (a
+    /// partition always drops; a degraded domain draws from its
+    /// `(domain, destination)` stream), then the longest matching route
+    /// plan, else the address-wide plan. Faults fire **before** delivery:
+    /// the handler never runs, so server-side state is untouched and a
+    /// retry is always safe.
     ///
-    /// The overwhelmingly common clean case — no domains installed, no
-    /// plan on this address — is answered from the routing view without
-    /// touching a single lock. A *planned* address is almost as cheap:
-    /// the view publishes the live fault entries, so the draw locks only
-    /// the entry's own mutex. Only fault domains (and open batch scopes)
-    /// fall back to the locked path.
+    /// The common clean case — no domain installed, no plan on this
+    /// address — is answered by the dial-time stamp with one atomic load,
+    /// or else from the view without hashing the address when no plan
+    /// exists anywhere. A draw locks only the governing entry's mutex.
     fn fault_decision(&mut self, route: &str) -> (u64, Option<NetError>) {
-        // Dial-time (or prior-exchange) clean verdict still valid? One
-        // atomic load answers the common case.
         if let Some(gen) = self.clean_gen {
             if self.fabric.view_gen.load(Ordering::SeqCst) == gen {
                 return (0, None);
             }
         }
-        if self.fabric.batch_depth.load(Ordering::Relaxed) > 0 {
-            return self.fault_decision_locked(route);
+        /// What the view decided for this exchange.
+        #[derive(Default)]
+        struct Decision {
+            /// Clean-stamp generation (see [`Connection::clean_gen`]).
+            stamp: Option<u64>,
+            jitter_us: u64,
+            fault: Option<FaultKind>,
+            /// Timeout window of the governing domain or plan, if any.
+            timeout_us: Option<u64>,
         }
-        enum Verdict {
-            /// No plan anywhere near this address: stamp this generation
-            /// and skip future checks while it lives.
-            Clean(u64),
-            /// Route plans exist but none match this route and there is
-            /// no address-wide fallback: clean, but not stampable
-            /// (another route could match).
-            NoDraw,
-            /// This entry governs the exchange.
-            Draw(SharedFaultEntry),
-            /// Domains installed: the locked path arbitrates.
-            Fallback,
-        }
-        let verdict = self.fabric.view.read_at(self.stripe, |view| {
-            if view.has_domains {
-                return Verdict::Fallback;
-            }
+        let (local, dialed) = (self.local.as_deref(), self.dialed.as_str());
+        let decision = self.fabric.with_view(self.stripe, |view| {
+            let mut decision = Decision::default();
             if view.all_clean {
-                return Verdict::Clean(view.generation);
+                decision.stamp = Some(view.generation);
+                return decision;
             }
-            let Some(peer) = view.peer(&self.dialed) else {
-                return Verdict::Clean(view.generation);
-            };
-            if !peer.planned() {
-                return Verdict::Clean(view.generation);
+            // Domains model the layer below per-address shaping. A
+            // degraded draw that injects nothing still contributes its
+            // jitter; the plans then get their say.
+            if let Some(state) = view.domains_covering(&self.clock, local, dialed).next() {
+                match &state.domain.effect {
+                    DomainEffect::Partition => {
+                        decision.fault = Some(FaultKind::Dropped);
+                        decision.timeout_us = Some(state.domain.timeout_us);
+                        return decision;
+                    }
+                    DomainEffect::Degraded(plan) => {
+                        let mut streams = state.streams.lock();
+                        let entry = streams.entry(dialed.to_owned()).or_insert_with(|| {
+                            let key = domain_stream_key(&state.domain.name, dialed);
+                            FaultEntry::new(plan.clone(), view.fault_seed, &key)
+                        });
+                        (decision.jitter_us, decision.fault) = entry.exchange_decision();
+                        decision.timeout_us = Some(entry.plan.timeout_us);
+                        if decision.fault.is_some() {
+                            return decision;
+                        }
+                    }
+                }
             }
-            let route_entry = peer.routes().and_then(|routes| {
-                routes
-                    .iter()
-                    .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
-                    .max_by_key(|(prefix, _)| prefix.len())
-                    .map(|(_, entry)| Arc::clone(entry))
+            let peer = view.peer(dialed);
+            let governing = peer.and_then(|peer| {
+                let route_entry = peer.routes().and_then(|routes| {
+                    routes
+                        .iter()
+                        .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
+                        .max_by_key(|(prefix, _)| prefix.len())
+                        .map(|(_, entry)| entry)
+                });
+                route_entry.or_else(|| peer.fault())
             });
-            match route_entry.or_else(|| peer.fault().cloned()) {
-                Some(entry) => Verdict::Draw(entry),
-                None => Verdict::NoDraw,
-            }
-        });
-        match verdict {
-            Verdict::Clean(gen) => {
-                self.clean_gen = Some(gen);
-                (0, None)
-            }
-            Verdict::NoDraw => {
-                self.clean_gen = None;
-                (0, None)
-            }
-            Verdict::Draw(entry) => {
-                self.clean_gen = None;
-                // The draw happens outside the read guard (the entry Arc
-                // keeps it alive) so the observer below can never stall a
-                // view writer.
-                let ((jitter_us, fault), timeout_us) = {
+            match governing {
+                Some(entry) => {
                     let mut entry = entry.lock();
-                    (entry.exchange_decision(), entry.plan.timeout_us)
-                };
-                self.timeout_us = timeout_us;
-                let Some(kind) = fault else {
-                    return (jitter_us, None);
-                };
-                if let Some(obs) = self.fabric.record_fault() {
-                    obs(&self.dialed, kind);
+                    let (jitter_us, fault) = entry.exchange_decision();
+                    decision.jitter_us = decision.jitter_us.saturating_add(jitter_us);
+                    decision.fault = fault;
+                    decision.timeout_us = Some(entry.plan.timeout_us);
                 }
-                (jitter_us, Some(self.fault_error(kind)))
-            }
-            Verdict::Fallback => self.fault_decision_locked(route),
-        }
-    }
-
-    /// The locked decision path: consulted whenever a domain is
-    /// installed or a batch is open.
-    fn fault_decision_locked(&mut self, route: &str) -> (u64, Option<NetError>) {
-        // Correlated-failure domains are consulted first — they model the
-        // layer below per-address shaping. A domain that injects nothing
-        // still contributes its jitter; the plans then get their say.
-        let mut domain_jitter_us = 0;
-        if let Some((jitter_us, fault, timeout_us)) = self.fabric.domain_exchange_decision(
-            self.clock.now_us(),
-            self.local.as_deref(),
-            &self.dialed,
-        ) {
-            self.timeout_us = timeout_us;
-            if let Some(kind) = fault {
-                // The observer runs outside every fabric lock.
-                if let Some(obs) = self.fabric.record_fault() {
-                    obs(&self.dialed, kind);
-                }
-                return (jitter_us, Some(self.fault_error(kind)));
-            }
-            domain_jitter_us = jitter_us;
-        }
-        // One read lock picks the governing entry (longest matching
-        // route prefix, else the address-wide plan); the draw itself
-        // goes through the shared entry's own lock, so even the locked
-        // path never takes a shard write lock per draw.
-        let governing = self.fabric.read(&self.dialed, |state| {
-            if let Some(routes) = state.route_faults.get(&self.dialed) {
-                let best = routes
-                    .iter()
-                    .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
-                    .max_by_key(|(prefix, _)| prefix.len());
-                if let Some((_, entry)) = best {
-                    return Some(Arc::clone(entry));
+                // No plan here and no domain anywhere: stamp. A planned
+                // address whose route plans all miss this route is clean
+                // too, but not stampable — another route could match.
+                None => {
+                    if view.domains.is_empty() && !peer.is_some_and(PeerView::planned) {
+                        decision.stamp = Some(view.generation);
+                    }
                 }
             }
-            state.faults.get(&self.dialed).cloned()
+            decision
         });
-        let Some(entry) = governing else {
-            return (domain_jitter_us, None);
+        self.clean_gen = decision.stamp;
+        if let Some(timeout_us) = decision.timeout_us {
+            self.timeout_us = timeout_us;
+        }
+        let Some(kind) = decision.fault else {
+            return (decision.jitter_us, None);
         };
-        let ((jitter_us, fault), timeout_us) = {
-            let mut entry = entry.lock();
-            (entry.exchange_decision(), entry.plan.timeout_us)
-        };
-        let jitter_us = domain_jitter_us.saturating_add(jitter_us);
-        self.timeout_us = timeout_us;
-        let Some(kind) = fault else {
-            return (jitter_us, None);
-        };
-        // The observer runs outside every fabric lock.
         if let Some(obs) = self.fabric.record_fault() {
             obs(&self.dialed, kind);
         }
-        (jitter_us, Some(self.fault_error(kind)))
+        (decision.jitter_us, Some(self.fault_error(kind)))
     }
 
     /// The [`NetError`] a client observes for an injected fault kind.
@@ -1485,9 +1080,6 @@ impl Connection {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
     use super::*;
 
     struct Echo;
@@ -1528,18 +1120,18 @@ mod tests {
     }
 
     /// Installs a fault domain that covers no address the tests bind:
-    /// behaviour is unchanged, but every dial and exchange now takes the
-    /// locked fallback (`dial_locked`, `fault_decision_locked`).
+    /// behaviour is unchanged, but every dial and exchange now walks the
+    /// domain list and no connection is stamped clean.
     fn install_idle_domain(net: &SimNet) {
         net.install_fault_domain(FaultDomain::partition("idle", "192.0.2."));
     }
 
-    /// Per-address behaviour tests run on both read paths: the lock-free
-    /// view and the locked fallback.
+    /// Per-address behaviour tests run with and without an inert fault
+    /// domain installed.
     fn fabrics() -> [(SimClock, SimNet); 2] {
-        let locked = fabric();
-        install_idle_domain(&locked.1);
-        [fabric(), locked]
+        let with_domain = fabric();
+        install_idle_domain(&with_domain.1);
+        [fabric(), with_domain]
     }
 
     #[test]
@@ -1815,13 +1407,13 @@ mod tests {
     }
 
     #[test]
-    fn locked_fallback_does_not_change_fault_streams() {
-        // Streams are keyed by address (or address and route prefix),
-        // not by read path: the lock-free view and the locked fallback
-        // draw identical decisions and identical simulated timings.
-        let run = |locked: bool| {
+    fn inert_domain_does_not_change_fault_streams() {
+        // Streams are keyed by address (or address and route prefix): a
+        // domain that covers none of the traffic leaves every decision
+        // and every simulated timing unchanged.
+        let run = |with_domain: bool| {
             let (clock, net) = fabric();
-            if locked {
+            if with_domain {
                 install_idle_domain(&net);
             }
             for i in 0..8 {
@@ -1858,9 +1450,9 @@ mod tests {
             }
             (outcomes, clock.now_us(), net.faults_injected())
         };
-        let view = run(false);
-        assert!(view.2 > 3, "the workload must inject faults");
-        assert_eq!(view, run(true));
+        let plain = run(false);
+        assert!(plain.2 > 3, "the workload must inject faults");
+        assert_eq!(plain, run(true));
     }
 
     #[test]
@@ -1886,12 +1478,12 @@ mod tests {
         let (batched, batched_gens) = build(true);
         let (unbatched, unbatched_gens) = build(false);
         // One generation bump to invalidate clean stamps when the first
-        // mutation is deferred, one for the single flush — versus one per
-        // mutation unbatched.
+        // mutation edits the pending view, one for the single publish —
+        // versus one per mutation unbatched.
         assert_eq!(batched_gens, 2);
         assert_eq!(unbatched_gens, 100);
         assert_eq!(batched.view_fingerprint(), unbatched.view_fingerprint());
-        // The coalesced view serves the snapshot fast path as usual.
+        // The published view serves dials as usual.
         let mut conn = batched.dial("node-7:443").unwrap();
         assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
@@ -1946,31 +1538,33 @@ mod tests {
             })
         }));
         assert!(result.is_err());
-        // The guard flushed the deferred mutations on unwind: the bind is
-        // published and the batch depth is back to zero (the fast path
-        // serves the dial).
+        // The guard published the pending view on unwind: the bind is
+        // published and the batch depth is back to zero (the published
+        // view serves the dial).
         assert_eq!(net.fabric.batch_depth.load(Ordering::Relaxed), 0);
         let mut conn = net.dial("survivor:443").unwrap();
         assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
 
     #[test]
-    fn batch_overflow_falls_back_to_full_rebuild() {
+    fn large_batch_converges_to_unbatched_view() {
+        // 1,074 binds touch most of the tree's 4,096 leaf buckets, so the
+        // pending view copies nearly every path on first touch and edits
+        // many in place afterwards; the result must be indistinguishable.
+        const NODES: usize = 1_074;
         let (_, net) = fabric();
         net.batch(|net| {
-            for i in 0..(BATCH_REBUILD_THRESHOLD + 50) {
+            for i in 0..NODES {
                 net.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
             }
         });
-        // Above the dirty-list threshold the flush rebuilds the whole
-        // tree from the shards; the result must be indistinguishable.
         let (_, twin) = fabric();
-        for i in 0..(BATCH_REBUILD_THRESHOLD + 50) {
+        for i in 0..NODES {
             twin.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
         }
         assert_eq!(net.view_fingerprint(), twin.view_fingerprint());
-        net.dial(&format!("node-{}:443", BATCH_REBUILD_THRESHOLD + 49))
-            .unwrap();
+        assert_eq!(net.routing_memory_bytes(), twin.routing_memory_bytes());
+        net.dial(&format!("node-{}:443", NODES - 1)).unwrap();
     }
 
     #[test]
@@ -1995,6 +1589,33 @@ mod tests {
             "vm:8080 | listener:1 latency:None redirect:Some(\"kds:443\") tamper:0 route:/attest:["
         ));
         assert!(print.ends_with("-- entries:2 planned:2 domains:0\n"));
+    }
+
+    #[test]
+    fn view_fingerprint_lists_domains_and_reads_the_pending_view() {
+        let (_, net) = fabric();
+        net.install_fault_domain(
+            FaultDomain::partition("rack-1", "10.1.")
+                .starting_at_us(5)
+                .healing_at_us(9),
+        );
+        let inside = net.batch(|net| {
+            net.install_fault_domain(
+                FaultDomain::degraded("lossy", "10.2.", FaultPlan::outage()).from_sources("10.3."),
+            );
+            net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
+            net.view_fingerprint()
+        });
+        assert_eq!(inside, net.view_fingerprint());
+        assert!(inside.contains(
+            "domain rack-1 | effect:partition window:5..Some(9) timeout:1000000 \
+             dst:[\"10.1.\"] src:[]\n"
+        ));
+        assert!(inside.contains(
+            "domain lossy | effect:degraded[d1.0/t0.0/r0.0/ff0/to1000000/j0] \
+             window:0..None timeout:1000000 dst:[\"10.2.\"] src:[\"10.3.\"]\n"
+        ));
+        assert!(inside.ends_with("-- entries:1 planned:0 domains:2\n"));
     }
 
     #[test]
@@ -2152,44 +1773,6 @@ mod tests {
             assert_eq!(c1.exchange(b"").unwrap(), vec![2]);
             assert_eq!(c2.exchange(b"").unwrap(), vec![1]);
         }
-    }
-
-    /// Dials `a:1` and exchanges once on another thread while this
-    /// thread holds every shard's write lock; reports whether the
-    /// exchange finished within `timeout`.
-    fn exchange_with_every_shard_write_locked(net: &SimNet, timeout: Duration) -> bool {
-        let guards: Vec<_> = net.fabric.shards.iter().map(RwLock::write).collect();
-        let (done, finished) = mpsc::channel();
-        let worker = {
-            let net = net.clone();
-            std::thread::spawn(move || {
-                let mut conn = net.dial("a:1").unwrap();
-                conn.exchange(b"x").unwrap();
-                let _ = done.send(());
-            })
-        };
-        let completed = finished.recv_timeout(timeout).is_ok();
-        drop(guards);
-        worker.join().unwrap();
-        completed
-    }
-
-    #[test]
-    fn clean_traffic_takes_no_shard_lock() {
-        let (_, net) = fabric();
-        net.bind("a:1", Arc::new(Echo)).unwrap();
-        net.peer("a:1").latency_us(10);
-        assert!(
-            exchange_with_every_shard_write_locked(&net, Duration::from_secs(30)),
-            "a clean dial + exchange waited on a shard lock"
-        );
-        // A fault domain anywhere (even one that does not cover `a:1`)
-        // sends dials to the locked path, so the same dial now blocks.
-        install_idle_domain(&net);
-        assert!(
-            !exchange_with_every_shard_write_locked(&net, Duration::from_millis(200)),
-            "the locked fallback did not take a shard lock"
-        );
     }
 
     #[test]

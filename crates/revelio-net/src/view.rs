@@ -1,19 +1,18 @@
-//! The persistent (structurally shared) routing-view tree.
+//! The persistent (structurally shared) routing-view tree: the fabric's
+//! only store of per-address state.
 //!
-//! A flat view that mirrors the lock-shard array must clone the *entire*
-//! slot array on every mutation — O(slots) per write, which made fleet
-//! provisioning ~25× slower. This module lays the view out as a
-//! fixed-depth persistent trie instead:
+//! The tree is a fixed-depth persistent trie:
 //!
 //! * [`VIEW_FANOUT`]-way interior nodes, [`VIEW_LEVELS`] levels deep, so
 //!   the tree fans out to [`VIEW_BUCKETS`] leaf buckets keyed purely by
-//!   `fnv1a(address)`, independent of the lock shards;
-//! * a republish path-copies the O([`VIEW_LEVELS`]) interior nodes on the
-//!   way to one leaf bucket and shares every untouched subtree with the
-//!   previous view (`Arc` per child) — a single-address republish clones
-//!   a handful of nodes regardless of fleet size;
-//! * a batch flush applies all its updates in one pass, cloning each
-//!   touched leaf bucket exactly once.
+//!   `fnv1a(address)`;
+//! * [`SlotTree::edit`] walks one root-to-leaf path with
+//!   `Arc::make_mut`. On a tree shared with a published view it copies
+//!   the O([`VIEW_LEVELS`]) nodes on that path and shares every other
+//!   subtree (`Arc` per child) — a single-address edit clones a handful
+//!   of nodes regardless of fleet size. On an unshared tree (a batch's
+//!   pending view) a node is copied the first time the batch touches it
+//!   and edited in place after that.
 //!
 //! The tree also carries the view-level bookkeeping the dial fast path
 //! wants for free: total entry count and the count of *planned* peers
@@ -21,11 +20,9 @@
 //! flag rather than a scan.
 //!
 //! [`PeerView`] publishes the **live fault entries**
-//! (`Arc<Mutex<FaultEntry>>` shared with the authoritative shard maps),
-//! not plan-presence flags that would bounce every non-clean dial back
-//! to the shard locks. A chaos-mode draw locks only the tiny per-entry mutex — the same
-//! entry object the locked fallback consumes, so the decision streams
-//! stay byte-identical whichever path a draw takes.
+//! (`Arc<Mutex<FaultEntry>>`), so a chaos-mode draw locks only the tiny
+//! per-entry mutex, and every view version holding the entry draws from
+//! the same stream.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,28 +45,26 @@ pub(crate) const VIEW_BUCKETS: usize = VIEW_FANOUT.pow(VIEW_LEVELS as u32);
 // or lookups and updates would disagree on leaf placement.
 const _: () = assert!(VIEW_BUCKETS == 1 << (4 * VIEW_LEVELS));
 
-// `rebuilt_from` stores bucket indices as `u16`.
-const _: () = assert!(VIEW_BUCKETS <= 1 << 16);
-
-/// A fault entry shared between the authoritative shard map and the
-/// published routing view. The mutex is a leaf lock: holders never
+/// A fault entry published in the routing view and shared by every view
+/// version that holds it. The mutex is a leaf lock: holders never
 /// acquire anything else, so locking it inside a snapshot read guard
-/// (or under a shard lock, as `set_fault_seed` does) cannot deadlock.
+/// (or under the fabric's writer lock, as `set_fault_seed` does) cannot
+/// deadlock.
 pub(crate) type SharedFaultEntry = Arc<Mutex<FaultEntry>>;
 
 /// Everything the snapshot read path needs to know about one address.
 /// The routing *shape* (listener, latency, redirect, tamper) is
 /// immutable once published; the fault entries are shared mutable leaves
-/// (see [`SharedFaultEntry`]) so draws never fall back to shard locks.
+/// (see [`SharedFaultEntry`]) so draws lock nothing else.
 #[derive(Default, Clone)]
 pub(crate) struct PeerView {
     pub(crate) listener: Option<Arc<dyn Listener>>,
     pub(crate) latency_us: Option<u64>,
     /// The cold fields (redirect, tamper, fault plans), boxed: the
     /// overwhelmingly common fleet entry is listener-only, and keeping
-    /// it at 40 bytes instead of 112 cuts the batch-flush memory
-    /// traffic — and the leaf-bucket cache footprint the dial path
-    /// walks — by almost 3×.
+    /// it at 40 bytes instead of 112 cuts the leaf-copy memory traffic —
+    /// and the leaf-bucket cache footprint the dial path walks — by
+    /// almost 3×.
     pub(crate) extra: Option<Box<PeerExtra>>,
 }
 
@@ -111,7 +106,8 @@ impl PeerView {
         self.extra.as_deref()?.routes.as_deref()
     }
 
-    /// The cold tail, allocated on first use (construction sites only).
+    /// The cold tail, allocated on first use; [`SlotTree::edit`] drops
+    /// it again once it is empty.
     pub(crate) fn extra_mut(&mut self) -> &mut PeerExtra {
         self.extra.get_or_insert_with(Default::default)
     }
@@ -213,6 +209,7 @@ const INTERIOR_BYTES: usize = 16 + std::mem::size_of::<ViewNode>();
 const LEAF_BYTES: usize = 16 + 48;
 
 /// One node of the persistent view trie.
+#[derive(Clone)]
 enum ViewNode {
     /// An interior node; children indexed by the next hash nibble.
     /// `None` children are empty subtrees.
@@ -226,22 +223,42 @@ fn nibble(hash: u64, depth: usize) -> usize {
     ((hash >> (4 * depth)) & (VIEW_FANOUT as u64 - 1)) as usize
 }
 
-/// The flattened leaf-bucket index for a hash: root nibble in the high
-/// bits, so each chunk of [`VIEW_FANOUT`] adjacent buckets shares one
-/// parent in [`SlotTree::rebuilt_from`]'s bottom-up assembly and the
-/// order matches [`SlotTree::peer`]'s root-to-leaf walk.
-fn bucket_index(hash: u64) -> usize {
-    let mut idx = 0usize;
-    for depth in 0..VIEW_LEVELS {
-        idx = (idx << 4) | nibble(hash, depth);
+/// Runs `f` on the leaf bucket `hash` selects below `slot` (at `depth`),
+/// creating missing nodes and un-sharing shared ones on the way down,
+/// and pruning nodes left empty on the way back up.
+fn edit_bucket<R>(
+    slot: &mut Option<Arc<ViewNode>>,
+    depth: usize,
+    hash: u64,
+    f: impl FnOnce(&mut Bucket) -> R,
+) -> R {
+    let node = slot.get_or_insert_with(|| {
+        Arc::new(if depth == VIEW_LEVELS {
+            ViewNode::Leaf(Bucket::default())
+        } else {
+            ViewNode::Interior(Default::default())
+        })
+    });
+    let (out, empty) = match Arc::make_mut(node) {
+        ViewNode::Interior(children) => {
+            let out = edit_bucket(&mut children[nibble(hash, depth)], depth + 1, hash, f);
+            (out, children.iter().all(Option::is_none))
+        }
+        ViewNode::Leaf(bucket) => {
+            let out = f(bucket);
+            (out, bucket.is_empty())
+        }
+    };
+    if empty {
+        *slot = None;
     }
-    idx
+    out
 }
 
 /// The persistent routing tree: a fixed-depth trie over
 /// `fnv1a(address)` with structural sharing between versions. Cloning a
-/// `SlotTree` clones one `Arc` and two counters; [`SlotTree::with_updates`]
-/// path-copies only the nodes on the way to the touched leaf buckets.
+/// `SlotTree` clones one `Arc` and two counters; [`SlotTree::edit`]
+/// copies only the shared nodes on the way to the touched leaf bucket.
 #[derive(Default, Clone)]
 pub(crate) struct SlotTree {
     root: Option<Arc<ViewNode>>,
@@ -280,133 +297,36 @@ impl SlotTree {
         bucket.get(address)
     }
 
-    /// Returns a new tree with `updates` applied (`None` removes the
-    /// address; an empty view also removes it). Updates are applied in
-    /// order, so a later entry for the same address wins. Only the
-    /// interior nodes on the paths to touched leaf buckets are copied;
-    /// every other subtree is shared with `self`.
-    pub(crate) fn with_updates(&self, updates: Vec<(String, Option<PeerView>)>) -> SlotTree {
-        let mut updates: Vec<(u64, String, Option<PeerView>)> = updates
-            .into_iter()
-            .map(|(address, view)| {
-                let view = view.filter(|v| !v.is_empty());
-                (fnv1a(&address), address, view)
-            })
-            .collect();
-        let mut len = self.len;
-        let mut planned = self.planned;
-        let root =
-            Self::node_with_updates(self.root.as_ref(), 0, &mut updates, &mut len, &mut planned);
-        SlotTree { root, len, planned }
-    }
-
-    /// Recursive path-copy: applies `updates` (all belonging to this
-    /// subtree) to `node` at `depth`, adjusting the entry/planned counts.
-    fn node_with_updates(
-        node: Option<&Arc<ViewNode>>,
-        depth: usize,
-        updates: &mut Vec<(u64, String, Option<PeerView>)>,
-        len: &mut usize,
-        planned: &mut usize,
-    ) -> Option<Arc<ViewNode>> {
-        if depth == VIEW_LEVELS {
-            let mut bucket = match node.map(Arc::as_ref) {
-                Some(ViewNode::Leaf(bucket)) => bucket.clone(),
-                None => Bucket::default(),
-                Some(ViewNode::Interior(_)) => unreachable!("interior node at leaf depth"),
+    /// Runs `f` on `address`'s entry (a default, empty one if absent),
+    /// copying each node on the path that is shared with another tree
+    /// version first. An entry left empty is removed, and subtrees left
+    /// empty are pruned, so the tree's shape depends only on its
+    /// contents.
+    pub(crate) fn edit<R>(&mut self, address: &str, f: impl FnOnce(&mut PeerView) -> R) -> R {
+        let (mut len, mut planned) = (self.len, self.planned);
+        let out = edit_bucket(&mut self.root, 0, fnv1a(address), |bucket| {
+            let (key, mut view) = match bucket.remove_entry(address) {
+                Some((key, view)) => {
+                    len -= 1;
+                    planned -= usize::from(view.planned());
+                    (key, view)
+                }
+                None => (address.to_owned(), PeerView::default()),
             };
-            for (_, address, view) in updates.drain(..) {
-                if let Some(old) = bucket.remove(&address) {
-                    *len -= 1;
-                    *planned -= usize::from(old.planned());
-                }
-                if let Some(view) = view {
-                    *len += 1;
-                    *planned += usize::from(view.planned());
-                    bucket.insert(address, view);
-                }
+            let out = f(&mut view);
+            if view.extra.as_deref().is_some_and(PeerExtra::is_empty) {
+                view.extra = None;
             }
-            return (!bucket.is_empty()).then(|| Arc::new(ViewNode::Leaf(bucket)));
-        }
-        let mut children = match node.map(Arc::as_ref) {
-            Some(ViewNode::Interior(children)) => children.clone(),
-            None => std::array::from_fn(|_| None),
-            Some(ViewNode::Leaf(_)) => unreachable!("leaf node above leaf depth"),
-        };
-        // Partition the updates by this level's nibble and recurse only
-        // into touched children; untouched subtrees stay shared.
-        let mut by_child: [Vec<(u64, String, Option<PeerView>)>; VIEW_FANOUT] =
-            std::array::from_fn(|_| Vec::new());
-        for update in updates.drain(..) {
-            by_child[nibble(update.0, depth)].push(update);
-        }
-        for (i, subset) in by_child.iter_mut().enumerate() {
-            if subset.is_empty() {
-                continue;
-            }
-            children[i] =
-                Self::node_with_updates(children[i].as_ref(), depth + 1, subset, len, planned);
-        }
-        (!children.iter().all(Option::is_none)).then(|| Arc::new(ViewNode::Interior(children)))
-    }
-
-    /// Builds a tree from scratch (the batch-overflow rebuild path).
-    /// Buckets every entry directly by its three hash nibbles and
-    /// assembles the interior levels bottom-up — one pass over the
-    /// entries, instead of re-partitioning the whole set at every level
-    /// the way the incremental path does. At 100k entries this is the
-    /// difference between the batched provision flush being a blip and
-    /// being half the provisioning bill.
-    pub(crate) fn rebuilt_from(entries: Vec<(String, PeerView)>) -> SlotTree {
-        // Hash once into a side index, count per bucket, then move each
-        // entry straight into an exactly-sized map: repeated `HashMap`
-        // growth re-moves every (large) entry log-many times, which at
-        // 100k entries costs more than the extra counting pass.
-        let indices: Vec<u16> = entries
-            .iter()
-            .map(|(address, _)| bucket_index(fnv1a(address)) as u16)
-            .collect();
-        let mut counts = vec![0usize; VIEW_BUCKETS];
-        for (idx, (_, view)) in indices.iter().zip(&entries) {
-            counts[*idx as usize] += usize::from(!view.is_empty());
-        }
-        let mut buckets: Vec<Bucket> = counts
-            .into_iter()
-            .map(|count| Bucket::with_capacity_and_hasher(count, FnvBuild))
-            .collect();
-        let mut len = 0usize;
-        let mut planned = 0usize;
-        for (idx, (address, view)) in indices.into_iter().zip(entries) {
-            if view.is_empty() {
-                continue;
-            }
-            planned += usize::from(view.planned());
-            if let Some(old) = buckets[idx as usize].insert(address, view) {
-                // A later duplicate wins, exactly as in `with_updates`.
-                planned -= usize::from(old.planned());
-            } else {
+            if !view.is_empty() {
                 len += 1;
+                planned += usize::from(view.planned());
+                bucket.insert(key, view);
             }
-        }
-        let mut level: Vec<Option<Arc<ViewNode>>> = buckets
-            .into_iter()
-            .map(|bucket| (!bucket.is_empty()).then(|| Arc::new(ViewNode::Leaf(bucket))))
-            .collect();
-        while level.len() > 1 {
-            level = level
-                .chunks_mut(VIEW_FANOUT)
-                .map(|chunk| {
-                    if chunk.iter().all(Option::is_none) {
-                        return None;
-                    }
-                    let children: [Option<Arc<ViewNode>>; VIEW_FANOUT] =
-                        std::array::from_fn(|i| chunk[i].take());
-                    Some(Arc::new(ViewNode::Interior(children)))
-                })
-                .collect();
-        }
-        let root = level.into_iter().next().flatten();
-        SlotTree { root, len, planned }
+            out
+        });
+        self.len = len;
+        self.planned = planned;
+        out
     }
 
     /// Visits every published entry, in unspecified order.
@@ -470,13 +390,18 @@ mod tests {
         }
     }
 
+    /// A tree holding `node-{i}:443` with latency `i`, for `i < n`.
+    fn fleet(n: u64) -> SlotTree {
+        let mut tree = SlotTree::default();
+        for i in 0..n {
+            tree.edit(&format!("node-{i}:443"), |view| view.latency_us = Some(i));
+        }
+        tree
+    }
+
     #[test]
     fn lookup_roundtrips_and_counts() {
-        let mut updates = Vec::new();
-        for i in 0..500 {
-            updates.push((format!("node-{i}:443"), Some(view_with_latency(i))));
-        }
-        let tree = SlotTree::default().with_updates(updates);
+        let tree = fleet(500);
         assert_eq!(tree.len(), 500);
         assert_eq!(tree.planned(), 0);
         for i in 0..500 {
@@ -487,48 +412,73 @@ mod tests {
     }
 
     #[test]
-    fn updates_share_untouched_structure() {
-        let base = SlotTree::default().with_updates(
-            (0..200)
-                .map(|i| (format!("node-{i}:443"), Some(view_with_latency(i))))
-                .collect(),
-        );
-        let next = base.with_updates(vec![("node-0:443".to_owned(), Some(view_with_latency(99)))]);
-        // The untouched entries read identically from both versions and
-        // the old version still holds its value (persistence).
-        assert_eq!(base.peer("node-0:443").unwrap().latency_us, Some(0));
+    fn edit_leaves_a_shared_tree_untouched() {
+        let base = fleet(200);
+        let base_bytes = base.estimated_bytes();
+        let mut next = base.clone();
+        next.edit("node-0:443", |view| view.latency_us = Some(99));
+        next.edit("node-1:443", |view| *view = PeerView::default());
+        next.edit("fresh:443", |view| *view = view_with_latency(7));
+        // The old version still holds every value it held (persistence).
+        assert_eq!(base.len(), 200);
+        assert_eq!(base.estimated_bytes(), base_bytes);
+        for i in 0..200 {
+            let peer = base.peer(&format!("node-{i}:443")).unwrap();
+            assert_eq!(peer.latency_us, Some(i));
+        }
+        assert!(base.peer("fresh:443").is_none());
+        // The new version sees its edits.
+        assert_eq!(next.len(), 200);
         assert_eq!(next.peer("node-0:443").unwrap().latency_us, Some(99));
-        assert_eq!(next.len(), base.len());
-        for i in 1..200 {
-            let address = format!("node-{i}:443");
-            let (a, b) = (base.peer(&address).unwrap(), next.peer(&address).unwrap());
-            assert_eq!(a.latency_us, b.latency_us);
+        assert!(next.peer("node-1:443").is_none());
+        assert_eq!(next.peer("fresh:443").unwrap().latency_us, Some(7));
+        // Root children off the edited paths are shared, not copied.
+        let touched: Vec<usize> = ["node-0:443", "node-1:443", "fresh:443"]
+            .iter()
+            .map(|a| nibble(fnv1a(a), 0))
+            .collect();
+        let (Some(ViewNode::Interior(old)), Some(ViewNode::Interior(new))) =
+            (base.root.as_deref(), next.root.as_deref())
+        else {
+            panic!("a populated tree has an interior root");
+        };
+        for i in (0..VIEW_FANOUT).filter(|i| !touched.contains(i)) {
+            match (&old[i], &new[i]) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "child {i} was copied"),
+                (a, b) => assert_eq!(a.is_some(), b.is_some()),
+            }
         }
     }
 
     #[test]
-    fn removal_and_empty_views_prune_entries() {
-        let tree = SlotTree::default().with_updates(vec![
-            ("a:1".to_owned(), Some(view_with_latency(1))),
-            ("b:1".to_owned(), Some(view_with_latency(2))),
-        ]);
-        let tree = tree.with_updates(vec![
-            ("a:1".to_owned(), None),
-            ("b:1".to_owned(), Some(PeerView::default())), // empty view = removal
-        ]);
-        assert_eq!(tree.len(), 0);
-        assert!(tree.peer("a:1").is_none());
-        assert!(tree.peer("b:1").is_none());
+    fn edit_on_an_unshared_tree_copies_nothing() {
+        let mut tree = fleet(50);
+        let root = tree.root.as_ref().map(Arc::as_ptr);
+        tree.edit("node-3:443", |view| view.latency_us = Some(1));
+        assert_eq!(tree.root.as_ref().map(Arc::as_ptr), root);
     }
 
     #[test]
-    fn later_duplicate_update_wins() {
-        let tree = SlotTree::default().with_updates(vec![
-            ("a:1".to_owned(), Some(view_with_latency(1))),
-            ("a:1".to_owned(), Some(view_with_latency(2))),
-        ]);
-        assert_eq!(tree.len(), 1);
-        assert_eq!(tree.peer("a:1").unwrap().latency_us, Some(2));
+    fn removal_and_empty_views_prune_entries() {
+        let mut tree = SlotTree::default();
+        tree.edit("a:1", |view| view.latency_us = Some(1));
+        tree.edit("b:1", |view| view.latency_us = Some(2));
+        tree.edit("a:1", |view| view.latency_us = None);
+        // An extra tail left empty counts as no entry at all.
+        tree.edit("b:1", |view| {
+            view.latency_us = None;
+            view.extra_mut().redirect = None;
+        });
+        tree.edit("never:1", |_| ());
+        assert_eq!(tree.len(), 0);
+        assert!(tree.peer("a:1").is_none());
+        assert!(tree.peer("b:1").is_none());
+        // Empty subtrees are pruned: the shape depends only on contents.
+        assert!(tree.root.is_none());
+        assert_eq!(
+            tree.estimated_bytes(),
+            SlotTree::default().estimated_bytes()
+        );
     }
 
     #[test]
@@ -536,39 +486,16 @@ mod tests {
         use crate::fault::FaultPlan;
         let entry: SharedFaultEntry =
             Arc::new(Mutex::new(FaultEntry::new(FaultPlan::default(), 0, "a:1")));
-        let mut planned_view = PeerView::default();
-        planned_view.extra_mut().fault = Some(entry);
-        let tree = SlotTree::default().with_updates(vec![
-            ("a:1".to_owned(), Some(planned_view.clone())),
-            ("b:1".to_owned(), Some(view_with_latency(5))),
-        ]);
+        let mut tree = SlotTree::default();
+        tree.edit("a:1", |view| view.extra_mut().fault = Some(entry));
+        tree.edit("b:1", |view| view.latency_us = Some(5));
         assert_eq!(tree.planned(), 1);
-        let cleared = tree.with_updates(vec![("a:1".to_owned(), Some(view_with_latency(9)))]);
-        assert_eq!(cleared.planned(), 0);
-        assert_eq!(cleared.len(), 2);
-    }
-
-    #[test]
-    fn rebuild_matches_incremental_construction() {
-        let entries: Vec<(String, PeerView)> = (0..300)
-            .map(|i| (format!("node-{i}:443"), view_with_latency(i)))
-            .collect();
-        let incremental = entries.iter().fold(SlotTree::default(), |tree, (a, v)| {
-            tree.with_updates(vec![(a.clone(), Some(v.clone()))])
+        tree.edit("a:1", |view| {
+            view.extra = None;
+            view.latency_us = Some(9);
         });
-        let rebuilt = SlotTree::rebuilt_from(entries);
-        assert_eq!(incremental.len(), rebuilt.len());
-        let mut count = 0;
-        rebuilt.for_each(|address, view| {
-            count += 1;
-            assert_eq!(
-                incremental.peer(address).unwrap().latency_us,
-                view.latency_us
-            );
-        });
-        assert_eq!(count, 300);
-        // The estimate depends only on contents, not construction order.
-        assert_eq!(incremental.estimated_bytes(), rebuilt.estimated_bytes());
+        assert_eq!(tree.planned(), 0);
+        assert_eq!(tree.len(), 2);
     }
 
     #[test]

@@ -507,9 +507,9 @@ impl SimWorld {
         let home_subnet = self.subnet;
         // Deploying a node is a burst of fabric mutations (binds, latency
         // shaping); a batch scope coalesces the whole fleet into one view
-        // republish instead of one per mutation. Dials issued while the
-        // batch is open (node boot traffic) take the locked path and see
-        // every prior write, so behaviour is unchanged.
+        // publish instead of one per mutation. Dials issued while the
+        // batch is open (node boot traffic) read the batch's pending view
+        // and see every prior write, so behaviour is unchanged.
         let net = self.net.clone();
         let deployed = net.batch(|_| {
             for (subnet, count) in groups {

@@ -54,6 +54,11 @@
 //! # Ok::<(), sev_snp::SnpError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod error;
 pub mod ids;
 pub mod kds;

@@ -32,7 +32,7 @@ impl Measurement {
         h.update(b"snp-launch-digest/v1");
         h.update(&(initial_memory.len() as u64).to_le_bytes());
         h.update(initial_memory);
-        Measurement(h.finalize().try_into().expect("48 bytes"))
+        Measurement(h.finalize_fixed())
     }
 
     /// Wraps raw digest bytes (e.g. parsed from a report).

@@ -40,7 +40,7 @@ fn derive_seed(master: &[u8; 32], label: &str, context: &[u8]) -> [u8; 32] {
     mac.update(label.as_bytes());
     mac.update(&[0]);
     mac.update(context);
-    mac.finalize().try_into().expect("32 bytes")
+    mac.finalize_fixed()
 }
 
 impl AmdRootOfTrust {

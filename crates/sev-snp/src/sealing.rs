@@ -80,7 +80,7 @@ impl SealingKeyRequest {
         }
         mac.update(&(self.context.len() as u64).to_le_bytes());
         mac.update(&self.context);
-        mac.finalize().try_into().expect("32 bytes")
+        mac.finalize_fixed()
     }
 }
 

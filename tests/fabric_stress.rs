@@ -1,4 +1,4 @@
-//! Multi-threaded stress for the sharded `SimNet` fabric.
+//! Multi-threaded stress for the `SimNet` fabric.
 //!
 //! The fabric promises two things under concurrency:
 //!
@@ -6,12 +6,13 @@
 //!    other threads bind/unbind listeners and churn traffic shaping must
 //!    never deadlock, and must never lose a listener that was not
 //!    unbound. This additionally exercises the epoch republish
-//!    machinery: shaper churn republishes the routing
-//!    view thousands of times while dialers read it lock-free.
+//!    machinery: shaper churn republishes the routing view thousands of
+//!    times while dialers read it lock-free.
 //! 2. **Determinism** — fault streams are keyed by address (and route),
-//!    not by shard or thread, so as long as each address is driven by
-//!    one thread, per-address outcomes, the injected-fault total, and
-//!    the total sim-clock advance are identical across thread counts.
+//!    not by thread or interleaving, so as long as each address is
+//!    driven by one thread, per-address outcomes, the injected-fault
+//!    total, and the total sim-clock advance are identical across thread
+//!    counts.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

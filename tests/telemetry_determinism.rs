@@ -79,10 +79,10 @@ fn fault_seed_is_part_of_the_determinism_contract() {
 
 #[test]
 fn exports_are_byte_identical_across_concurrent_worlds() {
-    // Sharded-fabric worlds share no process-global state: the scenario
-    // run on 4 or 16 threads concurrently exports exactly the bytes of a
-    // lone run. This is the multi-threaded leg of the determinism
-    // contract the fabric sharding has to preserve.
+    // Worlds share no process-global state: the scenario run on 4 or 16
+    // threads concurrently exports exactly the bytes of a lone run. This
+    // is the multi-threaded leg of the determinism contract the
+    // thread-safe fabric has to preserve.
     let reference = run_scenario(7).export_json_lines();
     for threads in [4usize, 16] {
         let exports: Vec<String> = std::thread::scope(|s| {

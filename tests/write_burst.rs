@@ -3,8 +3,9 @@
 //!
 //! Fleet provisioning and re-attestation sweeps are *write bursts*:
 //! thousands of shaper/bind mutations land while reader threads keep
-//! dialing. The batch scope defers the view republish and the slot tree
-//! path-copies on flush, so two things must be proven under concurrency:
+//! dialing. A batch scope edits one pending view (copying each slot-tree
+//! path on first touch) and publishes it once, so two things must be
+//! proven under concurrency:
 //!
 //! 1. **Transcript determinism** — with every address driven by one
 //!    thread, per-address dial outcomes, the injected-fault total, the
@@ -12,15 +13,16 @@
 //!    byte-identical across 1/4/16 threads, whether the writers mutate
 //!    inside or outside `batch` scopes.
 //! 2. **Convergence** — a mutation sequence applied through arbitrary
-//!    batch cut points ends in exactly the view the unbatched sequence
-//!    produces (the proptest below).
+//!    batch cut points reads exactly what the unbatched sequence reads
+//!    at every step, inside batches included, and ends in exactly the
+//!    view it produces (the proptest below).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use revelio_net::clock::SimClock;
 use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
-use revelio_net::{FaultPlan, NetError};
+use revelio_net::{FaultDomain, FaultPlan, NetError};
 
 struct Echo;
 
@@ -188,24 +190,28 @@ fn write_burst_transcripts_are_identical_across_thread_counts_and_modes() {
     assert_eq!(single, run_burst(16), "16 threads diverged from sequential");
 }
 
-/// Applies one decoded mutation op. The op stream is a plain `Vec<u64>`
-/// because the vendored proptest shim has no tuple/enum strategies; each
-/// word decodes to an address (bits 8..) and an op kind (`w % 7`).
-fn apply_op(net: &SimNet, w: u64) {
+/// Applies one decoded op, appending what a read op observed to
+/// `reads`. The op stream is a plain `Vec<u64>` because the vendored
+/// proptest shim has no tuple/enum strategies; each word decodes to an
+/// address (bits 8..), an argument (bits 16..) and an op kind
+/// (`w % 11`).
+fn apply_op(net: &SimNet, w: u64, reads: &mut Vec<String>) {
     let k = (w >> 8) % 8;
+    let arg = w >> 16;
     let address = format!("prop-{k}.burst.test:443");
-    match w % 7 {
+    match w % 11 {
         0 => {
             // Double binds are a legitimate op-stream artifact: ignore.
             let _ = net.bind(&address, Arc::new(Echo));
         }
         1 => net.unbind(&address),
         2 => {
-            let _ = net.peer(&address).latency_us(500 + (w >> 16) % 5_000);
+            let _ = net.peer(&address).latency_us(500 + arg % 5_000);
         }
         3 => {
             let _ = net.peer(&address).fault_plan(FaultPlan {
-                drop_probability: ((w >> 16) % 100) as f64 / 100.0,
+                drop_probability: (arg % 100) as f64 / 100.0,
+                jitter_us: arg % 3 * 100,
                 ..FaultPlan::default()
             });
         }
@@ -213,13 +219,45 @@ fn apply_op(net: &SimNet, w: u64) {
             let _ = net.peer(&address).clear();
         }
         5 => {
-            let target = format!("prop-{}.burst.test:443", (w >> 16) % 8);
+            let target = format!("prop-{}.burst.test:443", arg % 8);
             let _ = net.peer(&address).redirect_to(&target);
         }
-        _ => {
+        6 => {
             let _ = net
                 .peer(&address)
-                .fault_plan_for_route("/r", FaultPlan::fail_first(((w >> 16) % 4) as u32));
+                .fault_plan_for_route("/r", FaultPlan::fail_first((arg % 4) as u32));
+        }
+        7 => {
+            // A domain over one address, healing 0–2 s from now (0 =
+            // already healed), partitioned or lossy.
+            let name = format!("dom-{}", arg % 3);
+            let prefix = format!("prop-{k}.");
+            let domain = if arg & 8 == 0 {
+                FaultDomain::partition(&name, &prefix).with_timeout_us(50_000)
+            } else {
+                FaultDomain::degraded(
+                    &name,
+                    &prefix,
+                    FaultPlan {
+                        drop_probability: 0.5,
+                        ..FaultPlan::default()
+                    },
+                )
+            };
+            let heal = net.clock().now_us() + (arg >> 4) % 3 * 1_000_000;
+            net.install_fault_domain(domain.healing_at_us(heal));
+        }
+        8 => net.clear_fault_domain(&format!("dom-{}", arg % 3)),
+        9 => net.set_fault_seed(arg % 4),
+        _ => {
+            let outcome = net
+                .dial(&address)
+                .and_then(|mut conn| conn.exchange_routed(["/r", "/x"][(arg % 2) as usize], b"q"));
+            reads.push(format!(
+                "{address} {outcome:?} @{}\n{}",
+                net.clock().now_us(),
+                net.view_fingerprint()
+            ));
         }
     }
 }
@@ -227,19 +265,23 @@ fn apply_op(net: &SimNet, w: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched and unbatched application of the same mutation sequence
-    /// converge to byte-identical final views, for arbitrary sequences
-    /// and batch cut points (chunk size derived from the stream itself).
+    /// Batched and unbatched application of the same op sequence read
+    /// the same dial outcomes, clocks and fingerprints at every read op
+    /// (inside batches too) and converge to byte-identical final views,
+    /// for arbitrary sequences and batch cut points (chunk size derived
+    /// from the stream itself).
     #[test]
     fn batched_and_unbatched_mutation_sequences_converge(
         ops in proptest::collection::vec(any::<u64>(), 0..60),
     ) {
         let unbatched = SimNet::new(SimClock::new(), NetConfig::default());
+        let mut unbatched_reads = Vec::new();
         for &w in &ops {
-            apply_op(&unbatched, w);
+            apply_op(&unbatched, w, &mut unbatched_reads);
         }
 
         let batched = SimNet::new(SimClock::new(), NetConfig::default());
+        let mut batched_reads = Vec::new();
         let mut rest: &[u64] = &ops;
         while !rest.is_empty() {
             // Cut points come from the data: 1–4 ops per batch scope.
@@ -248,12 +290,13 @@ proptest! {
             let (chunk, tail) = rest.split_at(take);
             batched.batch(|net| {
                 for &w in chunk {
-                    apply_op(net, w);
+                    apply_op(net, w, &mut batched_reads);
                 }
             });
             rest = tail;
         }
 
+        prop_assert_eq!(unbatched_reads, batched_reads);
         prop_assert_eq!(unbatched.view_fingerprint(), batched.view_fingerprint());
     }
 }
