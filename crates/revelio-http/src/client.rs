@@ -9,6 +9,7 @@ use revelio_crypto::hmac::Hmac;
 use revelio_crypto::sha2::Sha256;
 use revelio_net::dns::DnsZone;
 use revelio_net::net::SimNet;
+use revelio_telemetry::Telemetry;
 use revelio_tls::{ResumptionState, TlsClient, TlsClientConfig, TlsSession};
 
 use crate::message::{Request, Response};
@@ -47,15 +48,17 @@ pub fn parse_https_url(url: &str) -> Result<(&str, String), HttpError> {
 }
 
 /// An HTTPS client bound to a network, a DNS zone and a root store.
+///
+/// The client's one telemetry registry is its TLS client's: handshakes
+/// are recorded there, and every request carries that registry's
+/// innermost open span as a `traceparent` header
+/// ([`crate::router::TRACEPARENT_HEADER`]).
 pub struct HttpsClient {
     net: SimNet,
     dns: DnsZone,
     tls: TlsClient,
     entropy_seed: [u8; 32],
     connection_counter: Arc<AtomicU64>,
-    /// When set, the current trace context is injected into every request
-    /// as a `traceparent` header ([`crate::router::TRACEPARENT_HEADER`]).
-    telemetry: Option<revelio_telemetry::Telemetry>,
 }
 
 impl std::fmt::Debug for HttpsClient {
@@ -80,15 +83,15 @@ impl HttpsClient {
             tls: TlsClient::new(tls_config),
             entropy_seed,
             connection_counter: Arc::new(AtomicU64::new(0)),
-            telemetry: None,
         }
     }
 
-    /// Enables trace-context propagation: sessions opened by this client
-    /// inject the innermost open span's context into outgoing requests.
+    /// Replaces the client's registry: handshakes are recorded into
+    /// `telemetry`, and its innermost open span's context is injected
+    /// into outgoing requests.
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: revelio_telemetry::Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.tls = self.tls.with_telemetry(telemetry);
         self
     }
 
@@ -97,7 +100,7 @@ impl HttpsClient {
         let mut mac = Hmac::<Sha256>::new(&self.entropy_seed);
         mac.update(b"client-ephemeral");
         mac.update(&n.to_le_bytes());
-        mac.finalize().try_into().expect("32 bytes")
+        mac.finalize_fixed()
     }
 
     /// Opens an HTTPS session to `host` (resolving via DNS and performing
@@ -114,7 +117,7 @@ impl HttpsClient {
         Ok(HttpsSession {
             session,
             host: host.to_owned(),
-            telemetry: self.telemetry.clone(),
+            telemetry: self.tls.telemetry().clone(),
         })
     }
 
@@ -142,7 +145,7 @@ impl HttpsClient {
         Ok(HttpsSession {
             session,
             host: host.to_owned(),
-            telemetry: self.telemetry.clone(),
+            telemetry: self.tls.telemetry().clone(),
         })
     }
 
@@ -174,7 +177,7 @@ impl HttpsClient {
 pub struct HttpsSession {
     session: TlsSession,
     host: String,
-    telemetry: Option<revelio_telemetry::Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for HttpsSession {
@@ -196,11 +199,7 @@ impl HttpsSession {
         // Client half of context propagation: inject the innermost open
         // span as a `traceparent` header (an explicit header wins).
         if request.header(crate::router::TRACEPARENT_HEADER).is_none() {
-            if let Some(context) = self
-                .telemetry
-                .as_ref()
-                .and_then(revelio_telemetry::Telemetry::current_context)
-            {
+            if let Some(context) = self.telemetry.current_context() {
                 request = request
                     .with_header(crate::router::TRACEPARENT_HEADER, &context.to_traceparent());
             }
@@ -489,10 +488,14 @@ mod tests {
         assert!(session.send(&Request::get("/")).unwrap().is_success());
         browse.finish_ms();
 
-        // The server span is a child of the client span, same trace.
+        // The client's registry is its TLS client's: the handshake and
+        // the server span are both children of the client span, one trace.
         let client_span = telemetry.span_record(0).unwrap();
         assert_eq!(client_span.name, "client.browse");
-        let server_span = telemetry.span_record(1).unwrap();
+        let handshake_span = telemetry.span_record(1).unwrap();
+        assert_eq!(handshake_span.name, "tls.handshake");
+        assert_eq!(handshake_span.parent, Some(client_span.id));
+        let server_span = telemetry.span_record(2).unwrap();
         assert_eq!(server_span.name, "http.server");
         assert_eq!(server_span.parent, Some(client_span.id));
         assert_eq!(server_span.trace_id, client_span.trace_id);

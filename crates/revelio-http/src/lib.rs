@@ -18,6 +18,11 @@
 //! The conventional location for Revelio evidence is
 //! [`WELL_KNOWN_ATTESTATION_PATH`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod client;
 pub mod error;
 pub mod message;

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use revelio_net::net::{ConnectionHandler, Listener, SimNet};
 use revelio_net::NetError;
+use revelio_telemetry::Telemetry;
 use revelio_tls::{AppHandler, TlsListener, TlsServerConfig};
 
 use crate::message::{Request, Response};
@@ -23,13 +24,19 @@ impl AppHandler for RouterApp {
             Err(e) => Response::status(400)
                 .with_header("X-Parse-Error", &e.to_string().replace(['\r', '\n'], " ")),
         };
+        // A handler that built an unencodable response (header injection)
+        // must not take the connection down with it.
         response
             .to_bytes()
-            // A handler that built an unencodable response (header
-            // injection) must not take the connection down with it.
-            .unwrap_or_else(|_| Response::status(500).to_bytes().expect("no headers"))
+            .unwrap_or_else(|_| INTERNAL_ERROR_BYTES.to_vec())
     }
 }
+
+/// The wire bytes of a bare `500` response: the fallback for a handler
+/// response that cannot be encoded. Written out rather than encoded at
+/// run time, so the fallback itself cannot fail.
+const INTERNAL_ERROR_BYTES: &[u8] =
+    b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n";
 
 /// Binds `router` behind TLS at `address` — the public face of a Revelio
 /// VM (only this port is reachable; everything else refuses connections).
@@ -65,7 +72,7 @@ impl ConnectionHandler for PlainConnection {
         };
         Ok(response
             .to_bytes()
-            .unwrap_or_else(|_| Response::status(500).to_bytes().expect("no headers")))
+            .unwrap_or_else(|_| INTERNAL_ERROR_BYTES.to_vec()))
     }
 }
 
@@ -116,10 +123,9 @@ pub fn plain_request_traced(
     net: &SimNet,
     address: &str,
     request: &Request,
-    telemetry: Option<&revelio_telemetry::Telemetry>,
+    telemetry: &Telemetry,
 ) -> Result<Response, HttpError> {
-    let context = telemetry.and_then(revelio_telemetry::Telemetry::current_context);
-    match context {
+    match telemetry.current_context() {
         Some(context) if request.header(crate::router::TRACEPARENT_HEADER).is_none() => {
             let traced = request
                 .clone()
@@ -165,6 +171,25 @@ mod tests {
         let mut conn = net.dial("10.1.0.1:80").unwrap();
         let res = Response::from_bytes(&conn.exchange(b"garbage").unwrap()).unwrap();
         assert_eq!(res.status, 400);
+    }
+
+    #[test]
+    fn internal_error_fallback_is_a_bare_500() {
+        assert_eq!(
+            INTERNAL_ERROR_BYTES,
+            Response::status(500).to_bytes().unwrap().as_slice()
+        );
+    }
+
+    #[test]
+    fn unencodable_response_falls_back_to_500() {
+        let net = net();
+        let router = Router::new().get("/inject", |_| {
+            Response::ok(Vec::new()).with_header("X-Injected", "a\r\nSet-Cookie: b")
+        });
+        serve_http(&net, "10.1.0.1:80", router).unwrap();
+        let res = plain_request(&net, "10.1.0.1:80", &Request::get("/inject")).unwrap();
+        assert_eq!(res.status, 500);
     }
 
     #[test]

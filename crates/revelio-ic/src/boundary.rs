@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use revelio_http::message::{Request, Response};
 use revelio_http::router::Router;
-use revelio_net::clock::SimClock;
 use revelio_net::retry::RetryPolicy;
 use revelio_telemetry::{retry_with_telemetry, Telemetry};
 
@@ -35,8 +34,7 @@ const BOUNDARY_JITTER_SEED: u64 = 0x626f_756e; // "boun"
 #[derive(Clone)]
 struct UpstreamRetry {
     policy: RetryPolicy,
-    clock: SimClock,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 /// The boundary node's link to its IC replicas: injects simulated
@@ -63,23 +61,13 @@ impl Upstream {
         let Some(retry) = &self.retry else {
             return self.execute_once(request);
         };
-        match &retry.telemetry {
-            Some(telemetry) => retry_with_telemetry(
-                &retry.policy,
-                telemetry,
-                "boundary",
-                IcError::is_transient,
-                |_| self.execute_once(request),
-            ),
-            None => {
-                retry
-                    .policy
-                    .run(&retry.clock, IcError::is_transient, |_| {
-                        self.execute_once(request)
-                    })
-                    .0
-            }
-        }
+        retry_with_telemetry(
+            &retry.policy,
+            &retry.telemetry,
+            "boundary",
+            IcError::is_transient,
+            |_| self.execute_once(request),
+        )
     }
 }
 
@@ -115,18 +103,12 @@ impl BoundaryNode {
     }
 
     /// Enables bounded retry of transient upstream failures. Backoff
-    /// advances `clock`; with `telemetry` present, retries feed the
+    /// advances `telemetry`'s clock, and retries feed its
     /// `revelio_boundary_retry_*` counters.
     #[must_use]
-    pub fn with_upstream_retry(
-        mut self,
-        policy: RetryPolicy,
-        clock: SimClock,
-        telemetry: Option<Telemetry>,
-    ) -> Self {
+    pub fn with_upstream_retry(mut self, policy: RetryPolicy, telemetry: Telemetry) -> Self {
         self.upstream.retry = Some(UpstreamRetry {
             policy: policy.with_jitter_seed(BOUNDARY_JITTER_SEED),
-            clock,
             telemetry,
         });
         self
@@ -269,6 +251,7 @@ self.addEventListener('fetch', (event) => { /* see revelio-ic::service_worker */
 mod tests {
     use super::*;
     use crate::canister::AssetCanister;
+    use revelio_net::clock::SimClock;
 
     fn setup() -> (Arc<InternetComputer>, BoundaryNode) {
         let ic = Arc::new(InternetComputer::new(1, 4, 3));
@@ -383,11 +366,8 @@ mod tests {
         let (ic, _) = setup();
         let clock = SimClock::new();
         let telemetry = Telemetry::new(clock.clone());
-        let bn = BoundaryNode::new(Arc::clone(&ic), 1).with_upstream_retry(
-            RetryPolicy::default(),
-            clock.clone(),
-            Some(telemetry.clone()),
-        );
+        let bn = BoundaryNode::new(Arc::clone(&ic), 1)
+            .with_upstream_retry(RetryPolicy::default(), telemetry.clone());
         let router = bn.router_with_assets(&["/"]);
         bn.set_upstream_outage(2);
         let resp = router.dispatch(&Request::get("/"));
@@ -403,13 +383,9 @@ mod tests {
     #[test]
     fn sustained_upstream_outage_gives_up_with_503() {
         let (ic, _) = setup();
-        let clock = SimClock::new();
-        let telemetry = Telemetry::new(clock.clone());
-        let bn = BoundaryNode::new(Arc::clone(&ic), 1).with_upstream_retry(
-            RetryPolicy::default(),
-            clock,
-            Some(telemetry.clone()),
-        );
+        let telemetry = Telemetry::new(SimClock::new());
+        let bn = BoundaryNode::new(Arc::clone(&ic), 1)
+            .with_upstream_retry(RetryPolicy::default(), telemetry.clone());
         let router = bn.router_with_assets(&["/"]);
         bn.set_upstream_outage(u32::MAX);
         assert_eq!(router.dispatch(&Request::get("/")).status, 503);

@@ -75,7 +75,7 @@ pub struct AcmeCa {
     clock: SimClock,
     dns: DnsZone,
     log: Arc<Mutex<IssuanceLog>>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     retry: RetryPolicy,
 }
 
@@ -111,10 +111,10 @@ impl AcmeCa {
             intermediate,
             intermediate_cert,
             policy,
+            telemetry: Telemetry::new(clock.clone()),
             clock,
             dns,
             log: Arc::new(Mutex::new(IssuanceLog::default())),
-            telemetry: None,
             retry: Self::default_retry_policy(),
         }
     }
@@ -141,11 +141,12 @@ impl AcmeCa {
         self.log.lock().outage_remaining = orders;
     }
 
-    /// Records an `acme.order` span and issuance counters for every
-    /// [`AcmeCa::order_certificate`] call.
+    /// Records the `acme.order` span and issuance counters of every
+    /// [`AcmeCa::order_certificate`] call into `telemetry` instead of the
+    /// CA's private registry.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -239,8 +240,7 @@ impl AcmeCa {
     ) -> Result<CertificateChain, PkiError> {
         let span = self
             .telemetry
-            .as_ref()
-            .map(|t| t.span_with("acme.order", &[("domain", &csr.domain)]));
+            .span_with("acme.order", &[("domain", &csr.domain)]);
         let attempt = |_attempt: u32| {
             {
                 let mut log = self.log.lock();
@@ -257,30 +257,21 @@ impl AcmeCa {
         };
         // Transient outages are retried under the single acme.order span;
         // durable failures (rate limits, bad challenges) return at once.
-        let result = match &self.telemetry {
-            Some(telemetry) => retry_with_telemetry(
-                &self.retry,
-                telemetry,
-                "acme",
-                PkiError::is_transient,
-                attempt,
-            ),
-            None => {
-                self.retry
-                    .run(&self.clock, PkiError::is_transient, attempt)
-                    .0
-            }
+        let result = retry_with_telemetry(
+            &self.retry,
+            &self.telemetry,
+            "acme",
+            PkiError::is_transient,
+            attempt,
+        );
+        let ms = span.finish_ms();
+        self.telemetry.observe("revelio_pki_acme_order_ms", ms);
+        let outcome = match &result {
+            Ok(_) => "revelio_pki_acme_certificates_issued_total",
+            Err(PkiError::RateLimited { .. }) => "revelio_pki_acme_orders_rate_limited_total",
+            Err(_) => "revelio_pki_acme_order_failures_total",
         };
-        if let Some(telemetry) = &self.telemetry {
-            let ms = span.expect("span exists when telemetry does").finish_ms();
-            telemetry.observe("revelio_pki_acme_order_ms", ms);
-            let outcome = match &result {
-                Ok(_) => "revelio_pki_acme_certificates_issued_total",
-                Err(PkiError::RateLimited { .. }) => "revelio_pki_acme_orders_rate_limited_total",
-                Err(_) => "revelio_pki_acme_order_failures_total",
-            };
-            telemetry.counter_add(outcome, 1);
-        }
+        self.telemetry.counter_add(outcome, 1);
         result
     }
 
@@ -298,10 +289,9 @@ impl AcmeCa {
         csr: &CertificateSigningRequest,
     ) -> Result<CertificateChain, PkiError> {
         let result = self.order_certificate(csr);
-        if let Some(telemetry) = &self.telemetry {
-            if result.is_ok() {
-                telemetry.counter_add("revelio_pki_acme_renewals_total", 1);
-            }
+        if result.is_ok() {
+            self.telemetry
+                .counter_add("revelio_pki_acme_renewals_total", 1);
         }
         result
     }

@@ -45,8 +45,9 @@ pub struct TlsClientConfig {
     pub trusted_roots: Vec<Certificate>,
     /// Clock for validity-window checks.
     pub clock: SimClock,
-    /// When set, each [`TlsClient::connect`] records a `tls.handshake`
-    /// span and handshake counters/latency metrics.
+    /// The registry each [`TlsClient::connect`] records its
+    /// `tls.handshake` span and handshake counters/latency metrics into.
+    /// `None` gives the client a private registry on `clock`.
     pub telemetry: Option<Telemetry>,
 }
 
@@ -62,13 +63,31 @@ impl std::fmt::Debug for TlsClientConfig {
 #[derive(Debug, Clone)]
 pub struct TlsClient {
     config: TlsClientConfig,
+    telemetry: Telemetry,
 }
 
 impl TlsClient {
     /// Creates a client trusting `config.trusted_roots`.
     #[must_use]
-    pub fn new(config: TlsClientConfig) -> Self {
-        TlsClient { config }
+    pub fn new(mut config: TlsClientConfig) -> Self {
+        let telemetry = config
+            .telemetry
+            .take()
+            .unwrap_or_else(|| Telemetry::new(config.clock.clone()));
+        TlsClient { config, telemetry }
+    }
+
+    /// Records handshakes into `telemetry` instead of the current registry.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// The registry handshakes are recorded into.
+    #[must_use]
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// Connects to `address`, expecting a certificate for `server_name`.
@@ -124,44 +143,36 @@ impl TlsClient {
         ephemeral_seed: [u8; 32],
         offer: Option<&ResumptionState>,
     ) -> Result<TlsSession, TlsError> {
-        let span = self
-            .config
-            .telemetry
-            .as_ref()
-            // The dialed address identifies the hop in assembled traces
-            // (the SNI alone is ambiguous across a multi-node fleet).
-            .map(|t| {
-                t.span_with(
-                    "tls.handshake",
-                    &[("sni", server_name), ("address", address)],
-                )
-            });
+        let telemetry = &self.telemetry;
+        // The dialed address identifies the hop in assembled traces (the
+        // SNI alone is ambiguous across a multi-node fleet).
+        let span = telemetry.span_with(
+            "tls.handshake",
+            &[("sni", server_name), ("address", address)],
+        );
         let result = self.connect_inner(net, address, server_name, ephemeral_seed, offer);
-        if let Some(telemetry) = &self.config.telemetry {
-            let span = span.expect("span exists when telemetry does");
-            if result.is_err() {
-                span.attr("outcome", "failure");
-            }
-            let ms = span.finish_ms();
-            telemetry.observe("revelio_tls_handshake_ms", ms);
-            let outcome = if result.is_ok() {
-                "revelio_tls_handshakes_total"
+        if result.is_err() {
+            span.attr("outcome", "failure");
+        }
+        let ms = span.finish_ms();
+        telemetry.observe("revelio_tls_handshake_ms", ms);
+        let outcome = if result.is_ok() {
+            "revelio_tls_handshakes_total"
+        } else {
+            "revelio_tls_handshake_failures_total"
+        };
+        telemetry.counter_add(outcome, 1);
+        if let Ok(session) = &result {
+            if session.resumed {
+                telemetry.counter_add("revelio_tls_resumptions_total", 1);
+                telemetry.observe("revelio_tls_resumed_handshake_ms", ms);
             } else {
-                "revelio_tls_handshake_failures_total"
-            };
-            telemetry.counter_add(outcome, 1);
-            if let Ok(session) = &result {
-                if session.resumed {
-                    telemetry.counter_add("revelio_tls_resumptions_total", 1);
-                    telemetry.observe("revelio_tls_resumed_handshake_ms", ms);
-                } else {
-                    if offer.is_some() {
-                        // Offered a ticket, got the full flight back.
-                        telemetry.counter_add("revelio_tls_resumption_rejections_total", 1);
-                    }
-                    if session.resumption.is_some() {
-                        telemetry.counter_add("revelio_tls_tickets_issued_total", 1);
-                    }
+                if offer.is_some() {
+                    // Offered a ticket, got the full flight back.
+                    telemetry.counter_add("revelio_tls_resumption_rejections_total", 1);
+                }
+                if session.resumption.is_some() {
+                    telemetry.counter_add("revelio_tls_tickets_issued_total", 1);
                 }
             }
         }

@@ -52,7 +52,9 @@ use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
 use revelio_net::snapshot::Snapshot;
 use revelio_pki::cert::Certificate;
-use revelio_telemetry::{retry_with_telemetry, FlightDump, FlightRecorder, Telemetry};
+use revelio_telemetry::{
+    retry_with_telemetry, FlightDump, FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY,
+};
 use revelio_tls::{ResumptionState, TlsClientConfig};
 use sev_snp::ids::TcbVersion;
 use sev_snp::measurement::Measurement;
@@ -62,24 +64,6 @@ use crate::evidence::EvidenceBundle;
 use crate::kds_http::KdsHttpClient;
 use crate::registry::GoldenSet;
 use crate::RevelioError;
-
-/// How [`WebExtension::reconnect`] re-establishes trust in a
-/// [`MonitoredSession`] after a connection reset (§5.3.2's continuous
-/// monitoring, with ROADMAP's open question resolved in favour of
-/// re-attestation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReconnectPolicy {
-    /// Fast path only: accept the new connection iff it terminates at
-    /// the pinned key. Cheap, but blind to a measurement revoked or
-    /// evidence gone stale *behind* the same key.
-    PinOnly,
-    /// Pin check first (the redirect attack fails fast), then re-fetch
-    /// and re-validate the **full evidence bundle** before resuming.
-    /// The default: a reconnect is a new trust decision, not a resumed
-    /// one.
-    #[default]
-    ReattestAlways,
-}
 
 /// Extension policy and modelled client-side costs.
 #[derive(Debug, Clone)]
@@ -97,8 +81,6 @@ pub struct ExtensionConfig {
     /// per-connection TLS-binding stage, which runs on every
     /// verification, cached or not.
     pub connection_validation_ms: f64,
-    /// What a monitored-session reconnect must re-establish.
-    pub reconnect: ReconnectPolicy,
 }
 
 /// Timing breakdown of one attested page access (Table 3's raw material).
@@ -368,7 +350,7 @@ pub struct WebExtension {
     resumption: Mutex<HashMap<String, CachedResumption>>,
     telemetry: Telemetry,
     retry: RetryPolicy,
-    flight: Option<FlightRecorder>,
+    flight: FlightRecorder,
 }
 
 impl std::fmt::Debug for WebExtension {
@@ -380,11 +362,10 @@ impl std::fmt::Debug for WebExtension {
 }
 
 impl WebExtension {
-    /// Creates an extension instance (one per browser profile).
-    ///
-    /// `BrowseTiming` is derived from recorded spans: pass the world's
-    /// [`Telemetry`] to have browse/attestation/TLS spans join its tree, or
-    /// `None` for a private per-extension registry.
+    /// Creates an extension instance (one per browser profile). It
+    /// records into a private registry and flight ring on `net`'s clock
+    /// until [`WebExtension::with_telemetry`] and
+    /// [`WebExtension::with_flight_recorder`] wire in shared ones.
     #[must_use]
     pub fn new(
         net: SimNet,
@@ -392,33 +373,42 @@ impl WebExtension {
         kds: KdsHttpClient,
         config: ExtensionConfig,
         entropy_seed: [u8; 32],
-        telemetry: Option<Telemetry>,
     ) -> Self {
-        let telemetry = telemetry.unwrap_or_else(|| Telemetry::new(net.clock().clone()));
+        let clock = net.clock().clone();
+        let telemetry = Telemetry::new(clock.clone());
         let client = HttpsClient::new(
-            net.clone(),
+            net,
             dns,
             TlsClientConfig {
                 trusted_roots: config.tls_roots.clone(),
-                clock: net.clock().clone(),
+                clock: clock.clone(),
                 telemetry: Some(telemetry.clone()),
             },
             entropy_seed,
-        )
-        // Outbound requests carry the open browse span's context as a
-        // `traceparent` header, stitching the server side into the trace.
-        .with_telemetry(telemetry.clone());
+        );
         WebExtension {
-            clock: net.clock().clone(),
+            telemetry,
+            flight: FlightRecorder::new(clock.clone(), DEFAULT_FLIGHT_CAPACITY),
+            clock,
             kds,
             config,
             client,
             verifier: Snapshot::new(Arc::new(VerifierState::default())),
             resumption: Mutex::new(HashMap::new()),
-            telemetry,
             retry: Self::default_retry_policy(),
-            flight: None,
         }
+    }
+
+    /// Records into `telemetry` instead of the private registry.
+    /// `BrowseTiming` is derived from the recorded spans, and the TLS
+    /// client shares the registry: handshakes join the browse span's tree,
+    /// and outbound requests carry its context as a `traceparent` header,
+    /// stitching the server side into the trace.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.client = self.client.with_telemetry(telemetry.clone());
+        self.telemetry = telemetry;
+        self
     }
 
     /// The retry policy new extensions start with: the crate-wide default
@@ -436,19 +426,13 @@ impl WebExtension {
         self
     }
 
-    /// Attaches a flight recorder: the extension records its retries and
-    /// browse verdicts, and [`WebExtension::browse_classified`] attaches
-    /// a dump to `AttestationFailed` verdicts.
+    /// Records retries and browse verdicts into `flight` instead of the
+    /// private ring; [`WebExtension::browse_classified`] attaches its dump
+    /// to `AttestationFailed` verdicts.
     #[must_use]
     pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.flight = Some(flight);
+        self.flight = flight;
         self
-    }
-
-    fn flight_record(&self, kind: &str, detail: &str) {
-        if let Some(flight) = &self.flight {
-            flight.record(kind, detail);
-        }
     }
 
     /// Retries `op` on transient faults; when the budget is exhausted the
@@ -465,8 +449,10 @@ impl WebExtension {
             "extension",
             RevelioError::is_transient,
             |attempt| {
-                if attempt > 0 {
-                    self.flight_record("retry", &format!("browse attempt {attempt}"));
+                // Attempts count from 1: only the later ones are retries.
+                if attempt > 1 {
+                    self.flight
+                        .record("retry", &format!("browse attempt {attempt}"));
                 }
                 op(attempt)
             },
@@ -840,13 +826,16 @@ impl WebExtension {
             None => format!("{domain} (monitored)"),
         };
         match &visit {
-            Ok(_) => self.flight_record("verdict", &format!("{target}: attested")),
+            Ok(_) => self
+                .flight
+                .record("verdict", &format!("{target}: attested")),
             Err(e) => {
-                self.flight_record("verdict", &format!("{target}: {} ({e})", verdict.as_str()));
+                self.flight
+                    .record("verdict", &format!("{target}: {} ({e})", verdict.as_str()));
             }
         }
         let flight = match verdict {
-            BrowseVerdict::AttestationFailed => self.flight.as_ref().map(FlightRecorder::dump),
+            BrowseVerdict::AttestationFailed => Some(self.flight.dump()),
             _ => None,
         };
         Dispatched {
@@ -1086,19 +1075,19 @@ impl WebExtension {
     /// Reconnects a monitored session after a connection reset — the
     /// defense against the redirect attack (§5.3.2). The pinned key is
     /// the fast path: a connection terminating at a different key fails
-    /// immediately. Under [`ReconnectPolicy::ReattestAlways`] (the
-    /// default) the full evidence bundle is then re-fetched and re-run
-    /// through the staged verification before the session resumes — the
-    /// cacheable stage may hit the verdict cache (a revocation or floor
-    /// change bumps the generation, so a hit is as strong as a cold
-    /// verify), while the TLS binding is always re-checked against the
-    /// new connection.
+    /// immediately. The full evidence bundle is then re-fetched and re-run
+    /// through the staged verification before the session resumes: a
+    /// reconnect is a new trust decision, so a measurement revoked behind
+    /// the same key fails it. The cacheable stage may hit the verdict
+    /// cache (a revocation or floor change bumps the generation, so a hit
+    /// is as strong as a cold verify), while the TLS binding is always
+    /// re-checked against the new connection.
     ///
     /// # Errors
     ///
     /// Returns [`RevelioError::TlsBindingMismatch`] when the
     /// re-established connection terminates at a different key, and any
-    /// re-attestation failure under `ReattestAlways`.
+    /// re-attestation failure.
     pub fn reconnect(&self, monitored: &mut MonitoredSession) -> Result<(), RevelioError> {
         self.with_transient_retry(|_attempt| self.reconnect_once(monitored))
     }
@@ -1106,7 +1095,7 @@ impl WebExtension {
     fn reconnect_once(&self, monitored: &mut MonitoredSession) -> Result<(), RevelioError> {
         // Resumed path: a generation-fresh ticket proves continuity with
         // a session this extension fully verified under the *current*
-        // verdict generation, so `ReattestAlways` is satisfied without
+        // verdict generation, so the re-attestation is satisfied without
         // re-fetching evidence — the re-attestation it mandates would be
         // a verdict-cache hit against the very same generation. Any
         // revocation or floor change since then bumped the generation,
@@ -1133,12 +1122,10 @@ impl WebExtension {
         if session.peer_public_key() != monitored.pinned_key {
             return Err(RevelioError::TlsBindingMismatch);
         }
-        if self.config.reconnect == ReconnectPolicy::ReattestAlways {
-            let evidence = self.fetch_evidence(&monitored.domain, &mut session)?;
-            let verdict = self.verify(&monitored.domain, &evidence, &session.peer_public_key())?;
-            self.store_resumption(&monitored.domain, &session, &evidence, verdict.generation);
-            monitored.evidence = evidence;
-        }
+        let evidence = self.fetch_evidence(&monitored.domain, &mut session)?;
+        let verdict = self.verify(&monitored.domain, &evidence, &session.peer_public_key())?;
+        self.store_resumption(&monitored.domain, &session, &evidence, verdict.generation);
+        monitored.evidence = evidence;
         monitored.session = session;
         self.telemetry
             .counter_add("revelio_extension_reconnects_total", 1);
@@ -1156,8 +1143,7 @@ pub struct ClassifiedBrowse {
     /// The underlying browse result.
     pub result: Result<BrowseOutcome, RevelioError>,
     /// The extension's recent event timeline; populated only when
-    /// `verdict` is [`BrowseVerdict::AttestationFailed`] and a recorder
-    /// is attached.
+    /// `verdict` is [`BrowseVerdict::AttestationFailed`].
     pub flight: Option<FlightDump>,
 }
 

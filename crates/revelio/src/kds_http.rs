@@ -3,8 +3,9 @@
 //!
 //! Table 3's dominant cost is the KDS round trip (427.3 ms of the 778.9 ms
 //! attestation path); "since the VCEK is the same until the SEV-SNP
-//! firmware is updated, it can be cached" (§6.4). The client's cache is
-//! therefore explicit and shareable, and the bench harness toggles it.
+//! firmware is updated, it can be cached" (§6.4). Every client therefore
+//! caches, and its cache is explicit: shared by clones, flushed on
+//! revocation and TCB-floor events.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,7 +44,9 @@ fn decode_query(bytes: &[u8]) -> Result<(ChipId, TcbVersion), RevelioError> {
 
 /// Mounts `kds` at `address` on `net` (plain HTTP; the real KDS is public
 /// data over HTTPS — confidentiality is irrelevant, the chain is
-/// self-authenticating).
+/// self-authenticating). Incoming `traceparent` contexts are re-opened in
+/// `telemetry` as `http.server` spans labelled `kds`, so the KDS hop
+/// appears in assembled cross-node traces.
 ///
 /// # Errors
 ///
@@ -52,25 +55,10 @@ pub fn serve_kds(
     net: &SimNet,
     address: &str,
     kds: KeyDistributionService,
-) -> Result<(), RevelioError> {
-    serve_kds_with_telemetry(net, address, kds, None)
-}
-
-/// [`serve_kds`] with trace extraction: incoming `traceparent` contexts
-/// are re-opened as `http.server` spans labelled `kds`, so the KDS hop
-/// appears in assembled cross-node traces.
-///
-/// # Errors
-///
-/// Returns [`RevelioError::Http`] when the address is taken.
-pub fn serve_kds_with_telemetry(
-    net: &SimNet,
-    address: &str,
-    kds: KeyDistributionService,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 ) -> Result<(), RevelioError> {
     let chain_kds = kds.clone();
-    let mut router = Router::new()
+    let router = Router::new()
         .post("/vcek", move |req: &Request| {
             match decode_query(&req.body)
                 .and_then(|(chip, tcb)| kds.vcek_chain(&chip, &tcb).map_err(RevelioError::Snp))
@@ -88,10 +76,8 @@ pub fn serve_kds_with_telemetry(
             w.put_var_bytes(&ark.to_bytes());
             w.put_var_bytes(&ask.to_bytes());
             Response::ok(w.into_bytes())
-        });
-    if let Some(telemetry) = telemetry {
-        router = router.with_tracing(telemetry, "kds");
-    }
+        })
+        .with_tracing(telemetry, "kds");
     serve_http(net, address, router)?;
     Ok(())
 }
@@ -123,13 +109,13 @@ type VcekCache = Arc<Snapshot<VcekCacheState>>;
 /// Decorrelates the KDS retry jitter stream from other components.
 const KDS_JITTER_SEED: u64 = 0x006b_6473; // "kds"
 
-/// A KDS client with an optional shared VCEK-chain cache.
+/// A KDS client with a VCEK-chain cache shared by its clones.
 #[derive(Clone)]
 pub struct KdsHttpClient {
     net: SimNet,
     address: String,
-    cache: Option<VcekCache>,
-    telemetry: Option<Telemetry>,
+    cache: VcekCache,
+    telemetry: Telemetry,
     retry: RetryPolicy,
 }
 
@@ -137,7 +123,6 @@ impl std::fmt::Debug for KdsHttpClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KdsHttpClient")
             .field("address", &self.address)
-            .field("caching", &self.cache.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -151,36 +136,25 @@ impl KdsHttpClient {
         RetryPolicy::default().with_jitter_seed(KDS_JITTER_SEED)
     }
 
-    /// A caching client (the recommended configuration).
+    /// A client with an empty cache, recording into a private registry
+    /// on `net`'s clock.
     #[must_use]
     pub fn new(net: SimNet, address: &str) -> Self {
         KdsHttpClient {
+            telemetry: Telemetry::new(net.clock().clone()),
             net,
             address: address.to_owned(),
-            cache: Some(Arc::new(Snapshot::new(Arc::new(VcekCacheState::default())))),
-            telemetry: None,
+            cache: Arc::new(Snapshot::new(Arc::new(VcekCacheState::default()))),
             retry: Self::default_retry_policy(),
         }
     }
 
-    /// A cache-less client (every verification pays the KDS round trip —
-    /// Table 3's worst case).
-    #[must_use]
-    pub fn without_cache(net: SimNet, address: &str) -> Self {
-        KdsHttpClient {
-            net,
-            address: address.to_owned(),
-            cache: None,
-            telemetry: None,
-            retry: Self::default_retry_policy(),
-        }
-    }
-
-    /// Records a `kds.fetch` span per network fetch plus cache hit/miss
-    /// counters and a fetch-latency histogram.
+    /// Records the `kds.fetch` span of each network fetch, the cache
+    /// hit/miss counters and the fetch-latency histogram into `telemetry`
+    /// instead of the private registry.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -205,46 +179,24 @@ impl KdsHttpClient {
     ) -> Result<VcekCertChain, RevelioError> {
         // Capture the generation *before* the fetch: the insert below is
         // valid only for the cache state the miss was observed under.
-        let mut fetch_generation = 0u64;
-        if let Some(cache) = &self.cache {
-            let state = cache.load();
-            fetch_generation = state.generation;
+        let fetch_generation = {
+            let state = self.cache.load();
             if let Some(chain) = state.chains.get(&(*chip_id, tcb.to_u64())) {
-                if let Some(telemetry) = &self.telemetry {
-                    telemetry.counter_add("revelio_kds_client_cache_hits_total", 1);
-                }
+                self.telemetry
+                    .counter_add("revelio_kds_client_cache_hits_total", 1);
                 return Ok(chain.clone());
             }
-        }
-        let span = self.telemetry.as_ref().map(|t| {
-            t.counter_add("revelio_kds_client_cache_misses_total", 1);
-            t.span_with("kds.fetch", &[("address", &self.address)])
-        });
+            state.generation
+        };
+        self.telemetry
+            .counter_add("revelio_kds_client_cache_misses_total", 1);
+        let span = self
+            .telemetry
+            .span_with("kds.fetch", &[("address", &self.address)]);
         let result = (|| {
             // The 427 ms KDS round trip crosses the public internet —
             // transient drops are retried under the same kds.fetch span.
-            let fetch = |_attempt: u32| {
-                plain_request_traced(
-                    &self.net,
-                    &self.address,
-                    &Request::post("/vcek", encode_query(chip_id, tcb)),
-                    self.telemetry.as_ref(),
-                )
-            };
-            let response = match &self.telemetry {
-                Some(telemetry) => retry_with_telemetry(
-                    &self.retry,
-                    telemetry,
-                    "kds",
-                    HttpError::is_transient,
-                    fetch,
-                ),
-                None => {
-                    self.retry
-                        .run(self.net.clock(), HttpError::is_transient, fetch)
-                        .0
-                }
-            }?;
+            let response = self.request(&Request::post("/vcek", encode_query(chip_id, tcb)))?;
             if !response.is_success() {
                 return Err(RevelioError::EvidenceRejected(format!(
                     "kds returned status {}",
@@ -253,25 +205,32 @@ impl KdsHttpClient {
             }
             Ok(VcekCertChain::from_bytes(&response.body)?)
         })();
-        if let Some(telemetry) = &self.telemetry {
-            let ms = span.expect("span exists when telemetry does").finish_ms();
-            telemetry.observe("revelio_kds_client_fetch_ms", ms);
-        }
+        let ms = span.finish_ms();
+        self.telemetry.observe("revelio_kds_client_fetch_ms", ms);
         let chain = result?;
-        if let Some(cache) = &self.cache {
-            cache.update(|state| {
-                // A flush moved the generation while this fetch was in
-                // flight: the chain may be exactly the stale endorsement
-                // the flush evicted, so the insert is skipped — the race
-                // loses cleanly, never misfiles.
-                let mut next = state.clone();
-                if next.generation == fetch_generation {
-                    next.chains.insert((*chip_id, tcb.to_u64()), chain.clone());
-                }
-                (Arc::new(next), ())
-            });
-        }
+        self.cache.update(|state| {
+            // A flush moved the generation while this fetch was in
+            // flight: the chain may be exactly the stale endorsement the
+            // flush evicted, so the insert is skipped — the race loses
+            // cleanly, never misfiles.
+            let mut next = state.clone();
+            if next.generation == fetch_generation {
+                next.chains.insert((*chip_id, tcb.to_u64()), chain.clone());
+            }
+            (Arc::new(next), ())
+        });
         Ok(chain)
+    }
+
+    /// One KDS request, with transient transport faults retried.
+    fn request(&self, request: &Request) -> Result<Response, HttpError> {
+        retry_with_telemetry(
+            &self.retry,
+            &self.telemetry,
+            "kds",
+            HttpError::is_transient,
+            |_attempt| plain_request_traced(&self.net, &self.address, request, &self.telemetry),
+        )
     }
 
     /// Drops every cached VCEK chain and bumps the cache generation —
@@ -280,12 +239,10 @@ impl KdsHttpClient {
     /// not be served from cache for even one more verification). A fetch
     /// already in flight under the old generation skips its insert.
     ///
-    /// Cache-less clients are a no-op. The flush is counted as
-    /// `revelio_kds_client_cache_invalidations_total` when telemetry is
-    /// attached.
+    /// The flush is counted as
+    /// `revelio_kds_client_cache_invalidations_total`.
     pub fn flush_cache(&self) {
-        let Some(cache) = &self.cache else { return };
-        cache.update(|state| {
+        self.cache.update(|state| {
             (
                 Arc::new(VcekCacheState {
                     generation: state.generation + 1,
@@ -294,23 +251,20 @@ impl KdsHttpClient {
                 (),
             )
         });
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("revelio_kds_client_cache_invalidations_total", 1);
-        }
+        self.telemetry
+            .counter_add("revelio_kds_client_cache_invalidations_total", 1);
     }
 
-    /// The current cache generation (`None` for cache-less clients).
+    /// The current cache generation.
     #[must_use]
-    pub fn cache_generation(&self) -> Option<u64> {
-        self.cache.as_ref().map(|c| c.read(|s| s.generation))
+    pub fn cache_generation(&self) -> u64 {
+        self.cache.read(|s| s.generation)
     }
 
     /// Number of VCEK chains currently cached.
     #[must_use]
     pub fn cached_chains(&self) -> usize {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.read(|s| s.chains.len()))
+        self.cache.read(|s| s.chains.len())
     }
 
     /// Fetches the chip-independent ARK → ASK certificates from the KDS
@@ -323,28 +277,7 @@ impl KdsHttpClient {
     /// Returns [`RevelioError`] on transport failure or a malformed
     /// response.
     pub fn cert_chain(&self) -> Result<(AmdCert, AmdCert), RevelioError> {
-        let fetch = |_attempt: u32| {
-            plain_request_traced(
-                &self.net,
-                &self.address,
-                &Request::get("/cert_chain"),
-                self.telemetry.as_ref(),
-            )
-        };
-        let response = match &self.telemetry {
-            Some(telemetry) => retry_with_telemetry(
-                &self.retry,
-                telemetry,
-                "kds",
-                HttpError::is_transient,
-                fetch,
-            ),
-            None => {
-                self.retry
-                    .run(self.net.clock(), HttpError::is_transient, fetch)
-                    .0
-            }
-        }?;
+        let response = self.request(&Request::get("/cert_chain"))?;
         if !response.is_success() {
             return Err(RevelioError::EvidenceRejected(format!(
                 "kds returned status {}",
@@ -374,6 +307,7 @@ mod tests {
             &net,
             KDS_ADDRESS,
             KeyDistributionService::new(Arc::clone(&amd)),
+            Telemetry::new(clock.clone()),
         )
         .unwrap();
         (clock, net, amd)
@@ -401,18 +335,6 @@ mod tests {
         let (_, second) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
         assert!(first > 400.0, "first fetch {first} ms");
         assert_eq!(second, 0.0, "cached fetch should be free");
-    }
-
-    #[test]
-    fn cacheless_client_pays_every_time() {
-        let (clock, net, _) = setup();
-        let client = KdsHttpClient::without_cache(net, KDS_ADDRESS);
-        let chip = ChipId::from_seed(1);
-        let tcb = TcbVersion::default();
-        let (_, first) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
-        let (_, second) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
-        assert!(first > 0.0);
-        assert_eq!(first, second);
     }
 
     #[test]
@@ -470,12 +392,12 @@ mod tests {
         assert!(first > 400.0);
         assert_eq!(hit, 0.0);
         assert_eq!(client.cached_chains(), 1);
-        assert_eq!(client.cache_generation(), Some(0));
+        assert_eq!(client.cache_generation(), 0);
 
         // A revocation/TCB-floor event flushes: generation moves, map
         // empties, and the next fetch pays the round trip again.
         client.flush_cache();
-        assert_eq!(client.cache_generation(), Some(1));
+        assert_eq!(client.cache_generation(), 1);
         assert_eq!(client.cached_chains(), 0);
         let (_, refetch) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
         assert!(refetch > 400.0, "flushed chain must be re-fetched");
@@ -492,9 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn flush_is_shared_across_clones_and_a_noop_without_a_cache() {
+    fn flush_is_shared_across_clones() {
         let (_, net, _) = setup();
-        let client = KdsHttpClient::new(net.clone(), KDS_ADDRESS);
+        let client = KdsHttpClient::new(net, KDS_ADDRESS);
         let clone = client.clone();
         clone
             .vcek_chain(&ChipId::from_seed(1), &TcbVersion::default())
@@ -502,11 +424,7 @@ mod tests {
         assert_eq!(client.cached_chains(), 1, "clones share the cache cell");
         client.flush_cache();
         assert_eq!(clone.cached_chains(), 0, "flush reaches every clone");
-        assert_eq!(clone.cache_generation(), Some(1));
-
-        let uncached = KdsHttpClient::without_cache(net, KDS_ADDRESS);
-        uncached.flush_cache(); // must not panic
-        assert_eq!(uncached.cache_generation(), None);
+        assert_eq!(clone.cache_generation(), 1);
     }
 
     #[test]

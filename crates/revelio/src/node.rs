@@ -211,12 +211,12 @@ struct NodeShared {
     eph_counter: AtomicU64,
     /// The application router served behind the well-known endpoint.
     app: Router,
-    /// When set, the node records request counters and an evidence-build
-    /// span, and its public port serves `GET /metrics`.
-    telemetry: Option<Telemetry>,
-    /// When set, the node feeds its ring of recent protocol events (key
-    /// exchanges, verdicts) and its public port serves `GET /debug/flight`.
-    flight: Option<FlightRecorder>,
+    /// Request counters and the evidence-build span land here; the
+    /// public port serves it as `GET /metrics`.
+    telemetry: Telemetry,
+    /// The node's ring of recent protocol events (key exchanges,
+    /// verdicts); the public port serves it as `GET /debug/flight`.
+    flight: FlightRecorder,
 }
 
 /// A deployed Revelio node.
@@ -235,13 +235,6 @@ impl std::fmt::Debug for RevelioNode {
 }
 
 impl NodeShared {
-    /// Appends an event to the node's flight ring, when one is attached.
-    fn flight_record(&self, kind: &str, detail: &str) {
-        if let Some(flight) = &self.flight {
-            flight.record(kind, detail);
-        }
-    }
-
     fn identity(&self) -> &SigningKey {
         self.vm
             .identity()
@@ -349,43 +342,25 @@ impl NodeShared {
         // the response to the request, not to the transport attempt).
         let span = self
             .telemetry
-            .as_ref()
-            .map(|t| t.span_with("node.key_fetch", &[("leader", leader_bootstrap)]));
-        let attempt = |attempt: u32| {
-            if attempt > 0 {
-                self.flight_record("retry", &format!("key-fetch attempt {attempt}"));
-            }
-            plain_request_traced(
-                &self.net,
-                leader_bootstrap,
-                &request,
-                self.telemetry.as_ref(),
-            )
-        };
-        let response = match &self.telemetry {
-            Some(telemetry) => retry_with_telemetry(
-                &self.retry,
-                telemetry,
-                "node",
-                revelio_http::HttpError::is_transient,
-                attempt,
-            ),
-            None => {
-                self.retry
-                    .run(
-                        self.net.clock(),
-                        revelio_http::HttpError::is_transient,
-                        attempt,
-                    )
-                    .0
-            }
-        };
-        if let Some(span) = span {
-            if response.is_err() {
-                span.attr("outcome", "failure");
-            }
-            span.finish_ms();
+            .span_with("node.key_fetch", &[("leader", leader_bootstrap)]);
+        let response = retry_with_telemetry(
+            &self.retry,
+            &self.telemetry,
+            "node",
+            revelio_http::HttpError::is_transient,
+            |attempt| {
+                // Attempts count from 1: only the later ones are retries.
+                if attempt > 1 {
+                    self.flight
+                        .record("retry", &format!("key-fetch attempt {attempt}"));
+                }
+                plain_request_traced(&self.net, leader_bootstrap, &request, &self.telemetry)
+            },
+        );
+        if response.is_err() {
+            span.attr("outcome", "failure");
         }
+        span.finish_ms();
         let response = response?;
         if !response.is_success() {
             return Err(RevelioError::MutualAttestationFailed(format!(
@@ -421,12 +396,10 @@ impl NodeShared {
     ) -> Result<(), RevelioError> {
         // Build the evidence bundle binding the (shared) TLS key to this
         // node's hardware identity.
-        let span = self.telemetry.as_ref().map(|t| {
-            t.span_with(
-                "node.evidence_build",
-                &[("node", &self.config.public_address)],
-            )
-        });
+        let span = self.telemetry.span_with(
+            "node.evidence_build",
+            &[("node", &self.config.public_address)],
+        );
         let binding = tls_binding_report_data(&key.verifying_key());
         let report = self.vm.report_with_data(&binding);
         let vcek_chain = self
@@ -437,10 +410,9 @@ impl NodeShared {
             chain: vcek_chain,
         }
         .to_bytes();
-        if let Some(telemetry) = &self.telemetry {
-            let ms = span.expect("span exists when telemetry does").finish_ms();
-            telemetry.gauge_set("revelio_node_evidence_build_ms", ms);
-        }
+        let ms = span.finish_ms();
+        self.telemetry
+            .gauge_set("revelio_node_evidence_build_ms", ms);
 
         let clock = self.net.clock().clone();
         let processing_ms = self.config.page_processing_ms;
@@ -448,41 +420,33 @@ impl NodeShared {
         let ratls_evidence = evidence.clone();
         let well_known_evidence = evidence.clone();
         let evidence_telemetry = self.telemetry.clone();
-        let mut router = Router::new().get(WELL_KNOWN_ATTESTATION_PATH, move |_req| {
-            if let Some(telemetry) = &evidence_telemetry {
-                telemetry.counter_add("revelio_node_evidence_requests_total", 1);
-            }
-            Response::ok(well_known_evidence.clone())
-        });
-        if let Some(telemetry) = &self.telemetry {
-            // Prometheus text exposition of the whole (shared) registry —
-            // the operator-facing side of the deterministic telemetry.
-            let registry = telemetry.clone();
-            router = router.get("/metrics", move |_req| {
+        // `/metrics` is the Prometheus text exposition of the whole
+        // (shared) registry — the operator-facing side of the
+        // deterministic telemetry. `/debug/flight` is a read-only
+        // forensic window: the ring is capacity-bounded, so the response
+        // body is too.
+        let registry = self.telemetry.clone();
+        let ring = self.flight.clone();
+        let request_telemetry = self.telemetry.clone();
+        let router = Router::new()
+            .get(WELL_KNOWN_ATTESTATION_PATH, move |_req| {
+                evidence_telemetry.counter_add("revelio_node_evidence_requests_total", 1);
+                Response::ok(well_known_evidence.clone())
+            })
+            .get("/metrics", move |_req| {
                 Response::ok(registry.export_prometheus().into_bytes())
                     .with_header("Content-Type", "text/plain; version=0.0.4")
-            });
-        }
-        if let Some(flight) = &self.flight {
-            // Read-only forensic window: the ring is capacity-bounded, so
-            // the response body is too.
-            let ring = flight.clone();
-            router = router.get("/debug/flight", move |_req| {
+            })
+            .get("/debug/flight", move |_req| {
                 Response::ok(ring.dump().to_json().into_bytes())
                     .with_header("Content-Type", "application/json")
-            });
-        }
-        let request_telemetry = self.telemetry.clone();
-        let mut router = router.with_fallback(move |req| {
-            if let Some(telemetry) = &request_telemetry {
-                telemetry.counter_add("revelio_node_requests_total", 1);
-            }
-            clock.advance_ms(processing_ms);
-            app_shared.vm_app_dispatch(req)
-        });
-        if let Some(telemetry) = &self.telemetry {
-            router = router.with_tracing(telemetry.clone(), "node");
-        }
+            })
+            .with_fallback(move |req| {
+                request_telemetry.counter_add("revelio_node_requests_total", 1);
+                clock.advance_ms(processing_ms);
+                app_shared.vm_app_dispatch(req)
+            })
+            .with_tracing(self.telemetry.clone(), "node");
 
         let mut entropy_seed = [0u8; 32];
         entropy_seed.copy_from_slice(&Sha256::digest(
@@ -530,6 +494,15 @@ impl RevelioNode {
     /// Deploys a booted VM as a Revelio node: binds the bootstrap port and
     /// waits (passively) for the SP node's protocol.
     ///
+    /// The node records request counters and a `node.evidence_build` span
+    /// into `telemetry` and appends key-exchange and verdict events to
+    /// `flight`. Once provisioned, its public HTTPS port serves
+    /// `GET /metrics` (Prometheus text exposition of the registry) and
+    /// `GET /debug/flight` (the bounded ring as JSON) next to the
+    /// well-known attestation endpoint. Both routers extract
+    /// `traceparent` contexts, stitching the node's server side into the
+    /// caller's trace.
+    ///
     /// # Errors
     ///
     /// Returns [`RevelioError::Http`] when an address is already bound.
@@ -539,48 +512,8 @@ impl RevelioNode {
         vm: BootedVm,
         config: NodeConfig,
         app: Router,
-    ) -> Result<Self, RevelioError> {
-        Self::deploy_with_telemetry(net, kds, vm, config, app, None)
-    }
-
-    /// [`RevelioNode::deploy`] with a telemetry registry: the node records
-    /// request counters plus a `node.evidence_build` span, and its public
-    /// HTTPS port additionally serves `GET /metrics` (Prometheus text
-    /// exposition of the shared registry) alongside the well-known
-    /// attestation endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RevelioError::Http`] when an address is already bound.
-    pub fn deploy_with_telemetry(
-        net: SimNet,
-        kds: KdsHttpClient,
-        vm: BootedVm,
-        config: NodeConfig,
-        app: Router,
-        telemetry: Option<Telemetry>,
-    ) -> Result<Self, RevelioError> {
-        Self::deploy_with_observability(net, kds, vm, config, app, telemetry, None)
-    }
-
-    /// [`RevelioNode::deploy_with_telemetry`] plus a flight recorder: the
-    /// node appends key-exchange and verdict events to the ring, and its
-    /// public HTTPS port serves `GET /debug/flight` (the bounded ring as
-    /// JSON) next to `/metrics`. Both routers also extract `traceparent`
-    /// contexts when telemetry is attached, stitching the node's server
-    /// side into the caller's trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RevelioError::Http`] when an address is already bound.
-    pub fn deploy_with_observability(
-        net: SimNet,
-        kds: KdsHttpClient,
-        vm: BootedVm,
-        config: NodeConfig,
-        app: Router,
-        telemetry: Option<Telemetry>,
-        flight: Option<FlightRecorder>,
+        telemetry: Telemetry,
+        flight: FlightRecorder,
     ) -> Result<Self, RevelioError> {
         let identity_seed = *vm.identity().expect("identity enabled").seed();
         let box_secret: [u8; 32] = Hmac::<Sha256>::mac(&identity_seed, b"box-encryption")
@@ -611,7 +544,7 @@ impl RevelioNode {
             let s1 = Arc::clone(&shared);
             let s2 = Arc::clone(&shared);
             let s3 = Arc::clone(&shared);
-            let mut router = Router::new()
+            let router = Router::new()
                 .get("/revelio/csr-bundle", move |_req| {
                     let csr = s1.csr();
                     let report = s1.vm.report_with_data(&csr.digest());
@@ -620,11 +553,12 @@ impl RevelioNode {
                 .post("/revelio/install-cert", move |req| {
                     match s2.install_cert(&req.body) {
                         Ok(()) => {
-                            s2.flight_record("request", "install-cert accepted");
+                            s2.flight.record("request", "install-cert accepted");
                             Response::ok(Vec::new())
                         }
                         Err(e) => {
-                            s2.flight_record("verdict", &format!("install-cert refused: {e}"));
+                            s2.flight
+                                .record("verdict", &format!("install-cert refused: {e}"));
                             Response::status(403).with_header(
                                 "X-Revelio-Error",
                                 &e.to_string().replace(['\r', '\n'], " "),
@@ -635,11 +569,12 @@ impl RevelioNode {
                 .post("/revelio/key-request", move |req| {
                     match s3.handle_key_request(&req.body) {
                         Ok(body) => {
-                            s3.flight_record("request", "key-request served");
+                            s3.flight.record("request", "key-request served");
                             Response::ok(body)
                         }
                         Err(e) => {
-                            s3.flight_record("verdict", &format!("key-request refused: {e}"));
+                            s3.flight
+                                .record("verdict", &format!("key-request refused: {e}"));
                             Response::status(403).with_header(
                                 "X-Revelio-Error",
                                 &e.to_string().replace(['\r', '\n'], " "),
@@ -647,10 +582,7 @@ impl RevelioNode {
                         }
                     }
                 });
-            if let Some(telemetry) = &shared.telemetry {
-                router = router.with_tracing(telemetry.clone(), "node");
-            }
-            router
+            router.with_tracing(shared.telemetry.clone(), "node")
         };
         serve_http(&net, &shared.config.bootstrap_address, bootstrap_router)?;
         Ok(RevelioNode { shared })
@@ -729,7 +661,8 @@ impl NodeShared {
                 .filter(|k| k.verifying_key() == chain.leaf().public_key)
         };
         let key = if let Some(key) = stored_key {
-            self.flight_record("request", "install-cert renewal (key reused)");
+            self.flight
+                .record("request", "install-cert renewal (key reused)");
             key
         } else if chain.leaf().public_key == self.identity().verifying_key() {
             self.identity().clone()

@@ -178,7 +178,7 @@ pub struct Reconciler<A: NodeActuator> {
     net: SimNet,
     spec: FleetSpec,
     actuator: A,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     dns: Option<DnsZone>,
     /// Bootstrap → public address, for re-pointing DNS at a new leader.
     public_addresses: BTreeMap<String, String>,
@@ -240,10 +240,10 @@ impl<A: NodeActuator> Reconciler<A> {
         };
         Reconciler {
             sp,
+            telemetry: Telemetry::new(net.clock().clone()),
             net,
             spec,
             actuator,
-            telemetry: None,
             dns: None,
             public_addresses: BTreeMap::new(),
             nodes,
@@ -262,10 +262,11 @@ impl<A: NodeActuator> Reconciler<A> {
         }
     }
 
-    /// Records reconcile spans, counters and gauges into `telemetry`.
+    /// Records reconcile spans, counters and gauges into `telemetry`
+    /// instead of the reconciler's private registry.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -310,24 +311,20 @@ impl<A: NodeActuator> Reconciler<A> {
             .advance_ms(self.spec.tick_interval_ms as f64);
         let span = self
             .telemetry
-            .as_ref()
-            .map(|t| t.span_with("reconcile.tick", &[("phase", self.phase.as_str())]));
+            .span_with("reconcile.tick", &[("phase", self.phase.as_str())]);
         self.step_partition_watch();
         self.step_readmission();
         self.step_renewal();
         self.step_rollout();
         self.step_probe();
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("revelio_reconcile_ticks_total", 1);
-            telemetry.gauge_set("revelio_reconcile_phase", self.phase.gauge_value());
-            telemetry.gauge_set(
-                "revelio_reconcile_out_of_spec_nodes",
-                self.out_of_spec() as f64,
-            );
-        }
-        if let Some(span) = span {
-            span.finish_ms();
-        }
+        let telemetry = &self.telemetry;
+        telemetry.counter_add("revelio_reconcile_ticks_total", 1);
+        telemetry.gauge_set("revelio_reconcile_phase", self.phase.gauge_value());
+        telemetry.gauge_set(
+            "revelio_reconcile_out_of_spec_nodes",
+            self.out_of_spec() as f64,
+        );
+        span.finish_ms();
     }
 
     /// Runs ticks until [`Reconciler::is_converged`] or `max_ticks`;
@@ -471,9 +468,7 @@ impl<A: NodeActuator> Reconciler<A> {
     }
 
     fn count(&self, name: &str) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add(name, 1);
-        }
+        self.telemetry.counter_add(name, 1);
     }
 
     /// Whether an active partition domain currently blackholes traffic

@@ -18,7 +18,9 @@ use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
 use revelio_pki::acme::AcmeCa;
 use revelio_pki::cert::CertificateChain;
-use revelio_telemetry::{retry_with_telemetry, FlightDirectory, FlightDump, Telemetry};
+use revelio_telemetry::{
+    retry_with_telemetry, FlightDirectory, FlightDump, Telemetry, DEFAULT_FLIGHT_CAPACITY,
+};
 use sev_snp::ids::ChipId;
 use sev_snp::verify::ReportVerifier;
 
@@ -167,9 +169,9 @@ pub struct ServiceProviderNode {
     /// of `config.allowlist` there would make fleet provisioning
     /// quadratic in the fleet size.
     allowlist_index: HashMap<String, Vec<ChipId>>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     retry: RetryPolicy,
-    flight: Option<FlightDirectory>,
+    flight: FlightDirectory,
 }
 
 impl std::fmt::Debug for ServiceProviderNode {
@@ -181,7 +183,10 @@ impl std::fmt::Debug for ServiceProviderNode {
 }
 
 impl ServiceProviderNode {
-    /// Creates an SP node.
+    /// Creates an SP node. It records into a private registry and an
+    /// empty flight directory, both on `net`'s clock, until
+    /// [`ServiceProviderNode::with_telemetry`] and
+    /// [`ServiceProviderNode::with_flight_directory`] wire in shared ones.
     #[must_use]
     pub fn new(net: SimNet, kds: KdsHttpClient, acme: AcmeCa, config: SpConfig) -> Self {
         let mut allowlist_index: HashMap<String, Vec<ChipId>> = HashMap::new();
@@ -191,15 +196,16 @@ impl ServiceProviderNode {
                 .or_default()
                 .push(*chip);
         }
+        let clock = net.clock().clone();
         ServiceProviderNode {
             net,
             kds,
             acme,
             config,
             allowlist_index,
-            telemetry: None,
+            telemetry: Telemetry::new(clock.clone()),
             retry: Self::default_retry_policy(),
-            flight: None,
+            flight: FlightDirectory::new(clock, DEFAULT_FLIGHT_CAPACITY),
         }
     }
 
@@ -214,7 +220,7 @@ impl ServiceProviderNode {
     /// registry, so they join the world's span tree.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -232,7 +238,7 @@ impl ServiceProviderNode {
     /// recorded into the dialed node's ring.
     #[must_use]
     pub fn with_flight_directory(mut self, flight: FlightDirectory) -> Self {
-        self.flight = Some(flight);
+        self.flight = flight;
         self
     }
 
@@ -244,13 +250,12 @@ impl ServiceProviderNode {
         phase: ProvisionPhase,
         error: RevelioError,
     ) -> QuarantinedNode {
-        let flight = self.flight.as_ref().and_then(|directory| {
-            let recorder = directory.get(&node)?;
+        let flight = self.flight.get(&node).map(|recorder| {
             recorder.record(
                 "verdict",
                 &format!("quarantined at {}: {error}", phase.as_str()),
             );
-            Some(recorder.dump())
+            recorder.dump()
         });
         QuarantinedNode {
             node,
@@ -264,32 +269,23 @@ impl ServiceProviderNode {
     /// packet on the provider-internal network must not abort a whole
     /// fleet provisioning run.
     fn retried_request(&self, address: &str, request: &Request) -> Result<Response, RevelioError> {
-        let attempt = |attempt: u32| {
-            if attempt > 0 {
-                if let Some(flight) = &self.flight {
-                    flight.record(
+        let response = retry_with_telemetry(
+            &self.retry,
+            &self.telemetry,
+            "sp",
+            HttpError::is_transient,
+            |attempt| {
+                // Attempts count from 1: only the later ones are retries.
+                if attempt > 1 {
+                    self.flight.record(
                         address,
                         "retry",
                         &format!("sp {} attempt {attempt}", request.path),
                     );
                 }
-            }
-            plain_request_traced(&self.net, address, request, self.telemetry.as_ref())
-        };
-        let response = match &self.telemetry {
-            Some(telemetry) => retry_with_telemetry(
-                &self.retry,
-                telemetry,
-                "sp",
-                HttpError::is_transient,
-                attempt,
-            ),
-            None => {
-                self.retry
-                    .run(self.net.clock(), HttpError::is_transient, attempt)
-                    .0
-            }
-        }?;
+                plain_request_traced(&self.net, address, request, &self.telemetry)
+            },
+        )?;
         Ok(response)
     }
 
@@ -394,12 +390,8 @@ impl ServiceProviderNode {
     pub fn provision(&self, bootstrap_addrs: &[String]) -> Result<ProvisionReport, RevelioError> {
         // Phase timings are *derived from recorded spans*: every phase
         // opens a span per node and `SpTimings` sums the measured span
-        // durations. Without an attached registry a private one keeps the
-        // derivation identical.
-        let telemetry = self
-            .telemetry
-            .clone()
-            .unwrap_or_else(|| Telemetry::new(self.net.clock().clone()));
+        // durations.
+        let telemetry = &self.telemetry;
         let fleet_size = bootstrap_addrs.len().to_string();
         let provision_span = telemetry.span_with(
             "sp.provision",
@@ -408,7 +400,7 @@ impl ServiceProviderNode {
                 ("fleet", &fleet_size),
             ],
         );
-        let result = self.provision_fleet(&telemetry, bootstrap_addrs);
+        let result = self.provision_fleet(bootstrap_addrs);
         // The root span is finished on *every* path — early returns must
         // not leak an open span into the breakdown exporter.
         let total_ms = provision_span.finish_ms();
@@ -431,11 +423,8 @@ impl ServiceProviderNode {
 
     /// The provisioning protocol proper; the caller owns the root span
     /// and the success/failure metrics.
-    fn provision_fleet(
-        &self,
-        telemetry: &Telemetry,
-        bootstrap_addrs: &[String],
-    ) -> Result<ProvisionReport, RevelioError> {
+    fn provision_fleet(&self, bootstrap_addrs: &[String]) -> Result<ProvisionReport, RevelioError> {
+        let telemetry = &self.telemetry;
         if bootstrap_addrs.is_empty() {
             return Err(RevelioError::EmptyFleet);
         }
@@ -597,8 +586,9 @@ impl ServiceProviderNode {
     /// Transport failures surface transient; any integrity failure is
     /// [`RevelioError::NodeRejected`].
     pub fn observe_node(&self, bootstrap: &str) -> Result<NodeObservation, RevelioError> {
-        let telemetry = self.telemetry.clone();
-        let span = telemetry.map(|t| t.span_with("sp.observe_node", &[("node", bootstrap)]));
+        let span = self
+            .telemetry
+            .span_with("sp.observe_node", &[("node", bootstrap)]);
         let result = (|| {
             let bundle = self.fetch_bundle(bootstrap)?;
             self.validate_bundle_inner(bootstrap, &bundle, None)?;
@@ -610,12 +600,10 @@ impl ServiceProviderNode {
                 csr: bundle.csr,
             })
         })();
-        if let Some(span) = span {
-            if result.is_err() {
-                span.attr("outcome", "failure");
-            }
-            span.finish_ms();
+        if result.is_err() {
+            span.attr("outcome", "failure");
         }
+        span.finish_ms();
         result
     }
 
@@ -690,9 +678,8 @@ impl ServiceProviderNode {
         }
         self.net.clock().advance_ms(self.config.ca_processing_ms);
         let chain = self.acme.renew_certificate(&observed.csr)?;
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("revelio_sp_certificate_renewals_total", 1);
-        }
+        self.telemetry
+            .counter_add("revelio_sp_certificate_renewals_total", 1);
         Ok(chain)
     }
 }

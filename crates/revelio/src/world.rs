@@ -25,8 +25,8 @@ use sev_snp::kds::KeyDistributionService;
 use sev_snp::measurement::Measurement;
 use sev_snp::platform::{AmdRootOfTrust, SnpPlatform};
 
-use crate::extension::{ExtensionConfig, ReconnectPolicy, WebExtension};
-use crate::kds_http::{serve_kds_with_telemetry, KdsHttpClient, KDS_ADDRESS};
+use crate::extension::{ExtensionConfig, WebExtension};
+use crate::kds_http::{serve_kds, KdsHttpClient, KDS_ADDRESS};
 use crate::node::{NodeConfig, RevelioNode};
 use crate::reconcile::{FleetSpec, NodeActuator, Reconciler};
 use crate::registry::GoldenSet;
@@ -86,12 +86,12 @@ impl Default for WorldTuning {
     }
 }
 
-/// Per-component [`RetryPolicy`] budgets, threaded by [`SimWorld`] into
-/// each constructor. The [`Default`] reproduces what each component
-/// hardcodes on its own (same budgets, same per-component jitter
-/// streams), so a default world behaves exactly as before this knob
-/// existed; ablations override individual fields to trade retry budget
-/// against attestation tail latency under loss.
+/// Per-component [`RetryPolicy`] budgets: one field per component
+/// [`SimWorld`] builds with a retry loop, threaded into that component's
+/// constructor. The [`Default`] is each component's own default policy
+/// (same budget, same per-component jitter stream); ablations override
+/// individual fields to trade retry budget against attestation tail
+/// latency under loss.
 #[derive(Debug, Clone)]
 pub struct RetryTuning {
     /// VCEK-chain fetches from the AMD KDS (the 427 ms public-internet
@@ -104,9 +104,6 @@ pub struct RetryTuning {
     pub sp: RetryPolicy,
     /// Node leader-link key requests during bootstrap.
     pub node: RetryPolicy,
-    /// IC boundary-node upstream requests. The boundary applies its own
-    /// jitter stream internally, so only the budget fields matter here.
-    pub boundary: RetryPolicy,
     /// Web-extension attested browsing (report + page fetches).
     pub extension: RetryPolicy,
 }
@@ -118,7 +115,6 @@ impl Default for RetryTuning {
             acme: AcmeCa::default_retry_policy(),
             sp: ServiceProviderNode::default_retry_policy(),
             node: NodeConfig::default_retry_policy(),
-            boundary: RetryPolicy::default(),
             extension: WebExtension::default_retry_policy(),
         }
     }
@@ -242,11 +238,11 @@ impl SimWorld {
         let mut amd_seed = [0u8; 32];
         amd_seed[..8].copy_from_slice(&seed.to_le_bytes());
         let amd = Arc::new(AmdRootOfTrust::from_seed(amd_seed));
-        serve_kds_with_telemetry(
+        serve_kds(
             &net,
             KDS_ADDRESS,
             KeyDistributionService::new(Arc::clone(&amd)).with_telemetry(telemetry.clone()),
-            Some(telemetry.clone()),
+            telemetry.clone(),
         )
         .expect("fresh kds address");
         net.peer(KDS_ADDRESS).latency_us(tuning.kds_one_way_us);
@@ -399,7 +395,7 @@ impl SimWorld {
         // whichever address was dialed.
         let recorder = self.flight.register(&bootstrap_address);
         self.flight.alias(&bootstrap_address, &public_address);
-        RevelioNode::deploy_with_observability(
+        RevelioNode::deploy(
             self.net.clone(),
             self.kds.clone(),
             vm,
@@ -415,8 +411,8 @@ impl SimWorld {
                 retry: self.tuning.retry.node.clone(),
             },
             app,
-            Some(self.telemetry.clone()),
-            Some(recorder),
+            self.telemetry.clone(),
+            recorder,
         )
     }
 
@@ -618,11 +614,10 @@ impl SimWorld {
                 tls_roots: vec![self.acme.root_certificate()],
                 validation_ms: self.tuning.extension_validation_ms,
                 connection_validation_ms: self.tuning.extension_conn_validation_ms,
-                reconnect: ReconnectPolicy::default(),
             },
             entropy,
-            Some(self.telemetry.clone()),
         )
+        .with_telemetry(self.telemetry.clone())
         .with_retry_policy(self.tuning.retry.extension.clone())
         .with_flight_recorder(self.flight.register("extension"))
     }
@@ -828,7 +823,7 @@ impl NodeActuator for FleetUpgrader {
         )?;
         let recorder = self.flight.register(bootstrap);
         recorder.record("request", "upgraded: redeployed from current target build");
-        let node = RevelioNode::deploy_with_observability(
+        let node = RevelioNode::deploy(
             self.net.clone(),
             self.kds.clone(),
             vm,
@@ -844,8 +839,8 @@ impl NodeActuator for FleetUpgrader {
                 retry: self.node_retry.clone(),
             },
             self.app.clone(),
-            Some(self.telemetry.clone()),
-            Some(recorder),
+            self.telemetry.clone(),
+            recorder,
         )?;
         self.deployed.insert(bootstrap.to_owned(), node);
         Ok(())

@@ -14,7 +14,7 @@ use revelio_crypto::ed25519::{
     ExpandedVerifyingKey, Signature, SigningKey, VerifyingKey, SIGNATURE_LEN,
 };
 use revelio_crypto::wire::{ByteReader, ByteWriter};
-use revelio_telemetry::Telemetry;
+use revelio_telemetry::{Telemetry, TelemetryClock};
 
 use crate::ids::{ChipId, TcbVersion};
 use crate::platform::AmdRootOfTrust;
@@ -256,16 +256,18 @@ impl VcekCertChain {
 #[derive(Debug, Clone)]
 pub struct KeyDistributionService {
     amd: Arc<AmdRootOfTrust>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl KeyDistributionService {
-    /// Creates a KDS backed by `amd`'s root of trust.
+    /// Creates a KDS backed by `amd`'s root of trust. Served queries are
+    /// counted in a private registry until
+    /// [`KeyDistributionService::with_telemetry`] wires in a shared one.
     #[must_use]
     pub fn new(amd: Arc<AmdRootOfTrust>) -> Self {
         KeyDistributionService {
             amd,
-            telemetry: None,
+            telemetry: Telemetry::new(TelemetryClock::new()),
         }
     }
 
@@ -273,7 +275,7 @@ impl KeyDistributionService {
     /// (`revelio_sevsnp_kds_vcek_requests_total`).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -290,9 +292,8 @@ impl KeyDistributionService {
         chip_id: &ChipId,
         tcb: &TcbVersion,
     ) -> Result<VcekCertChain, SnpError> {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("revelio_sevsnp_kds_vcek_requests_total", 1);
-        }
+        self.telemetry
+            .counter_add("revelio_sevsnp_kds_vcek_requests_total", 1);
         let ark_pub = self.amd.ark_public_key();
         let ark = AmdCert::issue("ARK", "ARK", ark_pub, None, self.amd.ark_key());
         let ask = AmdCert::issue(
@@ -318,9 +319,8 @@ impl KeyDistributionService {
     /// next to `/vcek`.
     #[must_use]
     pub fn cert_chain(&self) -> (AmdCert, AmdCert) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("revelio_sevsnp_kds_cert_chain_requests_total", 1);
-        }
+        self.telemetry
+            .counter_add("revelio_sevsnp_kds_cert_chain_requests_total", 1);
         let ark_pub = self.amd.ark_public_key();
         let ark = AmdCert::issue("ARK", "ARK", ark_pub, None, self.amd.ark_key());
         let ask = AmdCert::issue(

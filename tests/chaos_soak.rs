@@ -178,7 +178,7 @@ fn route_scoped_kds_faults_spare_sibling_routes() {
         .fault_plan_for_route("/vcek", FaultPlan::outage());
 
     // The cert-chain route rides through the sibling outage untouched.
-    let kds = KdsHttpClient::without_cache(world.net.clone(), KDS_ADDRESS);
+    let kds = KdsHttpClient::new(world.net.clone(), KDS_ADDRESS);
     kds.cert_chain()
         .expect("/cert_chain must stay healthy while /vcek is down");
 

@@ -15,8 +15,7 @@
 //! `REVELIO_CHAOS_SEED`; locally (no env var) the default partition
 //! seed runs.
 
-use revelio::extension::{BrowseVerdict, ExtensionConfig, ReconnectPolicy, WebExtension};
-use revelio::kds_http::{KdsHttpClient, KDS_ADDRESS};
+use revelio::extension::BrowseVerdict;
 use revelio::node::demo_app;
 use revelio::sp::ProvisionPhase;
 use revelio::world::SimWorld;
@@ -150,6 +149,52 @@ fn quarantine_decisions_are_byte_identical_across_thread_counts() {
             assert_eq!(run.4, baseline.4, "export diverged at {threads} threads");
         }
     }
+}
+
+#[test]
+fn flight_rings_record_retries_not_first_attempts() {
+    let mut world = SimWorld::new(23);
+    world.set_fault_seed(partition_seed());
+    world.install_fault_domain(FaultDomain::partition(
+        "rack-114",
+        &SimWorld::subnet_prefix(114),
+    ));
+    let fleet = world
+        .deploy_fleet_in_subnets("pad.example.org", &[(113, 2), (114, 1)], demo_app())
+        .expect("two reachable nodes survive the partitioned rack");
+
+    // The partitioned node timed out on every attempt of the SP's budget:
+    // its dump holds one retry event per attempt after the first.
+    let quarantined = &fleet.provision.quarantined;
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    let dump = quarantined[0]
+        .flight
+        .as_ref()
+        .expect("a fleet node's quarantine carries its flight dump");
+    let retries = dump.events.iter().filter(|e| e.kind == "retry").count();
+    let max_attempts = world.tuning.retry.sp.max_attempts as usize;
+    assert_eq!(retries, max_attempts - 1, "{}", dump.render());
+
+    // A clean browse succeeds on its first attempt: the extension's ring
+    // records the verdict and no retry.
+    let extension = world.extension();
+    extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
+    extension.browse("pad.example.org", "/").unwrap();
+    let ring = world
+        .flight
+        .get("extension")
+        .expect("the world registers the extension's ring")
+        .dump();
+    assert!(
+        ring.events.iter().any(|e| e.kind == "verdict"),
+        "{}",
+        ring.render()
+    );
+    assert!(
+        ring.events.iter().all(|e| e.kind != "retry"),
+        "{}",
+        ring.render()
+    );
 }
 
 #[test]
@@ -306,26 +351,6 @@ fn expired_certificate_is_its_own_verdict_not_attestation_failed() {
     );
 }
 
-/// Builds an extension sharing `world`'s fabric with an explicit
-/// reconnect policy (the world's default extension uses
-/// [`ReconnectPolicy::ReattestAlways`]).
-fn extension_with_policy(world: &SimWorld, reconnect: ReconnectPolicy) -> WebExtension {
-    WebExtension::new(
-        world.net.clone(),
-        world.dns.clone(),
-        KdsHttpClient::new(world.net.clone(), KDS_ADDRESS),
-        ExtensionConfig {
-            trusted_ark: world.amd.ark_public_key(),
-            tls_roots: world.tls_roots(),
-            validation_ms: 230.0,
-            connection_validation_ms: 14.1,
-            reconnect,
-        },
-        [0xee; 32],
-        Some(world.telemetry.clone()),
-    )
-}
-
 #[test]
 fn reconnect_reattests_and_catches_stale_evidence_behind_the_same_key() {
     let mut world = SimWorld::new(21);
@@ -333,10 +358,10 @@ fn reconnect_reattests_and_catches_stale_evidence_behind_the_same_key() {
         .deploy_fleet("pad.example.org", 1, demo_app())
         .unwrap();
 
-    // Same scenario, two policies: the endpoint key never changes, but
-    // the golden measurement is revoked while the session is parked
-    // (an image rollout revoking the old image, §6.1.4).
-    let reattesting = extension_with_policy(&world, ReconnectPolicy::ReattestAlways);
+    // The endpoint key never changes, but the golden measurement is
+    // revoked while the session is parked (an image rollout revoking the
+    // old image, §6.1.4). A pin check alone would accept the reconnect.
+    let reattesting = world.extension();
     reattesting.register_site("pad.example.org", vec![fleet.golden_measurement]);
     let mut session = reattesting.open_monitored("pad.example.org").unwrap();
     assert!(session.request("/").unwrap().is_success());
@@ -349,17 +374,6 @@ fn reconnect_reattests_and_catches_stale_evidence_behind_the_same_key() {
         matches!(err, RevelioError::UnknownMeasurement(_)),
         "re-attestation surfaced the wrong failure: {err:?}"
     );
-
-    // The pin-only policy is blind to exactly this: same key, stale
-    // evidence, reconnect succeeds — the gap ReattestAlways closes.
-    let pin_only = extension_with_policy(&world, ReconnectPolicy::PinOnly);
-    pin_only.register_site("pad.example.org", vec![fleet.golden_measurement]);
-    let mut session = pin_only.open_monitored("pad.example.org").unwrap();
-    pin_only.revoke_measurement("pad.example.org", fleet.golden_measurement);
-    pin_only
-        .reconnect(&mut session)
-        .expect("PinOnly cannot see the revocation");
-    assert!(session.request("/").unwrap().is_success());
 }
 
 #[test]
