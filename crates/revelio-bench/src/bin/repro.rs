@@ -327,7 +327,7 @@ fn ablations() {
     for (n, ms) in run_fleet_scaling(&[1, 2, 4, 8, 16]) {
         println!("{n:>6} {ms:>16.0}");
     }
-    println!("(one certificate order amortized across the fleet; per-node cost is attestation + distribution)\n");
+    println!("(one certificate order amortized across the fleet; nodes are attested and served concurrently, so the round costs its slowest node)\n");
 }
 
 fn telemetry() {

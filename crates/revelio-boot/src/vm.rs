@@ -227,20 +227,20 @@ impl BootedVm {
         }
 
         // Mirror the boot timeline into the telemetry registry: a `boot`
-        // root span with one modelled child per recorded step. Boot work is
-        // costed by the model, not the sim clock, so the spans are emitted
-        // after the fact with modelled durations.
+        // root span with one modelled child per recorded step, laid end to
+        // end. Boot work is costed by the model, not the sim clock, so the
+        // spans are emitted after the fact with modelled durations.
         if let Some(telemetry) = &options.telemetry {
             let span = telemetry.span_with(
                 "boot",
                 &[("first_boot", if first_boot { "true" } else { "false" })],
             );
-            for step in &report.steps {
-                telemetry.modelled_span(
-                    &format!("boot.{}", span_segment(&step.name)),
+            telemetry.modelled_steps(report.steps.iter().map(|step| {
+                (
+                    format!("boot.{}", span_segment(&step.name)),
                     step.modelled_ms,
-                );
-            }
+                )
+            }));
             span.finish_modelled_ms(report.total_ms());
             telemetry.counter_add("revelio_boot_boots_total", 1);
             telemetry.observe("revelio_boot_total_ms", report.total_ms());
@@ -320,16 +320,15 @@ impl BootedVm {
 
     /// An attestation report binding the VM identity: `REPORT_DATA` is the
     /// SHA-256 of the identity public key (§5.2.2, first report kind).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image disabled identity creation.
+    /// `None` when the image disabled identity creation.
     #[must_use]
-    pub fn identity_report(&self) -> SignedReport {
-        let public = self.identity_public_key().expect("identity enabled");
+    pub fn identity_report(&self) -> Option<SignedReport> {
+        let public = self.identity_public_key()?;
         let digest = Sha256::digest(public.to_bytes());
-        self.guest
-            .attestation_report(ReportData::from_slice(&digest))
+        Some(
+            self.guest
+                .attestation_report(ReportData::from_slice(&digest)),
+        )
     }
 
     /// An attestation report over arbitrary `REPORT_DATA` (e.g. a CSR hash,
@@ -567,7 +566,7 @@ mod tests {
         let p = platform_from(1);
         let image = build_image(&spec(&[])).unwrap();
         let vm = boot(&p, &image);
-        let report = vm.identity_report();
+        let report = vm.identity_report().unwrap();
         let expected = Sha256::digest(vm.identity_public_key().unwrap().to_bytes());
         assert_eq!(&report.report.report_data.as_bytes()[..32], &expected);
         assert_eq!(report.report.measurement, vm.measurement());

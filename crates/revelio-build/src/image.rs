@@ -108,14 +108,18 @@ impl VmImage {
 /// Returns [`BuildError::Wire`] / [`BuildError::Storage`] when the device
 /// does not hold a valid rootfs payload (or verity rejects the reads).
 pub fn read_rootfs(device: &dyn BlockDevice) -> Result<FsTree, BuildError> {
+    let bad =
+        |reason: String| BuildError::Storage(revelio_storage::StorageError::BadSuperblock(reason));
     let len_bytes = revelio_storage::block::read_at(device, 0, 8)?;
-    let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
-    if len == 0 || len + 8 > device.len_bytes() {
-        return Err(BuildError::Storage(
-            revelio_storage::StorageError::BadSuperblock(format!(
-                "rootfs payload length {len} does not fit device"
-            )),
-        ));
+    let len = <[u8; 8]>::try_from(len_bytes.as_slice())
+        .map(u64::from_le_bytes)
+        .map_err(|_| bad("short rootfs payload header".into()))?;
+    // Subtracting from the device size cannot overflow; `len + 8` can,
+    // and the header is read from a host-supplied disk.
+    if len == 0 || len > device.len_bytes().saturating_sub(8) {
+        return Err(bad(format!(
+            "rootfs payload length {len} does not fit device"
+        )));
     }
     let archive = revelio_storage::block::read_at(device, 8, len as usize)?;
     FsTree::from_archive(&archive)
@@ -259,6 +263,18 @@ mod tests {
         let mut expected = sample_rootfs();
         scrub(&mut expected, &ScrubPolicy::default());
         assert_eq!(mounted, expected);
+    }
+
+    #[test]
+    fn oversized_rootfs_header_is_rejected() {
+        let device = MemBlockDevice::new(4096, 1);
+        for len in [0, 4096 - 7, u64::MAX - 7, u64::MAX] {
+            write_at(&device, 0, &len.to_le_bytes()).unwrap();
+            assert!(
+                matches!(read_rootfs(&device), Err(BuildError::Storage(_))),
+                "header length {len}"
+            );
+        }
     }
 
     #[test]

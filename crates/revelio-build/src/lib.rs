@@ -39,6 +39,11 @@
 //! # Ok::<(), revelio_build::BuildError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod artifacts;
 pub mod error;
 pub mod fstree;

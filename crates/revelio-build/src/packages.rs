@@ -57,15 +57,14 @@ impl PackageRegistry {
     ///
     /// [`BuildError::PackageNotFound`] when the package does not exist.
     pub fn install_latest(&self, name: &str, tree: &mut FsTree) -> Result<String, BuildError> {
-        let versions = self
+        let latest = self
             .packages
             .get(name)
-            .filter(|v| !v.is_empty())
+            .and_then(|versions| versions.last())
             .ok_or_else(|| BuildError::PackageNotFound {
                 name: name.to_owned(),
                 version: None,
             })?;
-        let latest = versions.last().expect("nonempty");
         Self::install(latest, tree)?;
         Ok(latest.version.clone())
     }

@@ -195,19 +195,27 @@ impl HttpsSession {
     ///
     /// Returns [`HttpError`] on transport or parse failure.
     pub fn send(&mut self, request: &Request) -> Result<Response, HttpError> {
-        let mut request = request.clone().with_header("Host", &self.host);
         // Client half of context propagation: inject the innermost open
         // span as a `traceparent` header (an explicit header wins).
-        if request.header(crate::router::TRACEPARENT_HEADER).is_none() {
-            if let Some(context) = self.telemetry.current_context() {
-                request = request
-                    .with_header(crate::router::TRACEPARENT_HEADER, &context.to_traceparent());
-            }
-        }
-        // The path labels the exchange so per-route fault plans apply.
+        let traceparent = match request.header(crate::router::TRACEPARENT_HEADER) {
+            Some(_) => None,
+            None => self
+                .telemetry
+                .current_context()
+                .map(|context| context.to_traceparent()),
+        };
+        let mut added = vec![("Host", self.host.as_str())];
+        added.extend(
+            traceparent
+                .as_deref()
+                .map(|value| (crate::router::TRACEPARENT_HEADER, value)),
+        );
+        // The added headers are encoded after the request's own, without
+        // copying its body. The path labels the exchange so per-route
+        // fault plans apply.
         let bytes = self
             .session
-            .request_routed(&request.path, &request.to_bytes()?)?;
+            .request_routed(&request.path, &request.to_bytes_with(&added)?)?;
         Response::from_bytes(&bytes)
     }
 

@@ -96,8 +96,20 @@ impl Request {
     /// wire format: CR/LF in a name or value (header injection), or a
     /// caller-supplied `Content-Length` (the encoder owns framing).
     pub fn to_bytes(&self) -> Result<Vec<u8>, HttpError> {
+        self.to_bytes_with(&[])
+    }
+
+    /// Encodes as HTTP/1.1 text with `added` headers after the request's
+    /// own — the bytes `to_bytes` gives for a copy carrying them, without
+    /// copying the body.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::to_bytes`], for the added headers too.
+    pub fn to_bytes_with(&self, added: &[(&str, &str)]) -> Result<Vec<u8>, HttpError> {
         let mut out = format!("{} {} HTTP/1.1\r\n", self.method.as_str(), self.path).into_bytes();
-        encode_headers(&self.headers, self.body.len(), &mut out)?;
+        let own = self.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()));
+        encode_headers(own.chain(added.iter().copied()), self.body.len(), &mut out)?;
         out.extend_from_slice(&self.body);
         Ok(out)
     }
@@ -208,7 +220,8 @@ impl Response {
     /// caller-supplied `Content-Length` (the encoder owns framing).
     pub fn to_bytes(&self) -> Result<Vec<u8>, HttpError> {
         let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).into_bytes();
-        encode_headers(&self.headers, self.body.len(), &mut out)?;
+        let headers = self.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()));
+        encode_headers(headers, self.body.len(), &mut out)?;
         out.extend_from_slice(&self.body);
         Ok(out)
     }
@@ -263,7 +276,11 @@ fn validate_header(name: &str, value: &str) -> Result<(), HttpError> {
 }
 
 /// Emits validated headers plus the computed `Content-Length` framing.
-fn encode_headers(headers: &Headers, body_len: usize, out: &mut Vec<u8>) -> Result<(), HttpError> {
+fn encode_headers<'a>(
+    headers: impl Iterator<Item = (&'a str, &'a str)>,
+    body_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), HttpError> {
     for (name, value) in headers {
         validate_header(name, value)?;
         out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
@@ -341,6 +358,22 @@ mod tests {
         let parsed = Request::from_bytes(&req.to_bytes().unwrap()).unwrap();
         assert_eq!(parsed, req);
         assert_eq!(parsed.header("host"), Some("pad.example.org"));
+    }
+
+    #[test]
+    fn added_headers_encode_as_if_appended() {
+        let req = Request::post("/upload", vec![7; 64]).with_header("Accept", "*/*");
+        let added = [("Host", "pad.example.org"), ("traceparent", "00-ab-cd-01")];
+        let appended = req
+            .clone()
+            .with_header("Host", "pad.example.org")
+            .with_header("traceparent", "00-ab-cd-01");
+        assert_eq!(
+            req.to_bytes_with(&added).unwrap(),
+            appended.to_bytes().unwrap()
+        );
+        // Added headers pass the same injection check as the request's own.
+        assert!(req.to_bytes_with(&[("Host", "a\r\nX-Evil: 1")]).is_err());
     }
 
     #[test]

@@ -942,11 +942,11 @@ impl Connection {
             return Err(err);
         }
         self.clock.advance_us(one_way_us);
-        let delivered = match &self.tamper {
-            Some(t) => t(message),
-            None => message.to_vec(),
-        };
-        let result = self.handler.on_message(&delivered);
+        // Only a tamper hook needs its own copy of the message.
+        let tampered = self.tamper.as_ref().map(|t| t(message));
+        let result = self
+            .handler
+            .on_message(tampered.as_deref().unwrap_or(message));
         self.clock.advance_us(one_way_us);
         if result.is_err() {
             self.closed = true;

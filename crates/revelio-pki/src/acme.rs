@@ -224,7 +224,8 @@ impl AcmeCa {
             .intermediate
             .issue_for_csr(csr, now, now + self.policy.lifetime_ms)?;
         Ok(CertificateChain {
-            certificates: vec![leaf, self.intermediate_cert.clone()],
+            leaf,
+            intermediates: vec![self.intermediate_cert.clone()],
         })
     }
 

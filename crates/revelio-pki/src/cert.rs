@@ -305,22 +305,27 @@ impl Certificate {
     }
 }
 
-/// An end-entity certificate with its chain up to (but excluding) the root.
+/// An end-entity certificate with its chain up to (but excluding) the
+/// root. A chain always has a leaf: the type holds it apart from the
+/// intermediates, so no chain — decoded or built — can be empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateChain {
-    /// Leaf first, then intermediates in order.
-    pub certificates: Vec<Certificate>,
+    /// The end-entity certificate.
+    pub leaf: Certificate,
+    /// The intermediates, leaf's issuer first.
+    pub intermediates: Vec<Certificate>,
 }
 
 impl CertificateChain {
     /// The leaf (end-entity) certificate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty chain (never constructed by this workspace).
     #[must_use]
     pub fn leaf(&self) -> &Certificate {
-        self.certificates.first().expect("chain has a leaf")
+        &self.leaf
+    }
+
+    /// Every certificate, leaf first.
+    fn certificates(&self) -> impl Iterator<Item = &Certificate> {
+        std::iter::once(&self.leaf).chain(&self.intermediates)
     }
 
     /// Validates the chain against a set of trusted root certificates:
@@ -331,16 +336,13 @@ impl CertificateChain {
     ///
     /// Returns the first failing check's [`PkiError`].
     pub fn validate(&self, roots: &[Certificate], now_ms: u64) -> Result<(), PkiError> {
-        if self.certificates.is_empty() {
-            return Err(PkiError::ChainInvalid("empty chain".into()));
-        }
-        for cert in &self.certificates {
+        for cert in self.certificates() {
             cert.check_validity(now_ms)?;
         }
-        for pair in self.certificates.windows(2) {
-            pair[0].verify_signature(&pair[1])?;
+        for (subject, issuer) in self.certificates().zip(&self.intermediates) {
+            subject.verify_signature(issuer)?;
         }
-        let top = self.certificates.last().expect("nonempty");
+        let top = self.intermediates.last().unwrap_or(&self.leaf);
         let root = roots
             .iter()
             .find(|r| r.subject == top.issuer)
@@ -353,8 +355,8 @@ impl CertificateChain {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u32(self.certificates.len() as u32);
-        for c in &self.certificates {
+        w.put_u32(1 + self.intermediates.len() as u32);
+        for c in self.certificates() {
             w.put_var_bytes(&c.to_bytes());
         }
         w.into_bytes()
@@ -370,17 +372,19 @@ impl CertificateChain {
         let mut r = ByteReader::new(bytes);
         let n = r.get_count(4)?; // var-bytes prefix per certificate
         if n == 0 {
-            // An empty chain has no leaf; rejecting here keeps `leaf()`'s
-            // invariant and prevents remote panics in handlers that decode
-            // attacker-supplied chains.
+            // An empty chain has no leaf.
             return Err(PkiError::ChainInvalid("empty chain".into()));
         }
-        let mut certificates = Vec::with_capacity(n);
-        for _ in 0..n {
-            certificates.push(Certificate::from_bytes(r.get_var_bytes()?)?);
+        let leaf = Certificate::from_bytes(r.get_var_bytes()?)?;
+        let mut intermediates = Vec::with_capacity(n - 1);
+        for _ in 1..n {
+            intermediates.push(Certificate::from_bytes(r.get_var_bytes()?)?);
         }
         r.finish()?;
-        Ok(CertificateChain { certificates })
+        Ok(CertificateChain {
+            leaf,
+            intermediates,
+        })
     }
 }
 
@@ -455,7 +459,8 @@ mod tests {
         let csr = CertificateSigningRequest::new("a.example", &key, "O", "CH");
         let leaf = inter.0.issue_for_csr(&csr, 0, 10_000).unwrap();
         let chain = CertificateChain {
-            certificates: vec![leaf, inter.1],
+            leaf,
+            intermediates: vec![inter.1],
         };
         chain.validate(&[root.certificate()], 5).unwrap();
     }
@@ -468,7 +473,8 @@ mod tests {
         let csr = CertificateSigningRequest::new("a.example", &key, "O", "CH");
         let leaf = root.issue_for_csr(&csr, 0, 10_000).unwrap();
         let chain = CertificateChain {
-            certificates: vec![leaf],
+            leaf,
+            intermediates: Vec::new(),
         };
         assert!(chain.validate(&[other_root.certificate()], 5).is_err());
     }

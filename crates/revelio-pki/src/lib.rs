@@ -21,6 +21,11 @@
 //! # Ok::<(), revelio_pki::PkiError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod acme;
 pub mod ca;
 pub mod cert;

@@ -47,9 +47,9 @@ fn derive_master_key(passphrase: &[u8], params: &CryptParams) -> Vec<u8> {
 }
 
 fn key_check_value(master_key: &[u8]) -> [u8; 32] {
-    Hmac::<Sha256>::mac(master_key, b"revelio-crypt-key-check")
-        .try_into()
-        .expect("32 bytes")
+    let mut mac = Hmac::<Sha256>::new(master_key);
+    mac.update(b"revelio-crypt-key-check");
+    mac.finalize_fixed()
 }
 
 /// An unlocked encrypted volume mapped over a backing device.

@@ -44,6 +44,11 @@
 //! # Ok::<(), revelio_storage::StorageError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod block;
 pub mod crypt;
 pub mod error;

@@ -130,7 +130,7 @@ impl PartitionTable {
             .last()
             .map_or(1, |p| p.first_block + p.block_count);
         let digest = revelio_crypto::sha2::Sha256::digest(name.as_bytes());
-        let uuid: [u8; 16] = digest[..16].try_into().expect("16 bytes");
+        let uuid: [u8; 16] = std::array::from_fn(|i| digest[i]);
         self.entries.push(Partition {
             name: name.to_owned(),
             kind,

@@ -268,32 +268,31 @@ impl Telemetry {
             .collect()
     }
 
-    /// Records an already-finished span of modelled duration `ms` without
-    /// advancing the clock. Used for costs the simulation models
-    /// analytically (e.g. boot-time hashing) rather than simulates.
-    pub fn modelled_span(&self, name: &str, ms: f64) -> u64 {
-        self.modelled_span_with(name, ms, &[])
-    }
-
-    /// [`Telemetry::modelled_span`] with attributes.
-    pub fn modelled_span_with(&self, name: &str, ms: f64, attrs: &[(&str, &str)]) -> u64 {
-        let name = name.to_string();
-        let attrs = owned_attrs(attrs);
-        let start_us = self.inner.clock.now_us();
-        let mut state = self.inner.state.lock();
-        let id = state.spans.len() as u64;
-        let parent = state.stack.last().copied();
-        let trace_id = state.trace_of(parent);
-        state.spans.push(SpanRecord {
-            id,
-            trace_id,
-            parent,
-            name,
-            start_us,
-            end_us: Some(start_us.saturating_add((ms * 1000.0).max(0.0) as u64)),
-            attrs,
-        });
-        id
+    /// Records already-finished spans of modelled durations, without
+    /// advancing the clock, for costs the simulation models analytically
+    /// (a boot's steps) rather than simulates. The steps are sequential:
+    /// each span starts where the previous one ended, the first at the
+    /// current sim time, so they do not overlap in the trace.
+    pub fn modelled_steps<S: AsRef<str>>(&self, steps: impl IntoIterator<Item = (S, f64)>) {
+        let mut start_us = self.inner.clock.now_us();
+        for (name, ms) in steps {
+            let name = name.as_ref().to_string();
+            let end_us = start_us.saturating_add((ms * 1000.0).max(0.0) as u64);
+            let mut state = self.inner.state.lock();
+            let id = state.spans.len() as u64;
+            let parent = state.stack.last().copied();
+            let trace_id = state.trace_of(parent);
+            state.spans.push(SpanRecord {
+                id,
+                trace_id,
+                parent,
+                name,
+                start_us,
+                end_us: Some(end_us),
+                attrs: BTreeMap::new(),
+            });
+            start_us = end_us;
+        }
     }
 
     /// Snapshot of one span by id.
@@ -439,12 +438,36 @@ mod tests {
     fn modelled_span_records_child() {
         let (t, clock) = fixture();
         let parent = t.span("parent");
-        t.modelled_span("child", 7.0);
+        t.modelled_steps([("child", 7.0)]);
         parent.finish_ms();
         let child = t.span_record(1).unwrap();
         assert_eq!(child.parent, Some(0));
         assert_eq!(child.duration_ms(), Some(7.0));
         assert_eq!(clock.now_us(), 0);
+    }
+
+    #[test]
+    fn modelled_steps_follow_one_another() {
+        let (t, clock) = fixture();
+        clock.advance_ms(1.0);
+        let parent = t.span("boot");
+        t.modelled_steps([("boot.a", 2.5), ("boot.b", 0.0), ("boot.c", 4.0)]);
+        parent.finish_modelled_ms(6.5);
+        let bounds: Vec<_> = (1..=3)
+            .map(|id| {
+                let span = t.span_record(id).unwrap();
+                (span.parent, span.start_us, span.end_us)
+            })
+            .collect();
+        assert_eq!(
+            bounds,
+            vec![
+                (Some(0), 1_000, Some(3_500)),
+                (Some(0), 3_500, Some(3_500)),
+                (Some(0), 3_500, Some(7_500)),
+            ]
+        );
+        assert_eq!(clock.now_us(), 1_000);
     }
 
     #[test]

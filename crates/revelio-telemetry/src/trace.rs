@@ -124,17 +124,28 @@ impl TraceAssembler {
             .saturating_sub(span.start_us)
     }
 
-    /// Self-time of span `id`: its duration minus the summed durations of
-    /// its direct children, clamped at zero (children may overlap or be
-    /// modelled wider than the parent).
+    /// Self-time of span `id`: the part of its interval that no direct
+    /// child covers. Children that overlap (concurrent branches of a
+    /// fork/join) count once, and a child modelled wider than its parent
+    /// counts only inside the parent.
     #[must_use]
     pub fn self_time_us(&self, id: u64) -> u64 {
-        let child_total: u64 = self
-            .children_of(id)
-            .iter()
-            .map(|&c| self.duration_us(c))
-            .sum();
-        self.duration_us(id).saturating_sub(child_total)
+        let span = self.span(id);
+        let end = span.end_us.unwrap_or(span.start_us);
+        // Children are in start order, so one sweep measures their union:
+        // `reach` is the furthest instant covered so far.
+        let mut reach = span.start_us;
+        let mut covered = 0u64;
+        for &c in self.children_of(id) {
+            let child = self.span(c);
+            let from = child.start_us.max(reach);
+            let to = child.end_us.unwrap_or(child.start_us).min(end);
+            if to > from {
+                covered += to - from;
+                reach = to;
+            }
+        }
+        self.duration_us(id).saturating_sub(covered)
     }
 
     /// The critical path: starting from the primary root (earliest start,
@@ -314,15 +325,42 @@ mod tests {
     }
 
     #[test]
+    fn self_time_subtracts_the_union_of_overlapping_children() {
+        let (t, clock) = fixture();
+        let root = t.span("sp.provision");
+        // Two concurrent branches over [0, 4) and [0, 10), a gap of 5 ms,
+        // then a sequential child over [15, 18); the root ends at 20.
+        clock.fork_join([4.0, 10.0], |ms| {
+            let branch = t.span("sp.evidence_retrieval");
+            clock.advance_ms(ms);
+            branch.finish_ms();
+        });
+        clock.advance_ms(5.0);
+        let tail = t.span("sp.certificate_generation");
+        clock.advance_ms(3.0);
+        tail.finish_ms();
+        clock.advance_ms(2.0);
+        root.finish_ms();
+
+        let tree = t.assemble_trace(1);
+        assert_eq!(tree.duration_us(0), 20_000);
+        // Covered: [0, 10) ∪ [15, 18) = 13 ms; the summed durations
+        // (17 ms) would understate the self time as 3 ms.
+        assert_eq!(tree.self_time_us(0), 7_000);
+        // The slowest branch stays on the critical path.
+        assert_eq!(tree.critical_path(), vec![0, 2]);
+    }
+
+    #[test]
     fn sibling_order_is_start_then_id() {
         let (t, clock) = fixture();
         let root = t.span("r");
         // Two modelled children recorded at the same instant: id breaks
         // the tie. A third, later child sorts after both.
-        t.modelled_span("b", 1.0);
-        t.modelled_span("a", 1.0);
+        t.modelled_steps([("b", 1.0)]);
+        t.modelled_steps([("a", 1.0)]);
         clock.advance_ms(1.0);
-        t.modelled_span("c", 1.0);
+        t.modelled_steps([("c", 1.0)]);
         root.finish_ms();
         let tree = t.assemble_trace(1);
         assert_eq!(tree.children_of(0), &[1, 2, 3]);

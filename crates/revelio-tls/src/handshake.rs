@@ -245,7 +245,8 @@ mod tests {
         let key = SigningKey::from_seed(&[2; 32]);
         let csr = CertificateSigningRequest::new("a.example", &key, "O", "C");
         CertificateChain {
-            certificates: vec![ca.issue_for_csr(&csr, 0, 100).unwrap()],
+            leaf: ca.issue_for_csr(&csr, 0, 100).unwrap(),
+            intermediates: Vec::new(),
         }
     }
 

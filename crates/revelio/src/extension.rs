@@ -362,10 +362,10 @@ impl std::fmt::Debug for WebExtension {
 }
 
 impl WebExtension {
-    /// Creates an extension instance (one per browser profile). It
-    /// records into a private registry and flight ring on `net`'s clock
-    /// until [`WebExtension::with_telemetry`] and
-    /// [`WebExtension::with_flight_recorder`] wire in shared ones.
+    /// Creates an extension instance (one per browser profile), with its
+    /// own flight ring on `net`'s clock. It records into a private
+    /// registry until [`WebExtension::with_telemetry`] wires in a shared
+    /// one.
     #[must_use]
     pub fn new(
         net: SimNet,
@@ -426,13 +426,12 @@ impl WebExtension {
         self
     }
 
-    /// Records retries and browse verdicts into `flight` instead of the
-    /// private ring; [`WebExtension::browse_classified`] attaches its dump
-    /// to `AttestationFailed` verdicts.
+    /// This extension's own flight ring: its retries and browse verdicts,
+    /// never another browser profile's. [`WebExtension::browse_classified`]
+    /// attaches its dump to `AttestationFailed` verdicts.
     #[must_use]
-    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.flight = flight;
-        self
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.flight
     }
 
     /// Retries `op` on transient faults; when the budget is exhausted the

@@ -108,14 +108,6 @@ pub struct QuarantinedNode {
     pub flight: Option<FlightDump>,
 }
 
-impl QuarantinedNode {
-    /// Human-readable reason (the rendered error).
-    #[must_use]
-    pub fn reason(&self) -> String {
-        self.error.to_string()
-    }
-}
-
 /// Outcome of a fleet provisioning run.
 #[derive(Debug, Clone)]
 pub struct ProvisionReport {
@@ -127,9 +119,9 @@ pub struct ProvisionReport {
     /// Phase latencies, averaged over the nodes that completed each
     /// phase (quarantined nodes do not dilute the figures).
     pub timings: SpTimings,
-    /// Nodes excluded from the run, in the order they were quarantined
-    /// (fleet order within each phase) — deterministic for a fixed
-    /// fault seed.
+    /// Nodes excluded from the run, phase by phase (retrieval, the
+    /// endorsement prefetch, validation, distribution) and in fleet order
+    /// within each — deterministic for a fixed fault seed.
     pub quarantined: Vec<QuarantinedNode>,
 }
 
@@ -153,6 +145,24 @@ pub struct NodeObservation {
     pub chip_id: ChipId,
     /// The node's CSR (renewal input: the leader's CSR is re-ordered).
     pub csr: CertificateSigningRequest,
+}
+
+/// The step of a node's attestation branch that quarantined it. A run
+/// lists its quarantines step by step, fleet order within a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum AttestStep {
+    Retrieval,
+    Prefetch,
+    Validation,
+}
+
+/// A node's quarantine record and the step that produced it.
+type Quarantine = (AttestStep, Box<QuarantinedNode>);
+
+/// Mean of per-node span durations (Table 2 averages over the nodes
+/// that completed a phase).
+fn mean(samples: &[f64]) -> f64 {
+    samples.iter().sum::<f64>() / samples.len() as f64
 }
 
 /// Decorrelates the SP retry jitter stream from other components.
@@ -243,13 +253,14 @@ impl ServiceProviderNode {
     }
 
     /// Builds a quarantine record, snapshotting the node's flight ring
-    /// (with the quarantine verdict itself as the final event).
+    /// (with the quarantine verdict itself as the final event). Boxed: the
+    /// record rides in the error half of per-node branch results.
     fn quarantine(
         &self,
         node: String,
         phase: ProvisionPhase,
         error: RevelioError,
-    ) -> QuarantinedNode {
+    ) -> Box<QuarantinedNode> {
         let flight = self.flight.get(&node).map(|recorder| {
             recorder.record(
                 "verdict",
@@ -257,19 +268,19 @@ impl ServiceProviderNode {
             );
             recorder.dump()
         });
-        QuarantinedNode {
+        Box::new(QuarantinedNode {
             node,
             phase,
             error,
             flight,
-        }
+        })
     }
 
     /// A bootstrap-port request with transient faults retried: a dropped
     /// packet on the provider-internal network must not abort a whole
     /// fleet provisioning run.
     fn retried_request(&self, address: &str, request: &Request) -> Result<Response, RevelioError> {
-        let response = retry_with_telemetry(
+        Ok(retry_with_telemetry(
             &self.retry,
             &self.telemetry,
             "sp",
@@ -285,8 +296,7 @@ impl ServiceProviderNode {
                 }
                 plain_request_traced(&self.net, address, request, &self.telemetry)
             },
-        )?;
-        Ok(response)
+        )?)
     }
 
     fn fetch_bundle(&self, bootstrap: &str) -> Result<CsrBundle, RevelioError> {
@@ -302,16 +312,11 @@ impl ServiceProviderNode {
 
     /// Validates one node's bundle (§5.3.1): VCEK chain, report signature,
     /// golden measurement, CSR binding, proof of possession, and the
-    /// chip↔address allowlist.
-    fn validate_bundle(&self, bootstrap: &str, bundle: &CsrBundle) -> Result<(), RevelioError> {
-        self.validate_bundle_inner(bootstrap, bundle, Some(&self.config.golden))
-    }
-
-    /// The bundle checks, with golden-set membership optional: the
+    /// chip↔address allowlist. Golden-set membership is optional: the
     /// provisioning path judges the measurement (`Some`), the reconciler's
     /// observation path reports it unjudged (`None`) so drift can be
     /// *named*, not just rejected.
-    fn validate_bundle_inner(
+    fn validate_bundle(
         &self,
         bootstrap: &str,
         bundle: &CsrBundle,
@@ -371,8 +376,9 @@ impl ServiceProviderNode {
 
     /// Runs the full provisioning protocol over the fleet's bootstrap
     /// addresses: retrieve → validate → issue (leader = first survivor)
-    /// → distribute. The leader receives its certificate first so peers'
-    /// key requests find it ready.
+    /// → distribute, attesting every node concurrently on the sim clock.
+    /// The leader receives its certificate first so peers' key requests
+    /// find it ready; the peers are then served concurrently.
     ///
     /// The run is **partition tolerant**: a node that is unreachable or
     /// rejected at any phase is quarantined (recorded in
@@ -422,147 +428,137 @@ impl ServiceProviderNode {
     }
 
     /// The provisioning protocol proper; the caller owns the root span
-    /// and the success/failure metrics.
+    /// and the success/failure metrics. Per-node results are collected in
+    /// fleet order, so the leader, the quarantine list and the averaged
+    /// timings are those a node-by-node run would produce.
     fn provision_fleet(&self, bootstrap_addrs: &[String]) -> Result<ProvisionReport, RevelioError> {
-        let telemetry = &self.telemetry;
         if bootstrap_addrs.is_empty() {
             return Err(RevelioError::EmptyFleet);
         }
-        let mut quarantined: Vec<QuarantinedNode> = Vec::new();
+        let clock = self.net.clock();
 
-        // Phase 1: retrieval, per node. Unreachable nodes (a partitioned
-        // subnet, an exhausted retry budget) are quarantined here.
-        let mut survivors: Vec<(String, CsrBundle)> = Vec::new();
-        let mut retrieval_total = 0.0;
-        for addr in bootstrap_addrs {
-            let span = telemetry.span_with("sp.evidence_retrieval", &[("node", addr)]);
-            match self.fetch_bundle(addr) {
-                Ok(bundle) => {
-                    retrieval_total += span.finish_ms();
-                    survivors.push((addr.clone(), bundle));
-                }
-                Err(error) => {
-                    span.finish_ms();
-                    quarantined.push(self.quarantine(
-                        addr.clone(),
-                        ProvisionPhase::Retrieval,
-                        error,
-                    ));
-                }
+        // Phases 1–2, every node at once: retrieval → endorsement
+        // prefetch → validation.
+        let attested = clock.fork_join(bootstrap_addrs, |addr| self.attest_node(addr));
+        let mut failed = Vec::new();
+        let mut validated = Vec::with_capacity(attested.len());
+        let mut retrieval_ms = Vec::with_capacity(attested.len());
+        for (retrieval, outcome) in attested {
+            // Table 2 averages retrieval over the nodes it succeeded for.
+            if !matches!(outcome, Err((AttestStep::Retrieval, _))) {
+                retrieval_ms.push(retrieval);
+            }
+            match outcome {
+                Ok(pass) => validated.push(pass),
+                Err(quarantine) => failed.push(quarantine),
             }
         }
-        let retrieved = survivors.len();
-
-        // Endorsement prefetch: the SP keeps a warm VCEK mirror for its
-        // own fleet (the chips are known in advance), so KDS round trips
-        // are not part of the per-node validation cost the paper reports.
-        // A node whose endorsement cannot be fetched cannot be validated.
-        let mut prefetched: Vec<(String, CsrBundle)> = Vec::with_capacity(survivors.len());
-        for (addr, bundle) in survivors {
-            match self.kds.vcek_chain(
-                &bundle.report.report.chip_id,
-                &bundle.report.report.reported_tcb,
-            ) {
-                Ok(_) => prefetched.push((addr, bundle)),
-                Err(error) => {
-                    quarantined.push(self.quarantine(addr, ProvisionPhase::Validation, error));
-                }
-            }
-        }
-
-        // Phase 2: validation, per node (pure crypto + policy checks).
-        let mut validated: Vec<(String, CsrBundle)> = Vec::with_capacity(prefetched.len());
-        let mut validation_total = 0.0;
-        for (addr, bundle) in prefetched {
-            let span = telemetry.span_with("sp.evidence_validation", &[("node", &addr)]);
-            match self.validate_bundle(&addr, &bundle) {
-                Ok(()) => {
-                    validation_total += span.finish_ms();
-                    validated.push((addr, bundle));
-                }
-                Err(error) => {
-                    span.finish_ms();
-                    quarantined.push(self.quarantine(addr, ProvisionPhase::Validation, error));
-                }
-            }
-        }
-        if validated.is_empty() {
-            // No survivors: surface the earliest quarantine's error, so a
-            // single rejected node reports its precise rejection.
+        // Step by step, fleet order within a step (a stable sort).
+        failed.sort_by_key(|(step, _)| *step);
+        let mut quarantined: Vec<QuarantinedNode> = failed.into_iter().map(|(_, q)| *q).collect();
+        // No survivors: surface the earliest quarantine's error, so a
+        // single rejected node reports its precise rejection.
+        let Some(((leader_bootstrap, leader, _), peers)) = validated.split_first() else {
             return Err(quarantined[0].error.clone());
-        }
+        };
 
         // Phase 3: one certificate for the leader's CSR. The leader is
         // the first *surviving* node in fleet order.
-        let leader_bootstrap = validated[0].0.clone();
-        let leader_csr = &validated[0].1.csr;
-        let span = telemetry.span("sp.certificate_generation");
-        self.net.clock().advance_ms(self.config.ca_processing_ms);
-        let order = self.acme.order_certificate(leader_csr);
+        let span = self.telemetry.span("sp.certificate_generation");
+        clock.advance_ms(self.config.ca_processing_ms);
+        let order = self.acme.order_certificate(&leader.csr);
         let certificate_generation_ms = span.finish_ms();
         let chain = order?;
 
-        // Phase 4: distribute to the survivors, leader first.
-        let mut distribution_total = 0.0;
-        let mut distributed = 0usize;
-        let approved_chips: Vec<ChipId> = self
-            .config
-            .allowlist
-            .iter()
-            .map(|(chip, _)| *chip)
-            .collect();
-        let payload = crate::node::encode_install_cert(&chain, &leader_bootstrap, &approved_chips);
-        for (addr, _) in &validated {
-            let span = telemetry.span_with("sp.certificate_distribution", &[("node", addr)]);
-            let outcome = self
-                .retried_request(
-                    addr,
-                    &Request::post("/revelio/install-cert", payload.clone()),
-                )
-                .and_then(|response| {
-                    if response.is_success() {
-                        Ok(())
-                    } else {
-                        Err(RevelioError::NodeRejected {
-                            node: addr.clone(),
-                            reason: format!(
-                                "install-cert returned {} ({})",
-                                response.status,
-                                response.header("X-Revelio-Error").unwrap_or("no detail")
-                            ),
-                        })
-                    }
-                });
+        // Phase 4: the leader first — peers fetch the key from it — then
+        // every peer at once.
+        let distribute = |addr: &str| self.distribute(addr, &chain, leader_bootstrap);
+        let mut distributed = vec![distribute(leader_bootstrap)];
+        distributed.extend(clock.fork_join(peers, |(addr, _, _)| distribute(addr)));
+        let mut distribution_ms = Vec::with_capacity(distributed.len());
+        for outcome in distributed {
             match outcome {
-                Ok(()) => {
-                    distribution_total += span.finish_ms();
-                    distributed += 1;
-                }
-                Err(error) => {
-                    span.finish_ms();
-                    quarantined.push(self.quarantine(
-                        addr.clone(),
-                        ProvisionPhase::Distribution,
-                        error,
-                    ));
-                }
+                Ok(ms) => distribution_ms.push(ms),
+                Err(quarantine) => quarantined.push(*quarantine),
             }
         }
-        if distributed == 0 {
+        if distribution_ms.is_empty() {
             return Err(quarantined[0].error.clone());
         }
 
+        let validation_ms: Vec<f64> = validated.iter().map(|(_, _, ms)| *ms).collect();
         Ok(ProvisionReport {
-            leader_bootstrap,
+            leader_bootstrap: leader_bootstrap.clone(),
             chain,
             quarantined,
             timings: SpTimings {
-                evidence_retrieval_ms: retrieval_total / retrieved as f64,
-                evidence_validation_ms: validation_total / validated.len() as f64,
+                evidence_retrieval_ms: mean(&retrieval_ms),
+                evidence_validation_ms: mean(&validation_ms),
                 certificate_generation_ms,
-                certificate_distribution_ms: distribution_total / distributed as f64,
+                certificate_distribution_ms: mean(&distribution_ms),
             },
         })
+    }
+
+    /// One node's attestation branch: retrieval, the endorsement
+    /// prefetch, then validation. Returns the retrieval span's duration,
+    /// and the node's bundle with its validation span's duration or the
+    /// step that quarantined it.
+    fn attest_node(&self, addr: &str) -> (f64, Result<(String, CsrBundle, f64), Quarantine>) {
+        let span = self
+            .telemetry
+            .span_with("sp.evidence_retrieval", &[("node", addr)]);
+        let fetched = self.fetch_bundle(addr);
+        let retrieval_ms = span.finish_ms();
+        // Unreachable nodes (a partitioned subnet, an exhausted retry
+        // budget) are quarantined at retrieval.
+        let checked = fetched
+            .map_err(|e| (AttestStep::Retrieval, e))
+            .and_then(|bundle| {
+                // Endorsement prefetch: the SP keeps a warm VCEK mirror for its
+                // own fleet (the chips are known in advance), so KDS round
+                // trips are not part of the per-node validation cost the paper
+                // reports. A node whose endorsement cannot be fetched cannot be
+                // validated.
+                let report = &bundle.report.report;
+                self.kds
+                    .vcek_chain(&report.chip_id, &report.reported_tcb)
+                    .map_err(|e| (AttestStep::Prefetch, e))?;
+                // Validation proper: pure crypto + policy checks.
+                let span = self
+                    .telemetry
+                    .span_with("sp.evidence_validation", &[("node", addr)]);
+                let checked = self.validate_bundle(addr, &bundle, Some(&self.config.golden));
+                let validation_ms = span.finish_ms();
+                checked.map_err(|e| (AttestStep::Validation, e))?;
+                Ok((addr.to_owned(), bundle, validation_ms))
+            });
+        let outcome = checked.map_err(|(step, error)| {
+            let phase = match step {
+                AttestStep::Retrieval => ProvisionPhase::Retrieval,
+                AttestStep::Prefetch | AttestStep::Validation => ProvisionPhase::Validation,
+            };
+            (step, self.quarantine(addr.to_owned(), phase, error))
+        });
+        (retrieval_ms, outcome)
+    }
+
+    /// Installs the shared certificate on one node under its own
+    /// distribution span, returning the span's duration.
+    fn distribute(
+        &self,
+        addr: &str,
+        chain: &CertificateChain,
+        leader_bootstrap: &str,
+    ) -> Result<f64, Box<QuarantinedNode>> {
+        let span = self
+            .telemetry
+            .span_with("sp.certificate_distribution", &[("node", addr)]);
+        let outcome = self.install_certificate(addr, chain, leader_bootstrap);
+        let elapsed = span.finish_ms();
+        outcome
+            .map(|()| elapsed)
+            .map_err(|error| self.quarantine(addr.to_owned(), ProvisionPhase::Distribution, error))
     }
 
     /// Replaces the golden set the SP judges measurements against — the
@@ -591,7 +587,7 @@ impl ServiceProviderNode {
             .span_with("sp.observe_node", &[("node", bootstrap)]);
         let result = (|| {
             let bundle = self.fetch_bundle(bootstrap)?;
-            self.validate_bundle_inner(bootstrap, &bundle, None)?;
+            self.validate_bundle(bootstrap, &bundle, None)?;
             Ok(NodeObservation {
                 bootstrap: bootstrap.to_owned(),
                 measurement: bundle.report.report.measurement,

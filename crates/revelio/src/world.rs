@@ -596,7 +596,10 @@ impl SimWorld {
         self.net.clear_fault_domains();
     }
 
-    /// A web-extension instance for an end-user in this world.
+    /// A web-extension instance for an end-user in this world. Its flight
+    /// ring is its own: a shared ring would mix browser profiles'
+    /// histories, and a directory entry per extension would never be
+    /// freed.
     #[must_use]
     pub fn extension(&self) -> WebExtension {
         let mut entropy = [0u8; 32];
@@ -619,7 +622,6 @@ impl SimWorld {
         )
         .with_telemetry(self.telemetry.clone())
         .with_retry_policy(self.tuning.retry.extension.clone())
-        .with_flight_recorder(self.flight.register("extension"))
     }
 
     /// The browser root-store certificate list.

@@ -42,7 +42,8 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     let ca = revelio_pki::ca::CertificateAuthority::new_root("R", [3; 32]);
     let cert = ca.issue_for_csr(&csr, 0, 1000).unwrap();
     let cert_chain = CertificateChain {
-        certificates: vec![cert.clone()],
+        leaf: cert.clone(),
+        intermediates: Vec::new(),
     };
 
     let mut tree = FsTree::new();

@@ -151,6 +151,63 @@ fn quarantine_decisions_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// Provisions two clean nodes in subnet 113 plus one node in each of
+/// `dark` partitioned racks (subnets 114, 115, …). Returns the
+/// `sp.provision` sim duration, the longest evidence retrieval (a dark
+/// node's whole retry budget) and the number of quarantined nodes.
+fn provision_with_dark_racks(dark: u8) -> (f64, f64, usize) {
+    let mut world = SimWorld::new(42);
+    world.set_fault_seed(partition_seed());
+    let mut groups = vec![(113, 2)];
+    for rack in 114..114 + dark {
+        world.install_fault_domain(FaultDomain::partition(
+            &format!("rack-{rack}"),
+            &SimWorld::subnet_prefix(rack),
+        ));
+        groups.push((rack, 1));
+    }
+    let fleet = world
+        .deploy_fleet_in_subnets("pad.example.org", &groups, demo_app())
+        .expect("the clean rack survives");
+    let provision = world.telemetry.span_durations_ms("sp.provision");
+    assert_eq!(provision.len(), 1);
+    let slowest_retrieval = world
+        .telemetry
+        .span_durations_ms("sp.evidence_retrieval")
+        .into_iter()
+        .fold(0.0, f64::max);
+    (
+        provision[0],
+        slowest_retrieval,
+        fleet.provision.quarantined.len(),
+    )
+}
+
+#[test]
+fn dark_racks_cost_one_retry_budget_not_one_each() {
+    let seed = partition_seed();
+    let (clean_ms, _, quarantined) = provision_with_dark_racks(0);
+    assert_eq!(quarantined, 0);
+    let (one_dark_ms, budget_ms, _) = provision_with_dark_racks(1);
+    // The dark node's retrieval spends the SP's whole retry budget while
+    // the clean nodes are attested alongside it, so the round pays that
+    // budget once, in place of the clean attestation.
+    assert!(budget_ms > 1000.0, "seed {seed:#x}: budget {budget_ms} ms");
+    assert!(
+        one_dark_ms > clean_ms && one_dark_ms < clean_ms + budget_ms,
+        "seed {seed:#x}: clean {clean_ms} ms, one dark rack {one_dark_ms} ms, budget {budget_ms} ms"
+    );
+    for dark in [2u8, 4] {
+        let (provision_ms, dark_budget_ms, quarantined) = provision_with_dark_racks(dark);
+        assert_eq!(quarantined, usize::from(dark), "seed {seed:#x}");
+        assert_eq!(dark_budget_ms, budget_ms, "seed {seed:#x}");
+        assert_eq!(
+            provision_ms, one_dark_ms,
+            "seed {seed:#x}: {dark} dark racks must cost what one does"
+        );
+    }
+}
+
 #[test]
 fn flight_rings_record_retries_not_first_attempts() {
     let mut world = SimWorld::new(23);
@@ -180,11 +237,7 @@ fn flight_rings_record_retries_not_first_attempts() {
     let extension = world.extension();
     extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
     extension.browse("pad.example.org", "/").unwrap();
-    let ring = world
-        .flight
-        .get("extension")
-        .expect("the world registers the extension's ring")
-        .dump();
+    let ring = extension.flight_recorder().dump();
     assert!(
         ring.events.iter().any(|e| e.kind == "verdict"),
         "{}",
@@ -194,6 +247,43 @@ fn flight_rings_record_retries_not_first_attempts() {
         ring.events.iter().all(|e| e.kind != "retry"),
         "{}",
         ring.render()
+    );
+}
+
+#[test]
+fn each_extension_keeps_its_own_flight_ring() {
+    let mut world = SimWorld::new(42);
+    let fleet = world
+        .deploy_fleet("pad.example.org", 1, demo_app())
+        .expect("clean deploy");
+    let attesting = world.extension();
+    attesting.register_site("pad.example.org", vec![fleet.golden_measurement]);
+    let unaware = world.extension();
+    assert_eq!(
+        attesting.browse_classified("pad.example.org", "/").verdict,
+        BrowseVerdict::Attested
+    );
+    assert_eq!(
+        unaware.browse_classified("pad.example.org", "/").verdict,
+        BrowseVerdict::NotRevelio
+    );
+
+    let verdicts = |ring: revelio_telemetry::FlightDump| -> Vec<String> {
+        ring.events
+            .into_iter()
+            .filter(|e| e.kind == "verdict")
+            .map(|e| e.detail)
+            .collect()
+    };
+    assert_eq!(
+        verdicts(attesting.flight_recorder().dump()),
+        vec!["pad.example.org/: attested".to_string()]
+    );
+    let unaware_verdicts = verdicts(unaware.flight_recorder().dump());
+    assert_eq!(unaware_verdicts.len(), 1, "{unaware_verdicts:?}");
+    assert!(
+        unaware_verdicts[0].starts_with("pad.example.org/: not_revelio"),
+        "{unaware_verdicts:?}"
     );
 }
 
