@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::span::SpanRecord;
-use crate::{SpanLog, Telemetry};
+use crate::Telemetry;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -79,13 +78,13 @@ fn family_of(sample_name: &str) -> &str {
 
 impl Telemetry {
     /// Exports the full registry as a JSON-lines event log: one `span`
-    /// line per recorded span (id order), then `counter`, `gauge`, and
-    /// `histogram` lines in name order.
+    /// line per span in the window (id order), then `counter`, `gauge`,
+    /// and `histogram` lines in name order.
     #[must_use]
     pub fn export_json_lines(&self) -> String {
         let state = self.inner.state.lock();
         let mut out = String::new();
-        for span in state.spans.iter() {
+        for span in state.spans.by_id() {
             let _ = write!(
                 out,
                 "{{\"type\":\"span\",\"id\":{},\"trace\":{},\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"end_us\":{}",
@@ -214,97 +213,144 @@ impl Telemetry {
     }
 
     /// Renders the latency-breakdown table: spans aggregated by their path
-    /// in the tree (`root > child > grandchild`), in first-occurrence
-    /// order, with count / total / mean columns and indentation showing
-    /// nesting depth.
+    /// in the tree (`root > child > grandchild`), in the order each path
+    /// was first opened, with count / total / mean columns and
+    /// indentation showing nesting depth. It covers every span finished
+    /// over the registry's life, evicted ones included.
     #[must_use]
     pub fn breakdown(&self) -> String {
-        let state = self.inner.state.lock();
-        breakdown_of(&state.spans)
+        self.inner.state.lock().spans.breakdown().render()
     }
 }
 
-/// Aggregation key: the chain of span names from the root.
-fn path_of(spans: &SpanLog, span: &SpanRecord) -> Vec<String> {
-    let mut path = vec![span.name.clone()];
-    let mut cursor = span.parent;
-    while let Some(pid) = cursor {
-        let parent = spans
-            .get(pid as usize)
-            .expect("parent ids index recorded spans");
-        path.push(parent.name.clone());
-        cursor = parent.parent;
-    }
-    path.reverse();
-    path
+/// One breakdown row: a path in the span tree and the finished spans
+/// summed under it.
+#[derive(Debug)]
+struct PathRow {
+    /// The path's last span name.
+    name: String,
+    depth: usize,
+    count: u64,
+    total_us: u64,
+    /// Child span name → row of the extended path.
+    children: BTreeMap<String, usize>,
 }
 
-fn breakdown_of(spans: &SpanLog) -> String {
-    struct Row {
-        depth: usize,
-        count: u64,
-        total_ms: f64,
-    }
-    // Path → row, in first-occurrence order.
-    let mut order: Vec<Vec<String>> = Vec::new();
-    let mut rows: BTreeMap<Vec<String>, Row> = BTreeMap::new();
-    for span in spans.iter() {
-        let Some(duration) = span.duration_ms() else {
-            continue;
+/// The latency breakdown, kept as a tree of interned span-name paths.
+/// Each span is interned when it opens and summed into its row when it
+/// finishes, so the table needs no span to be kept once it has finished.
+#[derive(Debug, Default)]
+pub(crate) struct Breakdown {
+    /// Rows in first-opened order.
+    rows: Vec<PathRow>,
+    /// Top-level span name → row.
+    roots: BTreeMap<String, usize>,
+}
+
+impl Breakdown {
+    /// The row of `parent`'s path extended by `name` (a top-level path
+    /// without a parent), created when new. Looking up a path that
+    /// already exists allocates nothing.
+    pub(crate) fn intern(&mut self, parent: Option<usize>, name: &str) -> usize {
+        let parent_row = parent.and_then(|p| self.rows.get(p));
+        let known = match parent_row {
+            Some(row) => row.children.get(name),
+            None => self.roots.get(name),
         };
-        let path = path_of(spans, span);
-        if !rows.contains_key(&path) {
-            order.push(path.clone());
-            rows.insert(
-                path.clone(),
-                Row {
-                    depth: path.len() - 1,
-                    count: 0,
-                    total_ms: 0.0,
-                },
-            );
+        if let Some(&row) = known {
+            return row;
         }
-        let row = rows.get_mut(&path).expect("row just inserted");
-        row.count += 1;
-        row.total_ms += duration;
+        let depth = parent_row.map_or(0, |row| row.depth + 1);
+        let row = self.rows.len();
+        let children = match parent.and_then(|p| self.rows.get_mut(p)) {
+            Some(parent_row) => &mut parent_row.children,
+            None => &mut self.roots,
+        };
+        children.insert(name.to_string(), row);
+        self.rows.push(PathRow {
+            name: name.to_string(),
+            depth,
+            count: 0,
+            total_us: 0,
+            children: BTreeMap::new(),
+        });
+        row
     }
 
-    let mut label_width = "span".len();
-    for path in &order {
-        let row = &rows[path];
-        let label_len = row.depth * 2 + path.last().map_or(0, String::len);
-        label_width = label_width.max(label_len);
+    /// Sums one finished span of `duration_us` into `row`.
+    pub(crate) fn add(&mut self, row: usize, duration_us: u64) {
+        if let Some(row) = self.rows.get_mut(row) {
+            row.count += 1;
+            row.total_us = row.total_us.saturating_add(duration_us);
+        }
     }
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<label_width$}  {:>7}  {:>12}  {:>12}",
-        "span", "count", "total ms", "mean ms"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(label_width + 37));
-    for path in &order {
-        let row = &rows[path];
-        let label = format!(
-            "{}{}",
-            "  ".repeat(row.depth),
-            path.last().map(String::as_str).unwrap_or_default()
-        );
+    /// The table; paths none of whose spans has finished are left out.
+    fn render(&self) -> String {
+        let rows = || self.rows.iter().filter(|row| row.count > 0);
+        let label_width = rows()
+            .map(|row| row.depth * 2 + row.name.len())
+            .fold("span".len(), usize::max);
+        let mut out = String::new();
         let _ = writeln!(
             out,
-            "{label:<label_width$}  {:>7}  {:>12.3}  {:>12.3}",
-            row.count,
-            row.total_ms,
-            row.total_ms / row.count as f64
+            "{:<label_width$}  {:>7}  {:>12}  {:>12}",
+            "span", "count", "total ms", "mean ms"
         );
+        let _ = writeln!(out, "{}", "-".repeat(label_width + 37));
+        for row in rows() {
+            let label = format!("{}{}", "  ".repeat(row.depth), row.name);
+            let total_ms = row.total_us as f64 / 1000.0;
+            let _ = writeln!(
+                out,
+                "{label:<label_width$}  {:>7}  {:>12.3}  {:>12.3}",
+                row.count,
+                total_ms,
+                total_ms / row.count as f64
+            );
+        }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
     use super::*;
+    use crate::span::{SPANS_DROPPED_COUNTER, SPAN_WINDOW};
+    use crate::TraceContext;
     use revelio_net::clock::SimClock;
+
+    /// Counts the allocations each thread makes, so one test can check
+    /// that a call allocates nothing while other tests run in parallel.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    // SAFETY: every call forwards to `System` unchanged; the counter is a
+    // const-initialised thread-local without a destructor, which touches
+    // neither the heap nor the returned memory.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
 
     fn fixture() -> (Telemetry, SimClock) {
         let clock = SimClock::new();
@@ -322,7 +368,8 @@ mod tests {
         root.finish_ms();
         t.counter_add("revelio_test_requests_total", 1);
         t.gauge_set("revelio_test_depth", 2.0);
-        t.register_histogram("revelio_test_latency_ms", &[1.0, 5.0, 10.0]);
+        t.register_histogram("revelio_test_latency_ms", &[1.0, 5.0, 10.0])
+            .unwrap();
         t.observe("revelio_test_latency_ms", 5.0);
         t.observe("revelio_test_latency_ms", 50.0);
     }
@@ -388,7 +435,7 @@ mod tests {
         // kinds: the export must interleave kinds into one sorted pass.
         t.counter_add("zz_total", 1);
         t.gauge_set("mm_depth", 1.5);
-        t.register_histogram("aa_latency_ms", &[1.0]);
+        t.register_histogram("aa_latency_ms", &[1.0]).unwrap();
         t.observe("aa_latency_ms", 0.5);
         t.counter_add(
             &labeled_metric("mm_events_total", &[("node", "a\\b\"c\nd")]),
@@ -444,5 +491,89 @@ mod tests {
         b.finish_ms();
         let table = t.breakdown();
         assert_eq!(table.matches("  shared").count(), 2, "{table}");
+    }
+
+    #[test]
+    fn interning_a_known_path_allocates_nothing() {
+        let mut breakdown = Breakdown::default();
+        let root = breakdown.intern(None, "browse");
+        let child = breakdown.intern(Some(root), "tls.handshake");
+        let before = allocations();
+        let again = (
+            breakdown.intern(None, "browse"),
+            breakdown.intern(Some(root), "tls.handshake"),
+        );
+        assert_eq!(allocations(), before);
+        assert_eq!(again, (root, child));
+    }
+
+    #[test]
+    fn breakdown_is_unchanged_by_eviction() {
+        let (t, clock) = fixture();
+        let traces = 3 * SPAN_WINDOW;
+        for _ in 0..traces {
+            let root = t.span("request");
+            let child = t.span("child");
+            clock.advance_ms(1.0);
+            child.finish_ms();
+            clock.advance_ms(1.0);
+            root.finish_ms();
+        }
+        assert!(t.counter(SPANS_DROPPED_COUNTER) > 0);
+        // Every span recorded is in the table, not just the window's.
+        let expected = format!(
+            "span       count      total ms       mean ms\n{}\n\
+             request  {traces:>7}  {:>12.3}         2.000\n\
+             \x20 child  {traces:>7}  {:>12.3}         1.000\n",
+            "-".repeat(44),
+            2.0 * traces as f64,
+            traces as f64,
+        );
+        assert_eq!(t.breakdown(), expected);
+    }
+
+    /// Serves one request under a `traceparent` context taken off the wire.
+    fn serve(t: &Telemetry, trace_id: u64, span_id: u64) {
+        let context = TraceContext { trace_id, span_id };
+        t.span_with_remote_parent("http.server", &[], context)
+            .finish_ms();
+    }
+
+    fn top_level_row(table: &str, name: &str) -> bool {
+        table
+            .lines()
+            .any(|line| line.starts_with(&format!("{name} ")))
+    }
+
+    #[test]
+    fn remote_parent_never_allocated_starts_its_own_path() {
+        let (t, _) = fixture();
+        serve(&t, 1, 17);
+        let table = t.breakdown();
+        assert!(top_level_row(&table, "http.server"), "{table}");
+    }
+
+    #[test]
+    fn remote_parent_naming_the_span_itself_starts_its_own_path() {
+        // 0 is the id the server span itself receives in a fresh registry.
+        let (t, _) = fixture();
+        serve(&t, 1, 0);
+        let table = t.breakdown();
+        assert!(top_level_row(&table, "http.server"), "{table}");
+    }
+
+    #[test]
+    fn remote_parent_in_another_trace_is_foreign() {
+        let (t, _) = fixture();
+        t.span("unrelated").finish_ms(); // span 0, trace 1
+        serve(&t, 9, 0);
+        let table = t.breakdown();
+        assert!(top_level_row(&table, "http.server"), "{table}");
+        assert!(!table.contains("  http.server"), "{table}");
+        // The same span id in its own trace is a local parent.
+        serve(&t, 1, 0);
+        let table = t.breakdown();
+        assert!(table.contains("\nunrelated "), "{table}");
+        assert!(table.contains("\n  http.server "), "{table}");
     }
 }

@@ -9,7 +9,8 @@
 //! The crate provides:
 //!
 //! * a span API ([`Telemetry::span`]) for named, nested, attributed spans
-//!   whose durations are read off the sim clock;
+//!   whose durations are read off the sim clock, held in a fixed-size
+//!   window of recent traces so a long-lived registry stops growing;
 //! * counters, gauges, and fixed-bucket histograms with p50/p95/p99
 //!   queries ([`Telemetry::observe`], [`Histogram::percentile`]);
 //! * three exporters: a JSON-lines event log
@@ -18,6 +19,11 @@
 //!   breakdown table ([`Telemetry::breakdown`]);
 //! * [`DeviceProbe`], a hook the storage layer uses to charge simulated
 //!   I/O time and record per-device metrics.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod export;
 pub mod flight;
@@ -37,10 +43,10 @@ pub use export::{labeled_metric, prometheus_escape_label};
 pub use flight::{
     FlightDirectory, FlightDump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
-pub use metrics::Histogram;
+pub use metrics::{BucketBoundsError, Histogram};
 pub use probe::DeviceProbe;
 pub use retry::retry_with_telemetry;
-pub(crate) use span::SpanLog;
+use span::SpanWindow;
 pub use span::{SpanGuard, SpanRecord, TraceContext};
 pub use trace::{export_all_traces, TraceAssembler};
 
@@ -51,32 +57,27 @@ pub use revelio_net::clock::SimClock as TelemetryClock;
 /// Interior state behind the shared handle.
 #[derive(Debug, Default)]
 pub(crate) struct State {
-    pub(crate) spans: SpanLog,
-    /// Stack of open span ids; the top is the parent of the next span.
-    pub(crate) stack: Vec<u64>,
-    /// Last allocated trace id; 0 is reserved (never a valid trace).
-    pub(crate) last_trace_id: u64,
+    pub(crate) spans: SpanWindow,
     pub(crate) counters: BTreeMap<String, u64>,
     pub(crate) gauges: BTreeMap<String, f64>,
     pub(crate) histograms: BTreeMap<String, Histogram>,
 }
 
 impl State {
-    /// Trace id for a new span: inherit the parent's, or allocate the
-    /// next one for a root. Allocation is sequential from 1, so trace ids
-    /// are a pure function of root-span creation order.
-    pub(crate) fn trace_of(&mut self, parent: Option<u64>) -> u64 {
-        match parent {
-            Some(pid) => {
-                self.spans
-                    .get(pid as usize)
-                    .expect("parent id comes from the open-span stack")
-                    .trace_id
-            }
+    fn counter_add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(value) => *value = value.saturating_add(delta),
             None => {
-                self.last_trace_id += 1;
-                self.last_trace_id
+                self.counters.insert(name.to_string(), delta);
             }
+        }
+    }
+
+    /// Counts spans evicted from the window; the counter only appears
+    /// once a span has been evicted.
+    pub(crate) fn count_dropped(&mut self, dropped: u64) {
+        if dropped > 0 {
+            self.counter_add(span::SPANS_DROPPED_COUNTER, dropped);
         }
     }
 }
@@ -116,13 +117,7 @@ impl Telemetry {
 
     /// Adds `delta` to the named monotonic counter (created on first use).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut state = self.inner.state.lock();
-        match state.counters.get_mut(name) {
-            Some(value) => *value = value.saturating_add(delta),
-            None => {
-                state.counters.insert(name.to_string(), delta);
-            }
-        }
+        self.inner.state.lock().counter_add(name, delta);
     }
 
     /// Sets the named gauge to `value` (created on first use).
@@ -139,20 +134,17 @@ impl Telemetry {
     /// bucket). Re-registering an existing name keeps the original
     /// buckets.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when any bound is non-finite or the bounds are not strictly
-    /// increasing — misordered bounds would silently misbucket every
-    /// observation, so they are rejected loudly at registration time.
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        if let Some(bad) = bounds.iter().find(|b| !b.is_finite()) {
-            panic!("histogram {name:?}: non-finite bucket bound {bad} (the +Inf overflow bucket is implicit; every explicit bound must be finite)");
+    /// Rejects a non-finite bound or bounds that are not strictly
+    /// increasing, registering nothing: misordered bounds would silently
+    /// misbucket every observation.
+    pub fn register_histogram(&self, name: &str, bounds: &[f64]) -> Result<(), BucketBoundsError> {
+        if let Some(&bound) = bounds.iter().find(|b| !b.is_finite()) {
+            return Err(BucketBoundsError::NonFinite { bound });
         }
-        if let Some(pair) = bounds.windows(2).find(|w| w[0] >= w[1]) {
-            panic!(
-                "histogram {name:?}: bucket bounds must be strictly increasing, got {} followed by {}",
-                pair[0], pair[1]
-            );
+        if let Some(&[below, above]) = bounds.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(BucketBoundsError::NotIncreasing { below, above });
         }
         let mut state = self.inner.state.lock();
         if !state.histograms.contains_key(name) {
@@ -160,6 +152,7 @@ impl Telemetry {
                 .histograms
                 .insert(name.to_string(), Histogram::new(bounds));
         }
+        Ok(())
     }
 
     /// Records `value` into the named histogram, auto-registering it with
@@ -204,23 +197,25 @@ impl Telemetry {
         self.inner.state.lock().histograms.get(name).cloned()
     }
 
-    /// Durations (ms) of every *finished* span with the given name, in
-    /// recording order. Used to derive timing structs from the span tree.
+    /// Durations (ms) of every *finished* span in the window with the
+    /// given name, in recording order.
     #[must_use]
     pub fn span_durations_ms(&self, name: &str) -> Vec<f64> {
         let state = self.inner.state.lock();
         state
             .spans
-            .iter()
+            .by_id()
+            .into_iter()
             .filter(|s| s.name == name)
             .filter_map(SpanRecord::duration_ms)
             .collect()
     }
 
-    /// Total recorded span count (finished or open).
+    /// Spans recorded over the registry's life (finished or open),
+    /// evicted ones included.
     #[must_use]
     pub fn span_count(&self) -> usize {
-        self.inner.state.lock().spans.len()
+        self.inner.state.lock().spans.recorded() as usize
     }
 }
 
@@ -259,29 +254,40 @@ mod tests {
     #[test]
     fn valid_histogram_bounds_accepted() {
         let t = Telemetry::new(SimClock::new());
-        t.register_histogram("h", &[0.5, 1.0, 10.0]);
+        t.register_histogram("h", &[0.5, 1.0, 10.0]).unwrap();
         t.observe("h", 0.7);
         assert_eq!(t.histogram("h").unwrap().count(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
     fn misordered_histogram_bounds_rejected() {
         let t = Telemetry::new(SimClock::new());
-        t.register_histogram("h", &[1.0, 1.0, 2.0]);
+        let err = t.register_histogram("h", &[1.0, 1.0, 2.0]).unwrap_err();
+        assert_eq!(
+            err,
+            BucketBoundsError::NotIncreasing {
+                below: 1.0,
+                above: 1.0
+            }
+        );
+        assert!(err.to_string().contains("strictly increasing"), "{err}");
+        assert!(t.histogram("h").is_none(), "nothing registered");
     }
 
     #[test]
-    #[should_panic(expected = "non-finite")]
     fn non_finite_histogram_bounds_rejected() {
         let t = Telemetry::new(SimClock::new());
-        t.register_histogram("h", &[1.0, f64::INFINITY]);
+        let err = t
+            .register_histogram("h", &[1.0, f64::INFINITY])
+            .unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
+        assert!(t.histogram("h").is_none(), "nothing registered");
     }
 
     #[test]
-    #[should_panic(expected = "non-finite")]
     fn nan_histogram_bounds_rejected() {
         let t = Telemetry::new(SimClock::new());
-        t.register_histogram("h", &[f64::NAN]);
+        let err = t.register_histogram("h", &[f64::NAN]).unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 }

@@ -7,6 +7,33 @@ pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: &[f64] = &[
     1000.0, 2500.0, 5000.0, 10_000.0, 100_000.0,
 ];
 
+/// Why [`Telemetry::register_histogram`](crate::Telemetry::register_histogram)
+/// rejected a histogram's bucket bounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BucketBoundsError {
+    /// A bound is NaN or infinite; the `+Inf` overflow bucket is implicit.
+    NonFinite { bound: f64 },
+    /// Two adjacent bounds are not strictly increasing.
+    NotIncreasing { below: f64, above: f64 },
+}
+
+impl std::fmt::Display for BucketBoundsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BucketBoundsError::NonFinite { bound } => write!(
+                f,
+                "non-finite bucket bound {bound} (the +Inf overflow bucket is implicit; every explicit bound must be finite)"
+            ),
+            BucketBoundsError::NotIncreasing { below, above } => write!(
+                f,
+                "bucket bounds must be strictly increasing, got {below} followed by {above}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BucketBoundsError {}
+
 /// A fixed-bucket histogram. `counts` has one slot per bound plus a final
 /// overflow (`+Inf`) slot; a value lands in the first bucket whose bound is
 /// `>=` the value (Prometheus `le` semantics).

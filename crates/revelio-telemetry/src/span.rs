@@ -1,12 +1,14 @@
-//! Named, nested, attributed spans timed by the sim clock.
+//! Named, nested, attributed spans timed by the sim clock, held in a
+//! fixed-size window of recent traces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
+use crate::export::Breakdown;
 use crate::Telemetry;
 
 /// One recorded span. Spans form a tree via `parent`; ids are assigned in
-/// creation order, so the vector in the registry is a deterministic
-/// preorder-ish log of the run. Every span belongs to exactly one trace:
+/// creation order, so they are a deterministic function of the run.
+/// Every span belongs to exactly one trace:
 /// roots allocate the next trace id from the registry, children (ambient
 /// or remote) inherit their parent's.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,56 +94,244 @@ impl SpanRecord {
     }
 }
 
-/// Spans per storage chunk. Chunks are allocated at full capacity up
-/// front, so appending a span never copies existing records.
-const SPAN_CHUNK: usize = 1024;
+/// Finished spans the window holds. A returning visit records one span
+/// and a cold attested browse eight, so the window keeps the last ~4000
+/// returning visits or ~500 cold browses for export. At the ~0.8 KB a
+/// span with attributes keeps, that caps span memory at a few megabytes
+/// however long the registry lives.
+pub(crate) const SPAN_WINDOW: usize = 4096;
 
-/// Append-only chunked span storage, indexed by span id.
-///
-/// A flat `Vec<SpanRecord>` doubles and *copies the entire log* every
-/// time it fills — on a long run those copies land as multi-millisecond
-/// spikes on whichever unlucky span triggers them, inflating the mean
-/// dial-sampling overhead far above the p50. Fixed-size chunks cap the
-/// cost of any single push at one chunk allocation and keep every
-/// existing record in place (the chunk spine may still reallocate, but
-/// it only holds pointers — `SPAN_CHUNK` times fewer bytes to move,
-/// `SPAN_CHUNK` times less often).
-#[derive(Debug, Default)]
-pub(crate) struct SpanLog {
-    chunks: Vec<Vec<SpanRecord>>,
-    len: usize,
+/// Counter of finished spans evicted from the window. It is created by
+/// the first eviction, so a run that fits the window exports no such
+/// line.
+pub(crate) const SPANS_DROPPED_COUNTER: &str = "revelio_telemetry_spans_dropped_total";
+
+/// A span in the window, with the breakdown row it is summed into.
+#[derive(Debug)]
+struct Held {
+    record: SpanRecord,
+    path: usize,
 }
 
-impl SpanLog {
-    pub(crate) fn len(&self) -> usize {
-        self.len
+/// One trace's spans in the window.
+#[derive(Debug, Default)]
+struct TraceEntry {
+    /// Finished spans, id order.
+    finished: Vec<Held>,
+    /// Spans of the trace still open. Only a trace at zero is evicted, so
+    /// an open span never loses its finished children.
+    open: usize,
+}
+
+/// The registry's spans: every open span, plus the finished spans of the
+/// most recent traces, up to [`SPAN_WINDOW`] of them.
+///
+/// Eviction removes whole traces, oldest first (in the order the window
+/// first saw each trace), and skips every trace that still has an open
+/// span; such a trace can hold the window above its capacity until the
+/// span finishes. The aggregates that cover the whole run — the span
+/// count and the [`Breakdown`] — are updated as each span opens or
+/// finishes and never recomputed from the window, so eviction cannot
+/// change them. Span ids stay absolute: the n-th span recorded has id n
+/// whether or not its predecessors are still held.
+#[derive(Debug, Default)]
+pub(crate) struct SpanWindow {
+    /// Spans recorded so far; also the next span's id.
+    recorded: u64,
+    /// Last allocated trace id; 0 is reserved (never a valid trace).
+    last_trace_id: u64,
+    /// Open spans in opening order; the last is the parent of the next
+    /// span opened without an explicit context.
+    open: Vec<Held>,
+    /// Trace id → that trace's spans.
+    traces: BTreeMap<u64, TraceEntry>,
+    /// The keys of `traces`, oldest first: the eviction order.
+    age: VecDeque<u64>,
+    /// Finished spans held across `traces`.
+    finished: usize,
+    breakdown: Breakdown,
+}
+
+impl SpanWindow {
+    /// Spans recorded over the registry's life, evicted ones included.
+    pub(crate) fn recorded(&self) -> u64 {
+        self.recorded
     }
 
-    pub(crate) fn push(&mut self, record: SpanRecord) {
-        if self.len.is_multiple_of(SPAN_CHUNK) {
-            self.chunks.push(Vec::with_capacity(SPAN_CHUNK));
+    pub(crate) fn breakdown(&self) -> &Breakdown {
+        &self.breakdown
+    }
+
+    /// Records a span opened at `start_us` and returns its id. Without a
+    /// `remote` context it is a child of the innermost open span, or the
+    /// root of a new trace; with one, it joins the context's trace.
+    pub(crate) fn open(
+        &mut self,
+        name: String,
+        attrs: BTreeMap<String, String>,
+        start_us: u64,
+        remote: Option<TraceContext>,
+    ) -> u64 {
+        let held = self.place(name, attrs, start_us, None, remote);
+        let id = held.record.id;
+        self.entry(held.record.trace_id).open += 1;
+        self.open.push(held);
+        id
+    }
+
+    /// Records an already-finished span (a modelled step) under the
+    /// innermost open span. Returns the number of spans evicted.
+    pub(crate) fn record_finished(&mut self, name: String, start_us: u64, end_us: u64) -> u64 {
+        let held = self.place(name, BTreeMap::new(), start_us, Some(end_us), None);
+        self.retire(held)
+    }
+
+    /// Finishes open span `id` at `end_us`. Returns the number of spans
+    /// evicted.
+    pub(crate) fn finish(&mut self, id: u64, end_us: u64) -> u64 {
+        // Out-of-order finishes are tolerated: take the span wherever it sits.
+        let Some(pos) = self.open.iter().rposition(|h| h.record.id == id) else {
+            return 0;
+        };
+        let mut held = self.open.remove(pos);
+        held.record.end_us = Some(end_us);
+        let entry = self.entry(held.record.trace_id);
+        entry.open = entry.open.saturating_sub(1);
+        self.retire(held)
+    }
+
+    /// Every span in the window, open or finished, in id order.
+    pub(crate) fn by_id(&self) -> Vec<&SpanRecord> {
+        let mut spans: Vec<&SpanRecord> = self
+            .traces
+            .values()
+            .flat_map(|entry| &entry.finished)
+            .chain(&self.open)
+            .map(|h| &h.record)
+            .collect();
+        spans.sort_unstable_by_key(|s| s.id);
+        spans
+    }
+
+    /// Assigns the next id, the trace, the parent and the breakdown path
+    /// of a new span.
+    fn place(
+        &mut self,
+        name: String,
+        attrs: BTreeMap<String, String>,
+        start_us: u64,
+        end_us: Option<u64>,
+        remote: Option<TraceContext>,
+    ) -> Held {
+        let id = self.recorded;
+        self.recorded += 1;
+        let (trace_id, parent, parent_path) = match (remote, self.open.last()) {
+            (Some(context), _) => (
+                context.trace_id,
+                Some(context.span_id),
+                self.local_path(context),
+            ),
+            (None, Some(top)) => (top.record.trace_id, Some(top.record.id), Some(top.path)),
+            (None, None) => {
+                self.last_trace_id += 1;
+                (self.last_trace_id, None, None)
+            }
+        };
+        let path = self.breakdown.intern(parent_path, &name);
+        Held {
+            record: SpanRecord {
+                id,
+                trace_id,
+                parent,
+                name,
+                start_us,
+                end_us,
+                attrs,
+            },
+            path,
         }
-        self.chunks
-            .last_mut()
-            .expect("chunk pushed above when needed")
-            .push(record);
-        self.len += 1;
     }
 
-    pub(crate) fn get(&self, index: usize) -> Option<&SpanRecord> {
-        self.chunks.get(index / SPAN_CHUNK)?.get(index % SPAN_CHUNK)
+    /// Breakdown path of the span a remote context names, when that is a
+    /// span of this registry in the context's trace. Every such span was
+    /// recorded before the one being opened, so its id is smaller and
+    /// paths cannot cycle. Any other context — an id never allocated, the
+    /// new span's own id, a span of another trace, or one that has left
+    /// the window — names a foreign parent: the new span starts its own
+    /// path.
+    fn local_path(&self, context: TraceContext) -> Option<usize> {
+        let open = self
+            .open
+            .iter()
+            .rev()
+            .find(|h| h.record.id == context.span_id && h.record.trace_id == context.trace_id);
+        let finished = || {
+            find_by_id(
+                &self.traces.get(&context.trace_id)?.finished,
+                context.span_id,
+            )
+        };
+        open.or_else(finished).map(|h| h.path)
     }
 
-    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut SpanRecord> {
-        self.chunks
-            .get_mut(index / SPAN_CHUNK)?
-            .get_mut(index % SPAN_CHUNK)
+    /// Moves a finished span into its trace's entry, sums it into the
+    /// breakdown and evicts what no longer fits. Returns the number of
+    /// spans evicted.
+    fn retire(&mut self, held: Held) -> u64 {
+        let record = &held.record;
+        let duration_us = record
+            .end_us
+            .map_or(0, |end| end.saturating_sub(record.start_us));
+        self.breakdown.add(held.path, duration_us);
+        let (id, trace_id) = (record.id, record.trace_id);
+        let entry = self.entry(trace_id);
+        let slot = entry.finished.partition_point(|h| h.record.id < id);
+        if entry.finished.capacity() == 0 {
+            // Most traces hold one span; a first allocation of four (the
+            // amortized minimum) would outweigh the span itself.
+            entry.finished.reserve_exact(1);
+        }
+        entry.finished.insert(slot, held);
+        self.finished += 1;
+        self.evict()
     }
 
-    /// Records in id (creation) order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.chunks.iter().flatten()
+    /// The entry of `trace_id`, created as the newest trace when absent.
+    fn entry(&mut self, trace_id: u64) -> &mut TraceEntry {
+        let age = &mut self.age;
+        self.traces.entry(trace_id).or_insert_with(|| {
+            age.push_back(trace_id);
+            TraceEntry::default()
+        })
     }
+
+    /// Evicts the oldest traces without an open span until the finished
+    /// spans fit the window. Returns the number of spans evicted.
+    fn evict(&mut self) -> u64 {
+        let mut dropped = 0;
+        while self.finished > SPAN_WINDOW {
+            let traces = &self.traces;
+            let Some(slot) = self
+                .age
+                .iter()
+                .position(|t| traces.get(t).is_some_and(|entry| entry.open == 0))
+            else {
+                break;
+            };
+            let Some(entry) = self.age.remove(slot).and_then(|t| self.traces.remove(&t)) else {
+                break;
+            };
+            self.finished -= entry.finished.len();
+            dropped += entry.finished.len() as u64;
+        }
+        dropped
+    }
+}
+
+/// The span with id `id` in an id-ordered slice.
+fn find_by_id(spans: &[Held], id: u64) -> Option<&Held> {
+    let slot = spans.binary_search_by_key(&id, |h| h.record.id).ok()?;
+    spans.get(slot)
 }
 
 /// Owned attribute map from a borrowed attribute list. Called *before*
@@ -163,6 +353,7 @@ fn owned_attrs(attrs: &[(&str, &str)]) -> BTreeMap<String, String> {
 pub struct SpanGuard {
     telemetry: Telemetry,
     id: u64,
+    start_us: u64,
     finished: bool,
 }
 
@@ -174,61 +365,47 @@ impl Telemetry {
 
     /// Opens a span with initial attributes.
     pub fn span_with(&self, name: &str, attrs: &[(&str, &str)]) -> SpanGuard {
-        // Name and attributes are allocated before the lock; only id
-        // assignment and the push happen inside the critical section.
-        let name = name.to_string();
-        let attrs = owned_attrs(attrs);
-        let start_us = self.inner.clock.now_us();
-        let mut state = self.inner.state.lock();
-        let id = state.spans.len() as u64;
-        let parent = state.stack.last().copied();
-        let trace_id = state.trace_of(parent);
-        state.spans.push(SpanRecord {
-            id,
-            trace_id,
-            parent,
-            name,
-            start_us,
-            end_us: None,
-            attrs,
-        });
-        state.stack.push(id);
-        SpanGuard {
-            telemetry: self.clone(),
-            id,
-            finished: false,
-        }
+        self.open_span(name, attrs, None)
     }
 
     /// Opens a span whose parent is an *explicit* [`TraceContext`] rather
     /// than the innermost open span — the server half of context
     /// propagation: the router parses the `traceparent` header a client
     /// injected and parents its handler span to the remote caller's span,
-    /// stitching the cross-node tree together.
+    /// stitching the cross-node tree together. The context comes off the
+    /// wire, so its span id may name anything; the breakdown nests the
+    /// span under it only when it is a span of this registry in the same
+    /// trace.
     pub fn span_with_remote_parent(
         &self,
         name: &str,
         attrs: &[(&str, &str)],
         context: TraceContext,
     ) -> SpanGuard {
+        self.open_span(name, attrs, Some(context))
+    }
+
+    fn open_span(
+        &self,
+        name: &str,
+        attrs: &[(&str, &str)],
+        remote: Option<TraceContext>,
+    ) -> SpanGuard {
+        // Name and attributes are allocated before the lock; only id
+        // assignment and the push happen inside the critical section.
         let name = name.to_string();
         let attrs = owned_attrs(attrs);
         let start_us = self.inner.clock.now_us();
-        let mut state = self.inner.state.lock();
-        let id = state.spans.len() as u64;
-        state.spans.push(SpanRecord {
-            id,
-            trace_id: context.trace_id,
-            parent: Some(context.span_id),
-            name,
-            start_us,
-            end_us: None,
-            attrs,
-        });
-        state.stack.push(id);
+        let id = self
+            .inner
+            .state
+            .lock()
+            .spans
+            .open(name, attrs, start_us, remote);
         SpanGuard {
             telemetry: self.clone(),
             id,
+            start_us,
             finished: false,
         }
     }
@@ -238,34 +415,39 @@ impl Telemetry {
     #[must_use]
     pub fn current_context(&self) -> Option<TraceContext> {
         let state = self.inner.state.lock();
-        let id = *state.stack.last()?;
+        let top = &state.spans.open.last()?.record;
         Some(TraceContext {
-            trace_id: state.spans.get(id as usize)?.trace_id,
-            span_id: id,
+            trace_id: top.trace_id,
+            span_id: top.id,
         })
     }
 
-    /// Ids of every trace in the registry, in allocation order.
+    /// Ids of every trace with a span in the window, ascending — for
+    /// locally rooted traces, allocation order.
     #[must_use]
     pub fn trace_ids(&self) -> Vec<u64> {
-        let state = self.inner.state.lock();
-        let mut ids: Vec<u64> = state.spans.iter().map(|s| s.trace_id).collect();
-        ids.dedup();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.inner
+            .state
+            .lock()
+            .spans
+            .traces
+            .keys()
+            .copied()
+            .collect()
     }
 
-    /// Snapshot of every finished span belonging to `trace_id`, id order.
+    /// Snapshot of every finished span of `trace_id` in the window, id
+    /// order.
     #[must_use]
     pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
         let state = self.inner.state.lock();
         state
             .spans
-            .iter()
-            .filter(|s| s.trace_id == trace_id && s.end_us.is_some())
-            .cloned()
-            .collect()
+            .traces
+            .get(&trace_id)
+            .map_or_else(Vec::new, |entry| {
+                entry.finished.iter().map(|h| h.record.clone()).collect()
+            })
     }
 
     /// Records already-finished spans of modelled durations, without
@@ -279,40 +461,32 @@ impl Telemetry {
             let name = name.as_ref().to_string();
             let end_us = start_us.saturating_add((ms * 1000.0).max(0.0) as u64);
             let mut state = self.inner.state.lock();
-            let id = state.spans.len() as u64;
-            let parent = state.stack.last().copied();
-            let trace_id = state.trace_of(parent);
-            state.spans.push(SpanRecord {
-                id,
-                trace_id,
-                parent,
-                name,
-                start_us,
-                end_us: Some(end_us),
-                attrs: BTreeMap::new(),
-            });
+            let dropped = state.spans.record_finished(name, start_us, end_us);
+            state.count_dropped(dropped);
             start_us = end_us;
         }
     }
 
-    /// Snapshot of one span by id.
+    /// Snapshot of one span by id, while the window holds it.
     #[must_use]
     pub fn span_record(&self, id: u64) -> Option<SpanRecord> {
-        self.inner.state.lock().spans.get(id as usize).cloned()
+        let state = self.inner.state.lock();
+        let spans = &state.spans;
+        let finished = || {
+            spans
+                .traces
+                .values()
+                .find_map(|entry| find_by_id(&entry.finished, id))
+        };
+        let open = spans.open.iter().find(|h| h.record.id == id);
+        open.or_else(finished).map(|h| h.record.clone())
     }
 
-    fn finish_span(&self, id: u64, end_us: u64) -> f64 {
+    fn finish_span(&self, id: u64, start_us: u64, end_us: u64) -> f64 {
         let mut state = self.inner.state.lock();
-        // Out-of-order drops are tolerated: remove the id wherever it sits.
-        if let Some(pos) = state.stack.iter().rposition(|&open| open == id) {
-            state.stack.remove(pos);
-        }
-        let span = state
-            .spans
-            .get_mut(id as usize)
-            .expect("guard ids always index a recorded span");
-        span.end_us = Some(end_us);
-        end_us.saturating_sub(span.start_us) as f64 / 1000.0
+        let dropped = state.spans.finish(id, end_us);
+        state.count_dropped(dropped);
+        end_us.saturating_sub(start_us) as f64 / 1000.0
     }
 }
 
@@ -328,11 +502,10 @@ impl SpanGuard {
         let key = key.to_string();
         let value = value.to_string();
         let mut state = self.telemetry.inner.state.lock();
-        let span = state
-            .spans
-            .get_mut(self.id as usize)
-            .expect("guard ids always index a recorded span");
-        span.attrs.insert(key, value);
+        let mut open = state.spans.open.iter_mut().rev();
+        if let Some(held) = open.find(|h| h.record.id == self.id) {
+            held.record.attrs.insert(key, value);
+        }
     }
 
     /// Finishes the span at the current sim time and returns its duration
@@ -340,20 +513,15 @@ impl SpanGuard {
     pub fn finish_ms(mut self) -> f64 {
         self.finished = true;
         let end = self.telemetry.inner.clock.now_us();
-        self.telemetry.finish_span(self.id, end)
+        self.telemetry.finish_span(self.id, self.start_us, end)
     }
 
     /// Finishes the span with a *modelled* duration: the end time is
     /// `start + ms` but the shared clock is not advanced.
     pub fn finish_modelled_ms(mut self, ms: f64) -> f64 {
         self.finished = true;
-        let start = self
-            .telemetry
-            .span_record(self.id)
-            .map(|s| s.start_us)
-            .unwrap_or_default();
-        let end = start.saturating_add((ms * 1000.0).max(0.0) as u64);
-        self.telemetry.finish_span(self.id, end)
+        let end = self.start_us.saturating_add((ms * 1000.0).max(0.0) as u64);
+        self.telemetry.finish_span(self.id, self.start_us, end)
     }
 }
 
@@ -361,7 +529,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.finished {
             let end = self.telemetry.inner.clock.now_us();
-            self.telemetry.finish_span(self.id, end);
+            self.telemetry.finish_span(self.id, self.start_us, end);
         }
     }
 }
@@ -568,37 +736,107 @@ mod tests {
         );
     }
 
+    /// Records `count` root traces of one 1 ms span each.
+    fn root_traces(t: &Telemetry, clock: &SimClock, count: usize) {
+        for _ in 0..count {
+            let span = t.span("op");
+            clock.advance_ms(1.0);
+            span.finish_ms();
+        }
+    }
+
+    /// Records one root trace of `spans` spans: a root and its children.
+    fn wide_trace(t: &Telemetry, spans: usize) {
+        let root = t.span("wide");
+        t.modelled_steps((1..spans).map(|_| ("wide.step", 1.0)));
+        root.finish_ms();
+    }
+
+    fn dropped(t: &Telemetry) -> u64 {
+        t.counter(SPANS_DROPPED_COUNTER)
+    }
+
     #[test]
-    fn span_log_is_stable_across_chunk_boundaries() {
-        let record = |id: u64| SpanRecord {
-            id,
-            trace_id: 1,
-            parent: None,
-            name: format!("span-{id}"),
-            start_us: id,
-            end_us: Some(id + 1),
-            attrs: BTreeMap::new(),
-        };
-        let mut log = SpanLog::default();
-        log.push(record(0));
-        let first: *const SpanRecord = log.get(0).unwrap();
-        let total = 3 * SPAN_CHUNK + 7;
-        for id in 1..total as u64 {
-            log.push(record(id));
+    fn window_evicts_whole_traces_oldest_first() {
+        let (t, clock) = fixture();
+        wide_trace(&t, 3); // trace 1, spans 0..3
+        root_traces(&t, &clock, SPAN_WINDOW - 3);
+        assert_eq!(dropped(&t), 0, "exactly full: nothing evicted yet");
+        assert_eq!(t.trace_ids().len(), SPAN_WINDOW - 2);
+
+        root_traces(&t, &clock, 1);
+        // One span over: all of trace 1 goes, not just one of its spans.
+        assert_eq!(dropped(&t), 3);
+        assert!(t.trace_spans(1).is_empty());
+        assert_eq!(t.span_record(0), None);
+        assert_eq!(t.trace_ids().first(), Some(&2));
+
+        root_traces(&t, &clock, 3);
+        // Two spans fill the room trace 1 left; the third evicts trace 2.
+        assert_eq!(dropped(&t), 4);
+        assert_eq!(t.trace_ids().first(), Some(&3));
+        assert_eq!(t.trace_ids().last(), Some(&(SPAN_WINDOW as u64 + 2)));
+    }
+
+    #[test]
+    fn a_trace_with_an_open_span_is_never_evicted() {
+        let (t, clock) = fixture();
+        let open_root = t.span("open"); // trace 1
+        t.modelled_steps([("open.step", 1.0)]);
+        // Other traces arrive with wire contexts while trace 1 stays open.
+        for trace_id in 2..2 + SPAN_WINDOW as u64 {
+            let context = TraceContext {
+                trace_id,
+                span_id: 0,
+            };
+            t.span_with_remote_parent("op", &[], context).finish_ms();
         }
-        // Growth never copied the first record to a new allocation.
-        assert!(std::ptr::eq(first, log.get(0).unwrap()));
-        assert_eq!(log.len(), total);
-        // Indexed access works on both sides of every chunk boundary.
-        for probe in [0, SPAN_CHUNK - 1, SPAN_CHUNK, 2 * SPAN_CHUNK, total - 1] {
-            assert_eq!(log.get(probe).unwrap().id, probe as u64);
+        // The window overflowed by one: trace 2 went, trace 1 was skipped.
+        assert_eq!(dropped(&t), 1);
+        assert!(t.trace_spans(2).is_empty());
+        assert_eq!(t.trace_spans(1).len(), 1, "the finished child stays");
+        assert_eq!(t.span_record(0).unwrap().end_us, None);
+
+        clock.advance_ms(1.0);
+        open_root.finish_ms();
+        // Finished now, trace 1 is the oldest evictable trace.
+        assert_eq!(dropped(&t), 3);
+        assert!(t.trace_spans(1).is_empty());
+        assert_eq!(t.trace_ids().first(), Some(&3));
+    }
+
+    #[test]
+    fn dropped_counter_counts_exactly_the_evicted_spans() {
+        let (t, _) = fixture();
+        let mut sizes = (1..=5).cycle();
+        while t.span_count() <= SPAN_WINDOW - 5 {
+            wide_trace(&t, sizes.next().unwrap());
         }
-        assert!(log.get(total).is_none());
-        log.get_mut(SPAN_CHUNK).unwrap().end_us = None;
-        assert_eq!(log.get(SPAN_CHUNK).unwrap().end_us, None);
-        // Iteration yields creation order across chunks.
-        let ids: Vec<u64> = log.iter().map(|s| s.id).collect();
-        assert_eq!(ids, (0..total as u64).collect::<Vec<_>>());
+        // A run that fits the window exports no dropped counter at all.
+        assert!(!t.export_prometheus().contains(SPANS_DROPPED_COUNTER));
+        assert!(!t.export_json_lines().contains(SPANS_DROPPED_COUNTER));
+        for _ in 0..2_000 {
+            wide_trace(&t, sizes.next().unwrap());
+        }
+        let held: usize = t
+            .trace_ids()
+            .iter()
+            .map(|&id| t.trace_spans(id).len())
+            .sum();
+        assert!(held <= SPAN_WINDOW, "{held} spans held");
+        assert_eq!(dropped(&t), (t.span_count() - held) as u64);
+        assert!(t.export_prometheus().contains(SPANS_DROPPED_COUNTER));
+    }
+
+    #[test]
+    fn span_count_keeps_counting_evicted_spans() {
+        let (t, clock) = fixture();
+        root_traces(&t, &clock, 3 * SPAN_WINDOW);
+        assert_eq!(t.span_count(), 3 * SPAN_WINDOW);
+        assert_eq!(t.trace_ids().len(), SPAN_WINDOW);
+        // Ids stay absolute: the next span is the 3W-th recorded.
+        let span = t.span("next");
+        assert_eq!(span.id(), 3 * SPAN_WINDOW as u64);
     }
 
     #[test]

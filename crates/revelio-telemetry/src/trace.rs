@@ -52,10 +52,20 @@ impl TraceAssembler {
         let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut roots = Vec::new();
         for span in &spans {
-            match span.parent.filter(|pid| index.contains_key(pid)) {
+            // A parent counts only when it is an earlier span of the same
+            // trace, so no chain of parents can loop back on itself.
+            let local = |pid: &u64| {
+                *pid < span.id
+                    && index
+                        .get(pid)
+                        .and_then(|&slot| spans.get(slot))
+                        .is_some_and(|parent| parent.trace_id == span.trace_id)
+            };
+            match span.parent.filter(local) {
                 Some(pid) => children.entry(pid).or_default().push(span.id),
-                // A span whose parent is missing (still open, or a remote
-                // parent outside this registry) anchors a subtree.
+                // A span whose parent is missing (still open, a remote
+                // parent outside this registry, or not a valid parent)
+                // anchors a subtree.
                 None => roots.push(span.id),
             }
         }
@@ -416,5 +426,27 @@ mod tests {
         assert_eq!(tree.span_count(), 2);
         assert_eq!(tree.children_of(0), &[1]);
         assert_eq!(tree.critical_path_names(), "client.call > server.handle");
+    }
+
+    #[test]
+    fn a_parent_cycle_hides_no_span() {
+        let span = |id: u64, parent: u64| SpanRecord {
+            id,
+            trace_id: 1,
+            parent: Some(parent),
+            name: format!("s{id}"),
+            start_us: id,
+            end_us: Some(id + 1),
+            attrs: BTreeMap::new(),
+        };
+        // 5 and 6 name each other and 7 names itself: every chain of
+        // parents loops, so a tree that followed them has no root.
+        let tree = TraceAssembler::assemble(1, vec![span(5, 6), span(6, 5), span(7, 7)]);
+        assert_eq!(tree.roots(), &[5, 7]);
+        assert_eq!(tree.children_of(5), &[6]);
+        let flame = tree.flame_summary();
+        for name in ["s5", "s6", "s7"] {
+            assert!(flame.contains(name), "{flame}");
+        }
     }
 }
