@@ -2,6 +2,7 @@
 //! fixed-size window of recent traces.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::thread::{self, ThreadId};
 
 use crate::export::Breakdown;
 use crate::Telemetry;
@@ -140,9 +141,10 @@ pub(crate) struct SpanWindow {
     recorded: u64,
     /// Last allocated trace id; 0 is reserved (never a valid trace).
     last_trace_id: u64,
-    /// Open spans in opening order; the last is the parent of the next
-    /// span opened without an explicit context.
-    open: Vec<Held>,
+    /// Open spans in opening order, each with the thread that opened it.
+    /// A thread's last one is the parent of the next span that thread
+    /// opens without an explicit context.
+    open: Vec<(ThreadId, Held)>,
     /// Trace id → that trace's spans.
     traces: BTreeMap<u64, TraceEntry>,
     /// The keys of `traces`, oldest first: the eviction order.
@@ -163,8 +165,9 @@ impl SpanWindow {
     }
 
     /// Records a span opened at `start_us` and returns its id. Without a
-    /// `remote` context it is a child of the innermost open span, or the
-    /// root of a new trace; with one, it joins the context's trace.
+    /// `remote` context it is a child of the calling thread's innermost
+    /// open span, or the root of a new trace; with one, it joins the
+    /// context's trace.
     pub(crate) fn open(
         &mut self,
         name: String,
@@ -175,12 +178,13 @@ impl SpanWindow {
         let held = self.place(name, attrs, start_us, None, remote);
         let id = held.record.id;
         self.entry(held.record.trace_id).open += 1;
-        self.open.push(held);
+        self.open.push((thread::current().id(), held));
         id
     }
 
     /// Records an already-finished span (a modelled step) under the
-    /// innermost open span. Returns the number of spans evicted.
+    /// calling thread's innermost open span. Returns the number of spans
+    /// evicted.
     pub(crate) fn record_finished(&mut self, name: String, start_us: u64, end_us: u64) -> u64 {
         let held = self.place(name, BTreeMap::new(), start_us, Some(end_us), None);
         self.retire(held)
@@ -190,10 +194,10 @@ impl SpanWindow {
     /// evicted.
     pub(crate) fn finish(&mut self, id: u64, end_us: u64) -> u64 {
         // Out-of-order finishes are tolerated: take the span wherever it sits.
-        let Some(pos) = self.open.iter().rposition(|h| h.record.id == id) else {
+        let Some(pos) = self.open.iter().rposition(|(_, h)| h.record.id == id) else {
             return 0;
         };
-        let mut held = self.open.remove(pos);
+        let (_, mut held) = self.open.remove(pos);
         held.record.end_us = Some(end_us);
         let entry = self.entry(held.record.trace_id);
         entry.open = entry.open.saturating_sub(1);
@@ -206,7 +210,7 @@ impl SpanWindow {
             .traces
             .values()
             .flat_map(|entry| &entry.finished)
-            .chain(&self.open)
+            .chain(self.open.iter().map(|(_, h)| h))
             .map(|h| &h.record)
             .collect();
         spans.sort_unstable_by_key(|s| s.id);
@@ -225,7 +229,7 @@ impl SpanWindow {
     ) -> Held {
         let id = self.recorded;
         self.recorded += 1;
-        let (trace_id, parent, parent_path) = match (remote, self.open.last()) {
+        let (trace_id, parent, parent_path) = match (remote, self.innermost()) {
             (Some(context), _) => (
                 context.trace_id,
                 Some(context.span_id),
@@ -252,6 +256,18 @@ impl SpanWindow {
         }
     }
 
+    /// The calling thread's innermost open span. Spans another thread
+    /// holds open are never its parent: concurrent users of one registry
+    /// keep separate traces.
+    fn innermost(&self) -> Option<&Held> {
+        let me = thread::current().id();
+        self.open
+            .iter()
+            .rev()
+            .find(|(t, _)| *t == me)
+            .map(|(_, h)| h)
+    }
+
     /// Breakdown path of the span a remote context names, when that is a
     /// span of this registry in the context's trace. Every such span was
     /// recorded before the one being opened, so its id is smaller and
@@ -264,6 +280,7 @@ impl SpanWindow {
             .open
             .iter()
             .rev()
+            .map(|(_, h)| h)
             .find(|h| h.record.id == context.span_id && h.record.trace_id == context.trace_id);
         let finished = || {
             find_by_id(
@@ -358,7 +375,8 @@ pub struct SpanGuard {
 }
 
 impl Telemetry {
-    /// Opens a span named `name`, child of the innermost open span.
+    /// Opens a span named `name`, child of the calling thread's innermost
+    /// open span.
     pub fn span(&self, name: &str) -> SpanGuard {
         self.span_with(name, &[])
     }
@@ -410,12 +428,12 @@ impl Telemetry {
         }
     }
 
-    /// The [`TraceContext`] of the innermost open span, ready to inject
-    /// into an outgoing request; `None` outside any span.
+    /// The [`TraceContext`] of the calling thread's innermost open span,
+    /// ready to inject into an outgoing request; `None` outside any span.
     #[must_use]
     pub fn current_context(&self) -> Option<TraceContext> {
         let state = self.inner.state.lock();
-        let top = &state.spans.open.last()?.record;
+        let top = &state.spans.innermost()?.record;
         Some(TraceContext {
             trace_id: top.trace_id,
             span_id: top.id,
@@ -478,7 +496,11 @@ impl Telemetry {
                 .values()
                 .find_map(|entry| find_by_id(&entry.finished, id))
         };
-        let open = spans.open.iter().find(|h| h.record.id == id);
+        let open = spans
+            .open
+            .iter()
+            .map(|(_, h)| h)
+            .find(|h| h.record.id == id);
         open.or_else(finished).map(|h| h.record.clone())
     }
 
@@ -503,7 +525,7 @@ impl SpanGuard {
         let value = value.to_string();
         let mut state = self.telemetry.inner.state.lock();
         let mut open = state.spans.open.iter_mut().rev();
-        if let Some(held) = open.find(|h| h.record.id == self.id) {
+        if let Some((_, held)) = open.find(|(_, h)| h.record.id == self.id) {
             held.record.attrs.insert(key, value);
         }
     }
@@ -551,6 +573,40 @@ mod tests {
         clock.advance_ms(12.5);
         assert_eq!(span.finish_ms(), 12.5);
         assert_eq!(t.span_durations_ms("work"), vec![12.5]);
+    }
+
+    #[test]
+    fn a_span_never_nests_under_another_threads_open_span() {
+        use std::sync::Barrier;
+
+        let (t, _clock) = fixture();
+        let a_open = Barrier::new(2);
+        let b_done = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let span = t.span("thread_a.op");
+                a_open.wait();
+                b_done.wait();
+                span.finish_ms();
+            });
+            let b = s.spawn(|| {
+                a_open.wait();
+                let context = t.current_context();
+                t.span("thread_b.op").finish_ms();
+                b_done.wait();
+                context
+            });
+            // Thread A's open span is not thread B's context.
+            assert_eq!(b.join().ok(), Some(None));
+        });
+        // Two roots, one trace each.
+        let traces = t.trace_ids();
+        assert_eq!(traces.len(), 2, "{traces:?}");
+        for trace in traces {
+            let spans = t.trace_spans(trace);
+            assert_eq!(spans.len(), 1);
+            assert_eq!(spans[0].parent, None, "{spans:?}");
+        }
     }
 
     #[test]

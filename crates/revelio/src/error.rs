@@ -12,6 +12,8 @@ use revelio_net::NetError;
 use revelio_pki::PkiError;
 use sev_snp::SnpError;
 
+use crate::appraisal::{DecidingCheck, Rejection};
+
 /// Errors surfaced by Revelio provisioning, distribution and verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -25,15 +27,15 @@ pub enum RevelioError {
         /// Bootstrap address of the offending node.
         node: String,
         /// Why it was rejected.
-        reason: String,
+        reason: Rejection,
     },
     /// Every node address of the simulated world is taken: host numbers
     /// are one octet and unique world-wide.
     AddressSpaceExhausted,
     /// A peer's report was rejected during mutual attestation.
-    MutualAttestationFailed(String),
+    MutualAttestationFailed(Rejection),
     /// The evidence bundle failed verification; names the failing check.
-    EvidenceRejected(String),
+    EvidenceRejected(Rejection),
     /// The measurement is not among the registered golden values.
     UnknownMeasurement(String),
     /// The TLS connection's public key does not match the key bound in the
@@ -77,6 +79,20 @@ pub enum RevelioError {
 }
 
 impl RevelioError {
+    /// The appraisal check that decided this error, when one did
+    /// ([`crate::appraisal`]); `None` for errors no check decided.
+    #[must_use]
+    pub fn deciding_check(&self) -> Option<DecidingCheck> {
+        match self {
+            RevelioError::NodeRejected { reason, .. }
+            | RevelioError::MutualAttestationFailed(reason)
+            | RevelioError::EvidenceRejected(reason) => reason.check,
+            RevelioError::UnknownMeasurement(_) => Some(DecidingCheck::Measurement),
+            RevelioError::TlsBindingMismatch => Some(DecidingCheck::TlsBinding),
+            _ => None,
+        }
+    }
+
     /// Whether this error is a transient network condition (directly, or
     /// wrapped in the HTTP/TLS/PKI layers) rather than a verdict about
     /// attestation or protocol state. Callers must treat transient errors
@@ -207,7 +223,7 @@ mod tests {
     fn display_names_nodes_and_reasons() {
         let e = RevelioError::NodeRejected {
             node: "10.0.0.1:8080".into(),
-            reason: "bad csr".into(),
+            reason: "bad csr".to_owned().into(),
         };
         assert!(e.to_string().contains("10.0.0.1:8080"));
         assert!(e.to_string().contains("bad csr"));
@@ -233,7 +249,7 @@ mod tests {
         assert!(RevelioError::Pki(PkiError::Unavailable("acme".into())).is_transient());
         // Verdict-bearing errors must never classify as transient.
         assert!(!RevelioError::TlsBindingMismatch.is_transient());
-        assert!(!RevelioError::EvidenceRejected("x".into()).is_transient());
+        assert!(!RevelioError::EvidenceRejected("x".to_owned().into()).is_transient());
         assert!(!RevelioError::UnknownMeasurement("m".into()).is_transient());
         assert!(!RevelioError::Pki(PkiError::SignatureInvalid).is_transient());
         assert!(!RevelioError::EmptyFleet.is_transient());

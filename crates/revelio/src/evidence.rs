@@ -44,7 +44,7 @@ impl EvidenceBundle {
         let magic = r.get_array::<5>().map_err(RevelioError::Wire)?;
         if &magic != b"RVEV1" {
             return Err(RevelioError::EvidenceRejected(
-                "missing evidence magic".into(),
+                "missing evidence magic".to_owned().into(),
             ));
         }
         let report = SignedReport::from_bytes(r.get_var_bytes()?)?;

@@ -3,39 +3,28 @@
 //!
 //! For every **registered** domain the extension intercepts the first
 //! access in a browser context: it fetches the evidence from the
-//! well-known URL, queries the AMD KDS for the VCEK chain (cached across
-//! sites — the paper's §6.4 optimization), validates the certificate
-//! chain, the report signature, the launch measurement against the
-//! registered golden values, and finally that the **TLS connection's
-//! public key is the key bound inside `REPORT_DATA`** — only then is the
-//! page trusted. Afterwards every request keeps being monitored: if the
-//! connection is reset and re-established against a different key (the
-//! DNS-controlling service provider's redirect attack), the extension
-//! flags it even though the browser itself would accept the attacker's
-//! valid certificate.
+//! well-known URL and the VCEK chain from the AMD KDS (cached across
+//! sites, §6.4), appraises the report, and checks that the **TLS
+//! connection's public key is the key bound inside `REPORT_DATA`** —
+//! only then is the page trusted. Every later request stays monitored:
+//! a reconnect to a different key (the DNS-controlling provider's
+//! redirect attack) is flagged although the browser would accept the
+//! attacker's valid certificate.
 //!
 //! # Staged verification (SNPGuard split)
 //!
-//! Verification is two explicit stages (see `DESIGN.md`, "Verifier at
-//! line rate"):
-//!
-//! * [`WebExtension::verify_evidence`] — the **cacheable** stage: VCEK
-//!   chain validity, report signature, guest policy, TCB floor, and
-//!   measurement-vs-golden. Its result is an [`EvidenceVerdict`] cached
-//!   under a [`VerdictKey`] (launch digest, reported TCB, VCEK
-//!   fingerprint, cert fingerprint) inside a generation-stamped
-//!   [`Snapshot`] cell. `register_site` / `revoke_measurement` /
-//!   [`WebExtension::set_tcb_floor`] bump the generation, making every
-//!   cached verdict unreachable at once — no TTLs, no stale trust.
+//! * [`WebExtension::verify_evidence`] — the **cacheable** stage: the
+//!   shared [`appraise`] under the site's golden set and the user's TCB
+//!   floor (chain, binding, signature, debug policy, floor, measurement;
+//!   the four signatures in one batched check). Its [`EvidenceVerdict`]
+//!   is cached under a [`VerdictKey`] in a generation-stamped
+//!   [`Snapshot`] cell; `register_site` / `revoke_measurement` /
+//!   [`WebExtension::set_tcb_floor`] bump the generation, so a cache hit
+//!   (zero signature checks) is as strong as a cold verify.
 //! * [`WebExtension::verify_connection`] — the **per-connection** stage:
-//!   the TLS key binding against *this* connection. It can never be
-//!   cached and runs on every verification, cache hit or not.
+//!   the TLS binding against *this* connection, never cached.
 //!
-//! A cache hit performs **zero signature verifications** (the
-//! `revelio_extension_signature_verifications_total` counter proves it);
-//! a miss pays the full pipeline with the four signature equations
-//! collapsed into one batched check
-//! ([`ReportVerifier::verify_batched`]).
+//! See `DESIGN.md`, "Verifier at line rate" and "One appraisal".
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -58,8 +47,9 @@ use revelio_telemetry::{
 use revelio_tls::{ResumptionState, TlsClientConfig};
 use sev_snp::ids::TcbVersion;
 use sev_snp::measurement::Measurement;
-use sev_snp::verify::{ReportVerifier, SIGNATURE_CHECKS_PER_VERIFY};
+use sev_snp::verify::SIGNATURE_CHECKS_PER_VERIFY;
 
+use crate::appraisal::{appraise, AppraisalPolicy, DecidingCheck, MeasurementRule, PinnedArk};
 use crate::evidence::EvidenceBundle;
 use crate::kds_http::KdsHttpClient;
 use crate::registry::GoldenSet;
@@ -69,7 +59,7 @@ use crate::RevelioError;
 #[derive(Debug, Clone)]
 pub struct ExtensionConfig {
     /// Pinned AMD root key.
-    pub trusted_ark: VerifyingKey,
+    pub trusted_ark: PinnedArk,
     /// Browser root store.
     pub tls_roots: Vec<Certificate>,
     /// Modelled cost of in-extension evidence validation, ms (fitted to
@@ -190,9 +180,9 @@ impl VerdictKey {
     #[must_use]
     pub fn of(evidence: &EvidenceBundle) -> Self {
         let report = &evidence.report.report;
-        let cert_fingerprint: [u8; 32] = report.report_data.as_bytes()[..32]
-            .try_into()
-            .expect("REPORT_DATA holds at least 32 bytes");
+        // The first half of REPORT_DATA, where the TLS-key digest sits.
+        let mut cert_fingerprint = [0u8; 32];
+        cert_fingerprint.copy_from_slice(&report.report_data.as_bytes()[..32]);
         VerdictKey {
             measurement: report.measurement,
             reported_tcb: report.reported_tcb.to_u64(),
@@ -224,15 +214,6 @@ pub struct EvidenceVerdict {
     pub kds_ms: f64,
 }
 
-/// A cached stage-one verdict, stamped with the generation it was
-/// computed under.
-#[derive(Debug, Clone, Copy)]
-struct CachedVerdict {
-    measurement: Measurement,
-    reported_tcb: TcbVersion,
-    generation: u64,
-}
-
 /// Everything the cacheable stage reads, published as **one** immutable
 /// value: golden sets, TCB floor, and the verdict map all travel
 /// together, so a concurrent session sees a consistent snapshot and a
@@ -243,7 +224,9 @@ struct VerifierState {
     generation: u64,
     golden: BTreeMap<String, GoldenSet>,
     tcb_floor: Option<TcbVersion>,
-    verdicts: HashMap<VerdictKey, CachedVerdict>,
+    /// Miss verdicts, each stamped with the generation it was computed
+    /// under.
+    verdicts: HashMap<VerdictKey, EvidenceVerdict>,
 }
 
 /// Decorrelates the extension retry jitter stream from other components.
@@ -263,12 +246,9 @@ const EXTENSION_JITTER_SEED: u64 = 0x657874; // "ext"
 struct CachedResumption {
     /// The TLS-layer state (ticket, secret, authenticated peer identity).
     state: ResumptionState,
-    /// The evidence bundle verified on the original full handshake.
+    /// The evidence bundle verified on the original full handshake; its
+    /// TLS binding is re-checked against every resumed connection.
     evidence: EvidenceBundle,
-    /// The attested TLS-key digest ([`VerdictKey::cert_fingerprint`]) —
-    /// re-checked against the resumed connection's key by the stage-2
-    /// binding check.
-    cert_fingerprint: [u8; 32],
     /// The verdict-cache generation the evidence was verified under.
     generation: u64,
 }
@@ -573,23 +553,19 @@ impl WebExtension {
         self.verifier.read(|s| s.verdicts.len())
     }
 
-    /// **Stage 1 — cacheable.** Verifies everything about `evidence`
-    /// that does not depend on the connection: VCEK chain validity,
-    /// report signature, guest policy, TCB floor, and the measurement
-    /// against `domain`'s golden set.
+    /// **Stage 1 — cacheable.** Appraises `evidence` against `domain`'s
+    /// golden set and the TCB floor ([`appraise`]).
     ///
     /// On a cache hit (same [`VerdictKey`], same generation) no KDS
-    /// round trip and **no signature verification** happens — only the
-    /// golden-set membership re-check against the very snapshot the
-    /// verdict is stamped for. On a miss the full pipeline runs with
-    /// the four signature equations batched
-    /// ([`ReportVerifier::verify_batched`]), and the verdict is
-    /// published unless the generation moved while it was being
-    /// computed (the insert is skipped, never misfiled).
+    /// round trip and **no signature verification** happens. On a miss
+    /// the verdict is published unless the generation moved while it was
+    /// being computed (the insert is skipped, never misfiled).
     ///
     /// # Errors
     ///
-    /// Returns the specific [`RevelioError`] for the failing check.
+    /// [`RevelioError::UnknownMeasurement`] for a measurement the golden
+    /// set does not hold, [`RevelioError::EvidenceRejected`] naming any
+    /// other deciding check.
     pub fn verify_evidence(
         &self,
         domain: &str,
@@ -606,23 +582,20 @@ impl WebExtension {
             if cached.generation == state.generation {
                 self.telemetry
                     .counter_add("revelio_extension_verify_cache_hits_total", 1);
-                // Defensive: a verdict and its golden set come from the
-                // same published value, and every golden mutation bumps
-                // the generation — so this lookup cannot disagree with
-                // the verdict. It stays because it is cheap and it is
-                // the line a future refactor would trip over.
+                // The verdict cache is shared by every site and its key
+                // holds no domain, so a hit may come from an appraisal
+                // under another site's golden set: judge the measurement
+                // against this one.
                 if !golden.is_trusted(&cached.measurement) {
                     return Err(RevelioError::UnknownMeasurement(
                         cached.measurement.to_hex(),
                     ));
                 }
                 return Ok(EvidenceVerdict {
-                    measurement: cached.measurement,
-                    reported_tcb: cached.reported_tcb,
-                    generation: cached.generation,
                     cached: true,
                     signature_checks: 0,
                     kds_ms: 0.0,
+                    ..*cached
                 });
             }
         }
@@ -642,26 +615,25 @@ impl WebExtension {
             (chain, span.finish_ms())
         };
 
-        // 2. Chain, signature, policy, TCB floor — four signature
-        //    equations in one batched check.
-        let mut verifier = ReportVerifier::new(self.config.trusted_ark);
-        if let Some(floor) = state.tcb_floor {
-            verifier = verifier.require_minimum_tcb(floor);
-        }
+        // 2. The appraisal: chain, signature, policy, TCB floor (four
+        //    signature equations in one batched check), then the
+        //    measurement against the user's golden values.
         self.telemetry.counter_add(
             "revelio_extension_signature_verifications_total",
             SIGNATURE_CHECKS_PER_VERIFY,
         );
-        verifier
-            .verify_batched(&evidence.report, &chain)
-            .map_err(|e| RevelioError::EvidenceRejected(e.to_string()))?;
-
-        // 3. Measurement against the user's golden values.
-        let measurement = evidence.report.report.measurement;
-        if !golden.is_trusted(&measurement) {
-            return Err(RevelioError::UnknownMeasurement(measurement.to_hex()));
-        }
-
+        let policy = AppraisalPolicy {
+            ark: &self.config.trusted_ark,
+            measurement: MeasurementRule::Golden(golden),
+            tcb_floor: state.tcb_floor,
+        };
+        appraise(&policy, &evidence.report, &chain).map_err(|rejection| {
+            if rejection.check == Some(DecidingCheck::Measurement) {
+                RevelioError::UnknownMeasurement(evidence.report.report.measurement.to_hex())
+            } else {
+                RevelioError::EvidenceRejected(rejection)
+            }
+        })?;
         self.clock.advance_ms(self.config.validation_ms);
 
         // 4. Publish the verdict, stamped with the generation observed
@@ -670,30 +642,22 @@ impl WebExtension {
         //    insert is skipped — the race loses cleanly instead of
         //    resurrecting a pre-revocation verdict into the new
         //    generation.
-        let generation = state.generation;
-        let reported_tcb = evidence.report.report.reported_tcb;
-        self.verifier.update(|current| {
-            let mut next = current.clone();
-            if current.generation == generation {
-                next.verdicts.insert(
-                    key,
-                    CachedVerdict {
-                        measurement,
-                        reported_tcb,
-                        generation,
-                    },
-                );
-            }
-            (Arc::new(next), ())
-        });
-        Ok(EvidenceVerdict {
-            measurement,
-            reported_tcb,
-            generation,
+        let verdict = EvidenceVerdict {
+            measurement: evidence.report.report.measurement,
+            reported_tcb: evidence.report.report.reported_tcb,
+            generation: state.generation,
             cached: false,
             signature_checks: SIGNATURE_CHECKS_PER_VERIFY,
             kds_ms,
-        })
+        };
+        self.verifier.update(|current| {
+            let mut next = current.clone();
+            if current.generation == verdict.generation {
+                next.verdicts.insert(key, verdict);
+            }
+            (Arc::new(next), ())
+        });
+        Ok(verdict)
     }
 
     /// **Stage 2 — per-connection, never cached.** Checks that *this*
@@ -949,7 +913,6 @@ impl WebExtension {
         let entry = CachedResumption {
             state: state.clone(),
             evidence: evidence.clone(),
-            cert_fingerprint: VerdictKey::of(evidence).cert_fingerprint,
             generation,
         };
         self.resumption.lock().insert(domain.to_owned(), entry);
@@ -977,18 +940,13 @@ impl WebExtension {
             self.resumption.lock().remove(domain);
             return None;
         }
-        // The resumed connection must terminate at the fingerprinted key
-        // the entry was earned under — a swapped cache entry fails here.
-        if Sha256::digest(session.peer_public_key().to_bytes()) != entry.cert_fingerprint {
-            return Some(Err(RevelioError::TlsBindingMismatch));
-        }
         // Stage 2 on the resumed connection: the key this session
-        // terminates at must still be the one bound inside the evidence's
-        // `REPORT_DATA`.
-        match self.verify_connection(&entry.evidence, &session.peer_public_key()) {
-            Ok(()) => Some(Ok(session)),
-            Err(e) => Some(Err(e)),
-        }
+        // terminates at must be the one bound inside the `REPORT_DATA` of
+        // the evidence the entry was earned with.
+        Some(
+            self.verify_connection(&entry.evidence, &session.peer_public_key())
+                .map(|()| session),
+        )
     }
 
     /// Attests `domain` and returns a monitored session for subsequent

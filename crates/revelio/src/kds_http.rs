@@ -198,10 +198,9 @@ impl KdsHttpClient {
             // transient drops are retried under the same kds.fetch span.
             let response = self.request(&Request::post("/vcek", encode_query(chip_id, tcb)))?;
             if !response.is_success() {
-                return Err(RevelioError::EvidenceRejected(format!(
-                    "kds returned status {}",
-                    response.status
-                )));
+                return Err(RevelioError::EvidenceRejected(
+                    format!("kds returned status {}", response.status).into(),
+                ));
             }
             Ok(VcekCertChain::from_bytes(&response.body)?)
         })();
@@ -279,10 +278,9 @@ impl KdsHttpClient {
     pub fn cert_chain(&self) -> Result<(AmdCert, AmdCert), RevelioError> {
         let response = self.request(&Request::get("/cert_chain"))?;
         if !response.is_success() {
-            return Err(RevelioError::EvidenceRejected(format!(
-                "kds returned status {}",
-                response.status
-            )));
+            return Err(RevelioError::EvidenceRejected(
+                format!("kds returned status {}", response.status).into(),
+            ));
         }
         let mut r = ByteReader::new(&response.body);
         let ark = AmdCert::from_bytes(r.get_var_bytes()?)?;
@@ -320,7 +318,7 @@ mod tests {
         let chip = ChipId::from_seed(1);
         let tcb = TcbVersion::new(1, 0, 8, 115);
         let chain = client.vcek_chain(&chip, &tcb).unwrap();
-        chain.validate(&amd.ark_public_key()).unwrap();
+        chain.validate_with(&amd.ark_public_key().expand()).unwrap();
     }
 
     #[test]
@@ -347,7 +345,7 @@ mod tests {
         let tcb = TcbVersion::default();
         let before = clock.now_us();
         let chain = client.vcek_chain(&chip, &tcb).unwrap();
-        chain.validate(&amd.ark_public_key()).unwrap();
+        chain.validate_with(&amd.ark_public_key().expand()).unwrap();
         // Two timeouts plus two backoffs were paid in virtual time.
         assert!(clock.now_us() > before + 2_000_000);
     }
@@ -373,8 +371,8 @@ mod tests {
         let client = KdsHttpClient::new(net, KDS_ADDRESS);
         let (ark, ask) = client.cert_chain().unwrap();
         assert_eq!(ark.public_key, amd.ark_public_key());
-        ark.verify(&amd.ark_public_key()).unwrap();
-        ask.verify(&ark.public_key).unwrap();
+        ark.verify_with(&amd.ark_public_key().expand()).unwrap();
+        ask.verify_with(&ark.public_key.expand()).unwrap();
     }
 
     #[test]

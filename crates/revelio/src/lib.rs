@@ -26,6 +26,8 @@
 //!   rolling upgrades with measurement-drift halts, automatic
 //!   re-admission of healed quarantined nodes, and certificate renewal
 //!   ahead of expiry.
+//! * [`appraisal`] — the one appraisal of SEV-SNP evidence every relying
+//!   party above runs, naming the check that decided a rejection.
 //! * [`registry`] — golden-value distribution: a static set for
 //!   self-verifying users and a quorum-voted registry for delegation to a
 //!   community (§3.4.7), with revocation for rollback protection (§6.1.4).
@@ -53,6 +55,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+pub mod appraisal;
 pub mod error;
 pub mod evidence;
 pub mod extension;

@@ -38,8 +38,10 @@ use revelio_tls::TlsServerConfig;
 use sev_snp::ids::ChipId;
 use sev_snp::measurement::Measurement;
 use sev_snp::report::SignedReport;
-use sev_snp::verify::ReportVerifier;
 
+use crate::appraisal::{
+    appraise, AppraisalPolicy, DecidingCheck, MeasurementRule, PinnedArk, Rejection,
+};
 use crate::evidence::{tls_binding_report_data, EvidenceBundle};
 use crate::kds_http::KdsHttpClient;
 use crate::RevelioError;
@@ -61,7 +63,7 @@ pub struct NodeConfig {
     /// the Table 3 "plain GET" row).
     pub page_processing_ms: f64,
     /// Pinned AMD root key for validating peer/leader reports.
-    pub trusted_ark: VerifyingKey,
+    pub trusted_ark: PinnedArk,
     /// Trusted web-PKI roots: the certificate chain the SP distributes is
     /// validated against these before installation (a forged self-signed
     /// chain from a bootstrap-network attacker must not be served).
@@ -202,6 +204,8 @@ const NODE_JITTER_SEED: u64 = 0x6e6f_6465; // "node"
 
 struct NodeShared {
     vm: BootedVm,
+    /// The VM's identity key (Revelio images always create one).
+    identity: SigningKey,
     config: NodeConfig,
     net: SimNet,
     kds: KdsHttpClient,
@@ -235,12 +239,6 @@ impl std::fmt::Debug for RevelioNode {
 }
 
 impl NodeShared {
-    fn identity(&self) -> &SigningKey {
-        self.vm
-            .identity()
-            .expect("revelio images enable identity creation")
-    }
-
     fn box_public(&self) -> [u8; 32] {
         x25519::public_key(&self.box_secret)
     }
@@ -248,7 +246,7 @@ impl NodeShared {
     fn csr(&self) -> CertificateSigningRequest {
         CertificateSigningRequest::new(
             &self.config.domain,
-            self.identity(),
+            &self.identity,
             &self.config.organization,
             &self.config.country,
         )
@@ -259,23 +257,22 @@ impl NodeShared {
         let mut mac = Hmac::<Sha256>::new(&self.box_secret);
         mac.update(b"node-ephemeral");
         mac.update(&n.to_le_bytes());
-        mac.finalize().try_into().expect("32 bytes")
+        mac.finalize_fixed()
     }
 
-    /// Validates a peer/leader report for mutual attestation: chain to the
-    /// pinned ARK, signature, and an *identical* launch measurement.
+    /// Appraises a peer/leader report for mutual attestation: chain to
+    /// the pinned ARK, signature, debug policy, and an *identical* launch
+    /// measurement.
     fn validate_peer_report(&self, report: &SignedReport) -> Result<(), RevelioError> {
         let chain = self
             .kds
             .vcek_chain(&report.report.chip_id, &report.report.reported_tcb)?;
-        ReportVerifier::new(self.config.trusted_ark)
-            .verify(report, &chain)
-            .map_err(|e| RevelioError::MutualAttestationFailed(e.to_string()))?;
-        if report.report.measurement != self.vm.measurement() {
-            return Err(RevelioError::MutualAttestationFailed(
-                "peer measurement differs from ours".into(),
-            ));
-        }
+        let policy = AppraisalPolicy {
+            ark: &self.config.trusted_ark,
+            measurement: MeasurementRule::SameAs(self.vm.measurement()),
+            tcb_floor: None,
+        };
+        appraise(&policy, report, &chain).map_err(RevelioError::MutualAttestationFailed)?;
         Ok(())
     }
 
@@ -286,14 +283,15 @@ impl NodeShared {
         // the requester's freshness nonce.
         let expected = key_request_binding(&peer_box_public, &nonce);
         if !revelio_crypto::ct::eq(&peer_report.report.report_data.as_bytes()[..32], &expected) {
-            return Err(RevelioError::MutualAttestationFailed(
-                "peer report does not bind its encryption key".into(),
-            ));
+            return Err(RevelioError::MutualAttestationFailed(Rejection::new(
+                DecidingCheck::KeyExchangeBinding,
+                "peer report does not bind its encryption key",
+            )));
         }
         let (tls_key, approved_chips) = {
             let state = self.state.lock();
             let key = state.tls_key.clone().ok_or_else(|| {
-                RevelioError::MutualAttestationFailed("leader holds no key yet".into())
+                RevelioError::MutualAttestationFailed("leader holds no key yet".to_owned().into())
             })?;
             (key, state.approved_chips.clone())
         };
@@ -302,9 +300,10 @@ impl NodeShared {
         // a valid report with the right measurement, but must not receive
         // the fleet's TLS key.
         if !approved_chips.is_empty() && !approved_chips.contains(&peer_report.report.chip_id) {
-            return Err(RevelioError::MutualAttestationFailed(
-                "peer chip is not on the fleet allowlist".into(),
-            ));
+            return Err(RevelioError::MutualAttestationFailed(Rejection::new(
+                DecidingCheck::ChipAllowlist,
+                "peer chip is not on the fleet allowlist",
+            )));
         }
         // Mix the request nonce into the ephemeral so a leader reboot
         // (which resets the counter) can never reuse a (key, nonce) pair
@@ -363,10 +362,9 @@ impl NodeShared {
         span.finish_ms();
         let response = response?;
         if !response.is_success() {
-            return Err(RevelioError::MutualAttestationFailed(format!(
-                "leader refused key request with status {}",
-                response.status
-            )));
+            return Err(RevelioError::MutualAttestationFailed(
+                format!("leader refused key request with status {}", response.status).into(),
+            ));
         }
         let (leader_report, encrypted) = decode_key_response(&response.body)?;
         self.validate_peer_report(&leader_report)?;
@@ -375,9 +373,10 @@ impl NodeShared {
             &leader_report.report.report_data.as_bytes()[..32],
             &expected,
         ) {
-            return Err(RevelioError::MutualAttestationFailed(
-                "leader report does not bind the key payload".into(),
-            ));
+            return Err(RevelioError::MutualAttestationFailed(Rejection::new(
+                DecidingCheck::KeyExchangeBinding,
+                "leader report does not bind the key payload",
+            )));
         }
         let seed: [u8; 32] = sealed_box::open(&self.box_secret, &encrypted)?
             .try_into()
@@ -515,13 +514,17 @@ impl RevelioNode {
         telemetry: Telemetry,
         flight: FlightRecorder,
     ) -> Result<Self, RevelioError> {
-        let identity_seed = *vm.identity().expect("identity enabled").seed();
-        let box_secret: [u8; 32] = Hmac::<Sha256>::mac(&identity_seed, b"box-encryption")
-            .try_into()
-            .expect("32 bytes");
+        let identity = vm
+            .identity()
+            .cloned()
+            .ok_or_else(|| RevelioError::Internal("revelio images create a vm identity".into()))?;
+        let mut mac = Hmac::<Sha256>::new(identity.seed());
+        mac.update(b"box-encryption");
+        let box_secret = mac.finalize_fixed();
         let retry = config.retry.clone();
         let shared = Arc::new(NodeShared {
             vm,
+            identity,
             config,
             net: net.clone(),
             kds,
@@ -597,7 +600,7 @@ impl RevelioNode {
     /// The node's unique identity public key.
     #[must_use]
     pub fn identity_public_key(&self) -> VerifyingKey {
-        self.shared.identity().verifying_key()
+        self.shared.identity.verifying_key()
     }
 
     /// The installed shared TLS public key, once provisioned.
@@ -636,6 +639,14 @@ impl RevelioNode {
     }
 }
 
+#[cfg(test)]
+impl RevelioNode {
+    /// The peer-report appraisal this node runs as a leader.
+    pub(crate) fn validate_peer_report(&self, report: &SignedReport) -> Result<(), RevelioError> {
+        self.shared.validate_peer_report(report)
+    }
+}
+
 impl NodeShared {
     fn install_cert(self: &Arc<Self>, body: &[u8]) -> Result<(), RevelioError> {
         let (chain, leader_bootstrap, approved_chips) = decode_install_cert(body)?;
@@ -664,8 +675,8 @@ impl NodeShared {
             self.flight
                 .record("request", "install-cert renewal (key reused)");
             key
-        } else if chain.leaf().public_key == self.identity().verifying_key() {
-            self.identity().clone()
+        } else if chain.leaf().public_key == self.identity.verifying_key() {
+            self.identity.clone()
         } else {
             self.fetch_key_from_leader(&leader_bootstrap, &chain)?
         };

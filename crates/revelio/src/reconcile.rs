@@ -45,8 +45,10 @@ use revelio_net::net::SimNet;
 use revelio_net::DomainEffect;
 use revelio_pki::cert::CertificateChain;
 use revelio_telemetry::Telemetry;
+use sev_snp::ids::TcbVersion;
 use sev_snp::measurement::Measurement;
 
+use crate::appraisal::check_tcb_floor;
 use crate::registry::GoldenSet;
 use crate::sp::{ProvisionReport, ServiceProviderNode};
 use crate::RevelioError;
@@ -60,10 +62,10 @@ pub struct FleetSpec {
     pub domain: String,
     /// The launch measurement every node should be running.
     pub target_measurement: Measurement,
-    /// Minimum acceptable platform TCB, in the on-report packed `u64`
-    /// form ([`sev_snp::ids::TcbVersion::to_u64`]). Nodes observed below
-    /// the floor are out of spec.
-    pub tcb_floor: u64,
+    /// Minimum acceptable platform TCB, judged componentwise by the same
+    /// check the extension applies ([`check_tcb_floor`]). Nodes observed
+    /// below the floor are out of spec.
+    pub tcb_floor: Option<TcbVersion>,
     /// Renew the shared certificate once it enters its final
     /// `renewal_lead_ms` of validity.
     pub renewal_lead_ms: u64,
@@ -88,7 +90,7 @@ impl FleetSpec {
         FleetSpec {
             domain: domain.to_owned(),
             target_measurement,
-            tcb_floor: 0,
+            tcb_floor: None,
             renewal_lead_ms: 7 * 24 * 3_600_000,
             canary_fraction: 0.25,
             tick_interval_ms: 3_600_000,
@@ -513,7 +515,7 @@ impl<A: NodeActuator> Reconciler<A> {
                 // quarantined and retry next tick.
                 continue;
             };
-            if observed.tcb.to_u64() < self.spec.tcb_floor {
+            if check_tcb_floor(observed.tcb, self.spec.tcb_floor).is_err() {
                 continue;
             }
             if observed.measurement != self.current_measurement {
@@ -534,7 +536,7 @@ impl<A: NodeActuator> Reconciler<A> {
                     continue;
                 };
                 if reobserved.measurement != self.current_measurement
-                    || reobserved.tcb.to_u64() < self.spec.tcb_floor
+                    || check_tcb_floor(reobserved.tcb, self.spec.tcb_floor).is_err()
                 {
                     continue;
                 }
@@ -697,7 +699,7 @@ impl<A: NodeActuator> Reconciler<A> {
             match self.sp.observe_node(bootstrap) {
                 Ok(observed)
                     if observed.measurement == self.spec.target_measurement
-                        && observed.tcb.to_u64() >= self.spec.tcb_floor =>
+                        && check_tcb_floor(observed.tcb, self.spec.tcb_floor).is_ok() =>
                 {
                     self.verified.insert(bootstrap.clone());
                     self.event(&format!("verify {bootstrap}"));
@@ -805,13 +807,9 @@ impl<A: NodeActuator> Reconciler<A> {
                 "out-of-spec {bootstrap} measurement={}",
                 observed.measurement
             ));
-        } else if observed.tcb.to_u64() < self.spec.tcb_floor {
+        } else if let Err(rejection) = check_tcb_floor(observed.tcb, self.spec.tcb_floor) {
             self.set_health(&bootstrap, NodeHealth::Quarantined);
-            self.event(&format!(
-                "out-of-spec {bootstrap} tcb={:#x} floor={:#x}",
-                observed.tcb.to_u64(),
-                self.spec.tcb_floor
-            ));
+            self.event(&format!("out-of-spec {bootstrap} {rejection}"));
         }
     }
 }

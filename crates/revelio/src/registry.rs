@@ -166,7 +166,7 @@ impl VotingRegistry {
         vote.verify()?;
         if !self.voters.contains(&vote.voter) {
             return Err(RevelioError::EvidenceRejected(
-                "voter not in electorate".into(),
+                "voter not in electorate".to_owned().into(),
             ));
         }
         let book = match vote.kind {

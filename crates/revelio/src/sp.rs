@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use revelio_crypto::ed25519::VerifyingKey;
 use revelio_http::message::{Request, Response};
 use revelio_http::server::plain_request_traced;
 use revelio_http::HttpError;
@@ -22,11 +21,13 @@ use revelio_telemetry::{
     retry_with_telemetry, FlightDirectory, FlightDump, Telemetry, DEFAULT_FLIGHT_CAPACITY,
 };
 use sev_snp::ids::ChipId;
-use sev_snp::verify::ReportVerifier;
 
 use revelio_pki::cert::CertificateSigningRequest;
 use sev_snp::measurement::Measurement;
 
+use crate::appraisal::{
+    appraise, AppraisalPolicy, DecidingCheck, MeasurementRule, PinnedArk, Rejection,
+};
 use crate::kds_http::KdsHttpClient;
 use crate::node::CsrBundle;
 use crate::registry::GoldenSet;
@@ -36,7 +37,7 @@ use crate::RevelioError;
 #[derive(Debug, Clone)]
 pub struct SpConfig {
     /// Pinned AMD root key.
-    pub trusted_ark: VerifyingKey,
+    pub trusted_ark: PinnedArk,
     /// The service domain every node's CSR must name — the SP's ACME
     /// account must never be tricked into ordering a certificate for a
     /// domain smuggled into a node's configuration.
@@ -141,8 +142,6 @@ pub struct NodeObservation {
     /// The attested TCB the node's platform reports — diffed against the
     /// spec's floor by the reconciler.
     pub tcb: sev_snp::ids::TcbVersion,
-    /// The node's chip.
-    pub chip_id: ChipId,
     /// The node's CSR (renewal input: the leader's CSR is re-ordered).
     pub csr: CertificateSigningRequest,
 }
@@ -304,70 +303,61 @@ impl ServiceProviderNode {
         if !response.is_success() {
             return Err(RevelioError::NodeRejected {
                 node: bootstrap.to_owned(),
-                reason: format!("csr-bundle fetch returned {}", response.status),
+                reason: format!("csr-bundle fetch returned {}", response.status).into(),
             });
         }
         CsrBundle::from_bytes(&response.body)
     }
 
-    /// Validates one node's bundle (§5.3.1): VCEK chain, report signature,
-    /// golden measurement, CSR binding, proof of possession, and the
-    /// chip↔address allowlist. Golden-set membership is optional: the
-    /// provisioning path judges the measurement (`Some`), the reconciler's
-    /// observation path reports it unjudged (`None`) so drift can be
-    /// *named*, not just rejected.
-    fn validate_bundle(
+    /// Validates one node's bundle (§5.3.1): the appraisal of its report
+    /// (VCEK chain, signature, debug policy, measurement), then the CSR
+    /// domain, the CSR binding, proof of possession, and the chip↔address
+    /// allowlist. The provisioning path judges the measurement against
+    /// the golden set; the reconciler's observation path reports it
+    /// unjudged ([`MeasurementRule::Reported`]) so drift can be *named*,
+    /// not just rejected.
+    pub(crate) fn validate_bundle(
         &self,
         bootstrap: &str,
         bundle: &CsrBundle,
-        golden: Option<&GoldenSet>,
+        measurement: MeasurementRule<'_>,
     ) -> Result<(), RevelioError> {
-        let reject = |reason: &str| RevelioError::NodeRejected {
+        let reject = |reason: Rejection| RevelioError::NodeRejected {
             node: bootstrap.to_owned(),
-            reason: reason.to_owned(),
+            reason,
         };
+        let refuse = |check, detail: &str| reject(Rejection::new(check, detail));
+        let report = &bundle.report.report;
+        let chain = self.kds.vcek_chain(&report.chip_id, &report.reported_tcb)?;
+        let policy = AppraisalPolicy {
+            ark: &self.config.trusted_ark,
+            measurement,
+            tcb_floor: None,
+        };
+        appraise(&policy, &bundle.report, &chain).map_err(reject)?;
 
-        let chain = self.kds.vcek_chain(
-            &bundle.report.report.chip_id,
-            &bundle.report.report.reported_tcb,
-        )?;
-        ReportVerifier::new(self.config.trusted_ark)
-            .verify(&bundle.report, &chain)
-            .map_err(|e| reject(&format!("report verification: {e}")))?;
-
-        if let Some(golden) = golden {
-            if !golden.is_trusted(&bundle.report.report.measurement) {
-                return Err(reject(&format!(
-                    "measurement {} not golden",
-                    bundle.report.report.measurement
-                )));
-            }
+        let (csr, domain) = (&bundle.csr, &self.config.expected_domain);
+        if csr.domain != *domain {
+            let detail = format!("csr names domain {:?}, expected {domain:?}", csr.domain);
+            return Err(refuse(DecidingCheck::CsrDomain, &detail));
         }
-
-        if bundle.csr.domain != self.config.expected_domain {
-            return Err(reject(&format!(
-                "csr names domain {:?}, expected {:?}",
-                bundle.csr.domain, self.config.expected_domain
-            )));
+        if !revelio_crypto::ct::eq(&report.report_data.as_bytes()[..32], &csr.digest()) {
+            return Err(refuse(
+                DecidingCheck::CsrBinding,
+                "report does not bind the csr",
+            ));
         }
-        let csr_digest = bundle.csr.digest();
-        if !revelio_crypto::ct::eq(
-            &bundle.report.report.report_data.as_bytes()[..32],
-            &csr_digest,
-        ) {
-            return Err(reject("report does not bind the csr"));
-        }
-        bundle
-            .csr
-            .verify()
-            .map_err(|_| reject("csr proof of possession"))?;
-
+        csr.verify()
+            .map_err(|_| refuse(DecidingCheck::CsrPossession, "csr proof of possession"))?;
         let allowed = self
             .allowlist_index
             .get(bootstrap)
-            .is_some_and(|chips| chips.contains(&bundle.report.report.chip_id));
+            .is_some_and(|chips| chips.contains(&report.chip_id));
         if !allowed {
-            return Err(reject("chip or address not in allowlist"));
+            return Err(refuse(
+                DecidingCheck::ChipAllowlist,
+                "chip or address not in allowlist",
+            ));
         }
         // Modelled crypto cost of the above (Table 2's validation row).
         self.net.clock().advance_ms(self.config.validation_ms);
@@ -528,7 +518,11 @@ impl ServiceProviderNode {
                 let span = self
                     .telemetry
                     .span_with("sp.evidence_validation", &[("node", addr)]);
-                let checked = self.validate_bundle(addr, &bundle, Some(&self.config.golden));
+                let checked = self.validate_bundle(
+                    addr,
+                    &bundle,
+                    MeasurementRule::Golden(&self.config.golden),
+                );
                 let validation_ms = span.finish_ms();
                 checked.map_err(|e| (AttestStep::Validation, e))?;
                 Ok((addr.to_owned(), bundle, validation_ms))
@@ -587,12 +581,11 @@ impl ServiceProviderNode {
             .span_with("sp.observe_node", &[("node", bootstrap)]);
         let result = (|| {
             let bundle = self.fetch_bundle(bootstrap)?;
-            self.validate_bundle(bootstrap, &bundle, None)?;
+            self.validate_bundle(bootstrap, &bundle, MeasurementRule::Reported)?;
             Ok(NodeObservation {
                 bootstrap: bootstrap.to_owned(),
                 measurement: bundle.report.report.measurement,
                 tcb: bundle.report.report.reported_tcb,
-                chip_id: bundle.report.report.chip_id,
                 csr: bundle.csr,
             })
         })();
@@ -635,7 +628,8 @@ impl ServiceProviderNode {
                     "install-cert returned {} ({})",
                     response.status,
                     response.header("X-Revelio-Error").unwrap_or("no detail")
-                ),
+                )
+                .into(),
             });
         }
         Ok(())
@@ -663,9 +657,12 @@ impl ServiceProviderNode {
         if !self.config.golden.is_trusted(&observed.measurement) {
             return Err(RevelioError::NodeRejected {
                 node: leader_bootstrap.to_owned(),
-                reason: format!(
-                    "renewal leader runs non-golden measurement {}",
-                    observed.measurement
+                reason: Rejection::new(
+                    DecidingCheck::Measurement,
+                    format!(
+                        "renewal leader runs non-golden measurement {}",
+                        observed.measurement
+                    ),
                 ),
             });
         }

@@ -13,10 +13,11 @@ use revelio_boot::loader::{BootOptions, Hypervisor};
 use revelio_build::fstree::FsTree;
 use revelio_build::image::{build_image, ImageSpec, VmImage};
 use revelio_http::router::Router;
+use revelio_http::HttpError;
 use revelio_net::clock::SimClock;
 use revelio_net::dns::DnsZone;
 use revelio_net::net::{NetConfig, SimNet};
-use revelio_net::{FaultDomain, FaultPlan, RetryPolicy};
+use revelio_net::{FaultDomain, FaultPlan, NetError, RetryPolicy};
 use revelio_pki::acme::{AcmeCa, AcmePolicy};
 use revelio_pki::cert::Certificate;
 use revelio_telemetry::{FlightDirectory, Telemetry, DEFAULT_FLIGHT_CAPACITY};
@@ -25,6 +26,7 @@ use sev_snp::kds::KeyDistributionService;
 use sev_snp::measurement::Measurement;
 use sev_snp::platform::{AmdRootOfTrust, SnpPlatform};
 
+use crate::appraisal::PinnedArk;
 use crate::extension::{ExtensionConfig, WebExtension};
 use crate::kds_http::{serve_kds, KdsHttpClient, KDS_ADDRESS};
 use crate::node::{NodeConfig, RevelioNode};
@@ -163,6 +165,9 @@ pub struct SimWorld {
     pub dns: DnsZone,
     /// AMD's root of trust.
     pub amd: Arc<AmdRootOfTrust>,
+    /// AMD's root key, expanded once: every component's config gets a
+    /// clone.
+    ark: PinnedArk,
     /// The automated CA.
     pub acme: AcmeCa,
     /// A caching KDS client (share or clone as needed).
@@ -198,20 +203,12 @@ impl std::fmt::Debug for SimWorld {
 
 impl SimWorld {
     /// Creates a world with paper-calibrated defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if internal setup fails (addresses are fresh).
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self::with_tuning(seed, WorldTuning::default())
     }
 
     /// Creates a world with custom latency calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if internal setup fails (addresses are fresh).
     #[must_use]
     pub fn with_tuning(seed: u64, tuning: WorldTuning) -> Self {
         let clock = SimClock::new();
@@ -238,13 +235,18 @@ impl SimWorld {
         let mut amd_seed = [0u8; 32];
         amd_seed[..8].copy_from_slice(&seed.to_le_bytes());
         let amd = Arc::new(AmdRootOfTrust::from_seed(amd_seed));
-        serve_kds(
+        // Binding fails only on a taken address, and this fabric is fresh.
+        // Any other failure is counted, and every VCEK fetch then fails
+        // naming the unserved address.
+        match serve_kds(
             &net,
             KDS_ADDRESS,
             KeyDistributionService::new(Arc::clone(&amd)).with_telemetry(telemetry.clone()),
             telemetry.clone(),
-        )
-        .expect("fresh kds address");
+        ) {
+            Ok(()) | Err(RevelioError::Http(HttpError::Net(NetError::AddressInUse(_)))) => {}
+            Err(_) => telemetry.counter_add("revelio_world_setup_failures_total", 1),
+        }
         net.peer(KDS_ADDRESS).latency_us(tuning.kds_one_way_us);
         let mut ca_seed = amd_seed;
         ca_seed[8] ^= 0x5c;
@@ -266,6 +268,7 @@ impl SimWorld {
             flight,
             net,
             dns,
+            ark: PinnedArk::new(amd.ark_public_key()),
             amd,
             acme,
             kds,
@@ -321,27 +324,27 @@ impl SimWorld {
     #[must_use]
     pub fn image_spec(&self, name: &str, services: &[&str]) -> ImageSpec {
         let mut rootfs = FsTree::new();
-        rootfs
-            .add_file("/usr/sbin/nginx", vec![0x7f; 16_384], 0o755)
-            .expect("static path");
-        rootfs
-            .add_file(
-                "/etc/nginx/nginx.conf",
-                format!("server {{ listen 443 ssl; server_name {name}; }}").into_bytes(),
-                0o644,
-            )
-            .expect("static path");
+        // Fixed, valid paths: the tree accepts both.
+        let _ = rootfs.add_file("/usr/sbin/nginx", vec![0x7f; 16_384], 0o755);
+        let _ = rootfs.add_file(
+            "/etc/nginx/nginx.conf",
+            format!("server {{ listen 443 ssl; server_name {name}; }}").into_bytes(),
+            0o644,
+        );
+        let mut started = Vec::new();
         for service in services {
-            rootfs
-                .add_file(
-                    &format!("/usr/bin/{service}"),
-                    format!("bin:{service}").into_bytes(),
-                    0o755,
-                )
-                .expect("static path");
+            // Init starts a service only if the tree took its binary (a
+            // name such as `..` or `` makes no valid path).
+            let binary = format!("bin:{service}").into_bytes();
+            if rootfs
+                .add_file(&format!("/usr/bin/{service}"), binary, 0o755)
+                .is_ok()
+            {
+                started.push((*service).to_string());
+            }
         }
         let mut spec = ImageSpec::new(name, rootfs);
-        spec.init.services = services.iter().map(|s| (*s).to_string()).collect();
+        spec.init.services = started;
         spec
     }
 
@@ -400,15 +403,9 @@ impl SimWorld {
             self.kds.clone(),
             vm,
             NodeConfig {
-                domain: domain.to_owned(),
                 public_address,
                 bootstrap_address,
-                organization: "Example Org".to_owned(),
-                country: "CH".to_owned(),
-                page_processing_ms: self.tuning.page_processing_ms,
-                trusted_ark: self.amd.ark_public_key(),
-                trusted_tls_roots: vec![self.acme.root_certificate()],
-                retry: self.tuning.retry.node.clone(),
+                ..self.node_config(domain)
             },
             app,
             self.telemetry.clone(),
@@ -416,14 +413,19 @@ impl SimWorld {
         )
     }
 
-    /// An SP node configured for `golden` and `allowlist`.
-    #[must_use]
-    pub fn sp_node(
-        &self,
-        golden: GoldenSet,
-        allowlist: Vec<(ChipId, String)>,
-    ) -> ServiceProviderNode {
-        self.sp_node_for_domain("pad.example.org", golden, allowlist)
+    /// The config of a node serving `domain`, addresses left empty.
+    fn node_config(&self, domain: &str) -> NodeConfig {
+        NodeConfig {
+            domain: domain.to_owned(),
+            public_address: String::new(),
+            bootstrap_address: String::new(),
+            organization: "Example Org".to_owned(),
+            country: "CH".to_owned(),
+            page_processing_ms: self.tuning.page_processing_ms,
+            trusted_ark: self.ark.clone(),
+            trusted_tls_roots: self.tls_roots(),
+            retry: self.tuning.retry.node.clone(),
+        }
     }
 
     /// An SP node whose ACME orders are pinned to `domain`.
@@ -439,7 +441,7 @@ impl SimWorld {
             self.kds.clone(),
             self.acme.clone(),
             SpConfig {
-                trusted_ark: self.amd.ark_public_key(),
+                trusted_ark: self.ark.clone(),
                 expected_domain: domain.to_owned(),
                 golden,
                 allowlist,
@@ -480,11 +482,8 @@ impl SimWorld {
     ///
     /// # Errors
     ///
-    /// Propagates any build/boot/provisioning failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `groups` adds up to zero nodes.
+    /// Propagates any build/boot/provisioning failure, and returns
+    /// [`RevelioError::EmptyFleet`] when `groups` adds up to zero nodes.
     pub fn deploy_fleet_in_subnets(
         &mut self,
         domain: &str,
@@ -525,22 +524,9 @@ impl SimWorld {
         });
         self.subnet = home_subnet;
         deployed?;
-        let golden_measurement = golden_measurement.expect("fleets have at least one node");
+        let golden_measurement = golden_measurement.ok_or(RevelioError::EmptyFleet)?;
 
-        let allowlist = nodes
-            .iter()
-            .map(|node| {
-                (
-                    node.vm().guest().chip_id(),
-                    node.bootstrap_address().to_owned(),
-                )
-            })
-            .collect();
-        let sp = self.sp_node_for_domain(
-            domain,
-            GoldenSet::from_measurements([golden_measurement]),
-            allowlist,
-        );
+        let sp = self.sp_for_nodes(domain, &nodes, golden_measurement);
         let bootstraps: Vec<String> = nodes
             .iter()
             .map(|n| n.bootstrap_address().to_owned())
@@ -550,7 +536,9 @@ impl SimWorld {
         let leader = nodes
             .iter()
             .find(|n| n.bootstrap_address() == provision.leader_bootstrap)
-            .expect("the elected leader is one of the fleet's nodes");
+            .ok_or_else(|| {
+                RevelioError::Internal("the elected leader is not one of the fleet's nodes".into())
+            })?;
         self.dns.set_address(domain, leader.public_address());
         Ok(DeployedFleet {
             nodes,
@@ -613,7 +601,7 @@ impl SimWorld {
             KdsHttpClient::new(self.net.clone(), KDS_ADDRESS)
                 .with_telemetry(self.telemetry.clone()),
             ExtensionConfig {
-                trusted_ark: self.amd.ark_public_key(),
+                trusted_ark: self.ark.clone(),
                 tls_roots: vec![self.acme.root_certificate()],
                 validation_ms: self.tuning.extension_validation_ms,
                 connection_validation_ms: self.tuning.extension_conn_validation_ms,
@@ -636,8 +624,18 @@ impl SimWorld {
     /// from here.
     #[must_use]
     pub fn fleet_sp(&self, fleet: &DeployedFleet) -> ServiceProviderNode {
-        let allowlist = fleet
-            .nodes
+        self.sp_for_nodes(&fleet.domain, &fleet.nodes, fleet.golden_measurement)
+    }
+
+    /// An SP node for `domain` that accepts `golden` on exactly `nodes`'
+    /// chip↔bootstrap pairs.
+    fn sp_for_nodes(
+        &self,
+        domain: &str,
+        nodes: &[RevelioNode],
+        golden: Measurement,
+    ) -> ServiceProviderNode {
+        let allowlist = nodes
             .iter()
             .map(|node| {
                 (
@@ -646,11 +644,7 @@ impl SimWorld {
                 )
             })
             .collect();
-        self.sp_node_for_domain(
-            &fleet.domain,
-            GoldenSet::from_measurements([fleet.golden_measurement]),
-            allowlist,
-        )
+        self.sp_node_for_domain(domain, GoldenSet::from_measurements([golden]), allowlist)
     }
 
     /// A [`FleetUpgrader`] over `fleet`: the reconciler's actuator,
@@ -685,11 +679,8 @@ impl SimWorld {
             amd: Arc::clone(&self.amd),
             telemetry: self.telemetry.clone(),
             flight: self.flight.clone(),
-            tls_roots: self.tls_roots(),
-            domain: fleet.domain.clone(),
+            node_config: self.node_config(&fleet.domain),
             app,
-            page_processing_ms: self.tuning.page_processing_ms,
-            node_retry: self.tuning.retry.node.clone(),
             target,
             drift: BTreeMap::new(),
             slots,
@@ -755,11 +746,9 @@ pub struct FleetUpgrader {
     amd: Arc<AmdRootOfTrust>,
     telemetry: Telemetry,
     flight: FlightDirectory,
-    tls_roots: Vec<Certificate>,
-    domain: String,
+    /// Every redeployed node's config, addresses aside.
+    node_config: NodeConfig,
     app: Router,
-    page_processing_ms: f64,
-    node_retry: RetryPolicy,
     target: ImageSpec,
     drift: BTreeMap<String, ImageSpec>,
     slots: BTreeMap<String, UpgradeSlot>,
@@ -769,7 +758,7 @@ pub struct FleetUpgrader {
 impl std::fmt::Debug for FleetUpgrader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetUpgrader")
-            .field("domain", &self.domain)
+            .field("domain", &self.node_config.domain)
             .field("slots", &self.slots.len())
             .finish_non_exhaustive()
     }
@@ -830,15 +819,9 @@ impl NodeActuator for FleetUpgrader {
             self.kds.clone(),
             vm,
             NodeConfig {
-                domain: self.domain.clone(),
                 public_address: slot.public.clone(),
                 bootstrap_address: bootstrap.to_owned(),
-                organization: "Example Org".to_owned(),
-                country: "CH".to_owned(),
-                page_processing_ms: self.page_processing_ms,
-                trusted_ark: self.amd.ark_public_key(),
-                trusted_tls_roots: self.tls_roots.clone(),
-                retry: self.node_retry.clone(),
+                ..self.node_config.clone()
             },
             self.app.clone(),
             self.telemetry.clone(),
@@ -852,6 +835,7 @@ impl NodeActuator for FleetUpgrader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::appraisal::DecidingCheck;
     use crate::node::demo_app;
     use crate::RevelioError;
 
@@ -1008,7 +992,8 @@ mod tests {
             .deploy_node("pad.example.org", &image, demo_app(), [1; 32])
             .unwrap();
         // SP's allowlist names a DIFFERENT chip for this address.
-        let sp = world.sp_node(
+        let sp = world.sp_node_for_domain(
+            "pad.example.org",
             GoldenSet::from_measurements([golden]),
             vec![(
                 ChipId::from_seed(424_242),
@@ -1019,7 +1004,7 @@ mod tests {
             .provision(&[node.bootstrap_address().to_owned()])
             .unwrap_err();
         assert!(matches!(err, RevelioError::NodeRejected { .. }), "{err}");
-        assert!(err.to_string().contains("allowlist"));
+        assert_eq!(err.deciding_check(), Some(DecidingCheck::ChipAllowlist));
     }
 
     #[test]
@@ -1034,7 +1019,8 @@ mod tests {
         let node = world
             .deploy_node("pad.example.org", &evil_image, demo_app(), [1; 32])
             .unwrap();
-        let sp = world.sp_node(
+        let sp = world.sp_node_for_domain(
+            "pad.example.org",
             GoldenSet::from_measurements([golden]),
             vec![(
                 node.vm().guest().chip_id(),
@@ -1044,7 +1030,11 @@ mod tests {
         let err = sp
             .provision(&[node.bootstrap_address().to_owned()])
             .unwrap_err();
-        assert!(err.to_string().contains("not golden"), "{err}");
+        assert_eq!(
+            err.deciding_check(),
+            Some(DecidingCheck::Measurement),
+            "{err}"
+        );
     }
 
     #[test]

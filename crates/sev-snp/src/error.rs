@@ -10,14 +10,13 @@ use revelio_crypto::CryptoError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SnpError {
-    /// The guest policy was rejected at launch (e.g. unsupported ABI).
+    /// The guest policy is unacceptable to a verifier (it permits
+    /// debugging).
     PolicyRejected(String),
     /// A signature over a report or certificate failed to verify.
     SignatureInvalid,
     /// A certificate chain did not validate; the message names the link.
     ChainInvalid(String),
-    /// The VCEK certificate does not endorse this chip/TCB combination.
-    EndorsementMismatch,
     /// The report's TCB or chip identity disagrees with the certificate.
     ReportBindingMismatch,
     /// Malformed serialized data.
@@ -32,9 +31,6 @@ impl fmt::Display for SnpError {
             SnpError::PolicyRejected(why) => write!(f, "guest policy rejected: {why}"),
             SnpError::SignatureInvalid => write!(f, "attestation signature invalid"),
             SnpError::ChainInvalid(link) => write!(f, "certificate chain invalid: {link}"),
-            SnpError::EndorsementMismatch => {
-                write!(f, "vcek certificate does not endorse this chip and tcb")
-            }
             SnpError::ReportBindingMismatch => {
                 write!(f, "report chip or tcb disagrees with vcek certificate")
             }

@@ -104,6 +104,18 @@ impl TcbVersion {
             | (u64::from(self.microcode) << 56)
     }
 
+    /// Whether every component is at least `floor`'s: the TCB-floor
+    /// check against firmware downgrade. Never compare the packed
+    /// [`TcbVersion::to_u64`]: its top byte is the microcode, so a newer
+    /// microcode would mask an older SNP firmware.
+    #[must_use]
+    pub fn meets(self, floor: TcbVersion) -> bool {
+        self.bootloader >= floor.bootloader
+            && self.tee >= floor.tee
+            && self.snp >= floor.snp
+            && self.microcode >= floor.microcode
+    }
+
     /// Unpacks from the on-report `u64` form.
     #[must_use]
     pub fn from_u64(v: u64) -> Self {
@@ -231,6 +243,19 @@ mod tests {
         let old = TcbVersion::new(1, 0, 6, 100);
         let new = TcbVersion::new(1, 0, 8, 100);
         assert!(new > old);
+    }
+
+    #[test]
+    fn tcb_floor_is_componentwise() {
+        let platform = TcbVersion::new(1, 0, 8, 115);
+        assert!(platform.meets(platform));
+        assert!(platform.meets(TcbVersion::new(1, 0, 8, 100)));
+        assert!(!platform.meets(TcbVersion::new(1, 0, 9, 115)));
+        // Packed, the newer microcode outweighs the older SNP firmware;
+        // componentwise, the SNP firmware is below the floor.
+        let floor = TcbVersion::new(1, 0, 9, 114);
+        assert!(platform.to_u64() > floor.to_u64());
+        assert!(!platform.meets(floor));
     }
 
     #[test]

@@ -94,18 +94,9 @@ impl AmdCert {
         )
     }
 
-    /// Verifies this certificate against the issuer's public key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnpError::ChainInvalid`] naming the subject when the
-    /// signature fails.
-    pub fn verify(&self, issuer_public: &VerifyingKey) -> Result<(), SnpError> {
-        self.verify_with(&issuer_public.expand())
-    }
-
-    /// [`AmdCert::verify`] against a pre-expanded issuer key — verifiers
-    /// that pin one root reuse its decompression across every chain.
+    /// Verifies this certificate against the issuer's (expanded) public
+    /// key — verifiers that pin one root reuse its decompression across
+    /// every chain.
     ///
     /// # Errors
     ///
@@ -184,20 +175,8 @@ pub struct VcekCertChain {
 }
 
 impl VcekCertChain {
-    /// Validates the chain against a pinned ARK public key and returns the
-    /// endorsed VCEK public key with its chip binding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnpError::ChainInvalid`] naming the broken link.
-    pub fn validate(
-        &self,
-        trusted_ark: &VerifyingKey,
-    ) -> Result<(VerifyingKey, (ChipId, TcbVersion)), SnpError> {
-        self.validate_with(&trusted_ark.expand())
-    }
-
-    /// [`VcekCertChain::validate`] against a pre-expanded pinned ARK: the
+    /// Validates the chain against the pinned, pre-expanded ARK and
+    /// returns the endorsed VCEK public key with its chip binding. The
     /// root's point decompression is paid once per verifier lifetime, not
     /// once per chain (the ARK signs both itself and the ASK, so the
     /// reuse covers two of the three links).
@@ -218,7 +197,7 @@ impl VcekCertChain {
         // The pinned-root check above makes `trusted_ark` the ASK's
         // issuer key as well.
         self.ask.verify_with(trusted_ark)?;
-        self.vcek.verify(&self.ask.public_key)?;
+        self.vcek.verify_with(&self.ask.public_key.expand())?;
         let binding = self
             .vcek
             .vcek_binding
@@ -350,7 +329,8 @@ mod tests {
         let chip = ChipId::from_seed(1);
         let tcb = TcbVersion::new(1, 0, 8, 115);
         let chain = kds.vcek_chain(&chip, &tcb).unwrap();
-        let (vcek_pub, (bound_chip, bound_tcb)) = chain.validate(&amd.ark_public_key()).unwrap();
+        let (vcek_pub, (bound_chip, bound_tcb)) =
+            chain.validate_with(&amd.ark_public_key().expand()).unwrap();
         assert_eq!(bound_chip, chip);
         assert_eq!(bound_tcb, tcb);
         assert_eq!(vcek_pub, amd.vcek_for(&chip, &tcb).verifying_key());
@@ -364,7 +344,7 @@ mod tests {
             .vcek_chain(&ChipId::from_seed(1), &TcbVersion::default())
             .unwrap();
         assert!(matches!(
-            chain.validate(&other_amd.ark_public_key()),
+            chain.validate_with(&other_amd.ark_public_key().expand()),
             Err(SnpError::ChainInvalid(_))
         ));
     }
@@ -384,7 +364,7 @@ mod tests {
             None,
             attacker.ark_key(),
         );
-        assert!(chain.validate(&amd.ark_public_key()).is_err());
+        assert!(chain.validate_with(&amd.ark_public_key().expand()).is_err());
     }
 
     #[test]
@@ -395,7 +375,7 @@ mod tests {
             .unwrap();
         // Re-pointing the binding at another chip breaks the ASK signature.
         chain.vcek.vcek_binding = Some((ChipId::from_seed(2), TcbVersion::default()));
-        assert!(chain.validate(&amd.ark_public_key()).is_err());
+        assert!(chain.validate_with(&amd.ark_public_key().expand()).is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! // A remote verifier fetches the VCEK chain and checks everything.
 //! let chain = kds.vcek_chain(&platform.chip_id(), &platform.tcb_version())?;
 //! let verifier = ReportVerifier::new(amd.ark_public_key());
-//! verifier.verify(&report, &chain)?;
+//! verifier.verify_batched(&report, &chain)?;
 //! # Ok::<(), sev_snp::SnpError>(())
 //! ```
 

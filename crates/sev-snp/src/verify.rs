@@ -1,14 +1,16 @@
-//! Full attestation-report verification, as the paper's web extension
-//! performs it (§5.3.2): certificate chain, report↔certificate binding,
-//! signature, and policy sanity.
+//! Attestation-report verification against a pinned AMD root: the
+//! certificate chain, the report↔certificate binding, the report
+//! signature, and the guest policy (no debugging). Debug-enabled guests
+//! are always rejected.
 //!
-//! Measurement comparison against golden values is deliberately *not* here:
-//! which measurements are acceptable is Revelio policy (trusted registry,
-//! user-supplied values) and lives in the `revelio` crate.
+//! Everything else a relying party judges — the TCB floor and the launch
+//! measurement — is Revelio policy and lives in the `revelio` crate's
+//! one appraisal function, which every relying party (SP, leader,
+//! browser extension) calls. The floor comparison itself is
+//! [`TcbVersion::meets`](crate::ids::TcbVersion::meets).
 
 use revelio_crypto::ed25519::{verify_batch, BatchItem, ExpandedVerifyingKey, VerifyingKey};
 
-use crate::ids::TcbVersion;
 use crate::kds::VcekCertChain;
 use crate::report::SignedReport;
 use crate::SnpError;
@@ -26,40 +28,16 @@ pub const SIGNATURE_CHECKS_PER_VERIFY: u64 = 4;
 /// of verifications pay the root's sqrt exactly once per verifier line.
 #[derive(Debug, Clone)]
 pub struct ReportVerifier {
-    trusted_ark: VerifyingKey,
-    expanded_ark: ExpandedVerifyingKey,
-    reject_debug_policy: bool,
-    minimum_tcb: Option<TcbVersion>,
+    trusted_ark: ExpandedVerifyingKey,
 }
 
 impl ReportVerifier {
-    /// Creates a verifier that pins `trusted_ark` (AMD's published root) and
-    /// rejects debug-enabled guests.
+    /// Creates a verifier that pins `trusted_ark` (AMD's published root).
     #[must_use]
     pub fn new(trusted_ark: VerifyingKey) -> Self {
         ReportVerifier {
-            trusted_ark,
-            expanded_ark: trusted_ark.expand(),
-            reject_debug_policy: true,
-            minimum_tcb: None,
+            trusted_ark: trusted_ark.expand(),
         }
-    }
-
-    /// Permits debug-enabled guest policies (useful only in development
-    /// pipelines; never in production verification).
-    #[must_use]
-    pub fn allow_debug_policy(mut self) -> Self {
-        self.reject_debug_policy = false;
-        self
-    }
-
-    /// Rejects reports whose reported TCB has *any* component below
-    /// `minimum` — the defense against firmware-downgrade attacks: a valid
-    /// VCEK chain for an old, vulnerable firmware otherwise verifies.
-    #[must_use]
-    pub fn require_minimum_tcb(mut self, minimum: TcbVersion) -> Self {
-        self.minimum_tcb = Some(minimum);
-        self
     }
 
     /// Verifies `signed` against `chain`:
@@ -70,59 +48,40 @@ impl ReportVerifier {
     /// 3. the VCEK signature over the report body verifies,
     /// 4. the guest policy does not permit debugging (host memory access).
     ///
+    /// The four signatures of checks 1–3 verify as one batched group
+    /// equation ([`verify_batch`]) sharing a single doubling chain. When
+    /// it fails, the checks rerun one by one to name the culprit.
+    ///
     /// # Errors
     ///
     /// Returns the specific [`SnpError`] for whichever check fails first.
-    pub fn verify(&self, signed: &SignedReport, chain: &VcekCertChain) -> Result<(), SnpError> {
-        let (vcek_public, (bound_chip, bound_tcb)) = chain.validate_with(&self.expanded_ark)?;
-        if bound_chip != signed.report.chip_id || bound_tcb != signed.report.reported_tcb {
-            return Err(SnpError::ReportBindingMismatch);
-        }
-        signed.verify_signature(&vcek_public)?;
-        if self.reject_debug_policy && signed.report.policy.debug_allowed {
-            return Err(SnpError::PolicyRejected("debug access enabled".into()));
-        }
-        if let Some(min) = self.minimum_tcb {
-            let t = signed.report.reported_tcb;
-            let ok = t.bootloader >= min.bootloader
-                && t.tee >= min.tee
-                && t.snp >= min.snp
-                && t.microcode >= min.microcode;
-            if !ok {
-                return Err(SnpError::PolicyRejected(format!(
-                    "reported tcb {t} below required minimum {min}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Self::verify`] with the four signature checks collapsed into one
-    /// batched group equation ([`verify_batch`]), sharing a single
-    /// doubling chain across the ARK, ASK, VCEK, and report signatures.
-    ///
-    /// Accepts and rejects exactly the same inputs as [`Self::verify`]:
-    /// whenever the batched equation (or any structural precondition)
-    /// fails, this falls back to the sequential path so the caller sees
-    /// the same first-failing [`SnpError`] it always did.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Self::verify`].
     pub fn verify_batched(
         &self,
         signed: &SignedReport,
         chain: &VcekCertChain,
     ) -> Result<(), SnpError> {
-        // Structural preconditions of the combined equation. Any failure
-        // here (or in the batch itself) defers to the sequential path,
-        // which reproduces the canonical check order and error.
-        let plausible = chain.ark.public_key == self.trusted_ark
+        if !self.batch_verifies(signed, chain) {
+            // The batch cannot name the culprit; the sequential pass can,
+            // and it is the error-compatibility oracle.
+            self.verify(signed, chain)?;
+            return Err(SnpError::SignatureInvalid);
+        }
+        if signed.report.policy.debug_allowed {
+            return Err(SnpError::PolicyRejected("debug access enabled".into()));
+        }
+        Ok(())
+    }
+
+    /// Whether checks 1–3 hold as one batched equation. A chain whose
+    /// root or binding already disagrees fails without the batch; the
+    /// sequential pass names it.
+    fn batch_verifies(&self, signed: &SignedReport, chain: &VcekCertChain) -> bool {
+        let plausible = chain.ark.public_key == *self.trusted_ark.key()
             && chain.vcek.vcek_binding.as_ref().is_some_and(|(chip, tcb)| {
                 *chip == signed.report.chip_id && *tcb == signed.report.reported_tcb
             });
         if !plausible {
-            return self.verify(signed, chain);
+            return false;
         }
         let ark_payload = chain.ark.signed_payload();
         let ask_payload = chain.ask.signed_payload();
@@ -135,12 +94,12 @@ impl ReportVerifier {
         let vcek_key = chain.vcek.public_key.expand();
         let items = [
             BatchItem {
-                key: &self.expanded_ark,
+                key: &self.trusted_ark,
                 message: &ark_payload,
                 signature: &chain.ark.signature,
             },
             BatchItem {
-                key: &self.expanded_ark,
+                key: &self.trusted_ark,
                 message: &ask_payload,
                 signature: &chain.ask.signature,
             },
@@ -155,30 +114,17 @@ impl ReportVerifier {
                 signature: &signed.signature,
             },
         ];
-        if verify_batch(&items).is_err() {
-            // The batch cannot name the culprit; the sequential pass can,
-            // and it is the error-compatibility oracle.
-            return match self.verify(signed, chain) {
-                Ok(()) => Err(SnpError::SignatureInvalid),
-                Err(e) => Err(e),
-            };
+        verify_batch(&items).is_ok()
+    }
+
+    /// Checks 1–3 one signature at a time: the fallback that names the
+    /// first failing check for [`Self::verify_batched`].
+    fn verify(&self, signed: &SignedReport, chain: &VcekCertChain) -> Result<(), SnpError> {
+        let (vcek_public, (bound_chip, bound_tcb)) = chain.validate_with(&self.trusted_ark)?;
+        if bound_chip != signed.report.chip_id || bound_tcb != signed.report.reported_tcb {
+            return Err(SnpError::ReportBindingMismatch);
         }
-        if self.reject_debug_policy && signed.report.policy.debug_allowed {
-            return Err(SnpError::PolicyRejected("debug access enabled".into()));
-        }
-        if let Some(min) = self.minimum_tcb {
-            let t = signed.report.reported_tcb;
-            let ok = t.bootloader >= min.bootloader
-                && t.tee >= min.tee
-                && t.snp >= min.snp
-                && t.microcode >= min.microcode;
-            if !ok {
-                return Err(SnpError::PolicyRejected(format!(
-                    "reported tcb {t} below required minimum {min}"
-                )));
-            }
-        }
-        Ok(())
+        signed.verify_signature(&vcek_public)
     }
 }
 
@@ -218,7 +164,7 @@ mod tests {
             .vcek_chain(&w.platform.chip_id(), &w.platform.tcb_version())
             .unwrap();
         ReportVerifier::new(w.amd.ark_public_key())
-            .verify(&report, &chain)
+            .verify_batched(&report, &chain)
             .unwrap();
     }
 
@@ -233,7 +179,7 @@ mod tests {
             .vcek_chain(&ChipId::from_seed(99), &w.platform.tcb_version())
             .unwrap();
         assert_eq!(
-            ReportVerifier::new(w.amd.ark_public_key()).verify(&report, &chain),
+            ReportVerifier::new(w.amd.ark_public_key()).verify_batched(&report, &chain),
             Err(SnpError::ReportBindingMismatch)
         );
     }
@@ -248,7 +194,7 @@ mod tests {
             .vcek_chain(&w.platform.chip_id(), &TcbVersion::new(0, 0, 1, 1))
             .unwrap();
         assert!(ReportVerifier::new(w.amd.ark_public_key())
-            .verify(&report, &chain)
+            .verify_batched(&report, &chain)
             .is_err());
     }
 
@@ -263,13 +209,13 @@ mod tests {
             .vcek_chain(&w.platform.chip_id(), &w.platform.tcb_version())
             .unwrap();
         assert_eq!(
-            ReportVerifier::new(w.amd.ark_public_key()).verify(&report, &chain),
+            ReportVerifier::new(w.amd.ark_public_key()).verify_batched(&report, &chain),
             Err(SnpError::SignatureInvalid)
         );
     }
 
     #[test]
-    fn debug_policy_rejected_by_default_but_optional() {
+    fn debug_policy_always_rejected() {
         let w = world();
         let policy = GuestPolicy {
             debug_allowed: true,
@@ -281,42 +227,13 @@ mod tests {
             .kds
             .vcek_chain(&w.platform.chip_id(), &w.platform.tcb_version())
             .unwrap();
+        // Chain, binding and signature all hold: only the policy decides.
         let verifier = ReportVerifier::new(w.amd.ark_public_key());
-        assert!(matches!(
-            verifier.verify(&report, &chain),
-            Err(SnpError::PolicyRejected(_))
-        ));
-        verifier
-            .allow_debug_policy()
-            .verify(&report, &chain)
-            .unwrap();
-    }
-
-    #[test]
-    fn tcb_downgrade_rejected_with_minimum() {
-        let w = world(); // platform at tcb (1,0,8,115)
-        let guest = w.platform.launch(b"fw", GuestPolicy::default()).unwrap();
-        let report = guest.attestation_report(ReportData::default());
-        let chain = w
-            .kds
-            .vcek_chain(&w.platform.chip_id(), &w.platform.tcb_version())
-            .unwrap();
-        let verifier = ReportVerifier::new(w.amd.ark_public_key());
-        // Without a minimum, the report verifies.
         verifier.verify(&report, &chain).unwrap();
-        // Requiring a newer SNP firmware rejects it (downgrade defense)...
-        assert!(matches!(
-            verifier
-                .clone()
-                .require_minimum_tcb(TcbVersion::new(1, 0, 9, 115))
-                .verify(&report, &chain),
-            Err(SnpError::PolicyRejected(_))
-        ));
-        // ...while the platform's own level (or older) passes.
-        verifier
-            .require_minimum_tcb(TcbVersion::new(1, 0, 8, 100))
-            .verify(&report, &chain)
-            .unwrap();
+        assert_eq!(
+            verifier.verify_batched(&report, &chain),
+            Err(SnpError::PolicyRejected("debug access enabled".into()))
+        );
     }
 
     #[test]
@@ -380,34 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_verify_enforces_policy_and_tcb_floor() {
-        let w = world();
-        let policy = GuestPolicy {
-            debug_allowed: true,
-            ..GuestPolicy::default()
-        };
-        let guest = w.platform.launch(b"fw", policy).unwrap();
-        let report = guest.attestation_report(ReportData::default());
-        let chain = w
-            .kds
-            .vcek_chain(&w.platform.chip_id(), &w.platform.tcb_version())
-            .unwrap();
-        let verifier = ReportVerifier::new(w.amd.ark_public_key());
-        assert!(matches!(
-            verifier.verify_batched(&report, &chain),
-            Err(SnpError::PolicyRejected(_))
-        ));
-        let lenient = verifier.clone().allow_debug_policy();
-        lenient.verify_batched(&report, &chain).unwrap();
-        assert!(matches!(
-            lenient
-                .require_minimum_tcb(TcbVersion::new(1, 0, 9, 115))
-                .verify_batched(&report, &chain),
-            Err(SnpError::PolicyRejected(_))
-        ));
-    }
-
-    #[test]
     fn pinned_ark_expansion_is_reused_across_chain_verifications() {
         use revelio_crypto::metrics;
 
@@ -463,7 +352,7 @@ mod tests {
             .unwrap();
         // Verifier pins the real ARK: the impostor chain cannot validate.
         assert!(ReportVerifier::new(w.amd.ark_public_key())
-            .verify(&report, &fake_chain)
+            .verify_batched(&report, &fake_chain)
             .is_err());
     }
 }

@@ -9,6 +9,7 @@
 //! the paper predicts. Any `!! BREACHED !!` row makes the run exit
 //! non-zero, so CI can gate on it.
 
+use revelio::appraisal::DecidingCheck;
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
 use revelio::RevelioError;
@@ -30,6 +31,12 @@ fn verdict(name: &str, defended: bool, detail: &str) {
         "!! BREACHED !!"
     };
     println!("{flag:>14}  {name}: {detail}");
+}
+
+/// Whether `result` failed on `check` — not on a transport fault or any
+/// other check that happens to return the same error variant.
+fn decided_by<T>(result: &Result<T, RevelioError>, check: DecidingCheck) -> bool {
+    result.as_ref().err().and_then(RevelioError::deciding_check) == Some(check)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -165,7 +172,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = extension.browse("victim.example.org", "/");
     verdict(
         "image rollback",
-        matches!(result, Err(RevelioError::UnknownMeasurement(_))),
+        matches!(result, Err(RevelioError::UnknownMeasurement(_)))
+            && decided_by(&result, DecidingCheck::Measurement),
         "revoked golden value is no longer accepted",
     );
 
@@ -208,7 +216,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (impostor_image, impostor_golden) = world.build(&spec2)?;
     let impostor =
         world.deploy_node("victim.example.org", &impostor_image, demo_app(), [77; 32])?;
-    let sp = world.sp_node(
+    let sp = world.sp_node_for_domain(
+        "victim.example.org",
         revelio::registry::GoldenSet::from_measurements([impostor_golden]),
         vec![(
             sev_snp::ids::ChipId::from_seed(123_456),
@@ -218,7 +227,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = sp.provision(&[impostor.bootstrap_address().to_owned()]);
     verdict(
         "impostor node",
-        matches!(result, Err(RevelioError::NodeRejected { .. })),
+        matches!(result, Err(RevelioError::NodeRejected { .. }))
+            && decided_by(&result, DecidingCheck::ChipAllowlist),
         "chip/address allowlist blocks valid-report impostors",
     );
 

@@ -284,11 +284,11 @@ fn tcb_update_rotates_vcek() {
     let new_chain = world.kds.vcek_chain(&chip, &new_tcb).unwrap();
 
     // Same-version pairs verify.
-    verifier.verify(&old_report, &old_chain).unwrap();
-    verifier.verify(&new_report, &new_chain).unwrap();
+    verifier.verify_batched(&old_report, &old_chain).unwrap();
+    verifier.verify_batched(&new_report, &new_chain).unwrap();
     // Cross-version pairs are rejected (binding mismatch).
-    assert!(verifier.verify(&new_report, &old_chain).is_err());
-    assert!(verifier.verify(&old_report, &new_chain).is_err());
+    assert!(verifier.verify_batched(&new_report, &old_chain).is_err());
+    assert!(verifier.verify_batched(&old_report, &new_chain).is_err());
     // The endorsement keys really rotated.
     assert_ne!(old_chain.vcek.public_key, new_chain.vcek.public_key);
 }

@@ -13,12 +13,16 @@
 //! * the shared certificate is renewed ahead of `not_after_ms` on a
 //!   long horizon — no tick ever observes an expired chain;
 //! * reconciler decision transcripts are **byte-identical** across 1, 4
-//!   and 16 concurrent runs.
+//!   and 16 concurrent runs;
+//! * the reconciler's TCB floor agrees with the extension's: a node every
+//!   browser rejects is out of spec.
 
+use revelio::appraisal::DecidingCheck;
 use revelio::node::demo_app;
 use revelio::reconcile::{FleetSpec, RolloutPhase};
 use revelio::world::SimWorld;
 use revelio_net::FaultDomain;
+use sev_snp::ids::TcbVersion;
 
 const RECONCILE_SEED: u64 = 0x5EC0_11C1;
 
@@ -206,6 +210,43 @@ fn quarantine_flapping_heals_into_readmission_every_cycle() {
     let extension = world.extension();
     extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
     assert!(extension.browse("pad.example.org", "/healthz").is_ok());
+}
+
+/// The reconciler judges the TCB floor with the extension's componentwise
+/// check. The world's platforms report `(1,0,8,115)`: below a
+/// `(1,0,9,114)` floor on the SNP firmware, although their packed TCB is
+/// the larger (microcode sits in the top byte).
+#[test]
+fn tcb_floor_agrees_with_the_extension() {
+    let mut world = SimWorld::new(RECONCILE_SEED ^ 5);
+    let fleet = world
+        .deploy_fleet("pad.example.org", 2, demo_app())
+        .unwrap();
+    let floor = TcbVersion::new(1, 0, 9, 114);
+
+    let extension = world.extension();
+    extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
+    extension.set_tcb_floor(Some(floor));
+    let err = extension.browse("pad.example.org", "/healthz").unwrap_err();
+    assert_eq!(err.deciding_check(), Some(DecidingCheck::TcbFloor), "{err}");
+
+    let next_spec = world.image_spec("pad.example.org", &["web-service"]);
+    let upgrader = world.fleet_upgrader(&fleet, demo_app(), next_spec);
+    let mut spec = FleetSpec::new("pad.example.org", fleet.golden_measurement);
+    spec.tick_interval_ms = 60_000;
+    spec.tcb_floor = Some(floor);
+    let mut reconciler = world.reconciler(&fleet, spec, upgrader);
+    reconciler.run_ticks(1);
+    let probed = reconciler
+        .transcript()
+        .iter()
+        .find(|l| l.contains("] out-of-spec "))
+        .unwrap_or_else(|| panic!("no node out of spec: {:?}", reconciler.transcript()));
+    assert!(
+        probed.contains("tcb bl1-tee0-snp8-ucode115 below required minimum"),
+        "{probed}"
+    );
+    assert_eq!(reconciler.quarantined().len(), 1);
 }
 
 #[test]

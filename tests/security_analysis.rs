@@ -225,11 +225,13 @@ fn sealed_volume_unreadable_after_decommission() {
     assert!(CryptDevice::open(Arc::clone(&data.device), b"guessed key", &guessed_params).is_err());
 }
 
-/// Debug-enabled guest policies are rejected by verifiers even with valid
-/// signatures (the host could read guest memory).
+/// Debug-enabled guest policies are rejected by the extension even with
+/// valid signatures and a golden measurement (the host could read guest
+/// memory).
 #[test]
 fn debug_policy_rejected_by_extension_path() {
-    use sev_snp::verify::ReportVerifier;
+    use revelio::appraisal::DecidingCheck;
+    use revelio::evidence::EvidenceBundle;
 
     let mut world = SimWorld::new(9);
     let platform = world.new_platform();
@@ -243,8 +245,11 @@ fn debug_policy_rejected_by_extension_path() {
         .kds
         .vcek_chain(&report.report.chip_id, &report.report.reported_tcb)
         .unwrap();
-    assert!(matches!(
-        ReportVerifier::new(world.amd.ark_public_key()).verify(&report, &chain),
-        Err(sev_snp::SnpError::PolicyRejected(_))
-    ));
+    let extension = world.extension();
+    extension.register_site("s.example", vec![report.report.measurement]);
+    let err = extension
+        .verify_evidence("s.example", &EvidenceBundle { report, chain })
+        .unwrap_err();
+    assert!(matches!(err, RevelioError::EvidenceRejected(_)), "{err}");
+    assert_eq!(err.deciding_check(), Some(DecidingCheck::DebugPolicy));
 }

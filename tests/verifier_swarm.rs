@@ -221,6 +221,30 @@ fn registration_bumps_generation_and_clears_cache() {
     assert_eq!(world.telemetry.counter(MISSES), misses_before + 1);
 }
 
+/// One verdict cache serves every site: a verdict appraised under one
+/// site's golden set must not vouch for the same evidence on a site
+/// whose golden set lacks that measurement.
+#[test]
+fn cached_verdict_does_not_cross_golden_sets() {
+    let (world, extension, _) = attested_world(0xCA18);
+    extension.register_site("other.example", vec![Measurement::from_bytes([1; 48])]);
+    let session = extension.open_monitored(DOMAIN).unwrap();
+    assert_eq!(extension.cached_verdicts(), 1);
+
+    let hits_before = world.telemetry.counter(HITS);
+    let err = extension
+        .verify_evidence("other.example", session.evidence())
+        .unwrap_err();
+    assert!(matches!(err, RevelioError::UnknownMeasurement(_)), "{err}");
+    assert_eq!(world.telemetry.counter(HITS), hits_before + 1);
+    assert!(
+        extension
+            .verify_evidence(DOMAIN, session.evidence())
+            .unwrap()
+            .cached
+    );
+}
+
 /// Raising the TCB floor invalidates cached verdicts and rejects
 /// evidence below the floor on the re-verification.
 #[test]
