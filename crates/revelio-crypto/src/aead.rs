@@ -40,7 +40,7 @@ impl ChaCha20Poly1305 {
 
     fn poly_key(&self, nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
         let block = chacha::block(&self.key, 0, nonce);
-        block[..32].try_into().expect("32 bytes")
+        std::array::from_fn(|i| block[i])
     }
 
     fn compute_tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {

@@ -107,19 +107,18 @@ fn sub_word(w: u32) -> u32 {
 /// successive rows after (Inv)ShiftRows: 1 to encrypt, 3 to decrypt.
 #[inline]
 fn cipher<const STEP: usize>(
-    keys: &[[u32; 4]],
+    keys: &[[u32; 4]; 15],
+    rounds: usize,
     t: &[[u32; 256]; 4],
     sbox: &[u8; 256],
     block: &[u8; 16],
 ) -> [u8; 16] {
-    let (last, middle) = keys.split_last().expect("at least two round keys");
-    let (first, middle) = middle.split_first().expect("at least two round keys");
+    let (first, middle, last) = (&keys[0], &keys[1..rounds], &keys[rounds]);
     let col = |s: &[u32; 4], c: usize, row: usize| {
         (s[(c + row * STEP) % 4] >> (24 - 8 * row)) as u8 as usize
     };
-    let mut s: [u32; 4] = std::array::from_fn(|c| {
-        u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes")) ^ first[c]
-    });
+    let (words, _) = block.as_chunks::<4>();
+    let mut s: [u32; 4] = std::array::from_fn(|c| u32::from_be_bytes(words[c]) ^ first[c]);
     for k in middle {
         s = std::array::from_fn(|c| {
             t[0][col(&s, c, 0)]
@@ -220,8 +219,8 @@ impl Aes {
         let nk = size.key_words();
         let rounds = size.rounds();
         let mut w = [0u32; 60];
-        for (i, word) in key.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+        for (w, word) in w.iter_mut().zip(key.as_chunks::<4>().0) {
+            *w = u32::from_be_bytes(*word);
         }
         let mut rcon = 1u8;
         for i in nk..4 * (rounds + 1) {
@@ -263,14 +262,14 @@ impl Aes {
     #[must_use]
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let t = tables();
-        cipher::<1>(&self.enc[..=self.size.rounds()], &t.te, &t.sbox, block)
+        cipher::<1>(&self.enc, self.size.rounds(), &t.te, &t.sbox, block)
     }
 
     /// Decrypts a single 16-byte block.
     #[must_use]
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let t = tables();
-        cipher::<3>(&self.dec[..=self.size.rounds()], &t.td, &t.inv_sbox, block)
+        cipher::<3>(&self.dec, self.size.rounds(), &t.td, &t.inv_sbox, block)
     }
 }
 

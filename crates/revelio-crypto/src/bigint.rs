@@ -1,9 +1,9 @@
 //! A small arbitrary-precision unsigned integer.
 //!
-//! Used for two jobs where fixed-width arithmetic is awkward: deriving the
-//! SHA-2 round constants from the fractional parts of prime roots, and as
-//! the test oracle that the fixed-limb Curve25519 field and scalar kernels
-//! are checked against. No runtime hot path uses it.
+//! The test oracle where fixed-width arithmetic is awkward: it recomputes
+//! the SHA-2 constant tables from the fractional parts of prime roots, and
+//! the fixed-limb Curve25519 field and scalar kernels are checked against
+//! it. It is compiled for tests only.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -28,12 +28,12 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
-    for (s, k) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
-        *s = u32::from_le_bytes(k.try_into().expect("4 bytes"));
+    for (s, k) in state[4..12].iter_mut().zip(key.as_chunks::<4>().0) {
+        *s = u32::from_le_bytes(*k);
     }
     state[12] = counter;
-    for (s, n) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
-        *s = u32::from_le_bytes(n.try_into().expect("4 bytes"));
+    for (s, n) in state[13..].iter_mut().zip(nonce.as_chunks::<4>().0) {
+        *s = u32::from_le_bytes(*n);
     }
     state
 }
@@ -99,9 +99,13 @@ pub fn xor_stream(
     let mut state = initial_state(key, initial_counter, nonce);
     let mut blocks = data.chunks_exact_mut(64);
     for chunk in &mut blocks {
-        for (word, k) in chunk.chunks_exact_mut(4).zip(keystream(&state)) {
-            let w = u32::from_le_bytes((&*word).try_into().expect("4 bytes")) ^ k;
-            word.copy_from_slice(&w.to_le_bytes());
+        for (word, k) in chunk
+            .as_chunks_mut::<4>()
+            .0
+            .iter_mut()
+            .zip(keystream(&state))
+        {
+            *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
         }
         state[12] = state[12].wrapping_add(1);
     }

@@ -5,10 +5,32 @@
 //! signatures over certificate chains, and the per-VM identity keys. The
 //! substitution is documented in `DESIGN.md`; what matters to Revelio is
 //! *what is signed and who holds the key*, not the curve.
+//!
+//! # Kernels
+//!
+//! Points leave every public function in extended coordinates
+//! `(X : Y : Z : T)`; inside, the kernels carry each value in the
+//! cheapest form its next use allows:
+//!
+//! * An addition or doubling stops at a completed point. It is finished
+//!   to extended coordinates (four multiplications) only when an addition
+//!   comes next, and otherwise to `(X : Y : Z)` (three), which a doubling
+//!   needs no `T` for.
+//! * Addends are cached with `Y+X`, `Y−X` and `2d·T` precomputed (Niels
+//!   form), so the curve constant is paid once per table entry, not once
+//!   per addition. Straus tables hold projective Niels points
+//!   `(Y+X, Y−X, Z, 2d·T)`; the fixed-base table holds affine Niels
+//!   points `(y+x, y−x, 2d·xy)`, normalised to `Z = 1` by one batched
+//!   inversion when the table is built.
+//! * `[s]B` (signing, key generation) walks that table with 64
+//!   branch-free selects over all 8 entries of a row and 64 additions of
+//!   seven multiplications each. Verification and batch verification run
+//!   Straus over w=5 NAF digits: one shared doubling chain and one
+//!   eight-multiplication addition per nonzero digit.
 
 use std::sync::OnceLock;
 
-use crate::field25519::{edwards_d, limbs_to_bytes, sqrt_ratio, FieldElement};
+use crate::field25519::{batch_invert, edwards_d, limbs_to_bytes, sqrt_ratio, FieldElement};
 use crate::metrics;
 use crate::sha2::Sha512;
 use crate::CryptoError;
@@ -239,15 +261,6 @@ impl Scalar {
         Scalar::from_limbs(Scalar52::montgomery_mul(&ab_over_r, &Scalar52::RR))
     }
 
-    /// The bits of the scalar, most significant first, from the highest
-    /// set bit down (empty for zero).
-    fn bits_msb_first(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..256)
-            .rev()
-            .map(|i| (self.0[i / 8] >> (i % 8)) & 1 == 1)
-            .skip_while(|&bit| !bit)
-    }
-
     /// Signed radix-16 recoding: 64 digits in `[-8, 8)` such that
     /// `self = Σ digits[i]·16^i`. Valid for any scalar `< 2^253` (every
     /// reduced scalar), where the final carry is absorbed by the top
@@ -314,7 +327,12 @@ impl Scalar {
     }
 }
 
-/// A point on the twisted Edwards curve in extended coordinates.
+/// A point on the twisted Edwards curve in extended coordinates
+/// `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z` and `T = XY/Z`.
+///
+/// Every point a public function returns carries a valid `T`; the
+/// kernels inside this module move through the cheaper forms below and
+/// compute `T` only where an addition needs it.
 #[derive(Clone, Copy)]
 pub struct EdwardsPoint {
     x: FieldElement,
@@ -322,6 +340,83 @@ pub struct EdwardsPoint {
     z: FieldElement,
     t: FieldElement,
 }
+
+/// `(X : Y : Z)` without `T`: the input a doubling needs, and the form a
+/// result takes when a doubling comes next.
+#[derive(Clone, Copy)]
+struct ProjectivePoint {
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
+}
+
+/// What an addition or doubling leaves before its last four
+/// multiplications: the point `(E·F : G·H : F·G : E·H)`. Finishing to
+/// [`ProjectivePoint`] costs three of them, to [`EdwardsPoint`] four.
+#[derive(Clone, Copy)]
+struct CompletedPoint {
+    e: FieldElement,
+    f: FieldElement,
+    g: FieldElement,
+    h: FieldElement,
+}
+
+/// An addend cached in projective Niels form `(Y+X, Y−X, Z, 2d·T)`: the
+/// sums and the curve constant an addition would otherwise recompute on
+/// every use. The Straus tables hold these.
+#[derive(Clone, Copy)]
+struct ProjectiveNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    z: FieldElement,
+    t2d: FieldElement,
+}
+
+/// An addend in affine Niels form `(y+x, y−x, 2d·xy)`, `Z = 1`: the
+/// fixed-base table holds these, one multiplication cheaper to add than
+/// the projective form.
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+/// `2d`, the unified addition formula's only curve constant, which the
+/// Niels forms fold into `T`.
+const EDWARDS_D2: FieldElement = FieldElement([
+    0x6_9b94_26b2_f159,
+    0x3_5050_762a_dd7a,
+    0x3_cf44_c003_8052,
+    0x6_738c_c740_7977,
+    0x2_406d_9dc5_6dff,
+]);
+
+/// The standard base point B: `y = 4/5` and even `x` (RFC 8032 §5.1).
+const BASEPOINT: EdwardsPoint = EdwardsPoint {
+    x: FieldElement([
+        0x6_2d60_8f25_d51a,
+        0x4_12a4_b4f6_592a,
+        0x7_5b71_71a4_b31d,
+        0x1_ff60_5271_18fe,
+        0x2_1693_6d3c_d6e5,
+    ]),
+    y: FieldElement([
+        0x6_6666_6666_6658,
+        0x4_cccc_cccc_cccc,
+        0x1_9999_9999_9999,
+        0x3_3333_3333_3333,
+        0x6_6666_6666_6666,
+    ]),
+    z: FieldElement([1, 0, 0, 0, 0]),
+    t: FieldElement([
+        0x6_8ab3_a5b7_dda3,
+        0x0_0eea_2a5e_adbb,
+        0x2_af8d_f483_c27e,
+        0x3_32b3_7527_4732,
+        0x6_7875_f0fd_78b7,
+    ]),
+};
 
 impl std::fmt::Debug for EdwardsPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -338,6 +433,85 @@ impl PartialEq for EdwardsPoint {
 
 impl Eq for EdwardsPoint {}
 
+impl ProjectivePoint {
+    const IDENTITY: ProjectivePoint = ProjectivePoint {
+        x: FieldElement([0; 5]),
+        y: FieldElement([1, 0, 0, 0, 0]),
+        z: FieldElement([1, 0, 0, 0, 0]),
+    };
+
+    /// Point doubling (a = −1): 4 squarings, no multiplication and no
+    /// curve constant; `T` is neither read nor produced.
+    fn double(&self) -> CompletedPoint {
+        let a = self.x.square();
+        let b = self.y.square();
+        let c = self.z.square();
+        let c = c.add(&c);
+        let h = a.add(&b);
+        let e = h.sub(&self.x.add(&self.y).square());
+        let g = a.sub(&b);
+        let f = c.add(&g);
+        CompletedPoint { e, f, g, h }
+    }
+
+    /// `(XZ : YZ : Z² : XY)`.
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(&self.z),
+            y: self.y.mul(&self.z),
+            z: self.z.square(),
+            t: self.x.mul(&self.y),
+        }
+    }
+}
+
+impl CompletedPoint {
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+        }
+    }
+
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
+}
+
+impl ProjectiveNiels {
+    /// The negated addend: `x ↦ −x` swaps `Y+X` with `Y−X` and negates `T`.
+    fn neg(&self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl AffineNiels {
+    const IDENTITY: AffineNiels = AffineNiels {
+        y_plus_x: FieldElement([1, 0, 0, 0, 0]),
+        y_minus_x: FieldElement([1, 0, 0, 0, 0]),
+        xy2d: FieldElement([0; 5]),
+    };
+
+    /// Branch-free conditional assignment: `self = other` when `mask` is
+    /// all-ones, unchanged when `mask` is zero.
+    fn cmov(&mut self, other: &AffineNiels, mask: u64) {
+        fe_cmov(&mut self.y_plus_x, &other.y_plus_x, mask);
+        fe_cmov(&mut self.y_minus_x, &other.y_minus_x, mask);
+        fe_cmov(&mut self.xy2d, &other.xy2d, mask);
+    }
+}
+
 impl EdwardsPoint {
     /// The neutral element.
     #[must_use]
@@ -353,71 +527,72 @@ impl EdwardsPoint {
     /// The standard base point B (y = 4/5, x positive-even per RFC 8032).
     #[must_use]
     pub fn basepoint() -> Self {
-        static B: OnceLock<EdwardsPoint> = OnceLock::new();
-        *B.get_or_init(|| {
-            let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());
-            let mut encoded = y.to_bytes();
-            encoded[31] &= 0x7f; // sign bit 0
-            EdwardsPoint::decompress(&encoded).expect("basepoint decompresses")
-        })
+        BASEPOINT
     }
 
-    /// Unified point addition (extended coordinates, a = -1).
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    fn to_projective_niels(self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z: self.z,
+            t2d: self.t.mul(&EDWARDS_D2),
+        }
+    }
+
+    /// Unified addition of a cached addend (extended coordinates,
+    /// a = −1): four multiplications up to the completed point.
+    fn add_niels(&self, other: &ProjectiveNiels) -> CompletedPoint {
+        let a = self.y.sub(&self.x).mul(&other.y_minus_x);
+        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let c = self.t.mul(&other.t2d);
+        let zz = self.z.mul(&other.z);
+        let d = zz.add(&zz);
+        CompletedPoint {
+            e: b.sub(&a),
+            f: d.sub(&c),
+            g: d.add(&c),
+            h: b.add(&a),
+        }
+    }
+
+    /// [`EdwardsPoint::add_niels`] for an affine addend (`Z = 1`): three
+    /// multiplications.
+    fn add_affine_niels(&self, other: &AffineNiels) -> CompletedPoint {
+        let a = self.y.sub(&self.x).mul(&other.y_minus_x);
+        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let c = self.t.mul(&other.xy2d);
+        let d = self.z.add(&self.z);
+        CompletedPoint {
+            e: b.sub(&a),
+            f: d.sub(&c),
+            g: d.add(&c),
+            h: b.add(&a),
+        }
+    }
+
+    /// Unified point addition (extended coordinates, a = −1).
     #[must_use]
     pub fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
-        let two_d = *two_d();
-        let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(&two_d).mul(&other.t);
-        let d = self.z.add(&self.z).mul(&other.z);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        self.add_niels(&other.to_projective_niels()).to_extended()
     }
 
     /// Point doubling (extended coordinates, a = −1): 4 squarings and 4
     /// multiplications, and no curve constant.
     #[must_use]
     pub fn double(&self) -> EdwardsPoint {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square();
-        let c = c.add(&c);
-        let h = a.add(&b);
-        let e = h.sub(&self.x.add(&self.y).square());
-        let g = a.sub(&b);
-        let f = c.add(&g);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
-    }
-
-    /// Scalar multiplication (double-and-add, MSB first).
-    #[must_use]
-    pub fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint {
-        metrics::record_scalar_mul(1);
-        let mut acc = EdwardsPoint::identity();
-        for bit in scalar.bits_msb_first() {
-            acc = acc.double();
-            if bit {
-                acc = acc.add(self);
-            }
-        }
-        acc
+        self.to_projective().double().to_extended()
     }
 
     /// `[scalar]B` through the precomputed fixed-base window table: 64
-    /// constant-time table lookups and 64 unified additions, no doublings.
+    /// constant-time table lookups and 64 affine additions, no doublings.
     /// This is the signing/keygen kernel — the table select and the
     /// conditional negation are branch-free over the secret digits.
     #[must_use]
@@ -427,7 +602,9 @@ impl EdwardsPoint {
         let table = fixed_base_table();
         let mut acc = EdwardsPoint::identity();
         for (row, &digit) in table.iter().zip(digits.iter()) {
-            acc = acc.add(&select_signed(row, digit));
+            acc = acc
+                .add_affine_niels(&select_signed(row, digit))
+                .to_extended();
         }
         acc
     }
@@ -442,15 +619,6 @@ impl EdwardsPoint {
             z: self.z,
             t: self.t.neg(),
         }
-    }
-
-    /// Branch-free conditional assignment: `self = other` when `mask` is
-    /// all-ones, unchanged when `mask` is zero.
-    fn cmov(&mut self, other: &EdwardsPoint, mask: u64) {
-        fe_cmov(&mut self.x, &other.x, mask);
-        fe_cmov(&mut self.y, &other.y, mask);
-        fe_cmov(&mut self.z, &other.z, mask);
-        fe_cmov(&mut self.t, &other.t, mask);
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding (y with x's sign bit).
@@ -527,12 +695,6 @@ impl EdwardsPoint {
     }
 }
 
-/// `2d`, cached — the unified addition formula's only curve constant.
-fn two_d() -> &'static FieldElement {
-    static TWO_D: OnceLock<FieldElement> = OnceLock::new();
-    TWO_D.get_or_init(|| edwards_d().add(&edwards_d()))
-}
-
 /// Limb-wise conditional move over the 5×51-bit representation.
 fn fe_cmov(a: &mut FieldElement, b: &FieldElement, mask: u64) {
     for (x, y) in a.0.iter_mut().zip(b.0.iter()) {
@@ -542,78 +704,111 @@ fn fe_cmov(a: &mut FieldElement, b: &FieldElement, mask: u64) {
 
 /// Constant-time select of `digit · 16^i·B` from a table row holding
 /// `[1·16^i·B, …, 8·16^i·B]`: every row entry is scanned, the match is
-/// masked in, and negative digits are folded by a branch-free negation.
-fn select_signed(row: &[EdwardsPoint; 8], digit: i8) -> EdwardsPoint {
+/// masked in, and negative digits are folded by a branch-free negation
+/// (swap `y+x` with `y−x`, negate `2d·xy`).
+fn select_signed(row: &[AffineNiels; 8], digit: i8) -> AffineNiels {
     let magnitude = u64::from(digit.unsigned_abs());
-    let mut out = EdwardsPoint::identity();
+    let mut out = AffineNiels::IDENTITY;
     for (j, entry) in row.iter().enumerate() {
         // All-ones when magnitude == j + 1, zero otherwise.
         let diff = magnitude ^ (j as u64 + 1);
         let mask = (diff.wrapping_sub(1) & !diff) >> 63;
         out.cmov(entry, mask.wrapping_neg());
     }
-    let negated = out.neg();
+    let negated = AffineNiels {
+        y_plus_x: out.y_minus_x,
+        y_minus_x: out.y_plus_x,
+        xy2d: out.xy2d.neg(),
+    };
     let negative_mask = ((digit as i64) >> 63) as u64;
     out.cmov(&negated, negative_mask);
     out
 }
 
 /// The fixed-base window table: `table[i][j] = (j+1)·16^i·B` for
-/// `i < 64`, `j < 8`. Built once (448 additions + 256 doublings) behind a
-/// `OnceLock`; afterwards every `[s]B` costs 64 additions and zero
-/// doublings.
-fn fixed_base_table() -> &'static Vec<[EdwardsPoint; 8]> {
-    static TABLE: OnceLock<Vec<[EdwardsPoint; 8]>> = OnceLock::new();
+/// `i < 64`, `j < 8`, in affine Niels form. Built once behind a
+/// `OnceLock` (448 additions, 64 doublings, then one batched inversion
+/// takes all 512 points to `Z = 1`); afterwards every `[s]B` costs 64
+/// affine additions and zero doublings.
+fn fixed_base_table() -> &'static [[AffineNiels; 8]] {
+    static TABLE: OnceLock<Vec<[AffineNiels; 8]>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(64);
+        let mut points = Vec::with_capacity(64 * 8);
         let mut base = EdwardsPoint::basepoint();
         for _ in 0..64 {
-            let mut row = [base; 8];
-            for j in 1..8 {
-                row[j] = row[j - 1].add(&base);
+            let mut multiple = base;
+            points.push(multiple);
+            for _ in 1..8 {
+                multiple = multiple.add(&base);
+                points.push(multiple);
             }
-            table.push(row);
             // Next position: 16^(i+1)·B = 2 · (8·16^i·B).
-            base = row[7].double();
+            base = multiple.double();
         }
-        table
+        let mut zinv: Vec<FieldElement> = points.iter().map(|p| p.z).collect();
+        batch_invert(&mut zinv);
+        let affine: Vec<AffineNiels> = points
+            .iter()
+            .zip(&zinv)
+            .map(|(p, zinv)| {
+                let x = p.x.mul(zinv);
+                let y = p.y.mul(zinv);
+                AffineNiels {
+                    y_plus_x: y.add(&x),
+                    y_minus_x: y.sub(&x),
+                    xy2d: x.mul(&y).mul(&EDWARDS_D2),
+                }
+            })
+            .collect();
+        let (rows, _) = affine.as_chunks::<8>();
+        rows.to_vec()
     })
 }
 
-/// Odd multiples `[P, 3P, 5P, …, 15P]` for one w=5 NAF operand.
-fn odd_multiples(p: &EdwardsPoint) -> [EdwardsPoint; 8] {
-    let p2 = p.double();
-    let mut m = [*p; 8];
-    for j in 1..8 {
-        m[j] = m[j - 1].add(&p2);
-    }
-    m
+/// Odd multiples `[P, 3P, 5P, …, 15P]` for one w=5 NAF operand, cached in
+/// projective Niels form.
+fn odd_multiples(p: &EdwardsPoint) -> [ProjectiveNiels; 8] {
+    let p2 = p.double().to_projective_niels();
+    let mut multiple = *p;
+    std::array::from_fn(|_| {
+        let niels = multiple.to_projective_niels();
+        multiple = multiple.add_niels(&p2).to_extended();
+        niels
+    })
 }
 
 /// Cached odd multiples of the basepoint for the Straus verify kernel.
-fn basepoint_odd_multiples() -> &'static [EdwardsPoint; 8] {
-    static MULTIPLES: OnceLock<[EdwardsPoint; 8]> = OnceLock::new();
+fn basepoint_odd_multiples() -> &'static [ProjectiveNiels; 8] {
+    static MULTIPLES: OnceLock<[ProjectiveNiels; 8]> = OnceLock::new();
     MULTIPLES.get_or_init(|| odd_multiples(&EdwardsPoint::basepoint()))
 }
 
 /// Variable-time Straus interleaving over w=5 NAF digits: `Σ [dᵢ]Pᵢ` for
 /// `(digits, odd multiples of Pᵢ)` pairs. One shared doubling chain, one
-/// addition per nonzero digit. Verification-only — every scalar is public
-/// there.
-fn straus_vartime(terms: &[(Vec<i8>, &[EdwardsPoint; 8])]) -> EdwardsPoint {
+/// addition per nonzero digit. A step finishes its doubling to
+/// extended coordinates only when an addition follows, and otherwise
+/// skips `T`. Verification-only — every scalar is public there.
+fn straus_vartime(terms: &[(Vec<i8>, &[ProjectiveNiels; 8])]) -> EdwardsPoint {
     let len = terms.iter().map(|(naf, _)| naf.len()).max().unwrap_or(0);
-    let mut acc = EdwardsPoint::identity();
+    let mut acc = ProjectivePoint::IDENTITY;
     for i in (0..len).rev() {
-        acc = acc.double();
+        let mut step = acc.double();
         for (naf, table) in terms {
             match naf.get(i) {
-                Some(&d) if d > 0 => acc = acc.add(&table[(d as usize - 1) / 2]),
-                Some(&d) if d < 0 => acc = acc.add(&table[((-d) as usize - 1) / 2].neg()),
+                Some(&d) if d > 0 => {
+                    step = step.to_extended().add_niels(&table[(d as usize - 1) / 2]);
+                }
+                Some(&d) if d < 0 => {
+                    step = step
+                        .to_extended()
+                        .add_niels(&table[((-d) as usize - 1) / 2].neg());
+                }
                 _ => {}
             }
         }
+        acc = step.to_projective();
     }
-    acc
+    acc.to_extended()
 }
 
 /// Variable-time `[a]B + [b]P` over the cached basepoint table: the
@@ -705,20 +900,21 @@ impl VerifyingKey {
     /// Returns [`CryptoError::InvalidSignature`] on any verification
     /// failure, including non-canonical `S` and invalid `R` encodings.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
-        let a = EdwardsPoint::decompress(&self.bytes).map_err(|_| CryptoError::InvalidSignature)?;
-        verify_prehashed(&self.bytes, &a, message, signature)
+        self.expand().verify(message, signature)
     }
 
     /// Decompresses the key once for reuse across many verifications.
     ///
     /// Construction sites guarantee the bytes decompress (the public
     /// constructor validates, internal construction compresses a real
-    /// point), so expansion cannot fail.
+    /// point). Were they not to, the expansion would hold no point and
+    /// reject every signature, as [`VerifyingKey::verify`] does for a key
+    /// that fails to decompress.
     #[must_use]
     pub fn expand(&self) -> ExpandedVerifyingKey {
         ExpandedVerifyingKey {
             compressed: *self,
-            point: EdwardsPoint::decompress(&self.bytes).expect("verifying key decompresses"),
+            point: EdwardsPoint::decompress(&self.bytes).ok(),
         }
     }
 }
@@ -732,7 +928,7 @@ impl VerifyingKey {
 #[derive(Clone, Copy)]
 pub struct ExpandedVerifyingKey {
     compressed: VerifyingKey,
-    point: EdwardsPoint,
+    point: Option<EdwardsPoint>,
 }
 
 impl std::fmt::Debug for ExpandedVerifyingKey {
@@ -759,7 +955,8 @@ impl ExpandedVerifyingKey {
     /// Returns [`CryptoError::InvalidSignature`] on any verification
     /// failure, exactly as [`VerifyingKey::verify`] does.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
-        verify_prehashed(&self.compressed.bytes, &self.point, message, signature)
+        let a = self.point.ok_or(CryptoError::InvalidSignature)?;
+        verify_prehashed(&self.compressed.bytes, &a, message, signature)
     }
 }
 
@@ -774,6 +971,7 @@ fn verify_prehashed(
     message: &[u8],
     signature: &Signature,
 ) -> Result<(), CryptoError> {
+    metrics::record_single_verification();
     let (r_bytes, s_bytes) = halves(&signature.bytes);
     let s = Scalar::from_canonical_bytes(&s_bytes).map_err(|_| CryptoError::InvalidSignature)?;
     let r = EdwardsPoint::decompress(&r_bytes).map_err(|_| CryptoError::InvalidSignature)?;
@@ -816,8 +1014,8 @@ pub struct BatchItem<'a> {
 #[must_use]
 pub fn multiscalar_mul(pairs: &[(Scalar, EdwardsPoint)]) -> EdwardsPoint {
     metrics::record_scalar_mul(pairs.len() as u64);
-    let tables: Vec<[EdwardsPoint; 8]> = pairs.iter().map(|(_, p)| odd_multiples(p)).collect();
-    let terms: Vec<(Vec<i8>, &[EdwardsPoint; 8])> = pairs
+    let tables: Vec<[ProjectiveNiels; 8]> = pairs.iter().map(|(_, p)| odd_multiples(p)).collect();
+    let terms: Vec<(Vec<i8>, &[ProjectiveNiels; 8])> = pairs
         .iter()
         .zip(&tables)
         .map(|((z, _), table)| (z.wnaf5(), table))
@@ -870,6 +1068,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
     if items.is_empty() {
         return Ok(());
     }
+    metrics::record_batch_verification();
     let mut sum_zs = Scalar::ZERO;
     let mut pairs: Vec<(Scalar, EdwardsPoint)> = Vec::with_capacity(2 * items.len());
     for (i, item) in items.iter().enumerate() {
@@ -877,7 +1076,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
         let s =
             Scalar::from_canonical_bytes(&s_bytes).map_err(|_| CryptoError::InvalidSignature)?;
         let r = EdwardsPoint::decompress(&r_bytes).map_err(|_| CryptoError::InvalidSignature)?;
-        let a = item.key.point;
+        let a = item.key.point.ok_or(CryptoError::InvalidSignature)?;
         let key_bytes = item.key.compressed.bytes;
         let k = Scalar::from_bytes_wide(&Sha512::digest(
             [&r_bytes[..], &key_bytes[..], item.message].concat(),
@@ -986,6 +1185,107 @@ mod tests {
         BigUint::one().shl(252).add(&tail)
     }
 
+    /// The bits of the scalar, most significant first, from the highest
+    /// set bit down (empty for zero).
+    fn bits_msb_first(s: &Scalar) -> impl Iterator<Item = bool> + '_ {
+        (0..256)
+            .rev()
+            .map(|i| (s.0[i / 8] >> (i % 8)) & 1 == 1)
+            .skip_while(|&bit| !bit)
+    }
+
+    /// The reference formulas the kernels are checked against: extended
+    /// coordinates throughout, `2d·T` recomputed on every addition and
+    /// `T` on every doubling.
+    impl EdwardsPoint {
+        fn add_reference(&self, other: &EdwardsPoint) -> EdwardsPoint {
+            let two_d = edwards_d().add(&edwards_d());
+            let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
+            let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
+            let c = self.t.mul(&two_d).mul(&other.t);
+            let d = self.z.add(&self.z).mul(&other.z);
+            let e = b.sub(&a);
+            let f = d.sub(&c);
+            let g = d.add(&c);
+            let h = b.add(&a);
+            EdwardsPoint {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                t: e.mul(&h),
+                z: f.mul(&g),
+            }
+        }
+
+        fn double_reference(&self) -> EdwardsPoint {
+            let a = self.x.square();
+            let b = self.y.square();
+            let c = self.z.square();
+            let c = c.add(&c);
+            let h = a.add(&b);
+            let e = h.sub(&self.x.add(&self.y).square());
+            let g = a.sub(&b);
+            let f = c.add(&g);
+            EdwardsPoint {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                t: e.mul(&h),
+                z: f.mul(&g),
+            }
+        }
+
+        /// Double-and-add, MSB first, over the reference formulas.
+        fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint {
+            let mut acc = EdwardsPoint::identity();
+            for bit in bits_msb_first(scalar) {
+                acc = acc.double_reference();
+                if bit {
+                    acc = acc.add_reference(self);
+                }
+            }
+            acc
+        }
+
+        /// `T·Z == X·Y`: the extended coordinates describe one point.
+        fn has_valid_t(&self) -> bool {
+            self.t.mul(&self.z) == self.x.mul(&self.y)
+        }
+    }
+
+    /// Straus over extended-coordinate odd multiples, computing `T` after
+    /// every doubling: the reference for [`straus_vartime`].
+    fn straus_reference(terms: &[(Vec<i8>, [EdwardsPoint; 8])]) -> EdwardsPoint {
+        let len = terms.iter().map(|(naf, _)| naf.len()).max().unwrap_or(0);
+        let mut acc = EdwardsPoint::identity();
+        for i in (0..len).rev() {
+            acc = acc.double_reference();
+            for (naf, table) in terms {
+                match naf.get(i) {
+                    Some(&d) if d > 0 => acc = acc.add_reference(&table[(d as usize - 1) / 2]),
+                    Some(&d) if d < 0 => {
+                        acc = acc.add_reference(&table[((-d) as usize - 1) / 2].neg());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        acc
+    }
+
+    fn odd_multiples_reference(p: &EdwardsPoint) -> [EdwardsPoint; 8] {
+        let p2 = p.double_reference();
+        let mut m = [*p; 8];
+        for j in 1..8 {
+            m[j] = m[j - 1].add_reference(&p2);
+        }
+        m
+    }
+
+    /// A point `[s]B` whose `Z` is not 1, so the projective formulas are
+    /// exercised with a real denominator.
+    fn point(seed: &[u8; 32]) -> EdwardsPoint {
+        EdwardsPoint::basepoint().scalar_mul(&Scalar::from_bytes_reduced(seed))
+    }
+
     fn scalar_value(s: &Scalar) -> BigUint {
         BigUint::from_bytes_le(&s.to_bytes())
     }
@@ -1045,6 +1345,44 @@ mod tests {
                 Scalar::from_canonical_bytes(&bytes_of(&n)),
                 Err(CryptoError::InvalidScalar)
             );
+        }
+    }
+
+    #[test]
+    fn curve_constants_match_their_definitions() {
+        // y = 4/5 with sign bit 0 (RFC 8032 §5.1).
+        let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());
+        assert_eq!(
+            EdwardsPoint::basepoint(),
+            EdwardsPoint::decompress(&y.to_bytes()).unwrap()
+        );
+        assert_eq!(
+            hex::encode(EdwardsPoint::basepoint().compress()),
+            "5866666666666666666666666666666666666666666666666666666666666666"
+        );
+        assert!(BASEPOINT.has_valid_t());
+        assert_eq!(EDWARDS_D2, edwards_d().add(&edwards_d()));
+    }
+
+    #[test]
+    fn fixed_base_select_covers_every_signed_digit() {
+        let b = EdwardsPoint::basepoint();
+        let row = &fixed_base_table()[0];
+        for digit in -8i8..=8 {
+            let magnitude = Scalar::from_bytes_reduced(&{
+                let mut bytes = [0u8; 32];
+                bytes[0] = digit.unsigned_abs();
+                bytes
+            });
+            let expected = if digit < 0 {
+                b.scalar_mul(&magnitude).neg()
+            } else {
+                b.scalar_mul(&magnitude)
+            };
+            let selected = EdwardsPoint::identity()
+                .add_affine_niels(&select_signed(row, digit))
+                .to_extended();
+            assert_eq!(selected, expected, "digit {digit}");
         }
     }
 
@@ -1505,6 +1843,71 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
+        fn niels_additions_and_t_free_doubling_match_the_reference(a: [u8; 32], b: [u8; 32]) {
+            let (p, q) = (point(&a), point(&b));
+            let expected = p.add_reference(&q);
+            let sum = p.add_niels(&q.to_projective_niels()).to_extended();
+            prop_assert_eq!(sum, expected);
+            prop_assert!(sum.has_valid_t());
+            prop_assert_eq!(
+                p.add_niels(&q.to_projective_niels().neg()).to_extended(),
+                p.add_reference(&q.neg())
+            );
+            // The same addend normalised to Z = 1, as the fixed-base table
+            // holds it.
+            let zinv = q.z.invert();
+            let (x, y) = (q.x.mul(&zinv), q.y.mul(&zinv));
+            let affine = AffineNiels {
+                y_plus_x: y.add(&x),
+                y_minus_x: y.sub(&x),
+                xy2d: x.mul(&y).mul(&EDWARDS_D2),
+            };
+            let affine_sum = p.add_affine_niels(&affine).to_extended();
+            prop_assert_eq!(affine_sum, expected);
+            prop_assert!(affine_sum.has_valid_t());
+            // Doubling reads no T; both finishes describe the same point.
+            let doubled = p.to_projective().double();
+            prop_assert_eq!(doubled.to_extended(), p.double_reference());
+            prop_assert!(doubled.to_extended().has_valid_t());
+            let via_projective = doubled.to_projective().to_extended();
+            prop_assert_eq!(via_projective, p.double_reference());
+            prop_assert!(via_projective.has_valid_t());
+        }
+
+        #[test]
+        fn t_skipping_straus_matches_the_reference(
+            seeds in prop::collection::vec(any::<[u8; 32]>(), 2..9),
+            zero_mask: u8,
+        ) {
+            let pairs: Vec<(Scalar, EdwardsPoint)> = seeds
+                .chunks_exact(2)
+                .enumerate()
+                .map(|(i, s)| {
+                    let z = if zero_mask >> i & 1 == 1 {
+                        Scalar::ZERO
+                    } else {
+                        Scalar::from_bytes_reduced(&s[0])
+                    };
+                    (z, point(&s[1]))
+                })
+                .collect();
+            let tables: Vec<[ProjectiveNiels; 8]> =
+                pairs.iter().map(|(_, p)| odd_multiples(p)).collect();
+            let terms: Vec<(Vec<i8>, &[ProjectiveNiels; 8])> = pairs
+                .iter()
+                .zip(&tables)
+                .map(|((z, _), table)| (z.wnaf5(), table))
+                .collect();
+            let reference: Vec<(Vec<i8>, [EdwardsPoint; 8])> = pairs
+                .iter()
+                .map(|(z, p)| (z.wnaf5(), odd_multiples_reference(p)))
+                .collect();
+            let result = straus_vartime(&terms);
+            prop_assert_eq!(result, straus_reference(&reference));
+            prop_assert!(result.has_valid_t());
+        }
+
+        #[test]
         fn sign_verify_roundtrip(seed: [u8; 32], message: Vec<u8>) {
             let key = SigningKey::from_seed(&seed);
             let sig = key.sign(&message);
@@ -1520,10 +1923,9 @@ mod tests {
         #[test]
         fn fixed_base_matches_reference(bytes: [u8; 32]) {
             let s = Scalar::from_bytes_reduced(&bytes);
-            prop_assert_eq!(
-                EdwardsPoint::mul_base(&s),
-                EdwardsPoint::basepoint().scalar_mul(&s)
-            );
+            let p = EdwardsPoint::mul_base(&s);
+            prop_assert_eq!(p, EdwardsPoint::basepoint().scalar_mul(&s));
+            prop_assert!(p.has_valid_t());
         }
 
         #[test]

@@ -3,11 +3,23 @@
 //! Elements are five 51-bit limbs (`u64` each, products in `u128`). The
 //! field backs both [`crate::ed25519`] (twisted Edwards form) and
 //! [`crate::x25519`] (Montgomery form). Everything runs on the limbs:
-//! multiplication (25 wide products) and a dedicated squaring (15),
-//! inversion and the square-root exponent through the standard
-//! `2^250 − 1` addition chain (at most 254 squarings and 11
-//! multiplications), and a canonical encoding that subtracts `p` at most
-//! once, so equality and sign tests cost nanoseconds.
+//! multiplication (25 wide products), a dedicated squaring (15) and a
+//! multiplication by a small constant (5), inversion and the square-root
+//! exponent through the standard `2^250 − 1` addition chain (at most 254
+//! squarings and 11 multiplications), one inversion for a whole batch,
+//! and a canonical encoding that subtracts `p` at most once, so equality
+//! and sign tests cost nanoseconds.
+//!
+//! # Limb bounds
+//!
+//! Every operation but [`FieldElement::add`] returns limbs below 2^52:
+//! the products and [`FieldElement::sub`] end in a carry pass. `add` does
+//! not carry, so a sum of two such elements has limbs below 2^53, and a
+//! sum of that with one more below 2^54. `mul`, `square` and `mul_small`
+//! accept limbs below 2^54, and `sub` a right-hand side up to 2^55 − 304;
+//! the curve formulas stay inside these bounds (at most one sum of
+//! a sum feeds a product), and the argument for each bound sits on the
+//! operation.
 
 use std::sync::OnceLock;
 
@@ -127,33 +139,32 @@ impl FieldElement {
         self
     }
 
-    /// Field addition.
+    /// Field addition, limb by limb with no carry pass: inputs below
+    /// 2^k give limbs below 2^(k+1). Callers keep the sum within the
+    /// bounds of whatever consumes it (see the module docs); the carry
+    /// happens in the product or difference that does.
     #[must_use]
     pub fn add(&self, rhs: &FieldElement) -> FieldElement {
-        let mut out = [0u64; 5];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&rhs.0)) {
-            *o = a + b;
-        }
-        FieldElement(out).weak_reduce()
+        FieldElement(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
 
-    /// Field subtraction.
+    /// Field subtraction: `self + 16p − rhs`, then one carry pass.
+    ///
+    /// The 16p bias (limbs 2^55 − 304 and 2^55 − 16) covers any `rhs`
+    /// with limbs up to 2^55 − 304 without underflow, which includes a sum
+    /// of sums (below 2^54); `self` below 2^54 keeps `self + 16p` under
+    /// 2^56. The carry pass then
+    /// brings every limb under 2^51, plus at most 19·2^5 on the lowest.
     #[must_use]
     pub fn sub(&self, rhs: &FieldElement) -> FieldElement {
-        // Add 4p before subtracting so limbs never underflow even with
-        // loosely-reduced (< 2^52) inputs.
-        const FOUR_P: [u64; 5] = [
-            0x1f_ffff_ffff_ffb4, // 4*(2^51 - 19)
-            0x1f_ffff_ffff_fffc, // 4*(2^51 - 1)
-            0x1f_ffff_ffff_fffc,
-            0x1f_ffff_ffff_fffc,
-            0x1f_ffff_ffff_fffc,
+        const SIXTEEN_P: [u64; 5] = [
+            0x7f_ffff_ffff_fed0, // 16*(2^51 - 19)
+            0x7f_ffff_ffff_fff0, // 16*(2^51 - 1)
+            0x7f_ffff_ffff_fff0,
+            0x7f_ffff_ffff_fff0,
+            0x7f_ffff_ffff_fff0,
         ];
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + FOUR_P[i] - rhs.0[i];
-        }
-        FieldElement(out).weak_reduce()
+        FieldElement(std::array::from_fn(|i| self.0[i] + SIXTEEN_P[i] - rhs.0[i])).weak_reduce()
     }
 
     /// Field negation.
@@ -162,7 +173,10 @@ impl FieldElement {
         FieldElement::zero().sub(self)
     }
 
-    /// Field multiplication.
+    /// Field multiplication. Inputs below 2^54 keep every `b[i]·19`
+    /// under 2^59 and every column under 2^115; the top column, which has
+    /// no ×19 terms, stays under 5·2^108 < 2^110.4, as
+    /// [`FieldElement::carry_wide`] needs.
     #[must_use]
     pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
         let a = &self.0;
@@ -182,7 +196,10 @@ impl FieldElement {
     }
 
     /// Carries 128-bit limb sums (the product columns) back to five limbs
-    /// under 2^52.
+    /// under 2^52. Needs the top column below 2^110.4 (after the carry in
+    /// from below), so that its carry out, under 2^59.4, folds back into
+    /// the low limb as ×19 below 2^64; the final carry leaves limb 1 below
+    /// 2^51 + 2^13.
     fn carry_wide(c: [u128; 5]) -> FieldElement {
         let [c0, mut c1, mut c2, mut c3, mut c4] = c;
         let mut out = [0u64; 5];
@@ -204,7 +221,7 @@ impl FieldElement {
     }
 
     /// Field squaring: the 10 cross products are computed once and doubled,
-    /// 15 wide products against `mul`'s 25.
+    /// 15 wide products against `mul`'s 25. The bounds are `mul`'s.
     #[must_use]
     pub fn square(&self) -> FieldElement {
         let a = &self.0;
@@ -219,6 +236,15 @@ impl FieldElement {
             m(a[4], a4_19) + m(d0, a[3]) + m(d1, a[2]),
             m(a[2], a[2]) + m(d0, a[4]) + m(d1, a[3]),
         ])
+    }
+
+    /// `self · k` for a small constant: five wide products instead of
+    /// `mul`'s 25. Limbs below 2^54 times `k < 2^32` keep every column
+    /// under 2^86.
+    #[must_use]
+    pub fn mul_small(&self, k: u32) -> FieldElement {
+        let k = u128::from(k);
+        FieldElement::carry_wide(self.0.map(|l| u128::from(l) * k))
     }
 
     /// `self^(2^k)`: `k` successive squarings.
@@ -274,6 +300,25 @@ impl FieldElement {
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.to_bytes() == [0u8; 32]
+    }
+}
+
+/// Inverts every element of `elements` in place with one field inversion
+/// (Montgomery's trick: prefix products, one inversion, then a backward
+/// pass), `3(n − 1)` multiplications in all. Every element must be
+/// nonzero; a zero makes every output zero.
+pub(crate) fn batch_invert(elements: &mut [FieldElement]) {
+    let mut prefix = Vec::with_capacity(elements.len());
+    let mut acc = FieldElement::one();
+    for e in elements.iter() {
+        prefix.push(acc);
+        acc = acc.mul(e);
+    }
+    let mut inv = acc.invert();
+    for (e, before) in elements.iter_mut().zip(prefix).rev() {
+        let next = inv.mul(e);
+        *e = inv.mul(&before);
+        inv = next;
     }
 }
 
@@ -523,6 +568,68 @@ mod tests {
                 FieldElement(limbs).to_bytes(),
                 oracle_bytes(&limbs_value(&limbs))
             );
+        }
+    }
+
+    #[test]
+    fn batch_invert_matches_one_inversion_each() {
+        let values: Vec<FieldElement> = [1u64, 2, 9, 121_666, u64::MAX]
+            .iter()
+            .map(|&v| fe(v).mul(&fe(v ^ 0x5555)))
+            .collect();
+        let mut inverted = values.clone();
+        batch_invert(&mut inverted);
+        for (v, inv) in values.iter().zip(&inverted) {
+            assert_eq!(*inv, v.invert());
+        }
+        let mut empty: [FieldElement; 0] = [];
+        batch_invert(&mut empty);
+    }
+
+    /// Five limbs below `2^bits`: the inputs an operation accepts.
+    fn loose(bits: u32) -> prop::collection::VecStrategy<std::ops::Range<u64>> {
+        prop::collection::vec(0u64..1 << bits, 5)
+    }
+
+    fn limbs(v: &[u64]) -> [u64; 5] {
+        std::array::from_fn(|i| v[i])
+    }
+
+    proptest! {
+        #[test]
+        fn products_match_the_oracle_up_to_their_input_bound(a in loose(54), b in loose(54)) {
+            let (a, b) = (limbs(&a), limbs(&b));
+            let (x, y) = (FieldElement(a), FieldElement(b));
+            let product = limbs_value(&a).mul(&limbs_value(&b));
+            prop_assert_eq!(x.mul(&y).to_bytes(), oracle_bytes(&product));
+            prop_assert_eq!(x.square().to_bytes(), oracle_bytes(&limbs_value(&a).mul(&limbs_value(&a))));
+            prop_assert!(x.mul(&y).0.iter().all(|&l| l < 1 << 52));
+        }
+
+        #[test]
+        fn mul_small_matches_mul(a in loose(54), k: u32) {
+            let x = FieldElement(limbs(&a));
+            let product = x.mul_small(k);
+            prop_assert_eq!(product, x.mul(&FieldElement::from_u64(u64::from(k))));
+            prop_assert!(product.0.iter().all(|&l| l < 1 << 52));
+        }
+
+        #[test]
+        fn carry_free_add_and_biased_sub_match_the_oracle(
+            a in loose(53),
+            b in loose(53),
+            c in loose(54),
+        ) {
+            // A sum of sums (limbs below 2^54) is the largest right-hand
+            // side the curve formulas hand `sub`.
+            let (a, b, c) = (limbs(&a), limbs(&b), limbs(&c));
+            let sum = FieldElement(a).add(&FieldElement(b));
+            let sum_value = limbs_value(&a).add(&limbs_value(&b));
+            prop_assert_eq!(sum.to_bytes(), oracle_bytes(&sum_value));
+            let diff = FieldElement(c).sub(&sum);
+            let biased = limbs_value(&c).add(&prime().shl(4)).sub(&sum_value);
+            prop_assert_eq!(diff.to_bytes(), oracle_bytes(&biased));
+            prop_assert!(diff.0.iter().all(|&l| l < 1 << 52));
         }
     }
 

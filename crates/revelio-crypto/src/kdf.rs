@@ -55,6 +55,24 @@ pub fn hkdf<H: HashFunction>(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -
     hkdf_expand::<H>(&hkdf_extract::<H>(salt, ikm), info, len)
 }
 
+/// Full HKDF into a fixed-size key: [`hkdf`] with `len = N`.
+///
+/// ```
+/// use revelio_crypto::kdf::{hkdf, hkdf_fixed};
+/// use revelio_crypto::sha2::Sha256;
+/// let key: [u8; 32] = hkdf_fixed::<Sha256, 32>(b"salt", b"ikm", b"context");
+/// assert_eq!(key.to_vec(), hkdf::<Sha256>(b"salt", b"ikm", b"context", 32));
+/// ```
+#[must_use]
+pub fn hkdf_fixed<H: HashFunction, const N: usize>(
+    salt: &[u8],
+    ikm: &[u8],
+    info: &[u8],
+) -> [u8; N] {
+    let okm = hkdf::<H>(salt, ikm, info, N);
+    std::array::from_fn(|i| okm[i])
+}
+
 /// PBKDF2 with HMAC as the PRF.
 ///
 /// The paper's `dm-crypt` setup uses `pbkdf2` with 1000 iterations
@@ -64,6 +82,9 @@ pub fn hkdf<H: HashFunction>(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -
 /// HMAC is keyed with `password` once: every PRF call starts from a clone
 /// of that keyed state, with the ipad and opad blocks already absorbed, so
 /// an iteration costs two compressions instead of four.
+///
+/// The output stops at RFC 8018's limit of `2^32 − 1` blocks, far beyond
+/// any key length asked for here.
 ///
 /// # Panics
 ///
@@ -78,8 +99,7 @@ pub fn pbkdf2<H: HashFunction>(
     assert!(iterations > 0, "pbkdf2 requires at least one iteration");
     let prf = Hmac::<H>::new(password);
     let mut out = Vec::with_capacity(len);
-    let mut block_index = 1u32;
-    while out.len() < len {
+    for block_index in (1..=u32::MAX).take(len.div_ceil(H::OUTPUT_LEN)) {
         let mut mac = prf.clone();
         mac.update(salt);
         mac.update(&block_index.to_be_bytes());
@@ -94,9 +114,6 @@ pub fn pbkdf2<H: HashFunction>(
             }
         }
         out.extend_from_slice(&t);
-        block_index = block_index
-            .checked_add(1)
-            .expect("pbkdf2 block counter overflow");
     }
     out.truncate(len);
     out

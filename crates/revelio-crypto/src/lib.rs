@@ -10,9 +10,9 @@
 //!
 //! # What is provided
 //!
-//! * [`sha2`] — SHA-256, SHA-384 and SHA-512 (FIPS 180-4). Round constants
-//!   are *derived* from the fractional parts of cube/square roots of primes
-//!   at first use, removing any chance of a mistyped table.
+//! * [`sha2`] — SHA-256, SHA-384 and SHA-512 (FIPS 180-4). The round
+//!   constants are literal tables, and a unit test recomputes every entry
+//!   from the fractional parts of cube/square roots of primes.
 //! * [`hmac`] — HMAC (RFC 2104) over any provided hash.
 //! * [`kdf`] — HKDF (RFC 5869) and PBKDF2 (RFC 8018).
 //! * [`chacha`] / [`poly1305`] / [`aead`] — ChaCha20, Poly1305 and the
@@ -26,11 +26,11 @@
 //!   Ed25519 signatures (RFC 8032) standing in for the ECDSA-P384 VCEK, and
 //!   X25519 key agreement (RFC 7748) for the TLS handshake. All of it runs
 //!   on fixed limbs: the field on five 51-bit limbs with a dedicated
-//!   squaring, an addition-chain inversion and a carry-trick canonical
-//!   encoding; scalars mod L through a five-limb radix-2^52 Montgomery
-//!   kernel; verification and batch verification as w=5 NAF Straus.
-//! * [`bigint`] — a small arbitrary-precision unsigned integer used for
-//!   constant derivation and as the test oracle.
+//!   squaring, a carry-free addition, an addition-chain inversion and a
+//!   carry-trick canonical encoding; scalars mod L through a five-limb
+//!   radix-2^52 Montgomery kernel; points in the cached (Niels) forms that
+//!   skip work an addition or doubling does not need; verification and
+//!   batch verification as w=5 NAF Straus.
 //! * [`ct`] — constant-time comparison helpers.
 //! * [`hex`] — hexadecimal encoding/decoding for fingerprints and reports.
 //!
@@ -55,9 +55,17 @@
 //! In particular AES indexes its S-box and T-tables by secret bytes, so it
 //! is open to cache-timing attacks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod aead;
 pub mod aes;
-pub mod bigint;
+/// A small arbitrary-precision unsigned integer: the oracle the field,
+/// scalar and SHA-2 constant tests check against.
+#[cfg(test)]
+mod bigint;
 pub mod chacha;
 pub mod ct;
 pub mod ed25519;

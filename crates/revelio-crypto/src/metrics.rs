@@ -8,9 +8,9 @@
 //! (they are evidence, not synchronization), and never reset — callers
 //! take deltas.
 //!
-//! SHA-256 compressions are counted per thread only: SHA-256 runs under
-//! every TLS record and HMAC on all threads, and a shared atomic there
-//! would be a contended cache line.
+//! SHA-256 compressions and signature checks are counted per thread only:
+//! SHA-256 runs under every TLS record and HMAC on all threads, and a
+//! shared atomic there would be a contended cache line.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,10 +22,12 @@ thread_local! {
     static THREAD_SCALAR_MUL_OPS: Cell<u64> = const { Cell::new(0) };
     static THREAD_POINT_DECOMPRESSIONS: Cell<u64> = const { Cell::new(0) };
     static THREAD_SHA256_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_SINGLE_VERIFICATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BATCH_VERIFICATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Charges `n` scalar-multiplication kernel invocations (double-and-add,
-/// fixed-base, Straus double-scalar counts 2, multiscalar counts one per
+/// Charges `n` scalar-multiplication kernel invocations (fixed-base
+/// counts 1, Straus double-scalar counts 2, multiscalar counts one per
 /// pair, the X25519 Montgomery ladder counts 1).
 pub(crate) fn record_scalar_mul(n: u64) {
     SCALAR_MUL_OPS.fetch_add(n, Ordering::Relaxed);
@@ -41,6 +43,17 @@ pub(crate) fn record_decompression() {
 /// Charges `n` SHA-256 block compressions, once per absorbed chunk.
 pub(crate) fn record_sha256_blocks(n: u64) {
     THREAD_SHA256_BLOCKS.with(|c| c.set(c.get() + n));
+}
+
+/// Charges one single-signature verification equation.
+pub(crate) fn record_single_verification() {
+    THREAD_SINGLE_VERIFICATIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// Charges one batch verification equation, however many signatures it
+/// covers.
+pub(crate) fn record_batch_verification() {
+    THREAD_BATCH_VERIFICATIONS.with(|c| c.set(c.get() + 1));
 }
 
 /// Total scalar-multiplication kernel invocations since process start.
@@ -66,6 +79,18 @@ pub fn thread_scalar_mul_ops() -> u64 {
 #[must_use]
 pub fn thread_point_decompressions() -> u64 {
     THREAD_POINT_DECOMPRESSIONS.with(Cell::get)
+}
+
+/// Single-signature verification equations checked by *this thread*.
+#[must_use]
+pub fn thread_single_verifications() -> u64 {
+    THREAD_SINGLE_VERIFICATIONS.with(Cell::get)
+}
+
+/// Batch verification equations checked by *this thread*.
+#[must_use]
+pub fn thread_batch_verifications() -> u64 {
+    THREAD_BATCH_VERIFICATIONS.with(Cell::get)
 }
 
 /// SHA-256 block compressions performed by *this thread*.

@@ -16,8 +16,8 @@ const MASK42: u64 = (1 << 42) - 1;
 /// Splits 16 little-endian bytes into 44/44/42-bit limbs (the top limb
 /// keeps bits 88..128, so it has room for the 2^128 pad bit).
 fn limbs(bytes: &[u8; 16]) -> [u64; 3] {
-    let t0 = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-    let t1 = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let v = u128::from_le_bytes(*bytes);
+    let (t0, t1) = (v as u64, (v >> 64) as u64);
     [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
 }
 
@@ -45,11 +45,11 @@ impl Poly1305 {
     #[must_use]
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         // Clamp r per the RFC.
-        let r = u128::from_le_bytes(key[0..16].try_into().expect("16 bytes"))
-            & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff;
+        let (halves, _) = key.as_chunks::<16>();
+        let r = u128::from_le_bytes(halves[0]) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff;
         Poly1305 {
             r: limbs(&r.to_le_bytes()),
-            s: u128::from_le_bytes(key[16..32].try_into().expect("16 bytes")),
+            s: u128::from_le_bytes(halves[1]),
             acc: [0; 3],
             buffer: [0; 16],
             buffered: 0,
@@ -96,11 +96,10 @@ impl Poly1305 {
             self.process_block(&block, 1 << 40);
         }
         // Process whole blocks directly from the input.
-        let mut blocks = data.chunks_exact(16);
-        for block in &mut blocks {
-            self.process_block(block.try_into().expect("16 bytes"), 1 << 40);
+        let (blocks, tail) = data.as_chunks::<16>();
+        for block in blocks {
+            self.process_block(block, 1 << 40);
         }
-        let tail = blocks.remainder();
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffered = tail.len();
     }

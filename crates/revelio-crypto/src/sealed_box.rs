@@ -7,7 +7,7 @@
 //! bound in its report's `REPORT_DATA` — can open it.
 
 use crate::aead::ChaCha20Poly1305;
-use crate::kdf::hkdf;
+use crate::kdf::hkdf_fixed;
 use crate::sha2::Sha256;
 use crate::{x25519, CryptoError};
 
@@ -38,26 +38,23 @@ pub fn seal(
 /// Returns [`CryptoError::InvalidLength`] for truncated input and
 /// [`CryptoError::AuthenticationFailed`] for a wrong key or tampering.
 pub fn open(recipient_secret: &[u8; 32], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < PUBLIC_KEY_LEN {
+    let Some((eph_public, body)) = sealed.split_first_chunk::<PUBLIC_KEY_LEN>() else {
         return Err(CryptoError::InvalidLength {
             got: sealed.len(),
             expected: PUBLIC_KEY_LEN,
         });
-    }
-    let eph_public: [u8; 32] = sealed[..32].try_into().expect("32 bytes");
+    };
     let recipient_public = x25519::public_key(recipient_secret);
-    let shared = x25519::shared_secret(recipient_secret, &eph_public);
-    let key = box_key(&shared, &eph_public, &recipient_public);
-    ChaCha20Poly1305::new(&key).open(&[0u8; 12], b"sealed-box", &sealed[32..])
+    let shared = x25519::shared_secret(recipient_secret, eph_public);
+    let key = box_key(&shared, eph_public, &recipient_public);
+    ChaCha20Poly1305::new(&key).open(&[0u8; 12], b"sealed-box", body)
 }
 
 fn box_key(shared: &[u8; 32], eph_public: &[u8; 32], recipient_public: &[u8; 32]) -> [u8; 32] {
     let mut salt = Vec::with_capacity(64);
     salt.extend_from_slice(eph_public);
     salt.extend_from_slice(recipient_public);
-    hkdf::<Sha256>(&salt, shared, b"sealed-box/v1", 32)
-        .try_into()
-        .expect("32 bytes")
+    hkdf_fixed::<Sha256, 32>(&salt, shared, b"sealed-box/v1")
 }
 
 #[cfg(test)]

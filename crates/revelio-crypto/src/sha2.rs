@@ -4,16 +4,12 @@
 //! SHA-384 is the digest the AMD secure processor uses for SEV-SNP launch
 //! measurements; SHA-512 backs Ed25519.
 //!
-//! The round constants (`K`) and initial hash values (`H`) are **derived at
-//! first use** from the fractional parts of the cube/square roots of the
-//! first primes, exactly as FIPS 180-4 defines them, using exact integer
-//! arithmetic ([`crate::bigint`]). This removes the possibility of a
-//! mistyped 80-entry constant table; published test vectors below then pin
+//! The round constants (`K`) and initial hash values (`H`) are the literal
+//! FIPS 180-4 tables. A unit test recomputes every entry from the
+//! fractional parts of the cube/square roots of the first primes, exactly
+//! as the standard defines them, in exact integer arithmetic, so a
+//! mistyped entry fails the build's tests; published test vectors then pin
 //! the whole construction.
-
-use std::sync::OnceLock;
-
-use crate::bigint::BigUint;
 
 /// A hash function usable by generic constructions (HMAC, HKDF, PBKDF2).
 ///
@@ -43,105 +39,66 @@ pub trait HashFunction: Clone {
     }
 }
 
-/// Returns the first `n` primes.
-fn primes(n: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(n);
-    let mut candidate = 2u64;
-    while out.len() < n {
-        if out.iter().all(|&p| !candidate.is_multiple_of(p)) {
-            out.push(candidate);
-        }
-        candidate += 1;
-    }
-    out
-}
+/// SHA-256 round constants: the first 32 bits of the fractional parts of
+/// the cube roots of the first 64 primes (FIPS 180-4 §4.2.2).
+const K256: [u32; 64] = [
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+];
 
-/// `floor(p^(1/root) * 2^frac_bits)` via binary search on exact integers.
-fn root_fixed_point(p: u64, root: u32, frac_bits: usize) -> BigUint {
-    let target = BigUint::from_u64(p).shl(frac_bits * root as usize);
-    // Upper bound: p < 2^9 for every prime we use, so p^(1/root) < 2^9.
-    let mut result = BigUint::zero();
-    for bit in (0..frac_bits + 9).rev() {
-        let candidate = result.add(&BigUint::one().shl(bit));
-        let mut power = candidate.clone();
-        for _ in 1..root {
-            power = power.mul(&candidate);
-        }
-        if power <= target {
-            result = candidate;
-        }
-    }
-    result
-}
+/// SHA-256 initial hash value: the first 32 bits of the fractional parts
+/// of the square roots of the first 8 primes (FIPS 180-4 §5.3.3).
+const H256: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
 
-/// First `frac_bits` bits of the fractional part of `p^(1/root)`.
-fn frac_bits_of_root(p: u64, root: u32, frac_bits: usize) -> u64 {
-    let fixed = root_fixed_point(p, root, frac_bits);
-    let int_part = fixed.shr(frac_bits);
-    let frac = fixed.sub(&int_part.shl(frac_bits));
-    let bytes = frac.to_bytes_le_padded(8);
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
+/// SHA-384/512 round constants: the first 64 bits of the fractional parts
+/// of the cube roots of the first 80 primes (FIPS 180-4 §4.2.3).
+#[rustfmt::skip]
+const K512: [u64; 80] = [
+    0x428a2f98d728ae22, 0x7137449123ef65cd, 0xb5c0fbcfec4d3b2f, 0xe9b5dba58189dbbc,
+    0x3956c25bf348b538, 0x59f111f1b605d019, 0x923f82a4af194f9b, 0xab1c5ed5da6d8118,
+    0xd807aa98a3030242, 0x12835b0145706fbe, 0x243185be4ee4b28c, 0x550c7dc3d5ffb4e2,
+    0x72be5d74f27b896f, 0x80deb1fe3b1696b1, 0x9bdc06a725c71235, 0xc19bf174cf692694,
+    0xe49b69c19ef14ad2, 0xefbe4786384f25e3, 0x0fc19dc68b8cd5b5, 0x240ca1cc77ac9c65,
+    0x2de92c6f592b0275, 0x4a7484aa6ea6e483, 0x5cb0a9dcbd41fbd4, 0x76f988da831153b5,
+    0x983e5152ee66dfab, 0xa831c66d2db43210, 0xb00327c898fb213f, 0xbf597fc7beef0ee4,
+    0xc6e00bf33da88fc2, 0xd5a79147930aa725, 0x06ca6351e003826f, 0x142929670a0e6e70,
+    0x27b70a8546d22ffc, 0x2e1b21385c26c926, 0x4d2c6dfc5ac42aed, 0x53380d139d95b3df,
+    0x650a73548baf63de, 0x766a0abb3c77b2a8, 0x81c2c92e47edaee6, 0x92722c851482353b,
+    0xa2bfe8a14cf10364, 0xa81a664bbc423001, 0xc24b8b70d0f89791, 0xc76c51a30654be30,
+    0xd192e819d6ef5218, 0xd69906245565a910, 0xf40e35855771202a, 0x106aa07032bbd1b8,
+    0x19a4c116b8d2d0c8, 0x1e376c085141ab53, 0x2748774cdf8eeb99, 0x34b0bcb5e19b48a8,
+    0x391c0cb3c5c95a63, 0x4ed8aa4ae3418acb, 0x5b9cca4f7763e373, 0x682e6ff3d6b2b8a3,
+    0x748f82ee5defb2fc, 0x78a5636f43172f60, 0x84c87814a1f0ab72, 0x8cc702081a6439ec,
+    0x90befffa23631e28, 0xa4506cebde82bde9, 0xbef9a3f7b2c67915, 0xc67178f2e372532b,
+    0xca273eceea26619c, 0xd186b8c721c0c207, 0xeada7dd6cde0eb1e, 0xf57d4f7fee6ed178,
+    0x06f067aa72176fba, 0x0a637dc5a2c898a6, 0x113f9804bef90dae, 0x1b710b35131c471b,
+    0x28db77f523047d84, 0x32caab7b40c72493, 0x3c9ebe0a15c9bebc, 0x431d67c49c100d4c,
+    0x4cc5d4becb3e42b6, 0x597f299cfc657e2a, 0x5fcb6fab3ad6faec, 0x6c44198c4a475817,
+];
 
-fn k256() -> &'static [u32; 64] {
-    static K: OnceLock<[u32; 64]> = OnceLock::new();
-    K.get_or_init(|| {
-        let ps = primes(64);
-        let mut k = [0u32; 64];
-        for (i, &p) in ps.iter().enumerate() {
-            k[i] = frac_bits_of_root(p, 3, 32) as u32;
-        }
-        k
-    })
-}
+/// SHA-512 initial hash value: the first 64 bits of the fractional parts
+/// of the square roots of the first 8 primes (FIPS 180-4 §5.3.5).
+#[rustfmt::skip]
+const H512: [u64; 8] = [
+    0x6a09e667f3bcc908, 0xbb67ae8584caa73b, 0x3c6ef372fe94f82b, 0xa54ff53a5f1d36f1,
+    0x510e527fade682d1, 0x9b05688c2b3e6c1f, 0x1f83d9abfb41bd6b, 0x5be0cd19137e2179,
+];
 
-fn h256() -> &'static [u32; 8] {
-    static H: OnceLock<[u32; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let ps = primes(8);
-        let mut h = [0u32; 8];
-        for (i, &p) in ps.iter().enumerate() {
-            h[i] = frac_bits_of_root(p, 2, 32) as u32;
-        }
-        h
-    })
-}
-
-fn k512() -> &'static [u64; 80] {
-    static K: OnceLock<[u64; 80]> = OnceLock::new();
-    K.get_or_init(|| {
-        let ps = primes(80);
-        let mut k = [0u64; 80];
-        for (i, &p) in ps.iter().enumerate() {
-            k[i] = frac_bits_of_root(p, 3, 64);
-        }
-        k
-    })
-}
-
-fn h512() -> &'static [u64; 8] {
-    static H: OnceLock<[u64; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let ps = primes(8);
-        let mut h = [0u64; 8];
-        for (i, &p) in ps.iter().enumerate() {
-            h[i] = frac_bits_of_root(p, 2, 64);
-        }
-        h
-    })
-}
-
-fn h384() -> &'static [u64; 8] {
-    static H: OnceLock<[u64; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let ps = primes(16);
-        let mut h = [0u64; 8];
-        for i in 0..8 {
-            h[i] = frac_bits_of_root(ps[i + 8], 2, 64);
-        }
-        h
-    })
-}
+/// SHA-384 initial hash value: the first 64 bits of the fractional parts
+/// of the square roots of the 9th through 16th primes (FIPS 180-4 §5.3.4).
+#[rustfmt::skip]
+const H384: [u64; 8] = [
+    0xcbbb9d5dc1059ed8, 0x629a292a367cd507, 0x9159015a3070dd17, 0x152fecd8f70e5939,
+    0x67332667ffc00b31, 0x8eb44a8768581511, 0xdb0c2e0d64f98fa7, 0x47b5481dbefa4fa4,
+];
 
 /// Feeds `data` to `compress` in `BLOCK`-byte blocks: first completes a
 /// block already started in `buffer[..*buffered]`, then hashes whole
@@ -235,10 +192,9 @@ impl Sha256 {
     }
 
     fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        let k = k256();
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        for (w, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *w = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -255,7 +211,7 @@ impl Sha256 {
             let t1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(K256[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
@@ -283,7 +239,7 @@ impl HashFunction for Sha256 {
 
     fn new() -> Self {
         Sha256 {
-            state: *h256(),
+            state: H256,
             buffer: [0; 64],
             buffered: 0,
             length: 0,
@@ -323,10 +279,9 @@ impl Sha512Core {
     }
 
     fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
-        let k = k512();
         let mut w = [0u64; 80];
-        for i in 0..16 {
-            w[i] = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        for (w, word) in w.iter_mut().zip(block.as_chunks::<8>().0) {
+            *w = u64::from_be_bytes(*word);
         }
         for i in 16..80 {
             let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
@@ -343,7 +298,7 @@ impl Sha512Core {
             let t1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(K512[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
             let maj = (a & b) ^ (a & c) ^ (b & c);
@@ -428,7 +383,7 @@ impl HashFunction for Sha512 {
     const NAME: &'static str = "sha512";
 
     fn new() -> Self {
-        Sha512(Sha512Core::new(*h512()))
+        Sha512(Sha512Core::new(H512))
     }
 
     fn update(&mut self, data: &[u8]) {
@@ -485,7 +440,7 @@ impl HashFunction for Sha384 {
     const NAME: &'static str = "sha384";
 
     fn new() -> Self {
-        Sha384(Sha512Core::new(*h384()))
+        Sha384(Sha512Core::new(H384))
     }
 
     fn update(&mut self, data: &[u8]) {
@@ -500,18 +455,59 @@ impl HashFunction for Sha384 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::BigUint;
     use crate::hex;
     use proptest::prelude::*;
 
+    /// Returns the first `n` primes.
+    fn primes(n: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut candidate = 2u64;
+        while out.len() < n {
+            if out.iter().all(|&p| !candidate.is_multiple_of(p)) {
+                out.push(candidate);
+            }
+            candidate += 1;
+        }
+        out
+    }
+
+    /// The first `frac_bits` bits of the fractional part of `p^(1/root)`:
+    /// `floor(p^(1/root) · 2^frac_bits)` by binary search on exact
+    /// integers, then the integer part dropped.
+    fn frac_bits_of_root(p: u64, root: u32, frac_bits: usize) -> u64 {
+        let target = BigUint::from_u64(p).shl(frac_bits * root as usize);
+        // p < 2^9 for every prime used, so p^(1/root) < 2^9.
+        let mut fixed = BigUint::zero();
+        for bit in (0..frac_bits + 9).rev() {
+            let candidate = fixed.add(&BigUint::one().shl(bit));
+            let mut power = candidate.clone();
+            for _ in 1..root {
+                power = power.mul(&candidate);
+            }
+            if power <= target {
+                fixed = candidate;
+            }
+        }
+        let frac = fixed.sub(&fixed.shr(frac_bits).shl(frac_bits));
+        let bytes: [u8; 8] = frac.to_bytes_le_padded(8).try_into().unwrap();
+        u64::from_le_bytes(bytes)
+    }
+
     #[test]
-    fn derived_constants_match_spec() {
-        // Spot-check the well-known first/last entries of each table.
-        assert_eq!(k256()[0], 0x428a2f98);
-        assert_eq!(k256()[63], 0xc67178f2);
-        assert_eq!(h256()[0], 0x6a09e667);
-        assert_eq!(h256()[7], 0x5be0cd19);
-        assert_eq!(k512()[0], 0x428a2f98d728ae22);
-        assert_eq!(h512()[0], 0x6a09e667f3bcc908);
+    fn constant_tables_match_their_fips_derivation() {
+        let ps = primes(80);
+        for (i, &p) in ps.iter().enumerate() {
+            assert_eq!(K512[i], frac_bits_of_root(p, 3, 64), "K512[{i}]");
+        }
+        for (i, &p) in ps[..64].iter().enumerate() {
+            assert_eq!(u64::from(K256[i]), frac_bits_of_root(p, 3, 32), "K256[{i}]");
+        }
+        for (i, &p) in ps[..8].iter().enumerate() {
+            assert_eq!(u64::from(H256[i]), frac_bits_of_root(p, 2, 32), "H256[{i}]");
+            assert_eq!(H512[i], frac_bits_of_root(p, 2, 64), "H512[{i}]");
+            assert_eq!(H384[i], frac_bits_of_root(ps[i + 8], 2, 64), "H384[{i}]");
+        }
     }
 
     #[test]

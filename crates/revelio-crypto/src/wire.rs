@@ -89,9 +89,11 @@ impl ByteWriter {
         self
     }
 
-    /// Appends a `u32` length prefix followed by the bytes.
+    /// Appends a `u32` length prefix followed by the bytes. Every field
+    /// this workspace encodes is far below 4 GiB; a longer one would be
+    /// framed with the saturated prefix `u32::MAX` rather than abort.
     pub fn put_var_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.put_u32(u32::try_from(v.len()).expect("field under 4 GiB"));
+        self.put_u32(u32::try_from(v.len()).unwrap_or(u32::MAX));
         self.put_bytes(v)
     }
 
@@ -139,6 +141,14 @@ impl<'a> ByteReader<'a> {
         self.data.len() - self.pos
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (array, _) = self.data[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(WireError::UnexpectedEnd)?;
+        self.pos += N;
+        Ok(*array)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::UnexpectedEnd);
@@ -161,9 +171,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.
@@ -171,9 +179,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
@@ -181,9 +187,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads exactly `N` bytes into an array.
@@ -191,7 +195,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
     pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("N bytes"))
+        self.take_array()
     }
 
     /// Reads `n` raw bytes.

@@ -28,6 +28,10 @@ pub fn clamp(mut scalar: [u8; KEY_LEN]) -> [u8; KEY_LEN] {
     scalar
 }
 
+/// `(A − 2)/4` for Curve25519's `A = 486662`: the ladder's only curve
+/// constant, small enough for [`FieldElement::mul_small`].
+const A24: u32 = 121_665;
+
 /// Conditional swap driven by a bit (not data-dependent branching).
 fn cswap(swap: u64, a: &mut FieldElement, b: &mut FieldElement) {
     let mask = swap.wrapping_neg();
@@ -64,8 +68,6 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     let mut z3 = FieldElement::one();
     let mut swap = 0u64;
 
-    let a24 = FieldElement::from_u64(121_665);
-
     for t in (0..255).rev() {
         let k_t = u64::from((k[t / 8] >> (t % 8)) & 1);
         swap ^= k_t;
@@ -85,7 +87,7 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
         x3 = da.add(&cb).square();
         z3 = x1.mul(&da.sub(&cb).square());
         x2 = aa.mul(&bb);
-        z2 = e.mul(&aa.add(&a24.mul(&e)));
+        z2 = e.mul(&aa.add(&e.mul_small(A24)));
     }
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);

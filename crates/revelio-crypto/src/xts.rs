@@ -84,8 +84,8 @@ impl Xts {
         let iv = u128::from(sector).to_le_bytes();
         let mut tweak = u128::from_le_bytes(self.tweak_cipher.encrypt_block(&iv));
         let mut out = vec![0u8; data.len()];
-        for (o, block) in out.chunks_exact_mut(16).zip(data.chunks_exact(16)) {
-            let x = u128::from_le_bytes(block.try_into().expect("16 bytes")) ^ tweak;
+        for (o, block) in out.chunks_exact_mut(16).zip(data.as_chunks::<16>().0) {
+            let x = u128::from_le_bytes(*block) ^ tweak;
             let y = u128::from_le_bytes(block_cipher(&self.data_cipher, &x.to_le_bytes())) ^ tweak;
             o.copy_from_slice(&y.to_le_bytes());
             tweak = mul_alpha(tweak);

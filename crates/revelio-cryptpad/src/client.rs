@@ -7,7 +7,7 @@
 //! reordering and tampering are detected at read time.
 
 use revelio_crypto::aead::ChaCha20Poly1305;
-use revelio_crypto::kdf::hkdf;
+use revelio_crypto::kdf::hkdf_fixed;
 use revelio_crypto::sha2::Sha256;
 
 use crate::server::PadHistory;
@@ -42,13 +42,9 @@ impl PadSecret {
     /// string (the URL fragment).
     #[must_use]
     pub fn from_fragment(fragment: &str) -> Self {
-        let key = hkdf::<Sha256>(b"cryptpad-sim/v1", fragment.as_bytes(), b"pad-key", 32)
-            .try_into()
-            .expect("32 bytes");
-        let author_seed: [u8; 32] =
-            hkdf::<Sha256>(b"cryptpad-sim/v1", fragment.as_bytes(), b"author-key", 32)
-                .try_into()
-                .expect("32 bytes");
+        let key = hkdf_fixed::<Sha256, 32>(b"cryptpad-sim/v1", fragment.as_bytes(), b"pad-key");
+        let author_seed =
+            hkdf_fixed::<Sha256, 32>(b"cryptpad-sim/v1", fragment.as_bytes(), b"author-key");
         let author = revelio_crypto::ed25519::SigningKey::from_seed(&author_seed);
         let author_public = author.verifying_key();
         PadSecret {

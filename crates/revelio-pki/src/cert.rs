@@ -199,6 +199,20 @@ impl Certificate {
     /// Returns [`PkiError::ChainInvalid`] (issuer is not a CA or name
     /// mismatch) or [`PkiError::SignatureInvalid`].
     pub fn verify_signature(&self, issuer: &Certificate) -> Result<(), PkiError> {
+        self.check_issuer(issuer)?;
+        self.check_signature_by(issuer)
+    }
+
+    fn check_signature_by(&self, issuer: &Certificate) -> Result<(), PkiError> {
+        issuer
+            .public_key
+            .verify(&self.signed_payload(), &self.signature)
+            .map_err(|_| PkiError::SignatureInvalid)
+    }
+
+    /// The structural half of [`Certificate::verify_signature`]: `issuer`
+    /// is a CA and carries the name this certificate names.
+    fn check_issuer(&self, issuer: &Certificate) -> Result<(), PkiError> {
         if !issuer.is_ca {
             return Err(PkiError::ChainInvalid(format!(
                 "{} is not a ca",
@@ -211,10 +225,7 @@ impl Certificate {
                 issuer.subject, self.issuer
             )));
         }
-        issuer
-            .public_key
-            .verify(&self.signed_payload(), &self.signature)
-            .map_err(|_| PkiError::SignatureInvalid)
+        Ok(())
     }
 
     /// Checks the validity window.
@@ -336,11 +347,47 @@ impl CertificateChain {
     ///
     /// Returns the first failing check's [`PkiError`].
     pub fn validate(&self, roots: &[Certificate], now_ms: u64) -> Result<(), PkiError> {
+        self.walk(roots, now_ms, Certificate::check_signature_by)
+    }
+
+    /// [`CertificateChain::validate`] without its signature checks: every
+    /// validity window, CA flag and issuer name, and the root lookup. On
+    /// success, returns the `(subject, issuer)` links whose signatures the
+    /// chain rests on, leaf first, for the caller to verify — in one batch
+    /// with its own signatures. A chain passes `validate` exactly when it
+    /// passes this and every link's signature verifies.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing structural check's [`PkiError`].
+    pub fn signature_links<'a>(
+        &'a self,
+        roots: &'a [Certificate],
+        now_ms: u64,
+    ) -> Result<Vec<(&'a Certificate, &'a Certificate)>, PkiError> {
+        let mut links = Vec::with_capacity(self.intermediates.len() + 1);
+        self.walk(roots, now_ms, |subject, issuer| {
+            links.push((subject, issuer));
+            Ok(())
+        })?;
+        Ok(links)
+    }
+
+    /// The chain walk both checks share: validity windows first, then
+    /// each link's issuer checks followed by `signed_by(subject, issuer)`,
+    /// leaf first, ending at the trusted root the top certificate names.
+    fn walk<'a>(
+        &'a self,
+        roots: &'a [Certificate],
+        now_ms: u64,
+        mut signed_by: impl FnMut(&'a Certificate, &'a Certificate) -> Result<(), PkiError>,
+    ) -> Result<(), PkiError> {
         for cert in self.certificates() {
             cert.check_validity(now_ms)?;
         }
         for (subject, issuer) in self.certificates().zip(&self.intermediates) {
-            subject.verify_signature(issuer)?;
+            subject.check_issuer(issuer)?;
+            signed_by(subject, issuer)?;
         }
         let top = self.intermediates.last().unwrap_or(&self.leaf);
         let root = roots
@@ -348,7 +395,8 @@ impl CertificateChain {
             .find(|r| r.subject == top.issuer)
             .ok_or_else(|| PkiError::ChainInvalid(format!("no trusted root {}", top.issuer)))?;
         root.check_validity(now_ms)?;
-        top.verify_signature(root)
+        top.check_issuer(root)?;
+        signed_by(top, root)
     }
 
     /// Deterministic encoding.

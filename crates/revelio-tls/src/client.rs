@@ -1,6 +1,6 @@
 //! The TLS client and established session.
 
-use revelio_crypto::ed25519::VerifyingKey;
+use revelio_crypto::ed25519::{verify_batch, BatchItem, ExpandedVerifyingKey, VerifyingKey};
 use revelio_crypto::{ct, x25519};
 use revelio_net::clock::SimClock;
 use revelio_net::net::{Connection, SimNet};
@@ -228,15 +228,12 @@ impl TlsClient {
         }
         let reply = ServerHello::from_bytes(&reply_bytes)?;
 
-        // Certificate validation: chain to a trusted root, validity,
-        // domain coverage.
+        // Certificate validation (chain to a trusted root, validity,
+        // domain coverage) and the transcript signature, which proves
+        // possession of the certified key and binds the ephemerals and any
+        // RA-TLS evidence (no signature ⇒ MITM could swap them; unsigned
+        // evidence could be stripped).
         let now_ms = self.config.clock.now_us() / 1000;
-        reply.chain.validate(&self.config.trusted_roots, now_ms)?;
-        reply.chain.leaf().check_domain(server_name)?;
-
-        // Transcript signature: proves possession of the certified key and
-        // binds the ephemerals and any RA-TLS evidence (no signature ⇒
-        // MITM could swap them; unsigned evidence could be stripped).
         let transcript = transcript_hash(
             &hello,
             &reply.ephemeral_public,
@@ -244,12 +241,18 @@ impl TlsClient {
             &reply.chain,
             reply.evidence.as_deref(),
         );
-        reply
-            .chain
-            .leaf()
-            .public_key
-            .verify(&transcript, &reply.signature)
-            .map_err(|_| TlsError::Handshake("bad transcript signature".into()))?;
+        if !self.authenticate_batched(&reply, server_name, now_ms, &transcript) {
+            // Something failed: rerun the checks one by one, in order, so
+            // the refusal names the first failing one.
+            reply.chain.validate(&self.config.trusted_roots, now_ms)?;
+            reply.chain.leaf().check_domain(server_name)?;
+            reply
+                .chain
+                .leaf()
+                .public_key
+                .verify(&transcript, &reply.signature)
+                .map_err(|_| TlsError::Handshake("bad transcript signature".into()))?;
+        }
 
         let shared = x25519::shared_secret(&eph_secret, &reply.ephemeral_public);
         let keys = derive_traffic_keys(&shared, &hello.random, &reply.random);
@@ -270,6 +273,56 @@ impl TlsClient {
             resumed: false,
             resumption,
         })
+    }
+
+    /// The full handshake's authentication as one batch equation: the
+    /// chain's structural checks and domain coverage, then every
+    /// certificate signature and the transcript signature verified
+    /// together, as `ReportVerifier::verify_batched` does for SNP
+    /// evidence. `true` only when every check passes; on `false` the
+    /// caller reruns the sequential checks to name the failure.
+    fn authenticate_batched(
+        &self,
+        reply: &ServerHello,
+        server_name: &str,
+        now_ms: u64,
+        transcript: &[u8],
+    ) -> bool {
+        let leaf = reply.chain.leaf();
+        let Ok(links) = reply
+            .chain
+            .signature_links(&self.config.trusted_roots, now_ms)
+        else {
+            return false;
+        };
+        if leaf.check_domain(server_name).is_err() {
+            return false;
+        }
+        let payloads: Vec<Vec<u8>> = links
+            .iter()
+            .map(|(subject, _)| subject.signed_payload())
+            .collect();
+        let issuer_keys: Vec<ExpandedVerifyingKey> = links
+            .iter()
+            .map(|(_, issuer)| issuer.public_key.expand())
+            .collect();
+        let leaf_key = leaf.public_key.expand();
+        let mut items: Vec<BatchItem<'_>> = links
+            .iter()
+            .zip(&payloads)
+            .zip(&issuer_keys)
+            .map(|(((subject, _), message), key)| BatchItem {
+                key,
+                message,
+                signature: &subject.signature,
+            })
+            .collect();
+        items.push(BatchItem {
+            key: &leaf_key,
+            message: transcript,
+            signature: &reply.signature,
+        });
+        verify_batch(&items).is_ok()
     }
 }
 
@@ -697,5 +750,159 @@ mod tests {
         let rtt = 5.2;
         assert!((after_handshake - t0 - rtt).abs() < 0.1);
         assert!((after_request - after_handshake - rtt).abs() < 0.1);
+    }
+
+    /// One full handshake against a server whose chain, key, domain,
+    /// clock or trusted roots a case has broken; returns the refusal.
+    fn refusal(case: &str) -> TlsError {
+        let w = world();
+        let domain = if case.contains("wrong domain") {
+            "other.example.org"
+        } else {
+            "pad.example.org"
+        };
+        let csr = CertificateSigningRequest::new(domain, &w.server_key, "Org", "CH");
+        let mut chain = w.ca.order_certificate(&csr).unwrap();
+        let forge = |signature: &mut revelio_crypto::ed25519::Signature| {
+            let mut bytes = signature.to_bytes();
+            bytes[40] ^= 1;
+            *signature = revelio_crypto::ed25519::Signature::from_bytes(bytes);
+        };
+        if case.contains("forged leaf") {
+            forge(&mut chain.leaf.signature);
+        }
+        if case.contains("forged intermediate") {
+            forge(&mut chain.intermediates[0].signature);
+        }
+        let key = if case.contains("forged transcript") {
+            SigningKey::from_seed(&[66; 32])
+        } else {
+            w.server_key.clone()
+        };
+        let listener = TlsListener::new(
+            TlsServerConfig::new(chain, key, [9; 32]),
+            Arc::new(|_req: &[u8]| b"x".to_vec()),
+        );
+        w.net.bind("10.0.0.1:443", Arc::new(listener)).unwrap();
+        if case.contains("expired") {
+            w.clock.advance_ms(91.0 * 24.0 * 3600.0 * 1000.0);
+        }
+        let roots = if case.contains("unknown root") {
+            let rogue = AcmeCa::new(
+                "RogueTrust",
+                [77; 32],
+                AcmePolicy::default(),
+                w.clock.clone(),
+                DnsZone::new(),
+            );
+            vec![rogue.root_certificate()]
+        } else {
+            vec![w.ca.root_certificate()]
+        };
+        let client = TlsClient::new(TlsClientConfig {
+            trusted_roots: roots,
+            clock: w.clock.clone(),
+            telemetry: None,
+        });
+        client
+            .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
+            .unwrap_err()
+    }
+
+    #[test]
+    fn handshake_refusals_name_the_failing_check() {
+        // Each case's refusal as the three sequential verifications
+        // reported it; where a case breaks two checks, the earlier one in
+        // chain → domain → transcript order names the refusal.
+        let cases = [
+            ("forged leaf", "Certificate(SignatureInvalid)"),
+            ("forged intermediate", "Certificate(SignatureInvalid)"),
+            (
+                "forged transcript",
+                "Handshake(\"bad transcript signature\")",
+            ),
+            (
+                "unknown root",
+                "Certificate(ChainInvalid(\"no trusted root SimEncrypt Root\"))",
+            ),
+            (
+                "expired leaf",
+                "Certificate(Expired { now_ms: 7862400005, not_after_ms: 7776000000 })",
+            ),
+            (
+                "wrong domain",
+                "Certificate(DomainMismatch { requested: \"pad.example.org\", \
+                 subject: \"other.example.org\" })",
+            ),
+            ("forged leaf, wrong domain", "Certificate(SignatureInvalid)"),
+            (
+                "forged transcript, wrong domain",
+                "Certificate(DomainMismatch { requested: \"pad.example.org\", \
+                 subject: \"other.example.org\" })",
+            ),
+            (
+                "forged intermediate, unknown root",
+                "Certificate(ChainInvalid(\"no trusted root SimEncrypt Root\"))",
+            ),
+            (
+                "expired leaf, forged leaf",
+                "Certificate(Expired { now_ms: 7862400005, not_after_ms: 7776000000 })",
+            ),
+            (
+                "forged leaf, forged transcript",
+                "Certificate(SignatureInvalid)",
+            ),
+            (
+                "expired leaf, forged transcript",
+                "Certificate(Expired { now_ms: 7862400005, not_after_ms: 7776000000 })",
+            ),
+            (
+                "unknown root, wrong domain",
+                "Certificate(ChainInvalid(\"no trusted root SimEncrypt Root\"))",
+            ),
+        ];
+        for (case, expected) in cases {
+            assert_eq!(format!("{:?}", refusal(case)), expected, "{case}");
+        }
+    }
+
+    #[test]
+    fn a_full_handshake_checks_its_signatures_in_one_batch() {
+        use revelio_crypto::metrics;
+
+        let w = world();
+        serve(&w, "pad.example.org", "10.0.0.1:443", &w.server_key, b"x");
+        let (batches, singles) = (
+            metrics::thread_batch_verifications(),
+            metrics::thread_single_verifications(),
+        );
+        client(&w)
+            .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
+            .unwrap();
+        // Leaf and intermediate certificate signatures plus the
+        // transcript signature: one equation, no single verification.
+        assert_eq!(metrics::thread_batch_verifications() - batches, 1);
+        assert_eq!(metrics::thread_single_verifications() - singles, 0);
+        // A refusal falls back to the sequential checks: a server holding
+        // another key than its certificate's fails the batch, then the
+        // two certificate signatures and the transcript one by one.
+        let csr = CertificateSigningRequest::new("pad.example.org", &w.server_key, "Org", "CH");
+        let listener = TlsListener::new(
+            TlsServerConfig::new(
+                w.ca.order_certificate(&csr).unwrap(),
+                SigningKey::from_seed(&[66; 32]),
+                [9; 32],
+            ),
+            Arc::new(|_req: &[u8]| b"evil".to_vec()),
+        );
+        w.net.bind("10.6.6.6:443", Arc::new(listener)).unwrap();
+        let (batches, singles) = (
+            metrics::thread_batch_verifications(),
+            metrics::thread_single_verifications(),
+        );
+        let refused = client(&w).connect(&w.net, "10.6.6.6:443", "pad.example.org", [1; 32]);
+        assert!(matches!(refused, Err(TlsError::Handshake(_))));
+        assert_eq!(metrics::thread_batch_verifications() - batches, 1);
+        assert_eq!(metrics::thread_single_verifications() - singles, 3);
     }
 }

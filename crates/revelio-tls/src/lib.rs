@@ -21,6 +21,11 @@
 //! HKDF over the shared secret; records are ChaCha20-Poly1305 with
 //! direction-separated keys and sequence-number nonces.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod client;
 pub mod error;
 pub mod handshake;

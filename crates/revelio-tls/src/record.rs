@@ -1,7 +1,7 @@
 //! Traffic-key derivation and record protection.
 
 use revelio_crypto::aead::ChaCha20Poly1305;
-use revelio_crypto::kdf::hkdf;
+use revelio_crypto::kdf::hkdf_fixed;
 use revelio_crypto::sha2::Sha256;
 
 use crate::TlsError;
@@ -40,12 +40,8 @@ pub fn derive_traffic_keys(
     let mut salt = Vec::with_capacity(64);
     salt.extend_from_slice(client_random);
     salt.extend_from_slice(server_random);
-    let c2s: [u8; 32] = hkdf::<Sha256>(&salt, shared_secret, b"tls13 c2s", 32)
-        .try_into()
-        .expect("32 bytes");
-    let s2c: [u8; 32] = hkdf::<Sha256>(&salt, shared_secret, b"tls13 s2c", 32)
-        .try_into()
-        .expect("32 bytes");
+    let c2s = hkdf_fixed::<Sha256, 32>(&salt, shared_secret, b"tls13 c2s");
+    let s2c = hkdf_fixed::<Sha256, 32>(&salt, shared_secret, b"tls13 s2c");
     TrafficKeys {
         client_to_server: RecordKey {
             aead: ChaCha20Poly1305::new(&c2s),
@@ -71,9 +67,7 @@ pub fn derive_resumption_secret(
     let mut salt = Vec::with_capacity(64);
     salt.extend_from_slice(client_random);
     salt.extend_from_slice(server_random);
-    hkdf::<Sha256>(&salt, shared_secret, b"tls13 resumption", 32)
-        .try_into()
-        .expect("32 bytes")
+    hkdf_fixed::<Sha256, 32>(&salt, shared_secret, b"tls13 resumption")
 }
 
 fn nonce(sequence: u64) -> [u8; 12] {

@@ -136,7 +136,7 @@ impl TlsServerConnection {
         let mut mac = Hmac::<Sha256>::new(&self.config.entropy_seed);
         mac.update(label);
         mac.update(&self.conn_id.to_le_bytes());
-        mac.finalize().try_into().expect("32 bytes")
+        mac.finalize_fixed()
     }
 
     fn derive_ephemeral(&self) -> ([u8; 32], [u8; 32]) {
@@ -195,9 +195,8 @@ impl ConnectionHandler for TlsServerConnection {
                 // Issue a ticket for this connection's resumption secret;
                 // the nonce is unique per (entropy seed, connection).
                 let resumption = derive_resumption_secret(&shared, &hello.random, &server_random);
-                let nonce: [u8; 12] = self.derive_entropy(b"ticket-nonce")[..12]
-                    .try_into()
-                    .expect("12 bytes");
+                let entropy = self.derive_entropy(b"ticket-nonce");
+                let nonce: [u8; 12] = std::array::from_fn(|i| entropy[i]);
                 let reply = ServerHello {
                     ephemeral_public: eph_public,
                     random: server_random,

@@ -60,7 +60,7 @@ pub fn derive_ticket_key(key: &SigningKey, chain: &CertificateChain) -> [u8; SEC
     let mut mac = Hmac::<Sha256>::new(key.seed());
     mac.update(b"revelio-ticket-key/v1");
     mac.update(&Sha256::digest(chain.to_bytes()));
-    mac.finalize().try_into().expect("32 bytes")
+    mac.finalize_fixed()
 }
 
 /// Seals `secret` into an opaque ticket under `ticket_key`.
@@ -96,13 +96,12 @@ pub fn open_ticket(
     let body = ticket
         .strip_prefix(&TICKET_MAGIC[..])
         .ok_or_else(|| TlsError::Handshake("not a session ticket".into()))?;
-    if body.len() < 12 {
+    let Some((nonce, sealed)) = body.split_first_chunk::<12>() else {
         return Err(TlsError::Handshake("truncated session ticket".into()));
-    }
-    let nonce: [u8; 12] = body[..12].try_into().expect("12 bytes");
+    };
     let aead = ChaCha20Poly1305::new(ticket_key);
     let secret = aead
-        .open(&nonce, TICKET_AAD, &body[12..])
+        .open(nonce, TICKET_AAD, sealed)
         .map_err(|_| TlsError::Handshake("ticket does not open under this key".into()))?;
     secret
         .try_into()
@@ -124,7 +123,7 @@ pub fn resumption_confirm(
     mac.update(b"resumption-confirm/v1");
     mac.update(client_random);
     mac.update(server_random);
-    mac.finalize().try_into().expect("32 bytes")
+    mac.finalize_fixed()
 }
 
 #[cfg(test)]

@@ -52,6 +52,52 @@ pub enum DecidingCheck {
     TlsBinding,
 }
 
+impl DecidingCheck {
+    const ALL: [DecidingCheck; 12] = [
+        DecidingCheck::Chain,
+        DecidingCheck::Binding,
+        DecidingCheck::Signature,
+        DecidingCheck::DebugPolicy,
+        DecidingCheck::TcbFloor,
+        DecidingCheck::Measurement,
+        DecidingCheck::CsrDomain,
+        DecidingCheck::CsrBinding,
+        DecidingCheck::CsrPossession,
+        DecidingCheck::ChipAllowlist,
+        DecidingCheck::KeyExchangeBinding,
+        DecidingCheck::TlsBinding,
+    ];
+
+    /// The check's name as it travels between components: the variant
+    /// name, e.g. `"ChipAllowlist"`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            DecidingCheck::Chain => "Chain",
+            DecidingCheck::Binding => "Binding",
+            DecidingCheck::Signature => "Signature",
+            DecidingCheck::DebugPolicy => "DebugPolicy",
+            DecidingCheck::TcbFloor => "TcbFloor",
+            DecidingCheck::Measurement => "Measurement",
+            DecidingCheck::CsrDomain => "CsrDomain",
+            DecidingCheck::CsrBinding => "CsrBinding",
+            DecidingCheck::CsrPossession => "CsrPossession",
+            DecidingCheck::ChipAllowlist => "ChipAllowlist",
+            DecidingCheck::KeyExchangeBinding => "KeyExchangeBinding",
+            DecidingCheck::TlsBinding => "TlsBinding",
+        }
+    }
+
+    /// The check [`DecidingCheck::name`] names; `None` for any other
+    /// string.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<DecidingCheck> {
+        DecidingCheck::ALL
+            .into_iter()
+            .find(|check| check.name() == name)
+    }
+}
+
 /// Why a relying party refused, and the check that decided — `None` for
 /// refusals no check decided (a malformed message, a peer's refusal).
 #[derive(Debug, Clone, PartialEq, Eq)]

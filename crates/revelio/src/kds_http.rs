@@ -322,6 +322,40 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_vcek_query_is_served_from_the_kds_store() {
+        use revelio_crypto::metrics::thread_scalar_mul_ops;
+
+        let (_, net, _) = setup();
+        let query = Request::post(
+            "/vcek",
+            encode_query(&ChipId::from_seed(1), &TcbVersion::new(1, 0, 8, 115)),
+        );
+        // The fabric runs the handler on this thread, so the thread's
+        // counter covers the server side: the first query for a (chip,
+        // TCB) derives the VCEK and signs its certificate.
+        let start = thread_scalar_mul_ops();
+        let first = plain_request_traced(
+            &net,
+            KDS_ADDRESS,
+            &query,
+            &Telemetry::new(net.clock().clone()),
+        )
+        .unwrap();
+        let before = thread_scalar_mul_ops();
+        assert_eq!(before - start, 2);
+        let again = plain_request_traced(
+            &net,
+            KDS_ADDRESS,
+            &query,
+            &Telemetry::new(net.clock().clone()),
+        )
+        .unwrap();
+        assert_eq!(thread_scalar_mul_ops(), before);
+        assert_eq!((first.status, again.status), (200, 200));
+        assert_eq!(again.body, first.body);
+    }
+
+    #[test]
     fn cache_eliminates_second_round_trip() {
         let (clock, net, _) = setup();
         net.peer(KDS_ADDRESS).latency_us(213_650); // paper: 427.3 ms round trip

@@ -46,6 +46,29 @@ use crate::evidence::{tls_binding_report_data, EvidenceBundle};
 use crate::kds_http::KdsHttpClient;
 use crate::RevelioError;
 
+/// Response header naming the [`DecidingCheck`] behind a bootstrap
+/// refusal (by [`DecidingCheck::name`]), beside the `X-Revelio-Error`
+/// text, so the check survives the hop back to the caller.
+pub const CHECK_HEADER: &str = "X-Revelio-Check";
+
+/// The `403` a bootstrap route answers a refusal with: the error text,
+/// and the deciding check when one decided.
+fn refusal_response(e: &RevelioError) -> Response {
+    let response = Response::status(403)
+        .with_header("X-Revelio-Error", &e.to_string().replace(['\r', '\n'], " "));
+    match e.deciding_check() {
+        Some(check) => response.with_header(CHECK_HEADER, check.name()),
+        None => response,
+    }
+}
+
+/// The deciding check a bootstrap refusal carries in [`CHECK_HEADER`].
+pub(crate) fn refusal_check(response: &Response) -> Option<DecidingCheck> {
+    response
+        .header(CHECK_HEADER)
+        .and_then(DecidingCheck::from_name)
+}
+
 /// Static configuration of one Revelio node.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -362,9 +385,11 @@ impl NodeShared {
         span.finish_ms();
         let response = response?;
         if !response.is_success() {
-            return Err(RevelioError::MutualAttestationFailed(
-                format!("leader refused key request with status {}", response.status).into(),
-            ));
+            // Relay the leader's deciding check with its refusal.
+            return Err(RevelioError::MutualAttestationFailed(Rejection {
+                check: refusal_check(&response),
+                detail: format!("leader refused key request with status {}", response.status),
+            }));
         }
         let (leader_report, encrypted) = decode_key_response(&response.body)?;
         self.validate_peer_report(&leader_report)?;
@@ -562,10 +587,7 @@ impl RevelioNode {
                         Err(e) => {
                             s2.flight
                                 .record("verdict", &format!("install-cert refused: {e}"));
-                            Response::status(403).with_header(
-                                "X-Revelio-Error",
-                                &e.to_string().replace(['\r', '\n'], " "),
-                            )
+                            refusal_response(&e)
                         }
                     }
                 })
@@ -578,10 +600,7 @@ impl RevelioNode {
                         Err(e) => {
                             s3.flight
                                 .record("verdict", &format!("key-request refused: {e}"));
-                            Response::status(403).with_header(
-                                "X-Revelio-Error",
-                                &e.to_string().replace(['\r', '\n'], " "),
-                            )
+                            refusal_response(&e)
                         }
                     }
                 });

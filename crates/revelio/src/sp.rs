@@ -605,7 +605,8 @@ impl ServiceProviderNode {
     /// # Errors
     ///
     /// Transport failures surface transient; a node-side refusal is
-    /// [`RevelioError::NodeRejected`] carrying the node's own reason.
+    /// [`RevelioError::NodeRejected`] carrying the node's own reason and
+    /// deciding check.
     pub fn install_certificate(
         &self,
         bootstrap: &str,
@@ -624,12 +625,14 @@ impl ServiceProviderNode {
         if !response.is_success() {
             return Err(RevelioError::NodeRejected {
                 node: bootstrap.to_owned(),
-                reason: format!(
-                    "install-cert returned {} ({})",
-                    response.status,
-                    response.header("X-Revelio-Error").unwrap_or("no detail")
-                )
-                .into(),
+                reason: Rejection {
+                    check: crate::node::refusal_check(&response),
+                    detail: format!(
+                        "install-cert returned {} ({})",
+                        response.status,
+                        response.header("X-Revelio-Error").unwrap_or("no detail")
+                    ),
+                },
             });
         }
         Ok(())

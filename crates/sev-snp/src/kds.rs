@@ -7,8 +7,16 @@
 //! the [`crate::platform::AmdRootOfTrust`]. Network latency for KDS round
 //! trips — the dominant cost in the paper's Table 3 — is modelled where the
 //! KDS is mounted on the simulated network, not here.
+//!
+//! Like AMD's real KDS, the simulated one serves stored certificates: it
+//! issues the ARK and ASK certificates when it is built and each VCEK
+//! certificate the first time a (chip, TCB) is asked for, then answers
+//! every later query from that store without a scalar multiplication.
+//! Ed25519 signing is deterministic, so a stored certificate is
+//! byte-identical to one issued afresh.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use revelio_crypto::ed25519::{
     ExpandedVerifyingKey, Signature, SigningKey, VerifyingKey, SIGNATURE_LEN,
@@ -232,20 +240,39 @@ impl VcekCertChain {
 }
 
 /// The simulated AMD Key Distribution Service.
+///
+/// Clones share one certificate store, as the handlers of one mounted
+/// service do.
 #[derive(Debug, Clone)]
 pub struct KeyDistributionService {
     amd: Arc<AmdRootOfTrust>,
+    ark: AmdCert,
+    ask: AmdCert,
+    /// Every VCEK certificate issued so far, one per (chip, TCB) served.
+    vceks: Arc<Mutex<HashMap<(ChipId, TcbVersion), AmdCert>>>,
     telemetry: Telemetry,
 }
 
 impl KeyDistributionService {
-    /// Creates a KDS backed by `amd`'s root of trust. Served queries are
-    /// counted in a private registry until
-    /// [`KeyDistributionService::with_telemetry`] wires in a shared one.
+    /// Creates a KDS backed by `amd`'s root of trust and issues its ARK
+    /// and ASK certificates. Served queries are counted in a private
+    /// registry until [`KeyDistributionService::with_telemetry`] wires in
+    /// a shared one.
     #[must_use]
     pub fn new(amd: Arc<AmdRootOfTrust>) -> Self {
+        let ark = AmdCert::issue("ARK", "ARK", amd.ark_public_key(), None, amd.ark_key());
+        let ask = AmdCert::issue(
+            "ASK",
+            "ARK",
+            amd.ask_key().verifying_key(),
+            None,
+            amd.ark_key(),
+        );
         KeyDistributionService {
             amd,
+            ark,
+            ask,
+            vceks: Arc::new(Mutex::new(HashMap::new())),
             telemetry: Telemetry::new(TelemetryClock::new()),
         }
     }
@@ -259,7 +286,9 @@ impl KeyDistributionService {
     }
 
     /// Answers the "give me the VCEK certificate for this chip at this TCB"
-    /// query (plus roots), as the real KDS endpoint does.
+    /// query (plus roots), as the real KDS endpoint does. The first query
+    /// for a (chip, TCB) derives its VCEK and signs the certificate; every
+    /// later one is served from the store.
     ///
     /// # Errors
     ///
@@ -273,24 +302,29 @@ impl KeyDistributionService {
     ) -> Result<VcekCertChain, SnpError> {
         self.telemetry
             .counter_add("revelio_sevsnp_kds_vcek_requests_total", 1);
-        let ark_pub = self.amd.ark_public_key();
-        let ark = AmdCert::issue("ARK", "ARK", ark_pub, None, self.amd.ark_key());
-        let ask = AmdCert::issue(
-            "ASK",
-            "ARK",
-            self.amd.ask_key().verifying_key(),
-            None,
-            self.amd.ark_key(),
-        );
-        let vcek_key = self.amd.vcek_for(chip_id, tcb);
-        let vcek = AmdCert::issue(
-            "VCEK",
-            "ASK",
-            vcek_key.verifying_key(),
-            Some((*chip_id, *tcb)),
-            self.amd.ask_key(),
-        );
-        Ok(VcekCertChain { ark, ask, vcek })
+        // A panic while the lock is held can only come from issuing a
+        // certificate, before `or_insert_with` touches the map, so a
+        // poisoned store is still a valid one.
+        let vcek = self
+            .vceks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry((*chip_id, *tcb))
+            .or_insert_with(|| {
+                AmdCert::issue(
+                    "VCEK",
+                    "ASK",
+                    self.amd.vcek_for(chip_id, tcb).verifying_key(),
+                    Some((*chip_id, *tcb)),
+                    self.amd.ask_key(),
+                )
+            })
+            .clone();
+        Ok(VcekCertChain {
+            ark: self.ark.clone(),
+            ask: self.ask.clone(),
+            vcek,
+        })
     }
 
     /// Answers the chip-independent `/cert_chain` query — the ARK → ASK
@@ -300,16 +334,7 @@ impl KeyDistributionService {
     pub fn cert_chain(&self) -> (AmdCert, AmdCert) {
         self.telemetry
             .counter_add("revelio_sevsnp_kds_cert_chain_requests_total", 1);
-        let ark_pub = self.amd.ark_public_key();
-        let ark = AmdCert::issue("ARK", "ARK", ark_pub, None, self.amd.ark_key());
-        let ask = AmdCert::issue(
-            "ASK",
-            "ARK",
-            self.amd.ask_key().verifying_key(),
-            None,
-            self.amd.ark_key(),
-        );
-        (ark, ask)
+        (self.ark.clone(), self.ask.clone())
     }
 }
 
@@ -376,6 +401,41 @@ mod tests {
         // Re-pointing the binding at another chip breaks the ASK signature.
         chain.vcek.vcek_binding = Some((ChipId::from_seed(2), TcbVersion::default()));
         assert!(chain.validate_with(&amd.ark_public_key().expand()).is_err());
+    }
+
+    #[test]
+    fn a_repeated_query_is_served_from_the_store() {
+        let (amd, kds) = setup();
+        let chip = ChipId::from_seed(3);
+        let tcb = TcbVersion::new(1, 0, 8, 115);
+        let first = kds.vcek_chain(&chip, &tcb).unwrap().to_bytes();
+        let before = revelio_crypto::metrics::thread_scalar_mul_ops();
+        // A clone shares the store, as the mounted handlers do.
+        let again = kds.clone().vcek_chain(&chip, &tcb).unwrap().to_bytes();
+        let (ark, ask) = kds.cert_chain();
+        assert_eq!(revelio_crypto::metrics::thread_scalar_mul_ops(), before);
+        assert_eq!(again, first);
+        // Stored certificates are the ones a fresh issuance would sign.
+        let fresh = KeyDistributionService::new(amd);
+        assert_eq!(fresh.vcek_chain(&chip, &tcb).unwrap().to_bytes(), first);
+        assert_eq!((ark.to_bytes(), ask.to_bytes()), {
+            let (ark, ask) = fresh.cert_chain();
+            (ark.to_bytes(), ask.to_bytes())
+        });
+        // Every query is still counted; one certificate per (chip, TCB).
+        assert_eq!(
+            kds.telemetry
+                .counter("revelio_sevsnp_kds_vcek_requests_total"),
+            2
+        );
+        assert_eq!(
+            kds.telemetry
+                .counter("revelio_sevsnp_kds_cert_chain_requests_total"),
+            1
+        );
+        kds.vcek_chain(&chip, &TcbVersion::new(1, 0, 9, 115))
+            .unwrap();
+        assert_eq!(kds.vceks.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! endpoints (Fig. 4), evidence replay, and platform lifecycle events
 //! (TCB updates, VCEK rotation).
 
+use revelio::appraisal::DecidingCheck;
 use revelio::evidence::EvidenceBundle;
-use revelio::node::demo_app;
+use revelio::node::{demo_app, CHECK_HEADER};
+use revelio::registry::GoldenSet;
 use revelio::world::SimWorld;
 use revelio::RevelioError;
 use revelio_crypto::ed25519::SigningKey;
@@ -215,6 +217,41 @@ fn unapproved_chip_cannot_obtain_fleet_key() {
         .header("X-Revelio-Error")
         .unwrap()
         .contains("allowlist"));
+    assert_eq!(response.header(CHECK_HEADER), Some("ChipAllowlist"));
+}
+
+/// A clone of the image on an unapproved chip, offered the fleet
+/// certificate by the SP, is refused the key by the leader; the refusal
+/// names the allowlist check at the SP, two hops from where it decided.
+#[test]
+fn an_unapproved_chip_refusal_reaches_the_sp_with_its_check() {
+    let mut world = SimWorld::new(67);
+    let fleet = world.deploy_fleet("s.example", 2, demo_app()).unwrap();
+    let allowlist = fleet
+        .nodes
+        .iter()
+        .map(|n| (n.vm().guest().chip_id(), n.bootstrap_address().to_owned()))
+        .collect();
+    let spec = world.image_spec("s.example", &["web-service"]);
+    let (clone_image, _) = world.build(&spec).unwrap();
+    let clone = world
+        .deploy_node("s.example", &clone_image, demo_app(), [0x42; 32])
+        .unwrap();
+    let sp = world.sp_node_for_domain(
+        "s.example",
+        GoldenSet::from_measurements([fleet.golden_measurement]),
+        allowlist,
+    );
+    let err = sp
+        .install_certificate(
+            clone.bootstrap_address(),
+            &fleet.provision.chain,
+            &fleet.provision.leader_bootstrap,
+        )
+        .unwrap_err();
+    assert!(matches!(err, RevelioError::NodeRejected { .. }), "{err}");
+    assert_eq!(err.deciding_check(), Some(DecidingCheck::ChipAllowlist));
+    assert!(clone.tls_public_key().is_none());
 }
 
 /// Replaying a legitimate fleet's evidence bundle from an attacker-run
