@@ -6,6 +6,8 @@
 //! cargo run --release -p revelio-bench --bin repro -- --table1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use revelio_bench::{
     cert_strategy_ablation, dim_from_env, fleet_dimensions_from_env, reconcile_dimensions_from_env,
     run_chaos_column, run_fabric_bench, run_fig5, run_fig6, run_fleet_scaling, run_ratls_ablation,

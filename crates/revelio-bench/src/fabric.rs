@@ -94,9 +94,6 @@ struct FleetTrial {
     /// bytes. Deterministic (structure sizes and string lengths, no
     /// allocator artifacts), so trials agree on it exactly.
     memory_per_node_bytes: u64,
-    /// Cumulative `revelio_net_snapshot_retire_spins`: iterations
-    /// writers spent waiting for in-flight readers to drain.
-    retire_spins: u64,
     dials_total: u64,
     dial_throughput_per_sec: f64,
     browses_total: u64,
@@ -221,7 +218,6 @@ fn run_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> FleetTria
     FleetTrial {
         provision_ms,
         memory_per_node_bytes,
-        retire_spins: net.snapshot_retire_spins(),
         dials_total,
         dial_throughput_per_sec: dials_total as f64 / dial_elapsed.max(1e-9),
         browses_total: latencies_us.len() as u64,
@@ -320,9 +316,8 @@ fn best<T>(trials: &[T], figure: impl Fn(&T) -> f64, pick: fn(f64, f64) -> f64) 
 /// browse latency across `threads` OS threads, then the telemetry
 /// overhead on the same dial schedule. Each of the `trials` rounds runs
 /// both. Scheduler noise only ever slows a trial down, so every
-/// wall-clock figure reports its best round; the retire-spin count, a
-/// cost, reports its worst so a stall on any trial is visible. The
-/// deterministic counters agree across trials and come from the first.
+/// wall-clock figure reports its best round. The deterministic counters
+/// agree across trials and come from the first.
 ///
 /// # Panics
 ///
@@ -362,11 +357,6 @@ pub fn run_fabric_bench(
         "memory_per_node_bytes",
         "bytes",
         first.memory_per_node_bytes as f64,
-    );
-    report.count(
-        "retire_spins",
-        "spins",
-        best(&fleet, |t| t.retire_spins as f64, max),
     );
     report.count("dials_total", "dials", first.dials_total as f64);
     report.wall(
@@ -526,7 +516,6 @@ mod tests {
             "\"wall_dial_throughput_per_sec\"",
             "\"browse_p99_us\"",
             "\"memory_per_node_bytes\"",
-            "\"retire_spins\"",
             "\"p50_overhead_percent\"",
             "\"metric\":\"p50_overhead_percent\",\"cmp\":\"<=\",\"bound\":10",
         ] {

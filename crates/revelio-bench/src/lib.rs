@@ -13,6 +13,8 @@
 //! this transformation because every modelled cost is linear in bytes.
 //! `EXPERIMENTS.md` records paper-vs-reproduced values.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod reconcile;
 pub mod report;

@@ -122,7 +122,7 @@ impl Hypervisor {
         // Firmware-side verification (measured code path).
         firmware.verify_blobs(&kernel, &initrd, &cmdline)?;
 
-        BootedVm::bring_up(guest, firmware, &kernel, &initrd, &cmdline, image, &options)
+        BootedVm::bring_up(guest, firmware, &initrd, &cmdline, image, &options)
     }
 }
 

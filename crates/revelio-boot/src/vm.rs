@@ -23,7 +23,6 @@ use revelio_storage::StorageError;
 use sev_snp::platform::GuestContext;
 use sev_snp::report::{ReportData, SignedReport};
 use sev_snp::sealing::SealingKeyRequest;
-use sev_snp::vtpm::{PcrEvent, PcrIndex, Vtpm};
 
 use crate::firmware::FirmwareImage;
 use crate::loader::BootOptions;
@@ -62,7 +61,6 @@ pub struct BootedVm {
     services: Vec<String>,
     report: BootReport,
     first_boot: bool,
-    vtpm: Vtpm,
 }
 
 impl std::fmt::Debug for BootedVm {
@@ -85,7 +83,6 @@ impl BootedVm {
     pub(crate) fn bring_up(
         guest: GuestContext,
         firmware: FirmwareImage,
-        kernel: &[u8],
         initrd: &[u8],
         cmdline: &str,
         image: &VmImage,
@@ -94,14 +91,6 @@ impl BootedVm {
         let model = &options.cost_model;
         let mut report = BootReport::default();
         report.record("kernel+init base", model.base_boot_ms);
-
-        // Runtime measurement (vTPM extension, paper §7): mirror the boot
-        // pipeline into PCRs so verifiers can ask for runtime quotes later.
-        let mut vtpm = Vtpm::new();
-        vtpm.extend(PcrIndex::Firmware, "firmware volume", &firmware.to_bytes());
-        vtpm.extend(PcrIndex::Kernel, "kernel blob", kernel);
-        vtpm.extend(PcrIndex::Initrd, "initrd blob", initrd);
-        vtpm.extend(PcrIndex::Cmdline, "kernel cmdline", cmdline.as_bytes());
 
         let init: InitConfig = InitConfig::from_initrd(initrd)?;
         let cmdline = KernelCmdline::parse(cmdline).map_err(|_| BootError::MissingRootHash)?;
@@ -141,7 +130,6 @@ impl BootedVm {
                     .map_err(BootError::RootfsIntegrity)?;
             }
             report.record("dm-verity verify", model.hash_ms(verified_bytes));
-            vtpm.extend(PcrIndex::RootFs, "verity root hash", &root_hash);
             (rootfs, Some(verity))
         } else {
             let rootfs_part = find(PartitionKind::RootFs).ok_or_else(|| {
@@ -219,11 +207,6 @@ impl BootedVm {
         // 5. Services.
         for service in &init.services {
             report.record(&format!("service:{service}"), model.service_start_ms);
-            vtpm.extend(
-                PcrIndex::Services,
-                &format!("svc:{service}"),
-                service.as_bytes(),
-            );
         }
 
         // Mirror the boot timeline into the telemetry registry: a `boot`
@@ -257,7 +240,6 @@ impl BootedVm {
             services: init.services,
             report,
             first_boot,
-            vtpm,
         })
     }
 
@@ -360,32 +342,6 @@ impl BootedVm {
     #[must_use]
     pub fn is_first_boot(&self) -> bool {
         self.first_boot
-    }
-
-    /// The VM's runtime-measurement vTPM (§7 extension).
-    #[must_use]
-    pub fn vtpm(&self) -> &Vtpm {
-        &self.vtpm
-    }
-
-    /// Records an application-level runtime event into the vTPM (e.g. a
-    /// configuration reload) — it becomes visible in subsequent quotes.
-    pub fn vtpm_extend_application(&mut self, description: &str, data: &[u8]) {
-        self.vtpm.extend(PcrIndex::Application, description, data);
-    }
-
-    /// A hardware-rooted runtime quote: an attestation report whose
-    /// `REPORT_DATA` is the vTPM composite digest over `nonce`, plus the
-    /// replayable event log. A verifier checks the report as usual, then
-    /// replays the log against the quoted digest.
-    #[must_use]
-    pub fn runtime_quote(&self, nonce: &[u8]) -> (SignedReport, Vec<PcrEvent>) {
-        let digest = self.vtpm.quote_digest(nonce);
-        (
-            self.guest
-                .attestation_report(ReportData::from_slice(&digest)),
-            self.vtpm.event_log().to_vec(),
-        )
     }
 }
 
@@ -603,45 +559,6 @@ mod tests {
         assert_ne!(a.identity_public_key(), b.identity_public_key());
         // Identical images on the same platform still share a measurement.
         assert_eq!(a.measurement(), b.measurement());
-    }
-
-    #[test]
-    fn vtpm_mirrors_boot_pipeline_and_quotes_verify() {
-        let p = platform_from(1);
-        let image = build_image(&spec(&["nginx", "proxy"])).unwrap();
-        let vm = boot(&p, &image);
-
-        // Boot extended firmware/kernel/initrd/cmdline/rootfs/services.
-        let vtpm = vm.vtpm();
-        assert_ne!(vtpm.pcr(sev_snp::vtpm::PcrIndex::Firmware), [0u8; 32]);
-        assert_ne!(vtpm.pcr(sev_snp::vtpm::PcrIndex::RootFs), [0u8; 32]);
-        assert_ne!(vtpm.pcr(sev_snp::vtpm::PcrIndex::Services), [0u8; 32]);
-
-        // The quote is a normal SNP report; the log replays to the bank.
-        let (report, log) = vm.runtime_quote(b"verifier nonce");
-        assert_eq!(report.report.measurement, vm.measurement());
-        vtpm.verify_log_replay(&log).unwrap();
-        let expected = vtpm.quote_digest(b"verifier nonce");
-        assert_eq!(&report.report.report_data.as_bytes()[..32], &expected);
-    }
-
-    #[test]
-    fn vtpm_detects_runtime_divergence_between_twins() {
-        let p = platform_from(1);
-        let image1 = build_image(&spec(&["nginx"])).unwrap();
-        let image2 = build_image(&spec(&["nginx"])).unwrap();
-        let mut a = boot(&p, &image1);
-        let b = boot(&p, &image2);
-        // Identical launch measurements, identical PCR banks at boot…
-        assert_eq!(a.measurement(), b.measurement());
-        assert_eq!(a.vtpm(), b.vtpm());
-        // …until a runtime event diverges one of them.
-        a.vtpm_extend_application("config reload", b"new upstream set");
-        assert_ne!(
-            a.vtpm().quote_digest(b"n"),
-            b.vtpm().quote_digest(b"n"),
-            "runtime change must show in quotes even though launch measurement is frozen"
-        );
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`client`] — the browser-side crypto: key derivation from the pad
 //!   secret, append encryption, history decryption and tamper detection.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod server;

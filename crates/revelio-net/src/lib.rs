@@ -27,9 +27,9 @@
 //!   heal windows, installed via `net.install_fault_domain(..)`;
 //! * [`retry::RetryPolicy`] — bounded exponential backoff whose sleeps
 //!   advance the [`clock::SimClock`], never wall time;
-//! * [`snapshot::Snapshot`] — a from-scratch epoch/arc-swap cell giving
-//!   the dial fast path (and the KDS client's VCEK cache) lock-free
-//!   reads of rarely-republished immutable state.
+//! * a private epoch snapshot cell (`snapshot.rs`, the crate's only
+//!   `unsafe`) giving the dial path lock-free reads of the
+//!   rarely-republished routing view.
 //!
 //! Exchanges are synchronous — protocol state machines remain ordinary
 //! sequential code — but the fabric itself is thread-safe: all routing
@@ -68,6 +68,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![deny(unsafe_code)]
 
 pub mod clock;
 pub mod dns;
@@ -76,7 +77,8 @@ pub mod error;
 pub mod fault;
 pub mod net;
 pub mod retry;
-pub mod snapshot;
+#[allow(unsafe_code)]
+mod snapshot;
 pub(crate) mod view;
 
 pub use domain::{DomainEffect, FaultDomain};

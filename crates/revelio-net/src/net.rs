@@ -6,8 +6,8 @@
 //! The fabric is built for thousand-node fleets driven from many OS
 //! threads. All routing state — listeners, latency overrides, redirects,
 //! tamper hooks, fault plans, installed fault domains and the fault
-//! seed — lives in one immutable `RoutingView` published behind a
-//! [`crate::snapshot::Snapshot`]; there is no second copy. Every
+//! seed — lives in one immutable `RoutingView` published behind the
+//! crate's epoch snapshot cell; there is no second copy. Every
 //! mutation (bind/unbind, shaper edits, fault-domain install/clear,
 //! `set_fault_seed`) is a copy-on-write edit of that view made under one
 //! writer lock and published before the call returns. Outside a batch,
@@ -230,7 +230,7 @@ impl Fabric {
             // No edit yet in the open batch (or it just closed): the
             // published view is current.
         }
-        self.view.read_at(stripe, f)
+        self.view.read(stripe, f)
     }
 
     /// Applies one mutation under the writer lock. Inside a batch it
@@ -243,11 +243,11 @@ impl Fabric {
                 // First edit of this batch: invalidate every outstanding
                 // clean stamp before the pending view diverges.
                 self.view_gen.fetch_add(1, Ordering::SeqCst);
-                RoutingView::clone(&self.view.load())
+                self.view.read(0, RoutingView::clone)
             });
             return pending.edit(f);
         }
-        let mut next = RoutingView::clone(&self.view.load());
+        let mut next = self.view.read(0, RoutingView::clone);
         let out = next.edit(f);
         self.publish(next);
         out
@@ -551,15 +551,6 @@ impl SimNet {
     #[must_use]
     pub fn faults_injected(&self) -> u64 {
         self.fabric.faults_injected.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative spin/yield iterations snapshot writers spent waiting
-    /// for reader stripes to drain while retiring old routing views (the
-    /// `revelio_net_snapshot_retire_spins` counter) — writer-stall time,
-    /// reported honestly by the fleet benchmark.
-    #[must_use]
-    pub fn snapshot_retire_spins(&self) -> u64 {
-        self.fabric.view.retire_spins()
     }
 
     /// Deterministic estimate of the routing view's heap footprint in
@@ -1064,12 +1055,6 @@ impl Connection {
             FaultKind::Timeout => NetError::Timeout(self.dialed.clone()),
             FaultKind::Reset => NetError::ConnectionClosed,
         }
-    }
-
-    /// The address this connection was dialed to (pre-redirect).
-    #[must_use]
-    pub fn dialed_address(&self) -> &str {
-        &self.dialed
     }
 
     /// Closes the connection; further exchanges fail.

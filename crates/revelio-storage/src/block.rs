@@ -1,7 +1,6 @@
 //! The block-device abstraction and the in-memory backing device.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -232,12 +231,6 @@ impl BlockDevice for MemBlockDevice {
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
-}
-
-/// Convenience constructor for a shared in-memory device handle.
-#[must_use]
-pub fn shared_mem_device(block_size: usize, count: u64) -> Arc<MemBlockDevice> {
-    Arc::new(MemBlockDevice::new(block_size, count))
 }
 
 #[cfg(test)]

@@ -313,15 +313,12 @@ impl Breakdown {
     }
 }
 
+/// The test binary's global allocator: the crate's only `unsafe`.
 #[cfg(test)]
-mod tests {
+#[allow(unsafe_code)]
+mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
-
-    use super::*;
-    use crate::span::{SPANS_DROPPED_COUNTER, SPAN_WINDOW};
-    use crate::TraceContext;
-    use revelio_net::clock::SimClock;
 
     /// Counts the allocations each thread makes, so one test can check
     /// that a call allocates nothing while other tests run in parallel.
@@ -331,7 +328,8 @@ mod tests {
         static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    fn allocations() -> u64 {
+    /// Allocations made so far on this thread.
+    pub(super) fn allocations() -> u64 {
         ALLOCATIONS.with(Cell::get)
     }
 
@@ -351,6 +349,15 @@ mod tests {
 
     #[global_allocator]
     static ALLOCATOR: CountingAlloc = CountingAlloc;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::counting_alloc::allocations;
+    use super::*;
+    use crate::span::{SPANS_DROPPED_COUNTER, SPAN_WINDOW};
+    use crate::TraceContext;
+    use revelio_net::clock::SimClock;
 
     fn fixture() -> (Telemetry, SimClock) {
         let clock = SimClock::new();

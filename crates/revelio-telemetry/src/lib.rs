@@ -24,6 +24,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![deny(unsafe_code)]
 
 mod export;
 pub mod flight;

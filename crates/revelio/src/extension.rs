@@ -17,19 +17,19 @@
 //!   shared [`appraise`] under the site's golden set and the user's TCB
 //!   floor (chain, binding, signature, debug policy, floor, measurement;
 //!   the four signatures in one batched check). Its [`EvidenceVerdict`]
-//!   is cached under a [`VerdictKey`] in a generation-stamped
-//!   [`Snapshot`] cell; `register_site` / `revoke_measurement` /
-//!   [`WebExtension::set_tcb_floor`] bump the generation, so a cache hit
-//!   (zero signature checks) is as strong as a cold verify.
+//!   is cached under a [`VerdictKey`] in a generation-stamped map;
+//!   `register_site` / `revoke_measurement` /
+//!   [`WebExtension::set_tcb_floor`] bump the generation and empty the
+//!   map, so a cache hit (zero signature checks) is as strong as a cold
+//!   verify.
 //! * [`WebExtension::verify_connection`] — the **per-connection** stage:
 //!   the TLS binding against *this* connection, never cached.
 //!
 //! See `DESIGN.md`, "Verifier at line rate" and "One appraisal".
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use revelio_crypto::ed25519::VerifyingKey;
 use revelio_crypto::sha2::Sha256;
 use revelio_http::client::{HttpsClient, HttpsSession};
@@ -39,7 +39,6 @@ use revelio_net::clock::SimClock;
 use revelio_net::dns::DnsZone;
 use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
-use revelio_net::snapshot::Snapshot;
 use revelio_pki::cert::Certificate;
 use revelio_telemetry::{
     retry_with_telemetry, FlightDump, FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY,
@@ -201,8 +200,8 @@ pub struct EvidenceVerdict {
     /// The verified reported TCB.
     pub reported_tcb: TcbVersion,
     /// The cache generation this verdict was computed under. A verdict
-    /// is served from cache only while the cell still carries the same
-    /// generation — any registration, revocation, or TCB-floor change
+    /// is served from cache only while the verifier still carries the
+    /// same generation — any registration, revocation, or TCB-floor change
     /// bumps it.
     pub generation: u64,
     /// Whether this verdict came from the cache.
@@ -214,12 +213,11 @@ pub struct EvidenceVerdict {
     pub kds_ms: f64,
 }
 
-/// Everything the cacheable stage reads, published as **one** immutable
-/// value: golden sets, TCB floor, and the verdict map all travel
-/// together, so a concurrent session sees a consistent snapshot and a
-/// verdict can never be paired with golden state from a different
-/// generation.
-#[derive(Debug, Clone, Default)]
+/// Everything the cacheable stage reads, behind **one** lock: golden
+/// sets, TCB floor, and the verdict map change together, so a
+/// concurrent session sees a consistent state and a verdict can never
+/// be paired with golden state from a different generation.
+#[derive(Debug, Default)]
 struct VerifierState {
     generation: u64,
     golden: BTreeMap<String, GoldenSet>,
@@ -316,7 +314,7 @@ struct Dispatched {
 /// The web extension.
 ///
 /// All methods take `&self`: registration, revocation, and the verdict
-/// cache live behind a generation-stamped [`Snapshot`] cell, so one
+/// cache live behind one generation-stamped lock, so one
 /// extension instance is safely shared across concurrent sessions (the
 /// swarm benchmark drives a million sessions through one instance).
 pub struct WebExtension {
@@ -324,7 +322,7 @@ pub struct WebExtension {
     kds: KdsHttpClient,
     config: ExtensionConfig,
     client: HttpsClient,
-    verifier: Snapshot<VerifierState>,
+    verifier: RwLock<VerifierState>,
     /// Per-domain session tickets, each stamped with the verdict
     /// generation it was earned under (see [`CachedResumption`]).
     resumption: Mutex<HashMap<String, CachedResumption>>,
@@ -336,7 +334,7 @@ pub struct WebExtension {
 impl std::fmt::Debug for WebExtension {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WebExtension")
-            .field("registered_sites", &self.verifier.read(|s| s.golden.len()))
+            .field("registered_sites", &self.verifier.read().golden.len())
             .finish_non_exhaustive()
     }
 }
@@ -373,7 +371,7 @@ impl WebExtension {
             kds,
             config,
             client,
-            verifier: Snapshot::new(Arc::new(VerifierState::default())),
+            verifier: RwLock::default(),
             resumption: Mutex::new(HashMap::new()),
             retry: Self::default_retry_policy(),
         }
@@ -466,20 +464,19 @@ impl WebExtension {
         Err(RevelioError::NotRevelioSite(domain.to_owned()))
     }
 
-    /// Republishes the verifier state through `mutate` with the
-    /// generation bumped and every cached verdict dropped — the
-    /// invalidation primitive behind registration, revocation, and
-    /// TCB-floor changes. Readers holding the previous snapshot still
-    /// see a *consistent* (golden, verdicts) pair; they just can no
-    /// longer insert into the new generation with a stale stamp.
+    /// Edits the verifier state through `mutate` with the generation
+    /// bumped and every cached verdict dropped, all under the write lock
+    /// — the invalidation primitive behind registration, revocation, and
+    /// TCB-floor changes. A verification already past its read keeps
+    /// the state it read; it just can no longer insert into the new
+    /// generation with a stale stamp.
     fn bump_generation(&self, mutate: impl FnOnce(&mut VerifierState)) {
-        self.verifier.update(|current| {
-            let mut next = current.clone();
-            next.generation += 1;
-            next.verdicts.clear();
-            mutate(&mut next);
-            (Arc::new(next), ())
-        });
+        {
+            let mut state = self.verifier.write();
+            state.generation += 1;
+            state.verdicts.clear();
+            mutate(&mut state);
+        }
         self.telemetry
             .counter_add("revelio_extension_verify_cache_invalidations_total", 1);
     }
@@ -498,7 +495,7 @@ impl WebExtension {
     /// Whether `domain` is registered for validation.
     #[must_use]
     pub fn is_registered(&self, domain: &str) -> bool {
-        self.verifier.read(|s| s.golden.contains_key(domain))
+        self.verifier.read().golden.contains_key(domain)
     }
 
     /// Revokes a golden measurement for a registered domain (image
@@ -538,19 +535,19 @@ impl WebExtension {
     /// The current TCB floor, if any.
     #[must_use]
     pub fn tcb_floor(&self) -> Option<TcbVersion> {
-        self.verifier.read(|s| s.tcb_floor)
+        self.verifier.read().tcb_floor
     }
 
     /// The current verdict-cache generation (diagnostics / tests).
     #[must_use]
     pub fn verdict_generation(&self) -> u64 {
-        self.verifier.read(|s| s.generation)
+        self.verifier.read().generation
     }
 
     /// Number of cached verdicts in the current generation.
     #[must_use]
     pub fn cached_verdicts(&self) -> usize {
-        self.verifier.read(|s| s.verdicts.len())
+        self.verifier.read().verdicts.len()
     }
 
     /// **Stage 1 — cacheable.** Appraises `evidence` against `domain`'s
@@ -571,34 +568,38 @@ impl WebExtension {
         domain: &str,
         evidence: &EvidenceBundle,
     ) -> Result<EvidenceVerdict, RevelioError> {
-        let state = self.verifier.load();
-        let golden = state
-            .golden
-            .get(domain)
-            .ok_or_else(|| RevelioError::NotRevelioSite(domain.to_owned()))?;
         let key = VerdictKey::of(evidence);
-
-        if let Some(cached) = state.verdicts.get(&key) {
-            if cached.generation == state.generation {
-                self.telemetry
-                    .counter_add("revelio_extension_verify_cache_hits_total", 1);
-                // The verdict cache is shared by every site and its key
-                // holds no domain, so a hit may come from an appraisal
-                // under another site's golden set: judge the measurement
-                // against this one.
-                if !golden.is_trusted(&cached.measurement) {
-                    return Err(RevelioError::UnknownMeasurement(
-                        cached.measurement.to_hex(),
-                    ));
+        // Read everything the miss path needs under one read guard and
+        // release it before the KDS fetch and the appraisal.
+        let (generation, golden, tcb_floor) = {
+            let state = self.verifier.read();
+            let golden = state
+                .golden
+                .get(domain)
+                .ok_or_else(|| RevelioError::NotRevelioSite(domain.to_owned()))?;
+            if let Some(cached) = state.verdicts.get(&key) {
+                if cached.generation == state.generation {
+                    self.telemetry
+                        .counter_add("revelio_extension_verify_cache_hits_total", 1);
+                    // The verdict cache is shared by every site and its
+                    // key holds no domain, so a hit may come from an
+                    // appraisal under another site's golden set: judge the
+                    // measurement against this one.
+                    if !golden.is_trusted(&cached.measurement) {
+                        return Err(RevelioError::UnknownMeasurement(
+                            cached.measurement.to_hex(),
+                        ));
+                    }
+                    return Ok(EvidenceVerdict {
+                        cached: true,
+                        signature_checks: 0,
+                        kds_ms: 0.0,
+                        ..*cached
+                    });
                 }
-                return Ok(EvidenceVerdict {
-                    cached: true,
-                    signature_checks: 0,
-                    kds_ms: 0.0,
-                    ..*cached
-                });
             }
-        }
+            (state.generation, golden.clone(), state.tcb_floor)
+        };
         self.telemetry
             .counter_add("revelio_extension_verify_cache_misses_total", 1);
 
@@ -624,8 +625,8 @@ impl WebExtension {
         );
         let policy = AppraisalPolicy {
             ark: &self.config.trusted_ark,
-            measurement: MeasurementRule::Golden(golden),
-            tcb_floor: state.tcb_floor,
+            measurement: MeasurementRule::Golden(&golden),
+            tcb_floor,
         };
         appraise(&policy, &evidence.report, &chain).map_err(|rejection| {
             if rejection.check == Some(DecidingCheck::Measurement) {
@@ -636,27 +637,24 @@ impl WebExtension {
         })?;
         self.clock.advance_ms(self.config.validation_ms);
 
-        // 4. Publish the verdict, stamped with the generation observed
+        // 3. Cache the verdict, stamped with the generation observed
         //    *before* the verification work. If a registration or
-        //    revocation republished meanwhile, the stamp is stale and the
+        //    revocation bumped it meanwhile, the stamp is stale and the
         //    insert is skipped — the race loses cleanly instead of
         //    resurrecting a pre-revocation verdict into the new
         //    generation.
         let verdict = EvidenceVerdict {
             measurement: evidence.report.report.measurement,
             reported_tcb: evidence.report.report.reported_tcb,
-            generation: state.generation,
+            generation,
             cached: false,
             signature_checks: SIGNATURE_CHECKS_PER_VERIFY,
             kds_ms,
         };
-        self.verifier.update(|current| {
-            let mut next = current.clone();
-            if current.generation == verdict.generation {
-                next.verdicts.insert(key, verdict);
-            }
-            (Arc::new(next), ())
-        });
+        let mut state = self.verifier.write();
+        if state.generation == generation {
+            state.verdicts.insert(key, verdict);
+        }
         Ok(verdict)
     }
 
@@ -1177,6 +1175,7 @@ mod tests {
     use super::*;
     use crate::node::demo_app;
     use crate::world::SimWorld;
+    use std::sync::Arc;
 
     /// The dispatch seam every public entry point funnels through: a
     /// visit dispatched without a path (the monitored-session open)
@@ -1219,5 +1218,53 @@ mod tests {
         // And the monitored-session public path is unaffected.
         let mut session = extension.open_monitored("pad.example.org").unwrap();
         assert!(session.request("/healthz").unwrap().is_success());
+    }
+
+    /// A revocation that lands while a verdict-cache miss is fetching
+    /// its VCEK chain must not let the in-flight verdict into the cache:
+    /// the miss read the pre-revocation generation, so its insert is
+    /// skipped, and the next verification rejects.
+    #[test]
+    fn a_revocation_during_a_miss_leaves_no_verdict_under_the_new_generation() {
+        const DOMAIN: &str = "pad.example.org";
+        const PROXY: &str = "kds-proxy.test:80";
+        let mut world = SimWorld::new(32);
+        let fleet = world.deploy_fleet(DOMAIN, 1, demo_app()).unwrap();
+        let golden = fleet.golden_measurement;
+
+        // The extension's KDS client goes through a proxy whose hook
+        // revokes the golden measurement once it has been armed.
+        let armed: Arc<Mutex<Option<Arc<WebExtension>>>> = Arc::default();
+        let trigger = Arc::clone(&armed);
+        crate::kds_http::serve_hooked_kds_proxy(&world.net, PROXY, move || {
+            if let Some(extension) = trigger.lock().take() {
+                extension.revoke_measurement(DOMAIN, golden);
+            }
+        });
+        let mut extension = world.extension();
+        extension.kds = KdsHttpClient::new(world.net.clone(), PROXY);
+        let extension = Arc::new(extension);
+        extension.register_site(DOMAIN, vec![golden]);
+        let session = extension.open_monitored(DOMAIN).unwrap();
+
+        // Empty both caches, then arm the hook for the next fetch.
+        extension.set_tcb_floor(None);
+        let generation = extension.verdict_generation();
+        *armed.lock() = Some(Arc::clone(&extension));
+
+        // The miss appraised under the golden set it read before the
+        // revocation, so this call itself succeeds…
+        let verdict = extension
+            .verify_evidence(DOMAIN, session.evidence())
+            .unwrap();
+        assert!(armed.lock().is_none(), "the hook never ran");
+        assert_eq!(verdict.generation, generation);
+        // …but nothing was cached under the revocation's generation.
+        assert_eq!(extension.verdict_generation(), generation + 1);
+        assert_eq!(extension.cached_verdicts(), 0, "in-flight verdict cached");
+        assert!(matches!(
+            extension.verify_evidence(DOMAIN, session.evidence()),
+            Err(RevelioError::UnknownMeasurement(_))
+        ));
     }
 }

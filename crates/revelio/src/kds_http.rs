@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use revelio_crypto::wire::{ByteReader, ByteWriter};
 use revelio_http::message::{Request, Response};
 use revelio_http::router::Router;
@@ -17,7 +18,6 @@ use revelio_http::server::{plain_request_traced, serve_http};
 use revelio_http::HttpError;
 use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
-use revelio_net::snapshot::Snapshot;
 use revelio_telemetry::{retry_with_telemetry, Telemetry};
 use sev_snp::ids::{ChipId, TcbVersion};
 use sev_snp::kds::{AmdCert, KeyDistributionService, VcekCertChain};
@@ -86,25 +86,25 @@ pub fn serve_kds(
 /// with the generation it was filled under.
 ///
 /// Reads vastly outnumber writes — a chain is fetched once per firmware
-/// TCB and then served to every warm-cache browse — so the state sits
-/// behind the same lock-free [`Snapshot`] cell the fabric's dial fast
-/// path uses: hits cost one atomic load, and the rare insert republishes
-/// a copied map under the cell's writer lock (concurrent inserts of
-/// distinct keys compose; racing fetches of the *same* key insert the
-/// same chain, so last-writer-wins is harmless).
+/// TCB and then served to every warm-cache browse — so the map sits
+/// behind a read-write lock and is edited in place: a hit takes the
+/// read lock and clones one chain, an insert takes the write lock
+/// (racing fetches of the *same* key insert the same chain, so
+/// last-writer-wins is harmless). No guard is held across the network
+/// fetch.
 ///
-/// The generation is the invalidation path the verdict cache already
+/// The generation is the invalidation path the verdict cache also
 /// has: [`KdsHttpClient::flush_cache`] bumps it and clears the map, and
 /// a fetch that began under the old generation skips its insert — a
 /// revoked chain can never be re-filed into the new generation by an
 /// in-flight fetch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct VcekCacheState {
     generation: u64,
     chains: HashMap<(ChipId, u64), VcekCertChain>,
 }
 
-type VcekCache = Arc<Snapshot<VcekCacheState>>;
+type VcekCache = Arc<RwLock<VcekCacheState>>;
 
 /// Decorrelates the KDS retry jitter stream from other components.
 const KDS_JITTER_SEED: u64 = 0x006b_6473; // "kds"
@@ -144,7 +144,7 @@ impl KdsHttpClient {
             telemetry: Telemetry::new(net.clock().clone()),
             net,
             address: address.to_owned(),
-            cache: Arc::new(Snapshot::new(Arc::new(VcekCacheState::default()))),
+            cache: VcekCache::default(),
             retry: Self::default_retry_policy(),
         }
     }
@@ -180,7 +180,7 @@ impl KdsHttpClient {
         // Capture the generation *before* the fetch: the insert below is
         // valid only for the cache state the miss was observed under.
         let fetch_generation = {
-            let state = self.cache.load();
+            let state = self.cache.read();
             if let Some(chain) = state.chains.get(&(*chip_id, tcb.to_u64())) {
                 self.telemetry
                     .counter_add("revelio_kds_client_cache_hits_total", 1);
@@ -207,17 +207,14 @@ impl KdsHttpClient {
         let ms = span.finish_ms();
         self.telemetry.observe("revelio_kds_client_fetch_ms", ms);
         let chain = result?;
-        self.cache.update(|state| {
-            // A flush moved the generation while this fetch was in
-            // flight: the chain may be exactly the stale endorsement the
-            // flush evicted, so the insert is skipped — the race loses
-            // cleanly, never misfiles.
-            let mut next = state.clone();
-            if next.generation == fetch_generation {
-                next.chains.insert((*chip_id, tcb.to_u64()), chain.clone());
-            }
-            (Arc::new(next), ())
-        });
+        let mut state = self.cache.write();
+        // A flush moved the generation while this fetch was in flight:
+        // the chain may be exactly the stale endorsement the flush
+        // evicted, so the insert is skipped — the race loses cleanly,
+        // never misfiles.
+        if state.generation == fetch_generation {
+            state.chains.insert((*chip_id, tcb.to_u64()), chain.clone());
+        }
         Ok(chain)
     }
 
@@ -241,15 +238,11 @@ impl KdsHttpClient {
     /// The flush is counted as
     /// `revelio_kds_client_cache_invalidations_total`.
     pub fn flush_cache(&self) {
-        self.cache.update(|state| {
-            (
-                Arc::new(VcekCacheState {
-                    generation: state.generation + 1,
-                    chains: HashMap::new(),
-                }),
-                (),
-            )
-        });
+        {
+            let mut state = self.cache.write();
+            state.generation += 1;
+            state.chains.clear();
+        }
         self.telemetry
             .counter_add("revelio_kds_client_cache_invalidations_total", 1);
     }
@@ -257,13 +250,13 @@ impl KdsHttpClient {
     /// The current cache generation.
     #[must_use]
     pub fn cache_generation(&self) -> u64 {
-        self.cache.read(|s| s.generation)
+        self.cache.read().generation
     }
 
     /// Number of VCEK chains currently cached.
     #[must_use]
     pub fn cached_chains(&self) -> usize {
-        self.cache.read(|s| s.chains.len())
+        self.cache.read().chains.len()
     }
 
     /// Fetches the chip-independent ARK → ASK certificates from the KDS
@@ -288,6 +281,24 @@ impl KdsHttpClient {
         r.finish()?;
         Ok((ark, ask))
     }
+}
+
+/// Mounts at `address` a plain-HTTP proxy that forwards `/vcek` to the
+/// KDS at [`KDS_ADDRESS`] and runs `hook` first: the seam that lands a
+/// cache event (a flush, a revocation) inside a client's fetch.
+#[cfg(test)]
+pub(crate) fn serve_hooked_kds_proxy(
+    net: &SimNet,
+    address: &str,
+    hook: impl Fn() + Send + Sync + 'static,
+) {
+    let upstream = net.clone();
+    let router = Router::new().post("/vcek", move |req: &Request| {
+        hook();
+        revelio_http::server::plain_request(&upstream, KDS_ADDRESS, req)
+            .unwrap_or_else(|_| Response::status(502))
+    });
+    serve_http(net, address, router).expect("proxy address is free");
 }
 
 #[cfg(test)]
@@ -439,6 +450,37 @@ mod tests {
             1
         );
         assert_eq!(telemetry.counter("revelio_kds_client_cache_hits_total"), 1);
+        assert_eq!(
+            telemetry.counter("revelio_kds_client_cache_misses_total"),
+            2
+        );
+    }
+
+    #[test]
+    fn a_flush_during_a_fetch_leaves_the_chain_uncached() {
+        const PROXY: &str = "kds-proxy.test:80";
+        let (_, net, _) = setup();
+        let telemetry = Telemetry::new(net.clock().clone());
+        let client = KdsHttpClient::new(net.clone(), PROXY).with_telemetry(telemetry.clone());
+        let flusher = client.clone();
+        serve_hooked_kds_proxy(&net, PROXY, move || flusher.flush_cache());
+        let chip = ChipId::from_seed(1);
+        let tcb = TcbVersion::default();
+
+        // The miss read generation 0; the flush landed mid-fetch and
+        // moved it to 1. The caller still gets its chain, but the cache
+        // must not file it under the new generation.
+        client.vcek_chain(&chip, &tcb).unwrap();
+        assert_eq!(client.cache_generation(), 1);
+        assert_eq!(
+            client.cached_chains(),
+            0,
+            "in-flight chain survived a flush"
+        );
+
+        // So the next query misses and fetches again.
+        client.vcek_chain(&chip, &tcb).unwrap();
+        assert_eq!(telemetry.counter("revelio_kds_client_cache_hits_total"), 0);
         assert_eq!(
             telemetry.counter("revelio_kds_client_cache_misses_total"),
             2

@@ -58,6 +58,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod ids;
@@ -67,6 +68,5 @@ pub mod platform;
 pub mod report;
 pub mod sealing;
 pub mod verify;
-pub mod vtpm;
 
 pub use error::SnpError;

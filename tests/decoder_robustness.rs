@@ -89,7 +89,6 @@ fn decode_all(bytes: &[u8]) {
     let _ = Response::from_bytes(bytes);
     let _ = IcRequest::from_bytes(bytes);
     let _ = CertifiedResponse::from_bytes(bytes);
-    let _ = sev_snp::vtpm::Vtpm::log_from_bytes(bytes);
 }
 
 proptest! {
