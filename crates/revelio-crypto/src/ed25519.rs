@@ -1756,14 +1756,14 @@ mod tests {
 
     #[test]
     fn scalar_mul_ops_counter_charges_kernels() {
-        let before = metrics::scalar_mul_ops();
+        let before = metrics::thread_scalar_mul_ops();
         let s = Scalar::from_bytes_reduced(&[5u8; 32]);
         let _ = EdwardsPoint::mul_base(&s);
         let key = SigningKey::from_seed(&[6u8; 32]);
         let sig = key.sign(b"m");
         key.verifying_key().verify(b"m", &sig).unwrap();
         // mul_base (1) + from_seed (1) + sign (1) + straus verify (2).
-        assert!(metrics::scalar_mul_ops() >= before + 5);
+        assert_eq!(metrics::thread_scalar_mul_ops(), before + 5);
     }
 
     proptest! {

@@ -176,7 +176,7 @@ impl FieldElement {
     /// Field multiplication. Inputs below 2^54 keep every `b[i]·19`
     /// under 2^59 and every column under 2^115; the top column, which has
     /// no ×19 terms, stays under 5·2^108 < 2^110.4, as
-    /// [`FieldElement::carry_wide`] needs.
+    /// the private `carry_wide` needs.
     #[must_use]
     pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
         let a = &self.0;

@@ -4,19 +4,14 @@
 //! scalar multiplications" by reading these counters around each phase;
 //! the KDS chain-verification tests prove the pinned ARK is decompressed
 //! once, not once per verification; the verity tests prove a verified
-//! read costs one data-block hash. The counters are monotonic, relaxed
-//! (they are evidence, not synchronization), and never reset — callers
-//! take deltas.
+//! read costs one data-block hash. The counters are monotonic and never
+//! reset — callers take deltas.
 //!
-//! SHA-256 compressions and signature checks are counted per thread only:
-//! SHA-256 runs under every TLS record and HMAC on all threads, and a
-//! shared atomic there would be a contended cache line.
+//! Every counter is per thread: the kernels run on all threads, and a
+//! shared atomic would be a contended cache line charged on every call.
+//! A phase that spans threads sums each worker's deltas.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static SCALAR_MUL_OPS: AtomicU64 = AtomicU64::new(0);
-static POINT_DECOMPRESSIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_SCALAR_MUL_OPS: Cell<u64> = const { Cell::new(0) };
@@ -30,13 +25,11 @@ thread_local! {
 /// counts 1, Straus double-scalar counts 2, multiscalar counts one per
 /// pair, the X25519 Montgomery ladder counts 1).
 pub(crate) fn record_scalar_mul(n: u64) {
-    SCALAR_MUL_OPS.fetch_add(n, Ordering::Relaxed);
     THREAD_SCALAR_MUL_OPS.with(|c| c.set(c.get() + n));
 }
 
 /// Charges one compressed-point decompression (sqrt, field inversions).
 pub(crate) fn record_decompression() {
-    POINT_DECOMPRESSIONS.fetch_add(1, Ordering::Relaxed);
     THREAD_POINT_DECOMPRESSIONS.with(|c| c.set(c.get() + 1));
 }
 
@@ -54,18 +47,6 @@ pub(crate) fn record_single_verification() {
 /// covers.
 pub(crate) fn record_batch_verification() {
     THREAD_BATCH_VERIFICATIONS.with(|c| c.set(c.get() + 1));
-}
-
-/// Total scalar-multiplication kernel invocations since process start.
-#[must_use]
-pub fn scalar_mul_ops() -> u64 {
-    SCALAR_MUL_OPS.load(Ordering::Relaxed)
-}
-
-/// Total compressed-point decompressions since process start.
-#[must_use]
-pub fn point_decompressions() -> u64 {
-    POINT_DECOMPRESSIONS.load(Ordering::Relaxed)
 }
 
 /// Scalar-multiplication kernels invoked by *this thread* — exact deltas
@@ -106,12 +87,12 @@ mod tests {
 
     #[test]
     fn counters_are_monotonic() {
-        let before = scalar_mul_ops();
+        let before = thread_scalar_mul_ops();
         record_scalar_mul(3);
-        assert!(scalar_mul_ops() >= before + 3);
-        let d = point_decompressions();
+        assert_eq!(thread_scalar_mul_ops(), before + 3);
+        let d = thread_point_decompressions();
         record_decompression();
-        assert!(point_decompressions() > d);
+        assert_eq!(thread_point_decompressions(), d + 1);
     }
 
     #[test]

@@ -84,16 +84,13 @@ impl PadSecret {
     /// Encrypts and signs edit number `edit_index` (0-based position in
     /// the pad's history).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when called on a view-only capability — authorship requires
-    /// the edit secret. Check [`PadSecret::can_edit`] first.
-    #[must_use]
-    pub fn encrypt_edit(&self, edit_index: u64, plaintext: &[u8]) -> Vec<u8> {
-        let author = self
-            .author
-            .as_ref()
-            .expect("view-only capability cannot author edits");
+    /// Returns [`PadError::ViewOnly`] on a view-only capability —
+    /// authorship requires the edit secret. Check
+    /// [`PadSecret::can_edit`] first.
+    pub fn encrypt_edit(&self, edit_index: u64, plaintext: &[u8]) -> Result<Vec<u8>, PadError> {
+        let author = self.author.as_ref().ok_or(PadError::ViewOnly)?;
         let ciphertext = self
             .aead()
             .seal(&Self::nonce(edit_index), b"pad-edit", plaintext);
@@ -102,7 +99,7 @@ impl PadSecret {
         let signature = author.sign(&signed_payload);
         let mut out = signature.to_bytes().to_vec();
         out.extend_from_slice(&ciphertext);
-        out
+        Ok(out)
     }
 
     /// Decrypts a full history into plaintext edits, verifying order,
@@ -121,13 +118,10 @@ impl PadSecret {
             .enumerate()
             .map(|(i, edit)| {
                 let fail = || PadError::DecryptionFailed { edit_index: i };
-                if edit.len() < 64 {
+                let Some((sig_bytes, ciphertext)) = edit.split_first_chunk::<64>() else {
                     return Err(fail());
-                }
-                let (sig_bytes, ciphertext) = edit.split_at(64);
-                let signature = revelio_crypto::ed25519::Signature::from_bytes(
-                    sig_bytes.try_into().expect("64 bytes"),
-                );
+                };
+                let signature = revelio_crypto::ed25519::Signature::from_bytes(*sig_bytes);
                 let mut signed_payload = (i as u64).to_le_bytes().to_vec();
                 signed_payload.extend_from_slice(ciphertext);
                 self.author_public
@@ -163,10 +157,10 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"draft one"))
+            .append(id, secret.encrypt_edit(0, b"draft one").unwrap())
             .unwrap();
         store
-            .append(id, secret.encrypt_edit(1, b"draft two"))
+            .append(id, secret.encrypt_edit(1, b"draft two").unwrap())
             .unwrap();
         let history = store.fetch(id).unwrap();
         assert_eq!(
@@ -182,7 +176,7 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"medical record"))
+            .append(id, secret.encrypt_edit(0, b"medical record").unwrap())
             .unwrap();
         for (_, pad) in store.operator_view() {
             for edit in &pad.edits {
@@ -196,7 +190,7 @@ mod tests {
         let secret = PadSecret::from_fragment("u/#abc123");
         let other = PadSecret::from_fragment("u/#wrong");
         let history = PadHistory {
-            edits: vec![secret.encrypt_edit(0, b"private")],
+            edits: vec![secret.encrypt_edit(0, b"private").unwrap()],
         };
         assert_eq!(
             other.decrypt_history(&history).unwrap_err(),
@@ -210,7 +204,7 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"agreed: 100 CHF"))
+            .append(id, secret.encrypt_edit(0, b"agreed: 100 CHF").unwrap())
             .unwrap();
         // Malicious operator swaps the ciphertext.
         store
@@ -226,8 +220,8 @@ mod tests {
     #[test]
     fn reordering_detected() {
         let secret = PadSecret::from_fragment("u/#abc123");
-        let e0 = secret.encrypt_edit(0, b"first");
-        let e1 = secret.encrypt_edit(1, b"second");
+        let e0 = secret.encrypt_edit(0, b"first").unwrap();
+        let e1 = secret.encrypt_edit(1, b"second").unwrap();
         // Server swaps the history order.
         let history = PadHistory {
             edits: vec![e1, e0],
@@ -243,7 +237,7 @@ mod tests {
         assert!(!viewer.can_edit());
 
         let history = PadHistory {
-            edits: vec![editor.encrypt_edit(0, b"shared doc")],
+            edits: vec![editor.encrypt_edit(0, b"shared doc").unwrap()],
         };
         assert_eq!(
             viewer.decrypt_history(&history).unwrap(),
@@ -252,10 +246,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "view-only")]
-    fn view_only_authoring_panics() {
+    fn view_only_authoring_is_refused() {
         let viewer = PadSecret::from_fragment("#edit-link").view_only();
-        let _ = viewer.encrypt_edit(0, b"attempted edit");
+        assert_eq!(
+            viewer.encrypt_edit(0, b"attempted edit"),
+            Err(PadError::ViewOnly)
+        );
     }
 
     #[test]
@@ -266,9 +262,11 @@ mod tests {
         let editor = PadSecret::from_fragment("#edit-link");
         let forger = PadSecret::from_fragment("#another-link");
         let mut history = PadHistory {
-            edits: vec![editor.encrypt_edit(0, b"honest")],
+            edits: vec![editor.encrypt_edit(0, b"honest").unwrap()],
         };
-        history.edits.push(forger.encrypt_edit(1, b"forged"));
+        history
+            .edits
+            .push(forger.encrypt_edit(1, b"forged").unwrap());
         assert_eq!(
             editor.decrypt_history(&history).unwrap_err(),
             PadError::DecryptionFailed { edit_index: 1 }
@@ -301,7 +299,7 @@ mod tests {
                 edits: docs
                     .iter()
                     .enumerate()
-                    .map(|(i, d)| secret.encrypt_edit(i as u64, d))
+                    .map(|(i, d)| secret.encrypt_edit(i as u64, d).unwrap())
                     .collect(),
             };
             prop_assert_eq!(secret.decrypt_history(&history).unwrap(), docs);

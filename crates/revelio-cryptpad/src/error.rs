@@ -26,6 +26,8 @@ pub enum PadError {
     Crypto(CryptoError),
     /// Persistence (sealed volume) failure.
     Storage(StorageError),
+    /// A view-only capability tried to author an edit.
+    ViewOnly,
 }
 
 impl fmt::Display for PadError {
@@ -42,6 +44,7 @@ impl fmt::Display for PadError {
             PadError::Wire(e) => write!(f, "wire format error: {e}"),
             PadError::Crypto(e) => write!(f, "crypto error: {e}"),
             PadError::Storage(e) => write!(f, "storage error: {e}"),
+            PadError::ViewOnly => write!(f, "view-only capability cannot author edits"),
         }
     }
 }

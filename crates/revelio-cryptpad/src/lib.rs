@@ -15,6 +15,10 @@
 //! * [`client`] — the browser-side crypto: key derivation from the pad
 //!   secret, append encryption, history decryption and tamper detection.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![forbid(unsafe_code)]
 
 pub mod client;

@@ -181,9 +181,13 @@ impl PadStore {
     /// Returns [`PadError::Storage`] / [`PadError::Wire`] when the volume
     /// holds no valid store.
     pub fn restore(volume: &CryptDevice) -> Result<Self, PadError> {
-        let len_bytes = revelio_storage::block::read_at(volume, 0, 8)?;
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
-        if len == 0 || len + 8 > volume.len_bytes() {
+        let len_bytes: [u8; 8] = revelio_storage::block::read_at(volume, 0, 8)?
+            .try_into()
+            .map_err(|_| revelio_crypto::wire::WireError::UnexpectedEnd)?;
+        let len = u64::from_le_bytes(len_bytes);
+        // The prefix comes off the volume, so compare without computing
+        // `len + 8`, which a hostile prefix could overflow.
+        if len == 0 || len > volume.len_bytes().saturating_sub(8) {
             return Err(PadError::Wire(
                 revelio_crypto::wire::WireError::UnexpectedEnd,
             ));
@@ -209,21 +213,19 @@ pub fn pad_router(store: PadStore) -> Router {
             Response::ok(id.to_le_bytes().to_vec())
         })
         .post("/pad/append", move |req: &Request| {
-            if req.body.len() < 8 {
+            let Some((pad_id, edit)) = req.body.split_first_chunk::<8>() else {
                 return Response::status(400);
-            }
-            let pad_id = u64::from_le_bytes(req.body[..8].try_into().expect("8 bytes"));
-            match append_store.append(pad_id, req.body[8..].to_vec()) {
+            };
+            match append_store.append(u64::from_le_bytes(*pad_id), edit.to_vec()) {
                 Ok(count) => Response::ok((count as u64).to_le_bytes().to_vec()),
                 Err(_) => Response::status(404),
             }
         })
         .post("/pad/fetch", move |req: &Request| {
-            if req.body.len() != 8 {
+            let Ok(pad_id) = <[u8; 8]>::try_from(req.body.as_slice()) else {
                 return Response::status(400);
-            }
-            let pad_id = u64::from_le_bytes(req.body[..8].try_into().expect("8 bytes"));
-            match fetch_store.fetch(pad_id) {
+            };
+            match fetch_store.fetch(u64::from_le_bytes(pad_id)) {
                 Ok(history) => {
                     let mut w = ByteWriter::new();
                     w.put_u32(history.edits.len() as u32);
@@ -360,6 +362,22 @@ mod tests {
 
         // The wrong key cannot even open the volume.
         assert!(CryptDevice::open(backing as _, b"other key", &params).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_an_overflowing_length_prefix() {
+        use revelio_storage::block::MemBlockDevice;
+        use revelio_storage::crypt::{CryptDevice, CryptParams};
+
+        let params = CryptParams {
+            iterations: 2,
+            salt: [1; 32],
+        };
+        let backing = StdArc::new(MemBlockDevice::new(512, 64));
+        let volume = CryptDevice::format(backing as _, b"sealing key", &params).unwrap();
+        // `len + 8` wraps past `u64::MAX` for this prefix.
+        revelio_storage::block::write_at(&volume, 0, &(u64::MAX - 7).to_le_bytes()).unwrap();
+        assert!(PadStore::restore(&volume).is_err());
     }
 
     #[test]

@@ -52,15 +52,15 @@ impl Canister for KeyValueCanister {
             (CallKind::Query, "len") => Ok((self.entries.len() as u64).to_le_bytes().to_vec()),
             (CallKind::Update, "put") => {
                 // arg = key_len(u32) || key || value
-                if arg.len() < 4 {
+                let Some((key_len, rest)) = arg.split_first_chunk::<4>() else {
                     return Err(IcError::CanisterRejected("short put argument".into()));
-                }
-                let key_len = u32::from_le_bytes(arg[..4].try_into().expect("4 bytes")) as usize;
-                if arg.len() < 4 + key_len {
+                };
+                let key_len = u32::from_le_bytes(*key_len) as usize;
+                if rest.len() < key_len {
                     return Err(IcError::CanisterRejected("truncated put key".into()));
                 }
-                let key = arg[4..4 + key_len].to_vec();
-                let value = arg[4 + key_len..].to_vec();
+                let (key, value) = rest.split_at(key_len);
+                let (key, value) = (key.to_vec(), value.to_vec());
                 self.entries.insert(key, value);
                 Ok(Vec::new())
             }
@@ -147,16 +147,17 @@ impl Canister for AssetCanister {
 ///
 /// Returns [`IcError::CanisterRejected`] on truncation.
 pub fn decode_asset_response(bytes: &[u8]) -> Result<(String, Vec<u8>), IcError> {
-    if bytes.len() < 4 {
+    let Some((ct_len, rest)) = bytes.split_first_chunk::<4>() else {
         return Err(IcError::CanisterRejected("short asset response".into()));
-    }
-    let ct_len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    if bytes.len() < 4 + ct_len {
+    };
+    let ct_len = u32::from_le_bytes(*ct_len) as usize;
+    if rest.len() < ct_len {
         return Err(IcError::CanisterRejected("truncated asset response".into()));
     }
-    let content_type = String::from_utf8(bytes[4..4 + ct_len].to_vec())
+    let (content_type, body) = rest.split_at(ct_len);
+    let content_type = String::from_utf8(content_type.to_vec())
         .map_err(|_| IcError::CanisterRejected("non-utf8 content type".into()))?;
-    Ok((content_type, bytes[4 + ct_len..].to_vec()))
+    Ok((content_type, body.to_vec()))
 }
 
 #[cfg(test)]

@@ -131,12 +131,12 @@ impl InternetComputer {
         for &subnet in routing.values() {
             load[subnet] += 1;
         }
+        // `new` requires at least one subnet, so the fallback never fires.
         let subnet = load
             .iter()
             .enumerate()
             .min_by_key(|(_, l)| **l)
-            .map(|(i, _)| i)
-            .expect("at least one subnet");
+            .map_or(0, |(i, _)| i);
         self.subnets[subnet].install_canister(id, canister);
         routing.insert(id, subnet);
         id

@@ -26,6 +26,10 @@
 //!   verifies subnet certificates itself, so even a lying boundary node
 //!   cannot forge payloads (only censor).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![forbid(unsafe_code)]
 
 pub mod boundary;

@@ -224,11 +224,13 @@ impl Subnet {
             if replica.fault == ReplicaFault::Silent {
                 continue;
             }
-            let canister = replica
+            // Installs reach every replica; one that lacks the canister
+            // anyway answers "not found" and is outvoted.
+            let mut result = replica
                 .canisters
                 .get_mut(&canister_id)
-                .expect("installed on all replicas");
-            let mut result = canister.handle(kind, method, arg);
+                .ok_or(IcError::CanisterNotFound(canister_id))
+                .and_then(|canister| canister.handle(kind, method, arg));
             if replica.fault == ReplicaFault::CorruptPayload {
                 result = result.map(|mut payload| {
                     for b in &mut payload {

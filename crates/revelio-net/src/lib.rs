@@ -27,15 +27,16 @@
 //!   heal windows, installed via `net.install_fault_domain(..)`;
 //! * [`retry::RetryPolicy`] — bounded exponential backoff whose sleeps
 //!   advance the [`clock::SimClock`], never wall time;
-//! * a private epoch snapshot cell (`snapshot.rs`, the crate's only
-//!   `unsafe`) giving the dial path lock-free reads of the
-//!   rarely-republished routing view.
+//! * a private striped snapshot cell (`snapshot.rs`) giving the dial
+//!   path reads of the rarely-republished routing view under one of 16
+//!   cache-line mutexes, so handles on distinct stripes never contend.
 //!
 //! Exchanges are synchronous — protocol state machines remain ordinary
 //! sequential code — but the fabric itself is thread-safe: all routing
-//! state lives in one copy-on-write view that dials read without a lock,
-//! and the determinism contract (per-address seeded fault streams, a
-//! lock-free [`clock::SimClock`]) holds under any thread interleaving.
+//! state lives in one copy-on-write view that dials read under their
+//! handle's stripe lock, and the determinism contract (per-address
+//! seeded fault streams, a lock-free [`clock::SimClock`]) holds under
+//! any thread interleaving.
 //! See [`net`] for the single-store and determinism story.
 //!
 //! ```
@@ -68,7 +69,7 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod dns;
@@ -77,7 +78,6 @@ pub mod error;
 pub mod fault;
 pub mod net;
 pub mod retry;
-#[allow(unsafe_code)]
 mod snapshot;
 pub(crate) mod view;
 

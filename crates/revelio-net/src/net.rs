@@ -7,14 +7,15 @@
 //! threads. All routing state — listeners, latency overrides, redirects,
 //! tamper hooks, fault plans, installed fault domains and the fault
 //! seed — lives in one immutable `RoutingView` published behind the
-//! crate's epoch snapshot cell; there is no second copy. Every
+//! crate's striped snapshot cell; there is no second copy. Every
 //! mutation (bind/unbind, shaper edits, fault-domain install/clear,
 //! `set_fault_seed`) is a copy-on-write edit of that view made under one
-//! writer lock and published before the call returns. Outside a batch,
-//! a dial or exchange resolves against the view with one atomic snapshot
-//! load and no lock.
+//! writer lock and published to all 16 stripes at once before the call
+//! returns. Outside a batch, a dial or exchange resolves against the
+//! view under its handle's stripe lock, which handles on other stripes
+//! never touch.
 //!
-//! The view is a persistent slot tree ([`crate::view::SlotTree`]): an
+//! The view is a persistent slot tree (`view::SlotTree`): an
 //! edit path-copies O(levels) interior nodes and shares everything else
 //! with the previous view. Inside [`SimNet::batch`] a burst of mutations
 //! (fleet provisioning) edits one pending, unshared view instead — each
@@ -219,8 +220,9 @@ impl Fabric {
 
     /// Runs `f` on the view dials and exchanges resolve against: an open
     /// batch's pending view (under the writer lock), else the published
-    /// view (one snapshot read, no lock). `f` may take leaf locks (fault
-    /// entries, domain streams) but must never mutate the fabric.
+    /// view (under stripe `stripe`'s lock). `f` may take leaf locks (fault
+    /// entries, domain streams) but must never read the view again or
+    /// mutate the fabric: either would wait on the stripe lock it holds.
     fn with_view<R>(&self, stripe: usize, f: impl FnOnce(&RoutingView) -> R) -> R {
         if self.batch_depth.load(Ordering::Relaxed) > 0 {
             let batch = self.batch.lock();
@@ -290,9 +292,9 @@ impl Fabric {
     }
 }
 
-/// Hands out snapshot reader stripes to [`SimNet`] handles: one fetch
-/// per handle creation instead of a lazily initialised thread-local
-/// lookup on every dial.
+/// Hands out snapshot stripes to [`SimNet`] handles: one fetch per
+/// handle creation instead of a lazily initialised thread-local lookup
+/// on every dial.
 static NEXT_HANDLE_STRIPE: AtomicUsize = AtomicUsize::new(0);
 
 /// The shared network fabric.
@@ -304,12 +306,12 @@ pub struct SimNet {
     /// [`SimNet::bound_to`]. Only consulted by source-scoped fault
     /// domains (asymmetric links); `None` handles never match them.
     local: Option<String>,
-    /// Snapshot reader stripe this handle (and its connections)
-    /// announces in. Handles are typically cloned per worker thread, so
-    /// round-robin assignment at clone time spreads threads across
-    /// stripes without the hot path touching thread-local storage. Any
-    /// value is correct — stripe counters sum — sharing just bounces a
-    /// cache line.
+    /// Snapshot stripe whose lock this handle (and its connections)
+    /// reads the view under. Handles are typically cloned per worker
+    /// thread, so round-robin assignment at clone time spreads threads
+    /// across stripes without the hot path touching thread-local
+    /// storage. Any value is correct — every stripe holds the same view —
+    /// but two handles on one stripe take turns on its lock.
     stripe: usize,
 }
 
@@ -878,7 +880,7 @@ pub struct Connection {
     /// atomic load. Any publish invalidates the stamp; the next exchange
     /// re-checks against the current view and re-stamps.
     clean_gen: Option<u64>,
-    /// Snapshot reader stripe, inherited from the dialing handle.
+    /// Snapshot stripe, inherited from the dialing handle.
     stripe: usize,
     fabric: Arc<Fabric>,
 }

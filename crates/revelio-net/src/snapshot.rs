@@ -1,151 +1,98 @@
-//! A from-scratch epoch snapshot cell: lock-free reads of an immutable
-//! value that a rare writer republishes copy-on-write.
+//! A striped snapshot cell: short reads of an immutable value that a
+//! rare writer republishes copy-on-write.
 //!
 //! The fabric's dial path reads the routing view millions of times per
 //! second from many threads, while mutations (bind/unbind, shaper
 //! edits, fault-domain installs) happen a handful of times per run. A
-//! [`Snapshot<T>`] holds an `Arc<T>` behind an atomic pointer:
+//! [`Snapshot<T>`] keeps one `Arc<T>` per stripe, each behind its own
+//! mutex on its own cache line:
 //!
-//! * [`Snapshot::read`] is lock-free: announce in a reader stripe, load
-//!   the pointer, run the closure on the borrowed value, retract. It
-//!   touches no `Arc` count, no mutex and no `RwLock`, and no writer can
-//!   block it.
-//! * [`Snapshot::store`] swaps the pointer and then waits for every
-//!   reader that might still borrow the *old* value to finish before
-//!   dropping it: the epoch-reclamation part. The cell keeps no writer
-//!   lock; the fabric's writer lock already serialises its
-//!   read-modify-write edits.
+//! * [`Snapshot::read`] locks one stripe and runs the closure on the
+//!   value inside it. Handles on distinct stripes share no lock and no
+//!   cache line, so the common dial writes only a line its own handle
+//!   uses, and touches no `Arc` count.
+//! * [`Snapshot::store`] locks every stripe in index order, replaces
+//!   each `Arc`, releases them, and only then drops the old value. A
+//!   reader therefore sees either the old value on every stripe or the
+//!   new one on every stripe: the publish is atomic across stripes. The
+//!   cell keeps no writer lock of its own; the fabric's writer lock
+//!   already serialises its read-modify-write edits.
 //!
-//! This module is the workspace's only non-test `unsafe`. A safe
-//! `RwLock<Arc<_>>` cell in its place lost 12–17% of `repro --fleet`
-//! dial throughput at 128 nodes / 4 threads on a 2-vCPU host (DESIGN.md
-//! "The read path").
-//!
-//! # Safety argument
-//!
-//! A reader increments its stripe **before** loading the pointer and
-//! decrements it only **after** its closure has returned; all four
-//! operations are `SeqCst`. A writer swaps the pointer first and only
-//! then scans the stripes, waiting for each to read zero once. If a
-//! reader loaded the *old* pointer, its load preceded the swap in the
-//! total order, so its increment did too: the writer cannot see that
-//! stripe at zero until the reader has left. A reader the writer does
-//! not wait for (it entered after the stripe was observed at zero)
-//! necessarily loads the *new* pointer. Either way the old value is
-//! dropped only when no borrow of it remains. The argument is per swap
-//! and per reader, so it needs neither a consistent cross-stripe instant
-//! nor serialised writers: two racing stores each retire the distinct
-//! pointer their own swap returned.
+//! DESIGN.md "The read path" compares this layout with the alternatives
+//! it was measured against.
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Reader-announcement stripes. More stripes mean less reader/reader
-/// cache bouncing; writers scan all of them, so keep it modest. Power
-/// of two.
+use parking_lot::Mutex;
+
+/// Stripes, each a separate lock. More stripes mean fewer handles
+/// taking turns on one lock; writers lock all of them, so keep it
+/// modest. Power of two.
 const STRIPES: usize = 16;
 
-/// One cache line per stripe so two reader threads never contend on the
-/// same line (64-byte lines; 128 covers adjacent-line prefetchers).
+/// One cache line per stripe, so readers on two stripes never bounce a
+/// line (64-byte lines; 128 covers adjacent-line prefetchers).
 #[repr(align(128))]
-struct Stripe(AtomicU64);
+struct Stripe<T>(Mutex<Arc<T>>);
 
-/// An atomically replaceable `Arc<T>` with lock-free
-/// [`read`](Snapshot::read)s.
+/// An atomically replaceable `Arc<T>` read through striped locks.
 ///
 /// Aligned to 128 bytes so the cell never shares a cache line with its
 /// neighbours: the fabric embeds it in an `Arc`-shared struct, and each
-/// dial's `Arc::clone` of that struct writes the `Arc` header. A
-/// prototype whose smaller cell shared that line once measured 9% fewer
-/// dials per second; a later run did not reproduce the loss, so the
-/// alignment is a guard costing one cache line per fabric (DESIGN.md
-/// "The read path").
+/// dial's `Arc::clone` of that struct writes the `Arc` header. The
+/// stripes sit inline for the same reason: a boxed, unaligned stripe
+/// array lost 13% of `repro --fleet` dial throughput.
 #[repr(align(128))]
 pub(crate) struct Snapshot<T> {
-    /// Raw pointer from `Arc::into_raw`; owns one strong count.
-    current: AtomicPtr<T>,
-    /// Striped in-flight reader counts (the epoch announcements).
-    readers: Box<[Stripe]>,
-    /// The cell owns an `Arc<T>`, so it is `Send`/`Sync` only when that
-    /// is (a bare `AtomicPtr<T>` would claim both for any `T`).
-    _owns: PhantomData<Arc<T>>,
+    stripes: [Stripe<T>; STRIPES],
 }
 
 impl<T> Snapshot<T> {
     /// Creates a cell holding `value`.
     pub(crate) fn new(value: Arc<T>) -> Self {
         Snapshot {
-            current: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            readers: (0..STRIPES).map(|_| Stripe(AtomicU64::new(0))).collect(),
-            _owns: PhantomData,
+            stripes: std::array::from_fn(|_| Stripe(Mutex::new(Arc::clone(&value)))),
         }
     }
 
-    /// Runs `f` on the current value, announcing in stripe
-    /// `stripe & (STRIPES - 1)`. Any stripe value is correct (the
-    /// counters sum); distinct values per thread merely reduce cache
-    /// bouncing between readers.
+    /// Runs `f` on the current value under stripe
+    /// `stripe & (STRIPES - 1)`'s lock. Any stripe value is correct
+    /// (every stripe holds the same value); distinct values per handle
+    /// merely keep handles from taking turns on one lock.
     ///
-    /// Keep `f` short and **never** [`store`](Snapshot::store) into this
-    /// cell from inside `f`: the writer waits for the stripe to drain,
-    /// so it would deadlock against the reader's own announcement.
+    /// Keep `f` short, and **never** call [`read`](Snapshot::read) or
+    /// [`store`](Snapshot::store) on this cell from inside `f`: a nested
+    /// read of the same stripe, or a store, waits for the lock `f`'s own
+    /// read holds and deadlocks.
     pub(crate) fn read<R>(&self, stripe: usize, f: impl FnOnce(&T) -> R) -> R {
-        let stripe = &self.readers[stripe & (STRIPES - 1)].0;
-        stripe.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` came from `Arc::into_raw`, and the stripe
-        // announcement (see the module docs) keeps a writer from
-        // dropping it until the closure returns and we retract.
-        let out = f(unsafe { &*ptr });
-        stripe.fetch_sub(1, Ordering::SeqCst);
-        out
+        let current = self.stripes[stripe & (STRIPES - 1)].0.lock();
+        f(&current)
     }
 
-    /// Publishes `value` and drops the previous value once every reader
-    /// that might borrow it has finished.
+    /// Publishes `value` on every stripe at once, then drops the previous
+    /// value.
     ///
-    /// Writers spin while draining (readers are in-section for a few
-    /// nanoseconds), yielding after a while in case a reader was
-    /// descheduled mid-section. Each pass scans *all* stripes: the
-    /// safety argument is per reader, so one pass that finds every
-    /// stripe at zero suffices, and a descheduled reader on one stripe
-    /// cannot turn the wait into a yield per stripe.
+    /// Locks all stripes in index order before replacing any, so no
+    /// reader can see the new value on one stripe and the old one on
+    /// another. The old value is dropped only after the locks are
+    /// released, so its destructor never runs under them.
     pub(crate) fn store(&self, value: Arc<T>) {
-        let old = self
-            .current
-            .swap(Arc::into_raw(value).cast_mut(), Ordering::SeqCst);
-        let mut spins: u32 = 0;
-        while self
-            .readers
-            .iter()
-            .any(|stripe| stripe.0.load(Ordering::SeqCst) != 0)
-        {
-            if spins < 64 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+        let mut guards: Vec<_> = self.stripes.iter().map(|stripe| stripe.0.lock()).collect();
+        // Every stripe holds the same value. Holding one more count of it
+        // makes each replacement below a decrement, never the last drop.
+        let old = Arc::clone(&guards[0]);
+        for guard in &mut guards {
+            **guard = Arc::clone(&value);
         }
-        // SAFETY: every reader that could have loaded `old` has left its
-        // stripe; this balances the strong count taken by `into_raw`.
-        drop(unsafe { Arc::from_raw(old) });
-    }
-}
-
-impl<T> Drop for Snapshot<T> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self`: no readers or writers remain.
-        drop(unsafe { Arc::from_raw(self.current.load(Ordering::SeqCst)) });
+        drop(guards);
+        drop(old);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn read_returns_stored_value() {
@@ -190,10 +137,9 @@ mod tests {
             s.spawn(|| {
                 cell.read(3, |_| {
                     entered.wait();
-                    // Park inside the read section long enough that the
-                    // writer must wait before it may drop the old value.
-                    // (No assert in here: a panic would leave the stripe
-                    // announced and hang the writer.)
+                    // Park inside the read long enough that the writer
+                    // must wait on this stripe's lock before it may
+                    // replace the value.
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     drops_seen_by_reader.store(DROPS.load(Ordering::SeqCst), Ordering::SeqCst);
                     reader_left.store(true, Ordering::SeqCst);
@@ -207,7 +153,7 @@ mod tests {
             );
         });
         // The parked reader's value was dropped exactly once, after the
-        // reader left its section.
+        // reader left its read.
         assert_eq!(
             drops_seen_by_reader.load(Ordering::SeqCst),
             0,
@@ -221,10 +167,10 @@ mod tests {
         // A "torn view" would be a pair whose halves disagree; every
         // published pair is internally consistent, so readers must only
         // ever observe x == y. Two writers, serialised by a writer lock
-        // as the fabric's are, republish 100k times in total to stress
-        // the grace-period reclamation under load; the reads copy the
-        // pair out of a borrow that a premature free would invalidate
-        // (AddressSanitizer flags such a free; see the CI `asan` job).
+        // as the fabric's are, republish 100k times in total. Each
+        // reader moves to the next stripe on every read, so "snapshot
+        // went backwards" also catches a publish that some stripes see
+        // before others.
         const READERS: usize = 6;
         const WRITES_PER_WRITER: u64 = 50_000;
         const TOTAL: u64 = 2 * WRITES_PER_WRITER;
@@ -232,15 +178,17 @@ mod tests {
         let writer = Mutex::new(());
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for stripe in 0..READERS {
+            for first in 0..READERS {
                 let (cell, stop) = (&cell, &stop);
                 s.spawn(move || {
                     let mut last = 0;
+                    let mut stripe = first;
                     while !stop.load(Ordering::Relaxed) {
                         let pair = cell.read(stripe, |pair| *pair);
                         assert_eq!(pair.0, pair.1, "torn view");
                         assert!(pair.0 >= last, "snapshot went backwards");
                         last = pair.0;
+                        stripe = stripe.wrapping_add(1);
                     }
                 });
             }

@@ -22,7 +22,9 @@
 //! [`PeerView`] publishes the **live fault entries**
 //! (`Arc<Mutex<FaultEntry>>`), so a chaos-mode draw locks only the tiny
 //! per-entry mutex, and every view version holding the entry draws from
-//! the same stream.
+//! the same stream. Readers walk the published tree under one stripe
+//! lock of the fabric's snapshot cell; the entry mutex nests inside it
+//! as a leaf.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,7 +49,7 @@ const _: () = assert!(VIEW_BUCKETS == 1 << (4 * VIEW_LEVELS));
 
 /// A fault entry published in the routing view and shared by every view
 /// version that holds it. The mutex is a leaf lock: holders never
-/// acquire anything else, so locking it inside a snapshot read guard
+/// acquire anything else, so locking it under a snapshot stripe lock
 /// (or under the fabric's writer lock, as `set_fault_seed` does) cannot
 /// deadlock.
 pub(crate) type SharedFaultEntry = Arc<Mutex<FaultEntry>>;
