@@ -149,8 +149,7 @@ fn table1() {
         "step", "BN ms", "CP ms", "BN %", "CP %"
     );
     let variants = run_table1();
-    let bn = &variants[0].report;
-    let cp = &variants[1].report;
+    let (bn, cp) = (&variants[0], &variants[1]);
     let paper: &[(&str, &str)] = &[
         ("dm-crypt setup", "611 / 481 ms, 2.76 / 4.94 %"),
         ("dm-verity setup", "219 / 194 ms, 0.97 / 1.94 %"),

@@ -8,17 +8,18 @@
 //! throughput plus p50/p99 browse latency. A second pass runs the same
 //! dial schedule with sampled tracing and the flight recorder enabled,
 //! which is the overhead column. The run is one [`BenchReport`] (mode
-//! `fleet`); its one gate, [`gates`], holds the tracing overhead on the
+//! `fleet`); its one gate, `gates`, holds the tracing overhead on the
 //! dial p50 to the 10% budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use revelio::world::{RetryTuning, SimWorld, WorldTuning};
+use revelio::extension::WebExtension;
+use revelio::world::SimWorld;
 use revelio_net::clock::SimClock;
 use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
-use revelio_net::{FaultPlan, NetError};
+use revelio_net::{FaultPlan, NetError, RetryPolicy};
 use revelio_telemetry::{FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY};
 
 use crate::report::{BenchReport, Cmp, Gate};
@@ -30,21 +31,21 @@ use crate::{dim_from_env, percentile};
 /// they are rare and each one matters. The overhead column measures this
 /// configuration, recorder enabled (a clean dial records no event, so
 /// the recorder's data-path cost is one branch).
-pub const TRACE_SAMPLE_EVERY: usize = 8;
+pub(crate) const TRACE_SAMPLE_EVERY: usize = 8;
 
 /// Default fleet size (the acceptance bar is ≥100,000 nodes — "for the
 /// masses" means provisioning must stay feasible at six figures, which
 /// is exactly what the batched, structurally-shared write path buys).
-pub const DEFAULT_FLEET_NODES: usize = 100_000;
+pub(crate) const DEFAULT_FLEET_NODES: usize = 100_000;
 /// Default OS thread count driving the fleet.
-pub const DEFAULT_FLEET_THREADS: usize = 16;
+pub(crate) const DEFAULT_FLEET_THREADS: usize = 16;
 /// Default dials per thread in the throughput phase.
-pub const DEFAULT_FLEET_DIALS: usize = 20_000;
+pub(crate) const DEFAULT_FLEET_DIALS: usize = 20_000;
 /// Default trial count. Wall-clock noise on a shared CI host only ever
 /// *adds* time, so the best of N trials converges on the true cost; five
 /// keeps run-to-run figures stable without materially lengthening the
 /// benchmark.
-pub const DEFAULT_FLEET_TRIALS: usize = 5;
+pub(crate) const DEFAULT_FLEET_TRIALS: usize = 5;
 
 /// Reads the fleet benchmark dimensions `(nodes, threads, dials, trials)`,
 /// honouring the `REVELIO_FLEET_NODES` / `REVELIO_FLEET_THREADS` /
@@ -66,7 +67,7 @@ pub fn fleet_dimensions_from_env() -> Result<(usize, usize, usize, usize), Strin
 /// The fleet gate: sampled tracing plus the enabled flight recorder
 /// cost at most 10% on the dial p50.
 #[must_use]
-pub fn gates() -> Vec<Gate> {
+pub(crate) fn gates() -> Vec<Gate> {
     vec![Gate::value("p50_overhead_percent", Cmp::Le, 10.0)]
 }
 
@@ -295,7 +296,7 @@ fn run_overhead_trial(nodes: usize, threads: usize, dials_per_thread: usize) -> 
 
     OverheadTrial {
         spans_recorded: telemetry.span_count() as u64,
-        recorder_events: recorder.len() as u64,
+        recorder_events: recorder.dump().events.len() as u64,
         dial_p50_off_us,
         dial_p50_on_us,
         dial_mean_off_us,
@@ -416,7 +417,7 @@ pub fn run_fabric_bench(
 /// One point of the retry-budget ablation.
 #[derive(Debug, Clone)]
 pub struct RetryAblationPoint {
-    /// `max_attempts` applied to every component's retry policy.
+    /// `max_attempts` of the browsing extension's retry policy.
     pub max_attempts: u32,
     /// Cold attested browses that reached a verdict (out of `samples`).
     pub successes: usize,
@@ -431,9 +432,9 @@ pub struct RetryAblationPoint {
 
 /// Retry budget vs. attestation tail latency under loss: a fleet with a
 /// lossy KDS link (`drop_probability`), cold-browsed `samples` times per
-/// budget. Small budgets give up (lower success rate); larger budgets
-/// convert losses into tail latency. All timings are sim-clock, so the
-/// ablation is deterministic.
+/// extension retry budget. Small budgets give up (lower success rate);
+/// larger budgets convert losses into tail latency. All timings are
+/// sim-clock, so the ablation is deterministic.
 ///
 /// # Panics
 ///
@@ -447,28 +448,29 @@ pub fn run_retry_ablation(
     budgets
         .iter()
         .map(|&max_attempts| {
-            let mut tuning = WorldTuning::default();
-            let mut retry = RetryTuning::default();
-            retry.kds.max_attempts = max_attempts;
-            retry.extension.max_attempts = max_attempts;
-            tuning.retry = retry;
-            let mut world = SimWorld::with_tuning(9000 + u64::from(max_attempts), tuning);
+            let mut world = SimWorld::new(9000 + u64::from(max_attempts));
             let fleet = world
                 .deploy_fleet("tail.example.org", 1, revelio::node::demo_app())
                 .expect("fleet deploys");
-            world.set_fault_seed(0xAB1A_7E00 + u64::from(max_attempts));
-            world.set_fault_plan(
-                revelio::kds_http::KDS_ADDRESS,
-                FaultPlan {
+            world
+                .net
+                .set_fault_seed(0xAB1A_7E00 + u64::from(max_attempts));
+            let _ = world
+                .net
+                .peer(revelio::kds_http::KDS_ADDRESS)
+                .fault_plan(FaultPlan {
                     drop_probability,
                     ..FaultPlan::default()
-                },
-            );
+                });
+            let retry = RetryPolicy {
+                max_attempts,
+                ..WebExtension::default_retry_policy()
+            };
             let mut latencies = Vec::new();
             for _ in 0..samples {
                 // A fresh extension per sample: every browse pays the cold
                 // KDS fetch the faults are installed on.
-                let extension = world.extension();
+                let extension = world.extension().with_retry_policy(retry.clone());
                 extension.register_site("tail.example.org", vec![fleet.golden_measurement]);
                 if let Ok(outcome) = extension.browse("tail.example.org", "/") {
                     latencies.push(outcome.timing.total_ms);

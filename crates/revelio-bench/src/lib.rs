@@ -24,13 +24,9 @@ pub mod trace_demo;
 use std::str::FromStr;
 use std::sync::Arc;
 
-pub use fabric::{
-    fleet_dimensions_from_env, run_fabric_bench, run_retry_ablation, RetryAblationPoint,
-    TRACE_SAMPLE_EVERY,
-};
+pub use fabric::{fleet_dimensions_from_env, run_fabric_bench, run_retry_ablation};
 pub use reconcile::{
-    reconcile_dimensions_from_env, run_reconcile, RECONCILE_DOMAIN, RECONCILE_FAULT_SEED,
-    RECONCILE_SEED,
+    reconcile_dimensions_from_env, run_reconcile, RECONCILE_FAULT_SEED, RECONCILE_SEED,
 };
 pub use report::BenchReport;
 use revelio::node::demo_app;
@@ -48,10 +44,8 @@ use revelio_storage::probed::ProbedDevice;
 use revelio_storage::verity::{VerityDevice, VerityParams, VerityTree};
 use revelio_telemetry::{DeviceProbe, Telemetry};
 use sev_snp::ids::GuestPolicy;
-pub use swarm::{run_swarm, swarm_dimensions_from_env, SWARM_DOMAIN, SWARM_SEED};
-pub use trace_demo::{
-    run_trace_demo, TraceDemoReport, TraceScenario, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED,
-};
+pub use swarm::{run_swarm, swarm_dimensions_from_env};
+pub use trace_demo::{run_trace_demo, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED};
 
 /// Size scale factor: simulated bytes × `SCALE` = paper bytes.
 pub const SCALE: u64 = 64;
@@ -65,7 +59,7 @@ pub const SCALE: u64 = 64;
 /// # Errors
 ///
 /// Returns the message to print when `raw` is zero or does not parse.
-pub fn env_dim<T>(name: &str, raw: Option<&str>, default: T) -> Result<T, String>
+pub(crate) fn env_dim<T>(name: &str, raw: Option<&str>, default: T) -> Result<T, String>
 where
     T: FromStr + From<u8> + PartialEq,
 {
@@ -78,12 +72,12 @@ where
     }
 }
 
-/// [`env_dim`] over the process environment. A value that is not UTF-8
+/// `env_dim` over the process environment. A value that is not UTF-8
 /// fails to parse rather than being ignored.
 ///
 /// # Errors
 ///
-/// As [`env_dim`].
+/// As `env_dim`.
 pub fn dim_from_env<T>(name: &str, default: T) -> Result<T, String>
 where
     T: FromStr + From<u8> + PartialEq,
@@ -106,9 +100,9 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// paper testbed's virtio disk). The I/O experiments charge a sim clock
 /// with these instead of reading the wall clock, so results are
 /// machine-independent and reproducible byte-for-byte.
-pub const DISK_READ_NS_PER_BYTE: f64 = 18.0;
+pub(crate) const DISK_READ_NS_PER_BYTE: f64 = 18.0;
 /// Modelled raw-disk sequential write cost, ns per byte (≈27 MB/s).
-pub const DISK_WRITE_NS_PER_BYTE: f64 = 36.0;
+pub(crate) const DISK_WRITE_NS_PER_BYTE: f64 = 36.0;
 /// Modelled dm-verity hash verification cost per tree level touched, ns
 /// per byte. Fitted so a depth-3 tree reads ≈9× slower than plain —
 /// the paper's Fig. 6 average slowdown is 9.35×.
@@ -117,12 +111,12 @@ pub const DISK_WRITE_NS_PER_BYTE: f64 = 36.0;
 /// every level a read and a verify. It deliberately keeps charging
 /// `depth + 1` levels even though `VerityDevice` hashes only the data
 /// block per read (its tree is authenticated once, at open).
-pub const VERITY_VERIFY_NS_PER_BYTE: f64 = 36.0;
+pub(crate) const VERITY_VERIFY_NS_PER_BYTE: f64 = 36.0;
 
 /// The paper's cost model with per-byte constants multiplied by [`SCALE`]
 /// (so a 1/64-size disk yields paper-scale modelled latencies).
 #[must_use]
-pub fn scaled_cost_model() -> CostModel {
+pub(crate) fn scaled_cost_model() -> CostModel {
     let base = CostModel::default();
     CostModel {
         hash_ns_per_byte: base.hash_ns_per_byte * SCALE as f64,
@@ -133,7 +127,7 @@ pub fn scaled_cost_model() -> CostModel {
 
 /// Builds a rootfs tree holding roughly `payload_bytes` of content.
 #[must_use]
-pub fn rootfs_of_size(payload_bytes: usize) -> FsTree {
+pub(crate) fn rootfs_of_size(payload_bytes: usize) -> FsTree {
     let mut tree = FsTree::new();
     let chunk = 1 << 20; // 1 MiB files
     let mut remaining = payload_bytes;
@@ -152,22 +146,15 @@ pub fn rootfs_of_size(payload_bytes: usize) -> FsTree {
     tree
 }
 
-/// One Table 1 variant (Boundary Node or CryptPad server).
-#[derive(Debug, Clone)]
-pub struct Table1Variant {
-    /// Variant label (`"BN"` / `"CP"`).
-    pub label: &'static str,
-    /// The boot report with modelled step latencies (paper scale).
-    pub report: BootReport,
-}
-
-/// Runs the Table 1 experiment: first-boot timelines of the two images.
+/// Runs the Table 1 experiment: the first-boot reports of the two images,
+/// Boundary Node then CryptPad server, with modelled step latencies at
+/// paper scale.
 ///
 /// # Panics
 ///
 /// Panics if image building or boot fails (a bug, not a benchmark result).
 #[must_use]
-pub fn run_table1() -> Vec<Table1Variant> {
+pub fn run_table1() -> Vec<BootReport> {
     let mut world = SimWorld::new(100);
 
     // Boundary Node: 4 GiB paper rootfs (64 MiB simulated), many services.
@@ -201,10 +188,7 @@ pub fn run_table1() -> Vec<Table1Variant> {
                 },
             )
             .expect("boot succeeds");
-        variants.push(Table1Variant {
-            label,
-            report: vm.boot_report().clone(),
-        });
+        variants.push(vm.boot_report().clone());
     }
     variants
 }
@@ -444,7 +428,7 @@ pub fn run_table3() -> Table3 {
     let extension = world.extension();
     extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
 
-    let network_latency_ms = 2.0 * world.tuning.link_one_way_us as f64 / 1000.0;
+    let network_latency_ms = 2.0 * revelio::world::LINK_ONE_WAY_US as f64 / 1000.0;
 
     let (_, plain_get_ms) = world.clock.time_ms(|| {
         extension
@@ -655,7 +639,7 @@ pub fn run_chaos_column(fault_seed: u64) -> BenchReport {
             // Calibrated loss over the main subnet: enough drops that
             // retry budgets are exercised, low enough that every node
             // survives provisioning for the pinned CI seeds.
-            world.install_fault_domain(FaultDomain::degraded(
+            world.net.install_fault_domain(FaultDomain::degraded(
                 "lossy-113",
                 &SimWorld::subnet_prefix(113),
                 FaultPlan {
@@ -666,7 +650,7 @@ pub fn run_chaos_column(fault_seed: u64) -> BenchReport {
             ));
         }),
         ("partitioned", |world| {
-            world.install_fault_domain(FaultDomain::partition(
+            world.net.install_fault_domain(FaultDomain::partition(
                 "rack-114",
                 &SimWorld::subnet_prefix(114),
             ));
@@ -676,7 +660,7 @@ pub fn run_chaos_column(fault_seed: u64) -> BenchReport {
     let mut report = BenchReport::new("chaos", &[("fault_seed", fault_seed)]);
     for (scenario, inject) in scenarios {
         let mut world = SimWorld::new(500);
-        world.set_fault_seed(fault_seed);
+        world.net.set_fault_seed(fault_seed);
         inject(&world);
         let fleet = world
             .deploy_fleet_in_subnets("pad.example.org", &[(113, 12), (114, 4)], demo_app())
@@ -763,8 +747,7 @@ mod tests {
     fn table1_reports_contain_paper_steps_with_magnitudes() {
         let variants = run_table1();
         assert_eq!(variants.len(), 2);
-        let bn = &variants[0].report;
-        let cp = &variants[1].report;
+        let (bn, cp) = (&variants[0], &variants[1]);
         // dm-verity verify: BN ~4.7 s (paper 4.68), CP smaller (paper 3.34).
         let bn_verify = bn.step_ms("dm-verity verify").unwrap();
         let cp_verify = cp.step_ms("dm-verity verify").unwrap();

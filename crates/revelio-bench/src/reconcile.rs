@@ -36,7 +36,7 @@ use crate::dim_from_env;
 use crate::report::{BenchReport, Cmp, Gate};
 
 /// The domain the reconcile fleet serves.
-pub const RECONCILE_DOMAIN: &str = "pad.example.org";
+pub(crate) const RECONCILE_DOMAIN: &str = "pad.example.org";
 
 /// The pinned world seed (the transcript digest is part of the
 /// determinism gate, so the seed is part of the contract).
@@ -76,7 +76,7 @@ pub fn reconcile_dimensions_from_env() -> Result<(usize, usize, usize, usize), S
 ///   happened, and no tick ever observed an expired chain;
 /// * every determinism replica produced the same transcript digest.
 #[must_use]
-pub fn gates(horizon_days: usize) -> Vec<Gate> {
+pub(crate) fn gates(horizon_days: usize) -> Vec<Gate> {
     vec![
         Gate::value("upgrade_converged", Cmp::Eq, 1.0),
         Gate::value("canary_first", Cmp::Eq, 1.0),
@@ -111,7 +111,7 @@ struct UpgradeOutcome {
 /// partition while the reconciler rolls the fleet onto a new image.
 fn run_upgrade_scenario(nodes: usize) -> UpgradeOutcome {
     let mut world = SimWorld::new(RECONCILE_SEED);
-    world.set_fault_seed(RECONCILE_FAULT_SEED);
+    world.net.set_fault_seed(RECONCILE_FAULT_SEED);
     let fleet = world
         .deploy_fleet_in_subnets(RECONCILE_DOMAIN, &rack_split(nodes), demo_app())
         .expect("reconcile fleet deploys on a clean fabric");
@@ -125,7 +125,7 @@ fn run_upgrade_scenario(nodes: usize) -> UpgradeOutcome {
     let mut reconciler = world.reconciler(&fleet, spec, upgrader);
 
     let now_us = world.clock.now_us();
-    world.install_fault_domain(
+    world.net.install_fault_domain(
         FaultDomain::partition("rack-114", "203.0.114.")
             .starting_at_us(now_us)
             .healing_at_us(now_us + 240_000_000),
@@ -171,7 +171,7 @@ fn run_upgrade_scenario(nodes: usize) -> UpgradeOutcome {
 }
 
 /// Runs the reconcile benchmark and reports it (mode `reconcile`, gated
-/// by [`gates`]). The transcript digest is the upgrade scenario's; the
+/// by `gates`). The transcript digest is the upgrade scenario's; the
 /// only wall figure is the harness's own elapsed time, reported for CI
 /// budgeting — every scenario quantity is sim-clock or
 /// transcript-derived.
@@ -242,7 +242,7 @@ pub fn run_reconcile(
     // must quarantine and then re-admit the whole flapped rack.
     let (flap_quarantines, flap_readmissions, flap_residual) = {
         let mut world = SimWorld::new(RECONCILE_SEED ^ 2);
-        world.set_fault_seed(RECONCILE_FAULT_SEED);
+        world.net.set_fault_seed(RECONCILE_FAULT_SEED);
         let fleet = world
             .deploy_fleet_in_subnets(RECONCILE_DOMAIN, &rack_split(nodes), demo_app())
             .expect("flap fleet deploys");
@@ -253,7 +253,7 @@ pub fn run_reconcile(
         let mut reconciler = world.reconciler(&fleet, spec, upgrader);
         for _ in 0..flaps {
             let now_us = world.clock.now_us();
-            world.install_fault_domain(
+            world.net.install_fault_domain(
                 FaultDomain::partition("rack-114", "203.0.114.")
                     .starting_at_us(now_us)
                     .healing_at_us(now_us + 300_000_000),

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 /// Which clock a metric was read from — it decides how the value prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
+pub(crate) enum Clock {
     /// Simulated time: deterministic per seed, printed with three
     /// decimals.
     Sim,
@@ -42,20 +42,20 @@ impl Clock {
 
 /// One named measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
+pub(crate) struct Metric {
     /// Identifier, unique within the report (`[a-z0-9_.]`).
-    pub name: String,
+    pub(crate) name: String,
     /// Unit label (`"us"`, `"ms"`, `"1/s"`, `"bool"`, …).
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
     /// The clock the value was read from.
-    pub clock: Clock,
+    pub(crate) clock: Clock,
     /// The value.
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 /// How a gated metric must compare with its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
+pub(crate) enum Cmp {
     /// Strictly less than the bound.
     Lt,
     /// At most the bound.
@@ -71,7 +71,7 @@ pub enum Cmp {
 impl Cmp {
     /// The comparison as printed in gate lines and JSON.
     #[must_use]
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Cmp::Lt => "<",
             Cmp::Le => "<=",
@@ -94,7 +94,7 @@ impl Cmp {
 
 /// What a gated metric is compared against.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Bound {
+pub(crate) enum Bound {
     /// A fixed number.
     Value(f64),
     /// Another metric of the same report.
@@ -103,19 +103,19 @@ pub enum Bound {
 
 /// One acceptance condition: `metric cmp bound` must hold.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gate {
+pub(crate) struct Gate {
     /// The gated metric's name.
-    pub metric: &'static str,
+    pub(crate) metric: &'static str,
     /// The comparison.
-    pub cmp: Cmp,
+    pub(crate) cmp: Cmp,
     /// The bound.
-    pub bound: Bound,
+    pub(crate) bound: Bound,
 }
 
 impl Gate {
     /// A gate against a fixed number.
     #[must_use]
-    pub const fn value(metric: &'static str, cmp: Cmp, bound: f64) -> Self {
+    pub(crate) const fn value(metric: &'static str, cmp: Cmp, bound: f64) -> Self {
         Gate {
             metric,
             cmp,
@@ -125,7 +125,7 @@ impl Gate {
 
     /// A gate against another metric.
     #[must_use]
-    pub const fn metric(metric: &'static str, cmp: Cmp, other: &'static str) -> Self {
+    pub(crate) const fn metric(metric: &'static str, cmp: Cmp, other: &'static str) -> Self {
         Gate {
             metric,
             cmp,
@@ -141,11 +141,11 @@ pub struct BenchReport {
     /// `BENCH_<mode>.json` file stem.
     pub mode: &'static str,
     /// The dimensions the run used, in declaration order.
-    pub dims: Vec<(&'static str, u64)>,
+    pub(crate) dims: Vec<(&'static str, u64)>,
     /// The measurements, in the order the harness took them.
-    pub metrics: Vec<Metric>,
+    pub(crate) metrics: Vec<Metric>,
     /// The conditions the metrics must meet.
-    pub gates: Vec<Gate>,
+    pub(crate) gates: Vec<Gate>,
     /// The run's determinism witness, when it has one (hex SHA-256).
     pub transcript_sha256: Option<String>,
 }
@@ -153,7 +153,7 @@ pub struct BenchReport {
 impl BenchReport {
     /// An empty report for `mode` at `dims`.
     #[must_use]
-    pub fn new(mode: &'static str, dims: &[(&'static str, u64)]) -> Self {
+    pub(crate) fn new(mode: &'static str, dims: &[(&'static str, u64)]) -> Self {
         BenchReport {
             mode,
             dims: dims.to_vec(),
@@ -173,22 +173,22 @@ impl BenchReport {
     }
 
     /// Appends a sim-clock metric.
-    pub fn sim(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+    pub(crate) fn sim(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
         self.push(name, unit, Clock::Sim, value);
     }
 
     /// Appends a wall-clock metric.
-    pub fn wall(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+    pub(crate) fn wall(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
         self.push(name, unit, Clock::Wall, value);
     }
 
     /// Appends an exact counter-derived metric.
-    pub fn count(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+    pub(crate) fn count(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
         self.push(name, unit, Clock::Count, value);
     }
 
     /// Appends a yes/no outcome as a 0/1 count.
-    pub fn flag(&mut self, name: impl Into<String>, value: bool) {
+    pub(crate) fn flag(&mut self, name: impl Into<String>, value: bool) {
         self.count(name, "bool", f64::from(u8::from(value)));
     }
 

@@ -46,11 +46,11 @@ use crate::report::{BenchReport, Cmp, Gate};
 use crate::{dim_from_env, percentile};
 
 /// The domain the swarm fleet serves.
-pub const SWARM_DOMAIN: &str = "swarm.example.org";
+pub(crate) const SWARM_DOMAIN: &str = "swarm.example.org";
 
 /// The world seed of the swarm run (pinned: the transcript digest is
 /// part of the determinism suite).
-pub const SWARM_SEED: u64 = 0x5_3A12;
+pub(crate) const SWARM_SEED: u64 = 0x5_3A12;
 
 /// How many fresh-extension cold verifications establish the baseline
 /// (fewer when the run itself is small — the baseline must not dominate
@@ -92,7 +92,7 @@ pub fn swarm_dimensions_from_env() -> Result<(usize, usize, usize), String> {
 /// * after the generation bump nothing resumed, and the next reconnect
 ///   re-attested (fetched evidence).
 #[must_use]
-pub fn gates() -> Vec<Gate> {
+pub(crate) fn gates() -> Vec<Gate> {
     vec![
         Gate::metric("session_p50_us", Cmp::Lt, "cold_verify_p50_us"),
         Gate::value("signature_checks", Cmp::Eq, 0.0),
@@ -165,7 +165,7 @@ const HOT_COUNTERS: [(&str, &str, &str); 5] = [
     ),
 ];
 
-/// Runs the swarm and reports it (mode `swarm`, gated by [`gates`]).
+/// Runs the swarm and reports it (mode `swarm`, gated by `gates`).
 /// The transcript digest is SHA-256 over the per-session records in
 /// global session order, byte-identical across thread counts.
 ///

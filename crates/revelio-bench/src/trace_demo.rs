@@ -30,22 +30,22 @@ pub const TRACE_DEMO_FAULT_SEED: u64 = 0xC4A0_5004;
 
 /// One rendered scenario: the assembled trace plus its derived views.
 #[derive(Debug, Clone)]
-pub struct TraceScenario {
+pub(crate) struct TraceScenario {
     /// Scenario label (`clean_browse`, `faulted_browse`,
     /// `partitioned_provision`).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Trace id inside that run's registry.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Finished spans in the tree.
-    pub span_count: usize,
+    pub(crate) span_count: usize,
     /// Hop names along the critical path, `" > "`-joined.
-    pub critical_path: String,
+    pub(crate) critical_path: String,
     /// The critical-path hop with the largest self-time, `(name, µs)`.
-    pub dominant_hop: Option<(String, u64)>,
+    pub(crate) dominant_hop: Option<(String, u64)>,
     /// Indented text flame summary (ends with the `critical path:` line).
-    pub flame: String,
+    pub(crate) flame: String,
     /// Chrome `trace_event` JSON for chrome://tracing / Perfetto.
-    pub chrome_json: String,
+    pub(crate) chrome_json: String,
 }
 
 impl TraceScenario {
@@ -64,7 +64,7 @@ impl TraceScenario {
     /// One JSON object. The Chrome export is embedded verbatim (it is
     /// already JSON).
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let (hop, hop_us) = match &self.dominant_hop {
             Some((name, us)) => (format!("\"{name}\""), us.to_string()),
             None => ("null".to_owned(), "null".to_owned()),
@@ -81,11 +81,11 @@ impl TraceScenario {
 /// run's quarantine forensics.
 #[derive(Debug, Clone)]
 pub struct TraceDemoReport {
-    pub clean: TraceScenario,
-    pub faulted: TraceScenario,
-    pub provision: TraceScenario,
+    pub(crate) clean: TraceScenario,
+    pub(crate) faulted: TraceScenario,
+    pub(crate) provision: TraceScenario,
     /// Nodes quarantined during the partitioned provisioning.
-    pub quarantined: usize,
+    pub(crate) quarantined: usize,
     /// Flight-recorder dump of the first quarantined node: the faults it
     /// saw, its retries, and the quarantine verdict.
     pub quarantine_flight: Option<FlightDump>,
@@ -178,8 +178,11 @@ fn clean_browse() -> TraceScenario {
 /// and backoffs are that hop's self-time and the critical path names it.
 fn faulted_browse() -> TraceScenario {
     let (world, extension) = browse_world();
-    world.set_fault_seed(TRACE_DEMO_FAULT_SEED);
-    world.set_fault_plan(KDS_ADDRESS, FaultPlan::fail_first(2));
+    world.net.set_fault_seed(TRACE_DEMO_FAULT_SEED);
+    let _ = world
+        .net
+        .peer(KDS_ADDRESS)
+        .fault_plan(FaultPlan::fail_first(2));
     let browse = extension.browse_classified("pad.example.org", "/");
     browse.result.expect("retries ride through the KDS faults");
     let tree = last_trace_with_root(&world.telemetry, "browse")
@@ -191,8 +194,8 @@ fn faulted_browse() -> TraceScenario {
 /// quarantines the dark node and attaches its flight dump.
 fn partitioned_provision() -> (TraceScenario, usize, Option<FlightDump>) {
     let mut world = SimWorld::new(TRACE_DEMO_SEED);
-    world.set_fault_seed(TRACE_DEMO_FAULT_SEED);
-    world.install_fault_domain(FaultDomain::partition(
+    world.net.set_fault_seed(TRACE_DEMO_FAULT_SEED);
+    world.net.install_fault_domain(FaultDomain::partition(
         "rack-114",
         &SimWorld::subnet_prefix(114),
     ));

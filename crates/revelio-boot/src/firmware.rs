@@ -17,11 +17,11 @@ use crate::error::{BootComponent, BootError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashTable {
     /// SHA-256 of the kernel blob.
-    pub kernel: [u8; 32],
+    pub(crate) kernel: [u8; 32],
     /// SHA-256 of the initrd blob.
-    pub initrd: [u8; 32],
+    pub(crate) initrd: [u8; 32],
     /// SHA-256 of the kernel command line (UTF-8 bytes).
-    pub cmdline: [u8; 32],
+    pub(crate) cmdline: [u8; 32],
 }
 
 impl HashTable {
@@ -72,7 +72,7 @@ impl FirmwareKind {
 
 /// A firmware volume ready to be measured and launched.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FirmwareImage {
+pub(crate) struct FirmwareImage {
     kind: FirmwareKind,
     hash_table: Option<HashTable>,
 }
@@ -83,28 +83,16 @@ impl FirmwareImage {
     /// For table-carrying kinds, `table` is embedded; the legacy build
     /// ignores it.
     #[must_use]
-    pub fn assemble(kind: FirmwareKind, table: HashTable) -> Self {
+    pub(crate) fn assemble(kind: FirmwareKind, table: HashTable) -> Self {
         FirmwareImage {
             kind,
             hash_table: kind.carries_table().then_some(table),
         }
     }
 
-    /// The firmware build kind.
-    #[must_use]
-    pub fn kind(&self) -> FirmwareKind {
-        self.kind
-    }
-
-    /// The embedded hash table, if this build carries one.
-    #[must_use]
-    pub fn hash_table(&self) -> Option<&HashTable> {
-        self.hash_table.as_ref()
-    }
-
     /// The exact bytes the AMD-SP measures: code identity plus table.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"FWVOL1");
         w.put_var_bytes(self.kind.code_identity());
@@ -130,7 +118,7 @@ impl FirmwareImage {
     /// Returns [`BootError::HashMismatch`] naming the first mismatching
     /// component (verifying builds only), or [`BootError::MissingHashTable`]
     /// when a verifying build somehow lacks its table.
-    pub fn verify_blobs(
+    pub(crate) fn verify_blobs(
         &self,
         kernel: &[u8],
         initrd: &[u8],

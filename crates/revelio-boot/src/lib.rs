@@ -18,9 +18,9 @@
 //! The boot then continues inside the guest ([`vm`]): parse the initrd's
 //! init configuration, verity-mount the rootfs against the root hash from
 //! the measured command line, unseal/create the encrypted data volume with
-//! a measurement-derived key, enforce the network policy, create the unique
-//! VM identity, and start services. [`timing`] converts the work performed
-//! into the modelled latencies of the paper's Table 1.
+//! a measurement-derived key, create the unique VM identity, and start
+//! services. [`timing`] converts the work performed into the modelled
+//! latencies of the paper's Table 1.
 //!
 //! ```
 //! use std::sync::Arc;

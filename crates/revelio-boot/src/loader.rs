@@ -70,12 +70,6 @@ impl Hypervisor {
         Hypervisor { firmware_kind }
     }
 
-    /// The firmware build this hypervisor loads.
-    #[must_use]
-    pub fn firmware_kind(&self) -> FirmwareKind {
-        self.firmware_kind
-    }
-
     /// Boots `image` on `platform`:
     ///
     /// 1. hash the (claimed) kernel/initrd/cmdline into the firmware's
@@ -122,7 +116,7 @@ impl Hypervisor {
         // Firmware-side verification (measured code path).
         firmware.verify_blobs(&kernel, &initrd, &cmdline)?;
 
-        BootedVm::bring_up(guest, firmware, &initrd, &cmdline, image, &options)
+        BootedVm::bring_up(guest, &initrd, &cmdline, image, &options)
     }
 }
 

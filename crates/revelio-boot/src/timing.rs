@@ -52,39 +52,39 @@ impl Default for CostModel {
 impl CostModel {
     /// Modelled duration of hashing `bytes` bytes, in ms.
     #[must_use]
-    pub fn hash_ms(&self, bytes: u64) -> f64 {
+    pub(crate) fn hash_ms(&self, bytes: u64) -> f64 {
         bytes as f64 * self.hash_ns_per_byte / 1e6
     }
 
     /// Modelled duration of encrypting `bytes` bytes, in ms.
     #[must_use]
-    pub fn cipher_ms(&self, bytes: u64) -> f64 {
+    pub(crate) fn cipher_ms(&self, bytes: u64) -> f64 {
         bytes as f64 * self.cipher_ns_per_byte / 1e6
     }
 
     /// Modelled duration of a PBKDF2 run, in ms.
     #[must_use]
-    pub fn kdf_ms(&self, iterations: u32) -> f64 {
+    pub(crate) fn kdf_ms(&self, iterations: u32) -> f64 {
         f64::from(iterations) * self.kdf_ns_per_iteration / 1e6
     }
 }
 
 /// One timed boot step.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BootStep {
+pub(crate) struct BootStep {
     /// Step name, matching the paper's Table 1 rows where applicable
     /// (`"dm-crypt setup"`, `"dm-verity setup"`, `"dm-verity verify"`,
     /// `"identity creation"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Modelled duration in milliseconds.
-    pub modelled_ms: f64,
+    pub(crate) modelled_ms: f64,
 }
 
 /// The full boot timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BootReport {
     /// Steps in execution order.
-    pub steps: Vec<BootStep>,
+    pub(crate) steps: Vec<BootStep>,
 }
 
 impl BootReport {

@@ -3,18 +3,19 @@
 //! After the firmware hands off, the measured initrd's init process (paper
 //! §5.2) performs, in order: verity-mount the rootfs against the root hash
 //! from the measured command line, open-or-create the sealed data volume
-//! with a measurement-derived key, enforce the baked-in network policy,
-//! create the unique VM identity (§5.2.2), and start the image's services.
+//! with a measurement-derived key, create the unique VM identity
+//! (§5.2.2), and start the image's services. The image's network policy
+//! travels in the measured initrd, so it is part of the launch
+//! measurement, but nothing enforces it at runtime.
 //! Every step contributes a modelled duration to the boot timeline used by
 //! the Table 1 reproduction.
 
 use std::sync::Arc;
 
-use revelio_build::artifacts::{InitConfig, KernelCmdline, NetworkPolicy};
-use revelio_build::fstree::{FsEntry, FsTree};
+use revelio_build::artifacts::{InitConfig, KernelCmdline};
+use revelio_build::fstree::FsTree;
 use revelio_build::image::{read_rootfs, VmImage};
-use revelio_crypto::ed25519::{SigningKey, VerifyingKey};
-use revelio_crypto::sha2::Sha256;
+use revelio_crypto::ed25519::SigningKey;
 use revelio_storage::block::BlockDevice;
 use revelio_storage::crypt::{CryptDevice, CryptParams};
 use revelio_storage::partition::{PartitionKind, PartitionTable};
@@ -24,7 +25,6 @@ use sev_snp::platform::GuestContext;
 use sev_snp::report::{ReportData, SignedReport};
 use sev_snp::sealing::SealingKeyRequest;
 
-use crate::firmware::FirmwareImage;
 use crate::loader::BootOptions;
 use crate::timing::BootReport;
 use crate::BootError;
@@ -52,13 +52,10 @@ fn span_segment(name: &str) -> String {
 /// A fully booted Revelio guest.
 pub struct BootedVm {
     guest: GuestContext,
-    firmware: FirmwareImage,
     rootfs: FsTree,
     rootfs_device: Option<Arc<VerityDevice>>,
     data_volume: Option<Arc<CryptDevice>>,
     identity: Option<SigningKey>,
-    network: NetworkPolicy,
-    services: Vec<String>,
     report: BootReport,
     first_boot: bool,
 }
@@ -67,7 +64,6 @@ impl std::fmt::Debug for BootedVm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BootedVm")
             .field("measurement", &self.guest.measurement())
-            .field("services", &self.services.len())
             .field("first_boot", &self.first_boot)
             .finish_non_exhaustive()
     }
@@ -82,7 +78,6 @@ impl BootedVm {
     /// Returns the [`BootError`] of whichever init step fails.
     pub(crate) fn bring_up(
         guest: GuestContext,
-        firmware: FirmwareImage,
         initrd: &[u8],
         cmdline: &str,
         image: &VmImage,
@@ -192,11 +187,7 @@ impl BootedVm {
             None
         };
 
-        // 3. Network policy comes from the measured image; nothing to
-        //    compute, but its enforcement point is here, before services.
-        let network = init.network.clone();
-
-        // 4. Unique VM identity (§5.2.2).
+        // 3. Unique VM identity (§5.2.2).
         let identity = if init.create_identity {
             report.record("identity creation", model.identity_creation_ms);
             Some(SigningKey::from_seed(&options.identity_seed))
@@ -204,7 +195,7 @@ impl BootedVm {
             None
         };
 
-        // 5. Services.
+        // 4. Services.
         for service in &init.services {
             report.record(&format!("service:{service}"), model.service_start_ms);
         }
@@ -231,13 +222,10 @@ impl BootedVm {
 
         Ok(BootedVm {
             guest,
-            firmware,
             rootfs,
             rootfs_device,
             data_volume,
             identity,
-            network,
-            services: init.services,
             report,
             first_boot,
         })
@@ -255,25 +243,10 @@ impl BootedVm {
         &self.guest
     }
 
-    /// The firmware this VM booted with.
-    #[must_use]
-    pub fn firmware(&self) -> &FirmwareImage {
-        &self.firmware
-    }
-
     /// The mounted (verity-verified) root filesystem.
     #[must_use]
     pub fn rootfs(&self) -> &FsTree {
         &self.rootfs
-    }
-
-    /// Reads a file from the mounted rootfs.
-    #[must_use]
-    pub fn read_file(&self, path: &str) -> Option<&[u8]> {
-        match self.rootfs.get(path) {
-            Some(FsEntry::File { content, .. }) => Some(content),
-            _ => None,
-        }
     }
 
     /// The verity device backing `/`, if the image mandated one.
@@ -294,42 +267,11 @@ impl BootedVm {
         self.identity.as_ref()
     }
 
-    /// The identity's public key.
-    #[must_use]
-    pub fn identity_public_key(&self) -> Option<VerifyingKey> {
-        self.identity.as_ref().map(SigningKey::verifying_key)
-    }
-
-    /// An attestation report binding the VM identity: `REPORT_DATA` is the
-    /// SHA-256 of the identity public key (§5.2.2, first report kind).
-    /// `None` when the image disabled identity creation.
-    #[must_use]
-    pub fn identity_report(&self) -> Option<SignedReport> {
-        let public = self.identity_public_key()?;
-        let digest = Sha256::digest(public.to_bytes());
-        Some(
-            self.guest
-                .attestation_report(ReportData::from_slice(&digest)),
-        )
-    }
-
     /// An attestation report over arbitrary `REPORT_DATA` (e.g. a CSR hash,
     /// §5.2.2's second report kind).
     #[must_use]
     pub fn report_with_data(&self, data: &[u8]) -> SignedReport {
         self.guest.attestation_report(ReportData::from_slice(data))
-    }
-
-    /// The enforced inbound-network policy.
-    #[must_use]
-    pub fn network_policy(&self) -> &NetworkPolicy {
-        &self.network
-    }
-
-    /// Services started at boot.
-    #[must_use]
-    pub fn services(&self) -> &[String] {
-        &self.services
     }
 
     /// The boot timeline (Table 1's raw material).
@@ -351,6 +293,7 @@ mod tests {
     use crate::firmware::FirmwareKind;
     use crate::loader::Hypervisor;
     use revelio_build::artifacts::{CryptVolumeConfig, InitConfig};
+    use revelio_build::fstree::FsEntry;
     use revelio_build::image::{build_image, ImageSpec};
     use sev_snp::ids::{ChipId, GuestPolicy, TcbVersion};
     use sev_snp::platform::{AmdRootOfTrust, SnpPlatform};
@@ -406,7 +349,8 @@ mod tests {
             assert!(r.step_ms(step).is_some(), "missing step {step}");
         }
         assert!(vm.is_first_boot());
-        assert_eq!(vm.services().len(), 2);
+        assert!(r.step_ms("service:nginx").is_some());
+        assert!(r.step_ms("service:proxy").is_some());
     }
 
     #[test]
@@ -518,17 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_report_binds_public_key() {
-        let p = platform_from(1);
-        let image = build_image(&spec(&[])).unwrap();
-        let vm = boot(&p, &image);
-        let report = vm.identity_report().unwrap();
-        let expected = Sha256::digest(vm.identity_public_key().unwrap().to_bytes());
-        assert_eq!(&report.report.report_data.as_bytes()[..32], &expected);
-        assert_eq!(report.report.measurement, vm.measurement());
-    }
-
-    #[test]
     fn distinct_identity_seeds_distinct_keys() {
         let p = platform_from(1);
         let image = build_image(&spec(&[])).unwrap();
@@ -556,18 +489,12 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_ne!(a.identity_public_key(), b.identity_public_key());
+        assert_ne!(
+            a.identity().map(SigningKey::verifying_key),
+            b.identity().map(SigningKey::verifying_key)
+        );
         // Identical images on the same platform still share a measurement.
         assert_eq!(a.measurement(), b.measurement());
-    }
-
-    #[test]
-    fn network_policy_survives_from_image() {
-        let p = platform_from(1);
-        let image = build_image(&spec(&[])).unwrap();
-        let vm = boot(&p, &image);
-        assert_eq!(vm.network_policy().allowed_inbound_ports, vec![443]);
-        assert!(!vm.network_policy().ssh_enabled);
     }
 
     #[test]
@@ -575,7 +502,10 @@ mod tests {
         let p = platform_from(1);
         let image = build_image(&spec(&[])).unwrap();
         let vm = boot(&p, &image);
-        assert_eq!(vm.read_file("/etc/golden"), Some(&b"value"[..]));
-        assert_eq!(vm.read_file("/nonexistent"), None);
+        assert!(matches!(
+            vm.rootfs().get("/etc/golden"),
+            Some(FsEntry::File { content, .. }) if content == b"value"
+        ));
+        assert!(vm.rootfs().get("/nonexistent").is_none());
     }
 }

@@ -18,7 +18,7 @@ use crate::BuildError;
 pub struct NetworkPolicy {
     /// TCP ports that accept inbound connections (the HTTPS port only, for
     /// a Revelio VM).
-    pub allowed_inbound_ports: Vec<u16>,
+    pub(crate) allowed_inbound_ports: Vec<u16>,
     /// Whether an SSH daemon is present and reachable — `true` is exactly
     /// the management-API hole Revelio closes.
     pub ssh_enabled: bool,
@@ -171,7 +171,7 @@ impl InitConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelSpec {
     /// Kernel version string, e.g. `"5.17.0-rc6-snp"`.
-    pub version: String,
+    pub(crate) version: String,
     /// Enabled config options (sorted set semantics: callers should keep
     /// them sorted; the encoder sorts defensively).
     pub config_flags: Vec<String>,
@@ -242,13 +242,13 @@ pub struct KernelCmdline {
     /// dm-verity root hash of the rootfs (hex in the rendered line).
     pub verity_root_hash: Option<[u8; 32]>,
     /// Additional `key=value` arguments, in order.
-    pub extra: Vec<(String, String)>,
+    pub(crate) extra: Vec<(String, String)>,
 }
 
 impl KernelCmdline {
     /// Renders to the canonical textual form.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut parts = vec!["root=/dev/mapper/vroot".to_owned(), "ro".to_owned()];
         if let Some(h) = &self.verity_root_hash {
             parts.push(format!("verity_root_hash={}", hex::encode(h)));

@@ -14,13 +14,8 @@ pub enum BuildError {
     InvalidPath(String),
     /// A path already exists with a conflicting entry type.
     PathConflict(String),
-    /// A referenced package or version does not exist in the registry.
-    PackageNotFound {
-        /// Requested package name.
-        name: String,
-        /// Requested version, if pinned.
-        version: Option<String>,
-    },
+    /// A referenced package (named here) does not exist in the registry.
+    PackageNotFound(String),
     /// The assembled content exceeded the disk geometry in the spec.
     ImageTooLarge {
         /// Bytes required.
@@ -39,10 +34,7 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::InvalidPath(p) => write!(f, "invalid path {p:?}"),
             BuildError::PathConflict(p) => write!(f, "conflicting entry at {p:?}"),
-            BuildError::PackageNotFound { name, version } => match version {
-                Some(v) => write!(f, "package {name} version {v} not in registry"),
-                None => write!(f, "package {name} not in registry"),
-            },
+            BuildError::PackageNotFound(name) => write!(f, "package {name} not in registry"),
             BuildError::ImageTooLarge { needed, available } => {
                 write!(f, "image needs {needed} bytes but disk offers {available}")
             }
@@ -83,11 +75,7 @@ mod tests {
         assert!(BuildError::InvalidPath("a/../b".into())
             .to_string()
             .contains("a/../b"));
-        let e = BuildError::PackageNotFound {
-            name: "nginx".into(),
-            version: Some("1.2".into()),
-        };
+        let e = BuildError::PackageNotFound("nginx".into());
         assert!(e.to_string().contains("nginx"));
-        assert!(e.to_string().contains("1.2"));
     }
 }

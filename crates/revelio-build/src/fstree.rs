@@ -67,23 +67,6 @@ impl FsTree {
         FsTree::default()
     }
 
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the tree has no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates entries in canonical (path-sorted) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &FsEntry)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Looks up an entry.
     #[must_use]
     pub fn get(&self, path: &str) -> Option<&FsEntry> {
@@ -134,44 +117,6 @@ impl FsTree {
         Ok(self)
     }
 
-    /// Adds (or re-modes) a directory.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::InvalidPath`] / [`BuildError::PathConflict`].
-    pub fn add_dir(&mut self, path: &str, mode: u16) -> Result<&mut Self, BuildError> {
-        validate_path(path)?;
-        if matches!(
-            self.entries.get(path),
-            Some(FsEntry::File { .. } | FsEntry::Symlink { .. })
-        ) {
-            return Err(BuildError::PathConflict(path.to_owned()));
-        }
-        self.ensure_parents(path);
-        self.entries.insert(path.to_owned(), FsEntry::Dir { mode });
-        Ok(self)
-    }
-
-    /// Adds a symlink.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::InvalidPath`] / [`BuildError::PathConflict`].
-    pub fn add_symlink(&mut self, path: &str, target: &str) -> Result<&mut Self, BuildError> {
-        validate_path(path)?;
-        if matches!(self.entries.get(path), Some(FsEntry::Dir { .. })) {
-            return Err(BuildError::PathConflict(path.to_owned()));
-        }
-        self.ensure_parents(path);
-        self.entries.insert(
-            path.to_owned(),
-            FsEntry::Symlink {
-                target: target.to_owned(),
-            },
-        );
-        Ok(self)
-    }
-
     fn ensure_parents(&mut self, path: &str) {
         let mut prefix = String::new();
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -186,7 +131,7 @@ impl FsTree {
 
     /// Removes one entry (and, for a directory, everything below it).
     /// Returns the number of removed entries.
-    pub fn remove_subtree(&mut self, path: &str) -> usize {
+    pub(crate) fn remove_subtree(&mut self, path: &str) -> usize {
         let prefix = format!("{path}/");
         let doomed: Vec<String> = self
             .entries
@@ -202,7 +147,7 @@ impl FsTree {
 
     /// Removes every entry whose path matches `predicate`. Returns the
     /// number removed.
-    pub fn remove_matching(&mut self, mut predicate: impl FnMut(&str) -> bool) -> usize {
+    pub(crate) fn remove_matching(&mut self, mut predicate: impl FnMut(&str) -> bool) -> usize {
         let doomed: Vec<String> = self
             .entries
             .keys()
@@ -216,7 +161,10 @@ impl FsTree {
     }
 
     /// Applies `f` to every file entry (the scrubber's timestamp squash).
-    pub fn for_each_file_mut(&mut self, mut f: impl FnMut(&str, &mut Vec<u8>, &mut u16, &mut u64)) {
+    pub(crate) fn for_each_file_mut(
+        &mut self,
+        mut f: impl FnMut(&str, &mut Vec<u8>, &mut u16, &mut u64),
+    ) {
         for (path, entry) in &mut self.entries {
             if let FsEntry::File {
                 content,
@@ -231,7 +179,7 @@ impl FsTree {
 
     /// Merges `other` into `self`, overwriting on conflicts (layered
     /// base-image semantics: later layers win).
-    pub fn overlay(&mut self, other: &FsTree) {
+    pub(crate) fn overlay(&mut self, other: &FsTree) {
         for (path, entry) in &other.entries {
             self.entries.insert(path.clone(), entry.clone());
         }
@@ -315,7 +263,7 @@ impl FsTree {
 
     /// SHA-256 over the canonical archive — the tree's identity.
     #[must_use]
-    pub fn content_hash(&self) -> [u8; 32] {
+    pub(crate) fn content_hash(&self) -> [u8; 32] {
         Sha256::digest(self.to_archive())
     }
 }
@@ -374,7 +322,7 @@ mod tests {
     #[test]
     fn file_over_dir_conflicts() {
         let mut t = FsTree::new();
-        t.add_dir("/etc", 0o755).unwrap();
+        t.add_file("/etc/hosts", Vec::new(), 0o644).unwrap();
         assert!(matches!(
             t.add_file("/etc", Vec::new(), 0o644),
             Err(BuildError::PathConflict(_))
@@ -411,8 +359,8 @@ mod tests {
     fn archive_roundtrip() {
         let mut t = FsTree::new();
         t.add_file("/bin/sh", b"shell".to_vec(), 0o755).unwrap();
-        t.add_symlink("/bin/bash", "/bin/sh").unwrap();
-        t.add_dir("/empty", 0o700).unwrap();
+        t.add_file("/etc/ssl/certs/ca.pem", b"pem".to_vec(), 0o644)
+            .unwrap();
         let decoded = FsTree::from_archive(&t.to_archive()).unwrap();
         assert_eq!(decoded, t);
     }

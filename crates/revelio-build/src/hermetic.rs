@@ -1,10 +1,10 @@
 //! Hermetic (bazel-style) build steps: outputs as a pure function of
 //! declared inputs (paper §5.1.1, leveraging "bazel and its hermeticity").
 //!
-//! A [`BuildStep`] declares its inputs (sources, tool identity, environment
-//! variables it reads) and a pure transform. Running it twice — or on
-//! another machine — yields bit-identical output, and the step's *action
-//! digest* (hash of all declared inputs) doubles as a cache key. The
+//! A [`BuildStep`] declares its inputs (sources and tool identity) and a
+//! pure transform. Running it twice — or on another machine — yields
+//! bit-identical output, and the step's *action digest* (hash of all
+//! declared inputs) doubles as a cache key. The
 //! [`NonHermeticContext`] variant leaks ambient state (wall-clock time,
 //! hostname) into the output, modelling the broken builds the paper's
 //! pipeline eliminates; tests assert the two behave differently.
@@ -28,24 +28,21 @@ pub struct NonHermeticContext {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildStep {
     /// Step name, e.g. `"compile-service"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Declared source inputs: name → content.
-    pub sources: BTreeMap<String, Vec<u8>>,
+    pub(crate) sources: BTreeMap<String, Vec<u8>>,
     /// The toolchain identity (compiler version string, flags).
-    pub toolchain: String,
-    /// Environment variables the step is allowed to see.
-    pub env: BTreeMap<String, String>,
+    pub(crate) toolchain: String,
 }
 
 impl BuildStep {
-    /// Creates a step with no sources or environment.
+    /// Creates a step with no sources.
     #[must_use]
     pub fn new(name: &str, toolchain: &str) -> Self {
         BuildStep {
             name: name.to_owned(),
             sources: BTreeMap::new(),
             toolchain: toolchain.to_owned(),
-            env: BTreeMap::new(),
         }
     }
 
@@ -55,17 +52,11 @@ impl BuildStep {
         self
     }
 
-    /// Declares an environment variable.
-    pub fn env_var(&mut self, key: &str, value: &str) -> &mut Self {
-        self.env.insert(key.to_owned(), value.to_owned());
-        self
-    }
-
     /// The action digest: a content hash of *every* declared input. Two
     /// steps with equal digests produce equal outputs — the foundation of
     /// remote caching and of reproducibility audits.
     #[must_use]
-    pub fn action_digest(&self) -> [u8; 32] {
+    pub(crate) fn action_digest(&self) -> [u8; 32] {
         let mut w = revelio_crypto::wire::ByteWriter::new();
         w.put_str(&self.name);
         w.put_str(&self.toolchain);
@@ -73,11 +64,6 @@ impl BuildStep {
         for (name, content) in &self.sources {
             w.put_str(name);
             w.put_var_bytes(content);
-        }
-        w.put_u32(self.env.len() as u32);
-        for (k, v) in &self.env {
-            w.put_str(k);
-            w.put_str(v);
         }
         Sha256::digest(w.into_bytes())
     }
@@ -121,7 +107,6 @@ mod tests {
         let mut s = BuildStep::new("compile-proxy", "rustc 1.70.0 --release");
         s.source("main.rs", b"fn main() {}");
         s.source("lib.rs", b"pub fn serve() {}");
-        s.env_var("LANG", "C.UTF-8");
         s
     }
 
@@ -154,20 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn action_digest_covers_toolchain_and_env() {
+    fn action_digest_covers_toolchain() {
         let base = step().action_digest();
-        let other_toolchain = {
-            let mut s = step();
-            s.toolchain = "rustc 1.71.0 --release".into();
-            s.action_digest()
-        };
-        let other_env = {
-            let mut s = step();
-            s.env_var("LANG", "en_US.UTF-8");
-            s.action_digest()
-        };
-        assert_ne!(base, other_toolchain);
-        assert_ne!(base, other_env);
+        let mut s = step();
+        s.toolchain = "rustc 1.71.0 --release".into();
+        assert_ne!(base, s.action_digest());
     }
 
     #[test]

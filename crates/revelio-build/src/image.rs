@@ -27,7 +27,7 @@ pub struct ImageSpec {
     /// The root filesystem contents (pre-scrub).
     pub rootfs: FsTree,
     /// Scrub policy applied before archiving.
-    pub scrub_policy: ScrubPolicy,
+    pub(crate) scrub_policy: ScrubPolicy,
     /// Kernel to ship.
     pub kernel: KernelSpec,
     /// Init behaviour (services, crypt volume, network policy).
@@ -37,7 +37,7 @@ pub struct ImageSpec {
     /// Size of the mutable data partition, in blocks.
     pub data_blocks: u64,
     /// dm-verity salt.
-    pub verity_salt: [u8; 32],
+    pub(crate) verity_salt: [u8; 32],
 }
 
 impl ImageSpec {

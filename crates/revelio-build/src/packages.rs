@@ -61,35 +61,9 @@ impl PackageRegistry {
             .packages
             .get(name)
             .and_then(|versions| versions.last())
-            .ok_or_else(|| BuildError::PackageNotFound {
-                name: name.to_owned(),
-                version: None,
-            })?;
+            .ok_or_else(|| BuildError::PackageNotFound(name.to_owned()))?;
         Self::install(latest, tree)?;
         Ok(latest.version.clone())
-    }
-
-    /// Installs an exact version — reproducible, but still depends on the
-    /// registry being reachable and honest.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::PackageNotFound`] when the name/version is absent.
-    pub fn install_pinned(
-        &self,
-        name: &str,
-        version: &str,
-        tree: &mut FsTree,
-    ) -> Result<(), BuildError> {
-        let pkg = self
-            .packages
-            .get(name)
-            .and_then(|vs| vs.iter().find(|v| v.version == version))
-            .ok_or_else(|| BuildError::PackageNotFound {
-                name: name.to_owned(),
-                version: Some(version.to_owned()),
-            })?;
-        Self::install(pkg, tree)
     }
 
     fn install(pkg: &PackageVersion, tree: &mut FsTree) -> Result<(), BuildError> {
@@ -106,9 +80,9 @@ impl PackageRegistry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseImage {
     /// Image name, e.g. `"ubuntu-20.04-revelio-base"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Resolved package list `(name, version)` recorded at snapshot time.
-    pub manifest: Vec<(String, String)>,
+    pub(crate) manifest: Vec<(String, String)>,
     /// The frozen filesystem layer.
     tree: FsTree,
     /// Content digest clients pin (like a Docker image digest).
@@ -169,10 +143,10 @@ impl BaseImage {
         tree: &mut FsTree,
     ) -> Result<(), BuildError> {
         if !revelio_crypto::ct::eq(&self.digest, pinned_digest) {
-            return Err(BuildError::PackageNotFound {
-                name: format!("base image {} (digest mismatch)", self.name),
-                version: None,
-            });
+            return Err(BuildError::PackageNotFound(format!(
+                "base image {} (digest mismatch)",
+                self.name
+            )));
         }
         tree.overlay(&self.tree);
         Ok(())
@@ -222,31 +196,13 @@ mod tests {
     }
 
     #[test]
-    fn pinned_install_is_stable_across_updates() {
-        let mut reg = registry();
-        let mut before = FsTree::new();
-        reg.install_pinned("nginx", "1.18.0", &mut before).unwrap();
-        reg.publish(
-            "nginx",
-            PackageVersion {
-                version: "1.18.1".into(),
-                files: vec![],
-            },
-        );
-        let mut after = FsTree::new();
-        reg.install_pinned("nginx", "1.18.0", &mut after).unwrap();
-        assert_eq!(before.content_hash(), after.content_hash());
-    }
-
-    #[test]
     fn missing_package_is_reported() {
         let reg = registry();
         let mut t = FsTree::new();
         assert!(matches!(
             reg.install_latest("ghost", &mut t),
-            Err(BuildError::PackageNotFound { .. })
+            Err(BuildError::PackageNotFound(_))
         ));
-        assert!(reg.install_pinned("nginx", "9.9", &mut t).is_err());
     }
 
     #[test]

@@ -15,13 +15,13 @@ use crate::fstree::FsTree;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubPolicy {
     /// Squash every file mtime to this value (0 = epoch).
-    pub squash_mtime_to: u64,
+    pub(crate) squash_mtime_to: u64,
     /// Subtrees deleted wholesale.
-    pub remove_subtrees: Vec<String>,
+    pub(crate) remove_subtrees: Vec<String>,
     /// Exact files deleted.
-    pub remove_files: Vec<String>,
+    pub(crate) remove_files: Vec<String>,
     /// Path suffixes deleted wherever they appear (caches, logs).
-    pub remove_suffixes: Vec<String>,
+    pub(crate) remove_suffixes: Vec<String>,
 }
 
 impl Default for ScrubPolicy {
@@ -51,9 +51,9 @@ impl Default for ScrubPolicy {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Entries deleted.
-    pub removed_entries: usize,
+    pub(crate) removed_entries: usize,
     /// Files whose mtime was rewritten.
-    pub squashed_timestamps: usize,
+    pub(crate) squashed_timestamps: usize,
 }
 
 /// Applies `policy` to `tree` in place.

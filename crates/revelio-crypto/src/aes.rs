@@ -138,7 +138,7 @@ fn cipher<const STEP: usize>(
 
 /// AES variant selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeySize {
+pub(crate) enum KeySize {
     /// AES-128: 16-byte key, 10 rounds.
     Aes128,
     /// AES-256: 32-byte key, 14 rounds.
@@ -158,12 +158,6 @@ impl KeySize {
             KeySize::Aes128 => 4,
             KeySize::Aes256 => 8,
         }
-    }
-
-    /// Key length in bytes.
-    #[must_use]
-    pub fn key_len(self) -> usize {
-        self.key_words() * 4
     }
 }
 
@@ -211,7 +205,7 @@ impl Aes {
 
     /// Which variant this instance uses.
     #[must_use]
-    pub fn key_size(&self) -> KeySize {
+    pub(crate) fn key_size(&self) -> KeySize {
         self.size
     }
 
@@ -280,7 +274,7 @@ mod reference {
 
     use super::{gf_mul, tables, KeySize};
 
-    pub struct ByteAes {
+    pub(crate) struct ByteAes {
         round_keys: Vec<[u8; 16]>,
         rounds: usize,
     }
@@ -328,7 +322,7 @@ mod reference {
     }
 
     impl ByteAes {
-        pub fn new(key: &[u8], size: KeySize) -> Self {
+        pub(crate) fn new(key: &[u8], size: KeySize) -> Self {
             let sbox = &tables().sbox;
             let nk = size.key_words();
             let rounds = size.rounds();
@@ -354,7 +348,7 @@ mod reference {
             ByteAes { round_keys, rounds }
         }
 
-        pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        pub(crate) fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
             let sbox = &tables().sbox;
             let mut state = *block;
             add_round_key(&mut state, &self.round_keys[0]);
@@ -369,7 +363,7 @@ mod reference {
             state
         }
 
-        pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        pub(crate) fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
             let inv_sbox = &tables().inv_sbox;
             let mut state = *block;
             add_round_key(&mut state, &self.round_keys[self.rounds]);

@@ -12,7 +12,7 @@ use std::fmt;
 /// limbs with no trailing zero limbs (canonical form; zero is an empty limb
 /// vector).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct BigUint {
+pub(crate) struct BigUint {
     limbs: Vec<u64>,
 }
 
@@ -25,19 +25,19 @@ impl fmt::Debug for BigUint {
 impl BigUint {
     /// The value zero.
     #[must_use]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         BigUint { limbs: Vec::new() }
     }
 
     /// The value one.
     #[must_use]
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         BigUint::from_u64(1)
     }
 
     /// Constructs from a single machine word.
     #[must_use]
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         let mut n = BigUint { limbs: vec![v] };
         n.normalize();
         n
@@ -45,7 +45,7 @@ impl BigUint {
 
     /// Constructs from big-endian bytes.
     #[must_use]
-    pub fn from_bytes_be(bytes: &[u8]) -> Self {
+    pub(crate) fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut le: Vec<u8> = bytes.to_vec();
         le.reverse();
         Self::from_bytes_le(&le)
@@ -53,7 +53,7 @@ impl BigUint {
 
     /// Constructs from little-endian bytes.
     #[must_use]
-    pub fn from_bytes_le(bytes: &[u8]) -> Self {
+    pub(crate) fn from_bytes_le(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
         for chunk in bytes.chunks(8) {
             let mut limb = [0u8; 8];
@@ -67,7 +67,7 @@ impl BigUint {
 
     /// Serializes to big-endian bytes with no leading zeros (empty for zero).
     #[must_use]
-    pub fn to_bytes_be(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes_be(&self) -> Vec<u8> {
         let mut v = self.to_bytes_le();
         v.reverse();
         v
@@ -75,7 +75,7 @@ impl BigUint {
 
     /// Serializes to little-endian bytes with no trailing zeros.
     #[must_use]
-    pub fn to_bytes_le(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes_le(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.limbs.len() * 8);
         for &l in &self.limbs {
             out.extend_from_slice(&l.to_le_bytes());
@@ -92,7 +92,7 @@ impl BigUint {
     ///
     /// Panics if the value does not fit in `n` bytes.
     #[must_use]
-    pub fn to_bytes_le_padded(&self, n: usize) -> Vec<u8> {
+    pub(crate) fn to_bytes_le_padded(&self, n: usize) -> Vec<u8> {
         let mut v = self.to_bytes_le();
         assert!(v.len() <= n, "value does not fit in {n} bytes");
         v.resize(n, 0);
@@ -101,13 +101,13 @@ impl BigUint {
 
     /// Returns `true` when the value is zero.
     #[must_use]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// Number of significant bits (0 for zero).
     #[must_use]
-    pub fn bit_len(&self) -> usize {
+    pub(crate) fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => self.limbs.len() * 64 - top.leading_zeros() as usize,
@@ -116,7 +116,7 @@ impl BigUint {
 
     /// Returns bit `i` (little-endian bit numbering).
     #[must_use]
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         let (limb, off) = (i / 64, i % 64);
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
@@ -129,7 +129,7 @@ impl BigUint {
 
     /// Sum of `self` and `other`.
     #[must_use]
-    pub fn add(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn add(&self, other: &BigUint) -> BigUint {
         let n = self.limbs.len().max(other.limbs.len());
         let mut out = Vec::with_capacity(n + 1);
         let mut carry = 0u64;
@@ -155,7 +155,7 @@ impl BigUint {
     ///
     /// Panics if `other > self` (this type is unsigned).
     #[must_use]
-    pub fn sub(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn sub(&self, other: &BigUint) -> BigUint {
         assert!(self >= other, "BigUint subtraction underflow");
         let mut out = Vec::with_capacity(self.limbs.len());
         let mut borrow = 0u64;
@@ -175,7 +175,7 @@ impl BigUint {
 
     /// Product of `self` and `other` (schoolbook; fine at these sizes).
     #[must_use]
-    pub fn mul(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
@@ -202,7 +202,7 @@ impl BigUint {
 
     /// Left shift by `n` bits.
     #[must_use]
-    pub fn shl(&self, n: usize) -> BigUint {
+    pub(crate) fn shl(&self, n: usize) -> BigUint {
         if self.is_zero() {
             return BigUint::zero();
         }
@@ -221,7 +221,7 @@ impl BigUint {
 
     /// Right shift by `n` bits.
     #[must_use]
-    pub fn shr(&self, n: usize) -> BigUint {
+    pub(crate) fn shr(&self, n: usize) -> BigUint {
         let (limb_shift, bit_shift) = (n / 64, n % 64);
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
@@ -247,7 +247,7 @@ impl BigUint {
     ///
     /// Panics if `divisor` is zero.
     #[must_use]
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    pub(crate) fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         if self < divisor {
             return (BigUint::zero(), self.clone());
@@ -272,13 +272,13 @@ impl BigUint {
     ///
     /// Panics if `modulus` is zero.
     #[must_use]
-    pub fn rem(&self, modulus: &BigUint) -> BigUint {
+    pub(crate) fn rem(&self, modulus: &BigUint) -> BigUint {
         self.div_rem(modulus).1
     }
 
     /// `(self + other) mod modulus`; inputs must already be reduced.
     #[must_use]
-    pub fn add_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn add_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         let s = self.add(other);
         if &s >= modulus {
             s.sub(modulus)
@@ -289,7 +289,7 @@ impl BigUint {
 
     /// `(self * other) mod modulus`.
     #[must_use]
-    pub fn mul_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn mul_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)
     }
 }

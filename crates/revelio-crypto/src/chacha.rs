@@ -5,9 +5,9 @@
 //! keystream source inside the simulators.
 
 /// ChaCha20 key length in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// ChaCha20 nonce length in bytes (the RFC 8439 96-bit variant).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -69,7 +69,7 @@ fn to_bytes(words: [u32; 16]) -> [u8; 64] {
 
 /// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
 #[must_use]
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+pub(crate) fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
     to_bytes(keystream(&initial_state(key, counter, nonce)))
 }
 

@@ -32,7 +32,7 @@ pub fn eq(a: &[u8], b: &[u8]) -> bool {
 ///
 /// Debug-asserts that `choice` is 0 or 1.
 #[must_use]
-pub fn select_u64(choice: u64, x: u64, y: u64) -> u64 {
+pub(crate) fn select_u64(choice: u64, x: u64, y: u64) -> u64 {
     debug_assert!(choice <= 1);
     let mask = choice.wrapping_neg();
     (x & mask) | (y & !mask)

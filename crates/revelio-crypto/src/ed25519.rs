@@ -38,9 +38,9 @@ use crate::CryptoError;
 /// Length of a signature in bytes.
 pub const SIGNATURE_LEN: usize = 64;
 /// Length of a public key in bytes.
-pub const PUBLIC_KEY_LEN: usize = 32;
+pub(crate) const PUBLIC_KEY_LEN: usize = 32;
 /// Length of a secret seed in bytes.
-pub const SEED_LEN: usize = 32;
+pub(crate) const SEED_LEN: usize = 32;
 
 const LOW_52_BIT_MASK: u64 = (1u64 << 52) - 1;
 
@@ -185,7 +185,7 @@ impl Scalar52 {
 /// A scalar modulo the Ed25519 group order L, held as its canonical
 /// 32-byte little-endian encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scalar([u8; 32]);
+pub(crate) struct Scalar([u8; 32]);
 
 impl Scalar {
     const ZERO: Scalar = Scalar([0; 32]);
@@ -205,7 +205,7 @@ impl Scalar {
 
     /// Reduces 64 bytes (little-endian) modulo L — used for hash outputs.
     #[must_use]
-    pub fn from_bytes_wide(bytes: &[u8; 64]) -> Self {
+    pub(crate) fn from_bytes_wide(bytes: &[u8; 64]) -> Self {
         // Split at bit 260: x = lo + hi·R, and
         // lo·R/R + hi·R²/R = lo + hi·R (mod L).
         let words: [u64; 8] = words_le(bytes);
@@ -219,7 +219,7 @@ impl Scalar {
 
     /// Interprets 32 little-endian bytes, reducing mod L.
     #[must_use]
-    pub fn from_bytes_reduced(bytes: &[u8; 32]) -> Self {
+    pub(crate) fn from_bytes_reduced(bytes: &[u8; 32]) -> Self {
         Scalar::from_limbs(Scalar52::montgomery_mul(
             &Scalar52::from_bytes(bytes),
             &Scalar52::R,
@@ -232,7 +232,7 @@ impl Scalar {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidScalar`] when `bytes >= L`.
-    pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Self, CryptoError> {
+    pub(crate) fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Self, CryptoError> {
         // Reduction is the identity exactly on values below L.
         let reduced = Scalar::from_bytes_reduced(bytes);
         if &reduced.0 == bytes {
@@ -244,19 +244,19 @@ impl Scalar {
 
     /// Canonical 32-byte little-endian encoding.
     #[must_use]
-    pub fn to_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_bytes(&self) -> [u8; 32] {
         self.0
     }
 
     /// `(self + rhs) mod L`.
     #[must_use]
-    pub fn add(&self, rhs: &Scalar) -> Scalar {
+    pub(crate) fn add(&self, rhs: &Scalar) -> Scalar {
         Scalar::from_limbs(Scalar52::add(&self.limbs(), &rhs.limbs()))
     }
 
     /// `(self * rhs) mod L`: `ab/R`, then `(ab/R)·R²/R`.
     #[must_use]
-    pub fn mul(&self, rhs: &Scalar) -> Scalar {
+    pub(crate) fn mul(&self, rhs: &Scalar) -> Scalar {
         let ab_over_r = Scalar52::montgomery_mul(&self.limbs(), &rhs.limbs());
         Scalar::from_limbs(Scalar52::montgomery_mul(&ab_over_r, &Scalar52::RR))
     }
@@ -334,7 +334,7 @@ impl Scalar {
 /// kernels inside this module move through the cheaper forms below and
 /// compute `T` only where an addition needs it.
 #[derive(Clone, Copy)]
-pub struct EdwardsPoint {
+pub(crate) struct EdwardsPoint {
     x: FieldElement,
     y: FieldElement,
     z: FieldElement,
@@ -515,7 +515,7 @@ impl AffineNiels {
 impl EdwardsPoint {
     /// The neutral element.
     #[must_use]
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         EdwardsPoint {
             x: FieldElement::zero(),
             y: FieldElement::one(),
@@ -526,7 +526,7 @@ impl EdwardsPoint {
 
     /// The standard base point B (y = 4/5, x positive-even per RFC 8032).
     #[must_use]
-    pub fn basepoint() -> Self {
+    pub(crate) fn basepoint() -> Self {
         BASEPOINT
     }
 
@@ -580,14 +580,14 @@ impl EdwardsPoint {
 
     /// Unified point addition (extended coordinates, a = −1).
     #[must_use]
-    pub fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
+    pub(crate) fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
         self.add_niels(&other.to_projective_niels()).to_extended()
     }
 
     /// Point doubling (extended coordinates, a = −1): 4 squarings and 4
     /// multiplications, and no curve constant.
     #[must_use]
-    pub fn double(&self) -> EdwardsPoint {
+    pub(crate) fn double(&self) -> EdwardsPoint {
         self.to_projective().double().to_extended()
     }
 
@@ -596,7 +596,7 @@ impl EdwardsPoint {
     /// This is the signing/keygen kernel — the table select and the
     /// conditional negation are branch-free over the secret digits.
     #[must_use]
-    pub fn mul_base(scalar: &Scalar) -> EdwardsPoint {
+    pub(crate) fn mul_base(scalar: &Scalar) -> EdwardsPoint {
         metrics::record_scalar_mul(1);
         let digits = scalar.radix16_digits();
         let table = fixed_base_table();
@@ -612,7 +612,7 @@ impl EdwardsPoint {
     /// The negation `(-x, y, -t)` — negating a point is free on Edwards
     /// curves, which is what makes signed-digit windows pay.
     #[must_use]
-    pub fn neg(&self) -> EdwardsPoint {
+    pub(crate) fn neg(&self) -> EdwardsPoint {
         EdwardsPoint {
             x: self.x.neg(),
             y: self.y,
@@ -623,7 +623,7 @@ impl EdwardsPoint {
 
     /// Compresses to the 32-byte RFC 8032 encoding (y with x's sign bit).
     #[must_use]
-    pub fn compress(&self) -> [u8; 32] {
+    pub(crate) fn compress(&self) -> [u8; 32] {
         let zinv = self.z.invert();
         let x = self.x.mul(&zinv);
         let y = self.y.mul(&zinv);
@@ -641,7 +641,7 @@ impl EdwardsPoint {
     /// Returns [`CryptoError::InvalidPoint`] when the encoding is not a
     /// curve point (y out of range behaviour follows RFC decoding; x
     /// recovery failure is rejected).
-    pub fn decompress(bytes: &[u8; 32]) -> Result<Self, CryptoError> {
+    pub(crate) fn decompress(bytes: &[u8; 32]) -> Result<Self, CryptoError> {
         metrics::record_decompression();
         let sign = bytes[31] >> 7;
         let y = FieldElement::from_bytes(bytes);
@@ -677,8 +677,8 @@ impl EdwardsPoint {
     }
 
     /// `true` when this is the neutral element.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
+    #[cfg(test)]
+    fn is_identity(&self) -> bool {
         *self == EdwardsPoint::identity()
     }
 
@@ -1012,7 +1012,7 @@ pub struct BatchItem<'a> {
 /// verifying each signature individually. Variable-time: the scalars
 /// must be public.
 #[must_use]
-pub fn multiscalar_mul(pairs: &[(Scalar, EdwardsPoint)]) -> EdwardsPoint {
+pub(crate) fn multiscalar_mul(pairs: &[(Scalar, EdwardsPoint)]) -> EdwardsPoint {
     metrics::record_scalar_mul(pairs.len() as u64);
     let tables: Vec<[ProjectiveNiels; 8]> = pairs.iter().map(|(_, p)| odd_multiples(p)).collect();
     let terms: Vec<(Vec<i8>, &[ProjectiveNiels; 8])> = pairs
@@ -1056,7 +1056,7 @@ fn batch_coefficient(
 ///
 /// Checks `[Σ zᵢsᵢ]B == Σ([zᵢ]Rᵢ + [zᵢkᵢ]Aᵢ)` with deterministic
 /// per-item coefficients `zᵢ`, sharing one doubling chain across every
-/// point via [`multiscalar_mul`]. An empty batch is trivially valid.
+/// point via `multiscalar_mul`. An empty batch is trivially valid.
 ///
 /// # Errors
 ///

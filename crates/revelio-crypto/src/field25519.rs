@@ -12,8 +12,8 @@
 //!
 //! # Limb bounds
 //!
-//! Every operation but [`FieldElement::add`] returns limbs below 2^52:
-//! the products and [`FieldElement::sub`] end in a carry pass. `add` does
+//! Every operation but `FieldElement::add` returns limbs below 2^52:
+//! the products and `FieldElement::sub` end in a carry pass. `add` does
 //! not carry, so a sum of two such elements has limbs below 2^53, and a
 //! sum of that with one more below 2^54. `mul`, `square` and `mul_small`
 //! accept limbs below 2^54, and `sub` a right-hand side up to 2^55 − 304;
@@ -30,7 +30,7 @@ const LOW_51_BIT_MASK: u64 = (1u64 << 51) - 1;
 /// Internal limbs are kept loosely reduced (< 2^52); [`FieldElement::to_bytes`]
 /// produces the canonical encoding.
 #[derive(Clone, Copy)]
-pub struct FieldElement(pub(crate) [u64; 5]);
+pub(crate) struct FieldElement(pub(crate) [u64; 5]);
 
 impl std::fmt::Debug for FieldElement {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -64,26 +64,26 @@ pub(crate) fn limbs_to_bytes(limbs: &[u64; 5], bits: usize) -> [u8; 32] {
 impl FieldElement {
     /// The additive identity.
     #[must_use]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         FieldElement([0; 5])
     }
 
     /// The multiplicative identity.
     #[must_use]
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         FieldElement([1, 0, 0, 0, 0])
     }
 
     /// Constructs an element from a small integer.
     #[must_use]
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         FieldElement([v & LOW_51_BIT_MASK, v >> 51, 0, 0, 0])
     }
 
     /// Decodes 32 little-endian bytes, ignoring the top bit (values are
     /// interpreted mod p, matching RFC 7748 / RFC 8032 decoding).
     #[must_use]
-    pub fn from_bytes(bytes: &[u8; 32]) -> Self {
+    pub(crate) fn from_bytes(bytes: &[u8; 32]) -> Self {
         let load = |b: &[u8]| -> u64 {
             let mut v = [0u8; 8];
             v.copy_from_slice(&b[..8]);
@@ -100,7 +100,7 @@ impl FieldElement {
 
     /// Canonical 32-byte little-endian encoding (fully reduced mod p).
     #[must_use]
-    pub fn to_bytes(self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         // Carry every limb under 2^51, folding the top carry back in as ×19:
         // now h < 2p, so h mod p is h − q·p with q = ⌊(h + 19) / 2^255⌋,
         // which the carry chain of h + 19 yields without touching h.
@@ -144,7 +144,7 @@ impl FieldElement {
     /// bounds of whatever consumes it (see the module docs); the carry
     /// happens in the product or difference that does.
     #[must_use]
-    pub fn add(&self, rhs: &FieldElement) -> FieldElement {
+    pub(crate) fn add(&self, rhs: &FieldElement) -> FieldElement {
         FieldElement(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
 
@@ -156,7 +156,7 @@ impl FieldElement {
     /// 2^56. The carry pass then
     /// brings every limb under 2^51, plus at most 19·2^5 on the lowest.
     #[must_use]
-    pub fn sub(&self, rhs: &FieldElement) -> FieldElement {
+    pub(crate) fn sub(&self, rhs: &FieldElement) -> FieldElement {
         const SIXTEEN_P: [u64; 5] = [
             0x7f_ffff_ffff_fed0, // 16*(2^51 - 19)
             0x7f_ffff_ffff_fff0, // 16*(2^51 - 1)
@@ -169,7 +169,7 @@ impl FieldElement {
 
     /// Field negation.
     #[must_use]
-    pub fn neg(&self) -> FieldElement {
+    pub(crate) fn neg(&self) -> FieldElement {
         FieldElement::zero().sub(self)
     }
 
@@ -178,7 +178,7 @@ impl FieldElement {
     /// no ×19 terms, stays under 5·2^108 < 2^110.4, as
     /// the private `carry_wide` needs.
     #[must_use]
-    pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
+    pub(crate) fn mul(&self, rhs: &FieldElement) -> FieldElement {
         let a = &self.0;
         let b = &rhs.0;
         let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
@@ -223,7 +223,7 @@ impl FieldElement {
     /// Field squaring: the 10 cross products are computed once and doubled,
     /// 15 wide products against `mul`'s 25. The bounds are `mul`'s.
     #[must_use]
-    pub fn square(&self) -> FieldElement {
+    pub(crate) fn square(&self) -> FieldElement {
         let a = &self.0;
         let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
         let a3_19 = a[3] * 19;
@@ -242,7 +242,7 @@ impl FieldElement {
     /// `mul`'s 25. Limbs below 2^54 times `k < 2^32` keep every column
     /// under 2^86.
     #[must_use]
-    pub fn mul_small(&self, k: u32) -> FieldElement {
+    pub(crate) fn mul_small(&self, k: u32) -> FieldElement {
         let k = u128::from(k);
         FieldElement::carry_wide(self.0.map(|l| u128::from(l) * k))
     }
@@ -276,7 +276,7 @@ impl FieldElement {
     /// Multiplicative inverse (returns zero for zero): `self^(p − 2)`,
     /// with `p − 2 = (2^250 − 1)·2^5 + 11`.
     #[must_use]
-    pub fn invert(&self) -> FieldElement {
+    pub(crate) fn invert(&self) -> FieldElement {
         let (t250, t11) = self.pow22501();
         t250.pow2k(5).mul(&t11)
     }
@@ -284,7 +284,7 @@ impl FieldElement {
     /// x^((p-5)/8), the core of the square-root computation:
     /// `(p − 5)/8 = (2^250 − 1)·2^2 + 1`.
     #[must_use]
-    pub fn pow_p58(&self) -> FieldElement {
+    pub(crate) fn pow_p58(&self) -> FieldElement {
         let (t250, _) = self.pow22501();
         t250.pow2k(2).mul(self)
     }
@@ -292,13 +292,13 @@ impl FieldElement {
     /// `true` when the canonical encoding is odd (the "sign" bit used in
     /// point compression).
     #[must_use]
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
 
     /// `true` when the element is zero.
     #[must_use]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.to_bytes() == [0u8; 32]
     }
 }
@@ -324,7 +324,7 @@ pub(crate) fn batch_invert(elements: &mut [FieldElement]) {
 
 /// sqrt(-1) mod p.
 #[must_use]
-pub fn sqrt_m1() -> FieldElement {
+pub(crate) fn sqrt_m1() -> FieldElement {
     static V: OnceLock<FieldElement> = OnceLock::new();
     *V.get_or_init(|| {
         // 2 is a non-square (p ≡ 5 mod 8), so 2^((p-1)/4) squares to -1;
@@ -336,7 +336,7 @@ pub fn sqrt_m1() -> FieldElement {
 
 /// The twisted Edwards curve constant d = -121665/121666 mod p.
 #[must_use]
-pub fn edwards_d() -> FieldElement {
+pub(crate) fn edwards_d() -> FieldElement {
     static V: OnceLock<FieldElement> = OnceLock::new();
     *V.get_or_init(|| {
         FieldElement::from_u64(121_665)
@@ -351,7 +351,7 @@ pub fn edwards_d() -> FieldElement {
 /// `(false, _)` when `u/v` is not a square. Used by Ed25519 point
 /// decompression (RFC 8032 §5.1.3).
 #[must_use]
-pub fn sqrt_ratio(u: &FieldElement, v: &FieldElement) -> (bool, FieldElement) {
+pub(crate) fn sqrt_ratio(u: &FieldElement, v: &FieldElement) -> (bool, FieldElement) {
     let v3 = v.square().mul(v);
     let v7 = v3.square().mul(v);
     let mut x = u.mul(&v3).mul(&u.mul(&v7).pow_p58());

@@ -56,7 +56,7 @@ impl<H: HashFunction> Hmac<H> {
 
     /// Finishes and returns the tag (`H::OUTPUT_LEN` bytes).
     #[must_use]
-    pub fn finalize(self) -> Vec<u8> {
+    pub(crate) fn finalize(self) -> Vec<u8> {
         let inner_digest = self.inner.finalize();
         let mut outer = self.outer;
         outer.update(&inner_digest);
@@ -69,12 +69,6 @@ impl<H: HashFunction> Hmac<H> {
         let mut h = Self::new(key);
         h.update(message);
         h.finalize()
-    }
-
-    /// Verifies `tag` against `message` in constant time.
-    #[must_use]
-    pub fn verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        crate::ct::eq(&Self::mac(key, message), tag)
     }
 }
 
@@ -139,15 +133,6 @@ mod tests {
     #[test]
     fn sha512_variant_has_64_byte_tags() {
         assert_eq!(Hmac::<Sha512>::mac(b"k", b"m").len(), 64);
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = Hmac::<Sha256>::mac(b"k", b"m");
-        assert!(Hmac::<Sha256>::verify(b"k", b"m", &tag));
-        assert!(!Hmac::<Sha256>::verify(b"k", b"m2", &tag));
-        assert!(!Hmac::<Sha256>::verify(b"k2", b"m", &tag));
-        assert!(!Hmac::<Sha256>::verify(b"k", b"m", &tag[..31]));
     }
 
     proptest! {

@@ -9,7 +9,7 @@ use crate::sha2::HashFunction;
 
 /// HKDF-Extract: computes a pseudorandom key from input keying material.
 #[must_use]
-pub fn hkdf_extract<H: HashFunction>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
+pub(crate) fn hkdf_extract<H: HashFunction>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
     // Per RFC 5869 an empty salt means a string of zeros of hash length.
     if salt.is_empty() {
         let zero_salt = vec![0u8; H::OUTPUT_LEN];
@@ -25,7 +25,7 @@ pub fn hkdf_extract<H: HashFunction>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
 ///
 /// Panics if `len > 255 * H::OUTPUT_LEN` (the RFC 5869 limit).
 #[must_use]
-pub fn hkdf_expand<H: HashFunction>(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+pub(crate) fn hkdf_expand<H: HashFunction>(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * H::OUTPUT_LEN, "hkdf output too long");
     let blocks = len.div_ceil(H::OUTPUT_LEN);
     let mut okm = Vec::with_capacity(blocks * H::OUTPUT_LEN);

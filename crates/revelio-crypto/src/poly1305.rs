@@ -6,9 +6,9 @@
 //! or 2^176, and 2^132 = 4 * 2^130 ≡ 20 (mod p): wrapped terms use `r * 20`.
 
 /// Poly1305 key length (r || s) in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Poly1305 tag length in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
@@ -26,7 +26,7 @@ fn limbs(bytes: &[u8; 16]) -> [u64; 3] {
 /// A Poly1305 key must be used for **one** message only; the AEAD in
 /// [`crate::aead`] derives a fresh key per nonce as the RFC requires.
 #[derive(Clone)]
-pub struct Poly1305 {
+pub(crate) struct Poly1305 {
     r: [u64; 3],
     s: u128,
     acc: [u64; 3],
@@ -43,7 +43,7 @@ impl std::fmt::Debug for Poly1305 {
 impl Poly1305 {
     /// Creates a new authenticator from a 32-byte one-time key.
     #[must_use]
-    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+    pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
         // Clamp r per the RFC.
         let (halves, _) = key.as_chunks::<16>();
         let r = u128::from_le_bytes(halves[0]) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff;
@@ -81,7 +81,7 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         // Complete a partially-buffered block first.
         if self.buffered > 0 {
             let take = (16 - self.buffered).min(data.len());
@@ -106,7 +106,7 @@ impl Poly1305 {
 
     /// Finishes and returns the 16-byte tag.
     #[must_use]
-    pub fn finalize(mut self) -> [u8; TAG_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; TAG_LEN] {
         if self.buffered > 0 {
             let mut block = [0u8; 16];
             block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
@@ -139,8 +139,8 @@ impl Poly1305 {
     }
 
     /// One-shot MAC.
-    #[must_use]
-    pub fn mac(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
+    #[cfg(test)]
+    fn mac(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
         let mut p = Poly1305::new(key);
         p.update(message);
         p.finalize()
@@ -154,14 +154,14 @@ mod reference {
 
     use super::{KEY_LEN, TAG_LEN};
 
-    pub struct Poly26 {
+    pub(crate) struct Poly26 {
         r: [u64; 5],
         s: [u64; 2],
         acc: [u64; 5],
     }
 
     impl Poly26 {
-        pub fn mac(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
+        pub(crate) fn mac(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
             let mut p = Poly26::new(key);
             for block in message.chunks(16) {
                 p.process_block(block, block.len() < 16);

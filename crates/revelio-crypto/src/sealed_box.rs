@@ -12,7 +12,7 @@ use crate::sha2::Sha256;
 use crate::{x25519, CryptoError};
 
 /// Length of a recipient public key.
-pub const PUBLIC_KEY_LEN: usize = 32;
+pub(crate) const PUBLIC_KEY_LEN: usize = 32;
 
 /// Encrypts `plaintext` to `recipient_public` using a fresh ephemeral key
 /// derived from `ephemeral_seed`. Output: `ephemeral_public || ciphertext`.

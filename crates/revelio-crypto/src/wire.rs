@@ -102,18 +102,6 @@ impl ByteWriter {
         self.put_var_bytes(v.as_bytes())
     }
 
-    /// Current encoded length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finishes and returns the encoded bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
@@ -137,7 +125,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
@@ -196,14 +184,6 @@ impl<'a> ByteReader<'a> {
     /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
     pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         self.take_array()
-    }
-
-    /// Reads `n` raw bytes.
-    ///
-    /// # Errors
-    /// Returns [`WireError::UnexpectedEnd`] if the input is exhausted.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
     }
 
     /// Reads a `u32` item count and validates it against the remaining
@@ -281,7 +261,7 @@ mod tests {
         assert_eq!(r.get_u16().unwrap(), 2);
         assert_eq!(r.get_u32().unwrap(), 3);
         assert_eq!(r.get_u64().unwrap(), 4);
-        assert_eq!(r.get_bytes(2).unwrap(), &[9, 9]);
+        assert_eq!(r.get_array::<2>().unwrap(), [9, 9]);
         assert_eq!(r.get_var_bytes().unwrap(), b"var");
         assert_eq!(r.get_str().unwrap(), "hello");
         r.finish().unwrap();

@@ -9,7 +9,7 @@ use crate::field25519::FieldElement;
 use crate::metrics;
 
 /// Length of scalars and u-coordinates in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 
 /// The base point u = 9.
 #[must_use]
@@ -21,7 +21,7 @@ pub fn basepoint() -> [u8; KEY_LEN] {
 
 /// Clamps a 32-byte scalar per RFC 7748.
 #[must_use]
-pub fn clamp(mut scalar: [u8; KEY_LEN]) -> [u8; KEY_LEN] {
+pub(crate) fn clamp(mut scalar: [u8; KEY_LEN]) -> [u8; KEY_LEN] {
     scalar[0] &= 248;
     scalar[31] &= 127;
     scalar[31] |= 64;

@@ -15,60 +15,34 @@ use crate::PadError;
 
 /// The client-held pad secret (never sent to the server).
 ///
-/// CryptPad distinguishes *edit* links from *view-only* links: both can
-/// decrypt, but only the edit secret can author valid edits. The same
-/// split is reproduced here: the edit fragment derives both the
-/// content key and an authorship signing key; [`PadSecret::view_only`]
-/// strips the signing half, and [`PadSecret::decrypt_history`] verifies
-/// every edit's authorship signature, so a viewer (or the server) cannot
-/// inject edits that readers would accept.
+/// The fragment derives both the content key and an authorship signing
+/// key, and [`PadSecret::decrypt_history`] verifies every edit's
+/// authorship signature, so the server cannot inject edits that readers
+/// would accept.
 #[derive(Clone)]
 pub struct PadSecret {
     key: [u8; 32],
-    author: Option<revelio_crypto::ed25519::SigningKey>,
-    author_public: revelio_crypto::ed25519::VerifyingKey,
+    author: revelio_crypto::ed25519::SigningKey,
 }
 
 impl std::fmt::Debug for PadSecret {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PadSecret")
-            .field("can_edit", &self.author.is_some())
-            .finish_non_exhaustive()
+        f.debug_struct("PadSecret").finish_non_exhaustive()
     }
 }
 
 impl PadSecret {
-    /// Derives the full (edit-capable) pad secret from a user-held secret
-    /// string (the URL fragment).
+    /// Derives the pad secret from a user-held secret string (the URL
+    /// fragment).
     #[must_use]
     pub fn from_fragment(fragment: &str) -> Self {
         let key = hkdf_fixed::<Sha256, 32>(b"cryptpad-sim/v1", fragment.as_bytes(), b"pad-key");
         let author_seed =
             hkdf_fixed::<Sha256, 32>(b"cryptpad-sim/v1", fragment.as_bytes(), b"author-key");
-        let author = revelio_crypto::ed25519::SigningKey::from_seed(&author_seed);
-        let author_public = author.verifying_key();
         PadSecret {
             key,
-            author: Some(author),
-            author_public,
+            author: revelio_crypto::ed25519::SigningKey::from_seed(&author_seed),
         }
-    }
-
-    /// The view-only capability: can decrypt and verify, cannot author.
-    /// This is what a "read-only link" carries.
-    #[must_use]
-    pub fn view_only(&self) -> Self {
-        PadSecret {
-            key: self.key,
-            author: None,
-            author_public: self.author_public,
-        }
-    }
-
-    /// Whether this capability can author edits.
-    #[must_use]
-    pub fn can_edit(&self) -> bool {
-        self.author.is_some()
     }
 
     fn aead(&self) -> ChaCha20Poly1305 {
@@ -83,23 +57,17 @@ impl PadSecret {
 
     /// Encrypts and signs edit number `edit_index` (0-based position in
     /// the pad's history).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PadError::ViewOnly`] on a view-only capability —
-    /// authorship requires the edit secret. Check
-    /// [`PadSecret::can_edit`] first.
-    pub fn encrypt_edit(&self, edit_index: u64, plaintext: &[u8]) -> Result<Vec<u8>, PadError> {
-        let author = self.author.as_ref().ok_or(PadError::ViewOnly)?;
+    #[must_use]
+    pub fn encrypt_edit(&self, edit_index: u64, plaintext: &[u8]) -> Vec<u8> {
         let ciphertext = self
             .aead()
             .seal(&Self::nonce(edit_index), b"pad-edit", plaintext);
         let mut signed_payload = edit_index.to_le_bytes().to_vec();
         signed_payload.extend_from_slice(&ciphertext);
-        let signature = author.sign(&signed_payload);
+        let signature = self.author.sign(&signed_payload);
         let mut out = signature.to_bytes().to_vec();
         out.extend_from_slice(&ciphertext);
-        Ok(out)
+        out
     }
 
     /// Decrypts a full history into plaintext edits, verifying order,
@@ -112,6 +80,7 @@ impl PadSecret {
     /// reordering).
     pub fn decrypt_history(&self, history: &PadHistory) -> Result<Vec<Vec<u8>>, PadError> {
         let aead = self.aead();
+        let author_public = self.author.verifying_key();
         history
             .edits
             .iter()
@@ -124,7 +93,7 @@ impl PadSecret {
                 let signature = revelio_crypto::ed25519::Signature::from_bytes(*sig_bytes);
                 let mut signed_payload = (i as u64).to_le_bytes().to_vec();
                 signed_payload.extend_from_slice(ciphertext);
-                self.author_public
+                author_public
                     .verify(&signed_payload, &signature)
                     .map_err(|_| fail())?;
                 aead.open(&Self::nonce(i as u64), b"pad-edit", ciphertext)
@@ -157,10 +126,10 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"draft one").unwrap())
+            .append(id, secret.encrypt_edit(0, b"draft one"))
             .unwrap();
         store
-            .append(id, secret.encrypt_edit(1, b"draft two").unwrap())
+            .append(id, secret.encrypt_edit(1, b"draft two"))
             .unwrap();
         let history = store.fetch(id).unwrap();
         assert_eq!(
@@ -176,7 +145,7 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"medical record").unwrap())
+            .append(id, secret.encrypt_edit(0, b"medical record"))
             .unwrap();
         for (_, pad) in store.operator_view() {
             for edit in &pad.edits {
@@ -190,7 +159,7 @@ mod tests {
         let secret = PadSecret::from_fragment("u/#abc123");
         let other = PadSecret::from_fragment("u/#wrong");
         let history = PadHistory {
-            edits: vec![secret.encrypt_edit(0, b"private").unwrap()],
+            edits: vec![secret.encrypt_edit(0, b"private")],
         };
         assert_eq!(
             other.decrypt_history(&history).unwrap_err(),
@@ -204,7 +173,7 @@ mod tests {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"agreed: 100 CHF").unwrap())
+            .append(id, secret.encrypt_edit(0, b"agreed: 100 CHF"))
             .unwrap();
         // Malicious operator swaps the ciphertext.
         store
@@ -220,8 +189,8 @@ mod tests {
     #[test]
     fn reordering_detected() {
         let secret = PadSecret::from_fragment("u/#abc123");
-        let e0 = secret.encrypt_edit(0, b"first").unwrap();
-        let e1 = secret.encrypt_edit(1, b"second").unwrap();
+        let e0 = secret.encrypt_edit(0, b"first");
+        let e1 = secret.encrypt_edit(1, b"second");
         // Server swaps the history order.
         let history = PadHistory {
             edits: vec![e1, e0],
@@ -230,43 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn view_only_capability_reads_but_cannot_author() {
-        let editor = PadSecret::from_fragment("#edit-link");
-        let viewer = editor.view_only();
-        assert!(editor.can_edit());
-        assert!(!viewer.can_edit());
-
-        let history = PadHistory {
-            edits: vec![editor.encrypt_edit(0, b"shared doc").unwrap()],
-        };
-        assert_eq!(
-            viewer.decrypt_history(&history).unwrap(),
-            vec![b"shared doc".to_vec()]
-        );
-    }
-
-    #[test]
-    fn view_only_authoring_is_refused() {
-        let viewer = PadSecret::from_fragment("#edit-link").view_only();
-        assert_eq!(
-            viewer.encrypt_edit(0, b"attempted edit"),
-            Err(PadError::ViewOnly)
-        );
-    }
-
-    #[test]
     fn forged_edit_without_author_key_rejected() {
-        // Someone holding only the *content* key (e.g. a viewer whose
-        // machine leaked it, or the server guessing) cannot forge edits:
-        // the authorship signature fails.
+        // Someone without the pad's fragment (e.g. the server) cannot
+        // forge edits: the authorship signature fails.
         let editor = PadSecret::from_fragment("#edit-link");
         let forger = PadSecret::from_fragment("#another-link");
         let mut history = PadHistory {
-            edits: vec![editor.encrypt_edit(0, b"honest").unwrap()],
+            edits: vec![editor.encrypt_edit(0, b"honest")],
         };
-        history
-            .edits
-            .push(forger.encrypt_edit(1, b"forged").unwrap());
+        history.edits.push(forger.encrypt_edit(1, b"forged"));
         assert_eq!(
             editor.decrypt_history(&history).unwrap_err(),
             PadError::DecryptionFailed { edit_index: 1 }
@@ -299,7 +240,7 @@ mod tests {
                 edits: docs
                     .iter()
                     .enumerate()
-                    .map(|(i, d)| secret.encrypt_edit(i as u64, d).unwrap())
+                    .map(|(i, d)| secret.encrypt_edit(i as u64, d))
                     .collect(),
             };
             prop_assert_eq!(secret.decrypt_history(&history).unwrap(), docs);

@@ -25,4 +25,4 @@ pub mod client;
 pub mod error;
 pub mod server;
 
-pub use error::PadError;
+use error::PadError;

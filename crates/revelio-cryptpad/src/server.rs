@@ -114,7 +114,7 @@ impl PadStore {
 
     /// Serializes the whole store.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let state = self.inner.lock();
         let mut w = ByteWriter::new();
         w.put_bytes(b"PADS1");
@@ -135,7 +135,7 @@ impl PadStore {
     /// # Errors
     ///
     /// Returns [`PadError::Wire`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PadError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, PadError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<5>()?;
         if &magic != b"PADS1" {

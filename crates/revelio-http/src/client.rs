@@ -15,44 +15,12 @@ use revelio_tls::{ResumptionState, TlsClient, TlsClientConfig, TlsSession};
 use crate::message::{Request, Response};
 use crate::HttpError;
 
-/// Splits `https://host/path?query` into `(host, path)`.
-///
-/// The host ends at the first `/`, `?`, or `#`: a query string with no
-/// path (`https://h?x=1`) yields path `/?x=1`, and a fragment is
-/// client-side state that is never sent on the wire, so it is stripped.
-///
-/// # Errors
-///
-/// Returns [`HttpError::BadUrl`] for anything else.
-pub fn parse_https_url(url: &str) -> Result<(&str, String), HttpError> {
-    let rest = url
-        .strip_prefix("https://")
-        .ok_or_else(|| HttpError::BadUrl(url.to_owned()))?;
-    let rest = &rest[..rest.find('#').unwrap_or(rest.len())];
-    let (host, tail) = match rest.find(['/', '?']) {
-        Some(idx) => (&rest[..idx], &rest[idx..]),
-        None => (rest, ""),
-    };
-    if host.is_empty() {
-        return Err(HttpError::BadUrl(url.to_owned()));
-    }
-    let path = if tail.starts_with('?') {
-        // A query with no path component is rooted at "/".
-        format!("/{tail}")
-    } else if tail.is_empty() {
-        "/".to_owned()
-    } else {
-        tail.to_owned()
-    };
-    Ok((host, path))
-}
-
 /// An HTTPS client bound to a network, a DNS zone and a root store.
 ///
 /// The client's one telemetry registry is its TLS client's: handshakes
 /// are recorded there, and every request carries that registry's
 /// innermost open span as a `traceparent` header
-/// ([`crate::router::TRACEPARENT_HEADER`]).
+/// (`crate::router::TRACEPARENT_HEADER`).
 pub struct HttpsClient {
     net: SimNet,
     dns: DnsZone,
@@ -148,28 +116,6 @@ impl HttpsClient {
             telemetry: self.tls.telemetry().clone(),
         })
     }
-
-    /// One-shot GET of `url` over a fresh session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HttpError`] on any failure.
-    pub fn get(&self, url: &str) -> Result<Response, HttpError> {
-        let (host, path) = parse_https_url(url)?;
-        let mut session = self.open(host)?;
-        session.send(&Request::get(&path))
-    }
-
-    /// One-shot POST to `url` over a fresh session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HttpError`] on any failure.
-    pub fn post(&self, url: &str, body: Vec<u8>) -> Result<Response, HttpError> {
-        let (host, path) = parse_https_url(url)?;
-        let mut session = self.open(host)?;
-        session.send(&Request::post(&path, body))
-    }
 }
 
 /// An open HTTPS session (kept alive across requests, like a browser
@@ -219,12 +165,6 @@ impl HttpsSession {
         Response::from_bytes(&bytes)
     }
 
-    /// The host this session was opened for.
-    #[must_use]
-    pub fn host(&self) -> &str {
-        &self.host
-    }
-
     /// The public key the TLS connection terminates at — what the Revelio
     /// extension checks against the attestation report on *every* request
     /// (§5.3.2).
@@ -259,7 +199,6 @@ mod tests {
     use super::*;
     use crate::router::Router;
     use crate::server::serve_https;
-    use proptest::prelude::*;
     use revelio_crypto::ed25519::SigningKey;
     use revelio_net::clock::SimClock;
     use revelio_net::net::NetConfig;
@@ -306,6 +245,11 @@ mod tests {
         w.dns.set_address(domain, address);
     }
 
+    /// Sends `request` to `host` over a fresh session.
+    fn send(client: &HttpsClient, host: &str, request: &Request) -> Result<Response, HttpError> {
+        client.open(host)?.send(request)
+    }
+
     fn client(w: &World) -> HttpsClient {
         HttpsClient::new(
             w.net.clone(),
@@ -330,7 +274,7 @@ mod tests {
             &key,
             Router::new().get("/", |_| Response::ok(b"welcome".to_vec())),
         );
-        let res = client(&w).get("https://pad.example.org/").unwrap();
+        let res = send(&client(&w), "pad.example.org", &Request::get("/")).unwrap();
         assert!(res.is_success());
         assert_eq!(res.body, b"welcome");
     }
@@ -379,82 +323,9 @@ mod tests {
     fn unresolvable_host_fails() {
         let w = world();
         assert!(matches!(
-            client(&w).get("https://ghost.example.org/"),
+            send(&client(&w), "ghost.example.org", &Request::get("/")),
             Err(HttpError::Net(_))
         ));
-    }
-
-    #[test]
-    fn bad_urls_rejected() {
-        assert!(parse_https_url("http://insecure.example").is_err());
-        assert!(parse_https_url("https://").is_err());
-        assert!(parse_https_url("https://?x=1").is_err());
-        assert!(parse_https_url("https://#frag").is_err());
-        assert_eq!(parse_https_url("https://h").unwrap(), ("h", "/".to_owned()));
-        assert_eq!(
-            parse_https_url("https://h/p/q").unwrap(),
-            ("h", "/p/q".to_owned())
-        );
-    }
-
-    #[test]
-    fn query_string_is_not_part_of_the_host() {
-        // Regression: the query used to be folded into the host, so
-        // `https://pad.example.org?x=1` failed DNS resolution.
-        assert_eq!(
-            parse_https_url("https://pad.example.org?x=1").unwrap(),
-            ("pad.example.org", "/?x=1".to_owned())
-        );
-        assert_eq!(
-            parse_https_url("https://h/p?q=2&r=3").unwrap(),
-            ("h", "/p?q=2&r=3".to_owned())
-        );
-        assert_eq!(
-            parse_https_url("https://h/p#frag").unwrap(),
-            ("h", "/p".to_owned())
-        );
-        assert_eq!(
-            parse_https_url("https://h#frag").unwrap(),
-            ("h", "/".to_owned())
-        );
-    }
-
-    proptest! {
-        #[test]
-        fn parsed_hosts_never_contain_delimiters(url: String) {
-            if let Ok((host, path)) = parse_https_url(&url) {
-                prop_assert!(!host.is_empty());
-                prop_assert!(!host.contains('/'));
-                prop_assert!(!host.contains('?'));
-                prop_assert!(!host.contains('#'));
-                prop_assert!(path.starts_with('/'));
-            }
-        }
-
-        #[test]
-        fn structured_urls_split_exactly(
-            host in "[a-z]{1,12}",
-            seg in "[a-z]{1,6}",
-            query in "[a-z]{1,8}",
-            has_path: bool,
-            has_query: bool,
-            has_fragment: bool,
-        ) {
-            let path = if has_path { format!("/{seg}") } else { String::new() };
-            let mut url = format!("https://{host}{path}");
-            if has_query {
-                url.push('?');
-                url.push_str(&query);
-            }
-            if has_fragment {
-                url.push_str("#frag");
-            }
-            let (h, p) = parse_https_url(&url).unwrap();
-            prop_assert_eq!(h, host.as_str());
-            let base = if has_path { path } else { "/".to_owned() };
-            let expected = if has_query { format!("{base}?{query}") } else { base };
-            prop_assert_eq!(p, expected);
-        }
     }
 
     #[test]
@@ -468,9 +339,12 @@ mod tests {
             &key,
             Router::new().post("/echo", |req| Response::ok(req.body.clone())),
         );
-        let res = client(&w)
-            .post("https://pad.example.org/echo", b"payload".to_vec())
-            .unwrap();
+        let res = send(
+            &client(&w),
+            "pad.example.org",
+            &Request::post("/echo", b"payload".to_vec()),
+        )
+        .unwrap();
         assert_eq!(res.body, b"payload");
     }
 
@@ -531,7 +405,7 @@ mod tests {
             }),
         );
         let client = client(&w).with_telemetry(telemetry);
-        let res = client.get("https://pad.example.org/tp").unwrap();
+        let res = send(&client, "pad.example.org", &Request::get("/tp")).unwrap();
         assert_eq!(res.body, b"none");
     }
 
@@ -548,7 +422,7 @@ mod tests {
                 Response::ok(req.header("Host").unwrap_or("none").as_bytes().to_vec())
             }),
         );
-        let res = client(&w).get("https://pad.example.org/host").unwrap();
+        let res = send(&client(&w), "pad.example.org", &Request::get("/host")).unwrap();
         assert_eq!(res.body, b"pad.example.org");
     }
 }

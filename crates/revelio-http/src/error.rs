@@ -12,8 +12,6 @@ use revelio_tls::TlsError;
 pub enum HttpError {
     /// The request or response text could not be parsed.
     Malformed(String),
-    /// A URL was not of the form `https://host/path`.
-    BadUrl(String),
     /// The TLS layer failed (handshake, certificate, records).
     Tls(TlsError),
     /// The transport failed.
@@ -27,7 +25,7 @@ impl HttpError {
     /// retrying. Transient [`NetError`]s can surface directly
     /// ([`HttpError::Net`]) or wrapped by a failed TLS handshake
     /// ([`HttpError::Tls`] around [`TlsError::Net`]); everything else —
-    /// parse failures, bad URLs, certificate rejections, error statuses —
+    /// parse failures, certificate rejections, error statuses —
     /// is durable.
     #[must_use]
     pub fn is_transient(&self) -> bool {
@@ -43,7 +41,6 @@ impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HttpError::Malformed(why) => write!(f, "malformed http message: {why}"),
-            HttpError::BadUrl(u) => write!(f, "bad url {u:?}"),
             HttpError::Tls(e) => write!(f, "tls failure: {e}"),
             HttpError::Net(e) => write!(f, "network failure: {e}"),
             HttpError::Status(s) => write!(f, "unexpected http status {s}"),
@@ -80,7 +77,6 @@ mod tests {
     #[test]
     fn displays() {
         assert!(HttpError::Status(404).to_string().contains("404"));
-        assert!(HttpError::BadUrl("x".into()).to_string().contains('x'));
     }
 
     #[test]
@@ -91,6 +87,5 @@ mod tests {
         assert!(!HttpError::Net(NetError::ConnectionRefused("a".into())).is_transient());
         assert!(!HttpError::Status(503).is_transient());
         assert!(!HttpError::Malformed("x".into()).is_transient());
-        assert!(!HttpError::BadUrl("x".into()).is_transient());
     }
 }

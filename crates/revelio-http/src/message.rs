@@ -6,11 +6,11 @@
 use crate::HttpError;
 
 /// Parsed header fields, in order of appearance.
-pub type Headers = Vec<(String, String)>;
+pub(crate) type Headers = Vec<(String, String)>;
 
 /// Request methods the workspace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
+pub(crate) enum Method {
     /// Retrieve a resource.
     Get,
     /// Submit data.
@@ -20,7 +20,7 @@ pub enum Method {
 impl Method {
     /// The token on the request line.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Method::Get => "GET",
             Method::Post => "POST",
@@ -40,11 +40,11 @@ impl Method {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method.
-    pub method: Method,
+    pub(crate) method: Method,
     /// Path, beginning with `/`.
     pub path: String,
     /// Header fields, in order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
 }
@@ -74,14 +74,14 @@ impl Request {
 
     /// Adds a header.
     #[must_use]
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: &str) -> Self {
         self.headers.push((name.to_owned(), value.to_owned()));
         self
     }
 
     /// First header value with the given (case-insensitive) name.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -106,7 +106,7 @@ impl Request {
     /// # Errors
     ///
     /// As [`Request::to_bytes`], for the added headers too.
-    pub fn to_bytes_with(&self, added: &[(&str, &str)]) -> Result<Vec<u8>, HttpError> {
+    pub(crate) fn to_bytes_with(&self, added: &[(&str, &str)]) -> Result<Vec<u8>, HttpError> {
         let mut out = format!("{} {} HTTP/1.1\r\n", self.method.as_str(), self.path).into_bytes();
         let own = self.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()));
         encode_headers(own.chain(added.iter().copied()), self.body.len(), &mut out)?;
@@ -150,7 +150,7 @@ pub struct Response {
     /// Status code.
     pub status: u16,
     /// Header fields, in order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
 }

@@ -9,10 +9,10 @@ use crate::message::{Method, Request, Response};
 
 /// The header carrying a [`TraceContext`] across node boundaries
 /// (W3C-`traceparent`-style; see [`TraceContext::parse_traceparent`]).
-pub const TRACEPARENT_HEADER: &str = "traceparent";
+pub(crate) const TRACEPARENT_HEADER: &str = "traceparent";
 
 /// A request handler.
-pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
+pub(crate) type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
 /// Routes requests by `(method, path)`; unmatched requests go to the
 /// fallback handler (404 by default).
@@ -68,7 +68,7 @@ impl Router {
 
     /// Registers a handler for `method` + `path`.
     #[must_use]
-    pub fn route(
+    pub(crate) fn route(
         mut self,
         method: Method,
         path: &str,

@@ -7,18 +7,14 @@
 //! whose possibility motivates running the proxy confidentially in the
 //! first place.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use revelio_http::message::{Request, Response};
 use revelio_http::router::Router;
-use revelio_net::retry::RetryPolicy;
-use revelio_telemetry::{retry_with_telemetry, Telemetry};
 
 use crate::canister::{decode_asset_response, CallKind};
 use crate::ic::{IcRequest, InternetComputer};
-use crate::subnet::CertifiedResponse;
-use crate::IcError;
 
 /// The API path the service worker posts raw IC messages to.
 pub const API_CALL_PATH: &str = "/api/v2/call";
@@ -26,54 +22,9 @@ pub const API_CALL_PATH: &str = "/api/v2/call";
 /// The path serving the service-worker script on first contact.
 pub const SERVICE_WORKER_PATH: &str = "/service-worker.js";
 
-/// Decorrelates the boundary retry jitter stream from other components.
-const BOUNDARY_JITTER_SEED: u64 = 0x626f_756e; // "boun"
-
-/// Retry wiring for upstream replica calls, installed via
-/// [`BoundaryNode::with_upstream_retry`].
-#[derive(Clone)]
-struct UpstreamRetry {
-    policy: RetryPolicy,
-    telemetry: Telemetry,
-}
-
-/// The boundary node's link to its IC replicas: injects simulated
-/// outages and applies the configured retry policy before a call is
-/// reported failed.
-#[derive(Clone)]
-struct Upstream {
-    ic: Arc<InternetComputer>,
-    outage_remaining: Arc<AtomicU32>,
-    retry: Option<UpstreamRetry>,
-}
-
-impl Upstream {
-    fn execute_once(&self, request: &IcRequest) -> Result<CertifiedResponse, IcError> {
-        let remaining = self.outage_remaining.load(Ordering::SeqCst);
-        if remaining > 0 {
-            self.outage_remaining.store(remaining - 1, Ordering::SeqCst);
-            return Err(IcError::Unavailable("ic upstream".into()));
-        }
-        self.ic.execute(request)
-    }
-
-    fn execute(&self, request: &IcRequest) -> Result<CertifiedResponse, IcError> {
-        let Some(retry) = &self.retry else {
-            return self.execute_once(request);
-        };
-        retry_with_telemetry(
-            &retry.policy,
-            &retry.telemetry,
-            "boundary",
-            IcError::is_transient,
-            |_| self.execute_once(request),
-        )
-    }
-}
-
 /// A boundary node bound to one IC and one frontend (asset) canister.
 pub struct BoundaryNode {
-    upstream: Upstream,
+    ic: Arc<InternetComputer>,
     frontend_canister: u64,
     tamper: Arc<AtomicBool>,
 }
@@ -92,35 +43,10 @@ impl BoundaryNode {
     #[must_use]
     pub fn new(ic: Arc<InternetComputer>, frontend_canister: u64) -> Self {
         BoundaryNode {
-            upstream: Upstream {
-                ic,
-                outage_remaining: Arc::new(AtomicU32::new(0)),
-                retry: None,
-            },
+            ic,
             frontend_canister,
             tamper: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Enables bounded retry of transient upstream failures. Backoff
-    /// advances `telemetry`'s clock, and retries feed its
-    /// `revelio_boundary_retry_*` counters.
-    #[must_use]
-    pub fn with_upstream_retry(mut self, policy: RetryPolicy, telemetry: Telemetry) -> Self {
-        self.upstream.retry = Some(UpstreamRetry {
-            policy: policy.with_jitter_seed(BOUNDARY_JITTER_SEED),
-            telemetry,
-        });
-        self
-    }
-
-    /// Makes the next `calls` upstream executions fail with
-    /// [`IcError::Unavailable`] before recovering — a simulated replica
-    /// outage window for chaos testing.
-    pub fn set_upstream_outage(&self, calls: u32) {
-        self.upstream
-            .outage_remaining
-            .store(calls, Ordering::SeqCst);
     }
 
     /// ATTACK: make this boundary node rewrite every payload it proxies —
@@ -155,11 +81,10 @@ impl BoundaryNode {
                 .with_header("Content-Type", "application/javascript")
         });
 
-        // Direct-translation routes for every published asset. The probe
-        // runs at router-build time, straight at the replicas: it must not
-        // consume a chaos outage budget meant for live traffic.
+        // Direct-translation routes for every published asset, probed at
+        // router-build time.
         let asset_paths = {
-            let resp = self.upstream.ic.execute(&IcRequest {
+            let resp = self.ic.execute(&IcRequest {
                 canister_id: self.frontend_canister,
                 kind: CallKind::Query,
                 method: "http_request".into(),
@@ -176,20 +101,17 @@ impl BoundaryNode {
         router = self.add_asset_routes(router, &asset_paths);
 
         // Service-worker API: raw IC messages in, certified bytes out.
-        let upstream = self.upstream.clone();
+        let ic = Arc::clone(&self.ic);
         let tamper = Arc::clone(&self.tamper);
         router.post(API_CALL_PATH, move |req: &Request| {
             let Ok(ic_request) = IcRequest::from_bytes(&req.body) else {
                 return Response::status(400);
             };
-            match upstream.execute(&ic_request) {
+            match ic.execute(&ic_request) {
                 Ok(mut certified) => {
                     certified.payload = Self::maybe_tamper(&tamper, certified.payload);
                     Response::ok(certified.to_bytes())
                 }
-                // 503 marks the transient case so clients can distinguish
-                // "try again" from a broken upstream.
-                Err(IcError::Unavailable(_)) => Response::status(503),
                 Err(e) => Response::status(502)
                     .with_header("X-Ic-Error", &e.to_string().replace(['\r', '\n'], " ")),
             }
@@ -209,12 +131,12 @@ impl BoundaryNode {
 
     fn add_asset_routes(&self, mut router: Router, paths: &[String]) -> Router {
         for path in paths {
-            let upstream = self.upstream.clone();
+            let ic = Arc::clone(&self.ic);
             let tamper = Arc::clone(&self.tamper);
             let canister = self.frontend_canister;
             let path_owned = path.clone();
             router = router.get(path, move |_req| {
-                let result = upstream.execute(&IcRequest {
+                let result = ic.execute(&IcRequest {
                     canister_id: canister,
                     kind: CallKind::Query,
                     method: "http_request".into(),
@@ -228,7 +150,6 @@ impl BoundaryNode {
                         }
                         Err(_) => Response::status(502),
                     },
-                    Err(IcError::Unavailable(_)) => Response::status(503),
                     Err(_) => Response::status(502),
                 }
             });
@@ -240,7 +161,7 @@ impl BoundaryNode {
 /// The service-worker script served on first contact (§4.2). Its logic is
 /// implemented natively by [`crate::service_worker::ServiceWorker`]; the
 /// source here is what a browser would receive and activate.
-pub const SERVICE_WORKER_SOURCE: &str = r#"// Revelio IC service worker (simulation stand-in)
+pub(crate) const SERVICE_WORKER_SOURCE: &str = r#"// Revelio IC service worker (simulation stand-in)
 // Translates fetch() into IC protocol messages, posts them to
 // /api/v2/call, and verifies the subnet threshold certificate on every
 // response before handing bytes to the page.
@@ -251,7 +172,6 @@ self.addEventListener('fetch', (event) => { /* see revelio-ic::service_worker */
 mod tests {
     use super::*;
     use crate::canister::AssetCanister;
-    use revelio_net::clock::SimClock;
 
     fn setup() -> (Arc<InternetComputer>, BoundaryNode) {
         let ic = Arc::new(InternetComputer::new(1, 4, 3));
@@ -349,47 +269,6 @@ mod tests {
             certified.verify(subnet.public_keys(), subnet.threshold()),
             Err(crate::IcError::CertificateInvalid)
         );
-    }
-
-    #[test]
-    fn upstream_outage_without_retry_is_503() {
-        let (_, bn) = setup();
-        let router = bn.router_with_assets(&["/"]);
-        bn.set_upstream_outage(1);
-        assert_eq!(router.dispatch(&Request::get("/")).status, 503);
-        // The outage window is consumed; the next call recovers.
-        assert!(router.dispatch(&Request::get("/")).is_success());
-    }
-
-    #[test]
-    fn upstream_outage_with_retry_recovers_invisibly() {
-        let (ic, _) = setup();
-        let clock = SimClock::new();
-        let telemetry = Telemetry::new(clock.clone());
-        let bn = BoundaryNode::new(Arc::clone(&ic), 1)
-            .with_upstream_retry(RetryPolicy::default(), telemetry.clone());
-        let router = bn.router_with_assets(&["/"]);
-        bn.set_upstream_outage(2);
-        let resp = router.dispatch(&Request::get("/"));
-        assert!(resp.is_success(), "retries absorbed the outage");
-        assert_eq!(
-            telemetry.counter("revelio_boundary_retry_attempts_total"),
-            2
-        );
-        assert_eq!(telemetry.counter("revelio_boundary_retry_gave_up_total"), 0);
-        assert!(clock.now_us() > 0, "backoff spent simulated time");
-    }
-
-    #[test]
-    fn sustained_upstream_outage_gives_up_with_503() {
-        let (ic, _) = setup();
-        let telemetry = Telemetry::new(SimClock::new());
-        let bn = BoundaryNode::new(Arc::clone(&ic), 1)
-            .with_upstream_retry(RetryPolicy::default(), telemetry.clone());
-        let router = bn.router_with_assets(&["/"]);
-        bn.set_upstream_outage(u32::MAX);
-        assert_eq!(router.dispatch(&Request::get("/")).status, 503);
-        assert_eq!(telemetry.counter("revelio_boundary_retry_gave_up_total"), 1);
     }
 
     #[test]

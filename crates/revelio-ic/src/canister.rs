@@ -104,12 +104,6 @@ impl AssetCanister {
         self.assets
             .insert(path.to_owned(), (content_type.to_owned(), body));
     }
-
-    /// The asset paths (used by boundary nodes to publish HTTP routes).
-    #[must_use]
-    pub fn paths(&self) -> Vec<String> {
-        self.assets.keys().cloned().collect()
-    }
 }
 
 impl Canister for AssetCanister {
@@ -146,7 +140,7 @@ impl Canister for AssetCanister {
 /// # Errors
 ///
 /// Returns [`IcError::CanisterRejected`] on truncation.
-pub fn decode_asset_response(bytes: &[u8]) -> Result<(String, Vec<u8>), IcError> {
+pub(crate) fn decode_asset_response(bytes: &[u8]) -> Result<(String, Vec<u8>), IcError> {
     let Some((ct_len, rest)) = bytes.split_first_chunk::<4>() else {
         return Err(IcError::CanisterRejected("short asset response".into()));
     };
@@ -218,7 +212,6 @@ mod tests {
         assert!(assets
             .handle(CallKind::Query, "http_request", b"/missing")
             .is_err());
-        assert_eq!(assets.paths(), vec!["/".to_owned()]);
     }
 
     #[test]

@@ -25,20 +25,6 @@ pub enum IcError {
     CertificateInvalid,
     /// Malformed message bytes.
     Wire(WireError),
-    /// The upstream replicas were transiently unreachable (simulated
-    /// outage); the call may be retried.
-    Unavailable(String),
-}
-
-impl IcError {
-    /// Whether this error is a transient condition worth retrying. Only
-    /// [`IcError::Unavailable`] qualifies — a missing canister, a
-    /// rejection, a failed consensus, or a bad certificate will not heal
-    /// on its own.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        matches!(self, IcError::Unavailable(_))
-    }
 }
 
 impl fmt::Display for IcError {
@@ -51,7 +37,6 @@ impl fmt::Display for IcError {
             }
             IcError::CertificateInvalid => write!(f, "subnet certificate invalid"),
             IcError::Wire(e) => write!(f, "wire format error: {e}"),
-            IcError::Unavailable(what) => write!(f, "{what} temporarily unavailable"),
         }
     }
 }

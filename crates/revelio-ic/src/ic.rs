@@ -111,12 +111,6 @@ impl InternetComputer {
         }
     }
 
-    /// The subnets (for key pinning by verifiers).
-    #[must_use]
-    pub fn subnets(&self) -> &[Arc<Subnet>] {
-        &self.subnets
-    }
-
     /// Installs a canister on the least-loaded subnet; returns its id.
     pub fn create_canister(&self, canister: &dyn Canister) -> u64 {
         let id = {
@@ -160,7 +154,7 @@ impl InternetComputer {
     /// # Errors
     ///
     /// Propagates routing, consensus and canister errors.
-    pub fn execute(&self, request: &IcRequest) -> Result<CertifiedResponse, IcError> {
+    pub(crate) fn execute(&self, request: &IcRequest) -> Result<CertifiedResponse, IcError> {
         let subnet = self.subnet_of(request.canister_id)?;
         subnet.execute(
             request.canister_id,
@@ -197,7 +191,7 @@ mod tests {
         for id in &ids {
             let subnet = ic.subnet_of(*id).unwrap();
             let idx = ic
-                .subnets()
+                .subnets
                 .iter()
                 .position(|s| Arc::ptr_eq(s, &subnet))
                 .unwrap();
@@ -249,8 +243,8 @@ mod tests {
     #[test]
     fn threshold_is_two_f_plus_one() {
         let ic = InternetComputer::new(1, 4, 1);
-        assert_eq!(ic.subnets()[0].threshold(), 3);
+        assert_eq!(ic.subnets[0].threshold(), 3);
         let ic = InternetComputer::new(1, 13, 1);
-        assert_eq!(ic.subnets()[0].threshold(), 9);
+        assert_eq!(ic.subnets[0].threshold(), 9);
     }
 }

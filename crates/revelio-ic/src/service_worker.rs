@@ -170,7 +170,9 @@ mod tests {
     fn worker_with_wrong_subnet_keys_rejects_everything() {
         let (_, bn, id) = setup();
         let other_ic = InternetComputer::new(1, 4, 999);
-        let other_subnet = &other_ic.subnets()[0];
+        let other_subnet = other_ic
+            .subnet_of(other_ic.create_canister(&AssetCanister::new()))
+            .unwrap();
         let worker = ServiceWorker::new(
             other_subnet.public_keys().to_vec(),
             other_subnet.threshold(),

@@ -21,11 +21,11 @@ use crate::IcError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifiedResponse {
     /// Canister the response came from.
-    pub canister_id: u64,
+    pub(crate) canister_id: u64,
     /// The agreed payload.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// `(replica index, signature)` pairs over the payload digest.
-    pub signatures: Vec<(u32, Signature)>,
+    pub(crate) signatures: Vec<(u32, Signature)>,
 }
 
 fn response_digest(canister_id: u64, payload: &[u8]) -> [u8; 32] {
@@ -44,7 +44,11 @@ impl CertifiedResponse {
     ///
     /// Returns [`IcError::CertificateInvalid`] when fewer than `threshold`
     /// *distinct, valid* replica signatures cover the payload.
-    pub fn verify(&self, subnet_keys: &[VerifyingKey], threshold: usize) -> Result<(), IcError> {
+    pub(crate) fn verify(
+        &self,
+        subnet_keys: &[VerifyingKey],
+        threshold: usize,
+    ) -> Result<(), IcError> {
         let digest = response_digest(self.canister_id, &self.payload);
         let mut valid_signers = std::collections::BTreeSet::new();
         for (index, signature) in &self.signatures {
@@ -64,7 +68,7 @@ impl CertifiedResponse {
 
     /// Serializes the certified response.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.canister_id);
         w.put_var_bytes(&self.payload);
@@ -142,7 +146,7 @@ impl Subnet {
     ///
     /// Panics unless `0 < threshold <= n`.
     #[must_use]
-    pub fn new(n: usize, threshold: usize, seed: u64) -> Self {
+    pub(crate) fn new(n: usize, threshold: usize, seed: u64) -> Self {
         assert!(
             threshold > 0 && threshold <= n,
             "threshold must be in 1..=n"
@@ -180,7 +184,7 @@ impl Subnet {
     }
 
     /// Installs `canister` under `canister_id` on every replica.
-    pub fn install_canister(&self, canister_id: u64, canister: &dyn Canister) {
+    pub(crate) fn install_canister(&self, canister_id: u64, canister: &dyn Canister) {
         let mut replicas = self.replicas.lock();
         for r in replicas.iter_mut() {
             r.canisters.insert(canister_id, canister.replicate());
@@ -203,7 +207,7 @@ impl Subnet {
     ///
     /// Returns [`IcError::CanisterNotFound`], the canister's rejection, or
     /// [`IcError::NoConsensus`] when Byzantine faults exceed the margin.
-    pub fn execute(
+    pub(crate) fn execute(
         &self,
         canister_id: u64,
         kind: CallKind,

@@ -1,14 +1,11 @@
-//! Correlated-failure domains: whole-subnet partitions, asymmetric
-//! links, and scheduled heal times.
+//! Correlated-failure domains: whole-subnet partitions, lossy domains,
+//! and scheduled heal times.
 //!
 //! Per-address [`FaultPlan`]s model independent link loss; real outages
 //! are correlated — a rack switch dies and every address behind it goes
-//! dark at once, or a peering dispute blackholes traffic in one
-//! direction only. A [`FaultDomain`] captures that: it matches every
-//! `(source, destination)` pair whose destination starts with one of its
-//! prefixes (and, optionally, whose source starts with one of the source
-//! prefixes — the asymmetric-link case), and applies its effect during a
-//! sim-time window with a scheduled heal.
+//! dark at once. A [`FaultDomain`] captures that: it matches every
+//! destination that starts with its prefix, and applies its
+//! effect during a sim-time window with a scheduled heal.
 //!
 //! Domains layer **over** the per-address/per-route plans: a domain is
 //! consulted first (it is the lower network layer); only when it injects
@@ -51,33 +48,30 @@ pub(crate) fn domain_stream_key(name: &str, dst: &str) -> String {
 /// // Rack 114 goes dark at t=0 and heals two simulated minutes later.
 /// let partition = FaultDomain::partition("dc-114", "203.0.114.")
 ///     .healing_at_us(120_000_000);
-/// // One-directional loss: traffic *from* 203.0.113.* *to* the KDS.
-/// let asymmetric = FaultDomain::partition("kds-uplink", "kds.amd.test:")
-///     .from_sources("203.0.113.");
-/// let _ = (partition, asymmetric);
+/// // Half of the exchanges toward the KDS are lost.
+/// let lossy = FaultDomain::degraded(
+///     "kds-uplink",
+///     "kds.amd.test:",
+///     FaultPlan { drop_probability: 0.5, ..FaultPlan::default() },
+/// );
+/// let _ = (partition, lossy);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultDomain {
     /// Unique handle for install/replace/clear.
-    pub name: String,
-    /// Destination-address prefixes the domain matches (any hit counts).
-    pub dst_prefixes: Vec<String>,
-    /// Source-address prefixes. Empty matches **any** source, including
-    /// handles with no bound source address; non-empty matches only
-    /// dials made through [`crate::net::SimNet::bound_to`] handles whose
-    /// local address starts with one of these prefixes — the
-    /// asymmetric-link case (A→B dark while B→A delivers).
-    pub src_prefixes: Vec<String>,
+    pub(crate) name: String,
+    /// Destination-address prefix the domain matches.
+    pub(crate) dst_prefix: String,
     /// What happens to matching traffic.
     pub effect: DomainEffect,
     /// Sim time the domain activates, µs (0 = immediately).
-    pub from_us: u64,
+    pub(crate) from_us: u64,
     /// Scheduled heal: the domain stops matching at this sim time.
     /// `None` lasts until cleared.
-    pub until_us: Option<u64>,
+    pub(crate) until_us: Option<u64>,
     /// Simulated time a client spends discovering a partitioned peer
     /// (per faulted dial or exchange), µs.
-    pub timeout_us: u64,
+    pub(crate) timeout_us: u64,
 }
 
 impl FaultDomain {
@@ -87,8 +81,7 @@ impl FaultDomain {
     pub fn partition(name: &str, dst_prefix: &str) -> Self {
         FaultDomain {
             name: name.to_owned(),
-            dst_prefixes: vec![dst_prefix.to_owned()],
-            src_prefixes: Vec::new(),
+            dst_prefix: dst_prefix.to_owned(),
             effect: DomainEffect::Partition,
             from_us: 0,
             until_us: None,
@@ -104,21 +97,6 @@ impl FaultDomain {
             effect: DomainEffect::Degraded(plan),
             ..FaultDomain::partition(name, dst_prefix)
         }
-    }
-
-    /// Adds another destination prefix.
-    #[must_use]
-    pub fn matching(mut self, dst_prefix: &str) -> Self {
-        self.dst_prefixes.push(dst_prefix.to_owned());
-        self
-    }
-
-    /// Restricts the domain to traffic originating from addresses with
-    /// this prefix (asymmetric link). May be called repeatedly.
-    #[must_use]
-    pub fn from_sources(mut self, src_prefix: &str) -> Self {
-        self.src_prefixes.push(src_prefix.to_owned());
-        self
     }
 
     /// Delays activation until sim time `from_us`.
@@ -149,21 +127,10 @@ impl FaultDomain {
         now_us >= self.from_us && self.until_us.is_none_or(|until| now_us < until)
     }
 
-    /// Whether traffic from `src` (None = an unbound handle) to `dst`
-    /// falls inside this domain.
+    /// Whether traffic to `dst` falls inside this domain.
     #[must_use]
-    pub fn matches(&self, src: Option<&str>, dst: &str) -> bool {
-        if !self
-            .dst_prefixes
-            .iter()
-            .any(|p| dst.starts_with(p.as_str()))
-        {
-            return false;
-        }
-        if self.src_prefixes.is_empty() {
-            return true;
-        }
-        src.is_some_and(|s| self.src_prefixes.iter().any(|p| s.starts_with(p.as_str())))
+    pub fn matches(&self, dst: &str) -> bool {
+        dst.starts_with(&self.dst_prefix)
     }
 }
 
@@ -176,30 +143,12 @@ mod tests {
         let d = FaultDomain::partition("rack", "10.1.")
             .starting_at_us(100)
             .healing_at_us(200);
-        assert!(d.matches(None, "10.1.0.7:443"));
-        assert!(!d.matches(None, "10.2.0.7:443"));
+        assert!(d.matches("10.1.0.7:443"));
+        assert!(!d.matches("10.2.0.7:443"));
         assert!(!d.is_active_at(99));
         assert!(d.is_active_at(100));
         assert!(d.is_active_at(199));
         assert!(!d.is_active_at(200));
-    }
-
-    #[test]
-    fn source_prefixes_make_the_domain_asymmetric() {
-        let d = FaultDomain::partition("uplink", "10.2.").from_sources("10.1.");
-        assert!(d.matches(Some("10.1.0.3:8080"), "10.2.0.7:443"));
-        assert!(!d.matches(Some("10.3.0.3:8080"), "10.2.0.7:443"));
-        // Handles without a source address never match a source-scoped
-        // domain.
-        assert!(!d.matches(None, "10.2.0.7:443"));
-    }
-
-    #[test]
-    fn extra_prefixes_extend_the_match() {
-        let d = FaultDomain::partition("two-racks", "10.1.").matching("10.2.");
-        assert!(d.matches(None, "10.1.9.9:1"));
-        assert!(d.matches(None, "10.2.9.9:1"));
-        assert!(!d.matches(None, "10.3.9.9:1"));
     }
 
     #[test]

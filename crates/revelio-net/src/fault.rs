@@ -7,7 +7,7 @@
 //! an address (via `net.peer(address).fault_plan(..)`) — or on a single
 //! route (`.fault_plan_for_route(prefix, ..)`) — injects drops, timeouts,
 //! connection resets, fail-N-then-recover windows, and latency jitter —
-//! every decision drawn from a [`FaultRng`] seeded from the fabric's fault
+//! every decision drawn from a `FaultRng` seeded from the fabric's fault
 //! seed and the stream key (address, or address + route prefix), so equal
 //! seeds give byte-identical runs regardless of what other addresses or
 //! routes are doing.
@@ -29,19 +29,19 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
 
 /// A deterministic splitmix64 PRNG driving all fault decisions.
 #[derive(Debug, Clone)]
-pub struct FaultRng {
+pub(crate) struct FaultRng {
     state: u64,
 }
 
 impl FaultRng {
     /// Creates a generator from `seed`.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         FaultRng { state: seed }
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -50,7 +50,7 @@ impl FaultRng {
     }
 
     /// Uniform-ish value in `[0, n]` (inclusive); `n` may be 0.
-    pub fn below_inclusive(&mut self, n: u64) -> u64 {
+    pub(crate) fn below_inclusive(&mut self, n: u64) -> u64 {
         if n == u64::MAX {
             self.next_u64()
         } else {
@@ -59,7 +59,7 @@ impl FaultRng {
     }
 
     /// A draw in `[0, 1)` for probability comparisons.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits, the standard uniform-double construction.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -149,7 +149,7 @@ impl FaultPlan {
     /// on the probabilities prints the shortest round-trippable form, so
     /// equal plans always digest identically.
     #[must_use]
-    pub fn fingerprint(&self) -> String {
+    pub(crate) fn fingerprint(&self) -> String {
         format!(
             "d{:?}/t{:?}/r{:?}/ff{}/to{}/j{}",
             self.drop_probability,
@@ -229,7 +229,7 @@ impl FaultEntry {
 /// Observer invoked on every injected fault: `(dialed address, kind)`.
 /// Installed via [`crate::net::SimNet::set_fault_observer`]; the harness
 /// uses it to mirror injections into telemetry counters.
-pub type FaultObserver = dyn Fn(&str, FaultKind) + Send + Sync;
+pub(crate) type FaultObserver = dyn Fn(&str, FaultKind) + Send + Sync;
 
 #[cfg(test)]
 mod tests {

@@ -22,9 +22,8 @@
 //!   resets, fail-first windows, latency jitter), installed via
 //!   `net.peer(address).fault_plan(..)`;
 //! * [`domain::FaultDomain`] — correlated failures layered *under* the
-//!   per-address plans: whole-subnet partitions, asymmetric links
-//!   (scoped to handles from [`net::SimNet::bound_to`]), and scheduled
-//!   heal windows, installed via `net.install_fault_domain(..)`;
+//!   per-address plans: whole-subnet partitions, lossy domains and
+//!   scheduled heal windows, installed via `net.install_fault_domain(..)`;
 //! * [`retry::RetryPolicy`] — bounded exponential backoff whose sleeps
 //!   advance the [`clock::SimClock`], never wall time;
 //! * a private striped snapshot cell (`snapshot.rs`) giving the dial
@@ -83,5 +82,5 @@ pub(crate) mod view;
 
 pub use domain::{DomainEffect, FaultDomain};
 pub use error::NetError;
-pub use fault::{FaultKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use retry::RetryPolicy;

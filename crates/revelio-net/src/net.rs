@@ -75,7 +75,7 @@ pub trait Listener: Send + Sync {
 }
 
 /// Tampering hook: may rewrite a client→server message in flight.
-pub type TamperFn = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
+pub(crate) type TamperFn = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
@@ -149,16 +149,15 @@ impl RoutingView {
     }
 
     /// The installed domains whose window covers the current sim time and
-    /// which match `src → dst`, in evaluation order. The clock is read
-    /// only when a domain is installed.
+    /// which match `dst`, in evaluation order. The clock is read only
+    /// when a domain is installed.
     fn domains_covering<'a>(
         &'a self,
         clock: &'a SimClock,
-        src: Option<&'a str>,
         dst: &'a str,
     ) -> impl Iterator<Item = &'a DomainState> {
         self.domains.iter().map(Arc::as_ref).filter(move |state| {
-            state.domain.is_active_at(clock.now_us()) && state.domain.matches(src, dst)
+            state.domain.is_active_at(clock.now_us()) && state.domain.matches(dst)
         })
     }
 }
@@ -302,10 +301,6 @@ pub struct SimNet {
     clock: SimClock,
     config: NetConfig,
     fabric: Arc<Fabric>,
-    /// The source address this handle dials from, set via
-    /// [`SimNet::bound_to`]. Only consulted by source-scoped fault
-    /// domains (asymmetric links); `None` handles never match them.
-    local: Option<String>,
     /// Snapshot stripe whose lock this handle (and its connections)
     /// reads the view under. Handles are typically cloned per worker
     /// thread, so round-robin assignment at clone time spreads threads
@@ -321,7 +316,6 @@ impl Clone for SimNet {
             clock: self.clock.clone(),
             config: self.config.clone(),
             fabric: Arc::clone(&self.fabric),
-            local: self.local.clone(),
             stripe: NEXT_HANDLE_STRIPE.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -344,39 +338,14 @@ impl SimNet {
             clock,
             config,
             fabric,
-            local: None,
             stripe: NEXT_HANDLE_STRIPE.fetch_add(1, Ordering::Relaxed),
         }
-    }
-
-    /// A handle on the same fabric that dials *from* `local_address` —
-    /// the source side of asymmetric fault domains
-    /// ([`FaultDomain::from_sources`]). Shaping, listeners, seeds, and
-    /// counters are all shared with the parent handle.
-    #[must_use]
-    pub fn bound_to(&self, local_address: &str) -> SimNet {
-        SimNet {
-            local: Some(local_address.to_owned()),
-            ..self.clone()
-        }
-    }
-
-    /// The source address this handle dials from, if bound.
-    #[must_use]
-    pub fn local_address(&self) -> Option<&str> {
-        self.local.as_deref()
     }
 
     /// The fabric's clock.
     #[must_use]
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// The fabric's configuration.
-    #[must_use]
-    pub fn config(&self) -> &NetConfig {
-        &self.config
     }
 
     /// Binds `listener` at `address` (e.g. `"203.0.113.7:443"`).
@@ -538,11 +507,6 @@ impl SimNet {
             .edit(|view| view.domains.retain(|state| state.domain.name != name));
     }
 
-    /// Removes every installed fault domain.
-    pub fn clear_fault_domains(&self) {
-        self.fabric.edit(|view| view.domains.clear());
-    }
-
     /// Installs an observer invoked on every injected fault (outside the
     /// fabric locks). The harness mirrors injections into telemetry.
     pub fn set_fault_observer(&self, observer: Arc<FaultObserver>) {
@@ -569,7 +533,7 @@ impl SimNet {
     /// sorted, with its listener/latency/redirect/tamper presence and the
     /// full parameters of every installed plan, then every installed
     /// fault domain in evaluation order (name, effect, window, timeout,
-    /// prefixes), then a count footer. Inside an open [`SimNet::batch`]
+    /// prefix), then a count footer. Inside an open [`SimNet::batch`]
     /// it describes the pending view. Byte-identical across batched and
     /// unbatched mutation orders — the write-burst suites diff it to
     /// prove the view converged.
@@ -620,13 +584,12 @@ impl SimNet {
                 };
                 let _ = writeln!(
                     out,
-                    "domain {} | effect:{effect} window:{}..{:?} timeout:{} dst:{:?} src:{:?}",
+                    "domain {} | effect:{effect} window:{}..{:?} timeout:{} dst:{}",
                     domain.name,
                     domain.from_us,
                     domain.until_us,
                     domain.timeout_us,
-                    domain.dst_prefixes,
-                    domain.src_prefixes,
+                    domain.dst_prefix,
                 );
             }
             let _ = writeln!(
@@ -675,7 +638,7 @@ impl SimNet {
             // An active partition is the lowest network layer: the dial
             // times out before any per-address plan or listener lookup.
             if let Some(state) = view
-                .domains_covering(&self.clock, self.local.as_deref(), address)
+                .domains_covering(&self.clock, address)
                 .find(|state| matches!(state.domain.effect, DomainEffect::Partition))
             {
                 return Route::TimedOut(state.domain.timeout_us);
@@ -729,7 +692,6 @@ impl SimNet {
                 one_way_us: latency.unwrap_or(self.config.default_one_way_us),
                 tamper,
                 dialed: address.to_owned(),
-                local: self.local.clone(),
                 closed: false,
                 timeout_us: FaultPlan::default().timeout_us,
                 clean_gen,
@@ -867,8 +829,6 @@ pub struct Connection {
     one_way_us: u64,
     tamper: Option<Arc<TamperFn>>,
     dialed: String,
-    /// Source address of the dialing handle (asymmetric domains).
-    local: Option<String>,
     closed: bool,
     /// Timeout window charged for drops/timeouts; refreshed from the
     /// governing fault plan or domain on each exchange.
@@ -976,7 +936,7 @@ impl Connection {
             /// Timeout window of the governing domain or plan, if any.
             timeout_us: Option<u64>,
         }
-        let (local, dialed) = (self.local.as_deref(), self.dialed.as_str());
+        let dialed = self.dialed.as_str();
         let decision = self.fabric.with_view(self.stripe, |view| {
             let mut decision = Decision::default();
             if view.all_clean {
@@ -986,7 +946,7 @@ impl Connection {
             // Domains model the layer below per-address shaping. A
             // degraded draw that injects nothing still contributes its
             // jitter; the plans then get their say.
-            if let Some(state) = view.domains_covering(&self.clock, local, dialed).next() {
+            if let Some(state) = view.domains_covering(&self.clock, dialed).next() {
                 match &state.domain.effect {
                     DomainEffect::Partition => {
                         decision.fault = Some(FaultKind::Dropped);
@@ -1057,11 +1017,6 @@ impl Connection {
             FaultKind::Timeout => NetError::Timeout(self.dialed.clone()),
             FaultKind::Reset => NetError::ConnectionClosed,
         }
-    }
-
-    /// Closes the connection; further exchanges fail.
-    pub fn close(&mut self) {
-        self.closed = true;
     }
 }
 
@@ -1587,20 +1542,18 @@ mod tests {
                 .healing_at_us(9),
         );
         let inside = net.batch(|net| {
-            net.install_fault_domain(
-                FaultDomain::degraded("lossy", "10.2.", FaultPlan::outage()).from_sources("10.3."),
-            );
+            net.install_fault_domain(FaultDomain::degraded("lossy", "10.2.", FaultPlan::outage()));
             net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
             net.view_fingerprint()
         });
         assert_eq!(inside, net.view_fingerprint());
         assert!(inside.contains(
             "domain rack-1 | effect:partition window:5..Some(9) timeout:1000000 \
-             dst:[\"10.1.\"] src:[]\n"
+             dst:10.1.\n"
         ));
         assert!(inside.contains(
             "domain lossy | effect:degraded[d1.0/t0.0/r0.0/ff0/to1000000/j0] \
-             window:0..None timeout:1000000 dst:[\"10.2.\"] src:[\"10.3.\"]\n"
+             window:0..None timeout:1000000 dst:10.2.\n"
         ));
         assert!(inside.ends_with("-- entries:1 planned:0 domains:2\n"));
     }
@@ -1852,28 +1805,6 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_domain_only_hits_bound_sources() {
-        use crate::domain::FaultDomain;
-        let (_, net) = fabric();
-        net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
-        net.install_fault_domain(FaultDomain::partition("uplink", "10.2.").from_sources("10.1."));
-        // An unbound handle (no source address) does not match a
-        // source-scoped domain.
-        let mut conn = net.dial("10.2.0.1:443").unwrap();
-        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-        // The reverse direction from an unaffected source also works.
-        let from_safe = net.bound_to("10.3.0.9:443");
-        assert!(from_safe.dial("10.2.0.1:443").is_ok());
-        // Traffic *from* the 10.1. subnet is dark.
-        let from_dark = net.bound_to("10.1.0.9:443");
-        assert_eq!(from_dark.local_address(), Some("10.1.0.9:443"));
-        assert!(matches!(
-            from_dark.dial("10.2.0.1:443"),
-            Err(NetError::Timeout(_))
-        ));
-    }
-
-    #[test]
     fn degraded_domain_streams_are_deterministic_and_reseedable() {
         use crate::domain::{DomainEffect, FaultDomain};
         let outcomes = |seed: u64, noise: usize| {
@@ -1933,7 +1864,6 @@ mod tests {
         // Replacing by name swaps the effect: 10.1. is clean again.
         net.install_fault_domain(FaultDomain::partition("lossy", "10.9."));
         assert!(run(&net).iter().all(|ok| *ok));
-        net.clear_fault_domains();
         assert!(matches!(
             FaultDomain::partition("x", "10.").effect,
             DomainEffect::Partition

@@ -5,7 +5,7 @@
 //! shared [`SimClock`] — never wall time — so retried runs stay
 //! reproducible and virtually-timed. Backoff doubles from
 //! `base_backoff_us` up to `max_backoff_us`, plus a deterministic jitter
-//! drawn from a [`FaultRng`] seeded by `jitter_seed` (equal seeds give
+//! drawn from a `FaultRng` seeded by `jitter_seed` (equal seeds give
 //! byte-identical schedules).
 
 use crate::clock::SimClock;
@@ -36,16 +36,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries — useful to thread the same code path
-    /// without behaviour change.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Returns a copy with a different jitter seed (per-component
     /// decorrelation).
     #[must_use]
@@ -56,7 +46,7 @@ impl RetryPolicy {
 
     /// The backoff before retry number `retry` (1-based), without jitter.
     #[must_use]
-    pub fn backoff_us(&self, retry: u32) -> u64 {
+    pub(crate) fn backoff_us(&self, retry: u32) -> u64 {
         let shift = retry.saturating_sub(1).min(32);
         self.base_backoff_us
             .saturating_mul(1u64 << shift)
@@ -196,10 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_never_retries() {
+    fn one_attempt_policy_never_retries() {
         let clock = SimClock::new();
         let mut calls = 0;
-        let (result, attempts) = RetryPolicy::none().run(&clock, transient, |_| {
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let (result, attempts) = policy.run(&clock, transient, |_| {
             calls += 1;
             Err::<u32, _>(E::Transient)
         });

@@ -14,8 +14,7 @@ use parking_lot::Mutex;
 use revelio_crypto::sha2::Sha256;
 use revelio_net::clock::SimClock;
 use revelio_net::dns::DnsZone;
-use revelio_net::retry::RetryPolicy;
-use revelio_telemetry::{retry_with_telemetry, Telemetry};
+use revelio_telemetry::Telemetry;
 
 use crate::ca::CertificateAuthority;
 use crate::cert::{Certificate, CertificateChain, CertificateSigningRequest};
@@ -26,11 +25,11 @@ use crate::PkiError;
 pub struct AcmePolicy {
     /// Maximum certificates per registered domain per window (Let's
     /// Encrypt: 50 per week).
-    pub certificates_per_window: u32,
+    pub(crate) certificates_per_window: u32,
     /// Window length in simulated milliseconds (Let's Encrypt: 7 days).
-    pub window_ms: u64,
+    pub(crate) window_ms: u64,
     /// Certificate lifetime in simulated milliseconds (90 days).
-    pub lifetime_ms: u64,
+    pub(crate) lifetime_ms: u64,
 }
 
 impl Default for AcmePolicy {
@@ -45,14 +44,14 @@ impl Default for AcmePolicy {
 
 /// A pending DNS-01 challenge.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsChallenge {
+pub(crate) struct DnsChallenge {
     /// The domain under validation.
-    pub domain: String,
+    pub(crate) domain: String,
     /// DNS name where the token must appear
     /// (`_acme-challenge.<domain>`).
-    pub record_name: String,
+    pub(crate) record_name: String,
     /// The token to publish as a TXT record.
-    pub token: String,
+    pub(crate) token: String,
 }
 
 #[derive(Default)]
@@ -60,9 +59,6 @@ struct IssuanceLog {
     /// domain → timestamps (ms) of issued certificates in rough order.
     issued: HashMap<String, Vec<u64>>,
     challenge_counter: u64,
-    /// Orders left to fail with [`PkiError::Unavailable`] (simulated CA
-    /// outage installed via [`AcmeCa::set_outage`]).
-    outage_remaining: u32,
 }
 
 /// The automated certificate authority.
@@ -76,11 +72,7 @@ pub struct AcmeCa {
     dns: DnsZone,
     log: Arc<Mutex<IssuanceLog>>,
     telemetry: Telemetry,
-    retry: RetryPolicy,
 }
-
-/// Decorrelates the ACME retry jitter stream from other components.
-const ACME_JITTER_SEED: u64 = 0x61636d65; // "acme"
 
 impl std::fmt::Debug for AcmeCa {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -115,30 +107,7 @@ impl AcmeCa {
             clock,
             dns,
             log: Arc::new(Mutex::new(IssuanceLog::default())),
-            retry: Self::default_retry_policy(),
         }
-    }
-
-    /// The retry policy new CAs start with: the crate-wide default budget
-    /// on the ACME-specific jitter stream.
-    #[must_use]
-    pub fn default_retry_policy() -> RetryPolicy {
-        RetryPolicy::default().with_jitter_seed(ACME_JITTER_SEED)
-    }
-
-    /// Replaces the retry policy applied by
-    /// [`AcmeCa::order_certificate`] to transient CA outages.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Makes the next `orders` certificate orders fail with
-    /// [`PkiError::Unavailable`] before recovering — a simulated CA
-    /// outage window for chaos testing.
-    pub fn set_outage(&self, orders: u32) {
-        self.log.lock().outage_remaining = orders;
     }
 
     /// Records the `acme.order` span and issuance counters of every
@@ -162,7 +131,7 @@ impl AcmeCa {
     ///
     /// Returns [`PkiError::SignatureInvalid`] for a CSR whose proof of
     /// possession fails.
-    pub fn begin_challenge(
+    pub(crate) fn begin_challenge(
         &self,
         csr: &CertificateSigningRequest,
     ) -> Result<DnsChallenge, PkiError> {
@@ -188,7 +157,7 @@ impl AcmeCa {
     ///
     /// Returns [`PkiError::ChallengeFailed`] when the token is absent and
     /// [`PkiError::RateLimited`] when the domain exhausted its window.
-    pub fn finish_challenge(
+    pub(crate) fn finish_challenge(
         &self,
         csr: &CertificateSigningRequest,
         challenge: &DnsChallenge,
@@ -234,7 +203,7 @@ impl AcmeCa {
     ///
     /// # Errors
     ///
-    /// As for [`AcmeCa::begin_challenge`] / [`AcmeCa::finish_challenge`].
+    /// As for `AcmeCa::begin_challenge` / `AcmeCa::finish_challenge`.
     pub fn order_certificate(
         &self,
         csr: &CertificateSigningRequest,
@@ -242,29 +211,12 @@ impl AcmeCa {
         let span = self
             .telemetry
             .span_with("acme.order", &[("domain", &csr.domain)]);
-        let attempt = |_attempt: u32| {
-            {
-                let mut log = self.log.lock();
-                if log.outage_remaining > 0 {
-                    log.outage_remaining -= 1;
-                    return Err(PkiError::Unavailable("acme ca".into()));
-                }
-            }
-            let challenge = self.begin_challenge(csr)?;
+        let result = self.begin_challenge(csr).and_then(|challenge| {
             self.dns.set_txt(&challenge.record_name, &challenge.token);
             let result = self.finish_challenge(csr, &challenge);
             self.dns.clear_txt(&challenge.record_name);
             result
-        };
-        // Transient outages are retried under the single acme.order span;
-        // durable failures (rate limits, bad challenges) return at once.
-        let result = retry_with_telemetry(
-            &self.retry,
-            &self.telemetry,
-            "acme",
-            PkiError::is_transient,
-            attempt,
-        );
+        });
         let ms = span.finish_ms();
         self.telemetry.observe("revelio_pki_acme_order_ms", ms);
         let outcome = match &result {
@@ -379,51 +331,6 @@ mod tests {
         assert!(ca.order_certificate(&csr("a.example.org", 1)).is_err());
         // A different domain is unaffected.
         ca.order_certificate(&csr("b.example.org", 2)).unwrap();
-    }
-
-    #[test]
-    fn brief_outage_is_retried_to_success() {
-        let (ca, _, clock) = setup(AcmePolicy::default());
-        let ca = ca.with_telemetry(Telemetry::new(clock.clone()));
-        ca.set_outage(2);
-        let start = clock.now_us();
-        ca.order_certificate(&csr("pad.example.org", 1)).unwrap();
-        assert!(clock.now_us() > start, "backoff spent simulated time");
-    }
-
-    #[test]
-    fn sustained_outage_exhausts_retries() {
-        let (ca, _, clock) = setup(AcmePolicy::default());
-        let telemetry = Telemetry::new(clock.clone());
-        let ca = ca.with_telemetry(telemetry.clone());
-        ca.set_outage(u32::MAX);
-        assert!(matches!(
-            ca.order_certificate(&csr("pad.example.org", 1)),
-            Err(PkiError::Unavailable(_))
-        ));
-        assert_eq!(telemetry.counter("revelio_acme_retry_attempts_total"), 3);
-        assert_eq!(telemetry.counter("revelio_acme_retry_gave_up_total"), 1);
-    }
-
-    #[test]
-    fn rate_limit_is_never_retried() {
-        let policy = AcmePolicy {
-            certificates_per_window: 1,
-            window_ms: 1000,
-            lifetime_ms: 10_000,
-        };
-        let (ca, _, clock) = setup(policy);
-        let telemetry = Telemetry::new(clock.clone());
-        let ca = ca.with_telemetry(telemetry.clone());
-        ca.order_certificate(&csr("a.example.org", 1)).unwrap();
-        let before = clock.now_us();
-        assert!(matches!(
-            ca.order_certificate(&csr("a.example.org", 1)),
-            Err(PkiError::RateLimited { .. })
-        ));
-        // Durable: no backoff was spent, no retries were counted.
-        assert_eq!(clock.now_us(), before);
-        assert_eq!(telemetry.counter("revelio_retry_attempts_total"), 0);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl CertificateAuthority {
         }
     }
 
-    /// The CA's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The CA's own certificate (what clients pin for roots).
     #[must_use]
     pub fn certificate(&self) -> Certificate {
@@ -64,7 +58,7 @@ impl CertificateAuthority {
     /// Issues an intermediate CA; returns the new authority and its
     /// certificate (for inclusion in served chains).
     #[must_use]
-    pub fn issue_intermediate(
+    pub(crate) fn issue_intermediate(
         &self,
         name: &str,
         key_seed: [u8; 32],
@@ -175,7 +169,7 @@ mod tests {
         let root = CertificateAuthority::new_root("Root", [1; 32]);
         let (inter, inter_cert) = root.issue_intermediate("Inter", [2; 32], 0, 100);
         inter_cert.verify_signature(&root.certificate()).unwrap();
-        assert_eq!(inter.name(), "Inter");
+        assert_eq!(inter.name, "Inter");
         assert!(inter_cert.is_ca);
     }
 }

@@ -21,11 +21,11 @@ pub struct CertificateSigningRequest {
     /// The public key to certify.
     pub public_key: VerifyingKey,
     /// Organisation name.
-    pub organization: String,
+    pub(crate) organization: String,
     /// Country code.
-    pub country: String,
+    pub(crate) country: String,
     /// Proof of possession: self-signature by `public_key`'s secret half.
-    pub signature: Signature,
+    pub(crate) signature: Signature,
 }
 
 impl CertificateSigningRequest {
@@ -132,15 +132,15 @@ pub struct Certificate {
     /// The certified key.
     pub public_key: VerifyingKey,
     /// Issuer name.
-    pub issuer: String,
+    pub(crate) issuer: String,
     /// Serial number.
-    pub serial: u64,
+    pub(crate) serial: u64,
     /// Validity start, ms on the simulated clock.
-    pub not_before_ms: u64,
+    pub(crate) not_before_ms: u64,
     /// Validity end, ms on the simulated clock.
     pub not_after_ms: u64,
     /// `true` for CA certificates (may issue).
-    pub is_ca: bool,
+    pub(crate) is_ca: bool,
     /// Issuer signature over the payload.
     pub signature: Signature,
 }
@@ -233,7 +233,7 @@ impl Certificate {
     /// # Errors
     ///
     /// Returns [`PkiError::Expired`] outside `[not_before, not_after]`.
-    pub fn check_validity(&self, now_ms: u64) -> Result<(), PkiError> {
+    pub(crate) fn check_validity(&self, now_ms: u64) -> Result<(), PkiError> {
         if now_ms < self.not_before_ms || now_ms > self.not_after_ms {
             return Err(PkiError::Expired {
                 now_ms,

@@ -42,23 +42,6 @@ pub enum PkiError {
     Wire(WireError),
     /// Underlying cryptographic failure.
     Crypto(CryptoError),
-    /// The CA endpoint was transiently unreachable (simulated outage);
-    /// the order may be retried.
-    Unavailable(String),
-}
-
-impl PkiError {
-    /// Whether this error is a transient condition worth retrying.
-    ///
-    /// Only [`PkiError::Unavailable`] qualifies. [`PkiError::RateLimited`]
-    /// is deliberately durable: it names a concrete `retry_at_ms` far
-    /// beyond any backoff window, and hammering a rate-limited CA is
-    /// exactly the behaviour the shared-certificate design exists to
-    /// avoid.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        matches!(self, PkiError::Unavailable(_))
-    }
 }
 
 impl fmt::Display for PkiError {
@@ -87,7 +70,6 @@ impl fmt::Display for PkiError {
             }
             PkiError::Wire(e) => write!(f, "wire format error: {e}"),
             PkiError::Crypto(e) => write!(f, "crypto error: {e}"),
-            PkiError::Unavailable(what) => write!(f, "{what} temporarily unavailable"),
         }
     }
 }

@@ -101,7 +101,7 @@ impl PartitionTable {
 
     /// The declared partitions, in on-disk order.
     #[must_use]
-    pub fn entries(&self) -> &[Partition] {
+    pub(crate) fn entries(&self) -> &[Partition] {
         &self.entries
     }
 
@@ -143,7 +143,7 @@ impl PartitionTable {
 
     /// Serializes the table (fits in the reserved block for sane layouts).
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"RVPT");
         w.put_u32(self.entries.len() as u32);
@@ -162,7 +162,7 @@ impl PartitionTable {
     /// # Errors
     ///
     /// Returns [`StorageError::Wire`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<4>()?;
         if &magic != b"RVPT" {

@@ -35,12 +35,6 @@ impl ProbedDevice {
     pub fn new(inner: Arc<dyn BlockDevice>, probe: DeviceProbe) -> Self {
         ProbedDevice { inner, probe }
     }
-
-    /// The probe this device charges.
-    #[must_use]
-    pub fn probe(&self) -> &DeviceProbe {
-        &self.probe
-    }
 }
 
 impl BlockDevice for ProbedDevice {

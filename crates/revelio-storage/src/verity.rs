@@ -27,7 +27,7 @@ use crate::block::BlockDevice;
 use crate::StorageError;
 
 /// Digest size of the tree's hash function (SHA-256).
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// Parameters of a verity tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +78,7 @@ fn parent_level(level: &[u8], params: &VerityParams) -> Vec<u8> {
 /// A `VerityTree` is consistent by construction: its fields are private,
 /// nothing mutates it after construction, and both constructors derive or
 /// check every parent level. [`VerityTree::build`] computes each level
-/// itself; [`VerityTree::from_bytes`] recomputes each parent level from the
+/// itself; `VerityTree::from_bytes` recomputes each parent level from the
 /// one below and rejects any mismatch. So `root_hash` authenticates every
 /// level, leaves included, and once [`VerityDevice::open`] has matched it
 /// against the trusted root, the leaf level alone suffices to check a read.
@@ -133,12 +133,6 @@ impl VerityTree {
         self.root_hash
     }
 
-    /// Number of protected data blocks.
-    #[must_use]
-    pub fn data_blocks(&self) -> u64 {
-        self.data_blocks
-    }
-
     /// Tree depth (number of hash levels).
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -167,7 +161,7 @@ impl VerityTree {
     /// Returns [`StorageError::BadSuperblock`] or [`StorageError::Wire`] on
     /// malformed input. The root hash is recomputed from the stored top
     /// level, so a tampered tree cannot smuggle in its own root.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<4>()?;
         if &magic != b"RVVT" {

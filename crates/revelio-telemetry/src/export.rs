@@ -35,47 +35,6 @@ fn fmt_f64(v: f64) -> String {
     format!("{v:?}")
 }
 
-/// Escapes a Prometheus label value: inside the `label="…"` quoting,
-/// backslash, double-quote, and newline must be escaped.
-#[must_use]
-pub fn prometheus_escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Builds a `name{key="value",…}` Prometheus sample name with escaped
-/// label values. Labels are rendered in the order given, so a fixed call
-/// site always produces the same sample name.
-#[must_use]
-pub fn labeled_metric(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let mut out = String::from(name);
-    out.push('{');
-    for (i, (key, value)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{key}=\"{}\"", prometheus_escape_label(value));
-    }
-    out.push('}');
-    out
-}
-
-/// The metric-family name of a sample: everything before the label block.
-fn family_of(sample_name: &str) -> &str {
-    sample_name.split('{').next().unwrap_or(sample_name)
-}
-
 impl Telemetry {
     /// Exports the full registry as a JSON-lines event log: one `span`
     /// line per span in the window (id order), then `counter`, `gauge`,
@@ -149,11 +108,9 @@ impl Telemetry {
 
     /// Exports counters, gauges, and histograms in Prometheus text
     /// exposition format: metric families in lexicographic name order
-    /// (across all three kinds), one `# TYPE` line per family, samples
-    /// within a family in name order. Label values embedded in sample
-    /// names via [`labeled_metric`] arrive pre-escaped; the exporter
-    /// escapes the `le` values it generates itself. The output is a pure
-    /// function of registry contents — byte-identical across runs.
+    /// (across all three kinds), each a `# TYPE` line followed by its
+    /// samples. The output is a pure function of registry contents —
+    /// byte-identical across runs.
     #[must_use]
     pub fn export_prometheus(&self) -> String {
         struct Family {
@@ -164,7 +121,7 @@ impl Telemetry {
         let mut families: BTreeMap<String, Family> = BTreeMap::new();
         let mut push = |name: &str, kind: &'static str, sample: String| {
             families
-                .entry(family_of(name).to_string())
+                .entry(name.to_string())
                 .or_insert_with(|| Family {
                     kind,
                     samples: Vec::new(),
@@ -189,10 +146,7 @@ impl Telemetry {
                 push(
                     name,
                     "histogram",
-                    format!(
-                        "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                        prometheus_escape_label(&le)
-                    ),
+                    format!("{name}_bucket{{le=\"{le}\"}} {cumulative}"),
                 );
             }
             push(
@@ -364,6 +318,16 @@ mod tests {
         (Telemetry::new(clock.clone()), clock)
     }
 
+    /// Registers `name` with custom bucket bounds; `observe` would
+    /// register it with the default latency buckets.
+    fn insert_histogram(t: &Telemetry, name: &str, bounds: &[f64]) {
+        t.inner
+            .state
+            .lock()
+            .histograms
+            .insert(name.to_owned(), crate::metrics::Histogram::new(bounds));
+    }
+
     fn scenario(t: &Telemetry, clock: &SimClock) {
         let root = t.span_with("request", &[("path", "/pad")]);
         let child = t.span("tls.handshake");
@@ -375,8 +339,7 @@ mod tests {
         root.finish_ms();
         t.counter_add("revelio_test_requests_total", 1);
         t.gauge_set("revelio_test_depth", 2.0);
-        t.register_histogram("revelio_test_latency_ms", &[1.0, 5.0, 10.0])
-            .unwrap();
+        insert_histogram(t, "revelio_test_latency_ms", &[1.0, 5.0, 10.0]);
         t.observe("revelio_test_latency_ms", 5.0);
         t.observe("revelio_test_latency_ms", 50.0);
     }
@@ -436,18 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_families_sorted_and_labels_escaped() {
+    fn prometheus_families_sorted_across_kinds() {
         let (t, _) = fixture();
         // Deliberately register out of lexicographic order and across
         // kinds: the export must interleave kinds into one sorted pass.
         t.counter_add("zz_total", 1);
         t.gauge_set("mm_depth", 1.5);
-        t.register_histogram("aa_latency_ms", &[1.0]).unwrap();
+        insert_histogram(&t, "aa_latency_ms", &[1.0]);
         t.observe("aa_latency_ms", 0.5);
-        t.counter_add(
-            &labeled_metric("mm_events_total", &[("node", "a\\b\"c\nd")]),
-            2,
-        );
+        t.counter_add("mm_events_total", 2);
         let text = t.export_prometheus();
         let expected = "# TYPE aa_latency_ms histogram\n\
                         aa_latency_ms_bucket{le=\"1.0\"} 1\n\
@@ -457,7 +417,7 @@ mod tests {
                         # TYPE mm_depth gauge\n\
                         mm_depth 1.5\n\
                         # TYPE mm_events_total counter\n\
-                        mm_events_total{node=\"a\\\\b\\\"c\\nd\"} 2\n\
+                        mm_events_total 2\n\
                         # TYPE zz_total counter\n\
                         zz_total 1\n";
         assert_eq!(text, expected);

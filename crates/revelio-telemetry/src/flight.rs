@@ -23,7 +23,7 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
 /// `retry` / `verdict` / `request`), and a short free-form detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
-    pub at_us: u64,
+    pub(crate) at_us: u64,
     pub kind: String,
     pub detail: String,
 }
@@ -72,30 +72,6 @@ impl FlightRecorder {
         });
     }
 
-    /// Number of events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().events.len()
-    }
-
-    /// True when no events have been recorded (or all were evicted).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
-    }
-
-    /// The ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Snapshot of the ring, oldest first, plus the drop counter.
     #[must_use]
     pub fn dump(&self) -> FlightDump {
@@ -112,9 +88,9 @@ impl FlightRecorder {
 /// `ProvisionReport` quarantine entry or an `AttestationFailed` verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Events evicted before this snapshot was taken.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Surviving events, oldest first.
     pub events: Vec<FlightEvent>,
 }
@@ -233,8 +209,8 @@ mod tests {
             clock.advance_ms(1.0);
             recorder.record("fault", &format!("event-{i}"));
         }
-        assert_eq!(recorder.len(), 3);
-        assert_eq!(recorder.dropped(), 2);
+        assert_eq!(recorder.dump().events.len(), 3);
+        assert_eq!(recorder.dump().dropped, 2);
         let dump = recorder.dump();
         assert_eq!(dump.events.len(), 3);
         assert_eq!(dump.events[0].detail, "event-2");
@@ -263,7 +239,7 @@ mod tests {
         let bootstrap = directory.register("node:8443");
         directory.alias("node:8443", "node:443");
         directory.record("node:443", "fault", "drop");
-        assert_eq!(bootstrap.len(), 1);
+        assert_eq!(bootstrap.dump().events.len(), 1);
         assert_eq!(directory.get("node:8443").unwrap().dump(), bootstrap.dump());
         // Unknown keys are ignored, not created.
         directory.record("stranger:443", "fault", "drop");
@@ -275,8 +251,8 @@ mod tests {
         let recorder = FlightRecorder::new(SimClock::new(), 0);
         recorder.record("span", "a");
         recorder.record("span", "b");
-        assert_eq!(recorder.len(), 1);
-        assert_eq!(recorder.dropped(), 1);
+        assert_eq!(recorder.dump().events.len(), 1);
+        assert_eq!(recorder.dump().dropped, 1);
         assert_eq!(recorder.dump().events[0].detail, "b");
     }
 }

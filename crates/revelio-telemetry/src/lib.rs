@@ -11,8 +11,8 @@
 //! * a span API ([`Telemetry::span`]) for named, nested, attributed spans
 //!   whose durations are read off the sim clock, held in a fixed-size
 //!   window of recent traces so a long-lived registry stops growing;
-//! * counters, gauges, and fixed-bucket histograms with p50/p95/p99
-//!   queries ([`Telemetry::observe`], [`Histogram::percentile`]);
+//! * counters, gauges, and fixed-bucket histograms
+//!   ([`Telemetry::observe`]);
 //! * three exporters: a JSON-lines event log
 //!   ([`Telemetry::export_json_lines`]), Prometheus-style text exposition
 //!   ([`Telemetry::export_prometheus`]), and a per-span-tree latency
@@ -40,15 +40,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use revelio_net::clock::SimClock;
 
-pub use export::{labeled_metric, prometheus_escape_label};
-pub use flight::{
-    FlightDirectory, FlightDump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
-};
-pub use metrics::{BucketBoundsError, Histogram};
+pub use flight::{FlightDirectory, FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+use metrics::Histogram;
 pub use probe::DeviceProbe;
 pub use retry::retry_with_telemetry;
+use span::SpanRecord;
 use span::SpanWindow;
-pub use span::{SpanGuard, SpanRecord, TraceContext};
+pub use span::TraceContext;
 pub use trace::{export_all_traces, TraceAssembler};
 
 // Re-exported so crates that don't otherwise depend on `revelio-net` (e.g.
@@ -112,7 +110,7 @@ impl Telemetry {
 
     /// The clock durations are read from.
     #[must_use]
-    pub fn clock(&self) -> &SimClock {
+    pub(crate) fn clock(&self) -> &SimClock {
         &self.inner.clock
     }
 
@@ -128,32 +126,6 @@ impl Telemetry {
             .lock()
             .gauges
             .insert(name.to_string(), value);
-    }
-
-    /// Registers a histogram with explicit bucket upper bounds (strictly
-    /// increasing and finite, exclusive of the implicit `+Inf` overflow
-    /// bucket). Re-registering an existing name keeps the original
-    /// buckets.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a non-finite bound or bounds that are not strictly
-    /// increasing, registering nothing: misordered bounds would silently
-    /// misbucket every observation.
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) -> Result<(), BucketBoundsError> {
-        if let Some(&bound) = bounds.iter().find(|b| !b.is_finite()) {
-            return Err(BucketBoundsError::NonFinite { bound });
-        }
-        if let Some(&[below, above]) = bounds.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(BucketBoundsError::NotIncreasing { below, above });
-        }
-        let mut state = self.inner.state.lock();
-        if !state.histograms.contains_key(name) {
-            state
-                .histograms
-                .insert(name.to_string(), Histogram::new(bounds));
-        }
-        Ok(())
     }
 
     /// Records `value` into the named histogram, auto-registering it with
@@ -184,18 +156,6 @@ impl Telemetry {
             .get(name)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Reads a gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.state.lock().gauges.get(name).copied()
-    }
-
-    /// Snapshot of a histogram for percentile queries.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.state.lock().histograms.get(name).cloned()
     }
 
     /// Durations (ms) of every *finished* span in the window with the
@@ -231,9 +191,10 @@ mod tests {
         t.counter_add("revelio_test_ops_total", 3);
         t.gauge_set("revelio_test_depth", 4.5);
         assert_eq!(t.counter("revelio_test_ops_total"), 5);
-        assert_eq!(t.gauge("revelio_test_depth"), Some(4.5));
+        let gauge = |name: &str| t.inner.state.lock().gauges.get(name).copied();
+        assert_eq!(gauge("revelio_test_depth"), Some(4.5));
         assert_eq!(t.counter("never_touched"), 0);
-        assert_eq!(t.gauge("never_touched"), None);
+        assert_eq!(gauge("never_touched"), None);
     }
 
     #[test]
@@ -250,45 +211,5 @@ mod tests {
         let u = t.clone();
         t.counter_add("shared", 1);
         assert_eq!(u.counter("shared"), 1);
-    }
-
-    #[test]
-    fn valid_histogram_bounds_accepted() {
-        let t = Telemetry::new(SimClock::new());
-        t.register_histogram("h", &[0.5, 1.0, 10.0]).unwrap();
-        t.observe("h", 0.7);
-        assert_eq!(t.histogram("h").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn misordered_histogram_bounds_rejected() {
-        let t = Telemetry::new(SimClock::new());
-        let err = t.register_histogram("h", &[1.0, 1.0, 2.0]).unwrap_err();
-        assert_eq!(
-            err,
-            BucketBoundsError::NotIncreasing {
-                below: 1.0,
-                above: 1.0
-            }
-        );
-        assert!(err.to_string().contains("strictly increasing"), "{err}");
-        assert!(t.histogram("h").is_none(), "nothing registered");
-    }
-
-    #[test]
-    fn non_finite_histogram_bounds_rejected() {
-        let t = Telemetry::new(SimClock::new());
-        let err = t
-            .register_histogram("h", &[1.0, f64::INFINITY])
-            .unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
-        assert!(t.histogram("h").is_none(), "nothing registered");
-    }
-
-    #[test]
-    fn nan_histogram_bounds_rejected() {
-        let t = Telemetry::new(SimClock::new());
-        let err = t.register_histogram("h", &[f64::NAN]).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 }

@@ -16,7 +16,7 @@ use revelio_net::retry::RetryPolicy;
 use crate::Telemetry;
 
 /// Fleet-wide counter of retry attempts (excludes first attempts).
-pub const RETRY_ATTEMPTS_TOTAL: &str = "revelio_retry_attempts_total";
+pub(crate) const RETRY_ATTEMPTS_TOTAL: &str = "revelio_retry_attempts_total";
 
 /// Runs `op` under `policy`, spending backoff on the telemetry clock and
 /// recording retry counters for `component` (a short identifier such as

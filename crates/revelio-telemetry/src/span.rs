@@ -20,7 +20,7 @@ pub struct SpanRecord {
     pub trace_id: u64,
     pub parent: Option<u64>,
     pub name: String,
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// `None` while the span is open.
     pub end_us: Option<u64>,
     pub attrs: BTreeMap<String, String>,
@@ -89,7 +89,7 @@ impl TraceContext {
 impl SpanRecord {
     /// Duration in fractional milliseconds, `None` while open.
     #[must_use]
-    pub fn duration_ms(&self) -> Option<f64> {
+    pub(crate) fn duration_ms(&self) -> Option<f64> {
         self.end_us
             .map(|end| end.saturating_sub(self.start_us) as f64 / 1000.0)
     }
@@ -457,7 +457,7 @@ impl Telemetry {
     /// Snapshot of every finished span of `trace_id` in the window, id
     /// order.
     #[must_use]
-    pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
+    pub(crate) fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
         let state = self.inner.state.lock();
         state
             .spans
@@ -513,12 +513,6 @@ impl Telemetry {
 }
 
 impl SpanGuard {
-    /// The span's id in the registry.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Sets an attribute on the open span.
     pub fn attr(&self, key: &str, value: &str) {
         let key = key.to_string();
@@ -892,7 +886,7 @@ mod tests {
         assert_eq!(t.trace_ids().len(), SPAN_WINDOW);
         // Ids stay absolute: the next span is the 3W-th recorded.
         let span = t.span("next");
-        assert_eq!(span.id(), 3 * SPAN_WINDOW as u64);
+        assert_eq!(span.id, 3 * SPAN_WINDOW as u64);
     }
 
     #[test]

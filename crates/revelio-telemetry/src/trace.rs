@@ -43,7 +43,7 @@ impl TraceAssembler {
     /// Builds the tree from finished spans (open spans must be excluded
     /// by the caller; [`Telemetry::trace_spans`] already does).
     #[must_use]
-    pub fn assemble(trace_id: u64, spans: Vec<SpanRecord>) -> TraceAssembler {
+    pub(crate) fn assemble(trace_id: u64, spans: Vec<SpanRecord>) -> TraceAssembler {
         let index: BTreeMap<u64, usize> = spans
             .iter()
             .enumerate()
@@ -93,7 +93,7 @@ impl TraceAssembler {
 
     /// True when the trace holds no finished spans.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
@@ -117,7 +117,7 @@ impl TraceAssembler {
 
     /// Child span ids of `id`, (start, id) order.
     #[must_use]
-    pub fn children_of(&self, id: u64) -> &[u64] {
+    pub(crate) fn children_of(&self, id: u64) -> &[u64] {
         self.children.get(&id).map_or(&[], Vec::as_slice)
     }
 
@@ -127,7 +127,7 @@ impl TraceAssembler {
 
     /// Duration of span `id` in microseconds.
     #[must_use]
-    pub fn duration_us(&self, id: u64) -> u64 {
+    pub(crate) fn duration_us(&self, id: u64) -> u64 {
         let span = self.span(id);
         span.end_us
             .unwrap_or(span.start_us)
@@ -139,7 +139,7 @@ impl TraceAssembler {
     /// fork/join) count once, and a child modelled wider than its parent
     /// counts only inside the parent.
     #[must_use]
-    pub fn self_time_us(&self, id: u64) -> u64 {
+    pub(crate) fn self_time_us(&self, id: u64) -> u64 {
         let span = self.span(id);
         let end = span.end_us.unwrap_or(span.start_us);
         // Children are in start order, so one sweep measures their union:
@@ -162,7 +162,7 @@ impl TraceAssembler {
     /// id tie-break), repeatedly descend into the longest child (ties to
     /// the earlier-starting, lower-id child). Empty for an empty trace.
     #[must_use]
-    pub fn critical_path(&self) -> Vec<u64> {
+    pub(crate) fn critical_path(&self) -> Vec<u64> {
         let mut path = Vec::new();
         let Some(&root) = self.roots.first() else {
             return path;

@@ -22,11 +22,11 @@ pub struct ResumptionState {
     /// The opaque, server-sealed session ticket.
     pub ticket: Vec<u8>,
     /// The resumption secret the ticket seals (client's own copy).
-    pub secret: [u8; 32],
+    pub(crate) secret: [u8; 32],
     /// The certificate chain validated during the original handshake.
-    pub chain: CertificateChain,
+    pub(crate) chain: CertificateChain,
     /// RA-TLS evidence delivered in the original handshake, if any.
-    pub evidence: Option<Vec<u8>>,
+    pub(crate) evidence: Option<Vec<u8>>,
 }
 
 impl std::fmt::Debug for ResumptionState {
@@ -345,17 +345,6 @@ impl std::fmt::Debug for TlsSession {
 }
 
 impl TlsSession {
-    /// Sends one protected request and returns the protected response's
-    /// plaintext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TlsError::Net`] on transport failure or
-    /// [`TlsError::RecordAuthentication`] on tampering.
-    pub fn request(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, TlsError> {
-        self.request_routed("", plaintext)
-    }
-
     /// Sends one protected request labelled with `route` (the HTTP path,
     /// for callers that have one) and returns the protected response's
     /// plaintext. The label only feeds the fabric's per-route fault
@@ -369,12 +358,6 @@ impl TlsSession {
         let sealed = self.keys.client_to_server.seal(plaintext);
         let reply = self.conn.exchange_routed(route, &sealed)?;
         self.keys.server_to_client.open(&reply)
-    }
-
-    /// The server's certificate chain.
-    #[must_use]
-    pub fn peer_chain(&self) -> &CertificateChain {
-        &self.peer_chain
     }
 
     /// The public key this connection cryptographically terminates at —
@@ -407,11 +390,6 @@ impl TlsSession {
     #[must_use]
     pub fn resumption_state(&self) -> Option<&ResumptionState> {
         self.resumption.as_ref()
-    }
-
-    /// Closes the session.
-    pub fn close(&mut self) {
-        self.conn.close();
     }
 }
 
@@ -483,8 +461,14 @@ mod tests {
         let mut session = client(&w)
             .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
             .unwrap();
-        assert_eq!(session.request(b"GET /").unwrap(), b"hello end-user");
-        assert_eq!(session.request(b"GET /again").unwrap(), b"hello end-user");
+        assert_eq!(
+            session.request_routed("", b"GET /").unwrap(),
+            b"hello end-user"
+        );
+        assert_eq!(
+            session.request_routed("", b"GET /again").unwrap(),
+            b"hello end-user"
+        );
         assert_eq!(session.peer_public_key(), w.server_key.verifying_key());
     }
 
@@ -582,7 +566,7 @@ mod tests {
         let mut session = client(&w)
             .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
             .unwrap();
-        assert_eq!(session.request(b"GET /").unwrap(), b"evil");
+        assert_eq!(session.request_routed("", b"GET /").unwrap(), b"evil");
         // The extension-visible signal: the connection's key changed.
         assert_ne!(session.peer_public_key(), w.server_key.verifying_key());
         assert_eq!(session.peer_public_key(), attacker_key.verifying_key());
@@ -608,7 +592,7 @@ mod tests {
             .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
             .unwrap();
         // Tampered request record: server rejects; connection dies.
-        assert!(session.request(b"GET /").is_err());
+        assert!(session.request_routed("", b"GET /").is_err());
     }
 
     #[test]
@@ -648,9 +632,8 @@ mod tests {
             "resumption must not touch the scalar-mul kernels beyond the client fallback ephemeral"
         );
         assert!(resumed.was_resumed());
-        assert_eq!(resumed.request(b"GET /").unwrap(), b"resumable");
+        assert_eq!(resumed.request_routed("", b"GET /").unwrap(), b"resumable");
         assert_eq!(resumed.peer_public_key(), w.server_key.verifying_key());
-        assert_eq!(resumed.peer_chain().leaf().subject, "pad.example.org");
     }
 
     #[test]
@@ -677,7 +660,7 @@ mod tests {
             "a pre-rotation ticket must be declined"
         );
         // The fallback is a complete, freshly validated handshake…
-        assert_eq!(session.request(b"GET /").unwrap(), b"v2");
+        assert_eq!(session.request_routed("", b"GET /").unwrap(), b"v2");
         // …that issues a new, working ticket.
         let fresh = session.resumption_state().unwrap().clone();
         let resumed = client
@@ -733,7 +716,7 @@ mod tests {
             .connect_resumed(&w.net, "10.0.0.2:443", "pad.example.org", [2; 32], &state)
             .unwrap();
         assert!(on_other.was_resumed());
-        assert_eq!(on_other.request(b"GET /").unwrap(), b"b");
+        assert_eq!(on_other.request_routed("", b"GET /").unwrap(), b"b");
     }
 
     #[test]
@@ -745,7 +728,7 @@ mod tests {
             .connect(&w.net, "10.0.0.1:443", "pad.example.org", [1; 32])
             .unwrap();
         let after_handshake = w.clock.now_ms();
-        session.request(b"GET /").unwrap();
+        session.request_routed("", b"GET /").unwrap();
         let after_request = w.clock.now_ms();
         let rtt = 5.2;
         assert!((after_handshake - t0 - rtt).abs() < 0.1);

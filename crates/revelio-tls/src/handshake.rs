@@ -9,24 +9,24 @@ use crate::TlsError;
 
 /// The client's first flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientHello {
+pub(crate) struct ClientHello {
     /// Client ephemeral X25519 public key.
-    pub ephemeral_public: [u8; 32],
+    pub(crate) ephemeral_public: [u8; 32],
     /// Client random.
-    pub random: [u8; 32],
+    pub(crate) random: [u8; 32],
     /// Server name indication — which certificate the client expects.
-    pub server_name: String,
+    pub(crate) server_name: String,
     /// Session ticket offered for resumption. A client that holds one
     /// still sends the full flight (ephemeral, random): if the server
     /// cannot open the ticket it answers with a full [`ServerHello`] and
     /// the handshake completes normally in the same round trip.
-    pub ticket: Option<Vec<u8>>,
+    pub(crate) ticket: Option<Vec<u8>>,
 }
 
 impl ClientHello {
     /// Encodes the flight.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"TLSCH1");
         w.put_bytes(&self.ephemeral_public);
@@ -42,7 +42,7 @@ impl ClientHello {
     ///
     /// Returns [`TlsError::Wire`] / [`TlsError::Handshake`] on malformed
     /// input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<6>()?;
         if &magic != b"TLSCH1" {
@@ -86,33 +86,33 @@ fn get_opt_bytes(r: &mut ByteReader<'_>) -> Result<Option<Vec<u8>>, TlsError> {
 
 /// The server's reply flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerHello {
+pub(crate) struct ServerHello {
     /// Server ephemeral X25519 public key.
-    pub ephemeral_public: [u8; 32],
+    pub(crate) ephemeral_public: [u8; 32],
     /// Server random.
-    pub random: [u8; 32],
+    pub(crate) random: [u8; 32],
     /// Certificate chain (leaf first).
-    pub chain: CertificateChain,
+    pub(crate) chain: CertificateChain,
     /// Optional RA-TLS attestation evidence (opaque to the TLS layer;
     /// Revelio puts a serialized evidence bundle here so clients can
     /// attest without a separate fetch — the integration the paper's §7
     /// suggests via RATLS).
-    pub evidence: Option<Vec<u8>>,
+    pub(crate) evidence: Option<Vec<u8>>,
     /// Signature by the leaf certificate's key over the transcript hash —
     /// proves the server controls the certified private key and binds the
     /// ephemeral exchange (and any evidence) to it.
-    pub signature: Signature,
+    pub(crate) signature: Signature,
     /// Session ticket issued for later resumption. Deliberately outside
     /// the signed transcript: its integrity is the ticket AEAD's job, and
     /// tampering only costs the client a declined resumption later — the
     /// fallback is the full, signature-authenticated handshake.
-    pub ticket: Option<Vec<u8>>,
+    pub(crate) ticket: Option<Vec<u8>>,
 }
 
 impl ServerHello {
     /// Encodes the flight.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"TLSSH2");
         w.put_bytes(&self.ephemeral_public);
@@ -130,7 +130,7 @@ impl ServerHello {
     ///
     /// Returns [`TlsError::Wire`] / [`TlsError::Handshake`] on malformed
     /// input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<6>()?;
         if &magic != b"TLSSH2" {
@@ -163,21 +163,21 @@ impl ServerHello {
 /// resumption secret — i.e. the fleet that completed the original,
 /// signature-authenticated handshake — can produce it for fresh randoms.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResumedServerHello {
+pub(crate) struct ResumedServerHello {
     /// Server random for this resumed connection (fresh traffic keys).
-    pub random: [u8; 32],
+    pub(crate) random: [u8; 32],
     /// HMAC over both randoms under the resumption secret.
-    pub confirm: [u8; 32],
+    pub(crate) confirm: [u8; 32],
 }
 
 impl ResumedServerHello {
     /// The wire magic distinguishing this flight from a full
     /// [`ServerHello`] (the client dispatches on it).
-    pub const MAGIC: &'static [u8; 6] = b"TLSRH1";
+    pub(crate) const MAGIC: &'static [u8; 6] = b"TLSRH1";
 
     /// Encodes the flight.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(Self::MAGIC);
         w.put_bytes(&self.random);
@@ -191,7 +191,7 @@ impl ResumedServerHello {
     ///
     /// Returns [`TlsError::Wire`] / [`TlsError::Handshake`] on malformed
     /// input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, TlsError> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_array::<6>()?;
         if &magic != Self::MAGIC {
@@ -208,7 +208,7 @@ impl ResumedServerHello {
 /// key derivation, including any RA-TLS evidence (so evidence cannot be
 /// stripped or swapped by a middlebox).
 #[must_use]
-pub fn transcript_hash(
+pub(crate) fn transcript_hash(
     client_hello: &ClientHello,
     server_ephemeral: &[u8; 32],
     server_random: &[u8; 32],

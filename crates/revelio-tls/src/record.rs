@@ -26,7 +26,7 @@ pub struct TrafficKeys {
     /// Client-to-server protection.
     pub client_to_server: RecordKey,
     /// Server-to-client protection.
-    pub server_to_client: RecordKey,
+    pub(crate) server_to_client: RecordKey,
 }
 
 /// Derives the traffic keys from the X25519 shared secret and both
@@ -59,7 +59,7 @@ pub fn derive_traffic_keys(
 /// traffic keys but a distinct HKDF label, so compromise of a traffic
 /// key reveals nothing about resumability (and vice versa).
 #[must_use]
-pub fn derive_resumption_secret(
+pub(crate) fn derive_resumption_secret(
     shared_secret: &[u8; 32],
     client_random: &[u8; 32],
     server_random: &[u8; 32],

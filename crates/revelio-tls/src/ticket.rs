@@ -39,7 +39,7 @@ use revelio_pki::cert::CertificateChain;
 use crate::TlsError;
 
 /// Length of the ticket key and the resumption secret, bytes.
-pub const SECRET_LEN: usize = 32;
+pub(crate) const SECRET_LEN: usize = 32;
 
 /// Ticket wire prefix (versioned so a future format can coexist).
 const TICKET_MAGIC: &[u8; 4] = b"TKT1";
@@ -56,7 +56,7 @@ const TICKET_AAD: &[u8] = b"revelio-session-ticket/v1";
 /// zero-scalar-multiplication resumed path (in practice it is computed
 /// once per listener).
 #[must_use]
-pub fn derive_ticket_key(key: &SigningKey, chain: &CertificateChain) -> [u8; SECRET_LEN] {
+pub(crate) fn derive_ticket_key(key: &SigningKey, chain: &CertificateChain) -> [u8; SECRET_LEN] {
     let mut mac = Hmac::<Sha256>::new(key.seed());
     mac.update(b"revelio-ticket-key/v1");
     mac.update(&Sha256::digest(chain.to_bytes()));
@@ -69,7 +69,7 @@ pub fn derive_ticket_key(key: &SigningKey, chain: &CertificateChain) -> [u8; SEC
 /// it from its entropy seed and connection counter); it travels inside
 /// the ticket so any fleet node can open it.
 #[must_use]
-pub fn seal_ticket(
+pub(crate) fn seal_ticket(
     ticket_key: &[u8; SECRET_LEN],
     nonce: &[u8; 12],
     secret: &[u8; SECRET_LEN],
@@ -89,7 +89,7 @@ pub fn seal_ticket(
 /// Returns [`TlsError::Handshake`] for a malformed ticket or one sealed
 /// under a different (rotated) ticket key — the caller falls back to the
 /// full handshake either way.
-pub fn open_ticket(
+pub(crate) fn open_ticket(
     ticket_key: &[u8; SECRET_LEN],
     ticket: &[u8],
 ) -> Result<[u8; SECRET_LEN], TlsError> {
@@ -114,7 +114,7 @@ pub fn open_ticket(
 /// could echo an abbreviated hello and leave the client talking to a
 /// peer that never knew the secret (detected only at the first record).
 #[must_use]
-pub fn resumption_confirm(
+pub(crate) fn resumption_confirm(
     secret: &[u8; SECRET_LEN],
     client_random: &[u8; 32],
     server_random: &[u8; 32],

@@ -3,10 +3,10 @@
 //! the fleet's TLS key (and the peer checking the leader's answer), and
 //! the browser extension before it trusts a page (§5.3.1, §5.3.2).
 //!
-//! [`appraise`] runs the report-level checks in one order — chain to the
+//! `appraise` runs the report-level checks in one order — chain to the
 //! pinned ARK, VCEK↔report binding, report signature, debug policy, TCB
 //! floor, measurement — and its [`Rejection`] names the check that
-//! decided. Callers differ only in their [`AppraisalPolicy`]. Checks that
+//! decided. Callers differ only in their `AppraisalPolicy`. Checks that
 //! belong to a caller's protocol (CSR, chip allowlist, key-exchange and
 //! TLS bindings) stay with the caller and return the same [`Rejection`].
 
@@ -71,7 +71,7 @@ impl DecidingCheck {
     /// The check's name as it travels between components: the variant
     /// name, e.g. `"ChipAllowlist"`.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DecidingCheck::Chain => "Chain",
             DecidingCheck::Binding => "Binding",
@@ -91,7 +91,7 @@ impl DecidingCheck {
     /// The check [`DecidingCheck::name`] names; `None` for any other
     /// string.
     #[must_use]
-    pub fn from_name(name: &str) -> Option<DecidingCheck> {
+    pub(crate) fn from_name(name: &str) -> Option<DecidingCheck> {
         DecidingCheck::ALL
             .into_iter()
             .find(|check| check.name() == name)
@@ -103,15 +103,15 @@ impl DecidingCheck {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejection {
     /// The deciding check.
-    pub check: Option<DecidingCheck>,
+    pub(crate) check: Option<DecidingCheck>,
     /// What failed, for logs and error messages.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl Rejection {
     /// A rejection decided by `check`.
     #[must_use]
-    pub fn new(check: DecidingCheck, detail: impl Into<String>) -> Self {
+    pub(crate) fn new(check: DecidingCheck, detail: impl Into<String>) -> Self {
         Rejection {
             check: Some(check),
             detail: detail.into(),
@@ -136,19 +136,19 @@ impl fmt::Display for Rejection {
 
 /// AMD's root key, pinned and expanded once when a component is built.
 #[derive(Debug, Clone)]
-pub struct PinnedArk(ReportVerifier);
+pub(crate) struct PinnedArk(ReportVerifier);
 
 impl PinnedArk {
     /// Pins and expands `ark`.
     #[must_use]
-    pub fn new(ark: VerifyingKey) -> Self {
+    pub(crate) fn new(ark: VerifyingKey) -> Self {
         PinnedArk(ReportVerifier::new(ark))
     }
 }
 
 /// Which launch measurements an appraisal accepts.
 #[derive(Debug, Clone, Copy)]
-pub enum MeasurementRule<'a> {
+pub(crate) enum MeasurementRule<'a> {
     /// One of a golden set (the extension, SP provisioning).
     Golden(&'a GoldenSet),
     /// Exactly the appraiser's own (a leader and its peers).
@@ -160,13 +160,13 @@ pub enum MeasurementRule<'a> {
 
 /// What one appraisal judges a report against.
 #[derive(Debug, Clone, Copy)]
-pub struct AppraisalPolicy<'a> {
+pub(crate) struct AppraisalPolicy<'a> {
     /// The trusted root.
-    pub ark: &'a PinnedArk,
+    pub(crate) ark: &'a PinnedArk,
     /// The measurements accepted.
-    pub measurement: MeasurementRule<'a>,
+    pub(crate) measurement: MeasurementRule<'a>,
     /// Minimum reported TCB, componentwise; `None` accepts any.
-    pub tcb_floor: Option<TcbVersion>,
+    pub(crate) tcb_floor: Option<TcbVersion>,
 }
 
 /// Appraises `signed` against `chain` under `policy`; the first failing
@@ -175,7 +175,7 @@ pub struct AppraisalPolicy<'a> {
 /// # Errors
 ///
 /// Returns the [`Rejection`] naming the deciding check.
-pub fn appraise(
+pub(crate) fn appraise(
     policy: &AppraisalPolicy<'_>,
     signed: &SignedReport,
     chain: &VcekCertChain,
@@ -213,7 +213,7 @@ pub fn appraise(
 /// # Errors
 ///
 /// Returns a [`DecidingCheck::TcbFloor`] rejection below the floor.
-pub fn check_tcb_floor(tcb: TcbVersion, floor: Option<TcbVersion>) -> Result<(), Rejection> {
+pub(crate) fn check_tcb_floor(tcb: TcbVersion, floor: Option<TcbVersion>) -> Result<(), Rejection> {
     match floor {
         Some(floor) if !tcb.meets(floor) => Err(Rejection::new(
             DecidingCheck::TcbFloor,

@@ -94,7 +94,7 @@ impl RevelioError {
     }
 
     /// Whether this error is a transient network condition (directly, or
-    /// wrapped in the HTTP/TLS/PKI layers) rather than a verdict about
+    /// wrapped in the HTTP/TLS layers) rather than a verdict about
     /// attestation or protocol state. Callers must treat transient errors
     /// as "retry later" — never as "attestation failed".
     #[must_use]
@@ -109,7 +109,6 @@ impl RevelioError {
             // opaque; the protocol-level reading lives here.
             RevelioError::Http(HttpError::Status(status)) => *status >= 500,
             RevelioError::Http(e) => e.is_transient(),
-            RevelioError::Pki(e) => e.is_transient(),
             _ => false,
         }
     }
@@ -246,7 +245,6 @@ mod tests {
             last_error: "timed out".into(),
         }
         .is_transient());
-        assert!(RevelioError::Pki(PkiError::Unavailable("acme".into())).is_transient());
         // Verdict-bearing errors must never classify as transient.
         assert!(!RevelioError::TlsBindingMismatch.is_transient());
         assert!(!RevelioError::EvidenceRejected("x".to_owned().into()).is_transient());

@@ -14,10 +14,10 @@
 //! # Staged verification (SNPGuard split)
 //!
 //! * [`WebExtension::verify_evidence`] — the **cacheable** stage: the
-//!   shared [`appraise`] under the site's golden set and the user's TCB
+//!   shared `appraise` under the site's golden set and the user's TCB
 //!   floor (chain, binding, signature, debug policy, floor, measurement;
 //!   the four signatures in one batched check). Its [`EvidenceVerdict`]
-//!   is cached under a [`VerdictKey`] in a generation-stamped map;
+//!   is cached under a `VerdictKey` in a generation-stamped map;
 //!   `register_site` / `revoke_measurement` /
 //!   [`WebExtension::set_tcb_floor`] bump the generation and empty the
 //!   map, so a cache hit (zero signature checks) is as strong as a cold
@@ -40,9 +40,7 @@ use revelio_net::dns::DnsZone;
 use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
 use revelio_pki::cert::Certificate;
-use revelio_telemetry::{
-    retry_with_telemetry, FlightDump, FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY,
-};
+use revelio_telemetry::{retry_with_telemetry, FlightRecorder, Telemetry, DEFAULT_FLIGHT_CAPACITY};
 use revelio_tls::{ResumptionState, TlsClientConfig};
 use sev_snp::ids::TcbVersion;
 use sev_snp::measurement::Measurement;
@@ -56,20 +54,20 @@ use crate::RevelioError;
 
 /// Extension policy and modelled client-side costs.
 #[derive(Debug, Clone)]
-pub struct ExtensionConfig {
+pub(crate) struct ExtensionConfig {
     /// Pinned AMD root key.
-    pub trusted_ark: PinnedArk,
+    pub(crate) trusted_ark: PinnedArk,
     /// Browser root store.
-    pub tls_roots: Vec<Certificate>,
+    pub(crate) tls_roots: Vec<Certificate>,
     /// Modelled cost of in-extension evidence validation, ms (fitted to
     /// Table 3; JavaScript crypto is slow). Charged only on a verdict
     /// cache **miss** — a hit skips the signature work it models.
-    pub validation_ms: f64,
+    pub(crate) validation_ms: f64,
     /// Modelled cost of querying the browser's connection context per
     /// monitored request, ms (Table 3: ~14 ms). Also the cost of the
     /// per-connection TLS-binding stage, which runs on every
     /// verification, cached or not.
-    pub connection_validation_ms: f64,
+    pub(crate) connection_validation_ms: f64,
 }
 
 /// Timing breakdown of one attested page access (Table 3's raw material).
@@ -161,23 +159,23 @@ impl BrowseVerdict {
 /// is a function of these four values; fields outside the key (nonce,
 /// guest SVN, host data) are **not** asserted by a cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VerdictKey {
+pub(crate) struct VerdictKey {
     /// The launch digest.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// The reported TCB, packed ([`TcbVersion::to_u64`]).
-    pub reported_tcb: u64,
+    pub(crate) reported_tcb: u64,
     /// SHA-256 over the bundled VCEK certificate (covers the chip id and
     /// TCB binding, the endorsement key, and the ASK signature).
-    pub vcek_fingerprint: [u8; 32],
+    pub(crate) vcek_fingerprint: [u8; 32],
     /// The attested TLS-key digest from `REPORT_DATA` — the certificate
     /// fingerprint a shared-cert fleet has in common.
-    pub cert_fingerprint: [u8; 32],
+    pub(crate) cert_fingerprint: [u8; 32],
 }
 
 impl VerdictKey {
     /// Computes the cache key of `evidence`. Pure: no network, no clock.
     #[must_use]
-    pub fn of(evidence: &EvidenceBundle) -> Self {
+    pub(crate) fn of(evidence: &EvidenceBundle) -> Self {
         let report = &evidence.report.report;
         // The first half of REPORT_DATA, where the TLS-key digest sits.
         let mut cert_fingerprint = [0u8; 32];
@@ -196,21 +194,21 @@ impl VerdictKey {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvidenceVerdict {
     /// The verified launch digest.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// The verified reported TCB.
-    pub reported_tcb: TcbVersion,
+    pub(crate) reported_tcb: TcbVersion,
     /// The cache generation this verdict was computed under. A verdict
     /// is served from cache only while the verifier still carries the
     /// same generation — any registration, revocation, or TCB-floor change
     /// bumps it.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Whether this verdict came from the cache.
     pub cached: bool,
     /// Signature equations checked by *this* call: 0 on a cache hit,
     /// [`SIGNATURE_CHECKS_PER_VERIFY`] on a miss.
-    pub signature_checks: u64,
+    pub(crate) signature_checks: u64,
     /// The KDS round trip paid by this call, ms (0 on a cache hit).
-    pub kds_ms: f64,
+    pub(crate) kds_ms: f64,
 }
 
 /// Everything the cacheable stage reads, behind **one** lock: golden
@@ -308,7 +306,6 @@ impl AttestedVisit {
 struct Dispatched {
     verdict: BrowseVerdict,
     visit: Result<AttestedVisit, RevelioError>,
-    flight: Option<FlightDump>,
 }
 
 /// The web extension.
@@ -345,7 +342,7 @@ impl WebExtension {
     /// registry until [`WebExtension::with_telemetry`] wires in a shared
     /// one.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         net: SimNet,
         dns: DnsZone,
         kds: KdsHttpClient,
@@ -383,7 +380,7 @@ impl WebExtension {
     /// and outbound requests carry its context as a `traceparent` header,
     /// stitching the server side into the trace.
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    pub(crate) fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.client = self.client.with_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
@@ -405,8 +402,7 @@ impl WebExtension {
     }
 
     /// This extension's own flight ring: its retries and browse verdicts,
-    /// never another browser profile's. [`WebExtension::browse_classified`]
-    /// attaches its dump to `AttestationFailed` verdicts.
+    /// never another browser profile's.
     #[must_use]
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.flight
@@ -494,7 +490,7 @@ impl WebExtension {
 
     /// Whether `domain` is registered for validation.
     #[must_use]
-    pub fn is_registered(&self, domain: &str) -> bool {
+    pub(crate) fn is_registered(&self, domain: &str) -> bool {
         self.verifier.read().golden.contains_key(domain)
     }
 
@@ -532,12 +528,6 @@ impl WebExtension {
         self.kds.flush_cache();
     }
 
-    /// The current TCB floor, if any.
-    #[must_use]
-    pub fn tcb_floor(&self) -> Option<TcbVersion> {
-        self.verifier.read().tcb_floor
-    }
-
     /// The current verdict-cache generation (diagnostics / tests).
     #[must_use]
     pub fn verdict_generation(&self) -> u64 {
@@ -551,9 +541,9 @@ impl WebExtension {
     }
 
     /// **Stage 1 — cacheable.** Appraises `evidence` against `domain`'s
-    /// golden set and the TCB floor ([`appraise`]).
+    /// golden set and the TCB floor (`appraise`).
     ///
-    /// On a cache hit (same [`VerdictKey`], same generation) no KDS
+    /// On a cache hit (same `VerdictKey`, same generation) no KDS
     /// round trip and **no signature verification** happens. On a miss
     /// the verdict is published unless the generation moved while it was
     /// being computed (the insert is skipped, never misfiled).
@@ -774,8 +764,8 @@ impl WebExtension {
     }
 
     /// The single retry/verdict loop every attested entry point funnels
-    /// through: retry-wrapped visit, verdict classification, flight
-    /// recording, and the forensic dump on an affirmative failure.
+    /// through: retry-wrapped visit, verdict classification and flight
+    /// recording.
     fn dispatch(&self, domain: &str, path: Option<&str>, mode: BrowseMode) -> Dispatched {
         let visit = self.with_transient_retry(|_attempt| self.visit_once(domain, path, mode));
         let verdict = match &visit {
@@ -795,15 +785,7 @@ impl WebExtension {
                     .record("verdict", &format!("{target}: {} ({e})", verdict.as_str()));
             }
         }
-        let flight = match verdict {
-            BrowseVerdict::AttestationFailed => Some(self.flight.dump()),
-            _ => None,
-        };
-        Dispatched {
-            verdict,
-            visit,
-            flight,
-        }
+        Dispatched { verdict, visit }
     }
 
     /// Accesses `path` on a registered Revelio site with full attestation
@@ -820,17 +802,14 @@ impl WebExtension {
             .and_then(AttestedVisit::into_outcome)
     }
 
-    /// [`WebExtension::browse`] plus the UI classification: the verdict is
-    /// recorded into the extension's flight ring, and an
-    /// [`BrowseVerdict::AttestationFailed`] verdict carries the ring's
-    /// dump — the forensic timeline behind the red badge.
+    /// [`WebExtension::browse`] plus the UI classification; the verdict is
+    /// recorded into the extension's flight ring.
     #[must_use]
     pub fn browse_classified(&self, domain: &str, path: &str) -> ClassifiedBrowse {
         let dispatched = self.dispatch(domain, Some(path), BrowseMode::WellKnown);
         ClassifiedBrowse {
             verdict: dispatched.verdict,
             result: dispatched.visit.and_then(AttestedVisit::into_outcome),
-            flight: dispatched.flight,
         }
     }
 
@@ -1088,18 +1067,14 @@ impl WebExtension {
     }
 }
 
-/// Outcome of [`WebExtension::browse_classified`]: the UI verdict, the
-/// underlying result, and — only on an affirmative attestation failure —
-/// the extension's flight-recorder dump.
+/// Outcome of [`WebExtension::browse_classified`]: the UI verdict and the
+/// underlying result.
 #[derive(Debug)]
 pub struct ClassifiedBrowse {
     /// The badge the UI shows.
     pub verdict: BrowseVerdict,
     /// The underlying browse result.
     pub result: Result<BrowseOutcome, RevelioError>,
-    /// The extension's recent event timeline; populated only when
-    /// `verdict` is [`BrowseVerdict::AttestationFailed`].
-    pub flight: Option<FlightDump>,
 }
 
 /// An attested session whose every request re-validates the connection.

@@ -51,7 +51,7 @@ fn decode_query(bytes: &[u8]) -> Result<(ChipId, TcbVersion), RevelioError> {
 /// # Errors
 ///
 /// Returns [`RevelioError::Http`] when the address is taken.
-pub fn serve_kds(
+pub(crate) fn serve_kds(
     net: &SimNet,
     address: &str,
     kds: KeyDistributionService,
@@ -128,14 +128,6 @@ impl std::fmt::Debug for KdsHttpClient {
 }
 
 impl KdsHttpClient {
-    /// The retry policy new clients start with: the crate-wide default
-    /// budget on the KDS-specific jitter stream. [`crate::world::RetryTuning`]
-    /// uses this as its `kds` default.
-    #[must_use]
-    pub fn default_retry_policy() -> RetryPolicy {
-        RetryPolicy::default().with_jitter_seed(KDS_JITTER_SEED)
-    }
-
     /// A client with an empty cache, recording into a private registry
     /// on `net`'s clock.
     #[must_use]
@@ -145,7 +137,7 @@ impl KdsHttpClient {
             net,
             address: address.to_owned(),
             cache: VcekCache::default(),
-            retry: Self::default_retry_policy(),
+            retry: RetryPolicy::default().with_jitter_seed(KDS_JITTER_SEED),
         }
     }
 
@@ -155,14 +147,6 @@ impl KdsHttpClient {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Replaces the retry policy applied to transient transport failures
-    /// on the KDS fetch path.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -237,7 +221,7 @@ impl KdsHttpClient {
     ///
     /// The flush is counted as
     /// `revelio_kds_client_cache_invalidations_total`.
-    pub fn flush_cache(&self) {
+    pub(crate) fn flush_cache(&self) {
         {
             let mut state = self.cache.write();
             state.generation += 1;
@@ -245,18 +229,6 @@ impl KdsHttpClient {
         }
         self.telemetry
             .counter_add("revelio_kds_client_cache_invalidations_total", 1);
-    }
-
-    /// The current cache generation.
-    #[must_use]
-    pub fn cache_generation(&self) -> u64 {
-        self.cache.read().generation
-    }
-
-    /// Number of VCEK chains currently cached.
-    #[must_use]
-    pub fn cached_chains(&self) -> usize {
-        self.cache.read().chains.len()
     }
 
     /// Fetches the chip-independent ARK → ASK certificates from the KDS
@@ -434,14 +406,14 @@ mod tests {
         let (_, hit) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
         assert!(first > 400.0);
         assert_eq!(hit, 0.0);
-        assert_eq!(client.cached_chains(), 1);
-        assert_eq!(client.cache_generation(), 0);
+        assert_eq!(client.cache.read().chains.len(), 1);
+        assert_eq!(client.cache.read().generation, 0);
 
         // A revocation/TCB-floor event flushes: generation moves, map
         // empties, and the next fetch pays the round trip again.
         client.flush_cache();
-        assert_eq!(client.cache_generation(), 1);
-        assert_eq!(client.cached_chains(), 0);
+        assert_eq!(client.cache.read().generation, 1);
+        assert_eq!(client.cache.read().chains.len(), 0);
         let (_, refetch) = clock.time_ms(|| client.vcek_chain(&chip, &tcb).unwrap());
         assert!(refetch > 400.0, "flushed chain must be re-fetched");
 
@@ -471,9 +443,9 @@ mod tests {
         // moved it to 1. The caller still gets its chain, but the cache
         // must not file it under the new generation.
         client.vcek_chain(&chip, &tcb).unwrap();
-        assert_eq!(client.cache_generation(), 1);
+        assert_eq!(client.cache.read().generation, 1);
         assert_eq!(
-            client.cached_chains(),
+            client.cache.read().chains.len(),
             0,
             "in-flight chain survived a flush"
         );
@@ -495,10 +467,18 @@ mod tests {
         clone
             .vcek_chain(&ChipId::from_seed(1), &TcbVersion::default())
             .unwrap();
-        assert_eq!(client.cached_chains(), 1, "clones share the cache cell");
+        assert_eq!(
+            client.cache.read().chains.len(),
+            1,
+            "clones share the cache cell"
+        );
         client.flush_cache();
-        assert_eq!(clone.cached_chains(), 0, "flush reaches every clone");
-        assert_eq!(clone.cache_generation(), 1);
+        assert_eq!(
+            clone.cache.read().chains.len(),
+            0,
+            "flush reaches every clone"
+        );
+        assert_eq!(clone.cache.read().generation, 1);
     }
 
     #[test]

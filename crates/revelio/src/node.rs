@@ -36,7 +36,6 @@ use revelio_pki::cert::{CertificateChain, CertificateSigningRequest};
 use revelio_telemetry::{retry_with_telemetry, FlightRecorder, Telemetry};
 use revelio_tls::TlsServerConfig;
 use sev_snp::ids::ChipId;
-use sev_snp::measurement::Measurement;
 use sev_snp::report::SignedReport;
 
 use crate::appraisal::{
@@ -47,7 +46,7 @@ use crate::kds_http::KdsHttpClient;
 use crate::RevelioError;
 
 /// Response header naming the [`DecidingCheck`] behind a bootstrap
-/// refusal (by [`DecidingCheck::name`]), beside the `X-Revelio-Error`
+/// refusal (by `DecidingCheck::name`), beside the `X-Revelio-Error`
 /// text, so the check survives the hop back to the caller.
 pub const CHECK_HEADER: &str = "X-Revelio-Check";
 
@@ -71,54 +70,41 @@ pub(crate) fn refusal_check(response: &Response) -> Option<DecidingCheck> {
 
 /// Static configuration of one Revelio node.
 #[derive(Debug, Clone)]
-pub struct NodeConfig {
+pub(crate) struct NodeConfig {
     /// Service domain the shared certificate will cover.
-    pub domain: String,
+    pub(crate) domain: String,
     /// Public HTTPS address, e.g. `"203.0.113.1:443"`.
-    pub public_address: String,
+    pub(crate) public_address: String,
     /// Provider-internal bootstrap address, e.g. `"203.0.113.1:8080"`.
-    pub bootstrap_address: String,
+    pub(crate) bootstrap_address: String,
     /// CSR organisation field.
-    pub organization: String,
+    pub(crate) organization: String,
     /// CSR country field.
-    pub country: String,
+    pub(crate) country: String,
     /// Modelled server-side work per application request, in ms (drives
     /// the Table 3 "plain GET" row).
-    pub page_processing_ms: f64,
+    pub(crate) page_processing_ms: f64,
     /// Pinned AMD root key for validating peer/leader reports.
-    pub trusted_ark: PinnedArk,
+    pub(crate) trusted_ark: PinnedArk,
     /// Trusted web-PKI roots: the certificate chain the SP distributes is
     /// validated against these before installation (a forged self-signed
     /// chain from a bootstrap-network attacker must not be served).
-    pub trusted_tls_roots: Vec<revelio_pki::cert::Certificate>,
-    /// Retry budget for the node's leader-link requests (key retrieval
-    /// over the provider-internal network). Start from
-    /// [`NodeConfig::default_retry_policy`].
-    pub retry: RetryPolicy,
-}
-
-impl NodeConfig {
-    /// The retry policy node configs should start with: the crate-wide
-    /// default budget on the node-specific jitter stream.
-    #[must_use]
-    pub fn default_retry_policy() -> RetryPolicy {
-        RetryPolicy::default().with_jitter_seed(NODE_JITTER_SEED)
-    }
+    pub(crate) trusted_tls_roots: Vec<revelio_pki::cert::Certificate>,
 }
 
 /// The `{CSR, report}` bundle a node hands the SP (Fig. 4 step 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrBundle {
+pub(crate) struct CsrBundle {
     /// CSR for the node's unique identity key.
-    pub csr: CertificateSigningRequest,
+    pub(crate) csr: CertificateSigningRequest,
     /// Report with `REPORT_DATA = SHA-256(csr)`.
-    pub report: SignedReport,
+    pub(crate) report: SignedReport,
 }
 
 impl CsrBundle {
     /// Serializes the bundle.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_var_bytes(&self.csr.to_bytes());
         w.put_var_bytes(&self.report.to_bytes());
@@ -130,7 +116,7 @@ impl CsrBundle {
     /// # Errors
     ///
     /// Returns wire/crypto errors for malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, RevelioError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, RevelioError> {
         let mut r = ByteReader::new(bytes);
         let csr = CertificateSigningRequest::from_bytes(r.get_var_bytes()?)?;
         let report = SignedReport::from_bytes(r.get_var_bytes()?)?;
@@ -530,7 +516,7 @@ impl RevelioNode {
     /// # Errors
     ///
     /// Returns [`RevelioError::Http`] when an address is already bound.
-    pub fn deploy(
+    pub(crate) fn deploy(
         net: SimNet,
         kds: KdsHttpClient,
         vm: BootedVm,
@@ -546,14 +532,13 @@ impl RevelioNode {
         let mut mac = Hmac::<Sha256>::new(identity.seed());
         mac.update(b"box-encryption");
         let box_secret = mac.finalize_fixed();
-        let retry = config.retry.clone();
         let shared = Arc::new(NodeShared {
             vm,
             identity,
             config,
             net: net.clone(),
             kds,
-            retry,
+            retry: RetryPolicy::default().with_jitter_seed(NODE_JITTER_SEED),
             state: Mutex::new(NodeState {
                 chain: None,
                 tls_key: None,
@@ -608,18 +593,6 @@ impl RevelioNode {
         };
         serve_http(&net, &shared.config.bootstrap_address, bootstrap_router)?;
         Ok(RevelioNode { shared })
-    }
-
-    /// This node's launch measurement.
-    #[must_use]
-    pub fn measurement(&self) -> Measurement {
-        self.shared.vm.measurement()
-    }
-
-    /// The node's unique identity public key.
-    #[must_use]
-    pub fn identity_public_key(&self) -> VerifyingKey {
-        self.shared.identity.verifying_key()
     }
 
     /// The installed shared TLS public key, once provisioned.

@@ -10,14 +10,14 @@
 //! schedules a **bounded** amount of work —
 //!
 //! * **re-admission**: quarantined nodes whose partitions healed are
-//!   re-attested ([`ServiceProviderNode::observe_node`]), re-issued the
+//!   re-attested (`ServiceProviderNode::observe_node`), re-issued the
 //!   fleet certificate and rejoin the serving roster;
 //! * **renewal**: the shared certificate is re-ordered ahead of its
-//!   `not_after_ms` (inside [`FleetSpec::renewal_lead_ms`]) under the
+//!   `not_after_ms` (inside `FleetSpec::renewal_lead_ms`) under the
 //!   CA's usual rate-limit and retry machinery — an expired certificate
 //!   is an outage the paper's verifier cannot distinguish from attack;
 //! * **rolling upgrade**: a canary-first attestation wave moves the
-//!   fleet to [`FleetSpec::target_measurement`]. Canaries are upgraded
+//!   fleet to `FleetSpec::target_measurement`. Canaries are upgraded
 //!   and *attestation-verified* while the rest of the fleet keeps
 //!   serving the old image; any canary whose measured launch differs
 //!   from the target (a diverging build pipeline, a tampered image)
@@ -48,7 +48,7 @@ use revelio_telemetry::Telemetry;
 use sev_snp::ids::TcbVersion;
 use sev_snp::measurement::Measurement;
 
-use crate::appraisal::check_tcb_floor;
+use crate::appraisal::{check_tcb_floor, MeasurementRule};
 use crate::registry::GoldenSet;
 use crate::sp::{ProvisionReport, ServiceProviderNode};
 use crate::RevelioError;
@@ -59,25 +59,25 @@ use crate::RevelioError;
 pub struct FleetSpec {
     /// The service domain (DNS is re-pointed at the leader on topology
     /// changes when the reconciler holds the zone).
-    pub domain: String,
+    pub(crate) domain: String,
     /// The launch measurement every node should be running.
-    pub target_measurement: Measurement,
+    pub(crate) target_measurement: Measurement,
     /// Minimum acceptable platform TCB, judged componentwise by the same
-    /// check the extension applies ([`check_tcb_floor`]). Nodes observed
+    /// check the extension applies (`check_tcb_floor`). Nodes observed
     /// below the floor are out of spec.
     pub tcb_floor: Option<TcbVersion>,
     /// Renew the shared certificate once it enters its final
     /// `renewal_lead_ms` of validity.
-    pub renewal_lead_ms: u64,
+    pub(crate) renewal_lead_ms: u64,
     /// Fraction of the fleet upgraded (and attestation-verified) as
     /// canaries before the wave. The serving leader is never a canary —
     /// the site must keep serving the old image until the wave commits.
-    pub canary_fraction: f64,
+    pub(crate) canary_fraction: f64,
     /// Virtual time that passes per [`Reconciler::tick`], ms.
     pub tick_interval_ms: u64,
     /// Upper bound on upgrade actuations per tick — the "bounded work"
     /// knob that keeps one tick from redeploying the whole fleet.
-    pub wave_batch: usize,
+    pub(crate) wave_batch: usize,
 }
 
 impl FleetSpec {
@@ -122,7 +122,7 @@ pub enum RolloutPhase {
 impl RolloutPhase {
     /// Stable lowercase name for transcripts and metric labels.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RolloutPhase::Idle => "idle",
             RolloutPhase::Canary => "canary",
@@ -134,7 +134,7 @@ impl RolloutPhase {
 
     /// Stable numeric encoding for the `revelio_reconcile_phase` gauge.
     #[must_use]
-    pub fn gauge_value(self) -> f64 {
+    pub(crate) fn gauge_value(self) -> f64 {
         match self {
             RolloutPhase::Idle => 0.0,
             RolloutPhase::Canary => 1.0,
@@ -149,7 +149,7 @@ impl RolloutPhase {
 /// and redeploy it — same chip, same addresses, same identity seed —
 /// booted from the operator's *current build* of the target image. The
 /// reconciler never trusts the actuator's claim of success; it verifies
-/// by re-attestation ([`ServiceProviderNode::observe_node`]), which is
+/// by re-attestation (`ServiceProviderNode::observe_node`), which is
 /// exactly where build-pipeline drift is caught.
 pub trait NodeActuator {
     /// Redeploys `bootstrap` from the current target build.
@@ -210,7 +210,7 @@ impl<A: NodeActuator> Reconciler<A> {
     /// quarantine set, `current_measurement` what the fleet measures
     /// today.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         sp: ServiceProviderNode,
         net: SimNet,
         spec: FleetSpec,
@@ -267,7 +267,7 @@ impl<A: NodeActuator> Reconciler<A> {
     /// Records reconcile spans, counters and gauges into `telemetry`
     /// instead of the reconciler's private registry.
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    pub(crate) fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
@@ -276,7 +276,11 @@ impl<A: NodeActuator> Reconciler<A> {
     /// address map, so a leader change (post-rollout re-provision)
     /// re-points the domain.
     #[must_use]
-    pub fn with_dns(mut self, dns: DnsZone, public_addresses: BTreeMap<String, String>) -> Self {
+    pub(crate) fn with_dns(
+        mut self,
+        dns: DnsZone,
+        public_addresses: BTreeMap<String, String>,
+    ) -> Self {
         self.dns = Some(dns);
         self.public_addresses = public_addresses;
         self
@@ -329,7 +333,7 @@ impl<A: NodeActuator> Reconciler<A> {
         span.finish_ms();
     }
 
-    /// Runs ticks until [`Reconciler::is_converged`] or `max_ticks`;
+    /// Runs ticks until `Reconciler::is_converged` or `max_ticks`;
     /// returns whether convergence was reached.
     pub fn run_until_converged(&mut self, max_ticks: u64) -> bool {
         for _ in 0..max_ticks {
@@ -352,7 +356,7 @@ impl<A: NodeActuator> Reconciler<A> {
     /// Converged: every node admitted at the current measurement, the
     /// rollout complete, and the certificate outside its renewal window.
     #[must_use]
-    pub fn is_converged(&self) -> bool {
+    pub(crate) fn is_converged(&self) -> bool {
         let now_ms = self.net.clock().now_us() / 1000;
         self.phase == RolloutPhase::Complete
             && self
@@ -384,22 +388,10 @@ impl<A: NodeActuator> Reconciler<A> {
         &self.chain
     }
 
-    /// The current leader's bootstrap address.
-    #[must_use]
-    pub fn leader(&self) -> &str {
-        &self.leader
-    }
-
     /// Quarantined nodes, in fleet order.
     #[must_use]
     pub fn quarantined(&self) -> Vec<String> {
         self.nodes_with(NodeHealth::Quarantined)
-    }
-
-    /// Admitted nodes, in fleet order.
-    #[must_use]
-    pub fn admitted(&self) -> Vec<String> {
-        self.nodes_with(NodeHealth::Admitted)
     }
 
     /// Ticks run so far.
@@ -481,7 +473,7 @@ impl<A: NodeActuator> Reconciler<A> {
         self.net.fault_domains().iter().any(|d| {
             matches!(d.effect, DomainEffect::Partition)
                 && d.is_active_at(now_us)
-                && d.matches(None, address)
+                && d.matches(address)
         })
     }
 
@@ -510,7 +502,7 @@ impl<A: NodeActuator> Reconciler<A> {
             if self.is_partitioned(&bootstrap) {
                 continue;
             }
-            let Ok(observed) = self.sp.observe_node(&bootstrap) else {
+            let Ok(observed) = self.sp.observe_node(&bootstrap, MeasurementRule::Reported) else {
                 // Unreachable or rejected: not a transition, stay
                 // quarantined and retry next tick.
                 continue;
@@ -532,7 +524,8 @@ impl<A: NodeActuator> Reconciler<A> {
                 self.event(&format!(
                     "upgrade {bootstrap} (stale image on re-admission)"
                 ));
-                let Ok(reobserved) = self.sp.observe_node(&bootstrap) else {
+                let Ok(reobserved) = self.sp.observe_node(&bootstrap, MeasurementRule::Reported)
+                else {
                     continue;
                 };
                 if reobserved.measurement != self.current_measurement
@@ -696,7 +689,7 @@ impl<A: NodeActuator> Reconciler<A> {
             if !self.upgraded.contains(bootstrap) || self.verified.contains(bootstrap) {
                 continue;
             }
-            match self.sp.observe_node(bootstrap) {
+            match self.sp.observe_node(bootstrap, MeasurementRule::Reported) {
                 Ok(observed)
                     if observed.measurement == self.spec.target_measurement
                         && check_tcb_floor(observed.tcb, self.spec.tcb_floor).is_ok() =>
@@ -798,7 +791,7 @@ impl<A: NodeActuator> Reconciler<A> {
         if self.is_partitioned(&bootstrap) {
             return;
         }
-        let Ok(observed) = self.sp.observe_node(&bootstrap) else {
+        let Ok(observed) = self.sp.observe_node(&bootstrap, MeasurementRule::Reported) else {
             return; // transient: innocent until attested otherwise next lap
         };
         if observed.measurement != self.current_measurement {

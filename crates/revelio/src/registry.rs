@@ -27,12 +27,6 @@ pub struct GoldenSet {
 }
 
 impl GoldenSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        GoldenSet::default()
-    }
-
     /// Builds from a list of trusted measurements.
     #[must_use]
     pub fn from_measurements(measurements: impl IntoIterator<Item = Measurement>) -> Self {
@@ -42,13 +36,8 @@ impl GoldenSet {
         }
     }
 
-    /// Adds a trusted measurement (new image rollout).
-    pub fn publish(&mut self, measurement: Measurement) {
-        self.trusted.insert(measurement);
-    }
-
     /// Revokes a measurement (obsolete image; prevents rollback attacks).
-    pub fn revoke(&mut self, measurement: Measurement) {
+    pub(crate) fn revoke(&mut self, measurement: Measurement) {
         self.revoked.insert(measurement);
     }
 
@@ -82,13 +71,13 @@ pub enum VoteKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vote {
     /// What is being voted on.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// Approve or revoke.
-    pub kind: VoteKind,
+    pub(crate) kind: VoteKind,
     /// The voter's public key.
-    pub voter: VerifyingKey,
+    pub(crate) voter: VerifyingKey,
     /// Signature over the vote payload.
-    pub signature: Signature,
+    pub(crate) signature: Signature,
 }
 
 fn vote_payload(measurement: &Measurement, kind: VoteKind) -> Vec<u8> {
@@ -118,7 +107,7 @@ impl Vote {
     /// # Errors
     ///
     /// Returns [`RevelioError::Crypto`] when the signature fails.
-    pub fn verify(&self) -> Result<(), RevelioError> {
+    pub(crate) fn verify(&self) -> Result<(), RevelioError> {
         self.voter
             .verify(&vote_payload(&self.measurement, self.kind), &self.signature)
             .map_err(RevelioError::Crypto)
@@ -214,14 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn golden_set_publish_and_revoke() {
-        let mut set = GoldenSet::new();
+    fn golden_set_revoke_blocks_rollback() {
         let v1 = m(b"image-v1");
         let v2 = m(b"image-v2");
-        set.publish(v1);
+        let mut set = GoldenSet::from_measurements([v1, v2]);
         assert!(set.is_trusted(&v1));
-        // New rollout: v2 published, v1 revoked -> rollback to v1 rejected.
-        set.publish(v2);
+        // New rollout: v2 trusted, v1 revoked -> rollback to v1 rejected.
         set.revoke(v1);
         assert!(!set.is_trusted(&v1));
         assert!(set.is_trusted(&v2));

@@ -35,25 +35,25 @@ use crate::RevelioError;
 
 /// SP-node policy and modelled costs.
 #[derive(Debug, Clone)]
-pub struct SpConfig {
+pub(crate) struct SpConfig {
     /// Pinned AMD root key.
-    pub trusted_ark: PinnedArk,
+    pub(crate) trusted_ark: PinnedArk,
     /// The service domain every node's CSR must name — the SP's ACME
     /// account must never be tricked into ordering a certificate for a
     /// domain smuggled into a node's configuration.
-    pub expected_domain: String,
+    pub(crate) expected_domain: String,
     /// Acceptable launch measurements (from the registry or own build).
-    pub golden: GoldenSet,
+    pub(crate) golden: GoldenSet,
     /// Approved `(chip id, bootstrap address)` pairs — an impostor with a
     /// *valid* report on the wrong machine or address is rejected
     /// (§5.3.1).
-    pub allowlist: Vec<(ChipId, String)>,
+    pub(crate) allowlist: Vec<(ChipId, String)>,
     /// Modelled cryptographic-validation cost per node, ms (Table 2:
     /// 13 ms).
-    pub validation_ms: f64,
+    pub(crate) validation_ms: f64,
     /// Modelled CA-side processing for certificate issuance, ms (the bulk
     /// of Table 2's 2996 ms generation row).
-    pub ca_processing_ms: f64,
+    pub(crate) ca_processing_ms: f64,
 }
 
 /// Per-phase simulated latencies (Table 2's rows).
@@ -102,7 +102,7 @@ pub struct QuarantinedNode {
     /// The phase that excluded it.
     pub phase: ProvisionPhase,
     /// The error that triggered the quarantine.
-    pub error: RevelioError,
+    pub(crate) error: RevelioError,
     /// The node's flight-recorder dump at quarantine time — its recent
     /// fault/retry/verdict timeline, for forensics. `None` when the SP
     /// runs without a flight directory (or the node has no ring).
@@ -134,16 +134,14 @@ pub struct ProvisionReport {
 /// reconciler diffing a fleet against its spec) decides whether it is
 /// the target image, the old image, or drift.
 #[derive(Debug, Clone)]
-pub struct NodeObservation {
-    /// Bootstrap address the observation was fetched from.
-    pub bootstrap: String,
+pub(crate) struct NodeObservation {
     /// The attested launch measurement the node is actually running.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// The attested TCB the node's platform reports — diffed against the
     /// spec's floor by the reconciler.
-    pub tcb: sev_snp::ids::TcbVersion,
+    pub(crate) tcb: sev_snp::ids::TcbVersion,
     /// The node's CSR (renewal input: the leader's CSR is re-ordered).
-    pub csr: CertificateSigningRequest,
+    pub(crate) csr: CertificateSigningRequest,
 }
 
 /// The step of a node's attestation branch that quarantined it. A run
@@ -197,7 +195,7 @@ impl ServiceProviderNode {
     /// [`ServiceProviderNode::with_telemetry`] and
     /// [`ServiceProviderNode::with_flight_directory`] wire in shared ones.
     #[must_use]
-    pub fn new(net: SimNet, kds: KdsHttpClient, acme: AcmeCa, config: SpConfig) -> Self {
+    pub(crate) fn new(net: SimNet, kds: KdsHttpClient, acme: AcmeCa, config: SpConfig) -> Self {
         let mut allowlist_index: HashMap<String, Vec<ChipId>> = HashMap::new();
         for (chip, address) in &config.allowlist {
             allowlist_index
@@ -228,16 +226,8 @@ impl ServiceProviderNode {
     /// Records provisioning spans into `telemetry` instead of a private
     /// registry, so they join the world's span tree.
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    pub(crate) fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Replaces the retry policy applied to transient transport failures
-    /// on the evidence-retrieval and distribution paths.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -246,7 +236,7 @@ impl ServiceProviderNode {
     /// ([`QuarantinedNode::flight`]), and the SP's own retries are
     /// recorded into the dialed node's ring.
     #[must_use]
-    pub fn with_flight_directory(mut self, flight: FlightDirectory) -> Self {
+    pub(crate) fn with_flight_directory(mut self, flight: FlightDirectory) -> Self {
         self.flight = flight;
         self
     }
@@ -559,31 +549,35 @@ impl ServiceProviderNode {
     /// reconciler rotates it when a rolling upgrade changes the fleet's
     /// target image (the old image's measurement stops being golden the
     /// moment the rollout completes).
-    pub fn set_golden(&mut self, golden: GoldenSet) {
+    pub(crate) fn set_golden(&mut self, golden: GoldenSet) {
         self.config.golden = golden;
     }
 
-    /// Fetches and integrity-verifies one node's bundle **without**
-    /// judging the measurement: chain, report signature, CSR binding,
-    /// proof of possession, and the chip↔address allowlist all hold, and
-    /// the attested measurement is *reported* for the caller to diff
-    /// against its spec. This is how the reconciler sees drift as a named
-    /// measurement instead of a bare rejection, and how a healed
-    /// quarantined node proves it is re-admissible.
+    /// Fetches and validates one node's bundle, judging its measurement
+    /// by `measurement`: chain, report signature, CSR binding, proof of
+    /// possession, and the chip↔address allowlist all hold. Under
+    /// [`MeasurementRule::Reported`] the attested measurement is
+    /// *reported* for the caller to diff against its spec — how the
+    /// reconciler sees drift as a named measurement instead of a bare
+    /// rejection, and how a healed quarantined node proves it is
+    /// re-admissible. A renewal judges its leader against the golden set.
     ///
     /// # Errors
     ///
-    /// Transport failures surface transient; any integrity failure is
-    /// [`RevelioError::NodeRejected`].
-    pub fn observe_node(&self, bootstrap: &str) -> Result<NodeObservation, RevelioError> {
+    /// Transport failures surface transient; any integrity failure, or a
+    /// measurement the rule refuses, is [`RevelioError::NodeRejected`].
+    pub(crate) fn observe_node(
+        &self,
+        bootstrap: &str,
+        measurement: MeasurementRule<'_>,
+    ) -> Result<NodeObservation, RevelioError> {
         let span = self
             .telemetry
             .span_with("sp.observe_node", &[("node", bootstrap)]);
         let result = (|| {
             let bundle = self.fetch_bundle(bootstrap)?;
-            self.validate_bundle(bootstrap, &bundle, MeasurementRule::Reported)?;
+            self.validate_bundle(bootstrap, &bundle, measurement)?;
             Ok(NodeObservation {
-                bootstrap: bootstrap.to_owned(),
                 measurement: bundle.report.report.measurement,
                 tcb: bundle.report.report.reported_tcb,
                 csr: bundle.csr,
@@ -639,12 +633,12 @@ impl ServiceProviderNode {
     }
 
     /// Orders a renewal chain for the fleet ahead of `not_after_ms`: the
-    /// leader is re-observed (fresh integrity proof **and** a golden
-    /// measurement — an out-of-spec leader must not anchor a renewed
-    /// certificate), its CSR must still carry the public key the current
-    /// chain binds (the shared fleet key must survive a renewal
-    /// unchanged), and the ACME order runs under the CA's usual
-    /// rate-limit and retry machinery.
+    /// leader is re-observed under the golden set (fresh integrity proof
+    /// **and** a golden measurement — an out-of-spec leader must not
+    /// anchor a renewed certificate), its CSR must still carry the public
+    /// key the current chain binds (the shared fleet key must survive a
+    /// renewal unchanged), and the ACME order runs under the CA's usual
+    /// rate limit.
     ///
     /// # Errors
     ///
@@ -656,19 +650,8 @@ impl ServiceProviderNode {
         leader_bootstrap: &str,
         current: &CertificateChain,
     ) -> Result<CertificateChain, RevelioError> {
-        let observed = self.observe_node(leader_bootstrap)?;
-        if !self.config.golden.is_trusted(&observed.measurement) {
-            return Err(RevelioError::NodeRejected {
-                node: leader_bootstrap.to_owned(),
-                reason: Rejection::new(
-                    DecidingCheck::Measurement,
-                    format!(
-                        "renewal leader runs non-golden measurement {}",
-                        observed.measurement
-                    ),
-                ),
-            });
-        }
+        let golden = MeasurementRule::Golden(&self.config.golden);
+        let observed = self.observe_node(leader_bootstrap, golden)?;
         if observed.csr.public_key != current.leaf().public_key {
             return Err(RevelioError::KeyCertificateMismatch);
         }

@@ -17,7 +17,7 @@ use revelio_http::HttpError;
 use revelio_net::clock::SimClock;
 use revelio_net::dns::DnsZone;
 use revelio_net::net::{NetConfig, SimNet};
-use revelio_net::{FaultDomain, FaultPlan, NetError, RetryPolicy};
+use revelio_net::NetError;
 use revelio_pki::acme::{AcmeCa, AcmePolicy};
 use revelio_pki::cert::Certificate;
 use revelio_telemetry::{FlightDirectory, Telemetry, DEFAULT_FLIGHT_CAPACITY};
@@ -47,80 +47,26 @@ fn fleet_identity_seed(world_seed: u64, index: u64) -> [u8; 32] {
     identity_seed
 }
 
-/// Paper-calibrated latency constants (§6.4, Table 2/3).
-#[derive(Debug, Clone)]
-pub struct WorldTuning {
-    /// One-way link latency, µs (Table 3 base RTT 5.2 ms).
-    pub link_one_way_us: u64,
-    /// One-way latency to the KDS, µs (Table 3: 427.3 ms round trip).
-    pub kds_one_way_us: u64,
-    /// Provider-internal one-way latency to node bootstrap ports, µs
-    /// (Table 2: 17 ms retrieval round trip).
-    pub internal_one_way_us: u64,
-    /// Modelled app work per page request, ms (Table 3: plain GET
-    /// 100.9 ms − 2 RTTs).
-    pub page_processing_ms: f64,
-    /// SP-side validation cost per node, ms (Table 2: 13 ms).
-    pub sp_validation_ms: f64,
-    /// CA processing on certificate orders, ms (Table 2: 2996 ms total).
-    pub ca_processing_ms: f64,
-    /// In-extension validation cost, ms (fitted to Table 3's row 3).
-    pub extension_validation_ms: f64,
-    /// Per-request connection validation, ms (Table 3: 115.0 − 100.9).
-    pub extension_conn_validation_ms: f64,
-    /// Per-component retry budgets for transient transport faults.
-    pub retry: RetryTuning,
-}
+// Paper-calibrated latency constants (§6.4, Table 2/3).
 
-impl Default for WorldTuning {
-    fn default() -> Self {
-        WorldTuning {
-            link_one_way_us: 2_600,
-            kds_one_way_us: 213_650,
-            internal_one_way_us: 8_500,
-            page_processing_ms: 90.5,
-            sp_validation_ms: 13.0,
-            ca_processing_ms: 2_950.0,
-            extension_validation_ms: 230.0,
-            extension_conn_validation_ms: 14.1,
-            retry: RetryTuning::default(),
-        }
-    }
-}
-
-/// Per-component [`RetryPolicy`] budgets: one field per component
-/// [`SimWorld`] builds with a retry loop, threaded into that component's
-/// constructor. The [`Default`] is each component's own default policy
-/// (same budget, same per-component jitter stream); ablations override
-/// individual fields to trade retry budget against attestation tail
-/// latency under loss.
-#[derive(Debug, Clone)]
-pub struct RetryTuning {
-    /// VCEK-chain fetches from the AMD KDS (the 427 ms public-internet
-    /// round trip).
-    pub kds: RetryPolicy,
-    /// ACME certificate orders against the CA.
-    pub acme: RetryPolicy,
-    /// SP evidence retrieval and certificate distribution over the
-    /// provider-internal network.
-    pub sp: RetryPolicy,
-    /// Node leader-link key requests during bootstrap.
-    pub node: RetryPolicy,
-    /// Web-extension attested browsing (report + page fetches).
-    pub extension: RetryPolicy,
-}
-
-impl Default for RetryTuning {
-    fn default() -> Self {
-        RetryTuning {
-            kds: KdsHttpClient::default_retry_policy(),
-            acme: AcmeCa::default_retry_policy(),
-            sp: ServiceProviderNode::default_retry_policy(),
-            node: NodeConfig::default_retry_policy(),
-            extension: WebExtension::default_retry_policy(),
-        }
-    }
-}
+/// One-way link latency, µs (Table 3 base RTT 5.2 ms).
+pub const LINK_ONE_WAY_US: u64 = 2_600;
+/// One-way latency to the KDS, µs (Table 3: 427.3 ms round trip).
+const KDS_ONE_WAY_US: u64 = 213_650;
+/// Provider-internal one-way latency to node bootstrap ports, µs
+/// (Table 2: 17 ms retrieval round trip).
+const INTERNAL_ONE_WAY_US: u64 = 8_500;
+/// Modelled app work per page request, ms (Table 3: plain GET
+/// 100.9 ms − 2 RTTs).
+const PAGE_PROCESSING_MS: f64 = 90.5;
+/// SP-side validation cost per node, ms (Table 2: 13 ms).
+const SP_VALIDATION_MS: f64 = 13.0;
+/// CA processing on certificate orders, ms (Table 2: 2996 ms total).
+const CA_PROCESSING_MS: f64 = 2_950.0;
+/// In-extension validation cost, ms (fitted to Table 3's row 3).
+const EXTENSION_VALIDATION_MS: f64 = 230.0;
+/// Per-request connection validation, ms (Table 3: 115.0 − 100.9).
+const EXTENSION_CONN_VALIDATION_MS: f64 = 14.1;
 
 /// A deployed, provisioned Revelio fleet.
 pub struct DeployedFleet {
@@ -134,7 +80,7 @@ pub struct DeployedFleet {
     /// The SP node's provisioning report (Table 2 timings).
     pub provision: ProvisionReport,
     /// The domain served.
-    pub domain: String,
+    pub(crate) domain: String,
 }
 
 impl std::fmt::Debug for DeployedFleet {
@@ -158,7 +104,7 @@ pub struct SimWorld {
     /// Per-node flight recorders keyed by address (bootstrap and public
     /// addresses alias to one ring). Injected faults are mirrored here so
     /// a quarantined node's dump shows what it saw before it went dark.
-    pub flight: FlightDirectory,
+    pub(crate) flight: FlightDirectory,
     /// The network fabric.
     pub net: SimNet,
     /// The DNS zone (service-provider controlled — i.e. untrusted).
@@ -172,8 +118,6 @@ pub struct SimWorld {
     pub acme: AcmeCa,
     /// A caching KDS client (share or clone as needed).
     pub kds: KdsHttpClient,
-    /// Latency/cost calibration.
-    pub tuning: WorldTuning,
     seed: u64,
     next_chip: u64,
     /// Last octet of the next node address; `None` once all 255 host
@@ -202,21 +146,15 @@ impl std::fmt::Debug for SimWorld {
 }
 
 impl SimWorld {
-    /// Creates a world with paper-calibrated defaults.
+    /// Creates a world with paper-calibrated latencies.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Self::with_tuning(seed, WorldTuning::default())
-    }
-
-    /// Creates a world with custom latency calibration.
-    #[must_use]
-    pub fn with_tuning(seed: u64, tuning: WorldTuning) -> Self {
         let clock = SimClock::new();
         let telemetry = Telemetry::new(clock.clone());
         let net = SimNet::new(
             clock.clone(),
             NetConfig {
-                default_one_way_us: tuning.link_one_way_us,
+                default_one_way_us: LINK_ONE_WAY_US,
             },
         );
         let flight = FlightDirectory::new(clock.clone(), DEFAULT_FLIGHT_CAPACITY);
@@ -247,7 +185,7 @@ impl SimWorld {
             Ok(()) | Err(RevelioError::Http(HttpError::Net(NetError::AddressInUse(_)))) => {}
             Err(_) => telemetry.counter_add("revelio_world_setup_failures_total", 1),
         }
-        net.peer(KDS_ADDRESS).latency_us(tuning.kds_one_way_us);
+        net.peer(KDS_ADDRESS).latency_us(KDS_ONE_WAY_US);
         let mut ca_seed = amd_seed;
         ca_seed[8] ^= 0x5c;
         let acme = AcmeCa::new(
@@ -257,11 +195,8 @@ impl SimWorld {
             clock.clone(),
             dns.clone(),
         )
-        .with_telemetry(telemetry.clone())
-        .with_retry_policy(tuning.retry.acme.clone());
-        let kds = KdsHttpClient::new(net.clone(), KDS_ADDRESS)
-            .with_telemetry(telemetry.clone())
-            .with_retry_policy(tuning.retry.kds.clone());
+        .with_telemetry(telemetry.clone());
+        let kds = KdsHttpClient::new(net.clone(), KDS_ADDRESS).with_telemetry(telemetry.clone());
         SimWorld {
             clock,
             telemetry,
@@ -272,7 +207,6 @@ impl SimWorld {
             amd,
             acme,
             kds,
-            tuning,
             seed,
             next_chip: 1,
             next_host: Some(1),
@@ -288,15 +222,16 @@ impl SimWorld {
     }
 
     /// Allocates a public/bootstrap address pair for a new node in the
-    /// current subnet (203.0.113. unless [`SimWorld::set_subnet`] moved
-    /// it). Host numbers are unique world-wide, across subnets, so a
-    /// world holds at most 255 nodes.
+    /// current subnet (203.0.113., or the subnet
+    /// [`SimWorld::deploy_fleet_in_subnets`] is deploying into). Host
+    /// numbers are unique world-wide, across subnets, so a world holds at
+    /// most 255 nodes.
     ///
     /// # Errors
     ///
     /// Returns [`RevelioError::AddressSpaceExhausted`] once every host
     /// number has been handed out.
-    pub fn new_addresses(&mut self) -> Result<(String, String), RevelioError> {
+    pub(crate) fn new_addresses(&mut self) -> Result<(String, String), RevelioError> {
         let host = self.next_host.ok_or(RevelioError::AddressSpaceExhausted)?;
         self.next_host = host.checked_add(1);
         let subnet = self.subnet;
@@ -304,12 +239,6 @@ impl SimWorld {
             format!("203.0.{subnet}.{host}:443"),
             format!("203.0.{subnet}.{host}:8080"),
         ))
-    }
-
-    /// Moves subsequent address allocations to `203.0.<subnet>.` — the
-    /// rack/availability-zone knob for correlated-failure scenarios.
-    pub fn set_subnet(&mut self, subnet: u8) {
-        self.subnet = subnet;
     }
 
     /// The address prefix shared by every node in `subnet`, as a fault
@@ -382,7 +311,7 @@ impl SimWorld {
         let platform = self.new_platform();
         self.net
             .peer(&bootstrap_address)
-            .latency_us(self.tuning.internal_one_way_us);
+            .latency_us(INTERNAL_ONE_WAY_US);
         let vm = Hypervisor::new(FirmwareKind::MeasuredDirectBoot).boot(
             &platform,
             image,
@@ -421,10 +350,9 @@ impl SimWorld {
             bootstrap_address: String::new(),
             organization: "Example Org".to_owned(),
             country: "CH".to_owned(),
-            page_processing_ms: self.tuning.page_processing_ms,
+            page_processing_ms: PAGE_PROCESSING_MS,
             trusted_ark: self.ark.clone(),
             trusted_tls_roots: self.tls_roots(),
-            retry: self.tuning.retry.node.clone(),
         }
     }
 
@@ -445,12 +373,11 @@ impl SimWorld {
                 expected_domain: domain.to_owned(),
                 golden,
                 allowlist,
-                validation_ms: self.tuning.sp_validation_ms,
-                ca_processing_ms: self.tuning.ca_processing_ms,
+                validation_ms: SP_VALIDATION_MS,
+                ca_processing_ms: CA_PROCESSING_MS,
             },
         )
         .with_telemetry(self.telemetry.clone())
-        .with_retry_policy(self.tuning.retry.sp.clone())
         .with_flight_directory(self.flight.clone())
     }
 
@@ -548,42 +475,6 @@ impl SimWorld {
         })
     }
 
-    /// Seeds the fabric's per-address fault PRNG streams. Equal seeds (and
-    /// equal scenarios) give byte-identical runs; call before the faulted
-    /// traffic starts.
-    pub fn set_fault_seed(&self, seed: u64) {
-        self.net.set_fault_seed(seed);
-    }
-
-    /// Applies `plan` to every future dial of `address` (the *dialed*
-    /// address — redirects do not move a victim's plan to the attacker).
-    pub fn set_fault_plan(&self, address: &str, plan: FaultPlan) {
-        let _ = self.net.peer(address).fault_plan(plan);
-    }
-
-    /// Removes the fault plans for `address` (e.g. "the outage clears") —
-    /// address-wide and per-route alike.
-    pub fn clear_fault_plan(&self, address: &str) {
-        let _ = self.net.peer(address).clear_fault_plan();
-    }
-
-    /// Installs (or replaces, by name) a correlated-failure domain on
-    /// the fabric: a whole-subnet partition, an asymmetric link, or a
-    /// lossy domain, optionally with a scheduled heal.
-    pub fn install_fault_domain(&self, domain: FaultDomain) {
-        self.net.install_fault_domain(domain);
-    }
-
-    /// Removes one fault domain by name ("the rack heals early").
-    pub fn clear_fault_domain(&self, name: &str) {
-        self.net.clear_fault_domain(name);
-    }
-
-    /// Removes every installed fault domain.
-    pub fn clear_fault_domains(&self) {
-        self.net.clear_fault_domains();
-    }
-
     /// A web-extension instance for an end-user in this world. Its flight
     /// ring is its own: a shared ring would mix browser profiles'
     /// histories, and a directory entry per extension would never be
@@ -603,13 +494,12 @@ impl SimWorld {
             ExtensionConfig {
                 trusted_ark: self.ark.clone(),
                 tls_roots: vec![self.acme.root_certificate()],
-                validation_ms: self.tuning.extension_validation_ms,
-                connection_validation_ms: self.tuning.extension_conn_validation_ms,
+                validation_ms: EXTENSION_VALIDATION_MS,
+                connection_validation_ms: EXTENSION_CONN_VALIDATION_MS,
             },
             entropy,
         )
         .with_telemetry(self.telemetry.clone())
-        .with_retry_policy(self.tuning.retry.extension.clone())
     }
 
     /// The browser root-store certificate list.
@@ -684,7 +574,6 @@ impl SimWorld {
             target,
             drift: BTreeMap::new(),
             slots,
-            deployed: BTreeMap::new(),
         }
     }
 
@@ -752,7 +641,6 @@ pub struct FleetUpgrader {
     target: ImageSpec,
     drift: BTreeMap<String, ImageSpec>,
     slots: BTreeMap<String, UpgradeSlot>,
-    deployed: BTreeMap<String, RevelioNode>,
 }
 
 impl std::fmt::Debug for FleetUpgrader {
@@ -774,14 +662,6 @@ impl FleetUpgrader {
     /// Heals the build pipeline for `bootstrap` (drift fixed upstream).
     pub fn clear_drift(&mut self, bootstrap: &str) {
         self.drift.remove(bootstrap);
-    }
-
-    /// The node handle most recently deployed for `bootstrap` by an
-    /// upgrade (the original [`DeployedFleet`] handle goes stale once
-    /// its slot is redeployed).
-    #[must_use]
-    pub fn node(&self, bootstrap: &str) -> Option<&RevelioNode> {
-        self.deployed.get(bootstrap)
     }
 }
 
@@ -814,7 +694,8 @@ impl NodeActuator for FleetUpgrader {
         )?;
         let recorder = self.flight.register(bootstrap);
         recorder.record("request", "upgraded: redeployed from current target build");
-        let node = RevelioNode::deploy(
+        // The node's routes own it: the fabric keeps it serving.
+        RevelioNode::deploy(
             self.net.clone(),
             self.kds.clone(),
             vm,
@@ -827,7 +708,6 @@ impl NodeActuator for FleetUpgrader {
             self.telemetry.clone(),
             recorder,
         )?;
-        self.deployed.insert(bootstrap.to_owned(), node);
         Ok(())
     }
 }
@@ -838,6 +718,7 @@ mod tests {
     use crate::appraisal::DecidingCheck;
     use crate::node::demo_app;
     use crate::RevelioError;
+    use revelio_crypto::ed25519::SigningKey;
 
     #[test]
     fn fleet_nodes_share_one_tls_identity() {
@@ -849,14 +730,17 @@ mod tests {
         for node in &fleet.nodes {
             assert!(node.is_serving());
             assert_eq!(node.tls_public_key(), Some(leader_key));
-            assert_eq!(node.measurement(), fleet.golden_measurement);
+            assert_eq!(node.vm().measurement(), fleet.golden_measurement);
         }
         // Identities remain distinct; only the TLS key is shared.
-        assert_ne!(
-            fleet.nodes[1].identity_public_key(),
-            fleet.nodes[2].identity_public_key()
-        );
-        assert_eq!(leader_key, fleet.nodes[0].identity_public_key());
+        let identity = |i: usize| {
+            fleet.nodes[i]
+                .vm()
+                .identity()
+                .map(SigningKey::verifying_key)
+        };
+        assert_ne!(identity(1), identity(2));
+        assert_eq!(Some(leader_key), identity(0));
     }
 
     #[test]
@@ -956,8 +840,6 @@ mod tests {
         let mut world = SimWorld::new(6);
         let mut hosts = std::collections::BTreeSet::new();
         for i in 0..300 {
-            // Moving subnets must not recycle host numbers.
-            world.set_subnet(if i < 150 { 113 } else { 114 });
             match world.new_addresses() {
                 Ok((public, _)) if i < 255 => {
                     let host = public.rsplit('.').next().unwrap().to_owned();
@@ -1159,7 +1041,7 @@ mod tests {
         };
         // Both include the validation cost; check the absolute shape
         // instead: a monitored request costs base + ~14 ms.
-        assert!(monitored_ms > world.tuning.page_processing_ms);
+        assert!(monitored_ms > PAGE_PROCESSING_MS);
         assert!((monitored_ms - plain_ms).abs() < 1.0);
     }
 

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
+use revelio_crypto::hex;
 use revelio_crypto::sha2::Sha512;
 use revelio_crypto::wire::{ByteReader, ByteWriter, WireError};
-use revelio_crypto::{hex, CryptoError};
 
 /// The unique, immutable identifier of a physical SEV-SNP processor.
 ///
@@ -38,19 +38,9 @@ impl ChipId {
         &self.0
     }
 
-    /// Parses from hex (128 characters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidHex`] or
-    /// [`CryptoError::InvalidLength`] for malformed input.
-    pub fn from_hex(s: &str) -> Result<Self, CryptoError> {
-        Ok(ChipId(hex::decode_array::<64>(s)?))
-    }
-
     /// Lowercase hex encoding.
     #[must_use]
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         hex::encode(self.0)
     }
 }
@@ -176,7 +166,7 @@ impl Default for GuestPolicy {
 impl GuestPolicy {
     /// Packs into the on-report `u64` form.
     #[must_use]
-    pub fn to_u64(self) -> u64 {
+    pub(crate) fn to_u64(self) -> u64 {
         u64::from(self.abi_minor)
             | (u64::from(self.abi_major) << 8)
             | (u64::from(self.smt_allowed) << 16)
@@ -187,7 +177,7 @@ impl GuestPolicy {
 
     /// Unpacks from the on-report `u64` form.
     #[must_use]
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         GuestPolicy {
             abi_minor: v as u8,
             abi_major: (v >> 8) as u8,
@@ -216,17 +206,6 @@ mod tests {
     fn chip_ids_are_distinct_per_seed() {
         assert_ne!(ChipId::from_seed(1), ChipId::from_seed(2));
         assert_eq!(ChipId::from_seed(7), ChipId::from_seed(7));
-    }
-
-    #[test]
-    fn chip_id_hex_roundtrip() {
-        let id = ChipId::from_seed(42);
-        assert_eq!(ChipId::from_hex(&id.to_hex()).unwrap(), id);
-    }
-
-    #[test]
-    fn chip_id_rejects_short_hex() {
-        assert!(ChipId::from_hex("abcd").is_err());
     }
 
     #[test]

@@ -36,15 +36,15 @@ use crate::SnpError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmdCert {
     /// Certified subject name, e.g. `"VCEK"`.
-    pub subject: String,
+    pub(crate) subject: String,
     /// Issuer name, e.g. `"ASK"`.
-    pub issuer: String,
+    pub(crate) issuer: String,
     /// The certified public key.
     pub public_key: VerifyingKey,
     /// For VCEK certificates: the chip and TCB this key endorses.
-    pub vcek_binding: Option<(ChipId, TcbVersion)>,
-    /// Issuer signature over [`AmdCert::signed_payload`].
-    pub signature: Signature,
+    pub(crate) vcek_binding: Option<(ChipId, TcbVersion)>,
+    /// Issuer signature over `AmdCert::signed_payload`.
+    pub(crate) signature: Signature,
 }
 
 impl AmdCert {
@@ -74,7 +74,7 @@ impl AmdCert {
 
     /// Issues a certificate: `issuer_key` signs `public_key` as `subject`.
     #[must_use]
-    pub fn issue(
+    pub(crate) fn issue(
         subject: &str,
         issuer: &str,
         public_key: VerifyingKey,
@@ -93,7 +93,7 @@ impl AmdCert {
 
     /// The bytes the issuer signed.
     #[must_use]
-    pub fn signed_payload(&self) -> Vec<u8> {
+    pub(crate) fn signed_payload(&self) -> Vec<u8> {
         Self::payload(
             &self.subject,
             &self.issuer,
@@ -175,9 +175,9 @@ impl AmdCert {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcekCertChain {
     /// AMD Root Key certificate (self-signed).
-    pub ark: AmdCert,
+    pub(crate) ark: AmdCert,
     /// AMD SEV Key certificate (signed by ARK).
-    pub ask: AmdCert,
+    pub(crate) ask: AmdCert,
     /// Versioned Chip Endorsement Key certificate (signed by ASK).
     pub vcek: AmdCert,
 }

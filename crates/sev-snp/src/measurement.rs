@@ -10,17 +10,14 @@
 
 use std::fmt;
 
+use revelio_crypto::hex;
 use revelio_crypto::sha2::{HashFunction, Sha384};
-use revelio_crypto::{hex, CryptoError};
 
 /// A SHA-384 launch measurement (48 bytes).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Measurement([u8; 48]);
 
 impl Measurement {
-    /// Byte length of a measurement.
-    pub const LEN: usize = 48;
-
     /// Measures an initial guest memory context (the firmware volume, under
     /// direct boot).
     ///
@@ -45,16 +42,6 @@ impl Measurement {
     #[must_use]
     pub fn as_bytes(&self) -> &[u8; 48] {
         &self.0
-    }
-
-    /// Parses from 96 hex characters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidHex`] or [`CryptoError::InvalidLength`]
-    /// for malformed input.
-    pub fn from_hex(s: &str) -> Result<Self, CryptoError> {
-        Ok(Measurement(hex::decode_array::<48>(s)?))
     }
 
     /// Lowercase hex encoding — the "golden value" format end-users and
@@ -101,12 +88,6 @@ mod tests {
         use revelio_crypto::sha2::Sha384;
         let m = Measurement::of_launch_context(b"fw");
         assert_ne!(m.as_bytes()[..], Sha384::digest(b"fw")[..]);
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let m = Measurement::of_launch_context(b"fw");
-        assert_eq!(Measurement::from_hex(&m.to_hex()).unwrap(), m);
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl GuestContext {
         self.measurement
     }
 
-    /// The policy pinned at launch.
-    #[must_use]
-    pub fn policy(&self) -> GuestPolicy {
-        self.policy
-    }
-
     /// The chip this guest runs on.
     #[must_use]
     pub fn chip_id(&self) -> ChipId {
@@ -220,7 +214,7 @@ impl GuestContext {
     /// Like [`GuestContext::attestation_report`] with hypervisor-supplied
     /// `HOST_DATA`.
     #[must_use]
-    pub fn attestation_report_with_host_data(
+    pub(crate) fn attestation_report_with_host_data(
         &self,
         report_data: ReportData,
         host_data: [u8; 32],

@@ -16,10 +16,10 @@ use crate::measurement::Measurement;
 use crate::SnpError;
 
 /// Length of the caller-controlled `REPORT_DATA` field.
-pub const REPORT_DATA_LEN: usize = 64;
+pub(crate) const REPORT_DATA_LEN: usize = 64;
 
 /// The report structure version this simulator emits.
-pub const REPORT_VERSION: u32 = 2;
+pub(crate) const REPORT_VERSION: u32 = 2;
 
 /// 64 bytes of guest-chosen data cryptographically bound into a report.
 ///
@@ -31,7 +31,7 @@ pub struct ReportData([u8; REPORT_DATA_LEN]);
 impl ReportData {
     /// Wraps a full 64-byte value.
     #[must_use]
-    pub fn from_bytes(bytes: [u8; REPORT_DATA_LEN]) -> Self {
+    pub(crate) fn from_bytes(bytes: [u8; REPORT_DATA_LEN]) -> Self {
         ReportData(bytes)
     }
 
@@ -74,21 +74,21 @@ impl fmt::Debug for ReportData {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttestationReport {
     /// Report structure version.
-    pub version: u32,
+    pub(crate) version: u32,
     /// Guest security version number.
     pub guest_svn: u32,
     /// The launch policy the hypervisor supplied (and cannot change).
-    pub policy: GuestPolicy,
+    pub(crate) policy: GuestPolicy,
     /// SHA-384 launch measurement taken by the AMD-SP.
     pub measurement: Measurement,
     /// 32 bytes of host-supplied data (opaque to the guest).
-    pub host_data: [u8; 32],
+    pub(crate) host_data: [u8; 32],
     /// Guest-chosen data bound into the signature (TLS key hash, CSR hash).
     pub report_data: ReportData,
     /// Identity of the physical chip that produced the report.
     pub chip_id: ChipId,
     /// TCB version currently running.
-    pub current_tcb: TcbVersion,
+    pub(crate) current_tcb: TcbVersion,
     /// TCB version the platform reports for endorsement lookup.
     pub reported_tcb: TcbVersion,
 }
@@ -154,7 +154,7 @@ pub struct SignedReport {
     /// The report body.
     pub report: AttestationReport,
     /// VCEK signature over [`AttestationReport::to_bytes`].
-    pub signature: Signature,
+    pub(crate) signature: Signature,
 }
 
 impl SignedReport {
@@ -175,7 +175,7 @@ impl SignedReport {
     /// # Errors
     ///
     /// Returns [`SnpError::SignatureInvalid`] when the signature fails.
-    pub fn verify_signature(&self, vcek_public: &VerifyingKey) -> Result<(), SnpError> {
+    pub(crate) fn verify_signature(&self, vcek_public: &VerifyingKey) -> Result<(), SnpError> {
         vcek_public
             .verify(&self.report.to_bytes(), &self.signature)
             .map_err(|_| SnpError::SignatureInvalid)

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (i, draft) in drafts.iter().enumerate() {
         let mut body = pad_id.to_le_bytes().to_vec();
-        body.extend_from_slice(&secret.encrypt_edit(i as u64, draft)?);
+        body.extend_from_slice(&secret.encrypt_edit(i as u64, draft));
         post(&mut session, "/pad/append", body)?;
     }
     println!("two encrypted drafts appended\n");

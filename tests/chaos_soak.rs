@@ -49,11 +49,11 @@ fn run_soak(fault_seed: u64) -> (Vec<&'static str>, String, u64) {
     assert_eq!(BrowseVerdict::classify(&baseline), BrowseVerdict::Attested);
     verdicts.push(BrowseVerdict::classify(&baseline).as_str());
 
-    world.set_fault_seed(fault_seed);
+    world.net.set_fault_seed(fault_seed);
 
     // Phase B: total outage. Every browse must classify as a transient
     // network problem — never "attested", never "attestation failed".
-    world.set_fault_plan(&site, FaultPlan::outage());
+    let _ = world.net.peer(&site).fault_plan(FaultPlan::outage());
     for _ in 0..3 {
         let result = extension.browse("pad.example.org", "/");
         let verdict = BrowseVerdict::classify(&result);
@@ -67,16 +67,13 @@ fn run_soak(fault_seed: u64) -> (Vec<&'static str>, String, u64) {
 
     // Phase C: lossy-but-alive link. Each browse either fully attests or
     // reports a transient failure; no third outcome is acceptable.
-    world.set_fault_plan(
-        &site,
-        FaultPlan {
-            drop_probability: 0.3,
-            timeout_probability: 0.15,
-            reset_probability: 0.1,
-            jitter_us: 4_000,
-            ..FaultPlan::default()
-        },
-    );
+    let _ = world.net.peer(&site).fault_plan(FaultPlan {
+        drop_probability: 0.3,
+        timeout_probability: 0.15,
+        reset_probability: 0.1,
+        jitter_us: 4_000,
+        ..FaultPlan::default()
+    });
     for _ in 0..4 {
         let result = extension.browse("pad.example.org", "/");
         let verdict = BrowseVerdict::classify(&result);
@@ -91,7 +88,7 @@ fn run_soak(fault_seed: u64) -> (Vec<&'static str>, String, u64) {
     }
 
     // Phase D: the fault clears; the pipeline converges.
-    world.clear_fault_plan(&site);
+    let _ = world.net.peer(&site).clear_fault_plan();
     let recovered = extension.browse("pad.example.org", "/");
     assert_eq!(
         BrowseVerdict::classify(&recovered),
@@ -169,7 +166,7 @@ fn route_scoped_kds_faults_spare_sibling_routes() {
     let fleet = world
         .deploy_fleet("pad.example.org", 1, demo_app())
         .unwrap();
-    world.set_fault_seed(0xC4A0_5010);
+    world.net.set_fault_seed(0xC4A0_5010);
     // Outage scoped to the VCEK route only; everything else on the KDS
     // address — the same dial, the same listener — stays healthy.
     let _ = world
@@ -211,8 +208,11 @@ fn retry_rides_through_a_brief_kds_outage_end_to_end() {
     // KDS drops the first two connections after seeding: the extension's
     // (and SP's) KDS fetches retry through it; the whole deployment and
     // first browse succeed without any caller-visible error.
-    world.set_fault_seed(7);
-    world.set_fault_plan(revelio::kds_http::KDS_ADDRESS, FaultPlan::fail_first(2));
+    world.net.set_fault_seed(7);
+    let _ = world
+        .net
+        .peer(revelio::kds_http::KDS_ADDRESS)
+        .fault_plan(FaultPlan::fail_first(2));
     let fleet = world
         .deploy_fleet("pad.example.org", 1, demo_app())
         .unwrap();

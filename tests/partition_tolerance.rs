@@ -17,7 +17,7 @@
 
 use revelio::extension::BrowseVerdict;
 use revelio::node::demo_app;
-use revelio::sp::ProvisionPhase;
+use revelio::sp::{ProvisionPhase, ServiceProviderNode};
 use revelio::world::SimWorld;
 use revelio::RevelioError;
 use revelio_http::message::Response;
@@ -53,8 +53,8 @@ type ProvisionOutcome = (
 
 fn run_partitioned_provision(fault_seed: u64) -> ProvisionOutcome {
     let mut world = SimWorld::new(42);
-    world.set_fault_seed(fault_seed);
-    world.install_fault_domain(FaultDomain::partition(
+    world.net.set_fault_seed(fault_seed);
+    world.net.install_fault_domain(FaultDomain::partition(
         "rack-114",
         &SimWorld::subnet_prefix(114),
     ));
@@ -157,10 +157,10 @@ fn quarantine_decisions_are_byte_identical_across_thread_counts() {
 /// node's whole retry budget) and the number of quarantined nodes.
 fn provision_with_dark_racks(dark: u8) -> (f64, f64, usize) {
     let mut world = SimWorld::new(42);
-    world.set_fault_seed(partition_seed());
+    world.net.set_fault_seed(partition_seed());
     let mut groups = vec![(113, 2)];
     for rack in 114..114 + dark {
-        world.install_fault_domain(FaultDomain::partition(
+        world.net.install_fault_domain(FaultDomain::partition(
             &format!("rack-{rack}"),
             &SimWorld::subnet_prefix(rack),
         ));
@@ -211,8 +211,8 @@ fn dark_racks_cost_one_retry_budget_not_one_each() {
 #[test]
 fn flight_rings_record_retries_not_first_attempts() {
     let mut world = SimWorld::new(23);
-    world.set_fault_seed(partition_seed());
-    world.install_fault_domain(FaultDomain::partition(
+    world.net.set_fault_seed(partition_seed());
+    world.net.install_fault_domain(FaultDomain::partition(
         "rack-114",
         &SimWorld::subnet_prefix(114),
     ));
@@ -229,7 +229,7 @@ fn flight_rings_record_retries_not_first_attempts() {
         .as_ref()
         .expect("a fleet node's quarantine carries its flight dump");
     let retries = dump.events.iter().filter(|e| e.kind == "retry").count();
-    let max_attempts = world.tuning.retry.sp.max_attempts as usize;
+    let max_attempts = ServiceProviderNode::default_retry_policy().max_attempts as usize;
     assert_eq!(retries, max_attempts - 1, "{}", dump.render());
 
     // A clean browse succeeds on its first attempt: the extension's ring
@@ -290,8 +290,8 @@ fn each_extension_keeps_its_own_flight_ring() {
 #[test]
 fn fully_partitioned_fleet_errors_instead_of_reporting_success() {
     let mut world = SimWorld::new(42);
-    world.set_fault_seed(partition_seed());
-    world.install_fault_domain(FaultDomain::partition(
+    world.net.set_fault_seed(partition_seed());
+    world.net.install_fault_domain(FaultDomain::partition(
         "everything",
         &SimWorld::subnet_prefix(113),
     ));
@@ -322,7 +322,7 @@ fn partition_heals_on_schedule_and_browsing_recovers() {
     // The whole site's subnet goes dark, healing 30 simulated seconds
     // from now.
     let heal_at = world.clock.now_us() + 30_000_000;
-    world.install_fault_domain(
+    world.net.install_fault_domain(
         FaultDomain::partition("site-outage", &SimWorld::subnet_prefix(113)).healing_at_us(heal_at),
     );
     let during = extension.browse("pad.example.org", "/");

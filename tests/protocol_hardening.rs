@@ -5,6 +5,7 @@
 use revelio::appraisal::DecidingCheck;
 use revelio::evidence::EvidenceBundle;
 use revelio::node::{demo_app, CHECK_HEADER};
+use revelio::reconcile::NodeActuator;
 use revelio::registry::GoldenSet;
 use revelio::world::SimWorld;
 use revelio::RevelioError;
@@ -378,4 +379,28 @@ fn evidence_is_stable_across_clients_and_sessions() {
     // And it parses as a self-consistent bundle.
     let bytes = bundles[0].to_bytes();
     assert_eq!(EvidenceBundle::from_bytes(&bytes).unwrap(), bundles[0]);
+}
+
+/// A renewal judges its leader against the golden set: a leader redeployed
+/// on a non-golden image is refused by the measurement check, and no
+/// certificate is ordered.
+#[test]
+fn renewal_refuses_a_leader_on_a_non_golden_image() {
+    let mut world = SimWorld::new(68);
+    let fleet = world.deploy_fleet("renew.example", 2, demo_app()).unwrap();
+    let leader = fleet.provision.leader_bootstrap.clone();
+    let mut rogue = world.image_spec("renew.example", &["web-service", "backdoor"]);
+    rogue.name = "rogue".into();
+    let mut upgrader = world.fleet_upgrader(&fleet, demo_app(), rogue);
+    upgrader.upgrade(&leader).unwrap();
+
+    let issued = "revelio_pki_acme_certificates_issued_total";
+    let issued_before = world.telemetry.counter(issued);
+    let err = world
+        .fleet_sp(&fleet)
+        .renew_certificate(&leader, &fleet.provision.chain)
+        .unwrap_err();
+    assert!(matches!(err, RevelioError::NodeRejected { .. }), "{err}");
+    assert_eq!(err.deciding_check(), Some(DecidingCheck::Measurement));
+    assert_eq!(world.telemetry.counter(issued), issued_before);
 }

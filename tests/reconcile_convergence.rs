@@ -170,7 +170,7 @@ fn quarantine_flapping_heals_into_readmission_every_cycle() {
     for cycle in 0..FLAPS {
         // Rack 114 goes dark for five minutes, with the heal scheduled.
         let now_us = world.clock.now_us();
-        world.install_fault_domain(
+        world.net.install_fault_domain(
             FaultDomain::partition("rack-114", "203.0.114.")
                 .starting_at_us(now_us)
                 .healing_at_us(now_us + 300_000_000),
@@ -289,7 +289,7 @@ fn certificates_renew_ahead_of_not_after_on_a_long_horizon() {
 /// upgrade to a new image — returning the decision-transcript digest.
 fn scenario_digest() -> String {
     let mut world = SimWorld::new(RECONCILE_SEED ^ 4);
-    world.set_fault_seed(RECONCILE_SEED ^ 4);
+    world.net.set_fault_seed(RECONCILE_SEED ^ 4);
     let fleet = world
         .deploy_fleet_in_subnets("pad.example.org", &[(113, 2), (114, 1)], demo_app())
         .unwrap();
@@ -303,7 +303,7 @@ fn scenario_digest() -> String {
 
     // A scheduled-heal partition flap rides along under the rollout.
     let now_us = world.clock.now_us();
-    world.install_fault_domain(
+    world.net.install_fault_domain(
         FaultDomain::partition("rack-114", "203.0.114.")
             .starting_at_us(now_us)
             .healing_at_us(now_us + 240_000_000),

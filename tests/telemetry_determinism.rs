@@ -50,15 +50,16 @@ fn fault_seed_is_part_of_the_determinism_contract() {
         let fleet = world
             .deploy_fleet("pad.example.org", 2, demo_app())
             .unwrap();
-        world.set_fault_seed(fault_seed);
-        world.set_fault_plan(
-            fleet.nodes[0].public_address(),
-            revelio_net::FaultPlan {
-                drop_probability: 0.35,
-                jitter_us: 2_000,
-                ..revelio_net::FaultPlan::default()
-            },
-        );
+        world.net.set_fault_seed(fault_seed);
+        let _ =
+            world
+                .net
+                .peer(fleet.nodes[0].public_address())
+                .fault_plan(revelio_net::FaultPlan {
+                    drop_probability: 0.35,
+                    jitter_us: 2_000,
+                    ..revelio_net::FaultPlan::default()
+                });
         let extension = world.extension();
         extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
         for _ in 0..3 {

@@ -41,7 +41,7 @@ fn cryptpad_full_lifecycle_over_attested_fleet() {
 
     for (i, doc) in [b"v1".as_slice(), b"v2".as_slice()].iter().enumerate() {
         let mut body = id_bytes.clone();
-        body.extend_from_slice(&secret.encrypt_edit(i as u64, doc).unwrap());
+        body.extend_from_slice(&secret.encrypt_edit(i as u64, doc));
         post(&mut session, "/pad/append", body);
     }
 
@@ -81,7 +81,7 @@ fn cryptpad_state_survives_reboot_via_sealed_volume() {
         let store = PadStore::new();
         let id = store.create_pad();
         store
-            .append(id, secret.encrypt_edit(0, b"survives reboots").unwrap())
+            .append(id, secret.encrypt_edit(0, b"survives reboots"))
             .unwrap();
         store.persist(vm.data_volume().unwrap()).unwrap();
     }
