@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::metrics::LATENCY_BOUNDS_MS;
 use crate::Telemetry;
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -95,8 +96,7 @@ impl Telemetry {
                     out.push(',');
                 }
                 first = false;
-                let le = hist
-                    .bounds()
+                let le = LATENCY_BOUNDS_MS
                     .get(idx)
                     .map_or_else(|| "\"+Inf\"".to_string(), |b| fmt_f64(*b));
                 let _ = write!(out, "{{\"le\":{le},\"count\":{count}}}");
@@ -139,8 +139,7 @@ impl Telemetry {
             let mut cumulative = 0u64;
             for (idx, count) in hist.counts().iter().enumerate() {
                 cumulative += count;
-                let le = hist
-                    .bounds()
+                let le = LATENCY_BOUNDS_MS
                     .get(idx)
                     .map_or_else(|| "+Inf".to_string(), |b| fmt_f64(*b));
                 push(
@@ -318,16 +317,6 @@ mod tests {
         (Telemetry::new(clock.clone()), clock)
     }
 
-    /// Registers `name` with custom bucket bounds; `observe` would
-    /// register it with the default latency buckets.
-    fn insert_histogram(t: &Telemetry, name: &str, bounds: &[f64]) {
-        t.inner
-            .state
-            .lock()
-            .histograms
-            .insert(name.to_owned(), crate::metrics::Histogram::new(bounds));
-    }
-
     fn scenario(t: &Telemetry, clock: &SimClock) {
         let root = t.span_with("request", &[("path", "/pad")]);
         let child = t.span("tls.handshake");
@@ -339,9 +328,8 @@ mod tests {
         root.finish_ms();
         t.counter_add("revelio_test_requests_total", 1);
         t.gauge_set("revelio_test_depth", 2.0);
-        insert_histogram(t, "revelio_test_latency_ms", &[1.0, 5.0, 10.0]);
         t.observe("revelio_test_latency_ms", 5.0);
-        t.observe("revelio_test_latency_ms", 50.0);
+        t.observe("revelio_test_latency_ms", 200_000.0); // overflow
     }
 
     #[test]
@@ -394,7 +382,7 @@ mod tests {
         assert!(text.contains("revelio_test_depth 2.0"));
         assert!(text.contains("revelio_test_latency_ms_bucket{le=\"5.0\"} 1"));
         assert!(text.contains("revelio_test_latency_ms_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("revelio_test_latency_ms_sum 55.0"));
+        assert!(text.contains("revelio_test_latency_ms_sum 200005.0"));
         assert!(text.contains("revelio_test_latency_ms_count 2"));
     }
 
@@ -405,21 +393,23 @@ mod tests {
         // kinds: the export must interleave kinds into one sorted pass.
         t.counter_add("zz_total", 1);
         t.gauge_set("mm_depth", 1.5);
-        insert_histogram(&t, "aa_latency_ms", &[1.0]);
         t.observe("aa_latency_ms", 0.5);
         t.counter_add("mm_events_total", 2);
         let text = t.export_prometheus();
-        let expected = "# TYPE aa_latency_ms histogram\n\
-                        aa_latency_ms_bucket{le=\"1.0\"} 1\n\
-                        aa_latency_ms_bucket{le=\"+Inf\"} 1\n\
-                        aa_latency_ms_sum 0.5\n\
-                        aa_latency_ms_count 1\n\
-                        # TYPE mm_depth gauge\n\
-                        mm_depth 1.5\n\
-                        # TYPE mm_events_total counter\n\
-                        mm_events_total 2\n\
-                        # TYPE zz_total counter\n\
-                        zz_total 1\n";
+        let mut expected = String::from("# TYPE aa_latency_ms histogram\n");
+        for bound in LATENCY_BOUNDS_MS {
+            let cumulative = u8::from(bound >= 0.5);
+            expected += &format!("aa_latency_ms_bucket{{le=\"{bound:?}\"}} {cumulative}\n");
+        }
+        expected += "aa_latency_ms_bucket{le=\"+Inf\"} 1\n\
+                     aa_latency_ms_sum 0.5\n\
+                     aa_latency_ms_count 1\n\
+                     # TYPE mm_depth gauge\n\
+                     mm_depth 1.5\n\
+                     # TYPE mm_events_total counter\n\
+                     mm_events_total 2\n\
+                     # TYPE zz_total counter\n\
+                     zz_total 1\n";
         assert_eq!(text, expected);
         // Byte-identical across repeated exports of the same registry.
         assert_eq!(text, t.export_prometheus());

@@ -128,8 +128,8 @@ impl Telemetry {
             .insert(name.to_string(), value);
     }
 
-    /// Records `value` into the named histogram, auto-registering it with
-    /// the default latency buckets when absent.
+    /// Records `value` into the named histogram, registering it when
+    /// absent.
     ///
     /// The steady-state path allocates nothing: `name` is only turned
     /// into an owned key on the first observation. (`BTreeMap::entry`
@@ -139,7 +139,7 @@ impl Telemetry {
         match state.histograms.get_mut(name) {
             Some(hist) => hist.observe(value),
             None => {
-                let mut hist = Histogram::new(metrics::DEFAULT_LATENCY_BOUNDS_MS);
+                let mut hist = Histogram::default();
                 hist.observe(value);
                 state.histograms.insert(name.to_string(), hist);
             }

@@ -1,55 +1,29 @@
 //! Fixed-bucket histograms.
 
-/// Default bucket upper bounds (milliseconds) for auto-registered latency
-/// histograms: roughly logarithmic from 10 µs to 100 s.
-pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: &[f64] = &[
+/// Bucket upper bounds (milliseconds) of every histogram: roughly
+/// logarithmic from 10 µs to 100 s. Finite and strictly increasing, as
+/// [`Histogram::observe`]'s first-bound-`>=` search needs.
+pub(crate) const LATENCY_BOUNDS_MS: [f64; 20] = [
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10_000.0, 100_000.0,
 ];
 
-/// A fixed-bucket histogram. `counts` has one slot per bound plus a final
-/// overflow (`+Inf`) slot; a value lands in the first bucket whose bound is
-/// `>=` the value (Prometheus `le` semantics).
-#[derive(Debug, Clone, PartialEq)]
+/// A histogram over [`LATENCY_BOUNDS_MS`]. `counts` has one slot per
+/// bound plus a final overflow (`+Inf`) slot; a value lands in the first
+/// bucket whose bound is `>=` the value (Prometheus `le` semantics).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    counts: [u64; LATENCY_BOUNDS_MS.len() + 1],
     sum: f64,
 }
 
 impl Histogram {
-    /// Creates a histogram with the given upper bounds (an implicit
-    /// `+Inf` overflow bucket is appended).
-    ///
-    /// # Panics
-    ///
-    /// Panics when bounds are non-finite or not strictly increasing:
-    /// [`Histogram::observe`] picks the first bound `>=` the value, so
-    /// misordered or NaN bounds would silently misbucket forever.
-    #[must_use]
-    pub(crate) fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.iter().all(|b| b.is_finite()),
-            "histogram bucket bounds must be finite (the +Inf overflow bucket is implicit), got {bounds:?}"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bucket bounds must be strictly increasing, got {bounds:?}"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-        }
-    }
-
     /// Records one observation.
     pub(crate) fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
+        let idx = LATENCY_BOUNDS_MS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(LATENCY_BOUNDS_MS.len());
         self.counts[idx] += 1;
         self.sum += value;
     }
@@ -66,12 +40,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Bucket upper bounds (without the implicit `+Inf`).
-    #[must_use]
-    pub(crate) fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts including the final overflow slot.
     #[must_use]
     pub(crate) fn counts(&self) -> &[u64] {
@@ -85,20 +53,32 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn bounds_are_finite_and_strictly_increasing() {
+        assert!(LATENCY_BOUNDS_MS.iter().all(|b| b.is_finite()));
+        assert!(LATENCY_BOUNDS_MS.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn bucket_boundaries_are_inclusive_upper() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
+        let mut h = Histogram::default();
         h.observe(1.0); // lands in the 1.0 bucket (le semantics)
-        h.observe(1.000_001); // lands in the 2.0 bucket
-        h.observe(4.0); // last real bucket
-        h.observe(4.1); // overflow
-        h.observe(3.0); // 4.0 bucket
-        assert_eq!(h.counts(), &[1, 1, 2, 1]);
+        h.observe(1.000_001); // lands in the 2.5 bucket
+        h.observe(100_000.0); // last real bucket
+        h.observe(100_000.1); // overflow
+        h.observe(2.5); // 2.5 bucket
+        let bucket = |bound: f64| LATENCY_BOUNDS_MS.iter().position(|&b| b == bound).unwrap();
+        let mut expected = [0; LATENCY_BOUNDS_MS.len() + 1];
+        expected[bucket(1.0)] = 1;
+        expected[bucket(2.5)] = 2;
+        expected[bucket(100_000.0)] = 1;
+        expected[LATENCY_BOUNDS_MS.len()] = 1;
+        assert_eq!(h.counts(), &expected);
         assert_eq!(h.count(), 5);
     }
 
     #[test]
     fn sum_tracks_observations() {
-        let mut h = Histogram::new(&[10.0]);
+        let mut h = Histogram::default();
         assert_eq!(h.count(), 0);
         h.observe(2.0);
         h.observe(4.0);
@@ -109,8 +89,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn count_matches_observations(values in proptest::collection::vec(0u64..2000, 0..50)) {
-            let mut h = Histogram::new(&[1.0, 10.0, 100.0, 1000.0]);
+        fn count_matches_observations(values in proptest::collection::vec(0u64..200_000, 0..50)) {
+            let mut h = Histogram::default();
             for v in &values {
                 h.observe(*v as f64);
             }

@@ -840,6 +840,8 @@ mod tests {
         let mut world = SimWorld::new(6);
         let mut hosts = std::collections::BTreeSet::new();
         for i in 0..300 {
+            // Moving subnets must not recycle host numbers.
+            world.subnet = if i < 150 { 113 } else { 114 };
             match world.new_addresses() {
                 Ok((public, _)) if i < 255 => {
                     let host = public.rsplit('.').next().unwrap().to_owned();
