@@ -141,6 +141,29 @@ mod tests {
     }
 
     #[test]
+    fn rfc8439_aead_vector() {
+        // RFC 8439 §2.8.2.
+        let key: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+        let nonce = hex::decode_array::<12>("070000004041424344454647").unwrap();
+        let aad = hex::decode("50515253c0c1c2c3c4c5c6c7").unwrap();
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could \
+                          offer you only one tip for the future, sunscreen would be it.";
+        let aead = ChaCha20Poly1305::new(&key);
+        let sealed = aead.seal(&nonce, &aad, plaintext);
+        let (ciphertext, tag) = sealed.split_at(plaintext.len());
+        assert_eq!(
+            hex::encode(ciphertext),
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b6116"
+                .replace(char::is_whitespace, "")
+        );
+        assert_eq!(hex::encode(tag), "1ae10b594f09e26a7e902ecbd0600691");
+        assert_eq!(aead.open(&nonce, &aad, &sealed).unwrap(), plaintext);
+    }
+
+    #[test]
     fn roundtrip() {
         let aead = ChaCha20Poly1305::new(&[1u8; 32]);
         let ct = aead.seal(&[2u8; 12], b"aad", b"hello");

@@ -11,17 +11,8 @@ pub(crate) const NONCE_LEN: usize = 12;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
-}
+/// Blocks per step of the wide path: 16 blocks, 1 KiB of keystream.
+const LANES: usize = 16;
 
 /// The input state for (`key`, `counter`, `nonce`): constants, key words,
 /// block counter, nonce words.
@@ -38,47 +29,84 @@ fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> 
     state
 }
 
-/// The 20-round block function: the keystream words for `state`.
-#[inline]
-fn keystream(state: &[u32; 16]) -> [u32; 16] {
-    let mut working = *state;
-    for _ in 0..10 {
-        quarter_round(&mut working, 0, 4, 8, 12);
-        quarter_round(&mut working, 1, 5, 9, 13);
-        quarter_round(&mut working, 2, 6, 10, 14);
-        quarter_round(&mut working, 3, 7, 11, 15);
-        quarter_round(&mut working, 0, 5, 10, 15);
-        quarter_round(&mut working, 1, 6, 11, 12);
-        quarter_round(&mut working, 2, 7, 8, 13);
-        quarter_round(&mut working, 3, 4, 9, 14);
+/// One quarter round on all `L` lanes. Each lane is an independent
+/// block, so the `l` loop has no carried dependency and vectorizes.
+#[inline(always)]
+fn quarter_round<const L: usize>(x: &mut [[u32; L]; 16], a: usize, b: usize, c: usize, d: usize) {
+    let [mut va, mut vb, mut vc, mut vd] = [x[a], x[b], x[c], x[d]];
+    for (((a, b), c), d) in va.iter_mut().zip(&mut vb).zip(&mut vc).zip(&mut vd) {
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(16);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(12);
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(8);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(7);
     }
-    for (w, s) in working.iter_mut().zip(state) {
-        *w = w.wrapping_add(*s);
-    }
-    working
+    [x[a], x[b], x[c], x[d]] = [va, vb, vc, vd];
 }
 
-/// Serializes keystream words little-endian.
-fn to_bytes(words: [u32; 16]) -> [u8; 64] {
-    let mut out = [0u8; 64];
-    for (o, w) in out.chunks_exact_mut(4).zip(words) {
-        o.copy_from_slice(&w.to_le_bytes());
+/// The 20-round block function on the `L` blocks `state[12]`,
+/// `state[12] + 1`, … (the counter wraps), held word-major: lane `l` of
+/// word `i` is word `i` of block `l`.
+#[inline(always)]
+fn keystream<const L: usize>(state: &[u32; 16]) -> [[u32; L]; 16] {
+    let mut input = state.map(|w| [w; L]);
+    for (l, counter) in input[12].iter_mut().enumerate() {
+        *counter = counter.wrapping_add(l as u32);
     }
-    out
+    let mut x = input;
+    for _ in 0..10 {
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    for (xw, iw) in x.iter_mut().zip(&input) {
+        for (x, i) in xw.iter_mut().zip(iw) {
+            *x = x.wrapping_add(*i);
+        }
+    }
+    x
+}
+
+/// XORs `data` (at most `L` blocks; the last may be partial) with the
+/// keystream of `L` blocks from `state`, a little-endian word at a time.
+#[inline(always)]
+fn xor_keystream<const L: usize>(state: &[u32; 16], data: &mut [u8]) {
+    let ks = keystream::<L>(state);
+    for (l, block) in data.chunks_mut(64).enumerate() {
+        let (words, tail) = block.as_chunks_mut::<4>();
+        for (word, k) in words.iter_mut().zip(&ks) {
+            *word = (u32::from_le_bytes(*word) ^ k[l]).to_le_bytes();
+        }
+        if let Some(k) = ks.get(words.len()) {
+            for (b, k) in tail.iter_mut().zip(k[l].to_le_bytes()) {
+                *b ^= k;
+            }
+        }
+    }
 }
 
 /// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
 #[must_use]
 pub(crate) fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
-    to_bytes(keystream(&initial_state(key, counter, nonce)))
+    let mut out = [0u8; 64];
+    xor_keystream::<1>(&initial_state(key, counter, nonce), &mut out);
+    out
 }
 
 /// Encrypts or decrypts `data` in place (XOR keystream starting at block
 /// `initial_counter`). ChaCha20 is its own inverse.
 ///
-/// The state is built once per call; whole 64-byte blocks are XORed a
-/// 32-bit word at a time and only a trailing partial block goes through
-/// bytes.
+/// The state is built once per call. Each 1 KiB group runs 16 blocks
+/// side by side, one per lane of the word-major kernel; the remaining
+/// whole blocks and a trailing partial block run one at a time.
 ///
 /// ```
 /// use revelio_crypto::chacha::xor_stream;
@@ -97,23 +125,14 @@ pub fn xor_stream(
     data: &mut [u8],
 ) {
     let mut state = initial_state(key, initial_counter, nonce);
-    let mut blocks = data.chunks_exact_mut(64);
-    for chunk in &mut blocks {
-        for (word, k) in chunk
-            .as_chunks_mut::<4>()
-            .0
-            .iter_mut()
-            .zip(keystream(&state))
-        {
-            *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
-        }
-        state[12] = state[12].wrapping_add(1);
+    let mut groups = data.chunks_exact_mut(64 * LANES);
+    for group in &mut groups {
+        xor_keystream::<LANES>(&state, group);
+        state[12] = state[12].wrapping_add(LANES as u32);
     }
-    let tail = blocks.into_remainder();
-    if !tail.is_empty() {
-        for (b, k) in tail.iter_mut().zip(to_bytes(keystream(&state))) {
-            *b ^= k;
-        }
+    for block in groups.into_remainder().chunks_mut(64) {
+        xor_keystream::<1>(&state, block);
+        state[12] = state[12].wrapping_add(1);
     }
 }
 
@@ -183,6 +202,22 @@ mod tests {
         assert_eq!(&long[64..], &b6[..]);
     }
 
+    #[test]
+    fn every_length_through_three_groups_matches_byte_wise() {
+        // 0, 1, and one to three 16-block groups, each followed by every
+        // whole-block and partial tail.
+        let key = rfc_key();
+        let nonce = [9u8; 12];
+        let max = 3 * 64 * LANES + 130;
+        let mut keystream = vec![0u8; max];
+        xor_stream_bytewise(&key, 7, &nonce, &mut keystream);
+        for len in 0..=max {
+            let mut fast = vec![0u8; len];
+            xor_stream(&key, 7, &nonce, &mut fast);
+            assert_eq!(fast, keystream[..len], "length {len}");
+        }
+    }
+
     proptest! {
         #[test]
         fn xor_stream_is_involution(key: [u8; 32], nonce: [u8; 12], counter: u32, data: Vec<u8>) {
@@ -193,7 +228,7 @@ mod tests {
         }
 
         #[test]
-        fn word_wise_matches_byte_wise(key: [u8; 32], nonce: [u8; 12], counter: u32, data in proptest::collection::vec(any::<u8>(), 0..300)) {
+        fn lanes_match_byte_wise(key: [u8; 32], nonce: [u8; 12], counter: u32, data in proptest::collection::vec(any::<u8>(), 0..3 * 64 * LANES + 130)) {
             let mut fast = data.clone();
             xor_stream(&key, counter, &nonce, &mut fast);
             let mut slow = data;
@@ -202,8 +237,10 @@ mod tests {
         }
 
         #[test]
-        fn counter_wraps_like_the_byte_wise_loop(key: [u8; 32], nonce: [u8; 12], back in 0u32..3) {
-            let mut fast = vec![0u8; 256];
+        fn counter_wraps_like_the_byte_wise_loop(key: [u8; 32], nonce: [u8; 12], back in 0u32..40) {
+            // u32::MAX lands in the first group's lanes, the second
+            // group's, or the single-block tail.
+            let mut fast = vec![0u8; 2 * 64 * LANES + 130];
             let mut slow = fast.clone();
             xor_stream(&key, u32::MAX - back, &nonce, &mut fast);
             xor_stream_bytewise(&key, u32::MAX - back, &nonce, &mut slow);

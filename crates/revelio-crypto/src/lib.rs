@@ -17,8 +17,9 @@
 //! * [`kdf`] — HKDF (RFC 5869) and PBKDF2 (RFC 8018).
 //! * [`chacha`] / [`poly1305`] / [`aead`] — ChaCha20, Poly1305 and the
 //!   combined ChaCha20-Poly1305 AEAD (RFC 8439), used by the TLS record
-//!   layer simulation. ChaCha20 XORs whole 32-bit words and Poly1305 runs
-//!   on three 44-bit limbs (9 wide multiplies per block).
+//!   layer simulation. ChaCha20 runs 16 blocks per step as word-major
+//!   lanes, which the compiler vectorizes, and Poly1305 runs on three
+//!   44-bit limbs (9 wide multiplies per block, one carry per four).
 //! * [`aes`] / [`xts`] — AES-128/256 (FIPS 197) as 32-bit T-table rounds,
 //!   and the XTS mode used by `dm-crypt`'s default `aes-xts-plain64`
 //!   cipher spec, with its tweak carried as a `u128`.

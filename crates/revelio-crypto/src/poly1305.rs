@@ -4,6 +4,9 @@
 //! with `u128` products: 9 wide multiplies per 16-byte block. The limbs
 //! sit at bits 0, 44 and 88, so every product that wraps lands at 2^132
 //! or 2^176, and 2^132 = 4 * 2^130 ≡ 20 (mod p): wrapped terms use `r * 20`.
+//!
+//! Full blocks go four at a time: `h = (h + m0)·r⁴ + m1·r³ + m2·r² + m3·r`
+//! is four independent products summed unreduced, then one carry.
 
 /// Poly1305 key length (r || s) in bytes.
 pub(crate) const KEY_LEN: usize = 32;
@@ -12,6 +15,8 @@ pub(crate) const TAG_LEN: usize = 16;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
+/// 2^128 as it lands in the top limb (bit 40): the pad bit of a full block.
+const PAD_BIT: u64 = 1 << 40;
 
 /// Splits 16 little-endian bytes into 44/44/42-bit limbs (the top limb
 /// keeps bits 88..128, so it has room for the 2^128 pad bit).
@@ -21,13 +26,46 @@ fn limbs(bytes: &[u8; 16]) -> [u64; 3] {
     [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
 }
 
+/// `a · b` (mod 2^130 - 5) as three unreduced limb sums. With limbs
+/// below 2^46, 2^46 and 2^43 (an accumulator plus a block, or a power of
+/// r) each sum stays below 2^95, so four of them add up below 2^97 and
+/// take one [`carry`].
+fn mul(a: [u64; 3], b: [u64; 3]) -> [u128; 3] {
+    let [a0, a1, a2] = a.map(u128::from);
+    let [b0, b1, b2] = b.map(u128::from);
+    let (s1, s2) = (b1 * 20, b2 * 20);
+    [
+        a0 * b0 + a1 * s2 + a2 * s1,
+        a0 * b1 + a1 * b0 + a2 * s2,
+        a0 * b2 + a1 * b1 + a2 * b0,
+    ]
+}
+
+/// Partial carry back to 44/44/42-bit limbs; the overflow above 2^130
+/// folds back in times 5. The middle limb may exceed 2^44 by the low
+/// limb's carry (under 2^14).
+fn carry([d0, d1, d2]: [u128; 3]) -> [u64; 3] {
+    let d1 = d1 + (d0 >> 44);
+    let d2 = d2 + (d1 >> 44);
+    let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+    [h0 & MASK44, h1, d2 as u64 & MASK42]
+}
+
+/// The limbs of `block` plus `pad_bit` in the top limb.
+fn padded(block: &[u8; 16], pad_bit: u64) -> [u64; 3] {
+    let [m0, m1, m2] = limbs(block);
+    [m0, m1, m2 | pad_bit]
+}
+
 /// Streaming Poly1305 state.
 ///
 /// A Poly1305 key must be used for **one** message only; the AEAD in
 /// [`crate::aead`] derives a fresh key per nonce as the RFC requires.
 #[derive(Clone)]
 pub(crate) struct Poly1305 {
-    r: [u64; 3],
+    /// r, r², r³, r⁴, each partially carried.
+    r: [[u64; 3]; 4],
     s: u128,
     acc: [u64; 3],
     buffer: [u8; 16],
@@ -47,8 +85,10 @@ impl Poly1305 {
         // Clamp r per the RFC.
         let (halves, _) = key.as_chunks::<16>();
         let r = u128::from_le_bytes(halves[0]) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff;
+        let r = limbs(&r.to_le_bytes());
+        let r2 = carry(mul(r, r));
         Poly1305 {
-            r: limbs(&r.to_le_bytes()),
+            r: [r, r2, carry(mul(r2, r)), carry(mul(r2, r2))],
             s: u128::from_le_bytes(halves[1]),
             acc: [0; 3],
             buffer: [0; 16],
@@ -56,28 +96,27 @@ impl Poly1305 {
         }
     }
 
-    /// Absorbs one 16-byte block; `pad_bit` is 2^128 as it lands in the
-    /// top limb (bit 40) for a full block, 0 for a final partial block
-    /// whose `0x01` terminator is already in the bytes.
+    /// Absorbs one 16-byte block; `pad_bit` is [`PAD_BIT`] for a full
+    /// block, 0 for a final partial block whose `0x01` terminator is
+    /// already in the bytes.
     fn process_block(&mut self, block: &[u8; 16], pad_bit: u64) {
-        let m = limbs(block);
-        let h0 = self.acc[0] + m[0];
-        let h1 = self.acc[1] + m[1];
-        let h2 = self.acc[2] + (m[2] | pad_bit);
-        // acc *= r (mod 2^130 - 5)
-        let [r0, r1, r2] = self.r.map(u128::from);
-        let (s1, s2) = (r1 * 20, r2 * 20);
-        let (h0, h1, h2) = (u128::from(h0), u128::from(h1), u128::from(h2));
-        let d0 = h0 * r0 + h1 * s2 + h2 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0;
-        // Partial carry back to 44/44/42-bit limbs; the overflow above
-        // 2^130 folds back in times 5.
-        let d1 = d1 + (d0 >> 44);
-        let d2 = d2 + (d1 >> 44);
-        let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
-        let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
-        self.acc = [h0 & MASK44, h1, d2 as u64 & MASK42];
+        let m = padded(block, pad_bit);
+        let h = std::array::from_fn(|i| self.acc[i] + m[i]);
+        self.acc = carry(mul(h, self.r[0]));
+    }
+
+    /// Absorbs four full blocks: `(acc + m0)·r⁴ + m1·r³ + m2·r² + m3·r`,
+    /// one carry for all four products.
+    fn process_quad(&mut self, blocks: &[[u8; 16]; 4]) {
+        let mut m = blocks.map(|block| padded(&block, PAD_BIT));
+        m[0] = std::array::from_fn(|i| self.acc[i] + m[0][i]);
+        let mut d = [0u128; 3];
+        for (m, r) in m.into_iter().zip(self.r.into_iter().rev()) {
+            for (d, p) in d.iter_mut().zip(mul(m, r)) {
+                *d += p;
+            }
+        }
+        self.acc = carry(d);
     }
 
     /// Absorbs message bytes.
@@ -93,12 +132,16 @@ impl Poly1305 {
             }
             self.buffered = 0;
             let block = self.buffer;
-            self.process_block(&block, 1 << 40);
+            self.process_block(&block, PAD_BIT);
         }
-        // Process whole blocks directly from the input.
+        // Process whole blocks directly from the input, four at a time.
         let (blocks, tail) = data.as_chunks::<16>();
-        for block in blocks {
-            self.process_block(block, 1 << 40);
+        let (quads, rest) = blocks.as_chunks::<4>();
+        for quad in quads {
+            self.process_quad(quad);
+        }
+        for block in rest {
+            self.process_block(block, PAD_BIT);
         }
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffered = tail.len();
@@ -424,14 +467,28 @@ mod tests {
         }
 
         #[test]
+        fn streaming_splits_mid_quad_match_26_bit_limbs(key: [u8; 32], data in proptest::collection::vec(any::<u8>(), 0..400), a in 0usize..400, b in 0usize..400) {
+            // Two splits anywhere, so a buffered partial block is finished
+            // mid-quad and the quads realign after it.
+            let (a, b) = (a.min(data.len()), b.min(data.len()));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut p = Poly1305::new(&key);
+            p.update(&data[..a]);
+            p.update(&data[a..b]);
+            p.update(&data[b..]);
+            prop_assert_eq!(p.finalize(), Poly26::mac(&key, &data));
+        }
+
+        #[test]
         fn matches_26_bit_limbs(key: [u8; 32], data in proptest::collection::vec(any::<u8>(), 0..200)) {
             prop_assert_eq!(Poly1305::mac(&key, &data), Poly26::mac(&key, &data));
         }
 
         #[test]
-        fn saturated_inputs_match_26_bit_limbs(r_and_s: [u8; 32], blocks in 1usize..12, len_cut in 0usize..16) {
+        fn saturated_inputs_match_26_bit_limbs(r_and_s: [u8; 32], blocks in 1usize..20, len_cut in 0usize..16) {
             // All-ones messages and a maximal r keep every limb near its
-            // bound, where a carry slip would show.
+            // bound, where a carry slip would show: up to four quads, whose
+            // unreduced four-product sums are the widest, plus a remainder.
             let mut key = r_and_s;
             key[..16].fill(0xff);
             let data = vec![0xffu8; blocks * 16 - len_cut];

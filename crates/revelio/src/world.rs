@@ -719,6 +719,9 @@ mod tests {
     use crate::node::demo_app;
     use crate::RevelioError;
     use revelio_crypto::ed25519::SigningKey;
+    use revelio_http::client::HttpsClient;
+    use revelio_http::message::Request;
+    use revelio_tls::TlsClientConfig;
 
     #[test]
     fn fleet_nodes_share_one_tls_identity() {
@@ -1030,21 +1033,31 @@ mod tests {
         let fleet = world
             .deploy_fleet("pad.example.org", 1, demo_app())
             .unwrap();
+        // An unmonitored HTTPS session to the same node: no extension, so
+        // no per-request connection validation.
+        let client = HttpsClient::new(
+            world.net.clone(),
+            world.dns.clone(),
+            TlsClientConfig {
+                trusted_roots: world.tls_roots(),
+                clock: world.clock.clone(),
+                telemetry: None,
+            },
+            [0x5a; 32],
+        );
+        let mut plain = client.open("pad.example.org").unwrap();
+        let (_, plain_ms) = world
+            .clock
+            .time_ms(|| plain.send(&Request::get("/")).unwrap());
         let extension = world.extension();
         extension.register_site("pad.example.org", vec![fleet.golden_measurement]);
-        let mut session = extension.open_monitored("pad.example.org").unwrap();
-        let (_, monitored_ms) = world.clock.time_ms(|| session.request("/").unwrap());
-        let plain_ms = {
-            let mut s = extension.open_monitored("pad.example.org").unwrap();
-            // Strip monitoring by measuring an unmonitored request path.
-            let t0 = world.clock.now_ms();
-            let _ = s.request("/").unwrap();
-            world.clock.now_ms() - t0
-        };
-        // Both include the validation cost; check the absolute shape
-        // instead: a monitored request costs base + ~14 ms.
-        assert!(monitored_ms > PAGE_PROCESSING_MS);
-        assert!((monitored_ms - plain_ms).abs() < 1.0);
+        let mut monitored = extension.open_monitored("pad.example.org").unwrap();
+        let (_, monitored_ms) = world.clock.time_ms(|| monitored.request("/").unwrap());
+        assert!(plain_ms > PAGE_PROCESSING_MS);
+        assert!(
+            (monitored_ms - plain_ms - EXTENSION_CONN_VALIDATION_MS).abs() < 0.01,
+            "monitored {monitored_ms} ms, plain {plain_ms} ms"
+        );
     }
 
     #[test]
